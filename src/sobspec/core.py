@@ -7,12 +7,14 @@ positive leading coefficients ``r_n = 1/||P_n||``.
 
 All real computation uses mpmath binary floats at a configurable precision
 (default 256 bits); every public entry point runs under the table's working
-precision.  Tables are immutable after construction and safe to share across
-threads; evaluations are pure.
+precision.  Tables are immutable after construction and evaluations are pure,
+but the working precision is mpmath's process-global state, so concurrent use
+at different precisions from several threads is not safe.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +93,8 @@ class SobolevSpec:
     """Mass-point data (c, M, N) attached to a base measure.
 
     Defines the inner product  <f, g> = int f g dmu + M f(c) g(c) + N f'(c) g'(c)
-    with M, N >= 0 and c strictly outside the support of the base measure.
+    with finite real c, M and N, M, N >= 0 and c strictly outside the support
+    of the base measure.
     """
 
     measure: MeasureSpec
@@ -100,6 +103,11 @@ class SobolevSpec:
     N: object
 
     def __post_init__(self):
+        for name in ("c", "M", "N"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not mp.isfinite(value):
+                raise InvalidParameterError(
+                    f"{name} must be a finite real number, got {value!r}")
         if not self.M >= 0 or not self.N >= 0:
             raise InvalidParameterError("M and N must be nonnegative")
         lo, hi = self.measure.support

@@ -42,10 +42,12 @@ from .errors import (
 class BandedMatrix:
     """Immutable truncation of a semi-infinite banded operator.
 
-    Entries are stored densely (sizes here are tiny); ``lower_bw``/``upper_bw``
-    declare the band, outside which entries are identically zero, and
-    ``exact_size`` marks the leading block unaffected by truncation.
-    Serialization emits band entries only.
+    ``rows`` holds full rows, but ``lower_bw``/``upper_bw`` declare the band
+    and every entry outside it is an exact zero: each constructor (the
+    builders, ``multiply``, ``subtract``, ``transpose``, ``shifted``,
+    ``scaled``, ``identity``, ``qr_pair`` and ``matrix_from_json``) keeps
+    that invariant, so scans and residuals read the band only.  ``exact_size`` marks the leading block unaffected by
+    truncation.  Serialization emits band entries only.
     """
 
     nrows: int
@@ -65,9 +67,7 @@ class BandedMatrix:
     def band_entries(self):
         """Yield (i, j, value) over the declared band, row-major."""
         for i in range(self.nrows):
-            lo = max(0, i - self.lower_bw)
-            hi = min(self.ncols, i + self.upper_bw + 1)
-            for j in range(lo, hi):
+            for j in _band(i, self.lower_bw, self.upper_bw, self.ncols):
                 yield i, j, self.rows[i][j]
 
     def transpose(self):
@@ -85,19 +85,37 @@ class BandedMatrix:
         """self + lam * I on the common diagonal."""
         with mp.workprec(self.precision):
             lam = to_mpf(lam)
-            rows = tuple(
-                tuple(v + lam if i == j else v for j, v in enumerate(row))
-                for i, row in enumerate(self.rows)
-            )
+            rows = [list(row) for row in self.rows]
+            for i in range(min(self.nrows, self.ncols)):
+                rows[i][i] += lam
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
-                            self.exact_size, self.precision, rows)
+                            self.exact_size, self.precision,
+                            tuple(tuple(r) for r in rows))
 
     def scaled(self, s):
         with mp.workprec(self.precision):
             s = to_mpf(s)
-            rows = tuple(tuple(s * v for v in row) for row in self.rows)
+            rows = _banded_rows(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
+                                lambda i, j: s * self.rows[i][j])
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
                             self.exact_size, self.precision, rows)
+
+
+def _band(i, lower_bw, upper_bw, stop):
+    """Columns of row i inside the band (lower_bw, upper_bw), below ``stop``."""
+    return range(max(0, i - lower_bw), min(stop, i + upper_bw + 1))
+
+
+def _banded_rows(nrows, ncols, lower_bw, upper_bw, entry):
+    """Rows holding entry(i, j) on the band and exact zeros outside it."""
+    zero = mp.mpf(0)
+    rows = []
+    for i in range(nrows):
+        row = [zero] * ncols
+        for j in _band(i, lower_bw, upper_bw, ncols):
+            row[j] = entry(i, j)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _freeze(rows, lower_bw, upper_bw, exact_size, precision):
@@ -138,16 +156,12 @@ def multiply(A, B):
         for i in range(A.nrows):
             arow = A.rows[i]
             out = [zero] * B.ncols
-            klo = max(0, i - A.lower_bw)
-            khi = min(A.ncols, i + A.upper_bw + 1)
-            for k in range(klo, khi):
+            for k in _band(i, A.lower_bw, A.upper_bw, A.ncols):
                 a = arow[k]
                 if a == 0:
                     continue
                 brow = B.rows[k]
-                jlo = max(0, k - B.lower_bw)
-                jhi = min(B.ncols, k + B.upper_bw + 1)
-                for j in range(jlo, jhi):
+                for j in _band(k, B.lower_bw, B.upper_bw, B.ncols):
                     out[j] += a * brow[j]
             rows.append(out)
     w = min(A.upper_bw, B.lower_bw)
@@ -160,32 +174,39 @@ def subtract(A, B):
     if (A.nrows, A.ncols) != (B.nrows, B.ncols):
         raise InvalidParameterError("shapes differ")
     prec = max(A.precision, B.precision)
+    lower, upper = max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw)
     with mp.workprec(prec):
-        rows = [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)
-        ]
-    return _freeze(rows, max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw),
-                   min(A.exact_size, B.exact_size), prec)
+        rows = _banded_rows(A.nrows, A.ncols, lower, upper,
+                            lambda i, j: A.rows[i][j] - B.rows[i][j])
+    return _freeze(rows, lower, upper, min(A.exact_size, B.exact_size), prec)
 
 
 def block_max_abs(A, block):
+    """Largest |entry| of the leading block, read over the declared band."""
     with mp.workprec(A.precision):
         m = mp.mpf(0)
         for i in range(min(block, A.nrows)):
-            for j in range(min(block, A.ncols)):
-                m = max(m, abs(A.rows[i][j]))
+            row = A.rows[i]
+            for j in _band(i, A.lower_bw, A.upper_bw, min(block, A.ncols)):
+                m = max(m, abs(row[j]))
         return m
 
 
 def block_residual(A, B, block):
-    """Max-entry difference of the leading blocks, relative to their scale."""
+    """Max-entry difference of the leading blocks, relative to their scale.
+
+    Only the union of the two declared bands is read: outside it both
+    operands hold exact zeros.
+    """
     if block < 1:
         raise InternalConsistencyError("empty comparison block")
+    lower, upper = max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw)
     with mp.workprec(max(A.precision, B.precision)):
         diff = mp.mpf(0)
         for i in range(block):
-            for j in range(block):
-                diff = max(diff, abs(A.rows[i][j] - B.rows[i][j]))
+            ra, rb = A.rows[i], B.rows[i]
+            for j in _band(i, lower, upper, block):
+                diff = max(diff, abs(ra[j] - rb[j]))
         scale = max(mp.mpf(1), block_max_abs(A, block), block_max_abs(B, block))
         return diff / scale
 
@@ -457,12 +478,36 @@ def orthogonality_defect(Q, block, ncols=None):
     """
     m = Q.exact_size if ncols is None else ncols
     with mp.workprec(Q.precision):
-        worst = mp.mpf(0)
-        for i in range(block):
-            for j in range(block):
-                v = mp.fsum(Q.rows[i][k] * Q.rows[j][k] for k in range(m))
-                worst = max(worst, abs(v - (1 if i == j else 0)))
-        return worst
+        return _gram_defect([row[:m] for row in Q.rows[:block]])
+
+
+def _gram_entries(vectors):
+    """Yield (i, j, <v_i, v_j>) over the symmetric half (i <= j) of the Gram
+    matrix of ``vectors``.
+
+    Each entry is one ``mp.fdot``: exact products, summed and rounded once at
+    the working precision.  Vectors of unequal length pair up over the
+    shorter one's entries.
+    """
+    for i, u in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            yield i, j, mp.fdot(u, vectors[j])
+
+
+def _gram_defect(vectors):
+    """Max-entry distance of the Gram matrix of ``vectors`` from the identity."""
+    worst = mp.mpf(0)
+    for i, j, v in _gram_entries(vectors):
+        worst = max(worst, abs(v - 1) if i == j else abs(v))
+    return worst
+
+
+def _hessenberg_columns(Q, count):
+    """The leading ``count`` columns of Q, column j cut below row
+    j + lower_bw, where a Hessenberg factor's nonzeros end.  Their Gram
+    matrix is the leading block of Qt Q."""
+    return [[Q.rows[k][j] for k in range(min(Q.nrows, j + Q.lower_bw + 1))]
+            for j in range(count)]
 
 
 def verify_propositions(suite, size=None):
@@ -482,25 +527,27 @@ def verify_propositions(suite, size=None):
         A2sq = multiply(A2, A2)
         Rt = suite.R.transpose()
         Tt = suite.T.transpose()
-        Qt = suite.Q.transpose()
 
-        pairs = [
-            ("H = T Tt", suite.H, multiply(suite.T, Tt)),
-            ("H T = T (J2 - cI)^2", multiply(suite.H, suite.T),
-             multiply(suite.T, A2sq)),
-            ("Q R = J - cI", multiply(suite.Q, suite.R), A0),
-            ("R Q = J2 - cI", multiply(suite.R, suite.Q), A2),
-            ("(J2 - cI)^2 = R Rt", A2sq, multiply(suite.R, Rt)),
-            ("(J - cI)^2 = Rt R", A0sq, multiply(Rt, suite.R)),
-            ("R Rt = Tt T", multiply(suite.R, Rt), multiply(Tt, suite.T)),
-            ("Qt Q = I", multiply(Qt, suite.Q),
-             identity(suite.Q.nrows, suite.precision)),
-            ("J2 chain = J2 ledger", suite.J2, suite.J2_direct),
-        ]
-        entries = []
-        for name, A, B in pairs:
+        def compare(name, A, B):
             block = min(size, A.exact_size, B.exact_size)
-            entries.append(ResidualEntry(name, block_residual(A, B, block), block))
+            return ResidualEntry(name, block_residual(A, B, block), block)
+
+        # The exact size Qt Q would have as a product: Q loses lower_bw rows.
+        qtq_block = min(size, suite.Q.exact_size - suite.Q.lower_bw)
+        entries = [
+            compare("H = T Tt", suite.H, multiply(suite.T, Tt)),
+            compare("H T = T (J2 - cI)^2", multiply(suite.H, suite.T),
+                    multiply(suite.T, A2sq)),
+            compare("Q R = J - cI", multiply(suite.Q, suite.R), A0),
+            compare("R Q = J2 - cI", multiply(suite.R, suite.Q), A2),
+            compare("(J2 - cI)^2 = R Rt", A2sq, multiply(suite.R, Rt)),
+            compare("(J - cI)^2 = Rt R", A0sq, multiply(Rt, suite.R)),
+            compare("R Rt = Tt T", multiply(suite.R, Rt), multiply(Tt, suite.T)),
+            ResidualEntry("Qt Q = I",
+                          _gram_defect(_hessenberg_columns(suite.Q, qtq_block)),
+                          qtq_block),
+            compare("J2 chain = J2 ledger", suite.J2, suite.J2_direct),
+        ]
 
         block = min(size, suite.H.exact_size)
         scale = max(mp.mpf(1), block_max_abs(suite.H, block))

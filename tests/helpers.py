@@ -21,3 +21,16 @@ def assert_squared(value, square, sign=1, tol=TOL30):
     with mp.workprec(mp.mp.prec):
         target = sign * mp.sqrt(mp.mpf(square.numerator) / square.denominator)
         assert_rel(value, target, tol)
+
+
+def dense_block_residual(A, B, block):
+    """Reference for ``block_residual``: scans every position of the leading
+    blocks, in and out of the declared bands."""
+    with mp.workprec(max(A.precision, B.precision)):
+        diff = scale = mp.mpf(0)
+        for i in range(block):
+            for j in range(block):
+                a, b = A.rows[i][j], B.rows[i][j]
+                diff = max(diff, abs(a - b))
+                scale = max(scale, abs(a), abs(b))
+        return diff / max(mp.mpf(1), scale)

@@ -126,6 +126,13 @@ class TestVerify:
         assert report["pass"] is True
         assert len(report["residuals"]) == 10
 
+    @pytest.mark.parametrize("option", ["--c=-inf", "--c=nan", "--M=inf", "--N=inf"])
+    def test_non_finite_parameter_exit_code(self, runner, tmp_path, option):
+        result = runner.invoke(main, ["verify", "--size", "6", option,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "verification.json").exists()
+
     def test_low_precision_breaches_tolerance_but_writes_report(self, runner, tmp_path):
         result = runner.invoke(
             main,

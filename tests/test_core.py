@@ -102,6 +102,16 @@ class TestSobolevSpec:
         with pytest.raises(InvalidParameterError):
             SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=-1, N=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("c", float("-inf")), ("c", float("nan")), ("c", mp.mpf("-inf")),
+        ("M", float("inf")), ("M", mp.mpf("nan")), ("N", float("inf")),
+        ("c", "-1"), ("M", "1"), ("N", None), ("c", mp.mpc(-1, 1)),
+    ])
+    def test_non_finite_or_non_numeric_rejected(self, field, value):
+        params = {"c": -1, "M": 1, "N": 1, field: value}
+        with pytest.raises(InvalidParameterError):
+            SobolevSpec(MeasureSpec.laguerre(0), **params)
+
     def test_side_detection(self):
         left = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=1, N=1)
         right = SobolevSpec(reflected_laguerre(6), c=1, M=1, N=1)

@@ -5,15 +5,18 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from helpers import TOL30, assert_rel, assert_squared
-from sobspec.core import MeasureSpec, SobolevSpec
+from helpers import TOL30, assert_rel, assert_squared, dense_block_residual
+from sobspec.core import MeasureSpec, SobolevSpec, to_mpf
 from sobspec.errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NotPositiveDefiniteError,
 )
 from sobspec.matrices import (
+    BandedMatrix,
     MatrixSuite,
+    _gram_entries,
+    _hessenberg_columns,
     block_residual,
     build_jacobi,
     cholesky_shifted,
@@ -24,6 +27,7 @@ from sobspec.matrices import (
     qr_pair,
     verify_propositions,
 )
+from sobspec.serialize import matrix_from_json, matrix_to_json
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,42 @@ def reflected_spec(size):
         norm0_sq=1,
     )
     return SobolevSpec(measure, c=1, M=1, N=1)
+
+
+def identity_operands(suite):
+    """The pairs verify_propositions compares through ``block_residual``,
+    formed the same way: name -> (A, B)."""
+    sgn = 1 if suite.side == "left" else -1
+    with mp.workprec(suite.precision):
+        c = to_mpf(suite.spec.c)
+    A0 = suite.J.shifted(-c).scaled(sgn)
+    A2 = suite.J2.shifted(-c).scaled(sgn)
+    A2sq = multiply(A2, A2)
+    R, T, Rt, Tt = suite.R, suite.T, suite.R.transpose(), suite.T.transpose()
+    return {
+        "H = T Tt": (suite.H, multiply(T, Tt)),
+        "H T = T (J2 - cI)^2": (multiply(suite.H, T), multiply(T, A2sq)),
+        "Q R = J - cI": (multiply(suite.Q, R), A0),
+        "R Q = J2 - cI": (multiply(R, suite.Q), A2),
+        "(J2 - cI)^2 = R Rt": (A2sq, multiply(R, Rt)),
+        "(J - cI)^2 = Rt R": (multiply(A0, A0), multiply(Rt, R)),
+        "R Rt = Tt T": (multiply(R, Rt), multiply(Tt, T)),
+        "J2 chain = J2 ledger": (suite.J2, suite.J2_direct),
+    }
+
+
+def stray_entries(matrix):
+    """Positions outside the declared band that hold anything but exact zero."""
+    return [(i, j) for i in range(matrix.nrows) for j in range(matrix.ncols)
+            if not matrix.in_band(i, j) and matrix.entry(i, j) != 0]
+
+
+@pytest.fixture(scope="module", params=["left", "right"])
+def sided_suite(request, spec):
+    """Size 40 on the worked Laguerre example and on the reflected measure."""
+    if request.param == "left":
+        return MatrixSuite.build(spec, size=40, guard=4)
+    return MatrixSuite.build(reflected_spec(49), size=40, guard=4)
 
 
 class TestJacobi:
@@ -211,6 +251,62 @@ class TestSuiteAndResiduals:
         for name, ma in a.named_matrices().items():
             mb = b.named_matrices()[name]
             assert ma.rows == mb.rows
+
+
+class TestBandLocalVerification:
+    """Residual scans read the declared bands only; these pin why that loses
+    nothing and that the values match the dense scans bit for bit."""
+
+    def test_zero_outside_declared_band(self, sided_suite):
+        s = sided_suite
+        matrices = dict(s.named_matrices(), J2_direct=s.J2_direct,
+                        Qt=s.Q.transpose(), Rt=s.R.transpose(), Tt=s.T.transpose())
+        for name, (A, B) in identity_operands(s).items():
+            matrices[f"{name} lhs"], matrices[f"{name} rhs"] = A, B
+        for name, m in s.named_matrices().items():
+            matrices[f"{name} from json"] = matrix_from_json(matrix_to_json(name, m))[1]
+        for name, m in matrices.items():
+            assert stray_entries(m) == [], name
+
+    def test_residuals_equal_dense_scan(self, sided_suite):
+        s = sided_suite
+        report = {name: (res, block) for name, res, block
+                  in verify_propositions(s).as_rows()}
+        expected = {}
+        for name, (A, B) in identity_operands(s).items():
+            block = min(s.size, A.exact_size, B.exact_size)
+            expected[name] = (dense_block_residual(A, B, block), block)
+        H, block = s.H, min(s.size, s.H.exact_size)
+        with mp.workprec(s.precision):
+            stray = max([abs(H.entry(i, j)) for i in range(block)
+                         for j in range(block) if abs(i - j) > 2] + [mp.mpf(0)])
+            scale = max([mp.mpf(1)] + [abs(H.entry(i, j)) for i in range(block)
+                                       for j in range(block)])
+        expected["H bandwidth <= 2"] = (stray / scale, block)
+        assert set(report) - set(expected) == {"Qt Q = I"}
+        for name, value in expected.items():
+            assert report[name] == value, name
+
+    def test_scan_covers_union_of_bands(self):
+        I = identity(4, 64)
+        rows = [list(r) for r in I.rows]
+        rows[0][3] = mp.mpf(-3)
+        U = BandedMatrix(4, 4, 0, 3, 4, 64, tuple(tuple(r) for r in rows))
+        assert block_residual(I, U, 4) == block_residual(U, I, 4) == 1
+        assert block_residual(I, U, 3) == 0
+
+    def test_gram_matches_product(self, sided_suite):
+        Q, p = sided_suite.Q, sided_suite.precision
+        QtQ = multiply(Q.transpose(), Q)
+        block = min(sided_suite.size, QtQ.exact_size)
+        rows = verify_propositions(sided_suite).as_rows()
+        assert [b for name, _, b in rows if name == "Qt Q = I"] == [block]
+        with mp.workprec(p):
+            tol = mp.mpf(2) ** (8 - p)
+            entries = list(_gram_entries(_hessenberg_columns(Q, block)))
+            assert len(entries) == block * (block + 1) // 2
+            for i, j, v in entries:
+                assert abs(v - QtQ.entry(i, j)) <= tol, (i, j)
 
 
 class TestOrthogonalityTrend:
