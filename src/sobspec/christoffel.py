@@ -122,13 +122,6 @@ class ChristoffelLedger:
                        kappa=tuple(kappa), tau=tuple(tau), norm2_sq=tuple(norm2))
 
 
-def iterated_recurrence(ledger, rec, n):
-    """(kappa_n, tau_n) of the twice-transformed three-term recurrence."""
-    if not 0 <= n < ledger.size:
-        raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
-    return ledger.kappa[n], ledger.tau[n]
-
-
 def _monic_iterated_by_recurrence(ledger, n, x):
     pm1, p = mp.mpf(0), mp.mpf(1)
     for k in range(n):

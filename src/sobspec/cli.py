@@ -29,7 +29,7 @@ from .errors import (
     NumericalFailureError,
     OracleUnsupportedError,
 )
-from .golden import MATRIX_NAMES, load_reference
+from .golden import compare_reference, load_reference
 from .matrices import MatrixSuite, multiply, verify_propositions
 from .oracle import build_oracle_suite
 from .serialize import (
@@ -285,27 +285,13 @@ def reproduce_paper(precision, tolerance):
         computed["J2_shift_sq"] = multiply(shifted, shifted)
         osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
                                     config["N"], top)
-
-        with mp.workprec(precision):
-            tol = mp.mpf(str(tolerance))
-            failures = 0
-            for name in MATRIX_NAMES:
-                gm = golden[name]
-                exact_ok = float_ok = 0
-                for (i, j), ref in gm.entries.items():
-                    if osuite.matrices[name][i][j] == ref:
-                        exact_ok += 1
-                    got = computed[name].entry(i, j)
-                    target = gm.value(i, j, precision)
-                    err = abs(got - target)
-                    scale = abs(target) if ref.sign else mp.mpf(1)
-                    if err <= tol * scale:
-                        float_ok += 1
-                total = len(gm.entries)
-                status = "ok" if exact_ok == total == float_ok else "FAIL"
-                failures += total - exact_ok + total - float_ok
-                click.echo(f"{name:12s} exact {exact_ok}/{total}  "
-                           f"float {float_ok}/{total}  {status}")
+        counts = compare_reference(golden, computed, osuite, precision, tolerance)
+        failures = 0
+        for name, (exact_ok, float_ok, total) in counts.items():
+            status = "ok" if exact_ok == total == float_ok else "FAIL"
+            failures += total - exact_ok + total - float_ok
+            click.echo(f"{name:12s} exact {exact_ok}/{total}  "
+                       f"float {float_ok}/{total}  {status}")
         if failures:
             _fail(EXIT_VERIFICATION, f"{failures} reference entries mismatched")
         click.echo("all reference entries reproduced")

@@ -28,6 +28,11 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
+def _require_finite_real(name, value):
+    if not isinstance(value, numbers.Real) or not mp.isfinite(value):
+        raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
+
+
 def to_mpf(x):
     """Convert ints, floats, Fractions, decimal strings or mpf to mpf.
 
@@ -61,6 +66,7 @@ class MeasureSpec:
 
     @classmethod
     def laguerre(cls, alpha):
+        _require_finite_real("alpha", alpha)
         if not alpha > -1:
             raise InvalidParameterError(f"Laguerre needs alpha > -1, got {alpha}")
         return cls(family="laguerre", alpha=alpha, support=(0.0, POS_INF))
@@ -104,10 +110,7 @@ class SobolevSpec:
 
     def __post_init__(self):
         for name in ("c", "M", "N"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not mp.isfinite(value):
-                raise InvalidParameterError(
-                    f"{name} must be a finite real number, got {value!r}")
+            _require_finite_real(name, getattr(self, name))
         if not self.M >= 0 or not self.N >= 0:
             raise InvalidParameterError("M and N must be nonnegative")
         lo, hi = self.measure.support
@@ -184,15 +187,13 @@ def laguerre_recurrence(alpha, size, precision=DEFAULT_PRECISION):
 
     beta_n = 2n + 1 + alpha, gamma_n = n (n + alpha), ||P_0||^2 = Gamma(alpha+1).
     """
-    if not alpha > -1:
-        raise InvalidParameterError(f"Laguerre needs alpha > -1, got {alpha}")
+    measure = MeasureSpec.laguerre(alpha)
     if size < 1:
         raise InvalidParameterError("size must be >= 1")
     with mp.workprec(precision):
         a = to_mpf(alpha)
         beta = tuple(2 * n + 1 + a for n in range(size))
         gamma = (mp.mpf(0),) + tuple(n * (n + a) for n in range(1, size))
-        measure = MeasureSpec.laguerre(alpha)
         return RecurrenceTable._finish(
             beta, gamma, mp.gamma(a + 1), precision, (0.0, POS_INF), measure
         )

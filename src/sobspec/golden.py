@@ -59,3 +59,27 @@ def load_reference():
             entries=entries,
         )
     return doc["config"], matrices
+
+
+def compare_reference(golden, computed, osuite, precision, tol):
+    """Count the reference entries each computation path reproduces.
+
+    ``golden`` maps names to :class:`GoldenMatrix`, ``computed`` to float
+    matrices and ``osuite`` is the exact oracle suite.  Returns name ->
+    (exact, float, total) in ``MATRIX_NAMES`` order: ``exact`` counts oracle
+    entries equal to the reference, ``float`` computed entries within ``tol``
+    of it, relative to the entry (absolute where the entry is zero).
+    """
+    counts = {}
+    with mp.workprec(precision):
+        tol = mp.mpf(tol)
+        for name in MATRIX_NAMES:
+            gm = golden[name]
+            exact_ok = float_ok = 0
+            for (i, j), ref in gm.entries.items():
+                exact_ok += osuite.matrices[name][i][j] == ref
+                target = gm.value(i, j, precision)
+                err = abs(computed[name].entry(i, j) - target)
+                float_ok += err <= tol * (abs(target) if ref.sign else 1)
+            counts[name] = (exact_ok, float_ok, len(gm.entries))
+    return counts

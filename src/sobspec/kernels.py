@@ -3,7 +3,8 @@
 K_n(x, y) = sum_{k<=n} p_k(x) p_k(y); the mixed partials up to order (1,1) are
 needed at the mass point.  Direct summation is the reference path everywhere;
 the Christoffel-Darboux quotient and the second/third-derivative confluent
-closed forms are accelerations validated against it in the test suite.
+closed forms are accelerations validated against it in the test suite (the
+confluent ones against the cumulative sums of :class:`KernelTable`).
 
 Index convention of the mixed confluent closed form: the expression
 
@@ -158,17 +159,4 @@ def kernel_confluents(rec, n, c):
         K01 = (j.jet(n) * j.jet(n + 1, 2) - j.jet(n + 1) * j.jet(n, 2)) / 2 * w
         K11 = ((j.jet(n) * j.jet(n + 1, 3) - j.jet(n + 1) * j.jet(n, 3)) / 6
                + (j.jet(n, 1) * j.jet(n + 1, 2) - j.jet(n + 1, 1) * j.jet(n, 2)) / 2) * w
-        return KernelConfluents(n=n, c=c, K=K, K01=K01, K11=K11)
-
-
-def kernel_confluents_by_summation(rec, n, c):
-    """Reference path: the same confluent values by direct summation."""
-    if not 0 <= n < rec.size:
-        raise IndexError(f"n = {n} outside table of size {rec.size}")
-    with mp.workprec(rec.precision):
-        c = to_mpf(c)
-        j = eval_jet(rec, n, c, order=1)
-        K = mp.fsum(j.jet(k) ** 2 / rec.norm_sq[k] for k in range(n + 1))
-        K01 = mp.fsum(j.jet(k) * j.jet(k, 1) / rec.norm_sq[k] for k in range(n + 1))
-        K11 = mp.fsum(j.jet(k, 1) ** 2 / rec.norm_sq[k] for k in range(n + 1))
         return KernelConfluents(n=n, c=c, K=K, K01=K01, K11=K11)

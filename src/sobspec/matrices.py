@@ -43,11 +43,13 @@ class BandedMatrix:
     """Immutable truncation of a semi-infinite banded operator.
 
     ``rows`` holds full rows, but ``lower_bw``/``upper_bw`` declare the band
-    and every entry outside it is an exact zero: each constructor (the
-    builders, ``multiply``, ``subtract``, ``transpose``, ``shifted``,
-    ``scaled``, ``identity``, ``qr_pair`` and ``matrix_from_json``) keeps
-    that invariant, so scans and residuals read the band only.  ``exact_size`` marks the leading block unaffected by
-    truncation.  Serialization emits band entries only.
+    and every entry outside it is an exact zero: each constructor keeps that
+    invariant, so scans and residuals read the band only.  The banded
+    builders and ``identity`` share one assembly from the diagonals
+    (``_from_diagonals``); the others are ``multiply``, ``transpose``,
+    ``shifted``, ``scaled``, ``qr_pair`` and ``matrix_from_json``.
+    ``exact_size`` marks the leading block unaffected by truncation.
+    Serialization emits band entries only.
     """
 
     nrows: int
@@ -93,29 +95,21 @@ class BandedMatrix:
                             tuple(tuple(r) for r in rows))
 
     def scaled(self, s):
+        """s * self, multiplying the band entries only."""
         with mp.workprec(self.precision):
             s = to_mpf(s)
-            rows = _banded_rows(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
-                                lambda i, j: s * self.rows[i][j])
+            rows = [list(row) for row in self.rows]
+            for i, row in enumerate(rows):
+                for j in _band(i, self.lower_bw, self.upper_bw, self.ncols):
+                    row[j] *= s
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
-                            self.exact_size, self.precision, rows)
+                            self.exact_size, self.precision,
+                            tuple(tuple(r) for r in rows))
 
 
 def _band(i, lower_bw, upper_bw, stop):
     """Columns of row i inside the band (lower_bw, upper_bw), below ``stop``."""
     return range(max(0, i - lower_bw), min(stop, i + upper_bw + 1))
-
-
-def _banded_rows(nrows, ncols, lower_bw, upper_bw, entry):
-    """Rows holding entry(i, j) on the band and exact zeros outside it."""
-    zero = mp.mpf(0)
-    rows = []
-    for i in range(nrows):
-        row = [zero] * ncols
-        for j in _band(i, lower_bw, upper_bw, ncols):
-            row[j] = entry(i, j)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _freeze(rows, lower_bw, upper_bw, exact_size, precision):
@@ -132,11 +126,29 @@ def _freeze(rows, lower_bw, upper_bw, exact_size, precision):
     )
 
 
+def _from_diagonals(diagonals, exact_size, precision):
+    """Square matrix holding ``diagonals[k]`` on diagonal k (k < 0 below the
+    main one) and exact zeros elsewhere; the main diagonal sets the size and
+    the outermost offsets the declared band."""
+    n = len(diagonals[0])
+    zero = mp.mpf(0)
+    rows = [[zero] * n for _ in range(n)]
+    for k, diagonal in diagonals.items():
+        row0, col0 = max(-k, 0), max(k, 0)
+        for i, value in enumerate(diagonal):
+            rows[row0 + i][col0 + i] = value
+    return _freeze(rows, -min(diagonals), max(diagonals), exact_size, precision)
+
+
+def _symmetric_from_diagonals(diagonals, exact_size, precision):
+    """Symmetric variant: ``diagonals[k]`` for k >= 0, mirrored below."""
+    full = dict(diagonals)
+    full.update({-k: diagonal for k, diagonal in diagonals.items() if k})
+    return _from_diagonals(full, exact_size, precision)
+
+
 def identity(n, precision):
-    with mp.workprec(precision):
-        one, zero = mp.mpf(1), mp.mpf(0)
-        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return _freeze(rows, 0, 0, n, precision)
+    return _from_diagonals({0: [mp.mpf(1)] * n}, n, precision)
 
 
 def multiply(A, B):
@@ -168,17 +180,6 @@ def multiply(A, B):
     exact = min(A.exact_size, B.exact_size - w, A.ncols - w)
     return _freeze(rows, A.lower_bw + B.lower_bw, A.upper_bw + B.upper_bw,
                    exact, prec)
-
-
-def subtract(A, B):
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        raise InvalidParameterError("shapes differ")
-    prec = max(A.precision, B.precision)
-    lower, upper = max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw)
-    with mp.workprec(prec):
-        rows = _banded_rows(A.nrows, A.ncols, lower, upper,
-                            lambda i, j: A.rows[i][j] - B.rows[i][j])
-    return _freeze(rows, lower, upper, min(A.exact_size, B.exact_size), prec)
 
 
 def block_max_abs(A, block):
@@ -217,34 +218,23 @@ def block_residual(A, B, block):
 
 def build_jacobi(rec, size):
     """Tridiagonal symmetric truncation: diagonal beta_n, off-diagonal sqrt(gamma_{n+1})."""
-    if size > rec.size:
-        raise IndexError(f"size {size} exceeds recurrence table {rec.size}")
+    if not 0 <= size <= rec.size:
+        raise IndexError(f"size {size} outside recurrence table {rec.size}")
     with mp.workprec(rec.precision):
-        zero = mp.mpf(0)
-        rows = [[zero] * size for _ in range(size)]
-        for n in range(size):
-            rows[n][n] = rec.beta[n]
-            if n + 1 < size:
-                off = mp.sqrt(rec.gamma[n + 1])
-                rows[n][n + 1] = rows[n + 1][n] = off
-    return _freeze(rows, 1, 1, size, rec.precision)
+        off = [mp.sqrt(rec.gamma[n + 1]) for n in range(size - 1)]
+    return _symmetric_from_diagonals({0: rec.beta[:size], 1: off}, size,
+                                     rec.precision)
 
 
 def build_iterated_jacobi(chris, size):
     """Tridiagonal truncation of the twice-transformed family from its scalar
     ledger: diagonal kappa_n, off-diagonal sqrt(tau_{n+1})."""
-    if size > chris.size:
-        raise IndexError(f"size {size} exceeds ledger {chris.size}")
+    if not 0 <= size <= chris.size:
+        raise IndexError(f"size {size} outside ledger {chris.size}")
     prec = chris.rec.precision
     with mp.workprec(prec):
-        zero = mp.mpf(0)
-        rows = [[zero] * size for _ in range(size)]
-        for n in range(size):
-            rows[n][n] = chris.kappa[n]
-            if n + 1 < size:
-                off = mp.sqrt(chris.tau[n + 1])
-                rows[n][n + 1] = rows[n + 1][n] = off
-    return _freeze(rows, 1, 1, size, prec)
+        off = [mp.sqrt(chris.tau[n + 1]) for n in range(size - 1)]
+    return _symmetric_from_diagonals({0: chris.kappa[:size], 1: off}, size, prec)
 
 
 def cholesky_shifted(J, c, side="left"):
@@ -260,21 +250,20 @@ def cholesky_shifted(J, c, side="left"):
     n = J.nrows
     with mp.workprec(J.precision):
         c = to_mpf(c)
-        zero = mp.mpf(0)
-        rows = [[zero] * n for _ in range(n)]
+        diag, sub = [], []
         for i in range(n):
             pivot = sgn * (J.rows[i][i] - c)
             if i:
-                pivot -= rows[i][i - 1] ** 2
+                pivot -= sub[i - 1] ** 2
             if not pivot > 0:
                 raise NotPositiveDefiniteError(
                     f"nonpositive pivot at row {i}: the shifted matrix is not "
                     f"positive definite (c = {c} on the '{side}' side)"
                 )
-            rows[i][i] = mp.sqrt(pivot)
+            diag.append(mp.sqrt(pivot))
             if i + 1 < n:
-                rows[i + 1][i] = sgn * J.rows[i + 1][i] / rows[i][i]
-    return _freeze(rows, 1, 0, J.exact_size, J.precision)
+                sub.append(sgn * J.rows[i + 1][i] / diag[i])
+    return _from_diagonals({0: diag, -1: sub}, J.exact_size, J.precision)
 
 
 def commute_cholesky(L, c, side="left"):
@@ -290,16 +279,15 @@ def commute_cholesky(L, c, side="left"):
     n = L.nrows
     with mp.workprec(L.precision):
         c = to_mpf(c)
-        zero = mp.mpf(0)
-        rows = [[zero] * n for _ in range(n)]
+        diag, off = [], []
         for i in range(n):
             d = L.rows[i][i] ** 2
             if i + 1 < n:
                 d += L.rows[i + 1][i] ** 2
-                off = sgn * L.rows[i + 1][i] * L.rows[i + 1][i + 1]
-                rows[i][i + 1] = rows[i + 1][i] = off
-            rows[i][i] = sgn * d + c
-    return _freeze(rows, 1, 1, L.exact_size - 1, L.precision)
+                off.append(sgn * L.rows[i + 1][i] * L.rows[i + 1][i + 1])
+            diag.append(sgn * d + c)
+    return _symmetric_from_diagonals({0: diag, 1: off}, L.exact_size - 1,
+                                     L.precision)
 
 
 def qr_pair(L, L1):
@@ -330,37 +318,19 @@ def qr_pair(L, L1):
 def build_T(sob, size):
     """Triangular connection matrix: row n holds the coefficients of s_n in
     the twice-transformed orthonormal basis (bandwidth 2 below the diagonal)."""
-    if size > sob.size:
-        raise IndexError(f"size {size} exceeds ledger {sob.size}")
-    prec = sob.rec.precision
-    with mp.workprec(prec):
-        zero = mp.mpf(0)
-        rows = [[zero] * size for _ in range(size)]
-        for n in range(size):
-            rows[n][n] = sob.gamma_nn[n]
-            if n >= 1:
-                rows[n][n - 1] = sob.gamma_n1[n]
-            if n >= 2:
-                rows[n][n - 2] = sob.gamma_n2[n]
-    return _freeze(rows, 2, 0, size, prec)
+    if not 0 <= size <= sob.size:
+        raise IndexError(f"size {size} outside ledger {sob.size}")
+    return _from_diagonals({0: sob.gamma_nn[:size], -1: sob.gamma_n1[1:size],
+                            -2: sob.gamma_n2[2:size]}, size, sob.rec.precision)
 
 
 def build_H(sob, size):
     """Pentadiagonal symmetric matrix of multiplication by (x-c)^2 in the
     Sobolev orthonormal basis, assembled from the (a, b, c) ledger entries."""
-    if size > sob.size:
-        raise IndexError(f"size {size} exceeds ledger {sob.size}")
-    prec = sob.rec.precision
-    with mp.workprec(prec):
-        zero = mp.mpf(0)
-        rows = [[zero] * size for _ in range(size)]
-        for n in range(size):
-            rows[n][n] = sob.cdiag[n]
-            if n + 1 < size:
-                rows[n][n + 1] = rows[n + 1][n] = sob.b[n + 1]
-            if n + 2 < size:
-                rows[n][n + 2] = rows[n + 2][n] = sob.a[n + 2]
-    return _freeze(rows, 2, 2, size, prec)
+    if not 0 <= size <= sob.size:
+        raise IndexError(f"size {size} outside ledger {sob.size}")
+    return _symmetric_from_diagonals({0: sob.cdiag[:size], 1: sob.b[1:size],
+                                      2: sob.a[2:size]}, size, sob.rec.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +368,7 @@ class MatrixSuite:
     H: BandedMatrix
 
     @classmethod
-    def build(cls, spec, size, guard=4, precision=None, reading="corrected"):
+    def build(cls, spec, size, guard=4, precision=None):
         from .christoffel import ChristoffelLedger
         from .core import DEFAULT_PRECISION
         from .kernels import KernelTable
@@ -416,7 +386,7 @@ class MatrixSuite:
         with mp.workprec(precision):
             kt = KernelTable.build(rec, spec.c)
             chris = ChristoffelLedger.build(rec, kt, nb + 2)
-            sob = SobolevLedger.build(rec, kt, chris, spec, nb + 2, reading)
+            sob = SobolevLedger.build(rec, kt, chris, spec, nb + 2)
             side = spec.side
             J = build_jacobi(rec, nb)
             L = cholesky_shifted(J, spec.c, side)
@@ -526,6 +496,7 @@ def verify_propositions(suite, size=None):
         A0sq = multiply(A0, A0)
         A2sq = multiply(A2, A2)
         Rt = suite.R.transpose()
+        RRt = multiply(suite.R, Rt)
         Tt = suite.T.transpose()
 
         def compare(name, A, B):
@@ -540,9 +511,9 @@ def verify_propositions(suite, size=None):
                     multiply(suite.T, A2sq)),
             compare("Q R = J - cI", multiply(suite.Q, suite.R), A0),
             compare("R Q = J2 - cI", multiply(suite.R, suite.Q), A2),
-            compare("(J2 - cI)^2 = R Rt", A2sq, multiply(suite.R, Rt)),
+            compare("(J2 - cI)^2 = R Rt", A2sq, RRt),
             compare("(J - cI)^2 = Rt R", A0sq, multiply(Rt, suite.R)),
-            compare("R Rt = Tt T", multiply(suite.R, Rt), multiply(Tt, suite.T)),
+            compare("R Rt = Tt T", RRt, multiply(Tt, suite.T)),
             ResidualEntry("Qt Q = I",
                           _gram_defect(_hessenberg_columns(suite.Q, qtq_block)),
                           qtq_block),

@@ -182,20 +182,6 @@ class SobolevLedger:
                        xi0=tuple(x0), xi1=tuple(x1), xi2=tuple(x2))
 
 
-def gamma_connection(ledger, n):
-    """The stored triple (gamma_{n,n}, gamma_{n-1,n}, gamma_{n-2,n})."""
-    if not 0 <= n < ledger.size:
-        raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
-    return ledger.gamma_nn[n], ledger.gamma_n1[n], ledger.gamma_n2[n]
-
-
-def five_term_coeffs(ledger, n):
-    """(a_n, b_n, c_n) of the five-term recurrence for (x-c)^2 s_n."""
-    if not 0 <= n < ledger.size:
-        raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
-    return ledger.a[n], ledger.b[n], ledger.cdiag[n]
-
-
 def _kernel01_xc(rec, kt, n, x):
     if x == kt.c:
         return kt.K01[n]
@@ -219,11 +205,3 @@ def eval_sobolev(rec, kt, ledger, n, x, normalized=False):
             if N != 0:
                 value -= N * ledger.Sdc[n] * _kernel01_xc(rec, kt, n - 1, x)
         return value * ledger.t[n] if normalized else value
-
-
-def aux_connections(ledger, n):
-    """(alpha_{n+1,n}, alpha_{n,n}, xi_{n,n}, xi_{n-1,n}, xi_{n-2,n})."""
-    if not 0 <= n < ledger.size:
-        raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
-    return (ledger.alpha1[n], ledger.alpha0[n],
-            ledger.xi0[n], ledger.xi1[n], ledger.xi2[n])

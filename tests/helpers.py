@@ -2,6 +2,8 @@
 
 import mpmath as mp
 
+from sobspec.matrices import multiply
+
 TOL30 = mp.mpf("1e-30")
 TOL28 = mp.mpf("1e-28")
 
@@ -21,6 +23,15 @@ def assert_squared(value, square, sign=1, tol=TOL30):
     with mp.workprec(mp.mp.prec):
         target = sign * mp.sqrt(mp.mpf(square.numerator) / square.denominator)
         assert_rel(value, target, tol)
+
+
+def golden_float_matrices(suite):
+    """The suite's named matrices plus (J2 - cI)^2, the computed counterparts
+    of every reference table."""
+    out = dict(suite.named_matrices())
+    shifted = suite.J2.shifted(-suite.spec.c)
+    out["J2_shift_sq"] = multiply(shifted, shifted)
+    return out
 
 
 def dense_block_residual(A, B, block):

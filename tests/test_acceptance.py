@@ -12,10 +12,10 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from helpers import TOL28, TOL30, rel
+from helpers import TOL28, TOL30, golden_float_matrices, rel
 from sobspec.christoffel import ChristoffelLedger, eval_iterated
 from sobspec.core import MeasureSpec, SobolevSpec, eval_jet, laguerre_recurrence
-from sobspec.golden import MATRIX_NAMES, load_reference
+from sobspec.golden import compare_reference, load_reference
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (
     MatrixSuite,
@@ -109,27 +109,11 @@ class TestAcceptance:
         config, golden = load_reference()
         osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
                                     config["N"], 6)
-        exact_bad = sum(
-            1
-            for name in MATRIX_NAMES
-            for (i, j), ref in golden[name].entries.items()
-            if osuite.matrices[name][i][j] != ref
-        )
         suite = MatrixSuite.build(_spec(), size=8, guard=4, precision=256)
-        computed = dict(suite.named_matrices())
-        shifted = suite.J2.shifted(1)
-        computed["J2_shift_sq"] = multiply(shifted, shifted)
-        float_bad = 0
-        with mp.workprec(256):
-            for name in MATRIX_NAMES:
-                for (i, j), ref in golden[name].entries.items():
-                    got = computed[name].entry(i, j)
-                    if ref.sign == 0:
-                        ok = abs(got) <= TOL30
-                    else:
-                        target = golden[name].value(i, j, 256)
-                        ok = abs(got - target) <= TOL30 * abs(target)
-                    float_bad += not ok
+        counts = compare_reference(golden, golden_float_matrices(suite), osuite,
+                                   256, TOL30)
+        exact_bad = sum(total - exact for exact, _, total in counts.values())
+        float_bad = sum(total - within for _, within, total in counts.values())
         elapsed = time.time() - start
         report(1, exact_bad == 0 and float_bad == 0 and elapsed < 10,
                f"oracle mismatches {exact_bad}, float mismatches {float_bad}, "

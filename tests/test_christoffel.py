@@ -12,7 +12,6 @@ from sobspec.christoffel import (
     christoffel_coeffs,
     eval_iterated,
     iterated_leading,
-    iterated_recurrence,
 )
 from sobspec.core import MeasureSpec, eval_jet
 from sobspec.errors import DegeneratePointError
@@ -66,8 +65,8 @@ class TestLeading:
 
 class TestRecurrencePair:
     def test_worked_example_values(self, rec, chris):
-        k0, _ = iterated_recurrence(chris, rec, 0)
-        k1, t1 = iterated_recurrence(chris, rec, 1)
+        k0 = chris.kappa[0]
+        k1, t1 = chris.kappa[1], chris.tau[1]
         assert_rel(k0, mp.mpf(11) / 5)
         assert_rel(k1, mp.mpf(1501) / 345)
         assert_rel(t1, mp.mpf(69) / 25)

@@ -126,7 +126,8 @@ class TestVerify:
         assert report["pass"] is True
         assert len(report["residuals"]) == 10
 
-    @pytest.mark.parametrize("option", ["--c=-inf", "--c=nan", "--M=inf", "--N=inf"])
+    @pytest.mark.parametrize("option", ["--c=-inf", "--c=nan", "--M=inf", "--N=inf",
+                                        "--alpha=inf"])
     def test_non_finite_parameter_exit_code(self, runner, tmp_path, option):
         result = runner.invoke(main, ["verify", "--size", "6", option,
                                       "--out", str(tmp_path)])

@@ -59,10 +59,12 @@ class TestLaguerreRecurrence:
             assert rec.leading[n] > 0
             assert_rel(rec.leading[n] ** 2 * rec.norm_sq[n], mp.mpf(1))
 
-    @pytest.mark.parametrize("alpha", [-1, -2, -1.0001])
+    @pytest.mark.parametrize("alpha", [-1, -2, -1.0001, float("inf"), float("nan"), "1"])
     def test_alpha_validation(self, alpha):
         with pytest.raises(InvalidParameterError):
             laguerre_recurrence(alpha, 4)
+        with pytest.raises(InvalidParameterError):
+            MeasureSpec.laguerre(alpha)
 
     def test_size_validation(self):
         with pytest.raises(InvalidParameterError):

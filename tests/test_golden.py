@@ -1,12 +1,14 @@
 """Shipped reference tables against both computation paths."""
 
-import mpmath as mp
+from dataclasses import replace
+from fractions import Fraction as F
+
 import pytest
 
-from helpers import TOL30, rel
-from sobspec.golden import MATRIX_NAMES, load_reference
-from sobspec.matrices import MatrixSuite, multiply
-from sobspec.oracle import build_oracle_suite, squared_entry_compare
+from helpers import TOL30, golden_float_matrices
+from sobspec.golden import MATRIX_NAMES, compare_reference, load_reference
+from sobspec.matrices import MatrixSuite
+from sobspec.oracle import SqrtRational, build_oracle_suite, squared_entry_compare
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +26,11 @@ def oracle_suite():
     return build_oracle_suite(0, -1, 1, 1, 6)
 
 
-def _float_matrices(suite):
-    out = dict(suite.named_matrices())
-    shifted = suite.J2.shifted(1)
-    out["J2_shift_sq"] = multiply(shifted, shifted)
-    return out
+@pytest.fixture(scope="module")
+def counts(reference, float_suite, oracle_suite):
+    _, matrices = reference
+    return compare_reference(matrices, golden_float_matrices(float_suite),
+                             oracle_suite, float_suite.precision, TOL30)
 
 
 class TestFixtureShape:
@@ -48,8 +50,6 @@ class TestFixtureShape:
 
     def test_known_squared_entries(self, reference):
         _, matrices = reference
-        from fractions import Fraction as F
-
         assert matrices["H"].entries[(0, 1)].square == F(121, 8)
         assert matrices["Q"].entries[(0, 0)].square == F(4, 5)
         assert matrices["T"].entries[(0, 0)].square == F(5, 2)
@@ -58,32 +58,35 @@ class TestFixtureShape:
 
 
 class TestOraclePath:
-    def test_every_entry_matches_exactly(self, reference, oracle_suite):
-        _, matrices = reference
-        for name in MATRIX_NAMES:
-            gm = matrices[name]
-            for (i, j), ref in gm.entries.items():
-                assert oracle_suite.matrices[name][i][j] == ref, (name, i, j)
+    def test_every_entry_matches_exactly(self, counts):
+        assert list(counts) == list(MATRIX_NAMES)
+        for name, (exact, _, total) in counts.items():
+            assert exact == total, name
 
 
 class TestFloatPath:
-    def test_every_entry_within_1e30(self, reference, float_suite):
+    def test_every_entry_within_1e30(self, counts):
+        for name, (_, within, total) in counts.items():
+            assert within == total, name
+
+    def test_one_altered_entry_is_one_mismatch_on_each_path(
+            self, reference, float_suite, oracle_suite):
         _, matrices = reference
-        computed = _float_matrices(float_suite)
-        with mp.workprec(float_suite.precision):
-            for name in MATRIX_NAMES:
-                gm = matrices[name]
-                for (i, j), ref in gm.entries.items():
-                    got = computed[name].entry(i, j)
-                    target = gm.value(i, j, float_suite.precision)
-                    if ref.sign == 0:
-                        assert abs(got) <= TOL30, (name, i, j)
-                    else:
-                        assert abs(got - target) <= TOL30 * abs(target), (name, i, j)
+        gm = matrices["H"]
+        ref = gm.entries[(0, 1)]
+        assert ref.sign == 1
+        entries = dict(gm.entries)
+        entries[(0, 1)] = SqrtRational.from_square(ref.square + F(1, 8), -1)
+        altered = dict(matrices, H=replace(gm, entries=entries))
+        counts = compare_reference(altered, golden_float_matrices(float_suite),
+                                   oracle_suite, float_suite.precision, TOL30)
+        for name, (exact, within, total) in counts.items():
+            missed = 1 if name == "H" else 0
+            assert (exact, within) == (total - missed, total - missed), name
 
     def test_squared_entry_reports_all_pass(self, reference, float_suite):
         _, matrices = reference
-        computed = _float_matrices(float_suite)
+        computed = golden_float_matrices(float_suite)
         for name in MATRIX_NAMES:
             gm = matrices[name]
             floats = {key: computed[name].entry(*key) for key in gm.entries}

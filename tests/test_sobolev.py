@@ -19,10 +19,7 @@ from sobspec.oracle import (
 )
 from sobspec.sobolev import (
     SobolevLedger,
-    aux_connections,
     eval_sobolev,
-    five_term_coeffs,
-    gamma_connection,
     sobolev_boundary,
     sobolev_norm,
 )
@@ -77,8 +74,8 @@ class TestNorms:
 
 class TestGammaConnection:
     def test_reference_table_entries(self, sob):
-        g00, _, _ = gamma_connection(sob, 0)
-        g11, g01, _ = gamma_connection(sob, 1)
+        g00 = sob.gamma_nn[0]
+        g11, g01 = sob.gamma_nn[1], sob.gamma_n1[1]
         assert_squared(g00, F(5, 2))
         assert_squared(g11, F(69, 20))
         assert_squared(g01, F(121, 20))
@@ -112,13 +109,13 @@ class TestGammaConnection:
 
 class TestFiveTerm:
     def test_reference_table_entries(self, sob):
-        a0, b0, c0 = five_term_coeffs(sob, 0)
+        a0, b0, c0 = sob.a[0], sob.b[0], sob.cdiag[0]
         assert a0 == 0 and b0 == 0
         assert_rel(c0, mp.mpf(5) / 2)
-        _, b1, c1 = five_term_coeffs(sob, 1)
+        b1, c1 = sob.b[1], sob.cdiag[1]
         assert_squared(b1, F(121, 8))
         assert_rel(c1, mp.mpf(19) / 2)
-        a2, _, c2 = five_term_coeffs(sob, 2)
+        a2, c2 = sob.a[2], sob.cdiag[2]
         assert_squared(a2, F(89, 8))
         assert_rel(c2, mp.mpf(5331) / 178)
 
@@ -205,10 +202,10 @@ class TestEvaluation:
 
 class TestAuxConnections:
     def test_reference_values(self, sob):
-        a1_0, a0_0, x0_0, _, _ = aux_connections(sob, 0)
+        a0_0, x0_0 = sob.alpha0[0], sob.xi0[0]
         assert_squared(a0_0, F(2))
         assert_squared(x0_0, F(5))
-        _, _, x0_1, _, _ = aux_connections(sob, 1)
+        x0_1 = sob.xi0[1]
         assert_squared(x0_1, F(69, 5))
 
     def test_xi_equals_leading_ratio(self, rec, chris, sob):
