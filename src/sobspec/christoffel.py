@@ -17,15 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
-
-from .core import eval_jet, relative_difference, to_mpf
+from .core import context, eval_jet, relative_difference, to_mpf
 from .errors import DegeneratePointError, NumericalFailureError
 from .kernels import CD_SWITCH, kernel_at
 
 
 def _guard_tol(precision):
-    return mp.mpf(2) ** (-(precision // 2))
+    return context(precision).ldexp(1, -(precision // 2))
 
 
 def _enforce(a, b, what, precision):
@@ -52,22 +50,20 @@ def christoffel_coeffs(rec, kt, n):
     """
     if not 0 <= n <= rec.size - 3:
         raise IndexError(f"coefficients at {n} need jets of P_{n + 2}")
-    with mp.workprec(rec.precision):
-        j = kt.cjets
-        den = _wronskian_den(kt, n)
-        d = (j.jet(n + 2) * j.jet(n, 1) - j.jet(n + 2, 1) * j.jet(n)) / den
-        e_det = (j.jet(n + 2) * j.jet(n + 1, 1) - j.jet(n + 2, 1) * j.jet(n + 1)) / den
-        e_ker = (rec.norm_sq[n + 1] / rec.norm_sq[n]) * (kt.K[n + 1] / kt.K[n])
-        _enforce(e_det, e_ker, f"e_{n}", rec.precision)
-        return d, e_det
+    j = kt.cjets
+    den = _wronskian_den(kt, n)
+    d = (j.jet(n + 2) * j.jet(n, 1) - j.jet(n + 2, 1) * j.jet(n)) / den
+    e_det = (j.jet(n + 2) * j.jet(n + 1, 1) - j.jet(n + 2, 1) * j.jet(n + 1)) / den
+    e_ker = (rec.norm_sq[n + 1] / rec.norm_sq[n]) * (kt.K[n + 1] / kt.K[n])
+    _enforce(e_det, e_ker, f"e_{n}", rec.precision)
+    return d, e_det
 
 
 def iterated_leading(rec, kt, n):
     """r^[2]_n = r_{n+1} sqrt(K_n(c,c) / K_{n+1}(c,c)) > 0."""
     if not 0 <= n <= rec.size - 2:
         raise IndexError(f"leading coefficient at {n} needs K_{n + 1}")
-    with mp.workprec(rec.precision):
-        return rec.leading[n + 1] * mp.sqrt(kt.K[n] / kt.K[n + 1])
+    return rec.leading[n + 1] * context(rec.precision).sqrt(kt.K[n] / kt.K[n + 1])
 
 
 @dataclass(frozen=True)
@@ -98,34 +94,34 @@ class ChristoffelLedger:
             raise IndexError(
                 f"ledger of size {size} needs a recurrence table of size {size + 2}"
             )
-        with mp.workprec(rec.precision):
-            d, e, r2, norm2 = [], [], [], []
-            for n in range(size):
-                dn, en = christoffel_coeffs(rec, kt, n)
-                d.append(dn)
-                e.append(en)
-                r2.append(iterated_leading(rec, kt, n))
-                norm2.append(en * rec.norm_sq[n])
-            kappa, tau = [], [norm2[0]]
-            for n in range(size):
-                t1 = rec.beta[n]
-                if n >= 1:
-                    t1 += rec.gamma[n] * d[n - 1] / e[n - 1]
-                kappa.append(t1 * e[n] * (r2[n] / rec.leading[n]) ** 2
-                             - d[n] * (r2[n] / rec.leading[n + 1]) ** 2)
-                if n >= 1:
-                    t_rat = (r2[n - 1] / r2[n]) ** 2
-                    t_alt = (r2[n - 1] / rec.leading[n + 1]) ** 2 * (kt.K[n + 1] / kt.K[n])
-                    _enforce(t_rat, t_alt, f"tau_{n}", rec.precision)
-                    tau.append(t_rat)
-            return cls(rec=rec, kt=kt, d=tuple(d), e=tuple(e), r2=tuple(r2),
-                       kappa=tuple(kappa), tau=tuple(tau), norm2_sq=tuple(norm2))
+        d, e, r2, norm2 = [], [], [], []
+        for n in range(size):
+            dn, en = christoffel_coeffs(rec, kt, n)
+            d.append(dn)
+            e.append(en)
+            r2.append(iterated_leading(rec, kt, n))
+            norm2.append(en * rec.norm_sq[n])
+        kappa, tau = [], [norm2[0]]
+        for n in range(size):
+            t1 = rec.beta[n]
+            if n >= 1:
+                t1 += rec.gamma[n] * d[n - 1] / e[n - 1]
+            kappa.append(t1 * e[n] * (r2[n] / rec.leading[n]) ** 2
+                         - d[n] * (r2[n] / rec.leading[n + 1]) ** 2)
+            if n >= 1:
+                t_rat = (r2[n - 1] / r2[n]) ** 2
+                t_alt = (r2[n - 1] / rec.leading[n + 1]) ** 2 * (kt.K[n + 1] / kt.K[n])
+                _enforce(t_rat, t_alt, f"tau_{n}", rec.precision)
+                tau.append(t_rat)
+        return cls(rec=rec, kt=kt, d=tuple(d), e=tuple(e), r2=tuple(r2),
+                   kappa=tuple(kappa), tau=tuple(tau), norm2_sq=tuple(norm2))
 
 
 def _monic_iterated_by_recurrence(ledger, n, x):
-    pm1, p = mp.mpf(0), mp.mpf(1)
+    ctx = context(ledger.rec.precision)
+    pm1, p = ctx.zero, ctx.one
     for k in range(n):
-        tau = ledger.tau[k] if k >= 1 else mp.mpf(0)
+        tau = ledger.tau[k] if k >= 1 else ctx.zero
         p, pm1 = (x - ledger.kappa[k]) * p - tau * pm1, p
     return p
 
@@ -151,25 +147,24 @@ def eval_iterated(rec, ledger, n, x, k=2, monic=False):
     from the mass point, also by the connection through P_{n+2}, P_{n+1}, P_n;
     the two routes must agree within the precision guard.
     """
-    with mp.workprec(rec.precision):
-        x = to_mpf(x)
-        c = ledger.kt.c
-        if k == 1:
-            if not 0 <= n <= rec.size - 2:
-                raise IndexError(f"once-transformed value at {n} needs P_{n + 1}")
-            pc = ledger.kt.cjets.jet(n)
-            if pc == 0:
-                raise DegeneratePointError(f"P_{n}(c) = 0")
-            if abs(x - c) <= mp.mpf(CD_SWITCH) * (1 + abs(x) + abs(c)):
-                return rec.norm_sq[n] * kernel_at(rec, n, x, c) / pc
-            j = eval_jet(rec, n + 1, x, order=0)
-            return (j.jet(n + 1) - ledger.kt.cjets.jet(n + 1) / pc * j.jet(n)) / (x - c)
-        if k != 2:
-            raise IndexError(f"k must be 1 or 2, got {k}")
-        if not 0 <= n < ledger.size:
-            raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
-        value = _monic_iterated_by_recurrence(ledger, n, x)
-        if x == c or abs(x - c) > mp.mpf(CD_SWITCH) * (1 + abs(x) + abs(c)):
-            _enforce(value, _monic_iterated_by_connection(ledger, n, x),
-                     f"P^[2]_{n}({x})", rec.precision)
-        return value if monic else value * ledger.r2[n]
+    x = to_mpf(x, context(rec.precision))
+    c = ledger.kt.c
+    if k == 1:
+        if not 0 <= n <= rec.size - 2:
+            raise IndexError(f"once-transformed value at {n} needs P_{n + 1}")
+        pc = ledger.kt.cjets.jet(n)
+        if pc == 0:
+            raise DegeneratePointError(f"P_{n}(c) = 0")
+        if abs(x - c) <= CD_SWITCH * (1 + abs(x) + abs(c)):
+            return rec.norm_sq[n] * kernel_at(rec, n, x, c) / pc
+        j = eval_jet(rec, n + 1, x, order=0)
+        return (j.jet(n + 1) - ledger.kt.cjets.jet(n + 1) / pc * j.jet(n)) / (x - c)
+    if k != 2:
+        raise IndexError(f"k must be 1 or 2, got {k}")
+    if not 0 <= n < ledger.size:
+        raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
+    value = _monic_iterated_by_recurrence(ledger, n, x)
+    if x == c or abs(x - c) > CD_SWITCH * (1 + abs(x) + abs(c)):
+        _enforce(value, _monic_iterated_by_connection(ledger, n, x),
+                 f"P^[2]_{n}({x})", rec.precision)
+    return value if monic else value * ledger.r2[n]

@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 import mpmath as mp
 
-from .core import MeasureSpec, SobolevSpec
+from .core import MeasureSpec, SobolevSpec, context
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -233,29 +233,27 @@ def verify(measure, alpha, c, mass_m, mass_n, size, precision, guard, out,
         suite = MatrixSuite.build(spec, config.size, guard=config.guard,
                                   precision=config.precision)
         report = verify_propositions(suite)
-        with mp.workprec(config.precision):
-            tol = mp.mpf(config.tolerance)
-            ok = report.all_within(tol)
-            doc = {
-                "config": config.as_doc(),
-                "tolerance": config.tolerance,
-                "pass": bool(ok),
-                "max_residual": format_value(report.max_residual, config.precision),
-                "residuals": [
-                    {
-                        "name": name,
-                        "block": block,
-                        "residual": format_value(res, config.precision),
-                    }
-                    for name, res, block in report.as_rows()
-                ],
-            }
+        ctx = context(config.precision)
+        ok = report.all_within(ctx.mpf(config.tolerance))
+        doc = {
+            "config": config.as_doc(),
+            "tolerance": config.tolerance,
+            "pass": bool(ok),
+            "max_residual": format_value(report.max_residual, config.precision),
+            "residuals": [
+                {
+                    "name": name,
+                    "block": block,
+                    "residual": format_value(res, config.precision),
+                }
+                for name, res, block in report.as_rows()
+            ],
+        }
         outdir = config.out
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "verification.json").write_text(json.dumps(doc, indent=1) + "\n")
-        with mp.workprec(config.precision):
-            for name, res, block in report.as_rows():
-                click.echo(f"{name:24s} block={block:3d} residual={mp.nstr(res, 8)}")
+        for name, res, block in report.as_rows():
+            click.echo(f"{name:24s} block={block:3d} residual={ctx.nstr(res, 8)}")
         if not ok:
             _fail(EXIT_VERIFICATION,
                   f"max residual {doc['max_residual']} exceeds {config.tolerance}")

@@ -6,10 +6,11 @@ Monic families are generated from their three-term recurrence
 positive leading coefficients ``r_n = 1/||P_n||``.
 
 All real computation uses mpmath binary floats at a configurable precision
-(default 256 bits); every public entry point runs under the table's working
-precision.  Tables are immutable after construction and evaluations are pure,
-but the working precision is mpmath's process-global state, so concurrent use
-at different precisions from several threads is not safe.
+(default 256 bits).  Precision is a value: every number is made in
+``context(precision)``, a private mpmath context that is never mutated, and
+an mpf operation rounds in its left operand's context.  So results do not
+depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
+builds at different precisions may run concurrently in several threads.
 """
 
 from __future__ import annotations
@@ -33,16 +34,28 @@ def _require_finite_real(name, value):
         raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
 
 
-def to_mpf(x):
-    """Convert ints, floats, Fractions, decimal strings or mpf to mpf.
+_CONTEXTS = {}
 
-    Runs under the caller's active mpmath precision.
-    """
-    if isinstance(x, mp.mpf):
-        return x
+
+def context(precision):
+    """The private mpmath context of ``precision`` bits: made once, never
+    mutated, and kept unique by ``setdefault`` when threads race to make it."""
+    ctx = _CONTEXTS.get(precision)
+    if ctx is None:
+        ctx = mp.MPContext()
+        ctx.prec = precision
+        ctx = _CONTEXTS.setdefault(precision, ctx)
+    return ctx
+
+
+def to_mpf(x, ctx):
+    """Convert ints, floats, Fractions, decimal strings or mpf to an mpf of
+    ``ctx``; an mpf keeps its bits."""
+    if hasattr(x, "_mpf_"):
+        return ctx.make_mpf(x._mpf_)
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+        return ctx.mpf(x.numerator) / x.denominator
+    return ctx.mpf(x)
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,9 @@ class MeasureSpec:
 
     @classmethod
     def custom(cls, beta, gamma, support, norm0_sq=1, moments=None):
+        """A measure from its monic recurrence.  ``MatrixSuite.build`` at
+        ``size`` and ``guard`` needs size + guard + 5 coefficients; only the
+        serialized recurrence ledger shows those past index size + guard + 2."""
         beta, gamma = tuple(beta), tuple(gamma)
         if len(beta) != len(gamma):
             raise InvalidParameterError("beta and gamma must have equal length")
@@ -158,11 +174,11 @@ class RecurrenceTable:
                 raise InvalidParameterError(
                     f"custom measure supplies {len(measure.beta)} coefficients, need {size}"
                 )
-            with mp.workprec(precision):
-                beta = tuple(to_mpf(b) for b in measure.beta[:size])
-                gamma = (mp.mpf(0),) + tuple(to_mpf(g) for g in measure.gamma[1:size])
-                return cls._finish(beta, gamma, to_mpf(measure.norm0_sq),
-                                   precision, measure.support, measure)
+            ctx = context(precision)
+            beta = tuple(to_mpf(b, ctx) for b in measure.beta[:size])
+            gamma = (ctx.zero,) + tuple(to_mpf(g, ctx) for g in measure.gamma[1:size])
+            return cls._finish(beta, gamma, to_mpf(measure.norm0_sq, ctx),
+                               precision, measure.support, measure)
         raise InvalidParameterError(f"unknown measure family {measure.family!r}")
 
     @classmethod
@@ -170,7 +186,7 @@ class RecurrenceTable:
         norm_sq = [norm0_sq]
         for n in range(1, len(beta)):
             norm_sq.append(gamma[n] * norm_sq[-1])
-        leading = tuple(1 / mp.sqrt(s) for s in norm_sq)
+        leading = tuple(1 / context(precision).sqrt(s) for s in norm_sq)
         return cls(
             beta=beta,
             gamma=tuple(gamma),
@@ -190,13 +206,13 @@ def laguerre_recurrence(alpha, size, precision=DEFAULT_PRECISION):
     measure = MeasureSpec.laguerre(alpha)
     if size < 1:
         raise InvalidParameterError("size must be >= 1")
-    with mp.workprec(precision):
-        a = to_mpf(alpha)
-        beta = tuple(2 * n + 1 + a for n in range(size))
-        gamma = (mp.mpf(0),) + tuple(n * (n + a) for n in range(1, size))
-        return RecurrenceTable._finish(
-            beta, gamma, mp.gamma(a + 1), precision, (0.0, POS_INF), measure
-        )
+    ctx = context(precision)
+    a = to_mpf(alpha, ctx)
+    beta = tuple(2 * n + 1 + a for n in range(size))
+    gamma = (ctx.zero,) + tuple(n * (n + a) for n in range(1, size))
+    return RecurrenceTable._finish(
+        beta, gamma, ctx.gamma(a + 1), precision, (0.0, POS_INF), measure
+    )
 
 
 @dataclass(frozen=True)
@@ -230,32 +246,31 @@ def eval_jet(rec, n, x, order=3):
         raise IndexError(f"n = {n} outside table of size {rec.size}")
     if not 0 <= order <= 3:
         raise InvalidParameterError("derivative order capped at 3")
-    with mp.workprec(rec.precision):
-        x = to_mpf(x)
-        zero = mp.mpf(0)
-        rows = [[mp.mpf(1)] + [zero] * order]
-        if n >= 1:
-            prev = rows[0]
-            first = [x - rec.beta[0]] + [zero] * order
-            if order >= 1:
-                first[1] = mp.mpf(1)
-            rows.append(first)
-            for k in range(1, n):
-                cur = rows[k]
-                nxt = []
-                for j in range(order + 1):
-                    t = (x - rec.beta[k]) * cur[j] - rec.gamma[k] * prev[j]
-                    if j >= 1:
-                        t += j * cur[j - 1]
-                    nxt.append(t)
-                prev = cur
-                rows.append(nxt)
-        return PolyJet(x=x, order=order, values=tuple(tuple(r) for r in rows))
+    ctx = context(rec.precision)
+    x = to_mpf(x, ctx)
+    rows = [[ctx.one] + [ctx.zero] * order]
+    if n >= 1:
+        prev = rows[0]
+        first = [x - rec.beta[0]] + [ctx.zero] * order
+        if order >= 1:
+            first[1] = ctx.one
+        rows.append(first)
+        for k in range(1, n):
+            cur = rows[k]
+            nxt = []
+            for j in range(order + 1):
+                t = (x - rec.beta[k]) * cur[j] - rec.gamma[k] * prev[j]
+                if j >= 1:
+                    t += j * cur[j - 1]
+                nxt.append(t)
+            prev = cur
+            rows.append(nxt)
+    return PolyJet(x=x, order=order, values=tuple(tuple(r) for r in rows))
 
 
 def relative_difference(a, b):
     """|a - b| scaled by max(1, |a|, |b|)."""
-    return abs(a - b) / max(mp.mpf(1), abs(a), abs(b))
+    return abs(a - b) / max(1, abs(a), abs(b))
 
 
 def monic_value(rec, n, x):
@@ -265,5 +280,4 @@ def monic_value(rec, n, x):
 
 def orthonormal_value(rec, n, x):
     """p_n(x) = P_n(x) / ||P_n||, positive leading coefficient."""
-    with mp.workprec(rec.precision):
-        return monic_value(rec, n, x) * rec.leading[n]
+    return monic_value(rec, n, x) * rec.leading[n]

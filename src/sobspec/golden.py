@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-import mpmath as mp
-
+from .core import context
 from .oracle import SqrtRational
 
 FIXTURE_NAME = "laguerre_a0_cm1_M1_N1.json"
@@ -36,10 +35,9 @@ class GoldenMatrix:
     def value(self, i, j, precision):
         """The entry as an mpf at the given binary precision."""
         ref = self.entries[(i, j)]
-        with mp.workprec(precision):
-            num = mp.mpf(ref.square.numerator)
-            den = mp.mpf(ref.square.denominator)
-            return ref.sign * mp.sqrt(num / den)
+        ctx = context(precision)
+        num = ctx.mpf(ref.square.numerator)
+        return ref.sign * ctx.sqrt(num / ctx.mpf(ref.square.denominator))
 
 
 def load_reference():
@@ -71,15 +69,14 @@ def compare_reference(golden, computed, osuite, precision, tol):
     of it, relative to the entry (absolute where the entry is zero).
     """
     counts = {}
-    with mp.workprec(precision):
-        tol = mp.mpf(tol)
-        for name in MATRIX_NAMES:
-            gm = golden[name]
-            exact_ok = float_ok = 0
-            for (i, j), ref in gm.entries.items():
-                exact_ok += osuite.matrices[name][i][j] == ref
-                target = gm.value(i, j, precision)
-                err = abs(computed[name].entry(i, j) - target)
-                float_ok += err <= tol * (abs(target) if ref.sign else 1)
-            counts[name] = (exact_ok, float_ok, len(gm.entries))
+    tol = context(precision).mpf(tol)
+    for name in MATRIX_NAMES:
+        gm = golden[name]
+        exact_ok = float_ok = 0
+        for (i, j), ref in gm.entries.items():
+            exact_ok += osuite.matrices[name][i][j] == ref
+            target = gm.value(i, j, precision)
+            err = abs(target - computed[name].entry(i, j))
+            float_ok += err <= tol * (abs(target) if ref.sign else 1)
+        counts[name] = (exact_ok, float_ok, len(gm.entries))
     return counts

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
-
-from .core import eval_jet, to_mpf
+from .core import context, eval_jet, to_mpf
 from .errors import ConfluentPointError
 
 #: |x - y| <= CD_SWITCH * (1 + |x| + |y|) routes to direct summation
@@ -32,7 +30,7 @@ CD_SWITCH = 1e-8
 
 
 def _near(x, y):
-    return abs(x - y) <= mp.mpf(CD_SWITCH) * (1 + abs(x) + abs(y))
+    return abs(x - y) <= CD_SWITCH * (1 + abs(x) + abs(y))
 
 
 @dataclass(frozen=True)
@@ -77,22 +75,22 @@ class KernelTable:
 
     @classmethod
     def build(cls, rec, c):
-        with mp.workprec(rec.precision):
-            c = to_mpf(c)
-            jets = eval_jet(rec, rec.size - 1, c, order=3)
-            K, K01, K11 = [], [], []
-            s = s01 = s11 = mp.mpf(0)
-            for k in range(rec.size):
-                w = 1 / rec.norm_sq[k]
-                v, dv = jets.jet(k, 0), jets.jet(k, 1)
-                s += v * v * w
-                s01 += v * dv * w
-                s11 += dv * dv * w
-                K.append(s)
-                K01.append(s01)
-                K11.append(s11)
-            return cls(rec=rec, c=c, K=tuple(K), K01=tuple(K01), K11=tuple(K11),
-                       cjets=jets)
+        ctx = context(rec.precision)
+        c = to_mpf(c, ctx)
+        jets = eval_jet(rec, rec.size - 1, c, order=3)
+        K, K01, K11 = [], [], []
+        s = s01 = s11 = ctx.zero
+        for k in range(rec.size):
+            w = 1 / rec.norm_sq[k]
+            v, dv = jets.jet(k, 0), jets.jet(k, 1)
+            s += v * v * w
+            s01 += v * dv * w
+            s11 += dv * dv * w
+            K.append(s)
+            K01.append(s01)
+            K11.append(s11)
+        return cls(rec=rec, c=c, K=tuple(K), K01=tuple(K01), K11=tuple(K11),
+                   cjets=jets)
 
     def confluents(self, n):
         if not 0 <= n < self.size:
@@ -106,15 +104,15 @@ def kernel_at(rec, n, x, y):
     and by direct summation near it."""
     if not 0 <= n < rec.size - 1:
         raise IndexError(f"kernel of order {n} needs P_{n + 1}; table size {rec.size}")
-    with mp.workprec(rec.precision):
-        x, y = to_mpf(x), to_mpf(y)
-        jx = eval_jet(rec, n + 1, x, order=0)
-        if _near(x, y):
-            jy = jx if x == y else eval_jet(rec, n, y, order=0)
-            return mp.fsum(jx.jet(k) * jy.jet(k) / rec.norm_sq[k] for k in range(n + 1))
-        jy = eval_jet(rec, n + 1, y, order=0)
-        num = jx.jet(n + 1) * jy.jet(n) - jx.jet(n) * jy.jet(n + 1)
-        return num / ((x - y) * rec.norm_sq[n])
+    ctx = context(rec.precision)
+    x, y = to_mpf(x, ctx), to_mpf(y, ctx)
+    jx = eval_jet(rec, n + 1, x, order=0)
+    if _near(x, y):
+        jy = jx if x == y else eval_jet(rec, n, y, order=0)
+        return ctx.fsum(jx.jet(k) * jy.jet(k) / rec.norm_sq[k] for k in range(n + 1))
+    jy = eval_jet(rec, n + 1, y, order=0)
+    num = jx.jet(n + 1) * jy.jet(n) - jx.jet(n) * jy.jet(n + 1)
+    return num / ((x - y) * rec.norm_sq[n])
 
 
 def kernel_dy_at_c(rec, n, x, c):
@@ -127,20 +125,20 @@ def kernel_dy_at_c(rec, n, x, c):
     """
     if not 0 <= n < rec.size - 1:
         raise IndexError(f"kernel of order {n} needs P_{n + 1}; table size {rec.size}")
-    with mp.workprec(rec.precision):
-        x, c = to_mpf(x), to_mpf(c)
-        if x == c:
-            raise ConfluentPointError(
-                "x coincides with the mass point; use kernel_confluents"
-            )
-        jc = eval_jet(rec, n + 1, c, order=1)
-        if _near(x, c):
-            jx = eval_jet(rec, n, x, order=0)
-            return mp.fsum(jx.jet(k) * jc.jet(k, 1) / rec.norm_sq[k] for k in range(n + 1))
-        jx = eval_jet(rec, n + 1, x, order=0)
-        t1 = (jx.jet(n + 1) * jc.jet(n) - jx.jet(n) * jc.jet(n + 1)) / (x - c) ** 2
-        t2 = (jx.jet(n + 1) * jc.jet(n, 1) - jx.jet(n) * jc.jet(n + 1, 1)) / (x - c)
-        return (t1 + t2) / rec.norm_sq[n]
+    ctx = context(rec.precision)
+    x, c = to_mpf(x, ctx), to_mpf(c, ctx)
+    if x == c:
+        raise ConfluentPointError(
+            "x coincides with the mass point; use kernel_confluents"
+        )
+    jc = eval_jet(rec, n + 1, c, order=1)
+    if _near(x, c):
+        jx = eval_jet(rec, n, x, order=0)
+        return ctx.fsum(jx.jet(k) * jc.jet(k, 1) / rec.norm_sq[k] for k in range(n + 1))
+    jx = eval_jet(rec, n + 1, x, order=0)
+    t1 = (jx.jet(n + 1) * jc.jet(n) - jx.jet(n) * jc.jet(n + 1)) / (x - c) ** 2
+    t2 = (jx.jet(n + 1) * jc.jet(n, 1) - jx.jet(n) * jc.jet(n + 1, 1)) / (x - c)
+    return (t1 + t2) / rec.norm_sq[n]
 
 
 def kernel_confluents(rec, n, c):
@@ -151,12 +149,11 @@ def kernel_confluents(rec, n, c):
     """
     if not 0 <= n < rec.size - 1:
         raise IndexError(f"confluents of order {n} need P_{n + 1}; table size {rec.size}")
-    with mp.workprec(rec.precision):
-        c = to_mpf(c)
-        j = eval_jet(rec, n + 1, c, order=3)
-        w = 1 / rec.norm_sq[n]
-        K = (j.jet(n + 1, 1) * j.jet(n) - j.jet(n, 1) * j.jet(n + 1)) * w
-        K01 = (j.jet(n) * j.jet(n + 1, 2) - j.jet(n + 1) * j.jet(n, 2)) / 2 * w
-        K11 = ((j.jet(n) * j.jet(n + 1, 3) - j.jet(n + 1) * j.jet(n, 3)) / 6
-               + (j.jet(n, 1) * j.jet(n + 1, 2) - j.jet(n + 1, 1) * j.jet(n, 2)) / 2) * w
-        return KernelConfluents(n=n, c=c, K=K, K01=K01, K11=K11)
+    c = to_mpf(c, context(rec.precision))
+    j = eval_jet(rec, n + 1, c, order=3)
+    w = 1 / rec.norm_sq[n]
+    K = (j.jet(n + 1, 1) * j.jet(n) - j.jet(n, 1) * j.jet(n + 1)) * w
+    K01 = (j.jet(n) * j.jet(n + 1, 2) - j.jet(n + 1) * j.jet(n, 2)) / 2 * w
+    K11 = ((j.jet(n) * j.jet(n + 1, 3) - j.jet(n + 1) * j.jet(n, 3)) / 6
+           + (j.jet(n, 1) * j.jet(n + 1, 2) - j.jet(n + 1, 1) * j.jet(n, 2)) / 2) * w
+    return KernelConfluents(n=n, c=c, K=K, K01=K01, K11=K11)

@@ -172,9 +172,6 @@ class RationalPolySystem:
     def value(self, k, x):
         return poly_eval(self.coeffs[k], Fraction(x))
 
-    def deriv_value(self, k, x):
-        return poly_eval(poly_deriv(self.coeffs[k]), Fraction(x))
-
     def recurrence(self):
         """Exact three-term coefficients (beta_n, gamma_n) of the system.
 

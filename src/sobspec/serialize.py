@@ -16,6 +16,7 @@ import json
 
 import mpmath as mp
 
+from .core import context
 from .matrices import BandedMatrix
 
 
@@ -25,13 +26,11 @@ def repr_digits(precision):
 
 
 def format_value(x, precision):
-    with mp.workprec(precision):
-        return mp.nstr(x, repr_digits(precision), strip_zeros=True)
+    return context(precision).nstr(x, repr_digits(precision), strip_zeros=True)
 
 
 def parse_value(s, precision):
-    with mp.workprec(precision):
-        return mp.mpf(s)
+    return context(precision).mpf(s)
 
 
 def matrix_to_doc(name, matrix, exact_entries=None):
@@ -63,11 +62,9 @@ def matrix_to_json(name, matrix, exact_entries=None):
 def matrix_from_json(text):
     doc = json.loads(text)
     prec = doc["precision"]
-    with mp.workprec(prec):
-        zero = mp.mpf(0)
-        rows = [[zero] * doc["ncols"] for _ in range(doc["nrows"])]
-        for i, j, s in doc["entries"]:
-            rows[i][j] = parse_value(s, prec)
+    rows = [[context(prec).zero] * doc["ncols"] for _ in range(doc["nrows"])]
+    for i, j, s in doc["entries"]:
+        rows[i][j] = parse_value(s, prec)
     return doc["name"], BandedMatrix(
         nrows=doc["nrows"],
         ncols=doc["ncols"],

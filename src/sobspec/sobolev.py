@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
-
-from .core import eval_jet, to_mpf
+from .core import context, eval_jet, to_mpf
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from .kernels import kernel_at, kernel_dy_at_c
 
@@ -43,33 +41,33 @@ def sobolev_boundary(rec, kt, spec, n):
     """
     if not 0 <= n < rec.size:
         raise IndexError(f"n = {n} outside table of size {rec.size}")
-    with mp.workprec(rec.precision):
-        M, N = to_mpf(spec.M), to_mpf(spec.N)
-        if n == 0:
-            a11, a12, a21, a22 = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
-        else:
-            a11 = 1 + M * kt.K[n - 1]
-            a12 = N * kt.K01[n - 1]
-            a21 = M * kt.K01[n - 1]
-            a22 = 1 + N * kt.K11[n - 1]
-        det = a11 * a22 - a12 * a21
-        if det == 0:
-            raise DegeneratePointError("boundary system is singular")
-        b1, b2 = kt.cjets.jet(n), kt.cjets.jet(n, 1)
-        return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
+    ctx = context(rec.precision)
+    M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
+    if n == 0:
+        a11, a12, a21, a22 = ctx.one, ctx.zero, ctx.zero, ctx.one
+    else:
+        a11 = 1 + M * kt.K[n - 1]
+        a12 = N * kt.K01[n - 1]
+        a21 = M * kt.K01[n - 1]
+        a22 = 1 + N * kt.K11[n - 1]
+    det = a11 * a22 - a12 * a21
+    if det == 0:
+        raise DegeneratePointError("boundary system is singular")
+    b1, b2 = kt.cjets.jet(n), kt.cjets.jet(n, 1)
+    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
 
 
 def sobolev_norm(rec, spec, n, boundary, kt):
     """(||S_n||^2, t_n) with ||S_n||^2 = ||P_n||^2 + M S_n(c) P_n(c) + N S_n'(c) P_n'(c)."""
-    with mp.workprec(rec.precision):
-        sc, sdc = boundary
-        M, N = to_mpf(spec.M), to_mpf(spec.N)
-        ns = rec.norm_sq[n] + M * sc * kt.cjets.jet(n) + N * sdc * kt.cjets.jet(n, 1)
-        if not ns > 0:
-            raise NumericalFailureError(
-                f"computed squared norm at n = {n} is {ns}; increase the precision"
-            )
-        return ns, 1 / mp.sqrt(ns)
+    ctx = context(rec.precision)
+    sc, sdc = boundary
+    M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
+    ns = rec.norm_sq[n] + M * sc * kt.cjets.jet(n) + N * sdc * kt.cjets.jet(n, 1)
+    if not ns > 0:
+        raise NumericalFailureError(
+            f"computed squared norm at n = {n} is {ns}; increase the precision"
+        )
+    return ns, 1 / ctx.sqrt(ns)
 
 
 @dataclass(frozen=True)
@@ -118,68 +116,68 @@ class SobolevLedger:
                 f"ledger of size {size} needs chris size >= {size} and "
                 f"recurrence size >= {size + 1}"
             )
-        with mp.workprec(rec.precision):
-            M, N = to_mpf(spec.M), to_mpf(spec.N)
-            j = kt.cjets
-            r = rec.leading
-            Sc, Sdc, normS, t = [], [], [], []
-            for n in range(size):
-                pair = sobolev_boundary(rec, kt, spec, n)
-                ns, tn = sobolev_norm(rec, spec, n, pair, kt)
-                Sc.append(pair[0])
-                Sdc.append(pair[1])
-                normS.append(ns)
-                t.append(tn)
+        ctx = context(rec.precision)
+        M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
+        j = kt.cjets
+        r = rec.leading
+        Sc, Sdc, normS, t = [], [], [], []
+        for n in range(size):
+            pair = sobolev_boundary(rec, kt, spec, n)
+            ns, tn = sobolev_norm(rec, spec, n, pair, kt)
+            Sc.append(pair[0])
+            Sdc.append(pair[1])
+            normS.append(ns)
+            t.append(tn)
 
-            zero = mp.mpf(0)
-            g_nn, g_n1, g_n2 = [], [], []
-            for n in range(size):
-                g_nn.append(t[n] / chris.r2[n])
-                if n >= 1:
-                    sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
-                    pm1 = j.jet(n - 1) * r[n - 1]
-                    if reading == "corrected":
-                        dp = j.jet(n - 1, 1) * r[n - 1]
-                    else:
-                        dp = j.jet(n, 1) * r[n]
-                    bracket = (chris.d[n - 1] * t[n] / r[n]
-                               + chris.e[n - 1] * (r[n] / r[n - 1])
-                               * (M * sc * pm1 + N * sdc * dp))
-                    g_n1.append(-mp.sqrt(kt.K[n - 1] / kt.K[n]) * bracket)
-                else:
-                    g_n1.append(zero)
-                g_n2.append(chris.r2[n - 2] / t[n] if n >= 2 else zero)
-
-            a, b, cdiag = [], [], []
-            for n in range(size):
-                a.append(g_nn[n - 2] * g_n2[n] if n >= 2 else zero)
-                bn = zero
-                if n >= 1:
-                    bn = g_nn[n - 1] * g_n1[n]
-                    if n >= 2:
-                        bn += g_n2[n] * g_n1[n - 1]
-                b.append(bn)
-                cdiag.append(g_nn[n] ** 2 + g_n1[n] ** 2 + g_n2[n] ** 2)
-
-            al1, al0, x0, x1, x2 = [], [], [], [], []
-            for n in range(size):
+        zero = ctx.zero
+        g_nn, g_n1, g_n2 = [], [], []
+        for n in range(size):
+            g_nn.append(t[n] / chris.r2[n])
+            if n >= 1:
                 sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
-                al1.append(M * sc * j.jet(n + 1) * r[n + 1]
-                           + N * sdc * j.jet(n + 1, 1) * r[n + 1])
-                al0.append(t[n] / r[n] + M * sc * j.jet(n) * r[n]
-                           + N * sdc * j.jet(n, 1) * r[n])
-                x0.append(mp.sqrt(chris.e[n]))
-                x1.append(-chris.d[n - 1] * mp.sqrt(kt.K[n - 1] / kt.K[n])
-                          if n >= 1 else zero)
-                x2.append((r[n - 1] / r[n]) * mp.sqrt(kt.K[n - 2] / kt.K[n - 1])
-                          if n >= 2 else zero)
+                pm1 = j.jet(n - 1) * r[n - 1]
+                if reading == "corrected":
+                    dp = j.jet(n - 1, 1) * r[n - 1]
+                else:
+                    dp = j.jet(n, 1) * r[n]
+                bracket = (chris.d[n - 1] * t[n] / r[n]
+                           + chris.e[n - 1] * (r[n] / r[n - 1])
+                           * (M * sc * pm1 + N * sdc * dp))
+                g_n1.append(-ctx.sqrt(kt.K[n - 1] / kt.K[n]) * bracket)
+            else:
+                g_n1.append(zero)
+            g_n2.append(chris.r2[n - 2] / t[n] if n >= 2 else zero)
 
-            return cls(rec=rec, kt=kt, chris=chris, spec=spec, reading=reading,
-                       Sc=tuple(Sc), Sdc=tuple(Sdc), normS_sq=tuple(normS),
-                       t=tuple(t), gamma_nn=tuple(g_nn), gamma_n1=tuple(g_n1),
-                       gamma_n2=tuple(g_n2), a=tuple(a), b=tuple(b),
-                       cdiag=tuple(cdiag), alpha1=tuple(al1), alpha0=tuple(al0),
-                       xi0=tuple(x0), xi1=tuple(x1), xi2=tuple(x2))
+        a, b, cdiag = [], [], []
+        for n in range(size):
+            a.append(g_nn[n - 2] * g_n2[n] if n >= 2 else zero)
+            bn = zero
+            if n >= 1:
+                bn = g_nn[n - 1] * g_n1[n]
+                if n >= 2:
+                    bn += g_n2[n] * g_n1[n - 1]
+            b.append(bn)
+            cdiag.append(g_nn[n] ** 2 + g_n1[n] ** 2 + g_n2[n] ** 2)
+
+        al1, al0, x0, x1, x2 = [], [], [], [], []
+        for n in range(size):
+            sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
+            al1.append(M * sc * j.jet(n + 1) * r[n + 1]
+                       + N * sdc * j.jet(n + 1, 1) * r[n + 1])
+            al0.append(t[n] / r[n] + M * sc * j.jet(n) * r[n]
+                       + N * sdc * j.jet(n, 1) * r[n])
+            x0.append(ctx.sqrt(chris.e[n]))
+            x1.append(-chris.d[n - 1] * ctx.sqrt(kt.K[n - 1] / kt.K[n])
+                      if n >= 1 else zero)
+            x2.append((r[n - 1] / r[n]) * ctx.sqrt(kt.K[n - 2] / kt.K[n - 1])
+                      if n >= 2 else zero)
+
+        return cls(rec=rec, kt=kt, chris=chris, spec=spec, reading=reading,
+                   Sc=tuple(Sc), Sdc=tuple(Sdc), normS_sq=tuple(normS),
+                   t=tuple(t), gamma_nn=tuple(g_nn), gamma_n1=tuple(g_n1),
+                   gamma_n2=tuple(g_n2), a=tuple(a), b=tuple(b),
+                   cdiag=tuple(cdiag), alpha1=tuple(al1), alpha0=tuple(al0),
+                   xi0=tuple(x0), xi1=tuple(x1), xi2=tuple(x2))
 
 
 def _kernel01_xc(rec, kt, n, x):
@@ -195,13 +193,13 @@ def eval_sobolev(rec, kt, ledger, n, x, normalized=False):
     """
     if not 0 <= n < ledger.size:
         raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
-    with mp.workprec(rec.precision):
-        x = to_mpf(x)
-        value = eval_jet(rec, n, x, order=0).jet(n)
-        M, N = to_mpf(ledger.spec.M), to_mpf(ledger.spec.N)
-        if n >= 1:
-            if M != 0:
-                value -= M * ledger.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
-            if N != 0:
-                value -= N * ledger.Sdc[n] * _kernel01_xc(rec, kt, n - 1, x)
-        return value * ledger.t[n] if normalized else value
+    ctx = context(rec.precision)
+    x = to_mpf(x, ctx)
+    value = eval_jet(rec, n, x, order=0).jet(n)
+    M, N = to_mpf(ledger.spec.M, ctx), to_mpf(ledger.spec.N, ctx)
+    if n >= 1:
+        if M != 0:
+            value -= M * ledger.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
+        if N != 0:
+            value -= N * ledger.Sdc[n] * _kernel01_xc(rec, kt, n - 1, x)
+    return value * ledger.t[n] if normalized else value

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction as F
 
 import mpmath as mp
-import pytest
 
 from helpers import TOL28, TOL30, golden_float_matrices, rel
 from sobspec.christoffel import ChristoffelLedger, eval_iterated

@@ -1,6 +1,10 @@
 """Recurrence tables, jets, orthonormal values."""
 
+import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -18,7 +22,9 @@ from sobspec.core import (
     orthonormal_value,
 )
 from sobspec.errors import InvalidParameterError
+from sobspec.matrices import MatrixSuite
 from sobspec.oracle import MomentFunctional, gram_schmidt, laguerre_moments
+from sobspec.serialize import ledgers_to_doc, matrix_to_json
 
 
 def reflected_laguerre(size):
@@ -209,3 +215,32 @@ def test_results_do_not_depend_on_ambient_precision():
             lhs = mp.mpf("3.25") * j.jet(k)
             rhs = j.jet(k + 1) + table.beta[k] * j.jet(k) + table.gamma[k] * j.jet(k - 1)
             assert rel(lhs, rhs) <= mp.mpf("1e-65")
+
+
+def test_threads_at_mixed_precisions_match_a_serial_run(spec):
+    # Four threads build the worked example six times each, alternating 64
+    # and 512 bits; a short switch interval interleaves the builds finely.
+    def serialized(precision):
+        suite = MatrixSuite.build(spec, size=8, guard=4, precision=precision)
+        return ([matrix_to_json(name, m) for name, m in suite.named_matrices().items()]
+                + [json.dumps(ledgers_to_doc(suite))])
+
+    precisions = (64, 512)
+    serial = {p: serialized(p) for p in precisions}
+    barrier = threading.Barrier(4)
+
+    def worker(k):
+        barrier.wait(timeout=60)
+        return [(p, serialized(p)) for p in (precisions[(k + r) % 2] for r in range(6))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [run for runs in pool.map(worker, range(4), timeout=120)
+                    for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 24
+    for p, out in runs:
+        assert out == serial[p], p

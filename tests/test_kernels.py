@@ -7,12 +7,7 @@ import pytest
 
 from helpers import TOL30, assert_rel, rel
 from sobspec.errors import ConfluentPointError
-from sobspec.kernels import (
-    KernelTable,
-    kernel_at,
-    kernel_confluents,
-    kernel_dy_at_c,
-)
+from sobspec.kernels import kernel_at, kernel_confluents, kernel_dy_at_c
 
 RNG_SEED = 90125
 

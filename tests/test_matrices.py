@@ -1,12 +1,13 @@
 """Matrix chain: builders, Cholesky commutes, QR, and the identity residuals."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
 from helpers import TOL30, assert_rel, assert_squared, dense_block_residual
-from sobspec.core import MeasureSpec, SobolevSpec, to_mpf
+from sobspec.core import MeasureSpec, SobolevSpec, context, to_mpf
 from sobspec.errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -49,8 +50,7 @@ def identity_operands(suite):
     """The pairs verify_propositions compares through ``block_residual``,
     formed the same way: name -> (A, B)."""
     sgn = 1 if suite.side == "left" else -1
-    with mp.workprec(suite.precision):
-        c = to_mpf(suite.spec.c)
+    c = to_mpf(suite.spec.c, context(suite.precision))
     A0 = suite.J.shifted(-c).scaled(sgn)
     A2 = suite.J2.shifted(-c).scaled(sgn)
     A2sq = multiply(A2, A2)
@@ -303,7 +303,7 @@ class TestBandLocalVerification:
         assert [b for name, _, b in rows if name == "Qt Q = I"] == [block]
         with mp.workprec(p):
             tol = mp.mpf(2) ** (8 - p)
-            entries = list(_gram_entries(_hessenberg_columns(Q, block)))
+            entries = list(_gram_entries(_hessenberg_columns(Q, block), context(p)))
             assert len(entries) == block * (block + 1) // 2
             for i, j, v in entries:
                 assert abs(v - QtQ.entry(i, j)) <= tol, (i, j)
@@ -320,6 +320,42 @@ class TestOrthogonalityTrend:
             s = MatrixSuite.build(spec, size=size, guard=4)
             defects.append(orthogonality_defect(s.Q, 5))
         assert defects[0] > defects[1] > defects[2]
+
+
+class TestPrecisionContext:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_every_value_lives_in_the_precision_context(self, spec, side):
+        # A value made in the global context would round at mp.mp.prec when
+        # it is the left operand, so none may reach a matrix or a ledger.
+        chosen = spec if side == "left" else reflected_spec(30)
+        s = MatrixSuite.build(chosen, size=8, guard=4, precision=128)
+        values = [v for m in [*s.named_matrices().values(), s.J2_direct]
+                  for row in m.rows for v in row]
+        for ledger in (s.rec, s.kt, s.chris, s.sob):
+            for f in fields(ledger):
+                if isinstance(getattr(ledger, f.name), tuple) and f.name != "support":
+                    values.extend(getattr(ledger, f.name))
+        values += [s.kt.c, *(v for row in s.kt.cjets.values for v in row)]
+        values += [res for _, res, _ in verify_propositions(s).as_rows()]
+        assert len(values) > 1000
+        assert all(v.context is context(128) for v in values)
+
+    def test_mixed_precisions_round_at_the_larger_one(self, spec):
+        lo = MatrixSuite.build(spec, size=8, guard=4, precision=64)
+        hi = MatrixSuite.build(spec, size=8, guard=4, precision=256)
+        with mp.workprec(256):
+            for A, B in ((lo.J, hi.L), (hi.J, lo.L)):
+                P = multiply(A, B)
+                assert P.precision == 256
+                for i in range(P.nrows):
+                    for j in range(P.ncols):
+                        ref = mp.mpf(0)
+                        for k in range(A.ncols):
+                            ref += mp.mpf(A.entry(i, k)) * B.entry(k, j)
+                        assert P.entry(i, j) == ref, (i, j)
+        res = block_residual(lo.J2, hi.J2, 8)
+        assert res == block_residual(hi.J2, lo.J2, 8) > 0
+        assert res.context is context(256)
 
 
 class TestLowPrecision:

@@ -7,9 +7,9 @@ import mpmath as mp
 import pytest
 
 from helpers import TOL30, assert_rel, assert_squared, rel
-from sobspec.christoffel import ChristoffelLedger, eval_iterated
+from sobspec.christoffel import eval_iterated
 from sobspec.core import MeasureSpec, SobolevSpec, eval_jet, orthonormal_value
-from sobspec.kernels import KernelTable, kernel_at, kernel_dy_at_c
+from sobspec.kernels import kernel_at, kernel_dy_at_c
 from sobspec.oracle import (
     MomentFunctional,
     gram_schmidt,
