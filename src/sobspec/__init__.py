@@ -4,7 +4,8 @@ Library surface: build a :class:`SobolevSpec` (base measure plus mass-point
 data), derive the scalar ledgers and the banded matrix chain through
 :class:`MatrixSuite`, and verify the factorization identities with
 :func:`verify_propositions`.  The :mod:`sobspec.oracle` module carries an
-exact-rational reference implementation of everything.
+exact-rational reference suite for Laguerre measures with a nonnegative
+integer alpha and a mass point c < 0, up to 10 rows.
 """
 
 from .core import (

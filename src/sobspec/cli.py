@@ -90,6 +90,17 @@ def _number(text):
             raise InvalidParameterError(f"cannot parse number {text!r}") from None
 
 
+def _tolerance(text):
+    """The tolerance literal, once it is known to parse to a finite number > 0."""
+    try:
+        value = mp.mpf(str(text))
+    except ValueError:
+        value = mp.nan
+    if not (mp.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"tolerance must be finite and > 0, got {text!r}")
+    return str(text)
+
+
 def _build_spec(config):
     if config.measure != "laguerre":
         raise InvalidParameterError(
@@ -145,7 +156,7 @@ def _make_config(command, measure, alpha, c, mass_m, mass_n, size, precision,
         guard=guard,
         out=Path(out),
         format=fmt,
-        tolerance=str(tolerance),
+        tolerance=_tolerance(tolerance),
     )
 
 
@@ -173,10 +184,10 @@ def main():
 def generate(measure, alpha, c, mass_m, mass_n, size, precision, guard, out,
              fmt, tolerance):
     """Write all chain matrices and scalar ledgers to the output directory."""
-    config = _make_config("generate", measure, alpha, c, mass_m, mass_n, size,
-                          precision, guard, out, fmt, tolerance)
 
     def body():
+        config = _make_config("generate", measure, alpha, c, mass_m, mass_n, size,
+                              precision, guard, out, fmt, tolerance)
         spec = _build_spec(config)
         suite = MatrixSuite.build(spec, config.size, guard=config.guard,
                                   precision=config.precision)
@@ -225,10 +236,10 @@ def _oracle_entries(config, suite):
 def verify(measure, alpha, c, mass_m, mass_n, size, precision, guard, out,
            fmt, tolerance):
     """Run the factorization-identity residual suite; exit 4 on a breach."""
-    config = _make_config("verify", measure, alpha, c, mass_m, mass_n, size,
-                          precision, guard, out, fmt, tolerance)
 
     def body():
+        config = _make_config("verify", measure, alpha, c, mass_m, mass_n, size,
+                              precision, guard, out, fmt, tolerance)
         spec = _build_spec(config)
         suite = MatrixSuite.build(spec, config.size, guard=config.guard,
                                   precision=config.precision)
@@ -271,6 +282,7 @@ def reproduce_paper(precision, tolerance):
     """Compare computed matrices against the published reference tables."""
 
     def body():
+        tol = _tolerance(tolerance)
         config, golden = load_reference()
         spec = SobolevSpec(
             measure=MeasureSpec.laguerre(Fraction(config["alpha"])),
@@ -283,7 +295,7 @@ def reproduce_paper(precision, tolerance):
         computed["J2_shift_sq"] = multiply(shifted, shifted)
         osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
                                     config["N"], top)
-        counts = compare_reference(golden, computed, osuite, precision, tolerance)
+        counts = compare_reference(golden, computed, osuite, precision, tol)
         failures = 0
         for name, (exact_ok, float_ok, total) in counts.items():
             status = "ok" if exact_ok == total == float_ok else "FAIL"

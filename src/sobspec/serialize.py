@@ -17,7 +17,7 @@ import json
 import mpmath as mp
 
 from .core import context
-from .matrices import BandedMatrix
+from .matrices import from_diagonals
 
 
 def repr_digits(precision):
@@ -62,18 +62,11 @@ def matrix_to_json(name, matrix, exact_entries=None):
 def matrix_from_json(text):
     doc = json.loads(text)
     prec = doc["precision"]
-    rows = [[context(prec).zero] * doc["ncols"] for _ in range(doc["nrows"])]
-    for i, j, s in doc["entries"]:
-        rows[i][j] = parse_value(s, prec)
-    return doc["name"], BandedMatrix(
-        nrows=doc["nrows"],
-        ncols=doc["ncols"],
-        lower_bw=doc["lower_bw"],
-        upper_bw=doc["upper_bw"],
-        exact_size=doc["exact_size"],
-        precision=prec,
-        rows=tuple(tuple(r) for r in rows),
-    )
+    diagonals = {k: [] for k in range(-doc["lower_bw"], doc["upper_bw"] + 1)}
+    for i, j, s in doc["entries"]:  # row-major, so each diagonal top-left first
+        diagonals[j - i].append(parse_value(s, prec))
+    return doc["name"], from_diagonals(diagonals, doc["exact_size"], prec,
+                                       (doc["nrows"], doc["ncols"]))
 
 
 def matrix_to_csv(matrix):

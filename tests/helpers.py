@@ -41,7 +41,7 @@ def dense_block_residual(A, B, block):
         diff = scale = mp.mpf(0)
         for i in range(block):
             for j in range(block):
-                a, b = A.rows[i][j], B.rows[i][j]
+                a, b = A.entry(i, j), B.entry(i, j)
                 diff = max(diff, abs(a - b))
                 scale = max(scale, abs(a), abs(b))
         return diff / max(mp.mpf(1), scale)

@@ -12,6 +12,10 @@ from sobspec.matrices import multiply
 from sobspec.serialize import csv_entries, matrix_from_json, matrix_to_json
 
 
+BAD_TOLERANCES = ["--tolerance=abc", "--tolerance=-1", "--tolerance=0",
+                  "--tolerance=nan", "--tolerance=inf"]
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -127,7 +131,7 @@ class TestVerify:
         assert len(report["residuals"]) == 10
 
     @pytest.mark.parametrize("option", ["--c=-inf", "--c=nan", "--M=inf", "--N=inf",
-                                        "--alpha=inf"])
+                                        "--alpha=inf", "--c=abc", *BAD_TOLERANCES])
     def test_non_finite_parameter_exit_code(self, runner, tmp_path, option):
         result = runner.invoke(main, ["verify", "--size", "6", option,
                                       "--out", str(tmp_path)])
@@ -159,6 +163,12 @@ class TestReproducePaper:
         assert "all reference entries reproduced" in result.output
         for name in ("J ", "H ", "J2_shift_sq"):
             assert name in result.output
+
+    @pytest.mark.parametrize("option", BAD_TOLERANCES)
+    def test_invalid_tolerance_exit_code(self, runner, option):
+        result = runner.invoke(main, ["reproduce-paper", option])
+        assert result.exit_code == 2, result.output
+        assert "tolerance must be finite and > 0" in result.output
 
     def test_reports_per_matrix_counts(self, runner):
         result = runner.invoke(main, ["reproduce-paper"])

@@ -1,5 +1,6 @@
 """Matrix chain: builders, Cholesky commutes, QR, and the identity residuals."""
 
+import json
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -67,6 +68,17 @@ def identity_operands(suite):
     }
 
 
+def suite_and_operand_matrices(suite):
+    """Every matrix of the suite, J2_direct, the transposes and every operand
+    verify_propositions forms: name -> matrix."""
+    matrices = dict(suite.named_matrices(), J2_direct=suite.J2_direct,
+                    Qt=suite.Q.transpose(), Rt=suite.R.transpose(),
+                    Tt=suite.T.transpose())
+    for name, (A, B) in identity_operands(suite).items():
+        matrices[f"{name} lhs"], matrices[f"{name} rhs"] = A, B
+    return matrices
+
+
 def stray_entries(matrix):
     """Positions outside the declared band that hold anything but exact zero."""
     return [(i, j) for i in range(matrix.nrows) for j in range(matrix.ncols)
@@ -101,6 +113,22 @@ class TestJacobi:
             for j in range(6):
                 if abs(i - j) > 1:
                     assert J.entry(i, j) == 0
+
+
+class TestBandedStorage:
+    def test_entry_index_range(self, rec):
+        J = build_jacobi(rec, 6)
+        assert J.entry(0, 5) == J.entry(5, 0) == 0
+        assert J.entry(5, 5) == 11
+        for i, j in ((-1, 0), (6, 0), (0, 6), (0, -1)):
+            with pytest.raises(IndexError):
+                J.entry(i, j)
+
+    def test_json_missing_band_entry_rejected(self, rec):
+        doc = json.loads(matrix_to_json("J", build_jacobi(rec, 6)))
+        del doc["entries"][3]
+        with pytest.raises(InvalidParameterError):
+            matrix_from_json(json.dumps(doc))
 
 
 class TestCholeskyChain:
@@ -250,7 +278,7 @@ class TestSuiteAndResiduals:
         b = MatrixSuite.build(spec, size=6, guard=3)
         for name, ma in a.named_matrices().items():
             mb = b.named_matrices()[name]
-            assert ma.rows == mb.rows
+            assert ma.diagonals == mb.diagonals
 
 
 class TestBandLocalVerification:
@@ -259,14 +287,17 @@ class TestBandLocalVerification:
 
     def test_zero_outside_declared_band(self, sided_suite):
         s = sided_suite
-        matrices = dict(s.named_matrices(), J2_direct=s.J2_direct,
-                        Qt=s.Q.transpose(), Rt=s.R.transpose(), Tt=s.T.transpose())
-        for name, (A, B) in identity_operands(s).items():
-            matrices[f"{name} lhs"], matrices[f"{name} rhs"] = A, B
+        matrices = suite_and_operand_matrices(s)
         for name, m in s.named_matrices().items():
             matrices[f"{name} from json"] = matrix_from_json(matrix_to_json(name, m))[1]
         for name, m in matrices.items():
             assert stray_entries(m) == [], name
+
+    def test_stores_exactly_its_band(self, sided_suite):
+        for name, m in suite_and_operand_matrices(sided_suite).items():
+            stored = sum(len(diagonal) for diagonal in m.diagonals)
+            assert stored == len(list(m.band_entries())), name
+            assert matrix_from_json(matrix_to_json(name, m))[1] == m, name
 
     def test_residuals_equal_dense_scan(self, sided_suite):
         s = sided_suite
@@ -289,9 +320,9 @@ class TestBandLocalVerification:
 
     def test_scan_covers_union_of_bands(self):
         I = identity(4, 64)
-        rows = [list(r) for r in I.rows]
-        rows[0][3] = mp.mpf(-3)
-        U = BandedMatrix(4, 4, 0, 3, 4, 64, tuple(tuple(r) for r in rows))
+        zero = context(64).zero
+        U = BandedMatrix(4, 4, 0, 3, 4, 64,
+                         I.diagonals + ((zero,) * 3, (zero,) * 2, (mp.mpf(-3),)))
         assert block_residual(I, U, 4) == block_residual(U, I, 4) == 1
         assert block_residual(I, U, 3) == 0
 
@@ -329,8 +360,11 @@ class TestPrecisionContext:
         # it is the left operand, so none may reach a matrix or a ledger.
         chosen = spec if side == "left" else reflected_spec(30)
         s = MatrixSuite.build(chosen, size=8, guard=4, precision=128)
-        values = [v for m in [*s.named_matrices().values(), s.J2_direct]
-                  for row in m.rows for v in row]
+        # The matrices and ledgers alone hold fewer than 1000 values at this
+        # size; the operands verify_propositions forms lift the list above it.
+        operands = [m for pair in identity_operands(s).values() for m in pair]
+        values = [v for m in [*s.named_matrices().values(), s.J2_direct, *operands]
+                  for diagonal in m.diagonals for v in diagonal]
         for ledger in (s.rec, s.kt, s.chris, s.sob):
             for f in fields(ledger):
                 if isinstance(getattr(ledger, f.name), tuple) and f.name != "support":
