@@ -11,6 +11,10 @@ All real computation uses mpmath binary floats at a configurable precision
 an mpf operation rounds in its left operand's context.  So results do not
 depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
 builds at different precisions may run concurrently in several threads.
+
+``EXACT`` is the infinite precision: ``context(EXACT)`` holds exact signed
+square roots of rationals (:class:`sobspec.oracle.SqrtRational`), so the
+matrix chain of :mod:`sobspec.matrices` runs unchanged over them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ DEFAULT_PRECISION = 256
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+#: Exact arithmetic as a precision: larger than every bit count.
+EXACT = POS_INF
+
 
 def _require_finite_real(name, value):
     if not isinstance(value, numbers.Real) or not mp.isfinite(value):
@@ -39,18 +46,25 @@ _CONTEXTS = {}
 
 def context(precision):
     """The private mpmath context of ``precision`` bits: made once, never
-    mutated, and kept unique by ``setdefault`` when threads race to make it."""
+    mutated, and kept unique by ``setdefault`` when threads race to make it.
+
+    ``context(EXACT)`` is the exact scalar protocol instead: ``zero``,
+    ``one``, ``sqrt`` and ``mpf`` (conversion) over ``SqrtRational``."""
     ctx = _CONTEXTS.get(precision)
     if ctx is None:
-        ctx = mp.MPContext()
-        ctx.prec = precision
+        if precision == EXACT:
+            from .oracle import EXACT_CONTEXT as ctx  # lazy: oracle imports core
+        else:
+            ctx = mp.MPContext()
+            ctx.prec = precision
         ctx = _CONTEXTS.setdefault(precision, ctx)
     return ctx
 
 
 def to_mpf(x, ctx):
     """Convert ints, floats, Fractions, decimal strings or mpf to an mpf of
-    ``ctx``; an mpf keeps its bits."""
+    ``ctx`` (ints and Fractions to a ``SqrtRational`` of ``context(EXACT)``);
+    an mpf keeps its bits."""
     if hasattr(x, "_mpf_"):
         return ctx.make_mpf(x._mpf_)
     if isinstance(x, Fraction):

@@ -370,8 +370,9 @@ class MatrixSuite:
         if guard < 2:
             raise InvalidParameterError("guard must be >= 2")
         precision = DEFAULT_PRECISION if precision is None else precision
-        if precision < 64:
-            raise InvalidParameterError("precision must be >= 64 bits")
+        if not isinstance(precision, int) or precision < 64:
+            raise InvalidParameterError(
+                f"precision must be an integer >= 64 bits, got {precision!r}")
         nb = size + guard
         rec = spec.measure.recurrence(nb + 5, precision)
         kt = KernelTable.build(rec, spec.c)

@@ -2,20 +2,25 @@
 
 Everything here runs over ``fractions.Fraction`` (or over exact signed square
 roots of rationals, see :class:`SqrtRational`) and never touches floating
-point.  It provides the independent route for every check in the package:
+point.  It provides the exact reference for every check in the package:
 
 * moment functionals for the three inner products (plain measure, k-iterated
   Christoffel transform ``(x-c)^k dmu``, and the discrete Sobolev product with
   point masses M, N at c),
 * monic Gram-Schmidt from moments, giving exactly orthogonal systems with
   exact squared norms,
-* exact construction of the whole matrix chain (Jacobi matrices, Cholesky
-  factors, Q/R, the triangular connection matrix and the pentadiagonal
-  recurrence matrix) for integer-alpha Laguerre configurations,
+* the exact matrix suite for integer-alpha Laguerre configurations: the
+  Jacobi matrices and the T/H connection matrices from Gram-Schmidt, the
+  Cholesky factors, Q/R and (J2 - cI)^2 from the package's own chain
+  (:mod:`sobspec.matrices`) run over :class:`SqrtRational` at ``EXACT``
+  precision,
 * squared-entry comparison of floating matrices against exact references.
 
-Orthonormal-level quantities are never represented by approximate square
-roots: comparisons happen in squared form with the sign tracked separately.
+The chain's formulas are shared with the floating path, so a slip in them is
+caught by the Gram-Schmidt side: Q R = J - cI and R Q = J2 - cI must hold
+exactly.  Orthonormal-level quantities are never represented by approximate
+square roots: comparisons happen in squared form with the sign tracked
+separately.
 """
 
 from __future__ import annotations
@@ -23,11 +28,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
+from .core import EXACT
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
     OracleUnsupportedError,
+)
+from .matrices import (
+    cholesky_shifted,
+    commute_cholesky,
+    from_diagonals,
+    multiply,
+    qr_pair,
 )
 
 #: Gram-Schmidt degree cap; rational arithmetic beyond this explodes in bit-size.
@@ -242,7 +256,9 @@ class SqrtRational:
     Closed under multiplication and division.  Sums are defined whenever the
     two radicands have a rational square ratio, which holds throughout the
     factorization chain of this package (all chain entries are signed square
-    roots of rationals); incompatible radicands raise ArithmeticError.
+    roots of rationals); incompatible radicands raise ArithmeticError.  Ints
+    and Fractions are coerced, so the chain functions of
+    :mod:`sobspec.matrices` run over this type as they do over mpf.
     """
 
     __slots__ = ("sign", "square")
@@ -272,18 +288,22 @@ class SqrtRational:
     def from_square(cls, square, sign=1):
         return cls(sign, square)
 
-    def is_zero(self):
-        return self.sign == 0
-
     def as_rational(self):
         """The value as a Fraction if the radicand is a perfect square, else None."""
         r = _rational_sqrt(self.square)
         return None if r is None else self.sign * r
 
     def __mul__(self, other):
+        other = _exact(other)
         return SqrtRational(self.sign * other.sign, self.square * other.square)
 
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return SqrtRational(self.sign ** k, self.square ** k)
+
     def __truediv__(self, other):
+        other = _exact(other)
         if other.sign == 0:
             raise ZeroDivisionError("division by exact zero")
         return SqrtRational(self.sign * other.sign, self.square / other.square)
@@ -292,6 +312,7 @@ class SqrtRational:
         return SqrtRational(-self.sign, self.square)
 
     def __add__(self, other):
+        other = _exact(other)
         if self.sign == 0:
             return other
         if other.sign == 0:
@@ -306,10 +327,16 @@ class SqrtRational:
         return SqrtRational(sig, s * s * other.square)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-_exact(other))
 
     def __eq__(self, other):
         return self.sign == other.sign and self.square == other.square
+
+    def __gt__(self, other):
+        other = _exact(other)
+        if self.sign != other.sign:
+            return self.sign > other.sign
+        return self.sign * (self.square - other.square) > 0
 
     def __hash__(self):
         return hash((self.sign, self.square))
@@ -332,85 +359,19 @@ class SqrtRational:
         return f"SqrtRational(sign={self.sign}, square={self.square})"
 
 
+def _exact(x):
+    return x if isinstance(x, SqrtRational) else SqrtRational.from_rational(x)
+
+
+#: The scalar protocol of ``core.context(EXACT)``: what the chain functions
+#: of :mod:`sobspec.matrices` ask of an mpmath context.
+EXACT_CONTEXT = SimpleNamespace(zero=SqrtRational.zero(), one=SqrtRational(1, 1),
+                                sqrt=SqrtRational.sqrt, mpf=SqrtRational.from_rational)
+
+
 # ---------------------------------------------------------------------------
-# exact matrix chain
+# exact matrix suite
 # ---------------------------------------------------------------------------
-
-def _sq_zeros(nrows, ncols):
-    return [[SqrtRational.zero() for _ in range(ncols)] for _ in range(nrows)]
-
-
-def _sq_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def _sq_matmul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    out = _sq_zeros(n, p)
-    for i in range(n):
-        for j in range(p):
-            acc = SqrtRational.zero()
-            for k in range(m):
-                if A[i][k].sign and B[k][j].sign:
-                    acc = acc + A[i][k] * B[k][j]
-            out[i][j] = acc
-    return out
-
-
-def _sq_cholesky_tridiag(diag, off):
-    """Lower bidiagonal L with L L^T equal to the tridiagonal (diag, off).
-
-    diag entries are rational SqrtRationals; pivots must be positive.
-    """
-    n = len(diag)
-    L = _sq_zeros(n, n)
-    for i in range(n):
-        pivot = diag[i]
-        if i:
-            pivot = pivot - L[i][i - 1] * L[i][i - 1]
-        if pivot.sign <= 0:
-            raise NotPositiveDefiniteError(f"pivot {i} is not positive")
-        L[i][i] = pivot.sqrt()
-        if i + 1 < n:
-            L[i + 1][i] = off[i] / L[i][i]
-    return L
-
-
-def _sq_commute(L, shift):
-    """L^T L + shift I as (diag, off) pairs of the next tridiagonal matrix."""
-    n = len(L)
-    diag, off = [], []
-    for i in range(n):
-        d = L[i][i] * L[i][i] + SqrtRational.from_rational(shift)
-        if i + 1 < n:
-            d = d + L[i + 1][i] * L[i + 1][i]
-            off.append(L[i + 1][i] * L[i + 1][i + 1])
-        diag.append(d)
-    return diag, off
-
-
-def _sq_orthogonal_factor(L, L1):
-    """Q with L1 Q^T = L^T, i.e. Q = L L1^(-T), by forward substitution."""
-    n = len(L)
-    Lt = _sq_transpose(L)
-    Qt = _sq_zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            acc = Lt[i][j]
-            if i:
-                acc = acc - L1[i][i - 1] * Qt[i - 1][j]
-            Qt[i][j] = acc / L1[i][i]
-    return _sq_transpose(Qt)
-
-
-def _tridiag_to_sq(diag, off, size):
-    A = _sq_zeros(size, size)
-    for i in range(size):
-        A[i][i] = diag[i]
-        if i + 1 < size:
-            A[i][i + 1] = A[i + 1][i] = off[i]
-    return A
-
 
 @dataclass(frozen=True)
 class OracleMatrixSuite:
@@ -418,10 +379,10 @@ class OracleMatrixSuite:
 
     The three Jacobi matrices and the T/H connection matrices come from
     independent Gram-Schmidt constructions; the Cholesky factors, Q, R and the
-    squared shifted Jacobi matrix are produced by the factorization chain run
-    in exact arithmetic.  ``exact_size`` rows/columns of every matrix agree
-    with the semi-infinite objects (the chain is built with an internal guard
-    and trimmed).
+    squared shifted Jacobi matrix from the chain of :mod:`sobspec.matrices`
+    run at ``EXACT`` precision.  Each matrix is held as its ``exact_size``
+    leading rows, dense (exact zeros off the band), which agree with the
+    semi-infinite object (the chain is built with two guard rows and trimmed).
     """
 
     c: Fraction
@@ -429,9 +390,6 @@ class OracleMatrixSuite:
     N: Fraction
     exact_size: int
     matrices: dict = field(repr=False)
-
-    def entry(self, name, i, j):
-        return self.matrices[name][i][j]
 
 
 def build_oracle_suite(alpha, c, M, N, size, degree_cap=DEFAULT_DEGREE_CAP):
@@ -446,71 +404,48 @@ def build_oracle_suite(alpha, c, M, N, size, degree_cap=DEFAULT_DEGREE_CAP):
         raise OracleUnsupportedError(
             "oracle chain assumes the mass point left of the Laguerre support"
         )
-    deg = size + 2
-    guard = 2
-    nb = size + guard
+    nb = deg = size + 2  # two guard rows: the chain's Q and R consume them
     moments = laguerre_moments(alpha, 2 * deg + 4)
 
     std = gram_schmidt(MomentFunctional.standard(moments), deg, degree_cap)
     it1 = gram_schmidt(MomentFunctional.iterated(moments, 1, c), deg, degree_cap)
     it2 = gram_schmidt(MomentFunctional.iterated(moments, 2, c), deg, degree_cap)
-    sob_fn = MomentFunctional.sobolev(moments, c, M, N)
-    sob = gram_schmidt(sob_fn, deg, degree_cap)
-    it2_fn = it2.functional
+    sob = gram_schmidt(MomentFunctional.sobolev(moments, c, M, N), deg, degree_cap)
 
-    def jacobi_sq(system, n):
+    def banded(entry, offsets):
+        return from_diagonals({k: [entry(n, n + k) for n in range(max(0, -k), nb - max(0, k))]
+                               for k in offsets}, nb, EXACT)
+
+    def jacobi(system):
         betas, gammas = system.recurrence()
-        diag = [SqrtRational.from_rational(b) for b in betas[:n]]
-        off = [SqrtRational.from_square(gammas[i + 1]) for i in range(n - 1)]
-        return diag, off
+        off = [SqrtRational.from_square(g) for g in gammas[1:nb]]
+        return from_diagonals({-1: off, 0: [SqrtRational.from_rational(b) for b in betas],
+                               1: off}, nb, EXACT)
 
-    jd, jo = jacobi_sq(std, nb)
-    j1d, j1o = jacobi_sq(it1, nb)
-    j2d, j2o = jacobi_sq(it2, nb)
-
-    shift = [SqrtRational.from_rational(d.as_rational() - c) for d in jd]
-    L = _sq_cholesky_tridiag(shift, jo)
-    c1d, c1o = _sq_commute(L, Fraction(0))
-    L1 = _sq_cholesky_tridiag(c1d, c1o)
-    Q = _sq_orthogonal_factor(L, L1)
-    R = _sq_transpose(_sq_matmul(L, L1))
-
-    J2s = _tridiag_to_sq(
-        [SqrtRational.from_rational(d.as_rational() - c) for d in j2d], j2o, nb
-    )
-    J2sq = _sq_matmul(J2s, J2s)
-
-    sqn_sob = [SqrtRational.from_square(sob.norm_sq[k]) for k in range(deg + 1)]
-    sqn_it2 = [SqrtRational.from_square(it2.norm_sq[k]) for k in range(deg + 1)]
+    sqn_sob = [SqrtRational.from_square(q) for q in sob.norm_sq]
+    sqn_it2 = [SqrtRational.from_square(q) for q in it2.norm_sq]
     shift2 = (c * c, -2 * c, Fraction(1))
 
-    T = _sq_zeros(nb, nb)
-    for n in range(nb):
-        for k in range(max(0, n - 2), n + 1):
-            ip = it2_fn.inner(sob.coeffs[n], it2.coeffs[k])
-            T[n][k] = SqrtRational.from_rational(ip) / (sqn_sob[n] * sqn_it2[k])
+    def t_entry(n, k):
+        ip = it2.functional.inner(sob.coeffs[n], it2.coeffs[k])
+        return SqrtRational.from_rational(ip) / (sqn_sob[n] * sqn_it2[k])
 
-    H = _sq_zeros(nb, nb)
-    for n in range(nb):
-        for k in range(max(0, n - 2), min(nb, n + 3)):
-            ip = sob_fn.inner(poly_mul(shift2, sob.coeffs[n]), sob.coeffs[k])
-            H[n][k] = SqrtRational.from_rational(ip) / (sqn_sob[n] * sqn_sob[k])
+    def h_entry(n, k):
+        ip = sob.functional.inner(poly_mul(shift2, sob.coeffs[n]), sob.coeffs[k])
+        return SqrtRational.from_rational(ip) / (sqn_sob[n] * sqn_sob[k])
 
-    def trim(rows):
-        return tuple(tuple(row[:size]) for row in rows[:size])
-
-    matrices = {
-        "J": trim(_tridiag_to_sq(jd, jo, nb)),
-        "L": trim(L),
-        "J1": trim(_tridiag_to_sq(j1d, j1o, nb)),
-        "L1": trim(L1),
-        "J2": trim(_tridiag_to_sq(j2d, j2o, nb)),
-        "Q": trim(Q),
-        "R": trim(R),
-        "T": trim(T),
-        "H": trim(H),
-        "J2_shift_sq": trim(J2sq),
+    J, J1, J2 = jacobi(std), jacobi(it1), jacobi(it2)
+    L = cholesky_shifted(J, c)
+    L1 = cholesky_shifted(commute_cholesky(L, c), c)
+    Q, R = qr_pair(L, L1)
+    J2_shift = J2.shifted(-c)
+    chain = {
+        "J": J, "L": L, "J1": J1, "L1": L1, "J2": J2, "Q": Q, "R": R,
+        "T": banded(t_entry, (-2, -1, 0)), "H": banded(h_entry, range(-2, 3)),
+        "J2_shift_sq": multiply(J2_shift, J2_shift),
     }
+    matrices = {name: tuple(tuple(m.entry(i, j) for j in range(size)) for i in range(size))
+                for name, m in chain.items()}
     return OracleMatrixSuite(c=c, M=M, N=N, exact_size=size, matrices=matrices)
 
 

@@ -17,6 +17,7 @@ import json
 import mpmath as mp
 
 from .core import context
+from .errors import InvalidParameterError
 from .matrices import from_diagonals
 
 
@@ -64,6 +65,8 @@ def matrix_from_json(text):
     prec = doc["precision"]
     diagonals = {k: [] for k in range(-doc["lower_bw"], doc["upper_bw"] + 1)}
     for i, j, s in doc["entries"]:  # row-major, so each diagonal top-left first
+        if j - i not in diagonals:
+            raise InvalidParameterError(f"entry ({i}, {j}) lies outside the declared band")
         diagonals[j - i].append(parse_value(s, prec))
     return doc["name"], from_diagonals(diagonals, doc["exact_size"], prec,
                                        (doc["nrows"], doc["ncols"]))

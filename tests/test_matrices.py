@@ -8,7 +8,14 @@ import mpmath as mp
 import pytest
 
 from helpers import TOL30, assert_rel, assert_squared, dense_block_residual
-from sobspec.core import MeasureSpec, SobolevSpec, context, to_mpf
+from sobspec.core import (
+    EXACT,
+    MeasureSpec,
+    SobolevSpec,
+    context,
+    laguerre_recurrence,
+    to_mpf,
+)
 from sobspec.errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -23,12 +30,14 @@ from sobspec.matrices import (
     build_jacobi,
     cholesky_shifted,
     commute_cholesky,
+    from_diagonals,
     identity,
     multiply,
     orthogonality_defect,
     qr_pair,
     verify_propositions,
 )
+from sobspec.oracle import SqrtRational, squared_entry_compare
 from sobspec.serialize import matrix_from_json, matrix_to_json
 
 
@@ -127,6 +136,12 @@ class TestBandedStorage:
     def test_json_missing_band_entry_rejected(self, rec):
         doc = json.loads(matrix_to_json("J", build_jacobi(rec, 6)))
         del doc["entries"][3]
+        with pytest.raises(InvalidParameterError):
+            matrix_from_json(json.dumps(doc))
+
+    def test_json_out_of_band_entry_rejected(self, rec):
+        doc = json.loads(matrix_to_json("J", build_jacobi(rec, 6)))
+        doc["entries"].append([5, 0, "1"])
         with pytest.raises(InvalidParameterError):
             matrix_from_json(json.dumps(doc))
 
@@ -273,6 +288,11 @@ class TestSuiteAndResiduals:
         with pytest.raises(InvalidParameterError):
             MatrixSuite.build(spec, size=8, precision=32)
 
+    @pytest.mark.parametrize("precision", [100.5, EXACT, "256", 63])
+    def test_precision_must_be_an_int_of_64_bits_or_more(self, spec, precision):
+        with pytest.raises(InvalidParameterError):
+            MatrixSuite.build(spec, size=8, precision=precision)
+
     def test_determinism(self, spec):
         a = MatrixSuite.build(spec, size=6, guard=3)
         b = MatrixSuite.build(spec, size=6, guard=3)
@@ -390,6 +410,37 @@ class TestPrecisionContext:
         res = block_residual(lo.J2, hi.J2, 8)
         assert res == block_residual(hi.J2, lo.J2, 8) > 0
         assert res.context is context(256)
+
+
+class TestExactChain:
+    """The chain functions run over mpf and, at ``EXACT`` precision, over
+    exact signed square roots of rationals."""
+
+    def test_float_chain_matches_exact_chain_at_size_200(self):
+        n, prec = 204, 256  # size 200 plus the default guard of 4
+        # closed-form Laguerre, alpha = 0: beta_k = 2k + 1, gamma_k = k^2
+        off = [SqrtRational.from_square(k * k) for k in range(1, n)]
+        exact_J = from_diagonals({
+            -1: off, 0: [SqrtRational.from_rational(2 * k + 1) for k in range(n)], 1: off,
+        }, n, EXACT)
+        float_J = build_jacobi(laguerre_recurrence(0, n, prec), n)
+
+        def chain(J):
+            L = cholesky_shifted(J, -1)
+            J1 = commute_cholesky(L, -1)
+            L1 = cholesky_shifted(J1, -1)
+            return {"L": L, "J1": J1, "L1": L1, "J2": commute_cholesky(L1, -1)}
+
+        floats, exacts = chain(float_J), chain(exact_J)
+        tol = context(prec).ldexp(1, -prec // 2)
+        for name, em in exacts.items():
+            fm = floats[name]
+            assert (fm.lower_bw, fm.upper_bw, fm.exact_size) == \
+                (em.lower_bw, em.upper_bw, em.exact_size)
+            report = squared_entry_compare(
+                name, {(i, j): v for i, j, v in fm.band_entries()},
+                {(i, j): v for i, j, v in em.band_entries()}, tol)
+            assert report.all_ok, report.summary()
 
 
 class TestLowPrecision:

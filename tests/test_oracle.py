@@ -179,7 +179,7 @@ class TestSqrtRational:
 
     def test_cancellation_to_zero(self):
         a = SqrtRational.from_square(F(7, 3))
-        assert (a - a).is_zero()
+        assert (a - a).sign == 0
         assert (a + (-a)).square == 0
 
     def test_incompatible_radicals_raise(self):
@@ -218,6 +218,43 @@ class TestOracleSuite:
     def test_mass_point_inside_support_rejected(self):
         with pytest.raises(OracleUnsupportedError):
             build_oracle_suite(0, F(1), M, N, 4)
+
+
+@pytest.fixture(scope="module", params=[(0, C, M, N), (1, F(-1, 2), F(2), F(1, 3))],
+                ids=["worked-example", "alpha1"])
+def suite10(request):
+    return build_oracle_suite(*request.param, 10)
+
+
+def _product(A, B, block):
+    """Leading block x block of the dense exact product A B."""
+    return [[sum((A[i][j] * B[j][k] for j in range(len(B))), SqrtRational.zero())
+             for k in range(block)] for i in range(block)]
+
+
+def _shifted(A, c, block):
+    """Leading block x block of A - cI."""
+    return [[A[i][k] - (c if i == k else 0) for k in range(block)] for i in range(block)]
+
+
+class TestOracleChainIdentities:
+    """Q, R and J2_shift_sq come from the package's chain run in exact
+    arithmetic; these identities tie them to the Gram-Schmidt J and J2.
+    Each block is the leading one where the truncated product is complete:
+    R is upper triangular with bandwidth 2 and Q upper Hessenberg."""
+
+    def test_qr_is_shifted_j(self, suite10):
+        m = suite10.matrices
+        assert _product(m["Q"], m["R"], 10) == _shifted(m["J"], suite10.c, 10)
+
+    def test_rq_is_shifted_j2(self, suite10):
+        m = suite10.matrices
+        assert _product(m["R"], m["Q"], 9) == _shifted(m["J2"], suite10.c, 9)
+
+    def test_r_rt_is_j2_shift_sq(self, suite10):
+        m = suite10.matrices
+        Rt = list(zip(*m["R"]))
+        assert _product(m["R"], Rt, 8) == [list(row[:8]) for row in m["J2_shift_sq"][:8]]
 
 
 class TestSquaredEntryCompare:
