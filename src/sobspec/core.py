@@ -79,8 +79,6 @@ class MeasureSpec:
     ``support`` is the (lo, hi) interval carrying the measure, endpoints
     possibly infinite.  Custom measures must supply the monic recurrence
     coefficients directly; moment-based recovery lives only in the oracle.
-    ``moments`` is an optional exact rational moment sequence for oracle use
-    (closed-form factorial moments cover integer-alpha Laguerre without it).
     """
 
     family: str
@@ -89,7 +87,6 @@ class MeasureSpec:
     gamma: tuple | None = None
     norm0_sq: object = 1
     support: tuple = (NEG_INF, POS_INF)
-    moments: tuple | None = None
 
     @classmethod
     def laguerre(cls, alpha):
@@ -99,7 +96,7 @@ class MeasureSpec:
         return cls(family="laguerre", alpha=alpha, support=(0.0, POS_INF))
 
     @classmethod
-    def custom(cls, beta, gamma, support, norm0_sq=1, moments=None):
+    def custom(cls, beta, gamma, support, norm0_sq=1):
         """A measure from its monic recurrence.  ``MatrixSuite.build`` at
         ``size`` and ``guard`` needs size + guard + 5 coefficients; only the
         serialized recurrence ledger shows those past index size + guard + 2."""
@@ -117,7 +114,6 @@ class MeasureSpec:
             gamma=gamma,
             norm0_sq=norm0_sq,
             support=tuple(support),
-            moments=None if moments is None else tuple(moments),
         )
 
     def recurrence(self, size, precision=DEFAULT_PRECISION):

@@ -92,12 +92,6 @@ class KernelTable:
         return cls(rec=rec, c=c, K=tuple(K), K01=tuple(K01), K11=tuple(K11),
                    cjets=jets)
 
-    def confluents(self, n):
-        if not 0 <= n < self.size:
-            raise IndexError(f"n = {n} outside kernel table of size {self.size}")
-        return KernelConfluents(n=n, c=self.c, K=self.K[n], K01=self.K01[n],
-                                K11=self.K11[n])
-
 
 def kernel_at(rec, n, x, y):
     """K_n(x, y), by the Christoffel-Darboux quotient away from the diagonal

@@ -26,11 +26,12 @@ separately.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .core import EXACT
+from .core import EXACT, to_mpf
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -44,7 +45,8 @@ from .matrices import (
     qr_pair,
 )
 
-#: Gram-Schmidt degree cap; rational arithmetic beyond this explodes in bit-size.
+#: Gram-Schmidt degree cap.  A suite of n rows needs n + 2 degrees, so this
+#: cap keeps the oracle at 10 rows.
 DEFAULT_DEGREE_CAP = 12
 
 
@@ -330,6 +332,9 @@ class SqrtRational:
         return self + (-_exact(other))
 
     def __eq__(self, other):
+        if not isinstance(other, (SqrtRational, numbers.Rational)):
+            return NotImplemented
+        other = _exact(other)
         return self.sign == other.sign and self.square == other.square
 
     def __gt__(self, other):
@@ -339,7 +344,9 @@ class SqrtRational:
         return self.sign * (self.square - other.square) > 0
 
     def __hash__(self):
-        return hash((self.sign, self.square))
+        # A rational value must hash as the int or Fraction it equals.
+        r = self.as_rational()
+        return hash((self.sign, self.square) if r is None else r)
 
     def sqrt(self):
         """Exact square root; defined when the value itself is a nonnegative rational."""
@@ -392,7 +399,7 @@ class OracleMatrixSuite:
     matrices: dict = field(repr=False)
 
 
-def build_oracle_suite(alpha, c, M, N, size, degree_cap=DEFAULT_DEGREE_CAP):
+def build_oracle_suite(alpha, c, M, N, size):
     """Exact matrix suite for integer-alpha Laguerre with mass point data (c, M, N).
 
     ``size`` is the number of exact leading rows/columns delivered for every
@@ -407,10 +414,10 @@ def build_oracle_suite(alpha, c, M, N, size, degree_cap=DEFAULT_DEGREE_CAP):
     nb = deg = size + 2  # two guard rows: the chain's Q and R consume them
     moments = laguerre_moments(alpha, 2 * deg + 4)
 
-    std = gram_schmidt(MomentFunctional.standard(moments), deg, degree_cap)
-    it1 = gram_schmidt(MomentFunctional.iterated(moments, 1, c), deg, degree_cap)
-    it2 = gram_schmidt(MomentFunctional.iterated(moments, 2, c), deg, degree_cap)
-    sob = gram_schmidt(MomentFunctional.sobolev(moments, c, M, N), deg, degree_cap)
+    std = gram_schmidt(MomentFunctional.standard(moments), deg)
+    it1 = gram_schmidt(MomentFunctional.iterated(moments, 1, c), deg)
+    it2 = gram_schmidt(MomentFunctional.iterated(moments, 2, c), deg)
+    sob = gram_schmidt(MomentFunctional.sobolev(moments, c, M, N), deg)
 
     def banded(entry, offsets):
         return from_diagonals({k: [entry(n, n + k) for n in range(max(0, -k), nb - max(0, k))]
@@ -504,7 +511,9 @@ def squared_entry_compare(name, float_entries, exact_entries, rel_tol):
             ok = err <= rel_tol
             sign_ok = ok
         else:
-            err = abs(float(fsq - ref.square)) / qs if qs else float(fsq)
+            ctx = getattr(fv, "context", None)  # an mpf: convert the square in its context
+            square = ref.square if ctx is None else to_mpf(ref.square, ctx)
+            err = abs(float(fsq - square)) / qs if qs else float(fsq)
             fsign = (fv > 0) - (fv < 0)
             sign_ok = fsign == ref.sign
             ok = sign_ok and err <= rel_tol

@@ -174,3 +174,149 @@ class TestReproducePaper:
         result = runner.invoke(main, ["reproduce-paper"])
         assert "exact 36/36" in result.output  # the 6x6 block
         assert result.output.count("float 25/25") == 9
+
+
+OPTIONS_HELP = """\
+Options:
+  --measure TEXT       Base measure family.  [default: laguerre]
+  --alpha TEXT         Laguerre exponent, > -1.  [default: 0]
+  --c TEXT             Mass point, outside the support.  [default: -1]
+  --M TEXT             Mass on function values at c.  [default: 1]
+  --N TEXT             Mass on derivative values at c.  [default: 1]
+  --size INTEGER       Reported truncation size (>= 3).  [default: 8]
+  --precision INTEGER  Working precision in bits (>= 64).  [default: 256]
+  --guard INTEGER      Guard rows built beyond the size (>= 2).  [default: 4]
+  --out TEXT           Output directory.  [default: sobspec-out]
+  --format [json|csv]  Matrix and ledger file format.  [default: json]
+  --tolerance TEXT     Residual tolerance for verification.  [default: 1e-30]
+  --help               Show this message and exit.
+"""
+
+HELP = {
+    "generate": "Write all chain matrices and scalar ledgers to the output directory.",
+    "verify": "Run the factorization-identity residual suite; exit 4 on a breach.",
+}
+
+REPRODUCE_HELP = """\
+Usage: main reproduce-paper [OPTIONS]
+
+  Compare computed matrices against the published reference tables.
+
+Options:
+  --precision INTEGER  Floating-path precision in bits.  [default: 256]
+  --tolerance TEXT     Floating-path relative tolerance.  [default: 1e-30]
+  --help               Show this message and exit.
+"""
+
+SPEC_ARGS = ["--alpha", "5/2", "--c", "-0.75", "--M", "0", "--N", "1/3",
+             "--precision", "64"]
+
+RUN_JSON = """\
+{
+ "command": "generate",
+ "measure": "laguerre",
+ "alpha": "5/2",
+ "c": "-3/4",
+ "M": "0",
+ "N": "1/3",
+ "size": 8,
+ "precision": 64,
+ "guard": 4,
+ "format": "json",
+ "tolerance": "1e-30"
+}
+"""
+
+# Small fast runs; each case below overrides one variable on top of these.
+ENV_BASE = {"SOBSPEC_SIZE": "3", "SOBSPEC_GUARD": "2", "SOBSPEC_PRECISION": "64",
+            "SOBSPEC_TOLERANCE": "1e-8"}
+
+# SOBSPEC_<variable>, its value, and the run-document key and value it yields.
+ENV_RECORDED = [
+    ("ALPHA", "2", "alpha", "2"),
+    ("C", "-0.5", "c", "-1/2"),
+    ("M", "3", "M", "3"),
+    ("N", "2", "N", "2"),
+    ("SIZE", "4", "size", 4),
+    ("PRECISION", "128", "precision", 128),
+    ("GUARD", "3", "guard", 3),
+    ("FORMAT", "csv", "format", "csv"),
+    ("TOLERANCE", "1e-9", "tolerance", "1e-9"),
+]
+
+
+def run_document(outdir, command):
+    if command == "generate":
+        return json.loads((outdir / "run.json").read_text())
+    return json.loads((outdir / "verification.json").read_text())["config"]
+
+
+class TestOptionContract:
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    def test_help_text(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert result.output == (f"Usage: main {command} [OPTIONS]\n\n"
+                                 f"  {HELP[command]}\n\n{OPTIONS_HELP}")
+
+    def test_reproduce_paper_help_text(self, runner):
+        result = runner.invoke(main, ["reproduce-paper", "--help"])
+        assert result.exit_code == 0
+        assert result.output == REPRODUCE_HELP
+
+    def test_run_json_byte_for_byte(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", *SPEC_ARGS, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "run.json").read_text() == RUN_JSON
+
+    def test_verification_config_is_the_run_document(self, runner, tmp_path):
+        result = runner.invoke(main, ["verify", *SPEC_ARGS, "--out", str(tmp_path)])
+        assert result.exit_code == 4  # 64 bits cannot meet the 1e-30 default
+        expected = {**json.loads(RUN_JSON), "command": "verify"}
+        assert run_document(tmp_path, "verify") == expected
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    @pytest.mark.parametrize("variable, value, key, recorded", ENV_RECORDED)
+    def test_env_var_reaches_option(self, runner, tmp_path, command, variable,
+                                    value, key, recorded):
+        env = {**ENV_BASE, "SOBSPEC_OUT": str(tmp_path), f"SOBSPEC_{variable}": value}
+        result = runner.invoke(main, [command], env=env)
+        assert result.exit_code == 0, result.output
+        assert run_document(tmp_path, command)[key] == recorded
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    def test_env_out_reaches_option(self, runner, tmp_path, command):
+        env = {**ENV_BASE, "SOBSPEC_OUT": str(tmp_path / "env-out")}
+        result = runner.invoke(main, [command], env=env)
+        assert result.exit_code == 0, result.output
+        assert run_document(tmp_path / "env-out", command)["size"] == 3
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    def test_env_measure_reaches_option(self, runner, tmp_path, command):
+        env = {**ENV_BASE, "SOBSPEC_OUT": str(tmp_path), "SOBSPEC_MEASURE": "hermite"}
+        result = runner.invoke(main, [command], env=env)
+        assert result.exit_code == 2
+        assert "got 'hermite'" in result.output
+
+    @pytest.mark.parametrize("variable, value, message", [
+        ("PRECISION", "32", "precision must be an integer >= 64 bits, got 32"),
+        ("TOLERANCE", "0", "tolerance must be finite and > 0, got '0'"),
+    ])
+    def test_env_var_reaches_reproduce_paper(self, runner, variable, value, message):
+        result = runner.invoke(main, ["reproduce-paper"], env={f"SOBSPEC_{variable}": value})
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
+
+    def test_validation_order(self, runner, tmp_path):
+        # The four numbers in order, then the tolerance, then the measure.
+        faults = ["--measure", "jacobi", "--tolerance", "0", "--N", "abc"]
+        expected = [
+            (["--c", "xyz"], "error: cannot parse number 'xyz'\n"),
+            ([], "error: cannot parse number 'abc'\n"),
+        ]
+        for extra, message in expected:
+            result = runner.invoke(main, ["verify", *faults, *extra, "--out", str(tmp_path)])
+            assert (result.exit_code, result.output) == (2, message)
+        result = runner.invoke(main, ["verify", *faults[:4], "--out", str(tmp_path)])
+        assert (result.exit_code, result.output) == (
+            2, "error: tolerance must be finite and > 0, got '0'\n")

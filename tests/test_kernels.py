@@ -96,18 +96,17 @@ class TestConfluents:
     def test_closed_forms_match_summation_through_20(self, rec, kt):
         for n in range(20):
             cf = kernel_confluents(rec, n, -1)
-            cs = kt.confluents(n)
-            assert_rel(cf.K, cs.K)
-            assert_rel(cf.K01, cs.K01)
-            assert_rel(cf.K11, cs.K11)
+            assert_rel(cf.K, kt.K[n])
+            assert_rel(cf.K01, kt.K01[n])
+            assert_rel(cf.K11, kt.K11[n])
 
     def test_mixed_confluent_index_is_n_not_n_minus_1(self, rec, kt):
         # The closed form built from P_n, P_{n+1} with prefactor 1/||P_n||^2
         # produces the n-indexed partial sum; the shifted index does not match.
         for n in (1, 2, 5):
             closed = kernel_confluents(rec, n, -1).K11
-            assert_rel(closed, kt.confluents(n).K11)
-            off = kt.confluents(n - 1).K11
+            assert_rel(closed, kt.K11[n])
+            off = kt.K11[n - 1]
             assert rel(closed, off) > mp.mpf("1e-3")
 
     def test_table_matches_closed_forms(self, rec, kt):

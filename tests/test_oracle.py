@@ -197,6 +197,27 @@ class TestSqrtRational:
         assert SqrtRational(0, F(5)).square == 0
         assert SqrtRational(1, F(0)).sign == 0
 
+    def test_equality_coerces_ints_and_fractions(self):
+        assert SqrtRational(1, 1) == 1
+        assert not SqrtRational(1, 4) != 2  # sqrt(4) is 2
+        assert SqrtRational(-1, F(1, 4)) == F(-1, 2)
+        assert SqrtRational.zero() == 0
+        assert SqrtRational(1, 2) != 1
+        assert SqrtRational(1, 1) in [None, 1]
+
+    def test_equality_with_other_types_is_false(self):
+        assert not SqrtRational(1, 1) == None  # noqa: E711
+        assert SqrtRational(1, 1) != "1"
+        assert SqrtRational(1, 1) not in [None, "1"]
+
+    def test_hash_agrees_with_equality(self):
+        half = SqrtRational(1, F(1, 4))
+        assert hash(half) == hash(F(1, 2))
+        assert hash(SqrtRational(1, 1)) == hash(1)
+        assert hash(SqrtRational.zero()) == hash(0)
+        assert {half: "x"}[F(1, 2)] == "x"
+        assert len({SqrtRational(1, 2), SqrtRational.from_square(F(2))}) == 1
+
 
 class TestOracleSuite:
     def test_iterated_jacobi_values(self):
