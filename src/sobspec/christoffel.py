@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import context, eval_jet, relative_difference, to_mpf
 from .errors import DegeneratePointError, NumericalFailureError
-from .kernels import CD_SWITCH, kernel_at
+from .kernels import _near, kernel_at
 
 
 def _guard_tol(precision):
@@ -155,7 +155,7 @@ def eval_iterated(rec, ledger, n, x, k=2, monic=False):
         pc = ledger.kt.cjets.jet(n)
         if pc == 0:
             raise DegeneratePointError(f"P_{n}(c) = 0")
-        if abs(x - c) <= CD_SWITCH * (1 + abs(x) + abs(c)):
+        if _near(x, c):
             return rec.norm_sq[n] * kernel_at(rec, n, x, c) / pc
         j = eval_jet(rec, n + 1, x, order=0)
         return (j.jet(n + 1) - ledger.kt.cjets.jet(n + 1) / pc * j.jet(n)) / (x - c)
@@ -164,7 +164,7 @@ def eval_iterated(rec, ledger, n, x, k=2, monic=False):
     if not 0 <= n < ledger.size:
         raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
     value = _monic_iterated_by_recurrence(ledger, n, x)
-    if x == c or abs(x - c) > CD_SWITCH * (1 + abs(x) + abs(c)):
+    if x == c or not _near(x, c):
         _enforce(value, _monic_iterated_by_connection(ledger, n, x),
                  f"P^[2]_{n}({x})", rec.precision)
     return value if monic else value * ledger.r2[n]

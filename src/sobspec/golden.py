@@ -5,6 +5,11 @@ configuration alpha = 0, c = -1, M = N = 1, each as a squared rational with a
 separate sign (entries are square roots of rationals, so the squared form is
 exact).  ``tools/make_reference_fixture.py`` regenerates the file from the
 transcribed tables and revalidates it against the pipeline.
+
+No reference entry is ever rounded: the oracle's entries must equal it
+exactly, and a floating entry is judged in squared form by
+:func:`sobspec.oracle.squared_entry_compare`, the package's one
+float-versus-exact rule.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .core import context
-from .oracle import SqrtRational
+from .oracle import SqrtRational, squared_entry_compare
 
 FIXTURE_NAME = "laguerre_a0_cm1_M1_N1.json"
 
@@ -32,13 +37,6 @@ class GoldenMatrix:
     ncols: int
     entries: dict  # (i, j) -> SqrtRational
 
-    def value(self, i, j, precision):
-        """The entry as an mpf at the given binary precision."""
-        ref = self.entries[(i, j)]
-        ctx = context(precision)
-        num = ctx.mpf(ref.square.numerator)
-        return ref.sign * ctx.sqrt(num / ctx.mpf(ref.square.denominator))
-
 
 def load_reference():
     """The fixture as a dict of name -> GoldenMatrix, plus its configuration."""
@@ -47,7 +45,7 @@ def load_reference():
     matrices = {}
     for name, payload in doc["matrices"].items():
         entries = {
-            (i, j): SqrtRational.from_square(Fraction(num, den), sign)
+            (i, j): SqrtRational(sign, Fraction(num, den))
             for i, j, num, den, sign in payload["entries"]
         }
         matrices[name] = GoldenMatrix(
@@ -63,20 +61,18 @@ def compare_reference(golden, computed, osuite, precision, tol):
     """Count the reference entries each computation path reproduces.
 
     ``golden`` maps names to :class:`GoldenMatrix`, ``computed`` to float
-    matrices and ``osuite`` is the exact oracle suite.  Returns name ->
+    matrices and ``osuite`` is the exact oracle suite; ``tol`` (a decimal
+    string or a number) is read at ``precision`` bits.  Returns name ->
     (exact, float, total) in ``MATRIX_NAMES`` order: ``exact`` counts oracle
-    entries equal to the reference, ``float`` computed entries within ``tol``
-    of it, relative to the entry (absolute where the entry is zero).
+    entries equal to the reference, ``float`` computed entries that
+    :func:`~sobspec.oracle.squared_entry_compare` passes against it.
     """
     counts = {}
     tol = context(precision).mpf(tol)
     for name in MATRIX_NAMES:
         gm = golden[name]
-        exact_ok = float_ok = 0
-        for (i, j), ref in gm.entries.items():
-            exact_ok += osuite.matrices[name][i][j] == ref
-            target = gm.value(i, j, precision)
-            err = abs(target - computed[name].entry(i, j))
-            float_ok += err <= tol * (abs(target) if ref.sign else 1)
-        counts[name] = (exact_ok, float_ok, len(gm.entries))
+        exact_ok = sum(osuite.matrices[name][i][j] == ref for (i, j), ref in gm.entries.items())
+        floats = {(i, j): computed[name].entry(i, j) for i, j in gm.entries}
+        report = squared_entry_compare(name, floats, gm.entries, tol)
+        counts[name] = (exact_ok, report.passed, report.total)
     return counts

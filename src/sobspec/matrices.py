@@ -280,9 +280,10 @@ def commute_cholesky(L, c, side="left"):
 def qr_pair(L, L1):
     """(Q, R) with Q = L L1^(-T) orthogonal and R = (L L1)^T upper triangular.
 
-    Q is computed column by column, by forward substitution against L1
-    (never inverting): one subdiagonal and full above; R has upper bandwidth
-    2 and positive diagonal.  Both give up one guard row.
+    Q is computed by forward substitution against L1 (never inverting), one
+    diagonal at a time: one subdiagonal and full above, diagonal k >= 1
+    following from diagonal k - 1.  R has upper bandwidth 2 and positive
+    diagonal.  Both give up one guard row.
     """
     n = L.nrows
     prec = max(L.precision, L1.precision)
@@ -290,18 +291,17 @@ def qr_pair(L, L1):
     zero = context(prec).zero
     ldiag, lsub = L.diagonal(0), L.diagonal(-1)
     l1diag, l1sub = L1.diagonal(0), L1.diagonal(-1)
-    cols = []  # cols[i][j] = Q(j, i) for j <= i + 1
-    for i in range(n):
-        col = []
-        for j in range(min(i + 2, n)):
-            # acc and cols, made in the ``prec`` context, stay left operands
-            acc = zero + (ldiag[i] if j == i else lsub[i]) if j >= i else zero
-            if i and j <= i:
-                acc -= cols[i - 1][j] * l1sub[i - 1]
-            col.append(acc / l1diag[i])
-        cols.append(col)
-    diagonals = {k: [cols[j + k][j] for j in range(n - k)] for k in range(n)}
-    diagonals[-1] = [cols[i][i + 1] for i in range(n - 1)]
+    # Entries start from ``zero``, made in the ``prec`` context, as left operands.
+    diagonals = {-1: [(zero + lsub[j]) / l1diag[j] for j in range(n - 1)], 0: []}
+    for j in range(n):
+        acc = zero + ldiag[j]
+        if j:
+            acc -= diagonals[-1][j - 1] * l1sub[j - 1]
+        diagonals[0].append(acc / l1diag[j])
+    for k in range(1, n):
+        prev = diagonals[k - 1]
+        diagonals[k] = [(zero - prev[j] * l1sub[j + k - 1]) / l1diag[j + k]
+                        for j in range(n - k)]
     Q = from_diagonals(diagonals, exact, prec)
     R = replace(multiply(L, L1).transpose(), exact_size=exact)
     return Q, R

@@ -1,12 +1,14 @@
 """Exact-rational reference implementation.
 
 Everything here runs over ``fractions.Fraction`` (or over exact signed square
-roots of rationals, see :class:`SqrtRational`) and never touches floating
-point.  It provides the exact reference for every check in the package:
+roots of rationals, see :class:`SqrtRational`); only the comparison reads
+floating values, and never rounds a reference to one.  It provides the exact
+reference for every check in the package:
 
-* moment functionals for the three inner products (plain measure, k-iterated
-  Christoffel transform ``(x-c)^k dmu``, and the discrete Sobolev product with
-  point masses M, N at c),
+* one moment functional, ``int f g dnu + M f(c) g(c) + N f'(c) g'(c)``, for
+  the three inner products: the plain measure, the k-iterated Christoffel
+  transform ``(x-c)^k dmu`` (nu with moments shifted once, binomially) and
+  the discrete Sobolev product with point masses M, N at c,
 * monic Gram-Schmidt from moments, giving exactly orthogonal systems with
   exact squared norms,
 * the exact matrix suite for integer-alpha Laguerre configurations: the
@@ -14,7 +16,9 @@ point.  It provides the exact reference for every check in the package:
   Cholesky factors, Q/R and (J2 - cI)^2 from the package's own chain
   (:mod:`sobspec.matrices`) run over :class:`SqrtRational` at ``EXACT``
   precision,
-* squared-entry comparison of floating matrices against exact references.
+* squared-entry comparison of floating matrices against exact references,
+  the one float-versus-exact rule of the package (the shipped reference
+  tables, the fixture tool and the tests all count matches through it).
 
 The chain's formulas are shared with the floating path, so a slip in them is
 caught by the Gram-Schmidt side: Q R = J - cI and R Q = J2 - cI must hold
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .core import EXACT, to_mpf
+from .core import EXACT, context, to_mpf
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -112,58 +116,53 @@ def laguerre_moments(alpha, count):
 
 @dataclass(frozen=True)
 class MomentFunctional:
-    """Exact bilinear form defined by a rational moment sequence.
+    """Exact bilinear form ``<f, g> = int f g dnu + M f(c) g(c) + N f'(c) g'(c)``
+    where ``moments`` are the power moments of nu.
 
-    ``kind`` selects between the plain product, the iterated transform
-    ``<f, g> = int f g (x-c)^k dmu`` and the Sobolev-type product which adds
-    ``M f(c) g(c) + N f'(c) g'(c)``.
+    The plain product has M = N = 0; the k-iterated transform ``(x-c)^k dmu``
+    is the plain product of the shifted moments; the Sobolev-type product
+    has point masses M, N at c.
     """
 
-    kind: str
     moments: tuple
-    k: int = 0
     c: Fraction = Fraction(0)
     M: Fraction = Fraction(0)
     N: Fraction = Fraction(0)
 
     @classmethod
     def standard(cls, moments):
-        return cls("standard", tuple(Fraction(m) for m in moments))
+        return cls(tuple(Fraction(m) for m in moments))
 
     @classmethod
     def iterated(cls, moments, k, c):
+        """The plain product of the moments of (x-c)^k dmu, sum over i of
+        C(k, i) (-c)^(k-i) m_(n+i): k fewer than ``moments`` holds."""
         if k < 1:
             raise InvalidParameterError("iterated transform needs k >= 1")
-        return cls("iterated", tuple(Fraction(m) for m in moments), k=k, c=Fraction(c))
+        moments = tuple(Fraction(m) for m in moments)
+        weights = [math.comb(k, i) * (-Fraction(c)) ** (k - i) for i in range(k + 1)]
+        return cls(tuple(sum((w * moments[n + i] for i, w in enumerate(weights)), Fraction(0))
+                         for n in range(len(moments) - k)))
 
     @classmethod
     def sobolev(cls, moments, c, M, N):
         M, N = Fraction(M), Fraction(N)
         if M < 0 or N < 0:
             raise InvalidParameterError("point masses M, N must be nonnegative")
-        return cls("sobolev", tuple(Fraction(m) for m in moments), c=Fraction(c), M=M, N=N)
-
-    def _integrate(self, h):
-        if len(h) > len(self.moments):
-            raise OracleUnsupportedError(
-                f"need moment of order {len(h) - 1}, have {len(self.moments)}"
-            )
-        return sum((a * m for a, m in zip(h, self.moments)), Fraction(0))
+        return cls(tuple(Fraction(m) for m in moments), c=Fraction(c), M=M, N=N)
 
     def inner(self, f, g):
         """Exact value of the bilinear form on coefficient tuples f, g."""
         f = tuple(Fraction(a) for a in f)
         g = tuple(Fraction(a) for a in g)
         h = poly_mul(f, g)
-        if self.kind == "iterated":
-            shift = (-self.c, Fraction(1))
-            for _ in range(self.k):
-                h = poly_mul(h, shift)
-        base = self._integrate(h)
-        if self.kind == "sobolev":
-            base += self.M * poly_eval(f, self.c) * poly_eval(g, self.c)
-            base += self.N * poly_eval(poly_deriv(f), self.c) * poly_eval(poly_deriv(g), self.c)
-        return base
+        if len(h) > len(self.moments):
+            raise OracleUnsupportedError(
+                f"need moment of order {len(h) - 1}, have {len(self.moments)}"
+            )
+        return (sum((a * m for a, m in zip(h, self.moments)), Fraction(0))
+                + self.M * poly_eval(f, self.c) * poly_eval(g, self.c)
+                + self.N * poly_eval(poly_deriv(f), self.c) * poly_eval(poly_deriv(g), self.c))
 
     def norm_sq(self, f):
         return self.inner(f, f)
@@ -184,9 +183,6 @@ class RationalPolySystem:
     @property
     def size(self):
         return len(self.coeffs)
-
-    def value(self, k, x):
-        return poly_eval(self.coeffs[k], Fraction(x))
 
     def recurrence(self):
         """Exact three-term coefficients (beta_n, gamma_n) of the system.
@@ -211,15 +207,15 @@ class RationalPolySystem:
         ]
 
 
-def gram_schmidt(functional, n, degree_cap=DEFAULT_DEGREE_CAP):
+def gram_schmidt(functional, n):
     """Monic orthogonal system of degrees 0..n for the given functional.
 
     Raises :class:`NotPositiveDefiniteError` if any squared norm fails to be
     positive, i.e. the functional is not positive definite through degree n.
     """
-    if n > degree_cap:
+    if n > DEFAULT_DEGREE_CAP:
         raise OracleUnsupportedError(
-            f"degree {n} exceeds the oracle cap {degree_cap}"
+            f"degree {n} exceeds the oracle cap {DEFAULT_DEGREE_CAP}"
         )
     basis, norms = [], []
     for k in range(n + 1):
@@ -277,18 +273,10 @@ class SqrtRational:
         self.square = square
 
     @classmethod
-    def zero(cls):
-        return cls(0, Fraction(0))
-
-    @classmethod
     def from_rational(cls, q):
         q = Fraction(q)
         s = (q > 0) - (q < 0)
         return cls(s, q * q)
-
-    @classmethod
-    def from_square(cls, square, sign=1):
-        return cls(sign, square)
 
     def as_rational(self):
         """The value as a Fraction if the radicand is a perfect square, else None."""
@@ -353,14 +341,11 @@ class SqrtRational:
         if self.sign < 0:
             raise NotPositiveDefiniteError("square root of a negative exact value")
         if self.sign == 0:
-            return SqrtRational.zero()
+            return SqrtRational(0, 0)
         v = self.as_rational()
         if v is None:
             raise ArithmeticError("nested radical; value is not rational")
         return SqrtRational(1, v)
-
-    def __float__(self):
-        return self.sign * math.sqrt(float(self.square))
 
     def __repr__(self):
         return f"SqrtRational(sign={self.sign}, square={self.square})"
@@ -372,7 +357,7 @@ def _exact(x):
 
 #: The scalar protocol of ``core.context(EXACT)``: what the chain functions
 #: of :mod:`sobspec.matrices` ask of an mpmath context.
-EXACT_CONTEXT = SimpleNamespace(zero=SqrtRational.zero(), one=SqrtRational(1, 1),
+EXACT_CONTEXT = SimpleNamespace(zero=SqrtRational(0, 0), one=SqrtRational(1, 1),
                                 sqrt=SqrtRational.sqrt, mpf=SqrtRational.from_rational)
 
 
@@ -425,12 +410,12 @@ def build_oracle_suite(alpha, c, M, N, size):
 
     def jacobi(system):
         betas, gammas = system.recurrence()
-        off = [SqrtRational.from_square(g) for g in gammas[1:nb]]
+        off = [SqrtRational(1, g) for g in gammas[1:nb]]
         return from_diagonals({-1: off, 0: [SqrtRational.from_rational(b) for b in betas],
                                1: off}, nb, EXACT)
 
-    sqn_sob = [SqrtRational.from_square(q) for q in sob.norm_sq]
-    sqn_it2 = [SqrtRational.from_square(q) for q in it2.norm_sq]
+    sqn_sob = [SqrtRational(1, q) for q in sob.norm_sq]
+    sqn_it2 = [SqrtRational(1, q) for q in it2.norm_sq]
     shift2 = (c * c, -2 * c, Fraction(1))
 
     def t_entry(n, k):
@@ -490,32 +475,28 @@ class ComparisonReport:
         return f"{self.name}: {self.passed}/{self.total} entries match"
 
 
-def squared_entry_compare(name, float_entries, exact_entries, rel_tol):
+def squared_entry_compare(name, float_entries, exact_entries, tol):
     """Compare floating entries against exact signed-square references.
 
-    ``float_entries`` maps (i, j) to a floating value (anything float()-able);
-    ``exact_entries`` maps (i, j) to SqrtRational or (square, sign) pairs.
-    A verdict passes when the squared floating entry matches the rational
-    square within ``rel_tol`` (relative, absolute for exact zeros) and the
-    sign agrees.  Mismatches are reported, never raised.
+    ``float_entries`` maps (i, j) to an mpf or a float, ``exact_entries`` to
+    a :class:`SqrtRational` s.  A verdict passes when the signs agree and the
+    squared entry v^2 is within ``tol`` of s relative to s, or, for an exact
+    zero, when |v| <= tol.  Each verdict is decided in the entry's own context
+    (53 bits for a float), ``tol`` (float, mpf or Fraction) converted into it.
+    Mismatches are reported, never raised.
     """
     verdicts = []
     for (i, j), ref in sorted(exact_entries.items()):
-        if not isinstance(ref, SqrtRational):
-            ref = SqrtRational.from_square(ref[0], ref[1])
         fv = float_entries[(i, j)]
-        fsq = fv * fv
-        qs = float(ref.square)
+        ctx = getattr(fv, "context", None) or context(53)
+        fv, tol_v = to_mpf(fv, ctx), to_mpf(tol, ctx)
         if ref.sign == 0:
-            err = float(fsq)
-            ok = err <= rel_tol
-            sign_ok = ok
+            err = abs(fv)
+            ok = sign_ok = err <= tol_v
         else:
-            ctx = getattr(fv, "context", None)  # an mpf: convert the square in its context
-            square = ref.square if ctx is None else to_mpf(ref.square, ctx)
-            err = abs(float(fsq - square)) / qs if qs else float(fsq)
-            fsign = (fv > 0) - (fv < 0)
-            sign_ok = fsign == ref.sign
-            ok = sign_ok and err <= rel_tol
+            square = to_mpf(ref.square, ctx)
+            err = abs(fv * fv - square) / square
+            sign_ok = ((fv > 0) - (fv < 0)) == ref.sign
+            ok = sign_ok and err <= tol_v
         verdicts.append(EntryVerdict(i, j, ok, sign_ok, float(err)))
     return ComparisonReport(name=name, verdicts=tuple(verdicts))

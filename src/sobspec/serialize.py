@@ -79,15 +79,6 @@ def matrix_to_csv(matrix):
     return "\n".join(lines) + "\n"
 
 
-def csv_entries(text):
-    lines = text.strip().splitlines()
-    out = []
-    for line in lines[1:]:
-        i, j, s = line.split(",")
-        out.append((int(i), int(j), s))
-    return out
-
-
 def ledgers_to_doc(suite):
     """All scalar ledgers of a built suite, values as decimal strings."""
     p = suite.precision

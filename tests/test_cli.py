@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from helpers import TOL30, rel
 from sobspec.cli import main
 from sobspec.matrices import multiply
-from sobspec.serialize import csv_entries, matrix_from_json, matrix_to_json
+from sobspec.serialize import matrix_from_json, matrix_to_json
 
 
 BAD_TOLERANCES = ["--tolerance=abc", "--tolerance=-1", "--tolerance=0",
@@ -101,6 +101,15 @@ class TestGenerate:
         assert result.exit_code == 0, result.output
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["size"] == 5 and run["guard"] == 3
+
+
+def csv_entries(text):
+    """(i, j, value string) of each row of a matrix CSV file."""
+    out = []
+    for line in text.strip().splitlines()[1:]:
+        i, j, s = line.split(",")
+        out.append((int(i), int(j), s))
+    return out
 
 
 class TestRoundTrip:

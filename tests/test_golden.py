@@ -76,7 +76,7 @@ class TestFloatPath:
         ref = gm.entries[(0, 1)]
         assert ref.sign == 1
         entries = dict(gm.entries)
-        entries[(0, 1)] = SqrtRational.from_square(ref.square + F(1, 8), -1)
+        entries[(0, 1)] = SqrtRational(-1, ref.square + F(1, 8))
         altered = dict(matrices, H=replace(gm, entries=entries))
         counts = compare_reference(altered, golden_float_matrices(float_suite),
                                    oracle_suite, float_suite.precision, TOL30)

@@ -419,7 +419,7 @@ class TestExactChain:
     def test_float_chain_matches_exact_chain_at_size_200(self):
         n, prec = 204, 256  # size 200 plus the default guard of 4
         # closed-form Laguerre, alpha = 0: beta_k = 2k + 1, gamma_k = k^2
-        off = [SqrtRational.from_square(k * k) for k in range(1, n)]
+        off = [SqrtRational(1, k * k) for k in range(1, n)]
         exact_J = from_diagonals({
             -1: off, 0: [SqrtRational.from_rational(2 * k + 1) for k in range(n)], 1: off,
         }, n, EXACT)

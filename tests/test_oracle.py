@@ -6,8 +6,10 @@ suite was derived from (or verified against) the constructions here.
 
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
+from sobspec.core import context
 from sobspec.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -73,6 +75,26 @@ class TestMoments:
     def test_sobolev_pairing_of_ones(self, moments):
         f = MomentFunctional.sobolev(moments, C, M, N)
         assert f.inner((F(1),), (F(1),)) == 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_iterated_is_standard_times_shift_power(self, moments, k):
+        c = F(-3, 2)
+        shift = (F(1),)
+        for _ in range(k):
+            shift = poly_mul(shift, (-c, F(1)))
+        it, base = MomentFunctional.iterated(moments, k, c), MomentFunctional.standard(moments)
+        polys = [(F(1),), (F(-1), F(1)), (F(2), F(0), F(-1, 3)), (F(1, 2), F(-2), F(0), F(5))]
+        for f in polys:
+            for g in polys:
+                assert it.inner(f, g) == base.inner(poly_mul(f, shift), g)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_iterated_moments_run_out_k_early(self, k):
+        f = MomentFunctional.iterated(laguerre_moments(0, 6), k, C)
+        top = 6 - k - 1  # highest moment order left
+        f.inner((F(1),), (F(0),) * top + (F(1),))
+        with pytest.raises(OracleUnsupportedError):
+            f.inner((F(0), F(1)), (F(0),) * top + (F(1),))
 
 
 class TestGramSchmidt:
@@ -161,30 +183,30 @@ class TestSqrtRational:
         assert x.sign == -1 and x.square == F(9, 16)
 
     def test_mul_div(self):
-        a = SqrtRational.from_square(F(2))
-        b = SqrtRational.from_square(F(1, 2))
+        a = SqrtRational(1, F(2))
+        b = SqrtRational(1, F(1, 2))
         assert (a * b).square == 1 and (a / b).square == 4
 
     def test_addition_collapses_compatible_radicals(self):
         # sqrt(5/4) + sqrt(49/20) = 6/sqrt(5)
-        a = SqrtRational.from_square(F(5, 4))
-        b = SqrtRational.from_square(F(49, 20))
+        a = SqrtRational(1, F(5, 4))
+        b = SqrtRational(1, F(49, 20))
         assert (a + b).square == F(36, 5)
 
     def test_addition_with_signs(self):
-        a = SqrtRational.from_square(F(9))
+        a = SqrtRational(1, F(9))
         b = SqrtRational(-1, F(4))
         s = a + b
         assert s.sign == 1 and s.square == 1
 
     def test_cancellation_to_zero(self):
-        a = SqrtRational.from_square(F(7, 3))
+        a = SqrtRational(1, F(7, 3))
         assert (a - a).sign == 0
         assert (a + (-a)).square == 0
 
     def test_incompatible_radicals_raise(self):
-        a = SqrtRational.from_square(F(2))
-        b = SqrtRational.from_square(F(3))
+        a = SqrtRational(1, F(2))
+        b = SqrtRational(1, F(3))
         with pytest.raises(ArithmeticError):
             a + b
 
@@ -201,7 +223,7 @@ class TestSqrtRational:
         assert SqrtRational(1, 1) == 1
         assert not SqrtRational(1, 4) != 2  # sqrt(4) is 2
         assert SqrtRational(-1, F(1, 4)) == F(-1, 2)
-        assert SqrtRational.zero() == 0
+        assert SqrtRational(0, 0) == 0
         assert SqrtRational(1, 2) != 1
         assert SqrtRational(1, 1) in [None, 1]
 
@@ -214,9 +236,9 @@ class TestSqrtRational:
         half = SqrtRational(1, F(1, 4))
         assert hash(half) == hash(F(1, 2))
         assert hash(SqrtRational(1, 1)) == hash(1)
-        assert hash(SqrtRational.zero()) == hash(0)
+        assert hash(SqrtRational(0, 0)) == hash(0)
         assert {half: "x"}[F(1, 2)] == "x"
-        assert len({SqrtRational(1, 2), SqrtRational.from_square(F(2))}) == 1
+        assert len({SqrtRational(1, 2), SqrtRational(1, F(2))}) == 1
 
 
 class TestOracleSuite:
@@ -249,7 +271,7 @@ def suite10(request):
 
 def _product(A, B, block):
     """Leading block x block of the dense exact product A B."""
-    return [[sum((A[i][j] * B[j][k] for j in range(len(B))), SqrtRational.zero())
+    return [[sum((A[i][j] * B[j][k] for j in range(len(B))), SqrtRational(0, 0))
              for k in range(block)] for i in range(block)]
 
 
@@ -281,9 +303,9 @@ class TestOracleChainIdentities:
 class TestSquaredEntryCompare:
     def test_match_and_mismatch_reported_not_raised(self):
         exact = {
-            (0, 0): SqrtRational.from_square(F(25, 4)),
+            (0, 0): SqrtRational(1, F(25, 4)),
             (0, 1): SqrtRational(-1, F(2)),
-            (1, 1): SqrtRational.zero(),
+            (1, 1): SqrtRational(0, 0),
         }
         floats = {(0, 0): 2.5, (0, 1): -1.41421356237309515, (1, 1): 0.0}
         report = squared_entry_compare("demo", floats, exact, 1e-12)
@@ -294,3 +316,18 @@ class TestSquaredEntryCompare:
         assert not report.all_ok and report.passed == 2
         bad = [v for v in report.verdicts if not v.ok]
         assert bad[0].sign_ok is False
+
+    def test_zero_reference_bounds_the_value_not_its_square(self):
+        exact = {(0, 0): SqrtRational(0, 0)}
+        assert not squared_entry_compare("z", {(0, 0): 1e-20}, exact, 1e-30).all_ok
+        assert squared_entry_compare("z", {(0, 0): -1e-31}, exact, 1e-30).all_ok
+
+    @pytest.mark.parametrize("tol", [1e-12, mp.mpf("1e-12"), F(1, 10**12)])
+    def test_float_mpf_and_fraction_tolerances(self, tol):
+        ctx = context(256)
+        exact = {(0, 0): SqrtRational(1, 2), (0, 1): SqrtRational(0, 0)}
+        floats = {(0, 0): ctx.sqrt(2) * (1 + ctx.mpf("1e-14")), (0, 1): ctx.mpf("1e-13")}
+        assert squared_entry_compare("t", floats, exact, tol).all_ok
+        floats[(0, 0)] = ctx.sqrt(2) * (1 + ctx.mpf("1e-11"))
+        report = squared_entry_compare("t", floats, exact, tol)
+        assert report.passed == 1 and report.verdicts[0].sign_ok

@@ -13,12 +13,14 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-import mpmath as mp
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sobspec.core import MeasureSpec, SobolevSpec  # noqa: E402
 from sobspec.matrices import MatrixSuite, multiply  # noqa: E402
+from sobspec.oracle import SqrtRational, squared_entry_compare  # noqa: E402
+
+#: Tolerance of the validation, far above the 256-bit rounding.
+TOL = F(1, 10**70)
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "sobspec" / "data" / "laguerre_a0_cm1_M1_N1.json"
 
@@ -135,14 +137,10 @@ TABLES = {
 }
 
 
-def squared_entries(rows):
-    out = []
-    for i, row in enumerate(rows):
-        for j, (coef, radicand) in enumerate(row):
-            sq = coef * coef * radicand
-            sign = (coef > 0) - (coef < 0)
-            out.append([i, j, sq.numerator, sq.denominator, sign])
-    return out
+def exact_entries(rows):
+    """(i, j) -> each transcribed coef * sqrt(radicand), exactly, row by row."""
+    return {(i, j): SqrtRational((coef > 0) - (coef < 0), coef * coef * radicand)
+            for i, row in enumerate(rows) for j, (coef, radicand) in enumerate(row)}
 
 
 def validate():
@@ -151,25 +149,21 @@ def validate():
     computed = dict(suite.named_matrices())
     shifted = suite.J2.shifted(1)
     computed["J2_shift_sq"] = multiply(shifted, shifted)
-    worst = mp.mpf(0)
-    with mp.workprec(256):
-        for name, rows in TABLES.items():
-            mat = computed[name]
-            for i, row in enumerate(rows):
-                for j, (coef, radicand) in enumerate(row):
-                    ref = mp.mpf(coef.numerator) / coef.denominator * mp.sqrt(
-                        mp.mpf(radicand.numerator) / radicand.denominator
-                    )
-                    got = mat.entry(i, j)
-                    err = abs(got - ref) / max(1, abs(ref))
-                    if err > mp.mpf("1e-70"):
-                        raise SystemExit(
-                            f"transcription mismatch {name}[{i}][{j}]: "
-                            f"table {mp.nstr(ref, 25)} vs computed {mp.nstr(got, 25)}"
-                        )
-                    worst = max(worst, err)
+    worst = 0.0
+    for name, rows in TABLES.items():
+        exact = exact_entries(rows)
+        floats = {(i, j): computed[name].entry(i, j) for i, j in exact}
+        report = squared_entry_compare(name, floats, exact, TOL)
+        for v in report.verdicts:
+            if not v.ok:
+                ref, got = exact[(v.i, v.j)], floats[(v.i, v.j)]
+                raise SystemExit(
+                    f"transcription mismatch {name}[{v.i}][{v.j}]: table sign {ref.sign}, "
+                    f"square {ref.square} vs computed {got.context.nstr(got, 25)}"
+                )
+            worst = max(worst, v.rel_err)
     print(f"validated {sum(len(r) * len(r[0]) for r in TABLES.values())} entries, "
-          f"worst relative error {mp.nstr(worst, 3)}")
+          f"worst relative error {worst:.3g}")
 
 
 def main():
@@ -184,7 +178,8 @@ def main():
     ]
     for mi, (name, rows) in enumerate(TABLES.items()):
         lines.append(f'"{name}": {{"nrows": {len(rows)}, "ncols": {len(rows[0])}, "entries": [')
-        entries = squared_entries(rows)
+        entries = [[i, j, e.square.numerator, e.square.denominator, e.sign]
+                   for (i, j), e in exact_entries(rows).items()]
         for k, e in enumerate(entries):
             comma = "," if k + 1 < len(entries) else ""
             lines.append(json.dumps(e) + comma)
