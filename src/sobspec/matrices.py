@@ -16,7 +16,12 @@ multiplication by (x-c)^2 in the Sobolev basis.  When the mass point sits
 right of the support, the chain factors cI - J instead and the sign threads
 through the two linear identities.
 
-Every matrix is banded and stores only its band, by diagonals.
+Every matrix is banded and stores only its band, by diagonals, except Q.
+Q is upper Hessenberg with a rank-one upper triangle, so it is held by O(n)
+generators and expanded to its band only when its entries are read.  The
+three identities of Q are checked from the generators in O(n * bandwidth):
+each of Q R, R Q and Qt Q is a band near the diagonal plus a rank-one part
+above it.
 
 Truncation bookkeeping: every matrix carries ``exact_size``, the number of
 leading rows/columns guaranteed to agree with the semi-infinite object.
@@ -28,7 +33,10 @@ regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import mul
+from typing import NamedTuple
 
 from .core import DEFAULT_PRECISION, context, to_mpf
 from .errors import (
@@ -89,13 +97,61 @@ class BandedMatrix:
         lam = to_mpf(lam, context(self.precision))
         diagonals = list(self.diagonals)
         diagonals[self.lower_bw] = tuple(v + lam for v in diagonals[self.lower_bw])
-        return replace(self, diagonals=tuple(diagonals))
+        return self._with_diagonals(tuple(diagonals))
 
     def scaled(self, s):
         """s * self, multiplying the band entries only."""
         s = to_mpf(s, context(self.precision))
-        return replace(self, diagonals=tuple(tuple(v * s for v in diagonal)
-                                             for diagonal in self.diagonals))
+        return self._with_diagonals(tuple(tuple(v * s for v in diagonal)
+                                          for diagonal in self.diagonals))
+
+    def _with_diagonals(self, diagonals):
+        return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
+                            self.exact_size, self.precision, diagonals)
+
+
+@dataclass(frozen=True)
+class HessenbergQ(BandedMatrix):
+    """The orthogonal factor Q = L L1^(-T) of :func:`qr_pair`, held by its
+    O(n) generators.
+
+    Q(j + 1, j) = ``sub[j]`` and Q(j, j) = ``diag[j]``; above the diagonal
+    Q(j, i) = Q(j, i - 1) * rho_i with rho_i = -L1(i, i - 1) / L1(i, i)
+    (``rho[i]``, and ``rho[0]`` is one), so the upper triangle has rank one.
+    ``diagonals`` is left unset until something reads it (``entry``,
+    ``band_entries``, ``transpose``, a product, serialization); then the band
+    is expanded once, by the forward substitution against ``l1`` that
+    :func:`qr_pair` always used, and cached.
+    """
+
+    diagonals: tuple = field(init=False, repr=False, compare=False)
+    diag: tuple
+    sub: tuple
+    rho: tuple
+    l1: BandedMatrix = field(repr=False)
+
+    def __getattr__(self, name):  # only for a missing attribute: ``diagonals`` until expanded
+        if name != "diagonals":
+            raise AttributeError(name)
+        diagonals = from_diagonals(_hessenberg_diagonals(self, self.nrows - 1),
+                                   self.exact_size, self.precision).diagonals
+        object.__setattr__(self, "diagonals", diagonals)
+        return diagonals
+
+
+def _hessenberg_diagonals(Q, upto):
+    """Diagonals -1 to ``upto`` of a :class:`HessenbergQ`: diagonal k >= 1
+    from diagonal k - 1 by forward substitution against L1, in one fixed
+    operation order, so an entry has the same bits however far this goes.
+    The diagonals are tuples, which ``from_diagonals`` keeps without a copy."""
+    zero = context(Q.precision).zero  # made in Q's context, as left operand
+    l1diag, l1sub = Q.l1.diagonal(0), Q.l1.diagonal(-1)
+    diagonals = {-1: Q.sub, 0: Q.diag}
+    for k in range(1, upto + 1):
+        prev = diagonals[k - 1]
+        diagonals[k] = tuple([(zero - prev[j] * l1sub[j + k - 1]) / l1diag[j + k]
+                              for j in range(len(prev) - 1)])
+    return diagonals
 
 
 def _diagonal_length(nrows, ncols, k):
@@ -142,11 +198,23 @@ def multiply(A, B):
     (i, j) of the infinite product sums over k <= min(i + A.upper_bw,
     j + B.lower_bw), so the truncated sum is complete and made of exact
     operand entries only while i, j stay w short of the operands' markers.
-    Diagonal r of the product gathers diagonal p of A times diagonal r - p
-    of B, p ascending, so every entry adds its terms in ascending k.
     """
     if A.ncols != B.nrows:
         raise InvalidParameterError("inner dimensions differ")
+    nrows, ncols = A.nrows, B.ncols
+    offsets = range(-min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
+                    min(A.upper_bw + B.upper_bw, max(ncols - 1, 0)) + 1)
+    return from_diagonals(_product_diagonals(A, B, offsets), _product_exact_size(A, B),
+                          max(A.precision, B.precision), (nrows, ncols))
+
+
+def _product_diagonals(A, B, offsets):
+    """Diagonals ``offsets`` of A @ B, offset -> entries.
+
+    Diagonal r gathers diagonal p of A times diagonal r - p of B, p
+    ascending, so every entry adds its terms in ascending k, starting from
+    its first term (adding it to an exact zero would not change its bits).
+    """
     prec = max(A.precision, B.precision)
     ctx = context(prec)
     adiags = A.diagonals
@@ -154,9 +222,8 @@ def multiply(A, B):
         adiags = [[ctx.make_mpf(v._mpf_) for v in d] for d in adiags]
     nrows, ncols = A.nrows, B.ncols
     diagonals = {}
-    for r in range(-min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
-                   min(A.upper_bw + B.upper_bw, max(ncols - 1, 0)) + 1):
-        out = [ctx.zero] * _diagonal_length(nrows, ncols, r)
+    for r in offsets:
+        out = [None] * _diagonal_length(nrows, ncols, r)
         for p in range(max(-A.lower_bw, r - B.upper_bw),
                        min(A.upper_bw, r + B.lower_bw) + 1):
             # rows i with 0 <= i < nrows, 0 <= i + p < A.ncols, 0 <= i + r < ncols
@@ -164,11 +231,16 @@ def multiply(A, B):
             a = adiags[A.lower_bw + p][lo + min(0, p):hi + min(0, p)]
             b = B.diagonals[B.lower_bw + r - p][lo + min(p, r):hi + min(p, r)]
             s = lo - max(0, -r)
-            out[s:s + hi - lo] = [acc + x * y for acc, x, y in zip(out[s:], a, b)]
-        diagonals[r] = out
+            out[s:s + hi - lo] = [x * y if acc is None else acc + x * y
+                                  for acc, x, y in zip(out[s:], a, b)]
+        diagonals[r] = [ctx.zero if v is None else v for v in out]
+    return diagonals
+
+
+def _product_exact_size(A, B):
+    """Exact size of A @ B: it consumes w = min(A.upper_bw, B.lower_bw) rows."""
     w = min(A.upper_bw, B.lower_bw)
-    exact = min(A.exact_size, B.exact_size - w, A.ncols - w)
-    return from_diagonals(diagonals, exact, prec, (nrows, ncols))
+    return max(0, min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols))
 
 
 def _leading(A, k, block):
@@ -280,29 +352,30 @@ def commute_cholesky(L, c, side="left"):
 def qr_pair(L, L1):
     """(Q, R) with Q = L L1^(-T) orthogonal and R = (L L1)^T upper triangular.
 
-    Q is computed by forward substitution against L1 (never inverting), one
-    diagonal at a time: one subdiagonal and full above, diagonal k >= 1
-    following from diagonal k - 1.  R has upper bandwidth 2 and positive
-    diagonal.  Both give up one guard row.
+    Q is a :class:`HessenbergQ`: forward substitution against L1 (never
+    inverting) gives its subdiagonal and diagonal, and each column above the
+    diagonal is the previous one times rho_i = -L1(i, i - 1) / L1(i, i), so
+    only these O(n) generators are computed here.  R has upper bandwidth 2
+    and positive diagonal.  Both give up one guard row.
     """
     n = L.nrows
     prec = max(L.precision, L1.precision)
     exact = max(0, min(L.exact_size, L1.exact_size) - 1)
-    zero = context(prec).zero
+    ctx = context(prec)
+    zero = ctx.zero
     ldiag, lsub = L.diagonal(0), L.diagonal(-1)
     l1diag, l1sub = L1.diagonal(0), L1.diagonal(-1)
-    # Entries start from ``zero``, made in the ``prec`` context, as left operands.
-    diagonals = {-1: [(zero + lsub[j]) / l1diag[j] for j in range(n - 1)], 0: []}
+    # Generators start from ``zero``, made in the ``prec`` context, as left operands.
+    sub = [(zero + lsub[j]) / l1diag[j] for j in range(n - 1)]
+    diag = []
     for j in range(n):
         acc = zero + ldiag[j]
         if j:
-            acc -= diagonals[-1][j - 1] * l1sub[j - 1]
-        diagonals[0].append(acc / l1diag[j])
-    for k in range(1, n):
-        prev = diagonals[k - 1]
-        diagonals[k] = [(zero - prev[j] * l1sub[j + k - 1]) / l1diag[j + k]
-                        for j in range(n - k)]
-    Q = from_diagonals(diagonals, exact, prec)
+            acc -= sub[j - 1] * l1sub[j - 1]
+        diag.append(acc / l1diag[j])
+    rho = [ctx.one] + [(zero - l1sub[i - 1]) / l1diag[i] for i in range(1, n)]
+    Q = HessenbergQ(n, n, min(1, max(n - 1, 0)), max(n - 1, 0), min(exact, n), prec,
+                    tuple(diag), tuple(sub), tuple(rho), L1)
     R = replace(multiply(L, L1).transpose(), exact_size=exact)
     return Q, R
 
@@ -435,40 +508,102 @@ def orthogonality_defect(Q, block, ncols=None):
     exact region), i.e. over the truncation of the semi-infinite orthogonal
     factor.  Its rows are infinite, so the defect does not vanish; it shrinks
     as the truncation grows and is reported as a diagnostic trend.  (The full
-    finite section is exactly orthogonal and would show nothing.)
+    finite section is exactly orthogonal and would show nothing.)  It reads
+    Q's entries, so it expands a :class:`HessenbergQ` to its band.
     """
     m = min(Q.exact_size if ncols is None else ncols, Q.ncols)
     rows = [[Q.entry(i, j) for j in range(m)] for i in range(min(block, Q.nrows))]
     return _gram_defect(rows, context(Q.precision))
 
 
-def _gram_entries(vectors, ctx):
-    """Yield (i, j, <v_i, v_j>) over the symmetric half (i <= j) of the Gram
-    matrix of ``vectors``.
+def _gram_defect(vectors, ctx):
+    """Max-entry distance of the Gram matrix of ``vectors`` from the identity.
 
-    Each entry is one ``ctx.fdot``: exact products, summed and rounded once
-    at the context's precision.  Vectors of unequal length pair up over the
-    shorter one's entries.
+    Each inner product is one ``ctx.fdot``: exact products, summed and
+    rounded once.
     """
+    worst = ctx.zero
     for i, u in enumerate(vectors):
         for j in range(i, len(vectors)):
-            yield i, j, ctx.fdot(u, vectors[j])
-
-
-def _gram_defect(vectors, ctx):
-    """Max-entry distance of the Gram matrix of ``vectors`` from the identity."""
-    worst = ctx.zero
-    for i, j, v in _gram_entries(vectors, ctx):
-        worst = max(worst, abs(v - 1) if i == j else abs(v))
+            v = ctx.fdot(u, vectors[j])
+            worst = max(worst, abs(v - 1) if i == j else abs(v))
     return worst
 
 
-def _hessenberg_columns(Q, count):
-    """The leading ``count`` columns of Q, column j cut below row
-    j + lower_bw, where a Hessenberg factor's nonzeros end.  Their Gram
-    matrix is the leading block of Qt Q."""
-    return [[Q.entry(k, j) for k in range(min(Q.nrows, j + Q.lower_bw + 1))]
-            for j in range(count)]
+class _SplitProduct(NamedTuple):
+    """A product held in O(n): the diagonals ``band`` (offset -> entries,
+    top-left first), exact zeros below the lowest offset, and above the
+    highest offset the rank-one part, entry (i, k) = left[i] * right[k]."""
+
+    band: dict
+    left: list
+    right: list
+
+
+def _q_products(Q, R):
+    """Q R, R Q and Qt Q as :class:`_SplitProduct`, from Q's generators in
+    O(n): name of the identity -> split.
+
+    With P_k = rho_0 ... rho_k and u_j = Q(j, j) / P_j, Q(j, k) = u_j P_k
+    above the diagonal, and R has upper bandwidth 2, so
+
+    * (Q R)(i, k) = u_i z_k for k >= i + 3, z_k = sum of P_m R(m, k),
+    * (R Q)(i, k) = w_i P_k for k >= i + 3, w_i = sum of R(i, m) u_m,
+    * (Qt Q)(i, k) = v_i P_k for k > i, v_i = P_i S_i + Q(i + 1, i) u_(i+1),
+      and (Qt Q)(i, i) = P_i^2 S_i + Q(i + 1, i)^2,
+
+    where S_i = u_0^2 + ... + u_i^2 is accumulated exactly and every sum is
+    one ``fdot``.  The bands of Q R and R Q, offsets -1 to 2, are those of
+    the products with Q's diagonals -1 to 2, bit for bit the full products'.
+    Qt Q is symmetric: its split holds the upper triangle.
+    """
+    ctx = context(Q.precision)
+    n, zero = Q.nrows, ctx.zero
+    near = from_diagonals(_hessenberg_diagonals(Q, min(2, n - 1)), Q.exact_size,
+                          Q.precision)
+    P = list(accumulate(Q.rho, mul))
+    u = [d / p for d, p in zip(Q.diag, P)]
+    rdiags = [R.diagonal(k) for k in range(3)]
+    z = [ctx.fdot(P[max(0, k - 2):k + 1],
+                  [rdiags[k - m][m] for m in range(max(0, k - 2), k + 1)])
+         for k in range(n)]
+    w = [ctx.fdot([rdiags[m - i][i] for m in range(i, min(i + 3, n))], u[i:i + 3])
+         for i in range(n)]
+    S = list(accumulate((ctx.fmul(x, x, exact=True) for x in u),
+                        lambda a, b: ctx.fadd(a, b, exact=True)))
+    sub, u_next = [*Q.sub, zero], [*u[1:], zero]  # row n is truncated off
+    gram_diag = [ctx.fdot([ctx.fmul(p, p, exact=True), s], [sq, s])
+                 for p, s, sq in zip(P, sub, S)]
+    v = [ctx.fdot([p, s], [sq, un]) for p, s, sq, un in zip(P, sub, S, u_next)]
+    return {
+        "Q R = J - cI": _SplitProduct(_product_diagonals(near, R, range(-1, 3)), u, z),
+        "R Q = J2 - cI": _SplitProduct(_product_diagonals(R, near, range(-1, 3)), w, P),
+        "Qt Q = I": _SplitProduct({0: gram_diag}, v, P),
+    }
+
+
+def _split_residual(A, B, block):
+    """``block_residual`` of a :class:`_SplitProduct` A against B, in
+    O(block * bandwidth).  B must vanish outside A's band: the band is
+    compared diagonal by diagonal, and the largest rank-one entry comes from
+    a running max of |left|.
+    """
+    if block < 1:
+        raise InternalConsistencyError("empty comparison block")
+    gap = max(A.band) + 1
+    if B.lower_bw > -min(A.band) or B.upper_bw >= gap:
+        raise InternalConsistencyError("operand band exceeds the split band")
+    ctx = context(B.precision)
+    diff = top = ctx.zero
+    for k, diagonal in A.band.items():
+        for a, b in zip(diagonal[:max(0, block - abs(k))], _leading(B, k, block)):
+            diff, top = max(diff, abs(a - b)), max(top, abs(a))
+    # B vanishes here, so the largest |entry| is also the largest difference.
+    lead = far = ctx.zero
+    for k in range(gap, block):
+        lead = max(lead, abs(A.left[k - gap]))
+        far = max(far, lead * abs(A.right[k]))
+    return max(diff, far) / max(1, top, far, block_max_abs(B, block))
 
 
 def verify_propositions(suite, size=None):
@@ -476,38 +611,44 @@ def verify_propositions(suite, size=None):
 
     Each residual is evaluated on min(requested size, intersection of the
     operands' exact regions); an empty intersection raises
-    :class:`InternalConsistencyError`.
+    :class:`InternalConsistencyError`.  The three identities of Q are read
+    from its generators (:func:`_q_products`), so Q is never expanded.
     """
     size = suite.size if size is None else size
     sgn = 1 if suite.side == "left" else -1
     ctx = context(suite.precision)
     c = to_mpf(suite.spec.c, ctx)
+    Q, R = suite.Q, suite.R
     A0 = suite.J.shifted(-c).scaled(sgn)
     A2 = suite.J2.shifted(-c).scaled(sgn)
     A0sq = multiply(A0, A0)
     A2sq = multiply(A2, A2)
-    Rt = suite.R.transpose()
-    RRt = multiply(suite.R, Rt)
+    Rt = R.transpose()
+    RRt = multiply(R, Rt)
     Tt = suite.T.transpose()
+    splits = _q_products(Q, R)
 
     def compare(name, A, B):
         block = min(size, A.exact_size, B.exact_size)
         return ResidualEntry(name, block_residual(A, B, block), block)
 
-    # The exact size Qt Q would have as a product: Q loses lower_bw rows.
-    qtq_block = min(size, suite.Q.exact_size - suite.Q.lower_bw)
+    def compare_split(name, exact, B):
+        # ``exact``: the exact size the product would have (see multiply).
+        block = min(size, exact, B.exact_size)
+        return ResidualEntry(name, _split_residual(splits[name], B, block), block)
+
     entries = [
         compare("H = T Tt", suite.H, multiply(suite.T, Tt)),
         compare("H T = T (J2 - cI)^2", multiply(suite.H, suite.T),
                 multiply(suite.T, A2sq)),
-        compare("Q R = J - cI", multiply(suite.Q, suite.R), A0),
-        compare("R Q = J2 - cI", multiply(suite.R, suite.Q), A2),
+        compare_split("Q R = J - cI", _product_exact_size(Q, R), A0),
+        compare_split("R Q = J2 - cI", _product_exact_size(R, Q), A2),
         compare("(J2 - cI)^2 = R Rt", A2sq, RRt),
-        compare("(J - cI)^2 = Rt R", A0sq, multiply(Rt, suite.R)),
+        compare("(J - cI)^2 = Rt R", A0sq, multiply(Rt, R)),
         compare("R Rt = Tt T", RRt, multiply(Tt, suite.T)),
-        ResidualEntry("Qt Q = I",
-                      _gram_defect(_hessenberg_columns(suite.Q, qtq_block), ctx),
-                      qtq_block),
+        # Qt Q would lose lower_bw rows, Qt's upper bandwidth.
+        compare_split("Qt Q = I", Q.exact_size - Q.lower_bw,
+                      identity(Q.nrows, suite.precision)),
         compare("J2 chain = J2 ledger", suite.J2, suite.J2_direct),
     ]
 

@@ -3,6 +3,7 @@
 import mpmath as mp
 
 from sobspec.matrices import multiply
+from sobspec.oracle import SqrtRational, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
 TOL28 = mp.mpf("1e-28")
@@ -19,10 +20,12 @@ def assert_rel(a, b, tol=TOL30):
 
 
 def assert_squared(value, square, sign=1, tol=TOL30):
-    """Assert a floating value matches sign * sqrt(square) of an exact rational."""
-    with mp.workprec(mp.mp.prec):
-        target = sign * mp.sqrt(mp.mpf(square.numerator) / square.denominator)
-        assert_rel(value, target, tol)
+    """Assert a floating value matches sign * sqrt(square) of an exact
+    rational, by the package's one float-versus-exact rule."""
+    report = squared_entry_compare("value", {(0, 0): value},
+                                   {(0, 0): SqrtRational(sign, square)}, tol)
+    assert report.all_ok, (f"{value} vs {sign} * sqrt({square}): relative "
+                           f"error of the square {report.verdicts[0].rel_err:.3g}")
 
 
 def golden_float_matrices(suite):

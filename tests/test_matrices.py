@@ -23,9 +23,11 @@ from sobspec.errors import (
 )
 from sobspec.matrices import (
     BandedMatrix,
+    HessenbergQ,
     MatrixSuite,
-    _gram_entries,
-    _hessenberg_columns,
+    _q_products,
+    _split_residual,
+    _SplitProduct,
     block_residual,
     build_jacobi,
     cholesky_shifted,
@@ -86,6 +88,17 @@ def suite_and_operand_matrices(suite):
     for name, (A, B) in identity_operands(suite).items():
         matrices[f"{name} lhs"], matrices[f"{name} rhs"] = A, B
     return matrices
+
+
+#: The identities verify_propositions reads from Q's generators, not from
+#: products of matrices.
+Q_ROWS = ("Q R = J - cI", "R Q = J2 - cI", "Qt Q = I")
+
+
+def layout(m):
+    """Shape, band, exact size, precision and the bits of every band entry."""
+    return (m.nrows, m.ncols, m.lower_bw, m.upper_bw, m.exact_size, m.precision,
+            [[v._mpf_ for v in diagonal] for diagonal in m.diagonals])
 
 
 def stray_entries(matrix):
@@ -219,6 +232,35 @@ class TestQRPair:
         Q, R = qr_pair(L, L1)
         assert Q.exact_size == R.exact_size == 8
 
+    def test_q_is_held_by_its_generators_until_read(self, rec):
+        L = cholesky_shifted(build_jacobi(rec, 10), -1)
+        L1 = cholesky_shifted(commute_cholesky(L, -1), -1)
+        Q, _ = qr_pair(L, L1)
+        assert isinstance(Q, HessenbergQ) and "diagonals" not in vars(Q)
+        assert (len(Q.diag), len(Q.sub), len(Q.rho)) == (10, 9, 10)
+        assert (Q.lower_bw, Q.upper_bw) == (1, 9)
+        ctx = context(Q.precision)
+        # Q(j, i) = Q(j, j) rho_(j+1) ... rho_i above the diagonal
+        for j, i in ((0, 5), (2, 9), (4, 5)):
+            expected = Q.diag[j] * ctx.fprod(Q.rho[j + 1:i + 1])
+            assert abs(Q.entry(j, i) - expected) <= ctx.ldexp(abs(expected), 8 - Q.precision)
+        assert vars(Q)["diagonals"] is Q.diagonals  # expanded once, then cached
+        assert Q.entry(1, 0) == Q.sub[0] and Q.entry(3, 3) == Q.diag[3]
+        assert Q.entry(3, 1) == 0
+        # the expansion is the forward substitution against L1, bit for bit
+        for j in range(10):
+            for i in range(j + 1, 10):
+                step = (ctx.zero - Q.entry(j, i - 1) * L1.entry(i, i - 1)) / L1.entry(i, i)
+                assert Q.entry(j, i)._mpf_ == step._mpf_, (j, i)
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_expansion_survives_json_bit_for_bit(self, spec, precision):
+        Q = MatrixSuite.build(spec, size=20, guard=4, precision=precision).Q
+        name, parsed = matrix_from_json(matrix_to_json("Q", Q))
+        assert name == "Q" and type(parsed) is BandedMatrix
+        assert layout(parsed) == layout(Q)
+        assert parsed.diagonal(-1) == Q.sub and parsed.diagonal(0) == Q.diag
+
 
 class TestSuiteAndResiduals:
     def test_all_identities_within_tolerance(self, suite):
@@ -314,10 +356,13 @@ class TestBandLocalVerification:
             assert stray_entries(m) == [], name
 
     def test_stores_exactly_its_band(self, sided_suite):
-        for name, m in suite_and_operand_matrices(sided_suite).items():
+        matrices = suite_and_operand_matrices(sided_suite)
+        Q = matrices.pop("Q")  # held by its generators, see TestQRPair
+        for name, m in matrices.items():
             stored = sum(len(diagonal) for diagonal in m.diagonals)
             assert stored == len(list(m.band_entries())), name
             assert matrix_from_json(matrix_to_json(name, m))[1] == m, name
+        assert layout(matrix_from_json(matrix_to_json("Q", Q))[1]) == layout(Q)
 
     def test_residuals_equal_dense_scan(self, sided_suite):
         s = sided_suite
@@ -325,6 +370,8 @@ class TestBandLocalVerification:
                   in verify_propositions(s).as_rows()}
         expected = {}
         for name, (A, B) in identity_operands(s).items():
+            if name in Q_ROWS:  # see test_q_products_match_dense_products
+                continue
             block = min(s.size, A.exact_size, B.exact_size)
             expected[name] = (dense_block_residual(A, B, block), block)
         H, block = s.H, min(s.size, s.H.exact_size)
@@ -334,7 +381,7 @@ class TestBandLocalVerification:
             scale = max([mp.mpf(1)] + [abs(H.entry(i, j)) for i in range(block)
                                        for j in range(block)])
         expected["H bandwidth <= 2"] = (stray / scale, block)
-        assert set(report) - set(expected) == {"Qt Q = I"}
+        assert set(report) - set(expected) == set(Q_ROWS)
         for name, value in expected.items():
             assert report[name] == value, name
 
@@ -346,18 +393,67 @@ class TestBandLocalVerification:
         assert block_residual(I, U, 4) == block_residual(U, I, 4) == 1
         assert block_residual(I, U, 3) == 0
 
-    def test_gram_matches_product(self, sided_suite):
-        Q, p = sided_suite.Q, sided_suite.precision
-        QtQ = multiply(Q.transpose(), Q)
-        block = min(sided_suite.size, QtQ.exact_size)
-        rows = verify_propositions(sided_suite).as_rows()
-        assert [b for name, _, b in rows if name == "Qt Q = I"] == [block]
-        with mp.workprec(p):
-            tol = mp.mpf(2) ** (8 - p)
-            entries = list(_gram_entries(_hessenberg_columns(Q, block), context(p)))
-            assert len(entries) == block * (block + 1) // 2
-            for i, j, v in entries:
-                assert abs(v - QtQ.entry(i, j)) <= tol, (i, j)
+    def test_q_products_match_dense_products(self, sided_suite):
+        s, p = sided_suite, sided_suite.precision
+        Q, R = s.Q, s.R
+        dense = {"Q R = J - cI": multiply(Q, R), "R Q = J2 - cI": multiply(R, Q),
+                 "Qt Q = I": multiply(Q.transpose(), Q)}
+        tol = context(p).ldexp(1, 8 - p)
+        splits = _q_products(Q, R)
+        assert set(splits) == set(Q_ROWS)
+        for name, split in splits.items():
+            D, gap = dense[name], max(split.band) + 1
+            for i in range(D.nrows):
+                for k in range(D.ncols):
+                    if k - i in split.band:
+                        piece = split.band[k - i][min(i, k)]
+                    elif k - i >= gap:
+                        piece = split.left[i] * split.right[k]
+                    elif name == "Qt Q = I":  # symmetric: the upper triangle mirrored
+                        piece = split.left[k] * split.right[i]
+                    else:
+                        piece = 0
+                    assert abs(piece - D.entry(i, k)) <= tol, (name, i, k)
+        # the rows keep the blocks the products' exact sizes give
+        rows = {name: block for name, _, block in verify_propositions(s).as_rows()}
+        operands = identity_operands(s)
+        for name in Q_ROWS[:2]:
+            A, B = operands[name]
+            assert rows[name] == min(s.size, A.exact_size, B.exact_size), name
+        assert rows["Qt Q = I"] == min(s.size, dense["Qt Q = I"].exact_size)
+
+    def test_split_residual_equals_block_residual_of_its_matrix(self):
+        n, ctx = 7, context(64)
+        band = {k: [ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k))] for k in (-1, 0, 1)}
+        left = [ctx.mpf(-2) ** i / 3 for i in range(n)]
+        right = [ctx.mpf(5) / (k + 1) for k in range(n)]
+        split = _SplitProduct(band, left, right)
+        A = from_diagonals({**{k: [left[i] * right[i + k] for i in range(n - k)]
+                               for k in range(2, n)}, **band}, n, 64)
+        B = from_diagonals({k: [ctx.mpf(i - k) / 5 for i in range(n - abs(k))]
+                            for k in (-1, 0, 1)}, n, 64)
+        # the rank-one part holds the largest difference from block 5 on
+        assert block_residual(A, B, 4) < block_residual(A, B, 5)
+        for block in range(1, n + 1):
+            assert _split_residual(split, B, block) == block_residual(A, B, block), block
+        with pytest.raises(InternalConsistencyError):
+            _split_residual(split, A, 3)
+
+    def test_verify_never_expands_q_at_size_200(self, spec, monkeypatch):
+        s = MatrixSuite.build(spec, size=200, guard=4)
+        bandwidths = []
+
+        def recording(A, B):
+            P = multiply(A, B)
+            bandwidths.extend(max(m.lower_bw, m.upper_bw) for m in (A, B, P))
+            return P
+
+        monkeypatch.setattr("sobspec.matrices.multiply", recording)
+        report = verify_propositions(s)
+        assert "diagonals" not in vars(s.Q)
+        assert bandwidths and max(bandwidths) <= 4
+        assert report.all_within(TOL30)
+        assert {e.block for e in report.entries} == {200}
 
 
 class TestOrthogonalityTrend:
@@ -385,6 +481,7 @@ class TestPrecisionContext:
         operands = [m for pair in identity_operands(s).values() for m in pair]
         values = [v for m in [*s.named_matrices().values(), s.J2_direct, *operands]
                   for diagonal in m.diagonals for v in diagonal]
+        values += [*s.Q.diag, *s.Q.sub, *s.Q.rho]
         for ledger in (s.rec, s.kt, s.chris, s.sob):
             for f in fields(ledger):
                 if isinstance(getattr(ledger, f.name), tuple) and f.name != "support":
@@ -429,10 +526,21 @@ class TestExactChain:
             L = cholesky_shifted(J, -1)
             J1 = commute_cholesky(L, -1)
             L1 = cholesky_shifted(J1, -1)
-            return {"L": L, "J1": J1, "L1": L1, "J2": commute_cholesky(L1, -1)}
+            Q, R = qr_pair(L, L1)
+            return {"L": L, "J1": J1, "L1": L1, "J2": commute_cholesky(L1, -1),
+                    "R": R, "Q": Q}
 
         floats, exacts = chain(float_J), chain(exact_J)
         tol = context(prec).ldexp(1, -prec // 2)
+        fq, eq = floats.pop("Q"), exacts.pop("Q")
+        assert (fq.lower_bw, fq.upper_bw, fq.exact_size) == \
+            (eq.lower_bw, eq.upper_bw, eq.exact_size)
+        for name in ("diag", "sub", "rho"):
+            report = squared_entry_compare(
+                f"Q {name}", {(i, 0): v for i, v in enumerate(getattr(fq, name))},
+                {(i, 0): v for i, v in enumerate(getattr(eq, name))}, tol)
+            assert report.total == len(getattr(eq, name)) and report.all_ok, \
+                report.summary()
         for name, em in exacts.items():
             fm = floats[name]
             assert (fm.lower_bw, fm.upper_bw, fm.exact_size) == \
