@@ -117,7 +117,32 @@ class MeasureSpec:
         )
 
     def recurrence(self, size, precision=DEFAULT_PRECISION):
-        return RecurrenceTable.from_measure(self, size, precision)
+        """The recurrence table of ``size`` rows.  Laguerre, x^alpha e^(-x) on
+        (0, inf): beta_n = 2n + 1 + alpha, gamma_n = n (n + alpha) and
+        ||P_0||^2 = Gamma(alpha + 1)."""
+        if size < 1:
+            raise InvalidParameterError("size must be >= 1")
+        ctx = context(precision)
+        if self.family == "laguerre":
+            a = to_mpf(self.alpha, ctx)
+            beta = tuple(2 * n + 1 + a for n in range(size))
+            gamma = (ctx.zero,) + tuple(n * (n + a) for n in range(1, size))
+            norm0_sq = ctx.gamma(a + 1)
+        elif self.family == "custom":
+            if size > len(self.beta):
+                raise InvalidParameterError(
+                    f"custom measure supplies {len(self.beta)} coefficients, need {size}")
+            beta = tuple(to_mpf(b, ctx) for b in self.beta[:size])
+            gamma = (ctx.zero,) + tuple(to_mpf(g, ctx) for g in self.gamma[1:size])
+            norm0_sq = to_mpf(self.norm0_sq, ctx)
+        else:
+            raise InvalidParameterError(f"unknown measure family {self.family!r}")
+        norm_sq = [norm0_sq]
+        for n in range(1, size):
+            norm_sq.append(gamma[n] * norm_sq[-1])
+        return RecurrenceTable(beta, gamma, tuple(norm_sq),
+                               tuple(1 / ctx.sqrt(s) for s in norm_sq), precision,
+                               self.support)
 
 
 @dataclass(frozen=True)
@@ -167,62 +192,15 @@ class RecurrenceTable:
     leading: tuple
     precision: int
     support: tuple
-    measure: MeasureSpec | None = None
 
     @property
     def size(self):
         return len(self.beta)
 
-    @classmethod
-    def from_measure(cls, measure, size, precision=DEFAULT_PRECISION):
-        if size < 1:
-            raise InvalidParameterError("size must be >= 1")
-        if measure.family == "laguerre":
-            return laguerre_recurrence(measure.alpha, size, precision)
-        if measure.family == "custom":
-            if size > len(measure.beta):
-                raise InvalidParameterError(
-                    f"custom measure supplies {len(measure.beta)} coefficients, need {size}"
-                )
-            ctx = context(precision)
-            beta = tuple(to_mpf(b, ctx) for b in measure.beta[:size])
-            gamma = (ctx.zero,) + tuple(to_mpf(g, ctx) for g in measure.gamma[1:size])
-            return cls._finish(beta, gamma, to_mpf(measure.norm0_sq, ctx),
-                               precision, measure.support, measure)
-        raise InvalidParameterError(f"unknown measure family {measure.family!r}")
-
-    @classmethod
-    def _finish(cls, beta, gamma, norm0_sq, precision, support, measure):
-        norm_sq = [norm0_sq]
-        for n in range(1, len(beta)):
-            norm_sq.append(gamma[n] * norm_sq[-1])
-        leading = tuple(1 / context(precision).sqrt(s) for s in norm_sq)
-        return cls(
-            beta=beta,
-            gamma=tuple(gamma),
-            norm_sq=tuple(norm_sq),
-            leading=leading,
-            precision=precision,
-            support=tuple(support),
-            measure=measure,
-        )
-
 
 def laguerre_recurrence(alpha, size, precision=DEFAULT_PRECISION):
-    """Recurrence table of the monic Laguerre family x^alpha e^(-x) on (0, inf).
-
-    beta_n = 2n + 1 + alpha, gamma_n = n (n + alpha), ||P_0||^2 = Gamma(alpha+1).
-    """
-    measure = MeasureSpec.laguerre(alpha)
-    if size < 1:
-        raise InvalidParameterError("size must be >= 1")
-    ctx = context(precision)
-    a = to_mpf(alpha, ctx)
-    beta = tuple(2 * n + 1 + a for n in range(size))
-    gamma = (ctx.zero,) + tuple(n * (n + a) for n in range(1, size))
-    return RecurrenceTable._finish(
-        beta, gamma, ctx.gamma(a + 1), precision, (0.0, POS_INF), measure
-    )
+    """Recurrence table of the monic Laguerre family x^alpha e^(-x) on (0, inf)."""
+    return MeasureSpec.laguerre(alpha).recurrence(size, precision)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .core import context
+from .matrices import multiply
 from .oracle import SqrtRational, squared_entry_compare
 
 FIXTURE_NAME = "laguerre_a0_cm1_M1_N1.json"
@@ -55,6 +56,14 @@ def load_reference():
             entries=entries,
         )
     return doc["config"], matrices
+
+
+def computed_counterparts(suite):
+    """Name -> the suite's counterpart of each reference table, (J2 - cI)^2 included."""
+    computed = dict(suite.named_matrices())
+    shifted = suite.J2.shifted(-suite.spec.c)
+    computed["J2_shift_sq"] = multiply(shifted, shifted)
+    return computed
 
 
 def compare_reference(golden, computed, osuite, precision, tol):

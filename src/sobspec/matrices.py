@@ -20,7 +20,7 @@ Every matrix is banded and stores only its band, by diagonals, except Q.
 Q is upper Hessenberg with a rank-one upper triangle, so it is held by O(n)
 generators and expanded to its band only when its entries are read.  The
 three identities of Q are checked from the generators in O(n * bandwidth):
-each of Q R, R Q and Qt Q is a band near the diagonal plus a rank-one part
+each of Q R, R Q and Qt Q is a band near the diagonal plus a rank-one tail
 above it.
 
 Truncation bookkeeping: every matrix carries ``exact_size``, the number of
@@ -28,15 +28,15 @@ leading rows/columns guaranteed to agree with the semi-infinite object.
 Commuting Cholesky factors consumes one row, forming Q/R consumes one, and a
 product consumes min(left upper bandwidth, right lower bandwidth).  Residuals
 are only ever evaluated inside the intersection of the operands' exact
-regions.
+regions, and every identity goes through one routine, :func:`block_residual`,
+which reads a band and, for the products of Q, its rank-one tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from operator import mul
-from typing import NamedTuple
+from operator import mul, sub
 
 from .core import DEFAULT_PRECISION, context, to_mpf
 from .errors import (
@@ -198,31 +198,21 @@ def multiply(A, B):
     (i, j) of the infinite product sums over k <= min(i + A.upper_bw,
     j + B.lower_bw), so the truncated sum is complete and made of exact
     operand entries only while i, j stay w short of the operands' markers.
-    """
-    if A.ncols != B.nrows:
-        raise InvalidParameterError("inner dimensions differ")
-    nrows, ncols = A.nrows, B.ncols
-    offsets = range(-min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
-                    min(A.upper_bw + B.upper_bw, max(ncols - 1, 0)) + 1)
-    return from_diagonals(_product_diagonals(A, B, offsets), _product_exact_size(A, B),
-                          max(A.precision, B.precision), (nrows, ncols))
-
-
-def _product_diagonals(A, B, offsets):
-    """Diagonals ``offsets`` of A @ B, offset -> entries.
-
     Diagonal r gathers diagonal p of A times diagonal r - p of B, p
     ascending, so every entry adds its terms in ascending k, starting from
     its first term (adding it to an exact zero would not change its bits).
     """
+    if A.ncols != B.nrows:
+        raise InvalidParameterError("inner dimensions differ")
+    nrows, ncols = A.nrows, B.ncols
     prec = max(A.precision, B.precision)
     ctx = context(prec)
     adiags = A.diagonals
     if A.precision < prec:  # a product rounds in its left operand's context
         adiags = [[ctx.make_mpf(v._mpf_) for v in d] for d in adiags]
-    nrows, ncols = A.nrows, B.ncols
     diagonals = {}
-    for r in offsets:
+    for r in range(-min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
+                   min(A.upper_bw + B.upper_bw, max(ncols - 1, 0)) + 1):
         out = [None] * _diagonal_length(nrows, ncols, r)
         for p in range(max(-A.lower_bw, r - B.upper_bw),
                        min(A.upper_bw, r + B.lower_bw) + 1):
@@ -234,13 +224,15 @@ def _product_diagonals(A, B, offsets):
             out[s:s + hi - lo] = [x * y if acc is None else acc + x * y
                                   for acc, x, y in zip(out[s:], a, b)]
         diagonals[r] = [ctx.zero if v is None else v for v in out]
-    return diagonals
-
-
-def _product_exact_size(A, B):
-    """Exact size of A @ B: it consumes w = min(A.upper_bw, B.lower_bw) rows."""
     w = min(A.upper_bw, B.lower_bw)
-    return max(0, min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols))
+    exact = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
+    return from_diagonals(diagonals, exact, prec, (nrows, ncols))
+
+
+def _cut(A, lo, hi):
+    """A's diagonals lo to hi as a matrix of its own, exact zeros elsewhere."""
+    return from_diagonals({k: A.diagonal(k) for k in range(lo, hi + 1)},
+                          A.exact_size, A.precision, (A.nrows, A.ncols))
 
 
 def _leading(A, k, block):
@@ -248,28 +240,37 @@ def _leading(A, k, block):
     return A.diagonal(k)[:max(0, block - abs(k))]
 
 
-def block_max_abs(A, block):
-    """Largest |entry| of the leading block, read over the declared band."""
-    return max((abs(v) for k in range(-A.lower_bw, A.upper_bw + 1)
-                for v in _leading(A, k, block)), default=context(A.precision).zero)
-
-
-def block_residual(A, B, block):
-    """Max-entry difference of the leading blocks, relative to their scale.
+def block_residual(A, B, block, tail=None):
+    """Max-entry difference of the leading blocks, divided by max(1, largest
+    |entry| of either block).
 
     Only the union of the two declared bands is read: outside it both
     operands are exact zeros.  The differences round in the context of the
     higher precision, which the swap puts on the left.
+
+    ``tail = (left, right)`` gives A a rank-one part above its band: A(i, k)
+    = left[i] * right[k] for k > i + A.upper_bw, as :func:`_q_products` holds
+    a product of Q.  B must vanish there, so the largest tail entry is also
+    the largest difference there; it comes from a running max of |left|, in
+    O(block).  The swap cannot move a tail, so A must be the more precise.
     """
     if block < 1:
         raise InternalConsistencyError("empty comparison block")
+    if tail and (A.precision < B.precision or B.upper_bw > A.upper_bw):
+        raise InternalConsistencyError("a tail needs B within A's band and precision")
     if A.precision < B.precision:
         A, B = B, A
-    diff = context(A.precision).zero
+    diff = top = far = lead = context(A.precision).zero
     for k in range(-max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw) + 1):
-        for a, b in zip(_leading(A, k, block), _leading(B, k, block)):
-            diff = max(diff, abs(a - b))
-    return diff / max(1, block_max_abs(A, block), block_max_abs(B, block))
+        a, b = _leading(A, k, block), _leading(B, k, block)
+        diff = max([diff, *map(abs, map(sub, a, b))])
+        top = max([top, *map(abs, a), *map(abs, b)])
+    if tail:
+        left, right = tail
+        for x, y in zip(left, right[A.upper_bw + 1:block]):
+            lead = max(lead, abs(x))
+            far = max(far, lead * abs(y))
+    return max(diff, far) / max(1, top, far)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +403,14 @@ def build_H(sob, size):
 # pipeline and verification
 # ---------------------------------------------------------------------------
 
+def _check_int(name, value, least, unit=""):
+    """``value`` if it is an integer >= ``least``, else InvalidParameterError."""
+    if not isinstance(value, int) or value < least:
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {least}{unit}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MatrixSuite:
     """All matrices of one configuration at one truncation.
@@ -438,14 +447,10 @@ class MatrixSuite:
         from .kernels import KernelTable
         from .sobolev import SobolevLedger
 
-        if size < 3:
-            raise InvalidParameterError("size must be >= 3")
-        if guard < 2:
-            raise InvalidParameterError("guard must be >= 2")
+        _check_int("size", size, 3)
+        _check_int("guard", guard, 2)
         precision = DEFAULT_PRECISION if precision is None else precision
-        if not isinstance(precision, int) or precision < 64:
-            raise InvalidParameterError(
-                f"precision must be an integer >= 64 bits, got {precision!r}")
+        _check_int("precision", precision, 64, " bits")
         nb = size + guard
         rec = spec.measure.recurrence(nb + 5, precision)
         kt = KernelTable.build(rec, spec.c)
@@ -509,40 +514,23 @@ def orthogonality_defect(Q, block, ncols=None):
     factor.  Its rows are infinite, so the defect does not vanish; it shrinks
     as the truncation grows and is reported as a diagnostic trend.  (The full
     finite section is exactly orthogonal and would show nothing.)  It reads
-    Q's entries, so it expands a :class:`HessenbergQ` to its band.
+    Q's entries, so it expands a :class:`HessenbergQ` to its band.  Each
+    inner product is one ``fdot``: exact products, summed and rounded once.
     """
     m = min(Q.exact_size if ncols is None else ncols, Q.ncols)
     rows = [[Q.entry(i, j) for j in range(m)] for i in range(min(block, Q.nrows))]
-    return _gram_defect(rows, context(Q.precision))
-
-
-def _gram_defect(vectors, ctx):
-    """Max-entry distance of the Gram matrix of ``vectors`` from the identity.
-
-    Each inner product is one ``ctx.fdot``: exact products, summed and
-    rounded once.
-    """
-    worst = ctx.zero
-    for i, u in enumerate(vectors):
-        for j in range(i, len(vectors)):
-            v = ctx.fdot(u, vectors[j])
+    ctx, worst = context(Q.precision), context(Q.precision).zero
+    for i, u in enumerate(rows):
+        for j in range(i, len(rows)):
+            v = ctx.fdot(u, rows[j])
             worst = max(worst, abs(v - 1) if i == j else abs(v))
     return worst
 
 
-class _SplitProduct(NamedTuple):
-    """A product held in O(n): the diagonals ``band`` (offset -> entries,
-    top-left first), exact zeros below the lowest offset, and above the
-    highest offset the rank-one part, entry (i, k) = left[i] * right[k]."""
-
-    band: dict
-    left: list
-    right: list
-
-
 def _q_products(Q, R):
-    """Q R, R Q and Qt Q as :class:`_SplitProduct`, from Q's generators in
-    O(n): name of the identity -> split.
+    """Q R, R Q and Qt Q from Q's generators in O(n): name of the identity ->
+    (band, tail), the product being ``band`` plus the rank-one ``tail``
+    above it, as :func:`block_residual` reads them.
 
     With P_k = rho_0 ... rho_k and u_j = Q(j, j) / P_j, Q(j, k) = u_j P_k
     above the diagonal, and R has upper bandwidth 2, so
@@ -553,9 +541,10 @@ def _q_products(Q, R):
       and (Qt Q)(i, i) = P_i^2 S_i + Q(i + 1, i)^2,
 
     where S_i = u_0^2 + ... + u_i^2 is accumulated exactly and every sum is
-    one ``fdot``.  The bands of Q R and R Q, offsets -1 to 2, are those of
-    the products with Q's diagonals -1 to 2, bit for bit the full products'.
-    Qt Q is symmetric: its split holds the upper triangle.
+    one ``fdot``.  The bands of Q R and R Q are offsets -1 to 2 of the
+    products with Q's diagonals -1 to 2, bit for bit the full products'.  Qt Q
+    is symmetric: its band is the diagonal (losing Q.lower_bw exact rows, Qt's
+    upper bandwidth) and its tail the upper triangle.
     """
     ctx = context(Q.precision)
     n, zero = Q.nrows, ctx.zero
@@ -575,50 +564,28 @@ def _q_products(Q, R):
     gram_diag = [ctx.fdot([ctx.fmul(p, p, exact=True), s], [sq, s])
                  for p, s, sq in zip(P, sub, S)]
     v = [ctx.fdot([p, s], [sq, un]) for p, s, sq, un in zip(P, sub, S, u_next)]
+    gram = from_diagonals({0: gram_diag}, Q.exact_size - Q.lower_bw, Q.precision)
     return {
-        "Q R = J - cI": _SplitProduct(_product_diagonals(near, R, range(-1, 3)), u, z),
-        "R Q = J2 - cI": _SplitProduct(_product_diagonals(R, near, range(-1, 3)), w, P),
-        "Qt Q = I": _SplitProduct({0: gram_diag}, v, P),
+        "Q R = J - cI": (_cut(multiply(near, R), -1, 2), (u, z)),
+        "R Q = J2 - cI": (_cut(multiply(R, near), -1, 2), (w, P)),
+        "Qt Q = I": (gram, (v, P)),
     }
-
-
-def _split_residual(A, B, block):
-    """``block_residual`` of a :class:`_SplitProduct` A against B, in
-    O(block * bandwidth).  B must vanish outside A's band: the band is
-    compared diagonal by diagonal, and the largest rank-one entry comes from
-    a running max of |left|.
-    """
-    if block < 1:
-        raise InternalConsistencyError("empty comparison block")
-    gap = max(A.band) + 1
-    if B.lower_bw > -min(A.band) or B.upper_bw >= gap:
-        raise InternalConsistencyError("operand band exceeds the split band")
-    ctx = context(B.precision)
-    diff = top = ctx.zero
-    for k, diagonal in A.band.items():
-        for a, b in zip(diagonal[:max(0, block - abs(k))], _leading(B, k, block)):
-            diff, top = max(diff, abs(a - b)), max(top, abs(a))
-    # B vanishes here, so the largest |entry| is also the largest difference.
-    lead = far = ctx.zero
-    for k in range(gap, block):
-        lead = max(lead, abs(A.left[k - gap]))
-        far = max(far, lead * abs(A.right[k]))
-    return max(diff, far) / max(1, top, far, block_max_abs(B, block))
 
 
 def verify_propositions(suite, size=None):
     """Residuals of every factorization identity of the chain.
 
     Each residual is evaluated on min(requested size, intersection of the
-    operands' exact regions); an empty intersection raises
-    :class:`InternalConsistencyError`.  The three identities of Q are read
-    from its generators (:func:`_q_products`), so Q is never expanded.
+    operands' exact regions) by :func:`block_residual`.  The requested size
+    must be an integer >= 1 (:class:`InvalidParameterError` otherwise), and an
+    empty intersection raises :class:`InternalConsistencyError`.  The three
+    identities of Q are read from its generators (:func:`_q_products`), so Q
+    is never expanded.
     """
-    size = suite.size if size is None else size
+    size = suite.size if size is None else _check_int("size", size, 1)
     sgn = 1 if suite.side == "left" else -1
-    ctx = context(suite.precision)
-    c = to_mpf(suite.spec.c, ctx)
-    Q, R = suite.Q, suite.R
+    c = to_mpf(suite.spec.c, context(suite.precision))
+    R, H = suite.R, suite.H
     A0 = suite.J.shifted(-c).scaled(sgn)
     A2 = suite.J2.shifted(-c).scaled(sgn)
     A0sq = multiply(A0, A0)
@@ -626,38 +593,24 @@ def verify_propositions(suite, size=None):
     Rt = R.transpose()
     RRt = multiply(R, Rt)
     Tt = suite.T.transpose()
-    splits = _q_products(Q, R)
+    (QR, QR_tail), (RQ, RQ_tail), (QtQ, QtQ_tail) = _q_products(suite.Q, R).values()
 
-    def compare(name, A, B):
+    def compare(name, A, B, tail=None):
         block = min(size, A.exact_size, B.exact_size)
-        return ResidualEntry(name, block_residual(A, B, block), block)
-
-    def compare_split(name, exact, B):
-        # ``exact``: the exact size the product would have (see multiply).
-        block = min(size, exact, B.exact_size)
-        return ResidualEntry(name, _split_residual(splits[name], B, block), block)
+        return ResidualEntry(name, block_residual(A, B, block, tail), block)
 
     entries = [
-        compare("H = T Tt", suite.H, multiply(suite.T, Tt)),
-        compare("H T = T (J2 - cI)^2", multiply(suite.H, suite.T),
-                multiply(suite.T, A2sq)),
-        compare_split("Q R = J - cI", _product_exact_size(Q, R), A0),
-        compare_split("R Q = J2 - cI", _product_exact_size(R, Q), A2),
+        compare("H = T Tt", H, multiply(suite.T, Tt)),
+        compare("H T = T (J2 - cI)^2", multiply(H, suite.T), multiply(suite.T, A2sq)),
+        compare("Q R = J - cI", QR, A0, QR_tail),
+        compare("R Q = J2 - cI", RQ, A2, RQ_tail),
         compare("(J2 - cI)^2 = R Rt", A2sq, RRt),
         compare("(J - cI)^2 = Rt R", A0sq, multiply(Rt, R)),
         compare("R Rt = Tt T", RRt, multiply(Tt, suite.T)),
-        # Qt Q would lose lower_bw rows, Qt's upper bandwidth.
-        compare_split("Qt Q = I", Q.exact_size - Q.lower_bw,
-                      identity(Q.nrows, suite.precision)),
+        compare("Qt Q = I", QtQ, identity(QtQ.nrows, suite.precision), QtQ_tail),
         compare("J2 chain = J2 ledger", suite.J2, suite.J2_direct),
+        # H stores only its declared band; its diagonals beyond 2 must vanish.
+        compare("H bandwidth <= 2", H, _cut(H, -2, 2)),
     ]
-
-    # H stores only its declared band; read the diagonals beyond 2.
-    H, block = suite.H, min(size, suite.H.exact_size)
-    stray = max((abs(v) for k in range(-H.lower_bw, H.upper_bw + 1) if abs(k) > 2
-                 for v in _leading(H, k, block)), default=ctx.zero)
-    scale = max(1, block_max_abs(H, block))
-    entries.append(ResidualEntry("H bandwidth <= 2", stray / scale, block))
-
     return ResidualReport(size=size, guard=suite.guard,
                           precision=suite.precision, entries=tuple(entries))

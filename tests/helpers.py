@@ -2,7 +2,6 @@
 
 import mpmath as mp
 
-from sobspec.matrices import multiply
 from sobspec.oracle import SqrtRational, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
@@ -26,15 +25,6 @@ def assert_squared(value, square, sign=1, tol=TOL30):
                                    {(0, 0): SqrtRational(sign, square)}, tol)
     assert report.all_ok, (f"{value} vs {sign} * sqrt({square}): relative "
                            f"error of the square {report.verdicts[0].rel_err:.3g}")
-
-
-def golden_float_matrices(suite):
-    """The suite's named matrices plus (J2 - cI)^2, the computed counterparts
-    of every reference table."""
-    out = dict(suite.named_matrices())
-    shifted = suite.J2.shifted(-suite.spec.c)
-    out["J2_shift_sq"] = multiply(shifted, shifted)
-    return out
 
 
 def dense_block_residual(A, B, block):

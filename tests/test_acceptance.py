@@ -11,10 +11,10 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from helpers import TOL28, TOL30, golden_float_matrices, rel
+from helpers import TOL28, TOL30, rel
 from sobspec.christoffel import ChristoffelLedger, eval_iterated
 from sobspec.core import MeasureSpec, SobolevSpec, eval_jet, laguerre_recurrence
-from sobspec.golden import compare_reference, load_reference
+from sobspec.golden import compare_reference, computed_counterparts, load_reference
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (
     MatrixSuite,
@@ -109,7 +109,7 @@ class TestAcceptance:
         osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
                                     config["N"], 6)
         suite = MatrixSuite.build(_spec(), size=8, guard=4, precision=256)
-        counts = compare_reference(golden, golden_float_matrices(suite), osuite,
+        counts = compare_reference(golden, computed_counterparts(suite), osuite,
                                    256, TOL30)
         exact_bad = sum(total - exact for exact, _, total in counts.values())
         float_bad = sum(total - within for _, within, total in counts.values())

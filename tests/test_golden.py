@@ -5,8 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import TOL30, golden_float_matrices
-from sobspec.golden import MATRIX_NAMES, compare_reference, load_reference
+from helpers import TOL30
+from sobspec.golden import (
+    MATRIX_NAMES,
+    compare_reference,
+    computed_counterparts,
+    load_reference,
+)
 from sobspec.matrices import MatrixSuite
 from sobspec.oracle import SqrtRational, build_oracle_suite, squared_entry_compare
 
@@ -29,7 +34,7 @@ def oracle_suite():
 @pytest.fixture(scope="module")
 def counts(reference, float_suite, oracle_suite):
     _, matrices = reference
-    return compare_reference(matrices, golden_float_matrices(float_suite),
+    return compare_reference(matrices, computed_counterparts(float_suite),
                              oracle_suite, float_suite.precision, TOL30)
 
 
@@ -78,7 +83,7 @@ class TestFloatPath:
         entries = dict(gm.entries)
         entries[(0, 1)] = SqrtRational(-1, ref.square + F(1, 8))
         altered = dict(matrices, H=replace(gm, entries=entries))
-        counts = compare_reference(altered, golden_float_matrices(float_suite),
+        counts = compare_reference(altered, computed_counterparts(float_suite),
                                    oracle_suite, float_suite.precision, TOL30)
         for name, (exact, within, total) in counts.items():
             missed = 1 if name == "H" else 0
@@ -86,7 +91,7 @@ class TestFloatPath:
 
     def test_squared_entry_reports_all_pass(self, reference, float_suite):
         _, matrices = reference
-        computed = golden_float_matrices(float_suite)
+        computed = computed_counterparts(float_suite)
         for name in MATRIX_NAMES:
             gm = matrices[name]
             floats = {key: computed[name].entry(*key) for key in gm.entries}

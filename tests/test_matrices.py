@@ -26,8 +26,6 @@ from sobspec.matrices import (
     HessenbergQ,
     MatrixSuite,
     _q_products,
-    _split_residual,
-    _SplitProduct,
     block_residual,
     build_jacobi,
     cholesky_shifted,
@@ -105,6 +103,22 @@ def stray_entries(matrix):
     """Positions outside the declared band that hold anything but exact zero."""
     return [(i, j) for i in range(matrix.nrows) for j in range(matrix.ncols)
             if not matrix.in_band(i, j) and matrix.entry(i, j) != 0]
+
+
+def band_with_tail(n=7):
+    """A tridiagonal band with a rank-one tail, the same matrix written
+    out, and a tridiagonal B to compare them with."""
+    ctx = context(64)
+    band = from_diagonals({k: [ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k))]
+                           for k in (-1, 0, 1)}, n, 64)
+    left = [ctx.mpf(-2) ** i / 3 for i in range(n)]
+    right = [ctx.mpf(5) / (k + 1) for k in range(n)]
+    dense = from_diagonals({**{k: [left[i] * right[i + k] for i in range(n - k)]
+                               for k in range(2, n)},
+                            **{k: band.diagonal(k) for k in (-1, 0, 1)}}, n, 64)
+    B = from_diagonals({k: [ctx.mpf(i - k) / 5 for i in range(n - abs(k))]
+                        for k in (-1, 0, 1)}, n, 64)
+    return band, (left, right), dense, B
 
 
 @pytest.fixture(scope="module", params=["left", "right"])
@@ -322,13 +336,21 @@ class TestSuiteAndResiduals:
         with pytest.raises(InternalConsistencyError):
             block_residual(suite.H, suite.H, 0)
 
-    def test_size_and_guard_validation(self, spec):
+    def test_size_and_guard_validation(self, spec, suite):
         with pytest.raises(InvalidParameterError):
             MatrixSuite.build(spec, size=2)
         with pytest.raises(InvalidParameterError):
             MatrixSuite.build(spec, size=8, guard=1)
         with pytest.raises(InvalidParameterError):
             MatrixSuite.build(spec, size=8, precision=32)
+        for size in (8.0, "8", None, F(8)):
+            with pytest.raises(InvalidParameterError):
+                MatrixSuite.build(spec, size=size)
+        with pytest.raises(InvalidParameterError):
+            MatrixSuite.build(spec, size=8, guard=4.0)
+        for size in (8.5, 0, -3):
+            with pytest.raises(InvalidParameterError):
+                verify_propositions(suite, size=size)
 
     @pytest.mark.parametrize("precision", [100.5, EXACT, "256", 63])
     def test_precision_must_be_an_int_of_64_bits_or_more(self, spec, precision):
@@ -399,45 +421,53 @@ class TestBandLocalVerification:
         dense = {"Q R = J - cI": multiply(Q, R), "R Q = J2 - cI": multiply(R, Q),
                  "Qt Q = I": multiply(Q.transpose(), Q)}
         tol = context(p).ldexp(1, 8 - p)
-        splits = _q_products(Q, R)
-        assert set(splits) == set(Q_ROWS)
-        for name, split in splits.items():
-            D, gap = dense[name], max(split.band) + 1
+        products = _q_products(Q, R)
+        assert set(products) == set(Q_ROWS)
+        for name, (band, (left, right)) in products.items():
+            assert type(band) is BandedMatrix, name
+            D = dense[name]
             for i in range(D.nrows):
                 for k in range(D.ncols):
-                    if k - i in split.band:
-                        piece = split.band[k - i][min(i, k)]
-                    elif k - i >= gap:
-                        piece = split.left[i] * split.right[k]
+                    if band.in_band(i, k):
+                        piece = band.entry(i, k)
+                    elif k - i > band.upper_bw:
+                        piece = left[i] * right[k]
                     elif name == "Qt Q = I":  # symmetric: the upper triangle mirrored
-                        piece = split.left[k] * split.right[i]
+                        piece = left[k] * right[i]
                     else:
                         piece = 0
                     assert abs(piece - D.entry(i, k)) <= tol, (name, i, k)
-        # the rows keep the blocks the products' exact sizes give
+        # the bands keep the exact sizes of the products, so the rows' blocks
         rows = {name: block for name, _, block in verify_propositions(s).as_rows()}
         operands = identity_operands(s)
         for name in Q_ROWS[:2]:
             A, B = operands[name]
+            assert products[name][0].exact_size == A.exact_size, name
             assert rows[name] == min(s.size, A.exact_size, B.exact_size), name
+        assert products["Qt Q = I"][0].exact_size == dense["Qt Q = I"].exact_size
         assert rows["Qt Q = I"] == min(s.size, dense["Qt Q = I"].exact_size)
 
     def test_split_residual_equals_block_residual_of_its_matrix(self):
-        n, ctx = 7, context(64)
-        band = {k: [ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k))] for k in (-1, 0, 1)}
-        left = [ctx.mpf(-2) ** i / 3 for i in range(n)]
-        right = [ctx.mpf(5) / (k + 1) for k in range(n)]
-        split = _SplitProduct(band, left, right)
-        A = from_diagonals({**{k: [left[i] * right[i + k] for i in range(n - k)]
-                               for k in range(2, n)}, **band}, n, 64)
-        B = from_diagonals({k: [ctx.mpf(i - k) / 5 for i in range(n - abs(k))]
-                            for k in (-1, 0, 1)}, n, 64)
-        # the rank-one part holds the largest difference from block 5 on
-        assert block_residual(A, B, 4) < block_residual(A, B, 5)
-        for block in range(1, n + 1):
-            assert _split_residual(split, B, block) == block_residual(A, B, block), block
+        band, tail, dense, B = band_with_tail()
+        # the tail holds the largest difference from block 5 on
+        assert block_residual(dense, B, 4) < block_residual(dense, B, 5)
+        for block in range(1, band.nrows + 1):
+            assert block_residual(band, B, block, tail) == block_residual(dense, B, block), block
+
+    def test_tail_rejects_b_wider_than_the_band_above(self):
+        band, tail, dense, _ = band_with_tail()
+        # diagonal 2 of B would meet the tail, which is read as B's zeros
+        wide = from_diagonals({k: dense.diagonal(k) for k in range(-1, 3)}, 7, 64)
+        for B in (wide, dense):
+            with pytest.raises(InternalConsistencyError):
+                block_residual(band, B, 3, tail)
+
+    def test_tail_rejects_a_less_precise_than_b(self):
+        band, tail, _, B = band_with_tail()
+        precise = from_diagonals({k: [to_mpf(v, context(128)) for v in B.diagonal(k)]
+                                  for k in (-1, 0, 1)}, 7, 128)
         with pytest.raises(InternalConsistencyError):
-            _split_residual(split, A, 3)
+            block_residual(band, precise, 3, tail)
 
     def test_verify_never_expands_q_at_size_200(self, spec, monkeypatch):
         s = MatrixSuite.build(spec, size=200, guard=4)

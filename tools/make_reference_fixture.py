@@ -16,7 +16,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sobspec.core import MeasureSpec, SobolevSpec  # noqa: E402
-from sobspec.matrices import MatrixSuite, multiply  # noqa: E402
+from sobspec.golden import computed_counterparts  # noqa: E402
+from sobspec.matrices import MatrixSuite  # noqa: E402
 from sobspec.oracle import SqrtRational, squared_entry_compare  # noqa: E402
 
 #: Tolerance of the validation, far above the 256-bit rounding.
@@ -146,9 +147,7 @@ def exact_entries(rows):
 def validate():
     spec = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=1, N=1)
     suite = MatrixSuite.build(spec, size=8, guard=4, precision=256)
-    computed = dict(suite.named_matrices())
-    shifted = suite.J2.shifted(1)
-    computed["J2_shift_sq"] = multiply(shifted, shifted)
+    computed = computed_counterparts(suite)
     worst = 0.0
     for name, rows in TABLES.items():
         exact = exact_entries(rows)
