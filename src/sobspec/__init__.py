@@ -5,7 +5,7 @@ data), derive the scalar ledgers and the banded matrix chain through
 :class:`MatrixSuite`, and verify the factorization identities with
 :func:`verify_propositions`.  The :mod:`sobspec.oracle` module carries an
 exact-rational reference suite for Laguerre measures with a nonnegative
-integer alpha and a mass point c < 0, up to 10 rows.
+integer alpha and a mass point c < 0, up to ``oracle.MAX_ROWS`` rows.
 """
 
 from .core import (

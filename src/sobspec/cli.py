@@ -6,12 +6,13 @@ suite against a tolerance, and ``reproduce-paper`` checks the computed
 matrices against the shipped reference tables for the worked Laguerre
 example (exact oracle path and floating path).
 
-Every option is declared once, in ``OPTIONS``: ``generate`` and ``verify``
-take all of them, ``reproduce-paper`` takes ``--precision`` and
-``--tolerance`` with help of its own.  Option ``--name`` can be overridden
-through the environment variable ``SOBSPEC_<NAME>``.  A run is recorded as
-its options as parsed, in table order and without ``--out``: this document
-is ``run.json`` and the ``config`` block of ``verification.json``.
+Every option is declared once, in ``OPTIONS``: ``verify`` takes all of
+them, ``generate`` all but ``--tolerance`` (it checks nothing), and
+``reproduce-paper`` takes ``--precision`` and ``--tolerance`` with help of
+its own.  Option ``--name`` can be overridden through the environment
+variable ``SOBSPEC_<NAME>``.  A run is recorded as its options as parsed, in
+table order and without ``--out``: this document is ``run.json`` and the
+``config`` block of ``verification.json``.
 
 Exit codes: 0 success, 2 invalid parameters, 3 numerical failure
 (not-positive-definite or precision exhaustion), 4 verification failure.
@@ -76,10 +77,15 @@ def _option(name, help=None):
                         help=help or table_help)
 
 
-def _all_options(f):
-    for name in reversed(OPTIONS):
-        f = _option(name)(f)
-    return f
+def _options(*skip):
+    """Every ``OPTIONS`` entry but ``skip``, in table order."""
+    def apply(f):
+        for name in reversed(OPTIONS):
+            if name not in skip:
+                f = _option(name)(f)
+        return f
+
+    return apply
 
 
 def _number(text):
@@ -112,8 +118,9 @@ def _build(command, opts):
     fault reported is the same whatever the command-line order.
     """
     numbers = {name: _number(opts[name]) for name in ("alpha", "c", "M", "N")}
-    parsed = {**opts, **{k: str(v) for k, v in numbers.items()},
-              "tolerance": _tolerance(opts["tolerance"])}
+    parsed = {**opts, **{k: str(v) for k, v in numbers.items()}}
+    if "tolerance" in opts:
+        parsed["tolerance"] = _tolerance(opts["tolerance"])
     if opts["measure"] != "laguerre":
         raise InvalidParameterError(
             f"CLI supports the laguerre family only, got {opts['measure']!r} "
@@ -123,7 +130,7 @@ def _build(command, opts):
                        c=numbers["c"], M=numbers["M"], N=numbers["N"])
     suite = MatrixSuite.build(spec, opts["size"], guard=opts["guard"],
                               precision=opts["precision"])
-    doc = {"command": command, **{k: parsed[k] for k in OPTIONS if k != "out"}}
+    doc = {"command": command, **{k: parsed[k] for k in OPTIONS if k in opts and k != "out"}}
     return doc, numbers, suite
 
 
@@ -153,7 +160,7 @@ def main():
 
 
 @main.command()
-@_all_options
+@_options("tolerance")
 @_exit_codes
 def generate(**opts):
     """Write all chain matrices and scalar ledgers to the output directory."""
@@ -191,7 +198,7 @@ def _oracle_entries(numbers, suite):
 
 
 @main.command()
-@_all_options
+@_options()
 @_exit_codes
 def verify(**opts):
     """Run the factorization-identity residual suite; exit 4 on a breach."""
@@ -203,7 +210,6 @@ def verify(**opts):
     rows = report.as_rows()
     doc = {
         "config": config,
-        "tolerance": tolerance,
         "pass": bool(ok),
         "max_residual": format_value(report.max_residual, precision),
         "residuals": [

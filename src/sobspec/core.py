@@ -41,6 +41,14 @@ def _require_finite_real(name, value):
         raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _check_int(name, value, least, unit=""):
+    """``value`` if it is an integer >= ``least``, else InvalidParameterError."""
+    if not isinstance(value, int) or value < least:
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {least}{unit}, got {value!r}")
+    return value
+
+
 _CONTEXTS = {}
 
 
@@ -78,7 +86,7 @@ class MeasureSpec:
 
     ``support`` is the (lo, hi) interval carrying the measure, endpoints
     possibly infinite.  Custom measures must supply the monic recurrence
-    coefficients directly; moment-based recovery lives only in the oracle.
+    coefficients directly.
     """
 
     family: str
@@ -120,9 +128,8 @@ class MeasureSpec:
         """The recurrence table of ``size`` rows.  Laguerre, x^alpha e^(-x) on
         (0, inf): beta_n = 2n + 1 + alpha, gamma_n = n (n + alpha) and
         ||P_0||^2 = Gamma(alpha + 1)."""
-        if size < 1:
-            raise InvalidParameterError("size must be >= 1")
-        ctx = context(precision)
+        _check_int("size", size, 1)
+        ctx = context(_check_int("precision", precision, 1, " bits"))
         if self.family == "laguerre":
             a = to_mpf(self.alpha, ctx)
             beta = tuple(2 * n + 1 + a for n in range(size))

@@ -26,7 +26,7 @@ class ConfluentPointError(SobspecError, ValueError):
 
 
 class NotPositiveDefiniteError(SobspecError, ArithmeticError):
-    """A Cholesky pivot or an exact Gram-Schmidt squared norm is not positive.
+    """A Cholesky pivot or an exact LDL^T squared norm is not positive.
 
     For the shifted Jacobi factorizations this signals that c lies inside, or
     numerically too close to, the support of the measure.
@@ -43,7 +43,8 @@ class NumericalFailureError(SobspecError, ArithmeticError):
 
 class OracleUnsupportedError(SobspecError, ValueError):
     """The exact-rational oracle does not cover the requested configuration
-    (non-integer alpha, missing moments); the floating path still applies."""
+    (non-integer alpha, c right of the support, more rows than its cap); the
+    floating path still applies."""
 
 
 class InternalConsistencyError(SobspecError, RuntimeError):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import mul, sub
 
-from .core import DEFAULT_PRECISION, context, to_mpf
+from .core import DEFAULT_PRECISION, _check_int, context, to_mpf
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -402,14 +402,6 @@ def build_H(sob, size):
 # ---------------------------------------------------------------------------
 # pipeline and verification
 # ---------------------------------------------------------------------------
-
-def _check_int(name, value, least, unit=""):
-    """``value`` if it is an integer >= ``least``, else InvalidParameterError."""
-    if not isinstance(value, int) or value < least:
-        raise InvalidParameterError(
-            f"{name} must be an integer >= {least}{unit}, got {value!r}")
-    return value
-
 
 @dataclass(frozen=True)
 class MatrixSuite:

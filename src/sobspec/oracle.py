@@ -5,26 +5,30 @@ roots of rationals, see :class:`SqrtRational`); only the comparison reads
 floating values, and never rounds a reference to one.  It provides the exact
 reference for every check in the package:
 
-* one moment functional, ``int f g dnu + M f(c) g(c) + N f'(c) g'(c)``, for
-  the three inner products: the plain measure, the k-iterated Christoffel
-  transform ``(x-c)^k dmu`` (nu with moments shifted once, binomially) and
-  the discrete Sobolev product with point masses M, N at c,
-* monic Gram-Schmidt from moments, giving exactly orthogonal systems with
-  exact squared norms,
-* the exact matrix suite for integer-alpha Laguerre configurations: the
-  Jacobi matrices and the T/H connection matrices from Gram-Schmidt, the
-  Cholesky factors, Q/R and (J2 - cI)^2 from the package's own chain
+* the exact monic recurrence of integer-alpha Laguerre, beta_k = 2k + 1 +
+  alpha, gamma_k = k (k + alpha) and ||P_0||^2 = alpha!, as Fractions,
+* the Gram matrices of the three derived inner products in that base basis
+  P_k: (x-c) dmu and (x-c)^2 dmu (banded, from the multiplication-by-(x-c)
+  matrix) and the discrete Sobolev product with point masses M, N at c
+  (diagonal plus rank two, from P_k(c) and P_k'(c)),
+* one exact LDL^T per Gram matrix, whose inverse factor holds the monic
+  orthogonal polynomials and whose diagonal their squared norms: the
+  modified-moment method carried out exactly,
+* the exact matrix suite of up to :data:`MAX_ROWS` rows: the Jacobi matrices
+  and the T/H connection matrices from those factorizations, the Cholesky
+  factors, Q/R and (J2 - cI)^2 from the package's own chain
   (:mod:`sobspec.matrices`) run over :class:`SqrtRational` at ``EXACT``
   precision,
 * squared-entry comparison of floating matrices against exact references,
   the one float-versus-exact rule of the package (the shipped reference
   tables, the fixture tool and the tests all count matches through it).
 
-The chain's formulas are shared with the floating path, so a slip in them is
-caught by the Gram-Schmidt side: Q R = J - cI and R Q = J2 - cI must hold
-exactly.  Orthonormal-level quantities are never represented by approximate
-square roots: comparisons happen in squared form with the sign tracked
-separately.
+None of it uses the kernel, Christoffel or Sobolev ledger formulas of the
+floating path.  The chain's formulas are shared with it, so a slip in them
+is caught by the factorization side: Q R = J - cI and R Q = J2 - cI must
+hold exactly.  Orthonormal-level quantities are never represented by
+approximate square roots: comparisons happen in squared form with the sign
+tracked separately.
 """
 
 from __future__ import annotations
@@ -33,9 +37,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from types import SimpleNamespace
 
-from .core import EXACT, context, to_mpf
+from .core import EXACT, _check_int, context, to_mpf
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -48,190 +54,6 @@ from .matrices import (
     multiply,
     qr_pair,
 )
-
-#: Gram-Schmidt degree cap.  A suite of n rows needs n + 2 degrees, so this
-#: cap keeps the oracle at 10 rows.
-DEFAULT_DEGREE_CAP = 12
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over Fraction, ascending coefficients
-# ---------------------------------------------------------------------------
-
-def poly_add(f, g):
-    n = max(len(f), len(g))
-    return tuple(
-        (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)
-    )
-
-
-def poly_scale(f, s):
-    return tuple(s * a for a in f)
-
-
-def poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def poly_deriv(f):
-    return tuple(i * a for i, a in enumerate(f))[1:] or (Fraction(0),)
-
-
-def poly_eval(f, x):
-    acc = Fraction(0)
-    for a in reversed(f):
-        acc = acc * x + a
-    return acc
-
-
-def _monomial(k):
-    return tuple([Fraction(0)] * k + [Fraction(1)])
-
-
-# ---------------------------------------------------------------------------
-# moment functionals
-# ---------------------------------------------------------------------------
-
-def laguerre_moments(alpha, count):
-    """Power moments of the weight x^alpha e^(-x) on (0, inf).
-
-    Exact only for nonnegative integer alpha, where the n-th moment is
-    (n + alpha)!.  Other alphas raise :class:`OracleUnsupportedError`; the
-    floating path remains available for them.
-    """
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
-    a = int(alpha)
-    if a != alpha or a < 0:
-        raise OracleUnsupportedError(
-            f"exact moments require a nonnegative integer alpha, got {alpha!r}"
-        )
-    return tuple(Fraction(math.factorial(n + a)) for n in range(count))
-
-
-@dataclass(frozen=True)
-class MomentFunctional:
-    """Exact bilinear form ``<f, g> = int f g dnu + M f(c) g(c) + N f'(c) g'(c)``
-    where ``moments`` are the power moments of nu.
-
-    The plain product has M = N = 0; the k-iterated transform ``(x-c)^k dmu``
-    is the plain product of the shifted moments; the Sobolev-type product
-    has point masses M, N at c.
-    """
-
-    moments: tuple
-    c: Fraction = Fraction(0)
-    M: Fraction = Fraction(0)
-    N: Fraction = Fraction(0)
-
-    @classmethod
-    def standard(cls, moments):
-        return cls(tuple(Fraction(m) for m in moments))
-
-    @classmethod
-    def iterated(cls, moments, k, c):
-        """The plain product of the moments of (x-c)^k dmu, sum over i of
-        C(k, i) (-c)^(k-i) m_(n+i): k fewer than ``moments`` holds."""
-        if k < 1:
-            raise InvalidParameterError("iterated transform needs k >= 1")
-        moments = tuple(Fraction(m) for m in moments)
-        weights = [math.comb(k, i) * (-Fraction(c)) ** (k - i) for i in range(k + 1)]
-        return cls(tuple(sum((w * moments[n + i] for i, w in enumerate(weights)), Fraction(0))
-                         for n in range(len(moments) - k)))
-
-    @classmethod
-    def sobolev(cls, moments, c, M, N):
-        M, N = Fraction(M), Fraction(N)
-        if M < 0 or N < 0:
-            raise InvalidParameterError("point masses M, N must be nonnegative")
-        return cls(tuple(Fraction(m) for m in moments), c=Fraction(c), M=M, N=N)
-
-    def inner(self, f, g):
-        """Exact value of the bilinear form on coefficient tuples f, g."""
-        f = tuple(Fraction(a) for a in f)
-        g = tuple(Fraction(a) for a in g)
-        h = poly_mul(f, g)
-        if len(h) > len(self.moments):
-            raise OracleUnsupportedError(
-                f"need moment of order {len(h) - 1}, have {len(self.moments)}"
-            )
-        return (sum((a * m for a, m in zip(h, self.moments)), Fraction(0))
-                + self.M * poly_eval(f, self.c) * poly_eval(g, self.c)
-                + self.N * poly_eval(poly_deriv(f), self.c) * poly_eval(poly_deriv(g), self.c))
-
-    def norm_sq(self, f):
-        return self.inner(f, f)
-
-
-# ---------------------------------------------------------------------------
-# monic Gram-Schmidt
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RationalPolySystem:
-    """Monic, exactly orthogonal polynomial system with exact squared norms."""
-
-    functional: MomentFunctional
-    coeffs: tuple
-    norm_sq: tuple
-
-    @property
-    def size(self):
-        return len(self.coeffs)
-
-    def recurrence(self):
-        """Exact three-term coefficients (beta_n, gamma_n) of the system.
-
-        beta_n = <x P_n, P_n>/<P_n, P_n>; gamma_n = <P_n, P_n>/<P_{n-1}, P_{n-1}>
-        with gamma_0 = 0 by convention.
-        """
-        betas, gammas = [], [Fraction(0)]
-        for n in range(self.size - 1):
-            xpn = poly_mul((Fraction(0), Fraction(1)), self.coeffs[n])
-            betas.append(self.functional.inner(xpn, self.coeffs[n]) / self.norm_sq[n])
-            if n >= 1:
-                gammas.append(self.norm_sq[n] / self.norm_sq[n - 1])
-        return tuple(betas), tuple(gammas)
-
-    def gram(self, upto=None):
-        """Matrix of pairwise functional inner products (for orthogonality checks)."""
-        m = self.size if upto is None else upto + 1
-        return [
-            [self.functional.inner(self.coeffs[i], self.coeffs[j]) for j in range(m)]
-            for i in range(m)
-        ]
-
-
-def gram_schmidt(functional, n):
-    """Monic orthogonal system of degrees 0..n for the given functional.
-
-    Raises :class:`NotPositiveDefiniteError` if any squared norm fails to be
-    positive, i.e. the functional is not positive definite through degree n.
-    """
-    if n > DEFAULT_DEGREE_CAP:
-        raise OracleUnsupportedError(
-            f"degree {n} exceeds the oracle cap {DEFAULT_DEGREE_CAP}"
-        )
-    basis, norms = [], []
-    for k in range(n + 1):
-        p = _monomial(k)
-        for j in range(k):
-            coef = functional.inner(p, basis[j]) / norms[j]
-            p = poly_add(p, poly_scale(basis[j], -coef))
-        ns = functional.norm_sq(p)
-        if ns <= 0:
-            raise NotPositiveDefiniteError(
-                f"squared norm at degree {k} is {ns}; functional not positive definite"
-            )
-        basis.append(p)
-        norms.append(ns)
-    return RationalPolySystem(functional, tuple(basis), tuple(norms))
-
 
 # ---------------------------------------------------------------------------
 # exact signed square roots of rationals
@@ -365,16 +187,115 @@ EXACT_CONTEXT = SimpleNamespace(zero=SqrtRational(0, 0), one=SqrtRational(1, 1),
 # exact matrix suite
 # ---------------------------------------------------------------------------
 
+#: The largest suite the oracle builds, in rows: the largest size at which
+#: one suite took no more CPU time than a 10-row suite by moment
+#: Gram-Schmidt did (about 0.2 s on a 2-vCPU VM; 30 rows took longer).
+#: Larger sizes raise at once, so a large ``generate`` never attempts one.
+MAX_ROWS = 29
+
+
+def laguerre_basis(alpha, count):
+    """Exact monic recurrence of x^alpha e^(-x) on (0, inf) for the degrees
+    0..count - 1: (beta, gamma, norm_sq) as Fractions, beta_k = 2k + 1 + alpha,
+    gamma_k = k (k + alpha) (gamma_0 = 0) and ||P_0||^2 = alpha!.
+
+    Rational only for a nonnegative integer alpha; other alphas raise
+    :class:`OracleUnsupportedError` (the floating path covers them).
+    """
+    a = int(alpha)
+    if a != alpha or a < 0:
+        raise OracleUnsupportedError(
+            f"the exact recurrence needs a nonnegative integer alpha, got {alpha!r}")
+    beta = tuple(Fraction(2 * k + 1 + a) for k in range(count))
+    gamma = tuple(Fraction(k * (k + a)) for k in range(count))
+    return beta, gamma, tuple(accumulate(gamma[1:], mul, initial=Fraction(math.factorial(a))))
+
+
+def _jet(basis, x):
+    """(P_k(x) for every degree k of ``basis``, P_k'(x) likewise), by the
+    recurrence P_(k+1) = (x - beta_k) P_k - gamma_k P_(k-1) and its derivative."""
+    beta, gamma, _ = basis
+    values, derivs = [Fraction(1)], [Fraction(0)]
+    pv = pd = Fraction(0)
+    for k in range(len(beta) - 1):
+        v, d = values[k], derivs[k]
+        values.append((x - beta[k]) * v - gamma[k] * pv)
+        derivs.append((x - beta[k]) * d + v - gamma[k] * pd)
+        pv, pd = v, d
+    return values, derivs
+
+
+def shift_matrix(basis, c):
+    """A with (x - c) P_i = sum_j A[i][j] P_j, for every degree i of ``basis``
+    but the last: tridiagonal, A[i][i - 1] = gamma_i, A[i][i] = beta_i - c and
+    A[i][i + 1] = 1, so it has one column more than rows."""
+    beta, gamma, _ = basis
+    m = len(beta) - 1
+    return [[{i - 1: gamma[i], i: beta[i] - c, i + 1: Fraction(1)}.get(j, Fraction(0))
+             for j in range(m + 1)] for i in range(m)]
+
+
+def grams(basis, c, M, N):
+    """The Gram matrices, in the basis P_0..P_(m-1) (m + 1 degrees in
+    ``basis``), of the three derived inner products:
+
+    * (x - c) dmu: G1 = <(x - c) P_i, P_j> = A diag(h), tridiagonal,
+    * (x - c)^2 dmu: G2 = A diag(h) A^T, pentadiagonal,
+    * the Sobolev product: Gs = diag(h) + M v v^T + N w w^T, v_k = P_k(c) and
+      w_k = P_k'(c),
+
+    with A the :func:`shift_matrix` and h the squared norms of the P_k.
+    """
+    _, _, h = basis
+    A = shift_matrix(basis, c)
+    m = len(A)
+    v, w = _jet(basis, c)
+    G1 = [[A[i][j] * h[j] for j in range(m)] for i in range(m)]
+    G2 = [[sum(A[i][k] * A[j][k] * h[k] for k in range(max(0, i - 1, j - 1), min(i, j) + 2))
+           for j in range(m)] for i in range(m)]
+    Gs = [[(h[i] if i == j else 0) + M * v[i] * v[j] + N * w[i] * w[j] for j in range(m)]
+          for i in range(m)]
+    return G1, G2, Gs
+
+
+def monic_system(gram):
+    """The exact LDL^T of a positive definite Gram matrix in the basis P_k,
+    by rows, as (C, D) with C = L^(-1): row n of C holds the coefficients in
+    P_0..P_n of the n-th monic orthogonal polynomial and D[n] its squared
+    norm, so C G C^T = diag(D).
+
+    Row i of L is (G C^T)[i] / D, over the earlier rows of C.  A pivot
+    D[i] <= 0 raises :class:`NotPositiveDefiniteError`.
+    """
+    C, D = [], []
+    for i, row in enumerate(gram):
+        nonzero = [(k, g) for k, g in enumerate(row[:i + 1]) if g]
+        ci = [Fraction(0)] * i + [Fraction(1)]
+        for j in range(i):
+            lij = sum(g * C[j][k] for k, g in nonzero if k <= j) / D[j]
+            if lij:
+                for k in range(j + 1):
+                    ci[k] -= lij * C[j][k]
+        d = sum(g * ci[k] for k, g in nonzero)
+        if not d > 0:
+            raise NotPositiveDefiniteError(
+                f"squared norm at degree {i} is {d}; the product is not positive definite")
+        C.append(ci)
+        D.append(d)
+    return C, D
+
+
 @dataclass(frozen=True)
 class OracleMatrixSuite:
     """All chain matrices of one configuration, as exact SqrtRational entries.
 
-    The three Jacobi matrices and the T/H connection matrices come from
-    independent Gram-Schmidt constructions; the Cholesky factors, Q, R and the
-    squared shifted Jacobi matrix from the chain of :mod:`sobspec.matrices`
-    run at ``EXACT`` precision.  Each matrix is held as its ``exact_size``
-    leading rows, dense (exact zeros off the band), which agree with the
-    semi-infinite object (the chain is built with two guard rows and trimmed).
+    The three Jacobi matrices and the T/H connection matrices come from the
+    exact LDL^T of Gram matrices in the base basis (:func:`monic_system`);
+    the Cholesky factors, Q, R and the squared shifted Jacobi matrix from the
+    chain of :mod:`sobspec.matrices` run at ``EXACT`` precision.  Each matrix
+    is held as its ``exact_size`` leading rows, dense (exact zeros off the
+    band), which agree with the semi-infinite object (the chain is built with
+    two guard rows and trimmed).
     """
 
     c: Fraction
@@ -388,52 +309,62 @@ def build_oracle_suite(alpha, c, M, N, size):
     """Exact matrix suite for integer-alpha Laguerre with mass point data (c, M, N).
 
     ``size`` is the number of exact leading rows/columns delivered for every
-    matrix; the Gram-Schmidt degree cap limits it (size + 2 monic degrees are
-    needed).  Matrix names: J, L, J1, L1, J2, Q, R, T, H, J2_shift_sq.
+    matrix, at most :data:`MAX_ROWS`.  Matrix names: J, L, J1, L1, J2, Q, R,
+    T, H, J2_shift_sq.
+
+    In the monic system (C, D) of each Gram matrix, S_k = sum_i C[k][i] P_i,
+    so x S_k = S_(k+1) + beta^S_k S_k + gamma^S_k S_(k-1) gives beta^S_k =
+    beta_k + C[k][k - 1] - C[k + 1][k] and gamma^S_k = D_k / D_(k-1).  T and
+    H are the band of C_s G2 C2^T and C_s G2 C_s^T scaled by the norms: the
+    Sobolev product of (x - c)^2 S_n with S_k is their (x - c)^2 dmu product,
+    since (x - c)^2 S_n vanishes with its derivative at c.
     """
     c, M, N = Fraction(c), Fraction(M), Fraction(N)
     if c >= 0:
         raise OracleUnsupportedError(
             "oracle chain assumes the mass point left of the Laguerre support"
         )
-    nb = deg = size + 2  # two guard rows: the chain's Q and R consume them
-    moments = laguerre_moments(alpha, 2 * deg + 4)
+    if M < 0 or N < 0:
+        raise InvalidParameterError("point masses M, N must be nonnegative")
+    if _check_int("size", size, 1) > MAX_ROWS:
+        raise OracleUnsupportedError(f"{size} rows exceed the oracle cap of {MAX_ROWS}")
+    nb = size + 2  # two guard rows: the chain's Q and R consume them
+    basis = laguerre_basis(alpha, nb + 2)  # Grams of nb + 1 rows
+    G1, G2, Gs = grams(basis, c, M, N)
+    (C1, D1), (C2, D2), (Cs, Ds) = monic_system(G1), monic_system(G2), monic_system(Gs)
 
-    std = gram_schmidt(MomentFunctional.standard(moments), deg)
-    it1 = gram_schmidt(MomentFunctional.iterated(moments, 1, c), deg)
-    it2 = gram_schmidt(MomentFunctional.iterated(moments, 2, c), deg)
-    sob = gram_schmidt(MomentFunctional.sobolev(moments, c, M, N), deg)
+    def jacobi(beta, gamma):
+        off = [SqrtRational(1, g) for g in gamma[1:nb]]
+        return from_diagonals({-1: off, 0: [SqrtRational.from_rational(b) for b in beta[:nb]],
+                               1: off}, nb, EXACT)
 
-    def banded(entry, offsets):
+    def recurrence(C, D):
+        beta = basis[0]
+        return ([beta[k] + (C[k][k - 1] if k else 0) - C[k + 1][k] for k in range(nb)],
+                [0] + [D[k] / D[k - 1] for k in range(1, nb)])
+
+    G2_rows = [[(k, g) for k, g in enumerate(row) if g] for row in G2]
+
+    def band(X, DX, Y, DY, offsets):
+        """Entries (n, n + k), k in ``offsets``, of X G2 Y^T / sqrt(DX DY^T)."""
+        W = [[sum(g * y[k] for k, g in row if k < len(y)) for row in G2_rows[:len(y) + 2]]
+             for y in Y[:nb]]  # G2 is pentadiagonal: (G2 y)_i = 0 for i > deg y + 2
+
+        def entry(n, m):
+            ip = sum(a * b for a, b in zip(X[n], W[m]))
+            return SqrtRational.from_rational(ip) / SqrtRational(1, DX[n] * DY[m])
+
         return from_diagonals({k: [entry(n, n + k) for n in range(max(0, -k), nb - max(0, k))]
                                for k in offsets}, nb, EXACT)
 
-    def jacobi(system):
-        betas, gammas = system.recurrence()
-        off = [SqrtRational(1, g) for g in gammas[1:nb]]
-        return from_diagonals({-1: off, 0: [SqrtRational.from_rational(b) for b in betas],
-                               1: off}, nb, EXACT)
-
-    sqn_sob = [SqrtRational(1, q) for q in sob.norm_sq]
-    sqn_it2 = [SqrtRational(1, q) for q in it2.norm_sq]
-    shift2 = (c * c, -2 * c, Fraction(1))
-
-    def t_entry(n, k):
-        ip = it2.functional.inner(sob.coeffs[n], it2.coeffs[k])
-        return SqrtRational.from_rational(ip) / (sqn_sob[n] * sqn_it2[k])
-
-    def h_entry(n, k):
-        ip = sob.functional.inner(poly_mul(shift2, sob.coeffs[n]), sob.coeffs[k])
-        return SqrtRational.from_rational(ip) / (sqn_sob[n] * sqn_sob[k])
-
-    J, J1, J2 = jacobi(std), jacobi(it1), jacobi(it2)
+    J, J1, J2 = jacobi(*basis[:2]), jacobi(*recurrence(C1, D1)), jacobi(*recurrence(C2, D2))
     L = cholesky_shifted(J, c)
     L1 = cholesky_shifted(commute_cholesky(L, c), c)
     Q, R = qr_pair(L, L1)
     J2_shift = J2.shifted(-c)
     chain = {
         "J": J, "L": L, "J1": J1, "L1": L1, "J2": J2, "Q": Q, "R": R,
-        "T": banded(t_entry, (-2, -1, 0)), "H": banded(h_entry, range(-2, 3)),
+        "T": band(Cs, Ds, C2, D2, (-2, -1, 0)), "H": band(Cs, Ds, Cs, Ds, range(-2, 3)),
         "J2_shift_sq": multiply(J2_shift, J2_shift),
     }
     matrices = {name: tuple(tuple(m.entry(i, j) for j in range(size)) for i in range(size))

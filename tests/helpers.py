@@ -1,4 +1,8 @@
-"""Shared assertion helpers for the numeric tests."""
+"""Shared assertion helpers for the numeric tests, and an exact moment
+functional of the Laguerre weight that is independent of the package."""
+
+import math
+from fractions import Fraction as F
 
 import mpmath as mp
 
@@ -38,3 +42,44 @@ def dense_block_residual(A, B, block):
                 diff = max(diff, abs(a - b))
                 scale = max(scale, abs(a), abs(b))
         return diff / max(mp.mpf(1), scale)
+
+
+# Exact polynomials as ascending coefficient lists of Fractions.
+
+def poly_mul(f, g):
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def poly_eval(f, x):
+    return sum((a * F(x) ** k for k, a in enumerate(f)), F(0))
+
+
+def poly_deriv(f):
+    return [k * a for k, a in enumerate(f)][1:] or [F(0)]
+
+
+def laguerre_monic(alpha, n):
+    """Monic Laguerre polynomial of degree n by its closed form (-1)^n n! L_n^(alpha)."""
+    return [F((-1) ** (n - k) * math.factorial(n) * math.comb(n + alpha, n - k),
+              math.factorial(k)) for k in range(n + 1)]
+
+
+def in_monomials(alpha, coeffs):
+    """sum_i coeffs[i] P_i, the P_i by the closed form."""
+    out = [F(0)] * len(coeffs)
+    for i, a in enumerate(coeffs):
+        for k, b in enumerate(laguerre_monic(alpha, i)):
+            out[k] += a * b
+    return out
+
+
+def moment_inner(alpha, f, g, c=0, M=0, N=0):
+    """int f g x^alpha e^(-x) dx on (0, inf) from the moments (n + alpha)!,
+    plus M f(c) g(c) + N f'(c) g'(c)."""
+    integral = sum(a * math.factorial(n + alpha) for n, a in enumerate(poly_mul(f, g)))
+    return (integral + M * poly_eval(f, c) * poly_eval(g, c)
+            + N * poly_eval(poly_deriv(f), c) * poly_eval(poly_deriv(g), c))

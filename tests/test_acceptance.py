@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from helpers import TOL28, TOL30, rel
+from helpers import TOL28, TOL30, in_monomials, laguerre_monic, moment_inner, poly_mul, rel
 from sobspec.christoffel import ChristoffelLedger, eval_iterated
 from sobspec.core import MeasureSpec, SobolevSpec, eval_jet, laguerre_recurrence
 from sobspec.golden import compare_reference, computed_counterparts, load_reference
@@ -24,13 +24,7 @@ from sobspec.matrices import (
     orthogonality_defect,
     verify_propositions,
 )
-from sobspec.oracle import (
-    MomentFunctional,
-    build_oracle_suite,
-    gram_schmidt,
-    laguerre_moments,
-    poly_mul,
-)
+from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
 SEVEN_IDENTITIES = (
@@ -90,14 +84,20 @@ def _five_term_residual_ok(spec, tol=TOL28, top=15, points=5):
     return worst <= tol, worst
 
 
+def _oracle_systems(M, N):
+    """Monomial coefficients and squared norms of the monic twice-transformed
+    and Sobolev families through degree 8, from the oracle's exact LDL^T."""
+    _, G2, Gs = grams(laguerre_basis(0, 10), F(-1), M, N)
+    return [([in_monomials(0, row) for row in C], D)
+            for C, D in (monic_system(G2), monic_system(Gs))]
+
+
 def _oracle_band_vanishes(M, N):
-    moments = laguerre_moments(0, 40)
-    fn = MomentFunctional.sobolev(moments, F(-1), M, N)
-    system = gram_schmidt(fn, 8)
+    _, (sob, _) = _oracle_systems(M, N)
     shift2 = (F(1), F(2), F(1))
     for n in range(3, 9):
         for k in range(n - 2):
-            if fn.inner(poly_mul(shift2, system.coeffs[n]), system.coeffs[k]) != 0:
+            if moment_inner(0, poly_mul(shift2, sob[n]), sob[k], -1, M, N) != 0:
                 return False
     return True
 
@@ -128,26 +128,24 @@ class TestAcceptance:
                f"{mp.nstr(worst, 4)}, {elapsed:.2f}s")
 
     def test_3_exact_orthogonality(self):
-        moments = laguerre_moments(0, 40)
+        (it2, _), (sob, sob_norm_sq) = _oracle_systems(1, 1)
+        shift2 = (F(1), F(2), F(1))
         families = {
-            "base": MomentFunctional.standard(moments),
-            "twice-transformed": MomentFunctional.iterated(moments, 2, F(-1)),
-            "sobolev": MomentFunctional.sobolev(moments, F(-1), 1, 1),
+            "base": ([laguerre_monic(0, n) for n in range(7)], moment_inner),
+            "twice-transformed": (it2, lambda a, f, g: moment_inner(a, poly_mul(shift2, f), g)),
+            "sobolev": (sob, lambda a, f, g: moment_inner(a, f, g, -1, 1, 1)),
         }
         diagonal = True
-        for fn in families.values():
-            system = gram_schmidt(fn, 6)
-            gram = system.gram(6)
+        for polys, inner in families.values():
             for i in range(7):
                 for j in range(7):
-                    if i != j and gram[i][j] != 0:
+                    if i != j and inner(0, polys[i], polys[j]) != 0:
                         diagonal = False
-        sob = gram_schmidt(families["sobolev"], 6)
         unit = True
         for i in range(7):
             for j in range(7):
-                ip = sob.functional.inner(sob.coeffs[i], sob.coeffs[j])
-                if ip * ip / (sob.norm_sq[i] * sob.norm_sq[j]) != (1 if i == j else 0):
+                ip = moment_inner(0, sob[i], sob[j], -1, 1, 1)
+                if ip * ip / (sob_norm_sq[i] * sob_norm_sq[j]) != (1 if i == j else 0):
                     unit = False
         report(3, diagonal and unit,
                "three Gram matrices exactly diagonal through degree 6; "

@@ -16,7 +16,7 @@ from sobspec.christoffel import (
 from sobspec.core import MeasureSpec, eval_jet
 from sobspec.errors import DegeneratePointError
 from sobspec.kernels import KernelTable
-from sobspec.oracle import MomentFunctional, gram_schmidt, laguerre_moments
+from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 
 RNG_SEED = 61409
 
@@ -43,10 +43,10 @@ class TestCoefficients:
 
     def test_exact_values_from_oracle(self, chris):
         # The oracle route: e_n = |P2_n|^2_[2] / |P_n|^2 over exact rationals.
-        std = gram_schmidt(MomentFunctional.standard(laguerre_moments(0, 40)), 8)
-        it2 = gram_schmidt(MomentFunctional.iterated(laguerre_moments(0, 40), 2, F(-1)), 8)
+        basis = laguerre_basis(0, 10)
+        _, it2_norm_sq = monic_system(grams(basis, F(-1), 1, 1)[1])
         for n in range(7):
-            e_exact = it2.norm_sq[n] / std.norm_sq[n]
+            e_exact = it2_norm_sq[n] / basis[2][n]
             assert_rel(chris.e[n], mp.mpf(e_exact.numerator) / e_exact.denominator)
 
 
@@ -72,12 +72,13 @@ class TestRecurrencePair:
         assert_rel(t1, mp.mpf(69) / 25)
 
     def test_matches_exact_oracle_recurrence(self, chris):
-        it2 = gram_schmidt(MomentFunctional.iterated(laguerre_moments(0, 40), 2, F(-1)), 8)
-        betas, gammas = it2.recurrence()
+        J2 = build_oracle_suite(0, -1, 1, 1, 6).matrices["J2"]
         for n in range(6):
-            assert_rel(chris.kappa[n], mp.mpf(betas[n].numerator) / betas[n].denominator)
+            kappa = J2[n][n].as_rational()
+            assert_rel(chris.kappa[n], mp.mpf(kappa.numerator) / kappa.denominator)
             if n >= 1:
-                assert_rel(chris.tau[n], mp.mpf(gammas[n].numerator) / gammas[n].denominator)
+                tau = J2[n - 1][n].square
+                assert_rel(chris.tau[n], mp.mpf(tau.numerator) / tau.denominator)
 
     def test_dual_tau_formulas(self, rec, kt, chris):
         with mp.workprec(rec.precision):

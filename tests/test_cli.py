@@ -50,6 +50,16 @@ class TestGenerate:
             doc = json.loads((tmp_path / f"{name}.json").read_text())
             assert "exact_size" in doc and doc["exact_size"] >= 6
 
+    def test_default_run_carries_entries_exact(self, runner, tmp_path):
+        # 8 rows + 4 guard rows lie within the oracle's reach; 26 + 4 do not.
+        for size, attached in (("8", True), ("26", False)):
+            out = tmp_path / size
+            result = runner.invoke(main, ["generate", "--size", size, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            for name in ("J", "J1", "J2", "L", "L1", "Q", "R", "T", "H"):
+                doc = json.loads((out / f"{name}.json").read_text())
+                assert ("entries_exact" in doc) == attached
+
     def test_invalid_alpha_exit_code(self, runner, tmp_path):
         result = run_generate(runner, tmp_path, "--alpha", "-2")
         assert result.exit_code == 2
@@ -138,6 +148,7 @@ class TestVerify:
         report = json.loads((tmp_path / "verification.json").read_text())
         assert report["pass"] is True
         assert len(report["residuals"]) == 10
+        assert "tolerance" not in report and report["config"]["tolerance"] == "1e-30"
 
     @pytest.mark.parametrize("option", ["--c=-inf", "--c=nan", "--M=inf", "--N=inf",
                                         "--alpha=inf", "--c=abc", *BAD_TOLERANCES])
@@ -197,13 +208,19 @@ Options:
   --guard INTEGER      Guard rows built beyond the size (>= 2).  [default: 4]
   --out TEXT           Output directory.  [default: sobspec-out]
   --format [json|csv]  Matrix and ledger file format.  [default: json]
-  --tolerance TEXT     Residual tolerance for verification.  [default: 1e-30]
   --help               Show this message and exit.
 """
 
+TOLERANCE_HELP = """\
+  --tolerance TEXT     Residual tolerance for verification.  [default: 1e-30]
+"""
+
+# command -> (help line, options help); generate takes every option but --tolerance.
 HELP = {
-    "generate": "Write all chain matrices and scalar ledgers to the output directory.",
-    "verify": "Run the factorization-identity residual suite; exit 4 on a breach.",
+    "generate": ("Write all chain matrices and scalar ledgers to the output directory.",
+                 OPTIONS_HELP),
+    "verify": ("Run the factorization-identity residual suite; exit 4 on a breach.",
+               OPTIONS_HELP.replace("  --help", TOLERANCE_HELP + "  --help")),
 }
 
 REPRODUCE_HELP = """\
@@ -231,8 +248,7 @@ RUN_JSON = """\
  "size": 8,
  "precision": 64,
  "guard": 4,
- "format": "json",
- "tolerance": "1e-30"
+ "format": "json"
 }
 """
 
@@ -253,6 +269,11 @@ ENV_RECORDED = [
     ("TOLERANCE", "1e-9", "tolerance", "1e-9"),
 ]
 
+# Each case for both commands but TOLERANCE, which only verify takes.
+ENV_CASES = [pytest.param(command, *case, id="-".join(map(str, (*case, command))))
+             for case in ENV_RECORDED for command in ("generate", "verify")
+             if command == "verify" or case[0] != "TOLERANCE"]
+
 
 def run_document(outdir, command):
     if command == "generate":
@@ -265,8 +286,8 @@ class TestOptionContract:
     def test_help_text(self, runner, command):
         result = runner.invoke(main, [command, "--help"])
         assert result.exit_code == 0
-        assert result.output == (f"Usage: main {command} [OPTIONS]\n\n"
-                                 f"  {HELP[command]}\n\n{OPTIONS_HELP}")
+        line, options = HELP[command]
+        assert result.output == f"Usage: main {command} [OPTIONS]\n\n  {line}\n\n{options}"
 
     def test_reproduce_paper_help_text(self, runner):
         result = runner.invoke(main, ["reproduce-paper", "--help"])
@@ -281,11 +302,10 @@ class TestOptionContract:
     def test_verification_config_is_the_run_document(self, runner, tmp_path):
         result = runner.invoke(main, ["verify", *SPEC_ARGS, "--out", str(tmp_path)])
         assert result.exit_code == 4  # 64 bits cannot meet the 1e-30 default
-        expected = {**json.loads(RUN_JSON), "command": "verify"}
+        expected = {**json.loads(RUN_JSON), "command": "verify", "tolerance": "1e-30"}
         assert run_document(tmp_path, "verify") == expected
 
-    @pytest.mark.parametrize("command", ["generate", "verify"])
-    @pytest.mark.parametrize("variable, value, key, recorded", ENV_RECORDED)
+    @pytest.mark.parametrize("command, variable, value, key, recorded", ENV_CASES)
     def test_env_var_reaches_option(self, runner, tmp_path, command, variable,
                                     value, key, recorded):
         env = {**ENV_BASE, "SOBSPEC_OUT": str(tmp_path), f"SOBSPEC_{variable}": value}
@@ -306,6 +326,12 @@ class TestOptionContract:
         result = runner.invoke(main, [command], env=env)
         assert result.exit_code == 2
         assert "got 'hermite'" in result.output
+
+    def test_generate_takes_no_tolerance(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "--tolerance", "1e-3", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "No such option '--tolerance'" in result.output
+        assert not (tmp_path / "run.json").exists()
 
     @pytest.mark.parametrize("variable, value, message", [
         ("PRECISION", "32", "precision must be an integer >= 64 bits, got 32"),

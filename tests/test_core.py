@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_rel, rel
+from helpers import assert_rel, laguerre_monic, moment_inner, poly_eval, rel
 from sobspec.core import (
     MeasureSpec,
     SobolevSpec,
@@ -23,7 +23,6 @@ from sobspec.core import (
 )
 from sobspec.errors import InvalidParameterError
 from sobspec.matrices import MatrixSuite
-from sobspec.oracle import MomentFunctional, gram_schmidt, laguerre_moments, poly_eval
 from sobspec.serialize import ledgers_to_doc, matrix_to_json
 
 
@@ -44,13 +43,14 @@ class TestLaguerreRecurrence:
         assert_rel(mp.sqrt(rec.gamma[3]), mp.mpf(3))
 
     def test_alpha_one_against_moment_oracle(self):
-        # Exact Gram-Schmidt from moments (n+1)! gives beta_1 = 4, gamma_1 = 2.
+        # The moments (n+1)! give beta_1 = <x P_1, P_1>/<P_1, P_1> = 4 and
+        # gamma_1 = <P_1, P_1>/<P_0, P_0> = 2.
         r1 = laguerre_recurrence(1, 6)
         assert r1.beta[1] == 4
         assert r1.gamma[1] == 2
-        sys1 = gram_schmidt(MomentFunctional.standard(laguerre_moments(1, 20)), 4)
-        betas, gammas = sys1.recurrence()
-        assert betas[1] == 4 and gammas[1] == 2
+        p0, p1 = laguerre_monic(1, 0), laguerre_monic(1, 1)
+        h1 = moment_inner(1, p1, p1)
+        assert moment_inner(1, [0] + p1, p1) / h1 == 4 and h1 / moment_inner(1, p0, p0) == 2
 
     def test_norm_seed_is_gamma_function(self):
         assert laguerre_recurrence(0, 3).norm_sq[0] == 1
@@ -75,6 +75,15 @@ class TestLaguerreRecurrence:
     def test_size_validation(self):
         with pytest.raises(InvalidParameterError):
             laguerre_recurrence(0, 0)
+
+    @pytest.mark.parametrize("size, precision", [(4.0, 256), ("4", 256), (None, 256),
+                                                 (4, "256"), (4, 100.5), (4, None), (4, 0)])
+    def test_size_and_precision_must_be_integers(self, size, precision):
+        # A precision of "256" would otherwise make a context apart from context(256).
+        with pytest.raises(InvalidParameterError):
+            laguerre_recurrence(0, size, precision)
+        with pytest.raises(InvalidParameterError):
+            reflected_laguerre(8).recurrence(size, precision)
 
 
 class TestCustomMeasure:
@@ -145,10 +154,9 @@ class TestEvalJet:
         assert j.jet(0, 1) == 0 and j.jet(1, 2) == 0 and j.jet(2, 3) == 0
 
     def test_monic_against_exact_oracle(self, rec):
-        std = gram_schmidt(MomentFunctional.standard(laguerre_moments(0, 30)), 6)
         for n in range(7):
             for x in (F(-1), F(0), F(3, 2), F(10)):
-                exact = poly_eval(std.coeffs[n], x)
+                exact = poly_eval(laguerre_monic(0, n), x)
                 assert_rel(monic_value(rec, n, x), mp.mpf(exact.numerator) / exact.denominator)
 
     def test_index_and_order_validation(self, rec):

@@ -1,180 +1,226 @@
-"""Exact-rational oracle: moments, Gram-Schmidt, signed square roots.
+"""Exact-rational oracle: base recurrence, Gram matrices, monic systems by
+exact LDL^T, signed square roots.
 
 These run first in spirit: every frozen expected value elsewhere in the
-suite was derived from (or verified against) the constructions here.
+suite was derived from (or verified against) the constructions here.  The
+moment functional of ``helpers`` (closed-form Laguerre polynomials and the
+moments (n + alpha)!) is the independent anchor of the recurrence route.
 """
 
+import math
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from sobspec.core import context
+from helpers import in_monomials, laguerre_monic, moment_inner, poly_mul
+from sobspec.core import MeasureSpec, SobolevSpec, context
 from sobspec.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
     OracleUnsupportedError,
 )
+from sobspec.matrices import MatrixSuite
 from sobspec.oracle import (
-    MomentFunctional,
+    MAX_ROWS,
     SqrtRational,
     build_oracle_suite,
-    gram_schmidt,
-    laguerre_moments,
-    poly_mul,
+    grams,
+    laguerre_basis,
+    monic_system,
+    shift_matrix,
     squared_entry_compare,
 )
 
 C, M, N = F(-1), F(1), F(1)
-SHIFT2 = (F(1), F(2), F(1))  # (x + 1)^2
+SHIFT = [-C, F(1)]  # x + 1
 
 
 @pytest.fixture(scope="module")
-def moments():
-    return laguerre_moments(0, 40)
+def basis():
+    return laguerre_basis(0, 10)
 
 
 @pytest.fixture(scope="module")
-def std(moments):
-    return gram_schmidt(MomentFunctional.standard(moments), 8)
+def gram_matrices(basis):
+    return grams(basis, C, M, N)
 
 
 @pytest.fixture(scope="module")
-def it2(moments):
-    return gram_schmidt(MomentFunctional.iterated(moments, 2, C), 8)
+def it2(gram_matrices):
+    return monic_system(gram_matrices[1])
 
 
 @pytest.fixture(scope="module")
-def sob(moments):
-    return gram_schmidt(MomentFunctional.sobolev(moments, C, M, N), 8)
+def sob(gram_matrices):
+    return monic_system(gram_matrices[2])
+
+
+def moments_from_recurrence(alpha, count):
+    """||P_0||^2 (J^n)_00 for n < count: x^n = sum_k u_k P_k, with u pushed
+    through x P_k = P_(k+1) + beta_k P_k + gamma_k P_(k-1)."""
+    beta, gamma, norm_sq = laguerre_basis(alpha, count + 1)
+    u, out = [F(1)] + [F(0)] * count, []
+    for _ in range(count):
+        out.append(norm_sq[0] * u[0])
+        u = [(u[k - 1] if k else 0) + beta[k] * u[k]
+             + (gamma[k + 1] * u[k + 1] if k < count else 0) for k in range(count + 1)]
+    return out
+
+
+def _matmul(X, Y):
+    return [[sum((a * b for a, b in zip(row, col) if a and b), F(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def _leading(X, n):
+    return [list(row[:n]) for row in X[:n]]
 
 
 class TestMoments:
+    """The exact recurrence and the Gram matrices against the moments (n + alpha)!."""
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_recurrence_reproduces_the_moments(self, alpha):
+        assert moments_from_recurrence(alpha, 16) == [F(math.factorial(n + alpha))
+                                                     for n in range(16)]
+
     def test_factorials(self):
-        assert laguerre_moments(0, 5) == (1, 1, 2, 6, 24)
+        assert moments_from_recurrence(0, 5) == [1, 1, 2, 6, 24]
 
     def test_alpha_two(self):
-        assert laguerre_moments(2, 3) == (2, 6, 24)
+        assert moments_from_recurrence(2, 3) == [2, 6, 24]
 
     def test_non_integer_alpha_rejected(self):
         with pytest.raises(OracleUnsupportedError):
-            laguerre_moments(0.5, 4)
+            laguerre_basis(0.5, 4)
+        with pytest.raises(OracleUnsupportedError):
+            build_oracle_suite(F(1, 2), C, M, N, 4)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(OracleUnsupportedError):
-            laguerre_moments(-1, 4)
+            laguerre_basis(-1, 4)
 
     def test_count_validated(self):
-        with pytest.raises(InvalidParameterError):
-            laguerre_moments(0, 0)
+        for size in (0, 4.0, "4", None):
+            with pytest.raises(InvalidParameterError):
+                build_oracle_suite(0, C, M, N, size)
 
-    def test_modified_moment_of_shifted_square(self, moments):
-        f = MomentFunctional.iterated(moments, 2, C)
-        assert f.inner((F(1),), (F(1),)) == 5
+    def test_modified_moment_of_shifted_square(self, gram_matrices):
+        assert gram_matrices[1][0][0] == 5
 
-    def test_sobolev_pairing_of_ones(self, moments):
-        f = MomentFunctional.sobolev(moments, C, M, N)
-        assert f.inner((F(1),), (F(1),)) == 2
+    def test_sobolev_pairing_of_ones(self, gram_matrices):
+        Gs = gram_matrices[2]
+        assert Gs[0][0] == 2
+        P = [laguerre_monic(0, i) for i in range(len(Gs))]
+        assert Gs == [[moment_inner(0, p, q, C, M, N) for q in P] for p in P]
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_iterated_is_standard_times_shift_power(self, moments, k):
+    def test_iterated_is_standard_times_shift_power(self, k):
         c = F(-3, 2)
-        shift = (F(1),)
+        shift = [F(1)]
         for _ in range(k):
-            shift = poly_mul(shift, (-c, F(1)))
-        it, base = MomentFunctional.iterated(moments, k, c), MomentFunctional.standard(moments)
-        polys = [(F(1),), (F(-1), F(1)), (F(2), F(0), F(-1, 3)), (F(1, 2), F(-2), F(0), F(5))]
-        for f in polys:
-            for g in polys:
-                assert it.inner(f, g) == base.inner(poly_mul(f, shift), g)
+            shift = poly_mul(shift, [-c, F(1)])
+        for alpha in (0, 1):
+            G = grams(laguerre_basis(alpha, 8), c, M, N)[k - 1]
+            P = [laguerre_monic(alpha, i) for i in range(len(G))]
+            assert G == [[moment_inner(alpha, poly_mul(shift, p), q) for q in P] for p in P]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_iterated_moments_run_out_k_early(self, k):
-        f = MomentFunctional.iterated(laguerre_moments(0, 6), k, C)
-        top = 6 - k - 1  # highest moment order left
-        f.inner((F(1),), (F(0),) * top + (F(1),))
-        with pytest.raises(OracleUnsupportedError):
-            f.inner((F(0), F(1)), (F(0),) * top + (F(1),))
+        # (x - c) P_i needs P_(i+1): the Grams stop one degree short of the basis.
+        G = grams(laguerre_basis(0, 6), C, M, N)[k - 1]
+        assert len(G) == 5 and all(len(row) == 5 for row in G)
 
 
 class TestGramSchmidt:
-    def test_standard_first_polynomials(self, std):
-        assert std.coeffs[1] == (F(-1), F(1))
-        assert std.norm_sq[1] == 1
-        assert std.norm_sq[2] == 4
+    """Monic systems by exact LDL^T, which is Gram-Schmidt in the base basis."""
 
-    def test_standard_recurrence_alpha0(self, std):
-        betas, gammas = std.recurrence()
-        assert betas == tuple(2 * n + 1 for n in range(len(betas)))
-        assert gammas == tuple(F(n * n) for n in range(len(gammas)))
+    def test_standard_first_polynomials(self):
+        beta, _, norm_sq = laguerre_basis(0, 3)
+        assert beta[0] == 1  # P_1 = x - 1
+        assert norm_sq == (1, 1, 4)
+
+    def test_standard_recurrence_alpha0(self):
+        beta, gamma, _ = laguerre_basis(0, 9)
+        assert beta == tuple(2 * n + 1 for n in range(9))
+        assert gamma == tuple(F(n * n) for n in range(9))
 
     def test_alpha_one_recurrence(self):
-        sys1 = gram_schmidt(MomentFunctional.standard(laguerre_moments(1, 30)), 6)
-        betas, gammas = sys1.recurrence()
-        assert betas[0] == 2
-        assert betas[1] == 4
-        assert gammas[1] == 2
+        beta, gamma, _ = laguerre_basis(1, 6)
+        assert beta[0] == 2
+        assert beta[1] == 4
+        assert gamma[1] == 2
 
-    def test_orthonormal_gram_is_identity_squared_form(self, std):
+    def test_orthonormal_gram_is_identity_squared_form(self, basis):
+        norm_sq = basis[2]
+        P = [laguerre_monic(0, i) for i in range(7)]
         for i in range(7):
             for j in range(7):
-                ip = std.functional.inner(std.coeffs[i], std.coeffs[j])
-                squared = ip * ip / (std.norm_sq[i] * std.norm_sq[j])
-                assert squared == (1 if i == j else 0)
+                ip = moment_inner(0, P[i], P[j])
+                assert ip * ip / (norm_sq[i] * norm_sq[j]) == (1 if i == j else 0)
 
     def test_iterated_gram_diagonal(self, it2):
-        gram = it2.gram(6)
+        coeffs, norm_sq = it2
+        S = [in_monomials(0, row) for row in coeffs[:7]]
+        shift2 = poly_mul(SHIFT, SHIFT)
         for i in range(7):
             for j in range(7):
-                if i != j:
-                    assert gram[i][j] == 0
-                else:
-                    assert gram[i][j] > 0
+                ip = moment_inner(0, poly_mul(shift2, S[i]), S[j])
+                assert ip == (norm_sq[i] if i == j else 0) and norm_sq[i] > 0
 
     def test_sobolev_first_degree_is_x(self, sob):
-        assert sob.coeffs[1] == (F(0), F(1))
-        assert sob.norm_sq[1] == 4
+        coeffs, norm_sq = sob
+        assert coeffs[1] == [1, 1]  # P_1 + P_0 = x
+        assert norm_sq[1] == 4
 
     def test_sobolev_gram_diagonal(self, sob):
-        gram = sob.gram(6)
+        coeffs, norm_sq = sob
+        S = [in_monomials(0, row) for row in coeffs[:7]]
         for i in range(7):
             for j in range(7):
-                assert (gram[i][j] == 0) == (i != j)
+                ip = moment_inner(0, S[i], S[j], C, M, N)
+                assert (ip == 0) == (i != j)
+                assert i != j or ip == norm_sq[i]
 
-    def test_degree_cap(self, moments):
+    def test_degree_cap(self):
+        build_oracle_suite(0, C, M, N, 3)
         with pytest.raises(OracleUnsupportedError):
-            gram_schmidt(MomentFunctional.standard(moments), 13)
+            build_oracle_suite(0, C, M, N, MAX_ROWS + 1)
 
     def test_not_positive_definite(self):
-        bad = MomentFunctional.standard((F(0), F(0), F(0)))
         with pytest.raises(NotPositiveDefiniteError):
-            gram_schmidt(bad, 1)
+            monic_system([[F(0)]])
+        with pytest.raises(NotPositiveDefiniteError):
+            monic_system([[F(1), F(2)], [F(2), F(1)]])
 
 
 class TestSobolevStructure:
-    def test_multiplication_by_shift_square_is_symmetric(self, moments):
-        f = MomentFunctional.sobolev(moments, C, M, N)
-        for i in range(9):
-            for j in range(9):
-                p = tuple(F(0) for _ in range(i)) + (F(1),)
-                q = tuple(F(0) for _ in range(j)) + (F(1),)
-                left = f.inner(poly_mul(SHIFT2, p), q)
-                right = f.inner(p, poly_mul(SHIFT2, q))
-                assert left == right
+    """(x - c)^2 in the Sobolev product, with its point masses, in the base
+    basis: A^2 Gs on the leading block where the truncated product is whole."""
 
-    def test_shift_square_pairing_drops_to_iterated(self, moments, sob):
-        fs = MomentFunctional.sobolev(moments, C, M, N)
-        f2 = MomentFunctional.iterated(moments, 2, C)
-        for n in range(7):
-            for k in range(7):
-                left = fs.inner(poly_mul(SHIFT2, sob.coeffs[n]), sob.coeffs[k])
-                assert left == f2.inner(sob.coeffs[n], sob.coeffs[k])
+    @pytest.fixture(scope="class")
+    def shift_square_pairing(self, basis, gram_matrices):
+        A = [row[:-1] for row in shift_matrix(basis, C)]
+        n = len(A) - 2
+        return _leading(_matmul(_matmul(A, A), gram_matrices[2]), n)
 
-    def test_five_term_band_vanishes_exactly(self, moments, sob):
-        fs = MomentFunctional.sobolev(moments, C, M, N)
-        for n in range(3, 9):
-            for k in range(n - 2):
-                assert fs.inner(poly_mul(SHIFT2, sob.coeffs[n]), sob.coeffs[k]) == 0
+    def test_multiplication_by_shift_square_is_symmetric(self, shift_square_pairing):
+        assert shift_square_pairing == [list(col) for col in zip(*shift_square_pairing)]
+
+    def test_shift_square_pairing_drops_to_iterated(self, shift_square_pairing,
+                                                    gram_matrices):
+        n = len(shift_square_pairing)
+        assert shift_square_pairing == _leading(gram_matrices[1], n)
+
+    def test_five_term_band_vanishes_exactly(self, shift_square_pairing, sob):
+        n = len(shift_square_pairing)
+        Cs = [row + [F(0)] * (n - len(row)) for row in sob[0][:n]]
+        pairing = _matmul(_matmul(Cs, shift_square_pairing), list(map(list, zip(*Cs))))
+        for i in range(3, n):
+            for k in range(i - 2):
+                assert pairing[i][k] == 0
+            assert pairing[i][i - 2] != 0
 
 
 class TestSqrtRational:
@@ -263,15 +309,21 @@ class TestOracleSuite:
             build_oracle_suite(0, F(1), M, N, 4)
 
 
-@pytest.fixture(scope="module", params=[(0, C, M, N), (1, F(-1, 2), F(2), F(1, 3))],
-                ids=["worked-example", "alpha1"])
-def suite10(request):
-    return build_oracle_suite(*request.param, 10)
+CHAIN_CONFIGS = {"worked-example": (0, C, M, N), "alpha1": (1, F(-1, 2), F(2), F(1, 3))}
+
+
+@pytest.fixture(scope="module", params=[(name, rows) for rows in (10, MAX_ROWS)
+                                        for name in CHAIN_CONFIGS],
+                ids=lambda p: p[0] if p[1] == 10 else f"{p[0]}-{p[1]}")
+def chain_suite(request):
+    name, rows = request.param
+    return build_oracle_suite(*CHAIN_CONFIGS[name], rows)
 
 
 def _product(A, B, block):
     """Leading block x block of the dense exact product A B."""
-    return [[sum((A[i][j] * B[j][k] for j in range(len(B))), SqrtRational(0, 0))
+    return [[sum((A[i][j] * B[j][k] for j in range(len(B)) if A[i][j].sign and B[j][k].sign),
+                 SqrtRational(0, 0))
              for k in range(block)] for i in range(block)]
 
 
@@ -282,22 +334,42 @@ def _shifted(A, c, block):
 
 class TestOracleChainIdentities:
     """Q, R and J2_shift_sq come from the package's chain run in exact
-    arithmetic; these identities tie them to the Gram-Schmidt J and J2.
-    Each block is the leading one where the truncated product is complete:
-    R is upper triangular with bandwidth 2 and Q upper Hessenberg."""
+    arithmetic; these identities tie them to J and to the J2 of the exact
+    LDL^T, at 10 rows and at the oracle's cap.  Each block is the leading one
+    where the truncated product is complete: R is upper triangular with
+    bandwidth 2 and Q upper Hessenberg."""
 
-    def test_qr_is_shifted_j(self, suite10):
-        m = suite10.matrices
-        assert _product(m["Q"], m["R"], 10) == _shifted(m["J"], suite10.c, 10)
+    def test_qr_is_shifted_j(self, chain_suite):
+        m, n = chain_suite.matrices, chain_suite.exact_size
+        assert _product(m["Q"], m["R"], n) == _shifted(m["J"], chain_suite.c, n)
 
-    def test_rq_is_shifted_j2(self, suite10):
-        m = suite10.matrices
-        assert _product(m["R"], m["Q"], 9) == _shifted(m["J2"], suite10.c, 9)
+    def test_rq_is_shifted_j2(self, chain_suite):
+        m, n = chain_suite.matrices, chain_suite.exact_size
+        assert _product(m["R"], m["Q"], n - 1) == _shifted(m["J2"], chain_suite.c, n - 1)
 
-    def test_r_rt_is_j2_shift_sq(self, suite10):
-        m = suite10.matrices
+    def test_r_rt_is_j2_shift_sq(self, chain_suite):
+        m, n = chain_suite.matrices, chain_suite.exact_size
         Rt = list(zip(*m["R"]))
-        assert _product(m["R"], Rt, 8) == [list(row[:8]) for row in m["J2_shift_sq"][:8]]
+        assert _product(m["R"], Rt, n - 2) == [list(row[:n - 2])
+                                               for row in m["J2_shift_sq"][:n - 2]]
+
+
+class TestFloatPathAgainstOracle:
+    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
+    def test_float_suite_matches_the_oracle_at_the_cap(self, name):
+        # The floating chain and ledgers at 256 bits against the exact suite
+        # at MAX_ROWS, over every band entry inside each matrix's exact block.
+        alpha, c, m, n = CHAIN_CONFIGS[name]
+        spec = SobolevSpec(MeasureSpec.laguerre(alpha), c, m, n)
+        suite = MatrixSuite.build(spec, MAX_ROWS - 4, guard=4, precision=256)
+        exact = build_oracle_suite(alpha, c, m, n, MAX_ROWS).matrices
+        for label, matrix in suite.named_matrices().items():
+            cells = [(i, j) for i, j, _ in matrix.band_entries()
+                     if max(i, j) < matrix.exact_size]
+            report = squared_entry_compare(
+                label, {ij: matrix.entry(*ij) for ij in cells},
+                {(i, j): exact[label][i][j] for i, j in cells}, F(1, 2**128))
+            assert report.all_ok, report.summary()
 
 
 class TestSquaredEntryCompare:

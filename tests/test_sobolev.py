@@ -6,17 +6,11 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from helpers import TOL30, assert_rel, assert_squared, rel
+from helpers import TOL30, assert_rel, assert_squared, in_monomials, poly_deriv, poly_eval, rel
 from sobspec.christoffel import eval_iterated
 from sobspec.core import MeasureSpec, SobolevSpec, eval_jet, orthonormal_value
 from sobspec.kernels import kernel_at, kernel_dy_at_c
-from sobspec.oracle import (
-    MomentFunctional,
-    gram_schmidt,
-    laguerre_moments,
-    poly_deriv,
-    poly_eval,
-)
+from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 from sobspec.sobolev import (
     SobolevLedger,
     eval_sobolev,
@@ -29,12 +23,16 @@ RNG_SEED = 77077
 
 @pytest.fixture(scope="module")
 def oracle_sob():
-    return gram_schmidt(MomentFunctional.sobolev(laguerre_moments(0, 40), F(-1), 1, 1), 8)
+    """Monomial coefficients and squared norms of the monic Sobolev family
+    through degree 8, from the oracle's exact LDL^T."""
+    coeffs, norm_sq = monic_system(grams(laguerre_basis(0, 10), F(-1), 1, 1)[2])
+    return [in_monomials(0, row) for row in coeffs], norm_sq
 
 
 @pytest.fixture(scope="module")
-def oracle_it2():
-    return gram_schmidt(MomentFunctional.iterated(laguerre_moments(0, 40), 2, F(-1)), 8)
+def oracle_T():
+    """The exact connection matrix: T[n][k] = <s_n, p2_k> in (x + 1)^2 dmu."""
+    return build_oracle_suite(0, -1, 1, 1, 8).matrices["T"]
 
 
 class TestBoundary:
@@ -48,8 +46,8 @@ class TestBoundary:
         with mp.workprec(rec.precision):
             for n in range(7):
                 sc, sdc = sobolev_boundary(rec, kt, spec, n)
-                ref_c = poly_eval(oracle_sob.coeffs[n], F(-1))
-                ref_d = poly_eval(poly_deriv(oracle_sob.coeffs[n]), F(-1))
+                ref_c = poly_eval(oracle_sob[0][n], F(-1))
+                ref_d = poly_eval(poly_deriv(oracle_sob[0][n]), F(-1))
                 assert rel(sc, mp.mpf(ref_c.numerator) / ref_c.denominator) <= TOL30
                 assert rel(sdc, mp.mpf(ref_d.numerator) / ref_d.denominator) <= TOL30
 
@@ -68,7 +66,7 @@ class TestNorms:
 
     def test_oracle_norms(self, sob, oracle_sob):
         for n in range(7):
-            ref = oracle_sob.norm_sq[n]
+            ref = oracle_sob[1][n]
             assert_rel(sob.normS_sq[n], mp.mpf(ref.numerator) / ref.denominator)
 
 
@@ -80,27 +78,22 @@ class TestGammaConnection:
         assert_squared(g11, F(69, 20))
         assert_squared(g01, F(121, 20))
 
-    def test_oracle_inner_products(self, rec, kt, chris, spec, oracle_sob, oracle_it2):
+    def test_oracle_inner_products(self, rec, kt, chris, spec, oracle_T):
         # gamma_{k,n} = <s_n, p2_k>; compare in squared form against the oracle
-        f2 = oracle_it2.functional
         sob = SobolevLedger.build(rec, kt, chris, spec, 10, reading="corrected")
         with mp.workprec(rec.precision):
             for n in range(7):
                 for k in range(max(0, n - 2), n + 1):
-                    ip = f2.inner(oracle_sob.coeffs[n], oracle_it2.coeffs[k])
-                    denom = oracle_sob.norm_sq[n] * oracle_it2.norm_sq[k]
-                    target_sq = ip * ip / denom
+                    target_sq = oracle_T[n][k].square
                     got = {n: sob.gamma_nn[n], n - 1: sob.gamma_n1[n], n - 2: sob.gamma_n2[n]}[k]
                     assert rel(got * got,
                                mp.mpf(target_sq.numerator) / target_sq.denominator) <= TOL30
 
-    def test_literal_reading_fails_oracle(self, rec, kt, chris, spec, oracle_sob, oracle_it2):
+    def test_literal_reading_fails_oracle(self, rec, kt, chris, spec, oracle_T):
         # The verbatim derivative index gives 3/sqrt(5) at (1,0) instead of
         # 11/(2 sqrt(5)); it cannot reproduce the oracle inner product.
         lit = SobolevLedger.build(rec, kt, chris, spec, 6, reading="literal")
-        f2 = oracle_it2.functional
-        ip = f2.inner(oracle_sob.coeffs[1], oracle_it2.coeffs[0])
-        target_sq = ip * ip / (oracle_sob.norm_sq[1] * oracle_it2.norm_sq[0])
+        target_sq = oracle_T[1][0].square
         with mp.workprec(rec.precision):
             got_sq = lit.gamma_n1[1] ** 2
             assert rel(got_sq, mp.mpf(target_sq.numerator) / target_sq.denominator) > 0.1
@@ -172,7 +165,7 @@ class TestEvaluation:
         with mp.workprec(rec.precision):
             for n in range(7):
                 for x in (F(0), F(1, 3), F(5), F(-2)):
-                    ref = poly_eval(oracle_sob.coeffs[n], x)
+                    ref = poly_eval(oracle_sob[0][n], x)
                     got = eval_sobolev(rec, kt, sob, n, mp.mpf(x.numerator) / x.denominator)
                     assert rel(got, mp.mpf(ref.numerator) / ref.denominator) <= TOL30
 
