@@ -17,17 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import context, eval_jet, relative_difference, to_mpf
+from .core import _check_int, context, eval_jet, relative_difference, to_mpf
 from .errors import DegeneratePointError, NumericalFailureError
 from .kernels import _near, kernel_at
 
 
-def _guard_tol(precision):
-    return context(precision).ldexp(1, -(precision // 2))
-
-
 def _enforce(a, b, what, precision):
-    if relative_difference(a, b) > _guard_tol(precision):
+    if relative_difference(a, b) > context(precision).ldexp(1, -(precision // 2)):
         raise NumericalFailureError(
             f"dual formulas for {what} disagree beyond the precision guard: {a} vs {b}"
         )
@@ -42,12 +38,13 @@ def _wronskian_den(kt, n):
     return den
 
 
-def christoffel_coeffs(rec, kt, n):
+def christoffel_coeffs(kt, n):
     """(d_n, e_n) of the twice-transformed connection, determinant route.
 
     e_n is computed both by the determinant formula and as
     (r_n/r_{n+1})^2 K_{n+1}(c,c)/K_n(c,c); the two must agree.
     """
+    rec = kt.rec
     if not 0 <= n <= rec.size - 3:
         raise IndexError(f"coefficients at {n} need jets of P_{n + 2}")
     j = kt.cjets
@@ -59,8 +56,9 @@ def christoffel_coeffs(rec, kt, n):
     return d, e_det
 
 
-def iterated_leading(rec, kt, n):
+def iterated_leading(kt, n):
     """r^[2]_n = r_{n+1} sqrt(K_n(c,c) / K_{n+1}(c,c)) > 0."""
+    rec = kt.rec
     if not 0 <= n <= rec.size - 2:
         raise IndexError(f"leading coefficient at {n} needs K_{n + 1}")
     return rec.leading[n + 1] * context(rec.precision).sqrt(kt.K[n] / kt.K[n + 1])
@@ -68,14 +66,14 @@ def iterated_leading(rec, kt, n):
 
 @dataclass(frozen=True)
 class ChristoffelLedger:
-    """Per-index scalars of the twice-transformed family.
+    """Per-index scalars of the twice-transformed family, built from the
+    kernel table ``kt`` at the mass point (and through it the recurrence).
 
     tau[0] holds the squared norm of the degree-0 member (the recurrence
     starts from p^[2]_0 = 1/sqrt(tau_0)); tau[n] for n >= 1 is the recurrence
     coefficient (r^[2]_{n-1}/r^[2]_n)^2.
     """
 
-    rec: object
     kt: object
     d: tuple
     e: tuple
@@ -89,19 +87,15 @@ class ChristoffelLedger:
         return len(self.kappa)
 
     @classmethod
-    def build(cls, rec, kt, size):
-        if size > rec.size - 2:
-            raise IndexError(
-                f"ledger of size {size} needs a recurrence table of size {size + 2}"
-            )
-        d, e, r2, norm2 = [], [], [], []
-        for n in range(size):
-            dn, en = christoffel_coeffs(rec, kt, n)
-            d.append(dn)
-            e.append(en)
-            r2.append(iterated_leading(rec, kt, n))
-            norm2.append(en * rec.norm_sq[n])
-        kappa, tau = [], [norm2[0]]
+    def build(cls, kt, size):
+        rec = kt.rec
+        if _check_int("size", size, 0) > rec.size - 2:
+            raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
+        pairs = [christoffel_coeffs(kt, n) for n in range(size)]
+        d, e = [dn for dn, _ in pairs], [en for _, en in pairs]
+        r2 = [iterated_leading(kt, n) for n in range(size)]
+        norm2 = [en * rec.norm_sq[n] for n, en in enumerate(e)]
+        kappa, tau = [], norm2[:1]
         for n in range(size):
             t1 = rec.beta[n]
             if n >= 1:
@@ -113,12 +107,12 @@ class ChristoffelLedger:
                 t_alt = (r2[n - 1] / rec.leading[n + 1]) ** 2 * (kt.K[n + 1] / kt.K[n])
                 _enforce(t_rat, t_alt, f"tau_{n}", rec.precision)
                 tau.append(t_rat)
-        return cls(rec=rec, kt=kt, d=tuple(d), e=tuple(e), r2=tuple(r2),
+        return cls(kt=kt, d=tuple(d), e=tuple(e), r2=tuple(r2),
                    kappa=tuple(kappa), tau=tuple(tau), norm2_sq=tuple(norm2))
 
 
 def _monic_iterated_by_recurrence(ledger, n, x):
-    ctx = context(ledger.rec.precision)
+    ctx = context(ledger.kt.rec.precision)
     pm1, p = ctx.zero, ctx.one
     for k in range(n):
         tau = ledger.tau[k] if k >= 1 else ctx.zero
@@ -127,7 +121,7 @@ def _monic_iterated_by_recurrence(ledger, n, x):
 
 
 def _monic_iterated_by_connection(ledger, n, x):
-    rec = ledger.rec
+    rec = ledger.kt.rec
     c = ledger.kt.c
     if x == c:
         j = ledger.kt.cjets
@@ -138,7 +132,7 @@ def _monic_iterated_by_connection(ledger, n, x):
     return num / (x - c) ** 2
 
 
-def eval_iterated(rec, ledger, n, x, k=2, monic=False):
+def eval_iterated(chris, n, x, k=2, monic=False):
     """Value of the k-iterated family at x (k = 1 monic, k = 2 by default
     orthonormal, monic with the flag).
 
@@ -147,24 +141,25 @@ def eval_iterated(rec, ledger, n, x, k=2, monic=False):
     from the mass point, also by the connection through P_{n+2}, P_{n+1}, P_n;
     the two routes must agree within the precision guard.
     """
+    kt, rec = chris.kt, chris.kt.rec
     x = to_mpf(x, context(rec.precision))
-    c = ledger.kt.c
+    c = kt.c
     if k == 1:
         if not 0 <= n <= rec.size - 2:
             raise IndexError(f"once-transformed value at {n} needs P_{n + 1}")
-        pc = ledger.kt.cjets.jet(n)
+        pc = kt.cjets.jet(n)
         if pc == 0:
             raise DegeneratePointError(f"P_{n}(c) = 0")
         if _near(x, c):
             return rec.norm_sq[n] * kernel_at(rec, n, x, c) / pc
         j = eval_jet(rec, n + 1, x, order=0)
-        return (j.jet(n + 1) - ledger.kt.cjets.jet(n + 1) / pc * j.jet(n)) / (x - c)
+        return (j.jet(n + 1) - kt.cjets.jet(n + 1) / pc * j.jet(n)) / (x - c)
     if k != 2:
         raise IndexError(f"k must be 1 or 2, got {k}")
-    if not 0 <= n < ledger.size:
-        raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
-    value = _monic_iterated_by_recurrence(ledger, n, x)
+    if not 0 <= n < chris.size:
+        raise IndexError(f"n = {n} outside ledger of size {chris.size}")
+    value = _monic_iterated_by_recurrence(chris, n, x)
     if x == c or not _near(x, c):
-        _enforce(value, _monic_iterated_by_connection(ledger, n, x),
+        _enforce(value, _monic_iterated_by_connection(chris, n, x),
                  f"P^[2]_{n}({x})", rec.precision)
-    return value if monic else value * ledger.r2[n]
+    return value if monic else value * chris.r2[n]

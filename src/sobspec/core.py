@@ -42,8 +42,8 @@ def _require_finite_real(name, value):
 
 
 def _check_int(name, value, least, unit=""):
-    """``value`` if it is an integer >= ``least``, else InvalidParameterError."""
-    if not isinstance(value, int) or value < least:
+    """``value`` if it is an int, not a bool, >= ``least``, else InvalidParameterError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise InvalidParameterError(
             f"{name} must be an integer >= {least}{unit}, got {value!r}")
     return value

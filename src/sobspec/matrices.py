@@ -277,13 +277,18 @@ def block_residual(A, B, block, tail=None):
 # builders
 # ---------------------------------------------------------------------------
 
+def _tridiagonal(diag, off_sq, precision):
+    """Symmetric tridiagonal matrix, exact at its full size, from its
+    diagonal and the squares of its off-diagonal."""
+    off = [context(precision).sqrt(v) for v in off_sq]
+    return _symmetric_from_diagonals({0: diag, 1: off}, len(diag), precision)
+
+
 def build_jacobi(rec, size):
     """Tridiagonal symmetric truncation: diagonal beta_n, off-diagonal sqrt(gamma_{n+1})."""
     if not 0 <= size <= rec.size:
         raise IndexError(f"size {size} outside recurrence table {rec.size}")
-    off = [context(rec.precision).sqrt(rec.gamma[n + 1]) for n in range(size - 1)]
-    return _symmetric_from_diagonals({0: rec.beta[:size], 1: off}, size,
-                                     rec.precision)
+    return _tridiagonal(rec.beta[:size], rec.gamma[1:size], rec.precision)
 
 
 def build_iterated_jacobi(chris, size):
@@ -291,9 +296,14 @@ def build_iterated_jacobi(chris, size):
     ledger: diagonal kappa_n, off-diagonal sqrt(tau_{n+1})."""
     if not 0 <= size <= chris.size:
         raise IndexError(f"size {size} outside ledger {chris.size}")
-    prec = chris.rec.precision
-    off = [context(prec).sqrt(chris.tau[n + 1]) for n in range(size - 1)]
-    return _symmetric_from_diagonals({0: chris.kappa[:size], 1: off}, size, prec)
+    return _tridiagonal(chris.kappa[:size], chris.tau[1:size], chris.kt.rec.precision)
+
+
+def _sign(side):
+    """+1 for a mass point left of the support, -1 for one right of it."""
+    if side not in ("left", "right"):
+        raise InvalidParameterError("side must be 'left' or 'right'")
+    return 1 if side == "left" else -1
 
 
 def cholesky_shifted(J, c, side="left"):
@@ -303,9 +313,7 @@ def cholesky_shifted(J, c, side="left"):
     preserved.  A nonpositive pivot means c lies inside or too close to the
     support and raises.
     """
-    if side not in ("left", "right"):
-        raise InvalidParameterError("side must be 'left' or 'right'")
-    sgn = 1 if side == "left" else -1
+    sgn = _sign(side)
     n = J.nrows
     ctx = context(J.precision)
     c = to_mpf(c, ctx)
@@ -333,9 +341,7 @@ def commute_cholesky(L, c, side="left"):
     diagonal entry of L^T L needs a truncated-off row of L, so the exact size
     drops by one.
     """
-    if side not in ("left", "right"):
-        raise InvalidParameterError("side must be 'left' or 'right'")
-    sgn = 1 if side == "left" else -1
+    sgn = _sign(side)
     n = L.nrows
     c = to_mpf(c, context(L.precision))
     ldiag, lsub = L.diagonal(0), L.diagonal(-1)
@@ -387,7 +393,7 @@ def build_T(sob, size):
     if not 0 <= size <= sob.size:
         raise IndexError(f"size {size} outside ledger {sob.size}")
     return from_diagonals({0: sob.gamma_nn[:size], -1: sob.gamma_n1[1:size],
-                            -2: sob.gamma_n2[2:size]}, size, sob.rec.precision)
+                            -2: sob.gamma_n2[2:size]}, size, sob.chris.kt.rec.precision)
 
 
 def build_H(sob, size):
@@ -396,7 +402,8 @@ def build_H(sob, size):
     if not 0 <= size <= sob.size:
         raise IndexError(f"size {size} outside ledger {sob.size}")
     return _symmetric_from_diagonals({0: sob.cdiag[:size], 1: sob.b[1:size],
-                                      2: sob.a[2:size]}, size, sob.rec.precision)
+                                      2: sob.a[2:size]}, size,
+                                     sob.chris.kt.rec.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +453,8 @@ class MatrixSuite:
         nb = size + guard
         rec = spec.measure.recurrence(nb + 5, precision)
         kt = KernelTable.build(rec, spec.c)
-        chris = ChristoffelLedger.build(rec, kt, nb + 2)
-        sob = SobolevLedger.build(rec, kt, chris, spec, nb + 2)
+        chris = ChristoffelLedger.build(kt, nb + 2)
+        sob = SobolevLedger.build(chris, spec, nb + 2)
         side = spec.side
         J = build_jacobi(rec, nb)
         L = cholesky_shifted(J, spec.c, side)
@@ -575,7 +582,7 @@ def verify_propositions(suite, size=None):
     is never expanded.
     """
     size = suite.size if size is None else _check_int("size", size, 1)
-    sgn = 1 if suite.side == "left" else -1
+    sgn = _sign(suite.side)
     c = to_mpf(suite.spec.c, context(suite.precision))
     R, H = suite.R, suite.H
     A0 = suite.J.shifted(-c).scaled(sgn)

@@ -16,9 +16,9 @@ import json
 
 import mpmath as mp
 
-from .core import context
+from .core import _check_int, context
 from .errors import InvalidParameterError
-from .matrices import from_diagonals
+from .matrices import _diagonal_length, from_diagonals
 
 
 def repr_digits(precision):
@@ -31,7 +31,10 @@ def format_value(x, precision):
 
 
 def parse_value(s, precision):
-    return context(precision).mpf(s)
+    try:
+        return context(precision).mpf(s)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"cannot parse {s!r} as a number") from None
 
 
 def matrix_to_doc(name, matrix, exact_entries=None):
@@ -61,15 +64,23 @@ def matrix_to_json(name, matrix, exact_entries=None):
 
 
 def matrix_from_json(text):
+    """(name, matrix) of a matrix document.  Each value goes to its own
+    (i, j), and each position of the declared band must be given once."""
     doc = json.loads(text)
-    prec = doc["precision"]
-    diagonals = {k: [] for k in range(-doc["lower_bw"], doc["upper_bw"] + 1)}
-    for i, j, s in doc["entries"]:  # row-major, so each diagonal top-left first
-        if j - i not in diagonals:
-            raise InvalidParameterError(f"entry ({i}, {j}) lies outside the declared band")
-        diagonals[j - i].append(parse_value(s, prec))
-    return doc["name"], from_diagonals(diagonals, doc["exact_size"], prec,
-                                       (doc["nrows"], doc["ncols"]))
+    try:
+        name, entries = doc["name"], doc["entries"]
+        nrows, ncols, lower, upper, exact = (_check_int(key, doc[key], 0) for key in (
+            "nrows", "ncols", "lower_bw", "upper_bw", "exact_size"))
+        prec = _check_int("precision", doc["precision"], 1, " bits")
+        values = {(i, j): s for i, j, s in entries}
+        diagonals = {k: [parse_value(values.pop((n + max(0, -k), n + max(0, k))), prec)
+                         for n in range(_diagonal_length(nrows, ncols, k))]
+                     for k in range(-lower, upper + 1)}
+    except KeyError as exc:
+        raise InvalidParameterError(f"matrix document lacks {exc}") from None
+    if values or len(entries) != sum(map(len, diagonals.values())):
+        raise InvalidParameterError("an entry lies outside the declared band or repeats")
+    return name, from_diagonals(diagonals, exact, prec, (nrows, ncols))
 
 
 def matrix_to_csv(matrix):
@@ -107,7 +118,7 @@ def ledgers_to_doc(suite):
         },
         "sobolev": {
             "size": so.size,
-            "reading": so.reading,
+            "reading": "corrected",  # the resolved gamma index (see sobolev.py)
             "Sc": col(so.Sc),
             "Sdc": col(so.Sdc),
             "normS_sq": col(so.normS_sq),

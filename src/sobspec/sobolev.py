@@ -9,14 +9,13 @@ twice-transformed orthonormal family, the five-term recurrence entries
 (a_n, b_n, c_n) for multiplication by (x-c)^2, and the auxiliary alpha/xi
 connection coefficients.
 
-Derivative-index resolution (documented per the module contract): the
-published bracket for gamma_{n-1,n} carries the derivative factor with index
-n; the kernel expansion it comes from produces index n-1, and only the n-1
-reading passes the exact-rational orthogonality suite and reproduces the
-worked example's triangular matrix (entry (1,0): 11/(2 sqrt(5)); the literal
-reading gives 3/sqrt(5)).  Both readings stay available behind the
-``reading`` switch ("corrected" is the default, "literal" the verbatim one).
-The analogous expansion-index typo inside the boundary-system derivation has
+Derivative-index resolution: the published bracket for gamma_{n-1,n}
+carries the derivative factor with index n; the kernel expansion it comes
+from produces index n-1, and only index n-1 passes the exact-rational
+orthogonality suite and reproduces the worked example's triangular matrix
+(entry (1,0): 11/(2 sqrt(5)); the published index gives 3/sqrt(5)).  The
+bracket here uses r_{n-1} P'_{n-1}(c), the resolved index only.  The
+analogous expansion-index typo inside the boundary-system derivation has
 no effect on the operative formulas, which are implemented as stated.
 """
 
@@ -24,14 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import context, eval_jet, to_mpf
+from .core import _check_int, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from .kernels import kernel_at, kernel_dy_at_c
 
-READINGS = ("corrected", "literal")
 
-
-def sobolev_boundary(rec, kt, spec, n):
+def sobolev_boundary(kt, spec, n):
     """(S_n(c), S_n'(c)): solution of the confluent-kernel 2x2 system.
 
     The system matrix is [[1 + M K_{n-1}, N K01_{n-1}], [M K01_{n-1},
@@ -39,6 +36,7 @@ def sobolev_boundary(rec, kt, spec, n):
     It is nonsingular for M, N >= 0 since the confluent Gram block is
     positive semidefinite; the guard catches unvalidated custom input.
     """
+    rec = kt.rec
     if not 0 <= n < rec.size:
         raise IndexError(f"n = {n} outside table of size {rec.size}")
     ctx = context(rec.precision)
@@ -57,8 +55,9 @@ def sobolev_boundary(rec, kt, spec, n):
     return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
 
 
-def sobolev_norm(rec, spec, n, boundary, kt):
+def sobolev_norm(kt, spec, n, boundary):
     """(||S_n||^2, t_n) with ||S_n||^2 = ||P_n||^2 + M S_n(c) P_n(c) + N S_n'(c) P_n'(c)."""
+    rec = kt.rec
     ctx = context(rec.precision)
     sc, sdc = boundary
     M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
@@ -72,7 +71,8 @@ def sobolev_norm(rec, spec, n, boundary, kt):
 
 @dataclass(frozen=True)
 class SobolevLedger:
-    """Boundary values, norms, connection and five-term coefficients.
+    """Boundary values, norms, connection and five-term coefficients, built
+    from the Christoffel ledger ``chris`` and the masses of ``spec``.
 
     Field indexing follows the defining displays: gamma_nn[n], gamma_n1[n],
     gamma_n2[n] are the coefficients of the twice-transformed orthonormal
@@ -82,11 +82,8 @@ class SobolevLedger:
     connection coefficients onto the base family and back.
     """
 
-    rec: object
-    kt: object
     chris: object
     spec: object
-    reading: str
     Sc: tuple
     Sdc: tuple
     normS_sq: tuple
@@ -108,45 +105,35 @@ class SobolevLedger:
         return len(self.t)
 
     @classmethod
-    def build(cls, rec, kt, chris, spec, size, reading="corrected"):
-        if reading not in READINGS:
-            raise InvalidParameterError(f"reading must be one of {READINGS}")
-        if size > chris.size or size > rec.size - 1:
-            raise IndexError(
-                f"ledger of size {size} needs chris size >= {size} and "
-                f"recurrence size >= {size + 1}"
-            )
+    def build(cls, chris, spec, size):
+        kt, rec = chris.kt, chris.kt.rec
         ctx = context(rec.precision)
+        if to_mpf(spec.c, ctx) != kt.c:
+            raise InvalidParameterError(f"spec has c = {spec.c}, the kernel table c = {kt.c}")
+        if _check_int("size", size, 0) > chris.size:
+            raise IndexError(f"ledger of size {size} needs chris size >= {size}")
         M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
         j = kt.cjets
         r = rec.leading
         Sc, Sdc, normS, t = [], [], [], []
         for n in range(size):
-            pair = sobolev_boundary(rec, kt, spec, n)
-            ns, tn = sobolev_norm(rec, spec, n, pair, kt)
+            pair = sobolev_boundary(kt, spec, n)
+            ns, tn = sobolev_norm(kt, spec, n, pair)
             Sc.append(pair[0])
             Sdc.append(pair[1])
             normS.append(ns)
             t.append(tn)
 
         zero = ctx.zero
-        g_nn, g_n1, g_n2 = [], [], []
-        for n in range(size):
-            g_nn.append(t[n] / chris.r2[n])
-            if n >= 1:
-                sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
-                pm1 = j.jet(n - 1) * r[n - 1]
-                if reading == "corrected":
-                    dp = j.jet(n - 1, 1) * r[n - 1]
-                else:
-                    dp = j.jet(n, 1) * r[n]
-                bracket = (chris.d[n - 1] * t[n] / r[n]
-                           + chris.e[n - 1] * (r[n] / r[n - 1])
-                           * (M * sc * pm1 + N * sdc * dp))
-                g_n1.append(-ctx.sqrt(kt.K[n - 1] / kt.K[n]) * bracket)
-            else:
-                g_n1.append(zero)
-            g_n2.append(chris.r2[n - 2] / t[n] if n >= 2 else zero)
+        g_nn = [t[n] / chris.r2[n] for n in range(size)]
+        g_n2 = [chris.r2[n - 2] / t[n] if n >= 2 else zero for n in range(size)]
+        g_n1 = [zero] * min(size, 1)
+        for n in range(1, size):
+            sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
+            pm1, dp = j.jet(n - 1) * r[n - 1], j.jet(n - 1, 1) * r[n - 1]
+            bracket = (chris.d[n - 1] * t[n] / r[n]
+                       + chris.e[n - 1] * (r[n] / r[n - 1]) * (M * sc * pm1 + N * sdc * dp))
+            g_n1.append(-ctx.sqrt(kt.K[n - 1] / kt.K[n]) * bracket)
 
         a, b, cdiag = [], [], []
         for n in range(size):
@@ -172,7 +159,7 @@ class SobolevLedger:
             x2.append((r[n - 1] / r[n]) * ctx.sqrt(kt.K[n - 2] / kt.K[n - 1])
                       if n >= 2 else zero)
 
-        return cls(rec=rec, kt=kt, chris=chris, spec=spec, reading=reading,
+        return cls(chris=chris, spec=spec,
                    Sc=tuple(Sc), Sdc=tuple(Sdc), normS_sq=tuple(normS),
                    t=tuple(t), gamma_nn=tuple(g_nn), gamma_n1=tuple(g_n1),
                    gamma_n2=tuple(g_n2), a=tuple(a), b=tuple(b),
@@ -180,26 +167,22 @@ class SobolevLedger:
                    xi0=tuple(x0), xi1=tuple(x1), xi2=tuple(x2))
 
 
-def _kernel01_xc(rec, kt, n, x):
-    if x == kt.c:
-        return kt.K01[n]
-    return kernel_dy_at_c(rec, n, x, kt.c)
-
-
-def eval_sobolev(rec, kt, ledger, n, x, normalized=False):
+def eval_sobolev(sob, n, x, normalized=False):
     """S_n(x) = P_n(x) - M S_n(c) K_{n-1}(x,c) - N S_n'(c) K01_{n-1}(x,c).
 
     The ``normalized`` flag returns s_n(x) = t_n S_n(x) instead.
     """
-    if not 0 <= n < ledger.size:
-        raise IndexError(f"n = {n} outside ledger of size {ledger.size}")
+    if not 0 <= n < sob.size:
+        raise IndexError(f"n = {n} outside ledger of size {sob.size}")
+    kt, rec = sob.chris.kt, sob.chris.kt.rec
     ctx = context(rec.precision)
     x = to_mpf(x, ctx)
     value = eval_jet(rec, n, x, order=0).jet(n)
-    M, N = to_mpf(ledger.spec.M, ctx), to_mpf(ledger.spec.N, ctx)
+    M, N = to_mpf(sob.spec.M, ctx), to_mpf(sob.spec.N, ctx)
     if n >= 1:
         if M != 0:
-            value -= M * ledger.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
+            value -= M * sob.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
         if N != 0:
-            value -= N * ledger.Sdc[n] * _kernel01_xc(rec, kt, n - 1, x)
-    return value * ledger.t[n] if normalized else value
+            k01 = kt.K01[n - 1] if x == kt.c else kernel_dy_at_c(rec, n - 1, x, kt.c)
+            value -= N * sob.Sdc[n] * k01
+    return value * sob.t[n] if normalized else value

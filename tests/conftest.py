@@ -23,8 +23,8 @@ def kt(rec):
 
 
 @pytest.fixture(scope="session")
-def chris(rec, kt):
-    return ChristoffelLedger.build(rec, kt, 27)
+def chris(kt):
+    return ChristoffelLedger.build(kt, 27)
 
 
 @pytest.fixture(scope="session")
@@ -33,5 +33,5 @@ def spec():
 
 
 @pytest.fixture(scope="session")
-def sob(rec, kt, chris, spec):
-    return SobolevLedger.build(rec, kt, chris, spec, 27)
+def sob(chris, spec):
+    return SobolevLedger.build(chris, spec, 27)

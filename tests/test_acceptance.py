@@ -50,8 +50,8 @@ def _spec(M=1, N=1):
 def _ledgers(spec, size):
     rec = laguerre_recurrence(0, size + 5)
     kt = KernelTable.build(rec, spec.c)
-    chris = ChristoffelLedger.build(rec, kt, size + 2)
-    sob = SobolevLedger.build(rec, kt, chris, spec, size + 2)
+    chris = ChristoffelLedger.build(kt, size + 2)
+    sob = SobolevLedger.build(chris, spec, size + 2)
     return rec, kt, chris, sob
 
 
@@ -63,14 +63,14 @@ def _identity_residuals_ok(spec, tol=TOL30):
 
 
 def _five_term_residual_ok(spec, tol=TOL28, top=15, points=5):
-    rec, kt, chris, sob = _ledgers(spec, top + 2)
+    rec, _, _, sob = _ledgers(spec, top + 2)
     rng = random.Random(31415)
     worst = mp.mpf(0)
     with mp.workprec(rec.precision):
         for n in range(top + 1):
             for _ in range(points):
                 x = mp.mpf(rng.uniform(0, 10))
-                s = [eval_sobolev(rec, kt, sob, k, x, normalized=True)
+                s = [eval_sobolev(sob, k, x, normalized=True)
                      for k in range(max(0, n - 2), n + 3)]
                 lo = max(0, n - 2)
                 lhs = (x - mp.mpf(-1)) ** 2 * s[n - lo]
@@ -174,7 +174,7 @@ class TestAcceptance:
                 j = eval_jet(rec, n + 2, x, order=0)
                 conn = (j.jet(n + 2) - chris.d[n] * j.jet(n + 1)
                         + chris.e[n] * j.jet(n)) / (x + 1) ** 2
-                recur = eval_iterated(rec, chris, n, x, k=2, monic=True)
+                recur = eval_iterated(chris, n, x, k=2, monic=True)
                 worst = max(worst, rel(recur, conn))
         report(5, worst <= TOL30,
                f"e_n, tau_n and the two twice-transformed evaluation routes "

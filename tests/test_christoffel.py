@@ -14,7 +14,7 @@ from sobspec.christoffel import (
     iterated_leading,
 )
 from sobspec.core import MeasureSpec, eval_jet
-from sobspec.errors import DegeneratePointError
+from sobspec.errors import DegeneratePointError, InvalidParameterError
 from sobspec.kernels import KernelTable
 from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 
@@ -22,13 +22,13 @@ RNG_SEED = 61409
 
 
 class TestCoefficients:
-    def test_first_pair_matches_coefficient_expansion(self, rec, kt):
+    def test_first_pair_matches_coefficient_expansion(self, kt):
         # (x+1)^2 = P_2 - d_0 P_1 + e_0 P_0 forces d_0 = -6, e_0 = 5.
-        d0, e0 = christoffel_coeffs(rec, kt, 0)
+        d0, e0 = christoffel_coeffs(kt, 0)
         assert d0 == -6 and e0 == 5
 
-    def test_e1_by_kernel_ratio(self, rec, kt):
-        _, e1 = christoffel_coeffs(rec, kt, 1)
+    def test_e1_by_kernel_ratio(self, kt):
+        _, e1 = christoffel_coeffs(kt, 1)
         assert_rel(e1, mp.mpf(69) / 5)
 
     def test_positivity(self, chris):
@@ -51,11 +51,11 @@ class TestCoefficients:
 
 
 class TestLeading:
-    def test_degree_zero(self, rec, kt):
-        assert_squared(iterated_leading(rec, kt, 0), F(1, 5))
+    def test_degree_zero(self, kt):
+        assert_squared(iterated_leading(kt, 0), F(1, 5))
 
-    def test_degree_one(self, rec, kt):
-        assert_squared(iterated_leading(rec, kt, 1), F(5, 69))
+    def test_degree_one(self, kt):
+        assert_squared(iterated_leading(kt, 1), F(5, 69))
 
     def test_norm_relation(self, rec, chris):
         for n in range(16):
@@ -64,7 +64,7 @@ class TestLeading:
 
 
 class TestRecurrencePair:
-    def test_worked_example_values(self, rec, chris):
+    def test_worked_example_values(self, chris):
         k0 = chris.kappa[0]
         k1, t1 = chris.kappa[1], chris.tau[1]
         assert_rel(k0, mp.mpf(11) / 5)
@@ -88,21 +88,21 @@ class TestRecurrencePair:
 
 
 class TestDefiningIdentity:
-    def test_shifted_square_connection(self, rec, kt, chris):
+    def test_shifted_square_connection(self, rec, chris):
         rng = random.Random(RNG_SEED)
         with mp.workprec(rec.precision):
             for n in range(16):
                 for _ in range(5):
                     x = mp.mpf(rng.uniform(0, 10))
-                    lhs = (x + 1) ** 2 * eval_iterated(rec, chris, n, x, k=2, monic=True)
+                    lhs = (x + 1) ** 2 * eval_iterated(chris, n, x, k=2, monic=True)
                     j = eval_jet(rec, n + 2, x, order=0)
                     rhs = j.jet(n + 2) - chris.d[n] * j.jet(n + 1) + chris.e[n] * j.jet(n)
                     assert rel(lhs, rhs) <= TOL30
 
 
 class TestEvaluation:
-    def test_once_transformed_degree_zero(self, rec, chris):
-        assert eval_iterated(rec, chris, 0, 3.7, k=1) == 1
+    def test_once_transformed_degree_zero(self, chris):
+        assert eval_iterated(chris, 0, 3.7, k=1) == 1
 
     def test_once_transformed_is_divided_difference(self, rec, kt, chris):
         rng = random.Random(RNG_SEED + 1)
@@ -112,36 +112,36 @@ class TestEvaluation:
                 j = eval_jet(rec, n + 1, x, order=0)
                 expected = (j.jet(n + 1)
                             - kt.cjets.jet(n + 1) / kt.cjets.jet(n) * j.jet(n)) / (x + 1)
-                assert_rel(eval_iterated(rec, chris, n, x, k=1), expected)
+                assert_rel(eval_iterated(chris, n, x, k=1), expected)
 
     def test_once_transformed_kernel_route_near_mass_point(self, rec, kt, chris):
         # At x = c the divided difference degenerates; the kernel route holds.
         with mp.workprec(rec.precision):
             for n in range(1, 6):
-                val = eval_iterated(rec, chris, n, -1, k=1)
+                val = eval_iterated(chris, n, -1, k=1)
                 expected = rec.norm_sq[n] * kt.K[n] / kt.cjets.jet(n)
                 assert_rel(val, expected)
 
-    def test_twice_transformed_monic_degree_one(self, rec, chris):
-        assert_rel(eval_iterated(rec, chris, 1, -1, k=2, monic=True), mp.mpf(-16) / 5)
+    def test_twice_transformed_monic_degree_one(self, chris):
+        assert_rel(eval_iterated(chris, 1, -1, k=2, monic=True), mp.mpf(-16) / 5)
 
-    def test_twice_transformed_orthonormal_degree_zero(self, rec, chris):
-        assert_squared(eval_iterated(rec, chris, 0, 123.0, k=2), F(1, 5))
+    def test_twice_transformed_orthonormal_degree_zero(self, chris):
+        assert_squared(eval_iterated(chris, 0, 123.0, k=2), F(1, 5))
 
     def test_route_agreement_and_mass_point_value(self, rec, kt, chris):
         # the recurrence route must match the connection route, including
         # exactly at the mass point where the connection needs two derivatives
         with mp.workprec(rec.precision):
             for n in range(10):
-                v = eval_iterated(rec, chris, n, -1, k=2, monic=True)
+                v = eval_iterated(chris, n, -1, k=2, monic=True)
                 j = kt.cjets
                 lhopital = (j.jet(n + 2, 2) - chris.d[n] * j.jet(n + 1, 2)
                             + chris.e[n] * j.jet(n, 2)) / 2
                 assert rel(v, lhopital) <= TOL30
 
-    def test_k_validation(self, rec, chris):
+    def test_k_validation(self, chris):
         with pytest.raises(IndexError):
-            eval_iterated(rec, chris, 2, 0.0, k=3)
+            eval_iterated(chris, 2, 0.0, k=3)
 
     def test_degenerate_point_guard(self):
         # Unvalidated custom data: declared support excludes c = 0 but the
@@ -151,6 +151,16 @@ class TestEvaluation:
         )
         table = fake.recurrence(8)
         kt0 = KernelTable.build(table, 0)
-        ledger = ChristoffelLedger.build(table, kt0, 4)
+        ledger = ChristoffelLedger.build(kt0, 4)
         with pytest.raises(DegeneratePointError):
-            eval_iterated(table, ledger, 1, 2.0, k=1)
+            eval_iterated(ledger, 1, 2.0, k=1)
+
+
+class TestLedgerInputs:
+    def test_size_zero_is_an_empty_ledger(self, kt):
+        assert ChristoffelLedger.build(kt, 0).size == 0
+
+    @pytest.mark.parametrize("size", [-2, True, 4.0])
+    def test_size_must_be_a_nonnegative_integer(self, kt, size):
+        with pytest.raises(InvalidParameterError):
+            ChristoffelLedger.build(kt, size)

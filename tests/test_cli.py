@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, file formats, round-trips."""
 
+import hashlib
 import json
 
 import mpmath as mp
@@ -8,8 +9,10 @@ from click.testing import CliRunner
 
 from helpers import TOL30, rel
 from sobspec.cli import main
-from sobspec.matrices import multiply
-from sobspec.serialize import matrix_from_json, matrix_to_json
+from sobspec.core import MeasureSpec, SobolevSpec, laguerre_recurrence
+from sobspec.errors import InvalidParameterError
+from sobspec.matrices import MatrixSuite, build_jacobi, multiply
+from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
 
 BAD_TOLERANCES = ["--tolerance=abc", "--tolerance=-1", "--tolerance=0",
@@ -132,6 +135,33 @@ class TestRoundTrip:
         assert doc_b["entries"] == doc_a["entries"]
         for key in ("nrows", "ncols", "lower_bw", "upper_bw", "exact_size"):
             assert doc_b[key] == doc_a[key]
+
+    def test_json_entries_are_placed_by_position(self):
+        # Laguerre: J(1, 1) = beta_1 = 3 and J(2, 2) = beta_2 = 5.
+        text = matrix_to_json("J", build_jacobi(laguerre_recurrence(0, 5), 4))
+        doc = json.loads(text)
+        at = {(i, j): n for n, (i, j, _) in enumerate(doc["entries"])}
+        entries = doc["entries"]
+        entries[at[1, 1]], entries[at[2, 2]] = entries[at[2, 2]], entries[at[1, 1]]
+        _, J = matrix_from_json(json.dumps(doc))
+        assert (J.entry(1, 1), J.entry(2, 2)) == (3, 5)
+        assert matrix_to_json("J", J) == text
+
+    @pytest.mark.parametrize("fault", ["missing", "twice", "no ncols", "value", "precision"])
+    def test_json_faults_are_invalid_parameters(self, fault):
+        doc = json.loads(matrix_to_json("J", build_jacobi(laguerre_recurrence(0, 5), 4)))
+        if fault == "missing":
+            doc["entries"].pop(3)
+        elif fault == "twice":
+            doc["entries"].append(doc["entries"][3])
+        elif fault == "no ncols":
+            del doc["ncols"]
+        elif fault == "value":
+            doc["entries"][3][2] = "three"
+        else:
+            doc["precision"] = "64"
+        with pytest.raises(InvalidParameterError):
+            matrix_from_json(json.dumps(doc))
 
     def test_csv_round_trip(self, runner, tmp_path):
         run_generate(runner, tmp_path, "--format", "csv")
@@ -355,3 +385,74 @@ class TestOptionContract:
         result = runner.invoke(main, ["verify", *faults[:4], "--out", str(tmp_path)])
         assert (result.exit_code, result.output) == (
             2, "error: tolerance must be finite and > 0, got '0'\n")
+
+
+# SHA-256 of every file each run writes: the default ``generate``, the same in
+# CSV, and a reflected custom measure (support (-inf, 0], c = 1) serialized
+# through ``matrix_to_json`` and ``ledgers_to_doc``.  A deliberate revision of
+# the output re-records them.
+OUTPUT_DIGESTS = {
+    "json": {
+        "H.json": "ac7d04acb8e457266a33dd025f0ff7acac85a5515c1d396cc3414896c801484f",
+        "J.json": "ba8d66c069dfd50a947602de996d7cbe0fe24039d8b084c133736dfd5cc79327",
+        "J1.json": "09439f9b226c2434c68c8f5f3abadb53174157f4c3adf9d082bfe5f34fd186e1",
+        "J2.json": "ce1428731a812fa6413b451a3c0b9bb8f3f78d6c960d23af4c8264098a809acb",
+        "L.json": "0ebdb64711a7a6a414b842f25e6d03291f436916762c5436dbe21f6468646373",
+        "L1.json": "1e7b342010d3e4da7ba68a4ab834f31574c4b2fd54e7f0335b341cf836598c02",
+        "Q.json": "d53f67b707e9c6cb9c7ffb33425cc98c1fb107c76e6922931e52549b480c7758",
+        "R.json": "bf27816ed4f467399614937b4f4eedd1d1ea3126ca3cc4b8b8cbb7536493474b",
+        "T.json": "f1802423ef4f700ffa484a8b3476ff831c403dfd530b3b1180ad0196bb4c5a36",
+        "ledgers.json": "829fe4cb380374405ba5805ca75369d4a9f960ebede188b602ac4a4261fd1002",
+        "run.json": "079388b666a245f0769c331bbe379ef7a6cf263cd653981ea7f2beb9420daa00",
+    },
+    "csv": {
+        "H.csv": "4ad1ff460a2f549acd0005d0236ba540d591537eaf9b16aa9240d365f0b2830e",
+        "J.csv": "88b6bc75a4df0a940c416df7bd06993292ae1db6e692ba00b7dc1b4c97cbf8fa",
+        "J1.csv": "3e1e3aa41ac494d68fe4e26ea6a1de6bcdaf120e2003099a1f45b008a8d6437c",
+        "J2.csv": "b9badd02a292db68320921a1e94daedcc59499c8a24c8f12aea30e0029a29725",
+        "L.csv": "69733c19f54a806a52b7b245ac7ce90bfb42418ad1b9f40194ce3292b37a26d7",
+        "L1.csv": "0f1707e9a81180e7721cc9a5491becf2d381cfadfcdc261a262b2ddfe0762ab8",
+        "Q.csv": "93e609b03e40873c09a525bd6706a44a3784e6d3a8f20baf025f3c9653c73aab",
+        "R.csv": "da533f63e6bdef1babeee472c628eb46117e13a3df4213ebd2a8f57ba9974a31",
+        "T.csv": "5a9311fd71b5b62f5f673a86927a691e33bd5c894743d5ed90eb374e21b06f96",
+        "ledger_christoffel.csv": "76ef2827a0f26cf07720515578a0e5bfdfae1f2879d77282553f31d2a34b433a",
+        "ledger_recurrence.csv": "5bb8eb2eb90eee19668a3235cb09d6ca762f99939587d321965051c4e8ec0dcd",
+        "ledger_sobolev.csv": "d5316093281bd7885ef255bb86a26c6a8022fd1744a7fd3f50ffb9ebc26793f4",
+        "run.json": "d366abb5a17066bd25570df862bc62ea653d5c9a4505a30ce61a89a1ca618620",
+    },
+    "reflected": {
+        "H.json": "5cd64ad70ec2430df981355b9de84c43c2077ec8ca65ee35d6b62caf0ec9213d",
+        "J.json": "f02074dd46e45de2a6fc7fe5f86e7747eafa91a5f90f2e0a6e52ec06e9674aff",
+        "J1.json": "6c45a05c4a687dc4852d7660471a5765d75b2cbea4f93f48e6be0107fcaacaac",
+        "J2.json": "f10feaf8ba8d143dd6522784e66a97980ff501821cadc0c89c29c33c771020ba",
+        "L.json": "567d11768e15dc4c6d0fe3fe3ea03d3fd27b189c7c912597eae7fdccb0d97990",
+        "L1.json": "4c38b644f91c89406d4896136ee885981fd6e5777f2ab039b2b81a483ace53b3",
+        "Q.json": "bb519cb365f20baa65adcf83d751aba48e5630c597d53dfa079087277127a3a8",
+        "R.json": "0947e90ef6690b59e619b4221670fa99761b7e949a25026498e493df24e09b27",
+        "T.json": "9e9a91963638cad10b2647d95c1f2e9154f39a89ab8f4c562565b9e121056bae",
+        "ledgers.json": "7b8ac5b85872d106cb5fbda0df6750df77244c02dcdf7a16536ce15dc2008abd",
+    },
+}
+
+
+def write_reflected(outdir):
+    rows = 8 + 4 + 5
+    measure = MeasureSpec.custom([-(2 * n + 1) for n in range(rows)],
+                                 [n * n for n in range(rows)], (float("-inf"), 0.0))
+    suite = MatrixSuite.build(SobolevSpec(measure, c=1, M=1, N=1), 8)
+    for name, matrix in suite.named_matrices().items():
+        (outdir / f"{name}.json").write_text(matrix_to_json(name, matrix))
+    (outdir / "ledgers.json").write_text(json.dumps(ledgers_to_doc(suite), indent=1) + "\n")
+
+
+class TestOutputDigests:
+    @pytest.mark.parametrize("kind", ["json", "csv", "reflected"])
+    def test_output_is_byte_identical(self, runner, tmp_path, kind):
+        if kind == "reflected":
+            write_reflected(tmp_path)
+        else:
+            result = runner.invoke(main, ["generate", "--format", kind, "--out", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(tmp_path.iterdir())}
+        assert digests == OUTPUT_DIGESTS[kind]

@@ -77,7 +77,8 @@ class TestLaguerreRecurrence:
             laguerre_recurrence(0, 0)
 
     @pytest.mark.parametrize("size, precision", [(4.0, 256), ("4", 256), (None, 256),
-                                                 (4, "256"), (4, 100.5), (4, None), (4, 0)])
+                                                 (4, "256"), (4, 100.5), (4, None), (4, 0),
+                                                 (True, 256), (4, True)])
     def test_size_and_precision_must_be_integers(self, size, precision):
         # A precision of "256" would otherwise make a context apart from context(256).
         with pytest.raises(InvalidParameterError):

@@ -348,7 +348,7 @@ class TestSuiteAndResiduals:
                 MatrixSuite.build(spec, size=size)
         with pytest.raises(InvalidParameterError):
             MatrixSuite.build(spec, size=8, guard=4.0)
-        for size in (8.5, 0, -3):
+        for size in (8.5, 0, -3, True):
             with pytest.raises(InvalidParameterError):
                 verify_propositions(suite, size=size)
 

@@ -102,7 +102,7 @@ class TestMoments:
             laguerre_basis(-1, 4)
 
     def test_count_validated(self):
-        for size in (0, 4.0, "4", None):
+        for size in (0, 4.0, "4", None, True):
             with pytest.raises(InvalidParameterError):
                 build_oracle_suite(0, C, M, N, size)
 

@@ -9,6 +9,7 @@ import pytest
 from helpers import TOL30, assert_rel, assert_squared, in_monomials, poly_deriv, poly_eval, rel
 from sobspec.christoffel import eval_iterated
 from sobspec.core import MeasureSpec, SobolevSpec, eval_jet, orthonormal_value
+from sobspec.errors import InvalidParameterError
 from sobspec.kernels import kernel_at, kernel_dy_at_c
 from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 from sobspec.sobolev import (
@@ -36,16 +37,16 @@ def oracle_T():
 
 
 class TestBoundary:
-    def test_degree_zero(self, rec, kt, spec):
-        assert sobolev_boundary(rec, kt, spec, 0) == (1, 0)
+    def test_degree_zero(self, kt, spec):
+        assert sobolev_boundary(kt, spec, 0) == (1, 0)
 
-    def test_degree_one(self, rec, kt, spec):
-        assert sobolev_boundary(rec, kt, spec, 1) == (-1, 1)
+    def test_degree_one(self, kt, spec):
+        assert sobolev_boundary(kt, spec, 1) == (-1, 1)
 
     def test_against_oracle_through_six(self, rec, kt, spec, oracle_sob):
         with mp.workprec(rec.precision):
             for n in range(7):
-                sc, sdc = sobolev_boundary(rec, kt, spec, n)
+                sc, sdc = sobolev_boundary(kt, spec, n)
                 ref_c = poly_eval(oracle_sob[0][n], F(-1))
                 ref_d = poly_eval(poly_deriv(oracle_sob[0][n]), F(-1))
                 assert rel(sc, mp.mpf(ref_c.numerator) / ref_c.denominator) <= TOL30
@@ -53,8 +54,8 @@ class TestBoundary:
 
 
 class TestNorms:
-    def test_degree_zero(self, rec, kt, spec):
-        ns, t0 = sobolev_norm(rec, spec, 0, (mp.mpf(1), mp.mpf(0)), kt)
+    def test_degree_zero(self, kt, spec):
+        ns, t0 = sobolev_norm(kt, spec, 0, (mp.mpf(1), mp.mpf(0)))
         assert ns == 2
         assert_squared(t0, F(1, 2))
 
@@ -78,9 +79,9 @@ class TestGammaConnection:
         assert_squared(g11, F(69, 20))
         assert_squared(g01, F(121, 20))
 
-    def test_oracle_inner_products(self, rec, kt, chris, spec, oracle_T):
+    def test_oracle_inner_products(self, rec, chris, spec, oracle_T):
         # gamma_{k,n} = <s_n, p2_k>; compare in squared form against the oracle
-        sob = SobolevLedger.build(rec, kt, chris, spec, 10, reading="corrected")
+        sob = SobolevLedger.build(chris, spec, 10)
         with mp.workprec(rec.precision):
             for n in range(7):
                 for k in range(max(0, n - 2), n + 1):
@@ -89,15 +90,24 @@ class TestGammaConnection:
                     assert rel(got * got,
                                mp.mpf(target_sq.numerator) / target_sq.denominator) <= TOL30
 
-    def test_literal_reading_fails_oracle(self, rec, kt, chris, spec, oracle_T):
-        # The verbatim derivative index gives 3/sqrt(5) at (1,0) instead of
-        # 11/(2 sqrt(5)); it cannot reproduce the oracle inner product.
-        lit = SobolevLedger.build(rec, kt, chris, spec, 6, reading="literal")
-        target_sq = oracle_T[1][0].square
+    def test_literal_reading_fails_oracle(self, rec, kt, chris, sob, spec, oracle_T):
+        # gamma_{0,1} by the published bracket, from the ledgers' fields: its
+        # derivative factor r_k P'_k(c) at k = 1 (verbatim) gives 3/sqrt(5) at
+        # (1,0) instead of 11/(2 sqrt(5)), the k = 0 value the ledger holds;
+        # it cannot reproduce the oracle inner product.
+        r, j, t = rec.leading, kt.cjets, sob.t
         with mp.workprec(rec.precision):
-            got_sq = lit.gamma_n1[1] ** 2
-            assert rel(got_sq, mp.mpf(target_sq.numerator) / target_sq.denominator) > 0.1
-            assert_squared(lit.gamma_n1[1], F(9, 5))
+            def gamma_01(k):
+                mass = (spec.M * t[1] * sob.Sc[1] * j.jet(0) * r[0]
+                        + spec.N * t[1] * sob.Sdc[1] * j.jet(k, 1) * r[k])
+                bracket = chris.d[0] * t[1] / r[1] + chris.e[0] * (r[1] / r[0]) * mass
+                return -mp.sqrt(kt.K[0] / kt.K[1]) * bracket
+
+            assert rel(gamma_01(0), sob.gamma_n1[1]) <= TOL30
+            literal = gamma_01(1)
+            target_sq = oracle_T[1][0].square
+            assert rel(literal ** 2, mp.mpf(target_sq.numerator) / target_sq.denominator) > 0.1
+            assert_squared(literal, F(9, 5))
 
 
 class TestFiveTerm:
@@ -118,7 +128,7 @@ class TestFiveTerm:
 
     def test_upper_route_matches_symmetric_assembly(self, sob):
         # rho_{n+1,n} computed from its own display must equal b_{n+1}
-        with mp.workprec(sob.rec.precision):
+        with mp.workprec(sob.chris.kt.rec.precision):
             for n in range(15):
                 up = sob.gamma_nn[n] * sob.gamma_n1[n + 1]
                 if n >= 1:
@@ -127,46 +137,46 @@ class TestFiveTerm:
 
     def test_upper_t_ratio_route(self, sob):
         # rho_{n+2,n} = t_n/t_{n+2} equals a_{n+2}
-        with mp.workprec(sob.rec.precision):
+        with mp.workprec(sob.chris.kt.rec.precision):
             for n in range(14):
                 assert rel(sob.t[n] / sob.t[n + 2], sob.a[n + 2]) <= TOL30
 
-    def test_five_term_residual_pointwise(self, rec, kt, sob):
+    def test_five_term_residual_pointwise(self, rec, sob):
         rng = random.Random(RNG_SEED)
         with mp.workprec(rec.precision):
             for n in range(16):
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
-                    lhs = (x + 1) ** 2 * eval_sobolev(rec, kt, sob, n, x, normalized=True)
-                    rhs = sob.cdiag[n] * eval_sobolev(rec, kt, sob, n, x, normalized=True)
-                    rhs += sob.a[n + 2] * eval_sobolev(rec, kt, sob, n + 2, x, normalized=True)
-                    rhs += sob.b[n + 1] * eval_sobolev(rec, kt, sob, n + 1, x, normalized=True)
+                    lhs = (x + 1) ** 2 * eval_sobolev(sob, n, x, normalized=True)
+                    rhs = sob.cdiag[n] * eval_sobolev(sob, n, x, normalized=True)
+                    rhs += sob.a[n + 2] * eval_sobolev(sob, n + 2, x, normalized=True)
+                    rhs += sob.b[n + 1] * eval_sobolev(sob, n + 1, x, normalized=True)
                     if n >= 1:
-                        rhs += sob.b[n] * eval_sobolev(rec, kt, sob, n - 1, x, normalized=True)
+                        rhs += sob.b[n] * eval_sobolev(sob, n - 1, x, normalized=True)
                     if n >= 2:
-                        rhs += sob.a[n] * eval_sobolev(rec, kt, sob, n - 2, x, normalized=True)
+                        rhs += sob.a[n] * eval_sobolev(sob, n - 2, x, normalized=True)
                     assert rel(lhs, rhs) <= TOL30
 
 
 class TestEvaluation:
-    def test_normalized_constant(self, rec, kt, sob):
-        assert_squared(eval_sobolev(rec, kt, sob, 0, 5.0, normalized=True), F(1, 2))
+    def test_normalized_constant(self, sob):
+        assert_squared(eval_sobolev(sob, 0, 5.0, normalized=True), F(1, 2))
 
-    def test_monic_degree_one_is_x(self, rec, kt, sob):
-        assert_rel(eval_sobolev(rec, kt, sob, 1, 2.0), mp.mpf(2))
-        assert_rel(eval_sobolev(rec, kt, sob, 1, -7.0), mp.mpf(-7))
+    def test_monic_degree_one_is_x(self, sob):
+        assert_rel(eval_sobolev(sob, 1, 2.0), mp.mpf(2))
+        assert_rel(eval_sobolev(sob, 1, -7.0), mp.mpf(-7))
 
-    def test_value_at_mass_point_matches_boundary(self, rec, kt, sob):
+    def test_value_at_mass_point_matches_boundary(self, rec, sob):
         with mp.workprec(rec.precision):
             for n in range(8):
-                assert rel(eval_sobolev(rec, kt, sob, n, -1), sob.Sc[n]) <= TOL30
+                assert rel(eval_sobolev(sob, n, -1), sob.Sc[n]) <= TOL30
 
-    def test_oracle_pointwise(self, rec, kt, sob, oracle_sob):
+    def test_oracle_pointwise(self, rec, sob, oracle_sob):
         with mp.workprec(rec.precision):
             for n in range(7):
                 for x in (F(0), F(1, 3), F(5), F(-2)):
                     ref = poly_eval(oracle_sob[0][n], x)
-                    got = eval_sobolev(rec, kt, sob, n, mp.mpf(x.numerator) / x.denominator)
+                    got = eval_sobolev(sob, n, mp.mpf(x.numerator) / x.denominator)
                     assert rel(got, mp.mpf(ref.numerator) / ref.denominator) <= TOL30
 
     def test_determinant_cross_form(self, rec, kt, spec, sob):
@@ -190,7 +200,7 @@ class TestEvaluation:
                     det3 = (row0[0] * (row1[1] * row2[2] - row1[2] * row2[1])
                             - row0[1] * (row1[0] * row2[2] - row1[2] * row2[0])
                             + row0[2] * (row1[0] * row2[1] - row1[1] * row2[0]))
-                    assert rel(det3 / det2, eval_sobolev(rec, kt, sob, n, x)) <= TOL30
+                    assert rel(det3 / det2, eval_sobolev(sob, n, x)) <= TOL30
 
 
 class TestAuxConnections:
@@ -206,21 +216,21 @@ class TestAuxConnections:
             for n in range(16):
                 assert rel(sob.xi0[n], rec.leading[n] / chris.r2[n]) <= TOL30
 
-    def test_base_family_expansion(self, rec, kt, chris, sob):
+    def test_base_family_expansion(self, rec, chris, sob):
         # p_n = xi0 p2_n + xi1 p2_{n-1} + xi2 p2_{n-2} pointwise
         rng = random.Random(RNG_SEED + 2)
         with mp.workprec(rec.precision):
             for n in range(12):
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
-                    rhs = sob.xi0[n] * eval_iterated(rec, chris, n, x, k=2)
+                    rhs = sob.xi0[n] * eval_iterated(chris, n, x, k=2)
                     if n >= 1:
-                        rhs += sob.xi1[n] * eval_iterated(rec, chris, n - 1, x, k=2)
+                        rhs += sob.xi1[n] * eval_iterated(chris, n - 1, x, k=2)
                     if n >= 2:
-                        rhs += sob.xi2[n] * eval_iterated(rec, chris, n - 2, x, k=2)
+                        rhs += sob.xi2[n] * eval_iterated(chris, n - 2, x, k=2)
                     assert rel(orthonormal_value(rec, n, x), rhs) <= TOL30
 
-    def test_kernel_expansion_of_normalized_family(self, rec, kt, sob):
+    def test_kernel_expansion_of_normalized_family(self, rec, sob):
         # s_n = alpha1 p_{n+1} + alpha0 p_n - M s_n(c) K_{n+1}(x,c)
         #       - N s_n'(c) K01_{n+1}(x,c) pointwise
         rng = random.Random(RNG_SEED + 3)
@@ -234,41 +244,57 @@ class TestAuxConnections:
                            + sob.alpha0[n] * orthonormal_value(rec, n, x)
                            - sc * kernel_at(rec, n + 1, x, -1)
                            - sdc * kernel_dy_at_c(rec, n + 1, x, -1))
-                    lhs = eval_sobolev(rec, kt, sob, n, x, normalized=True)
+                    lhs = eval_sobolev(sob, n, x, normalized=True)
                     assert rel(lhs, rhs) <= TOL30
 
 
 class TestTheThreeGammaRoutes:
-    def test_connection_expansion_pointwise(self, rec, kt, chris, sob):
+    def test_connection_expansion_pointwise(self, rec, chris, sob):
         # s_n = gamma_nn p2_n + gamma_n1 p2_{n-1} + gamma_n2 p2_{n-2}
         rng = random.Random(RNG_SEED + 4)
         with mp.workprec(rec.precision):
             for n in range(12):
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
-                    rhs = sob.gamma_nn[n] * eval_iterated(rec, chris, n, x, k=2)
+                    rhs = sob.gamma_nn[n] * eval_iterated(chris, n, x, k=2)
                     if n >= 1:
-                        rhs += sob.gamma_n1[n] * eval_iterated(rec, chris, n - 1, x, k=2)
+                        rhs += sob.gamma_n1[n] * eval_iterated(chris, n - 1, x, k=2)
                     if n >= 2:
-                        rhs += sob.gamma_n2[n] * eval_iterated(rec, chris, n - 2, x, k=2)
-                    lhs = eval_sobolev(rec, kt, sob, n, x, normalized=True)
+                        rhs += sob.gamma_n2[n] * eval_iterated(chris, n - 2, x, k=2)
+                    lhs = eval_sobolev(sob, n, x, normalized=True)
                     assert rel(lhs, rhs) <= TOL30
 
 
 class TestDegenerateMasses:
-    def test_zero_masses_reduce_to_base_family(self, rec, kt, chris):
+    def test_zero_masses_reduce_to_base_family(self, rec, chris):
         spec0 = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=0, N=0)
-        led = SobolevLedger.build(rec, kt, chris, spec0, 16)
+        led = SobolevLedger.build(chris, spec0, 16)
         rng = random.Random(RNG_SEED + 6)
         with mp.workprec(rec.precision):
             for n in range(12):
                 assert rel(led.t[n], rec.leading[n]) <= TOL30
                 x = mp.mpf(rng.uniform(0, 10))
-                assert rel(eval_sobolev(rec, kt, led, n, x, normalized=True),
+                assert rel(eval_sobolev(led, n, x, normalized=True),
                            orthonormal_value(rec, n, x)) <= TOL30
 
-    def test_single_mass_configurations_build(self, rec, kt, chris):
+    def test_single_mass_configurations_build(self, chris):
         for Mv, Nv in ((1, 0), (0, 1), (F(3, 2), 0)):
             s = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=Mv, N=Nv)
-            led = SobolevLedger.build(rec, kt, chris, s, 10)
+            led = SobolevLedger.build(chris, s, 10)
             assert all(t > 0 for t in led.t)
+
+
+class TestLedgerInputs:
+    def test_mass_point_must_be_the_kernel_tables(self, chris):
+        # The kernels of ``chris`` sit at c = -1; masses at c = -3 need others.
+        far = SobolevSpec(MeasureSpec.laguerre(0), c=-3, M=1, N=1)
+        with pytest.raises(InvalidParameterError, match="c = -3"):
+            SobolevLedger.build(chris, far, 10)
+
+    def test_size_zero_is_an_empty_ledger(self, chris, spec):
+        assert SobolevLedger.build(chris, spec, 0).size == 0
+
+    @pytest.mark.parametrize("size", [-1, True, 4.0])
+    def test_size_must_be_a_nonnegative_integer(self, chris, spec, size):
+        with pytest.raises(InvalidParameterError):
+            SobolevLedger.build(chris, spec, size)
