@@ -27,7 +27,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import mpmath as mp
 
 from .core import MeasureSpec, SobolevSpec, context
 from .errors import (
@@ -88,24 +87,25 @@ def _options(*skip):
     return apply
 
 
-def _number(text):
-    """Exact rational when the literal allows it, high-precision float otherwise."""
+def _fraction(text):
+    """The literal as an exact rational (integer, decimal or p/q), else None."""
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
-        try:
-            return mp.mpf(str(text))
-        except ValueError:
-            raise InvalidParameterError(f"cannot parse number {text!r}") from None
+        return None
+
+
+def _number(text):
+    value = _fraction(text)
+    if value is None:
+        raise InvalidParameterError(f"cannot parse number {text!r}")
+    return value
 
 
 def _tolerance(text):
-    """The tolerance literal, once it is known to parse to a finite number > 0."""
-    try:
-        value = mp.mpf(str(text))
-    except ValueError:
-        value = mp.nan
-    if not (mp.isfinite(value) and value > 0):
+    """The tolerance literal, once it is known to be a rational > 0."""
+    value = _fraction(text)
+    if value is None or not value > 0:
         raise InvalidParameterError(f"tolerance must be finite and > 0, got {text!r}")
     return str(text)
 
@@ -187,8 +187,6 @@ def generate(**opts):
 
 def _oracle_entries(numbers, suite):
     """Exact squared-rational entries when the oracle covers the run, else {}."""
-    if not all(isinstance(v, Fraction) for v in numbers.values()):
-        return {}
     try:
         osuite = build_oracle_suite(*numbers.values(), suite.J.nrows)
     except OracleUnsupportedError:

@@ -148,8 +148,7 @@ class MeasureSpec:
         for n in range(1, size):
             norm_sq.append(gamma[n] * norm_sq[-1])
         return RecurrenceTable(beta, gamma, tuple(norm_sq),
-                               tuple(1 / ctx.sqrt(s) for s in norm_sq), precision,
-                               self.support)
+                               tuple(1 / ctx.sqrt(s) for s in norm_sq), precision)
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,6 @@ class RecurrenceTable:
     norm_sq: tuple
     leading: tuple
     precision: int
-    support: tuple
 
     @property
     def size(self):

@@ -35,21 +35,15 @@ def _near(x, y):
 
 @dataclass(frozen=True)
 class KernelConfluents:
-    """Confluent kernel values at the mass point: K, K01 = K10, and K11.
+    """Confluent kernel values at the mass point: K, K01 (= K10) and K11.
 
-    The 2x2 matrix [[K, K01], [K10, K11]] is the Gram matrix of the
+    The 2x2 matrix [[K, K01], [K01, K11]] is the Gram matrix of the
     evaluation functionals f -> f(c), f -> f'(c), hence positive semidefinite.
     """
 
-    n: int
-    c: object
     K: object
     K01: object
     K11: object
-
-    @property
-    def K10(self):
-        return self.K01
 
 
 @dataclass(frozen=True)
@@ -150,4 +144,4 @@ def kernel_confluents(rec, n, c):
     K01 = (j.jet(n) * j.jet(n + 1, 2) - j.jet(n + 1) * j.jet(n, 2)) / 2 * w
     K11 = ((j.jet(n) * j.jet(n + 1, 3) - j.jet(n + 1) * j.jet(n, 3)) / 6
            + (j.jet(n, 1) * j.jet(n + 1, 2) - j.jet(n + 1, 1) * j.jet(n, 2)) / 2) * w
-    return KernelConfluents(n=n, c=c, K=K, K01=K01, K11=K11)
+    return KernelConfluents(K=K, K01=K01, K11=K11)

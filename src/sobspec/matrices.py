@@ -30,6 +30,12 @@ product consumes min(left upper bandwidth, right lower bandwidth).  Residuals
 are only ever evaluated inside the intersection of the operands' exact
 regions, and every identity goes through one routine, :func:`block_residual`,
 which reads a band and, for the products of Q, its rank-one tail.
+
+Each matrix operation runs at one precision: the operands of
+:func:`multiply` and :func:`block_residual` (and so of :func:`qr_pair`) must
+share it, and operands at two precisions raise :class:`InvalidParameterError`.
+:class:`MatrixSuite` holds its inputs, the Sobolev ledger and the ten
+matrices; it reaches the earlier ledgers through the Sobolev one.
 """
 
 from __future__ import annotations
@@ -144,12 +150,11 @@ def _hessenberg_diagonals(Q, upto):
     from diagonal k - 1 by forward substitution against L1, in one fixed
     operation order, so an entry has the same bits however far this goes.
     The diagonals are tuples, which ``from_diagonals`` keeps without a copy."""
-    zero = context(Q.precision).zero  # made in Q's context, as left operand
     l1diag, l1sub = Q.l1.diagonal(0), Q.l1.diagonal(-1)
     diagonals = {-1: Q.sub, 0: Q.diag}
     for k in range(1, upto + 1):
         prev = diagonals[k - 1]
-        diagonals[k] = tuple([(zero - prev[j] * l1sub[j + k - 1]) / l1diag[j + k]
+        diagonals[k] = tuple([-prev[j] * l1sub[j + k - 1] / l1diag[j + k]
                               for j in range(len(prev) - 1)])
     return diagonals
 
@@ -191,6 +196,14 @@ def identity(n, precision):
     return from_diagonals({0: [context(precision).one] * n}, n, precision)
 
 
+def _one_precision(A, B):
+    """The precision of both operands; operands at two precisions raise."""
+    if A.precision != B.precision:
+        raise InvalidParameterError(
+            f"operands at {A.precision} and {B.precision} bits; convert one first")
+    return A.precision
+
+
 def multiply(A, B):
     """A @ B with band union and exact-size propagation.
 
@@ -201,15 +214,12 @@ def multiply(A, B):
     Diagonal r gathers diagonal p of A times diagonal r - p of B, p
     ascending, so every entry adds its terms in ascending k, starting from
     its first term (adding it to an exact zero would not change its bits).
+    Both operands must have one precision, the product's.
     """
     if A.ncols != B.nrows:
         raise InvalidParameterError("inner dimensions differ")
+    zero = context(_one_precision(A, B)).zero
     nrows, ncols = A.nrows, B.ncols
-    prec = max(A.precision, B.precision)
-    ctx = context(prec)
-    adiags = A.diagonals
-    if A.precision < prec:  # a product rounds in its left operand's context
-        adiags = [[ctx.make_mpf(v._mpf_) for v in d] for d in adiags]
     diagonals = {}
     for r in range(-min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
                    min(A.upper_bw + B.upper_bw, max(ncols - 1, 0)) + 1):
@@ -218,15 +228,15 @@ def multiply(A, B):
                        min(A.upper_bw, r + B.lower_bw) + 1):
             # rows i with 0 <= i < nrows, 0 <= i + p < A.ncols, 0 <= i + r < ncols
             lo, hi = max(0, -p, -r), min(nrows, A.ncols - p, ncols - r)
-            a = adiags[A.lower_bw + p][lo + min(0, p):hi + min(0, p)]
+            a = A.diagonals[A.lower_bw + p][lo + min(0, p):hi + min(0, p)]
             b = B.diagonals[B.lower_bw + r - p][lo + min(p, r):hi + min(p, r)]
             s = lo - max(0, -r)
             out[s:s + hi - lo] = [x * y if acc is None else acc + x * y
                                   for acc, x, y in zip(out[s:], a, b)]
-        diagonals[r] = [ctx.zero if v is None else v for v in out]
+        diagonals[r] = [zero if v is None else v for v in out]
     w = min(A.upper_bw, B.lower_bw)
     exact = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
-    return from_diagonals(diagonals, exact, prec, (nrows, ncols))
+    return from_diagonals(diagonals, exact, A.precision, (nrows, ncols))
 
 
 def _cut(A, lo, hi):
@@ -245,22 +255,19 @@ def block_residual(A, B, block, tail=None):
     |entry| of either block).
 
     Only the union of the two declared bands is read: outside it both
-    operands are exact zeros.  The differences round in the context of the
-    higher precision, which the swap puts on the left.
+    operands are exact zeros.  Both operands must have one precision.
 
     ``tail = (left, right)`` gives A a rank-one part above its band: A(i, k)
     = left[i] * right[k] for k > i + A.upper_bw, as :func:`_q_products` holds
     a product of Q.  B must vanish there, so the largest tail entry is also
     the largest difference there; it comes from a running max of |left|, in
-    O(block).  The swap cannot move a tail, so A must be the more precise.
+    O(block).
     """
     if block < 1:
         raise InternalConsistencyError("empty comparison block")
-    if tail and (A.precision < B.precision or B.upper_bw > A.upper_bw):
-        raise InternalConsistencyError("a tail needs B within A's band and precision")
-    if A.precision < B.precision:
-        A, B = B, A
-    diff = top = far = lead = context(A.precision).zero
+    if tail and B.upper_bw > A.upper_bw:
+        raise InternalConsistencyError("a tail needs B within A's band")
+    diff = top = far = lead = context(_one_precision(A, B)).zero
     for k in range(-max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw) + 1):
         a, b = _leading(A, k, block), _leading(B, k, block)
         diff = max([diff, *map(abs, map(sub, a, b))])
@@ -366,22 +373,18 @@ def qr_pair(L, L1):
     and positive diagonal.  Both give up one guard row.
     """
     n = L.nrows
-    prec = max(L.precision, L1.precision)
     exact = max(0, min(L.exact_size, L1.exact_size) - 1)
-    ctx = context(prec)
-    zero = ctx.zero
     ldiag, lsub = L.diagonal(0), L.diagonal(-1)
     l1diag, l1sub = L1.diagonal(0), L1.diagonal(-1)
-    # Generators start from ``zero``, made in the ``prec`` context, as left operands.
-    sub = [(zero + lsub[j]) / l1diag[j] for j in range(n - 1)]
+    sub = [lsub[j] / l1diag[j] for j in range(n - 1)]
     diag = []
     for j in range(n):
-        acc = zero + ldiag[j]
+        acc = ldiag[j]
         if j:
             acc -= sub[j - 1] * l1sub[j - 1]
         diag.append(acc / l1diag[j])
-    rho = [ctx.one] + [(zero - l1sub[i - 1]) / l1diag[i] for i in range(1, n)]
-    Q = HessenbergQ(n, n, min(1, max(n - 1, 0)), max(n - 1, 0), min(exact, n), prec,
+    rho = [context(L.precision).one] + [-l1sub[i - 1] / l1diag[i] for i in range(1, n)]
+    Q = HessenbergQ(n, n, min(1, max(n - 1, 0)), max(n - 1, 0), min(exact, n), L.precision,
                     tuple(diag), tuple(sub), tuple(rho), L1)
     R = replace(multiply(L, L1).transpose(), exact_size=exact)
     return Q, R
@@ -414,20 +417,19 @@ def build_H(sob, size):
 class MatrixSuite:
     """All matrices of one configuration at one truncation.
 
-    Built at ``size + guard`` rows so that every verification block of
-    ``size`` rows is exact.  ``J2`` comes from the double Cholesky commute
-    (the chain route); ``J2_direct`` from the scalar recurrence ledger of the
-    twice-transformed family -- the two feed a cross-check residual.
+    It holds its inputs (``spec``, ``size``, ``guard``, ``precision``), the
+    Sobolev ledger ``sob`` (which reaches the earlier stages as ``sob.chris``,
+    ``sob.chris.kt`` and ``sob.chris.kt.rec``) and the ten matrices.  Built at
+    ``size + guard`` rows so that every verification block of ``size`` rows is
+    exact.  ``J2`` comes from the double Cholesky commute (the chain route);
+    ``J2_direct`` from the scalar recurrence ledger of the twice-transformed
+    family -- the two feed a cross-check residual.
     """
 
     spec: object
     size: int
     guard: int
     precision: int
-    side: str
-    rec: object
-    kt: object
-    chris: object
     sob: object
     J: BandedMatrix
     L: BandedMatrix
@@ -454,7 +456,7 @@ class MatrixSuite:
         rec = spec.measure.recurrence(nb + 5, precision)
         kt = KernelTable.build(rec, spec.c)
         chris = ChristoffelLedger.build(kt, nb + 2)
-        sob = SobolevLedger.build(chris, spec, nb + 2)
+        sob = SobolevLedger.build(chris, spec.M, spec.N, nb + 2)
         side = spec.side
         J = build_jacobi(rec, nb)
         L = cholesky_shifted(J, spec.c, side)
@@ -465,8 +467,7 @@ class MatrixSuite:
         Q, R = qr_pair(L, L1)
         T = build_T(sob, nb)
         H = build_H(sob, nb)
-        return cls(spec=spec, size=size, guard=guard, precision=precision,
-                   side=side, rec=rec, kt=kt, chris=chris, sob=sob,
+        return cls(spec=spec, size=size, guard=guard, precision=precision, sob=sob,
                    J=J, L=L, J1=J1, L1=L1, J2=J2, J2_direct=J2_direct,
                    Q=Q, R=R, T=T, H=H)
 
@@ -489,9 +490,6 @@ class ResidualReport:
     """Max-entry relative residuals of the factorization identities, each on
     the guard-trimmed leading block recorded next to it."""
 
-    size: int
-    guard: int
-    precision: int
     entries: tuple
 
     @property
@@ -582,7 +580,7 @@ def verify_propositions(suite, size=None):
     is never expanded.
     """
     size = suite.size if size is None else _check_int("size", size, 1)
-    sgn = _sign(suite.side)
+    sgn = _sign(suite.spec.side)
     c = to_mpf(suite.spec.c, context(suite.precision))
     R, H = suite.R, suite.H
     A0 = suite.J.shifted(-c).scaled(sgn)
@@ -611,5 +609,4 @@ def verify_propositions(suite, size=None):
         # H stores only its declared band; its diagonals beyond 2 must vanish.
         compare("H bandwidth <= 2", H, _cut(H, -2, 2)),
     ]
-    return ResidualReport(size=size, guard=suite.guard,
-                          precision=suite.precision, entries=tuple(entries))
+    return ResidualReport(tuple(entries))

@@ -13,6 +13,7 @@ CSV holds one ``i,j,value`` row per band entry under a header line.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import mpmath as mp
 
@@ -65,9 +66,10 @@ def matrix_to_json(name, matrix, exact_entries=None):
 
 def matrix_from_json(text):
     """(name, matrix) of a matrix document.  Each value goes to its own
-    (i, j), and each position of the declared band must be given once."""
-    doc = json.loads(text)
+    (i, j), and each position of the declared band must be given once.
+    Text that is not such a document raises :class:`InvalidParameterError`."""
     try:
+        doc = json.loads(text)
         name, entries = doc["name"], doc["entries"]
         nrows, ncols, lower, upper, exact = (_check_int(key, doc[key], 0) for key in (
             "nrows", "ncols", "lower_bw", "upper_bw", "exact_size"))
@@ -76,8 +78,12 @@ def matrix_from_json(text):
         diagonals = {k: [parse_value(values.pop((n + max(0, -k), n + max(0, k))), prec)
                          for n in range(_diagonal_length(nrows, ncols, k))]
                      for k in range(-lower, upper + 1)}
+    except InvalidParameterError:
+        raise
     except KeyError as exc:
         raise InvalidParameterError(f"matrix document lacks {exc}") from None
+    except (TypeError, ValueError) as exc:  # not JSON, or an entry not [i, j, value]
+        raise InvalidParameterError(f"malformed matrix document: {exc}") from None
     if values or len(entries) != sum(map(len, diagonals.values())):
         raise InvalidParameterError("an entry lies outside the declared band or repeats")
     return name, from_diagonals(diagonals, exact, prec, (nrows, ncols))
@@ -91,50 +97,23 @@ def matrix_to_csv(matrix):
 
 
 def ledgers_to_doc(suite):
-    """All scalar ledgers of a built suite, values as decimal strings."""
+    """The scalar ledgers of a built suite: for the recurrence, Christoffel
+    and Sobolev ledgers, the size and then every tuple field, in declaration
+    order, as a column of decimal strings."""
     p = suite.precision
-    rec, ch, so = suite.rec, suite.chris, suite.sob
+    sob = suite.sob
 
-    def col(seq):
-        return [format_value(v, p) for v in seq]
+    def columns(ledger, **extra):
+        return {"size": ledger.size, **extra,
+                **{f.name: [format_value(v, p) for v in getattr(ledger, f.name)]
+                   for f in fields(ledger) if isinstance(getattr(ledger, f.name), tuple)}}
 
     return {
         "precision": p,
-        "recurrence": {
-            "size": rec.size,
-            "beta": col(rec.beta),
-            "gamma": col(rec.gamma),
-            "norm_sq": col(rec.norm_sq),
-            "leading": col(rec.leading),
-        },
-        "christoffel": {
-            "size": ch.size,
-            "d": col(ch.d),
-            "e": col(ch.e),
-            "r2": col(ch.r2),
-            "kappa": col(ch.kappa),
-            "tau": col(ch.tau),
-            "norm2_sq": col(ch.norm2_sq),
-        },
-        "sobolev": {
-            "size": so.size,
-            "reading": "corrected",  # the resolved gamma index (see sobolev.py)
-            "Sc": col(so.Sc),
-            "Sdc": col(so.Sdc),
-            "normS_sq": col(so.normS_sq),
-            "t": col(so.t),
-            "gamma_nn": col(so.gamma_nn),
-            "gamma_n1": col(so.gamma_n1),
-            "gamma_n2": col(so.gamma_n2),
-            "a": col(so.a),
-            "b": col(so.b),
-            "cdiag": col(so.cdiag),
-            "alpha1": col(so.alpha1),
-            "alpha0": col(so.alpha0),
-            "xi0": col(so.xi0),
-            "xi1": col(so.xi1),
-            "xi2": col(so.xi2),
-        },
+        "recurrence": columns(sob.chris.kt.rec),
+        "christoffel": columns(sob.chris),
+        # the resolved gamma index (see sobolev.py)
+        "sobolev": columns(sob, reading="corrected"),
     }
 
 

@@ -9,6 +9,11 @@ twice-transformed orthonormal family, the five-term recurrence entries
 (a_n, b_n, c_n) for multiplication by (x-c)^2, and the auxiliary alpha/xi
 connection coefficients.
 
+Only the masses M and N enter here.  The mass point and the base measure
+come with the Christoffel ledger that the Sobolev ledger extends
+(``chris.kt.c`` and ``chris.kt.rec``), so they have one owner each and no
+second copy can name another point or measure.
+
 Derivative-index resolution: the published bracket for gamma_{n-1,n}
 carries the derivative factor with index n; the kernel expansion it comes
 from produces index n-1, and only index n-1 passes the exact-rational
@@ -28,8 +33,9 @@ from .errors import DegeneratePointError, InvalidParameterError, NumericalFailur
 from .kernels import kernel_at, kernel_dy_at_c
 
 
-def sobolev_boundary(kt, spec, n):
-    """(S_n(c), S_n'(c)): solution of the confluent-kernel 2x2 system.
+def sobolev_boundary(kt, M, N, n):
+    """(S_n(c), S_n'(c)): solution of the confluent-kernel 2x2 system for the
+    masses M and N at the kernel table's point c.
 
     The system matrix is [[1 + M K_{n-1}, N K01_{n-1}], [M K01_{n-1},
     1 + N K11_{n-1}]] (values at (c,c)), right-hand side (P_n(c), P_n'(c)).
@@ -40,7 +46,7 @@ def sobolev_boundary(kt, spec, n):
     if not 0 <= n < rec.size:
         raise IndexError(f"n = {n} outside table of size {rec.size}")
     ctx = context(rec.precision)
-    M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
+    M, N = to_mpf(M, ctx), to_mpf(N, ctx)
     if n == 0:
         a11, a12, a21, a22 = ctx.one, ctx.zero, ctx.zero, ctx.one
     else:
@@ -55,12 +61,12 @@ def sobolev_boundary(kt, spec, n):
     return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
 
 
-def sobolev_norm(kt, spec, n, boundary):
+def sobolev_norm(kt, M, N, n, boundary):
     """(||S_n||^2, t_n) with ||S_n||^2 = ||P_n||^2 + M S_n(c) P_n(c) + N S_n'(c) P_n'(c)."""
     rec = kt.rec
     ctx = context(rec.precision)
     sc, sdc = boundary
-    M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
+    M, N = to_mpf(M, ctx), to_mpf(N, ctx)
     ns = rec.norm_sq[n] + M * sc * kt.cjets.jet(n) + N * sdc * kt.cjets.jet(n, 1)
     if not ns > 0:
         raise NumericalFailureError(
@@ -72,7 +78,8 @@ def sobolev_norm(kt, spec, n, boundary):
 @dataclass(frozen=True)
 class SobolevLedger:
     """Boundary values, norms, connection and five-term coefficients, built
-    from the Christoffel ledger ``chris`` and the masses of ``spec``.
+    from the Christoffel ledger ``chris`` and the masses ``M`` and ``N``,
+    which it holds in its context; the mass point is ``chris.kt.c``.
 
     Field indexing follows the defining displays: gamma_nn[n], gamma_n1[n],
     gamma_n2[n] are the coefficients of the twice-transformed orthonormal
@@ -83,7 +90,8 @@ class SobolevLedger:
     """
 
     chris: object
-    spec: object
+    M: object
+    N: object
     Sc: tuple
     Sdc: tuple
     normS_sq: tuple
@@ -105,20 +113,21 @@ class SobolevLedger:
         return len(self.t)
 
     @classmethod
-    def build(cls, chris, spec, size):
+    def build(cls, chris, M, N, size):
         kt, rec = chris.kt, chris.kt.rec
         ctx = context(rec.precision)
-        if to_mpf(spec.c, ctx) != kt.c:
-            raise InvalidParameterError(f"spec has c = {spec.c}, the kernel table c = {kt.c}")
+        M, N = to_mpf(M, ctx), to_mpf(N, ctx)
+        if not all(0 <= m < ctx.inf for m in (M, N)):
+            raise InvalidParameterError(
+                f"masses must be finite and nonnegative, got M = {M}, N = {N}")
         if _check_int("size", size, 0) > chris.size:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
-        M, N = to_mpf(spec.M, ctx), to_mpf(spec.N, ctx)
         j = kt.cjets
         r = rec.leading
         Sc, Sdc, normS, t = [], [], [], []
         for n in range(size):
-            pair = sobolev_boundary(kt, spec, n)
-            ns, tn = sobolev_norm(kt, spec, n, pair)
+            pair = sobolev_boundary(kt, M, N, n)
+            ns, tn = sobolev_norm(kt, M, N, n, pair)
             Sc.append(pair[0])
             Sdc.append(pair[1])
             normS.append(ns)
@@ -159,7 +168,7 @@ class SobolevLedger:
             x2.append((r[n - 1] / r[n]) * ctx.sqrt(kt.K[n - 2] / kt.K[n - 1])
                       if n >= 2 else zero)
 
-        return cls(chris=chris, spec=spec,
+        return cls(chris=chris, M=M, N=N,
                    Sc=tuple(Sc), Sdc=tuple(Sdc), normS_sq=tuple(normS),
                    t=tuple(t), gamma_nn=tuple(g_nn), gamma_n1=tuple(g_n1),
                    gamma_n2=tuple(g_n2), a=tuple(a), b=tuple(b),
@@ -175,14 +184,12 @@ def eval_sobolev(sob, n, x, normalized=False):
     if not 0 <= n < sob.size:
         raise IndexError(f"n = {n} outside ledger of size {sob.size}")
     kt, rec = sob.chris.kt, sob.chris.kt.rec
-    ctx = context(rec.precision)
-    x = to_mpf(x, ctx)
+    x = to_mpf(x, context(rec.precision))
     value = eval_jet(rec, n, x, order=0).jet(n)
-    M, N = to_mpf(sob.spec.M, ctx), to_mpf(sob.spec.N, ctx)
     if n >= 1:
-        if M != 0:
-            value -= M * sob.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
-        if N != 0:
+        if sob.M != 0:
+            value -= sob.M * sob.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
+        if sob.N != 0:
             k01 = kt.K01[n - 1] if x == kt.c else kernel_dy_at_c(rec, n - 1, x, kt.c)
-            value -= N * sob.Sdc[n] * k01
+            value -= sob.N * sob.Sdc[n] * k01
     return value * sob.t[n] if normalized else value

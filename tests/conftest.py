@@ -34,4 +34,4 @@ def spec():
 
 @pytest.fixture(scope="session")
 def sob(chris, spec):
-    return SobolevLedger.build(chris, spec, 27)
+    return SobolevLedger.build(chris, spec.M, spec.N, 27)

@@ -51,7 +51,7 @@ def _ledgers(spec, size):
     rec = laguerre_recurrence(0, size + 5)
     kt = KernelTable.build(rec, spec.c)
     chris = ChristoffelLedger.build(kt, size + 2)
-    sob = SobolevLedger.build(chris, spec, size + 2)
+    sob = SobolevLedger.build(chris, spec.M, spec.N, size + 2)
     return rec, kt, chris, sob
 
 

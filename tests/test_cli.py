@@ -11,12 +11,14 @@ from helpers import TOL30, rel
 from sobspec.cli import main
 from sobspec.core import MeasureSpec, SobolevSpec, laguerre_recurrence
 from sobspec.errors import InvalidParameterError
-from sobspec.matrices import MatrixSuite, build_jacobi, multiply
+from sobspec.matrices import MatrixSuite, build_jacobi, multiply, verify_propositions
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
 
-BAD_TOLERANCES = ["--tolerance=abc", "--tolerance=-1", "--tolerance=0",
-                  "--tolerance=nan", "--tolerance=inf"]
+#: Literals that are not rational numbers: each must exit 2 in every command
+#: that takes the option, never reach a float parser or raise a traceback.
+BAD_LITERALS = ["abc", "1/0", "1/-3", "1 / 3", "inf", "Inf", "-inf", "nan"]
+BAD_TOLERANCES = [f"--tolerance={t}" for t in ["-1", "0", *BAD_LITERALS]]
 
 
 @pytest.fixture()
@@ -147,9 +149,11 @@ class TestRoundTrip:
         assert (J.entry(1, 1), J.entry(2, 2)) == (3, 5)
         assert matrix_to_json("J", J) == text
 
-    @pytest.mark.parametrize("fault", ["missing", "twice", "no ncols", "value", "precision"])
+    @pytest.mark.parametrize("fault", ["missing", "twice", "no ncols", "value", "precision",
+                                       "not a triple", "not json"])
     def test_json_faults_are_invalid_parameters(self, fault):
         doc = json.loads(matrix_to_json("J", build_jacobi(laguerre_recurrence(0, 5), 4)))
+        text = None
         if fault == "missing":
             doc["entries"].pop(3)
         elif fault == "twice":
@@ -158,10 +162,14 @@ class TestRoundTrip:
             del doc["ncols"]
         elif fault == "value":
             doc["entries"][3][2] = "three"
-        else:
+        elif fault == "precision":
             doc["precision"] = "64"
+        elif fault == "not a triple":
+            doc["entries"][0] = doc["entries"][0][:2]
+        else:
+            text = "{"
         with pytest.raises(InvalidParameterError):
-            matrix_from_json(json.dumps(doc))
+            matrix_from_json(text or json.dumps(doc))
 
     def test_csv_round_trip(self, runner, tmp_path):
         run_generate(runner, tmp_path, "--format", "csv")
@@ -180,13 +188,16 @@ class TestVerify:
         assert len(report["residuals"]) == 10
         assert "tolerance" not in report and report["config"]["tolerance"] == "1e-30"
 
-    @pytest.mark.parametrize("option", ["--c=-inf", "--c=nan", "--M=inf", "--N=inf",
-                                        "--alpha=inf", "--c=abc", *BAD_TOLERANCES])
+    @pytest.mark.parametrize("option", [
+        *(f"--{name}={text}" for name in ("alpha", "c", "M", "N") for text in BAD_LITERALS),
+        *BAD_TOLERANCES])
     def test_non_finite_parameter_exit_code(self, runner, tmp_path, option):
         result = runner.invoke(main, ["verify", "--size", "6", option,
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "verification.json").exists()
+        if not option.startswith("--tolerance"):
+            assert result.output == f"error: cannot parse number {option.split('=')[1]!r}\n"
 
     def test_low_precision_breaches_tolerance_but_writes_report(self, runner, tmp_path):
         result = runner.invoke(
@@ -388,9 +399,11 @@ class TestOptionContract:
 
 
 # SHA-256 of every file each run writes: the default ``generate``, the same in
-# CSV, and a reflected custom measure (support (-inf, 0], c = 1) serialized
-# through ``matrix_to_json`` and ``ledgers_to_doc``.  A deliberate revision of
-# the output re-records them.
+# CSV, the three ``verify`` runs of ``VERIFY_RUNS``, and a reflected custom
+# measure (support (-inf, 0], c = 1) serialized through ``matrix_to_json`` and
+# ``ledgers_to_doc``.  ``reflected residuals`` pins the (name, _mpf_, block)
+# rows of that suite's ``verify_propositions``.  A deliberate revision of the
+# output re-records them.
 OUTPUT_DIGESTS = {
     "json": {
         "H.json": "ac7d04acb8e457266a33dd025f0ff7acac85a5515c1d396cc3414896c801484f",
@@ -432,27 +445,60 @@ OUTPUT_DIGESTS = {
         "T.json": "9e9a91963638cad10b2647d95c1f2e9154f39a89ab8f4c562565b9e121056bae",
         "ledgers.json": "7b8ac5b85872d106cb5fbda0df6750df77244c02dcdf7a16536ce15dc2008abd",
     },
+    "verify": {
+        "verification.json": "cbaab906c713e5ade87274e34224b4d30fb2bdbd0cac9e5f561e721aef63ed2c",
+    },
+    "verify 60 1024": {
+        "verification.json": "ad317254c23101e7836d2476e13864cd54dbdb53e85d628713df660e0b033892",
+    },
+    "verify 30 64": {
+        "verification.json": "21221e9da799189d03e9b78ed12ea49081434136d35307e5bef25e4c15ac405b",
+    },
+    "reflected residuals": {
+        "rows": "806729bafd687bfbc6ce515b4ad3bce3a99abe7f31cf09d6eb0cea2be0920faa",
+    },
+}
+
+#: kind -> (extra ``verify`` arguments, exit code); the last breaches 1e-30.
+VERIFY_RUNS = {
+    "verify": ([], 0),
+    "verify 60 1024": (["--size", "60", "--precision", "1024", "--alpha", "5/2"], 0),
+    "verify 30 64": (["--size", "30", "--precision", "64"], 4),
 }
 
 
-def write_reflected(outdir):
+def reflected_suite():
     rows = 8 + 4 + 5
     measure = MeasureSpec.custom([-(2 * n + 1) for n in range(rows)],
                                  [n * n for n in range(rows)], (float("-inf"), 0.0))
-    suite = MatrixSuite.build(SobolevSpec(measure, c=1, M=1, N=1), 8)
+    return MatrixSuite.build(SobolevSpec(measure, c=1, M=1, N=1), 8)
+
+
+def write_reflected(outdir):
+    suite = reflected_suite()
     for name, matrix in suite.named_matrices().items():
         (outdir / f"{name}.json").write_text(matrix_to_json(name, matrix))
     (outdir / "ledgers.json").write_text(json.dumps(ledgers_to_doc(suite), indent=1) + "\n")
 
 
 class TestOutputDigests:
-    @pytest.mark.parametrize("kind", ["json", "csv", "reflected"])
+    @pytest.mark.parametrize("kind", ["json", "csv", "reflected", *VERIFY_RUNS])
     def test_output_is_byte_identical(self, runner, tmp_path, kind):
         if kind == "reflected":
             write_reflected(tmp_path)
+        elif kind in VERIFY_RUNS:
+            extra, code = VERIFY_RUNS[kind]
+            result = runner.invoke(main, ["verify", *extra, "--out", str(tmp_path)])
+            assert result.exit_code == code, result.output
         else:
             result = runner.invoke(main, ["generate", "--format", kind, "--out", str(tmp_path)])
             assert result.exit_code == 0, result.output
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(tmp_path.iterdir())}
         assert digests == OUTPUT_DIGESTS[kind]
+
+    def test_reflected_residual_rows_are_bit_identical(self):
+        rows = [(name, tuple(map(int, res._mpf_)), block)
+                for name, res, block in verify_propositions(reflected_suite()).as_rows()]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert {"rows": digest} == OUTPUT_DIGESTS["reflected residuals"]

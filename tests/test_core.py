@@ -92,7 +92,6 @@ class TestCustomMeasure:
         table = reflected_laguerre(8).recurrence(8)
         assert table.beta[0] == -1
         assert table.norm_sq[2] == 4
-        assert table.support == (float("-inf"), 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):

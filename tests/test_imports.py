@@ -1,0 +1,54 @@
+"""No module imports a name it never uses.
+
+A stdlib ``ast`` scan of ``src/``, ``tests/`` and ``tools/``: an imported
+name counts as used when the module reads it or lists it in ``__all__``, and
+an import statement carrying ``# noqa: F401`` is left alone.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py"))
+
+
+def unused_imports(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}  # name -> line of its import statement
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            statement = lines[node.lineno - 1:node.end_lineno]
+            if any("noqa: F401" in line for line in statement):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_scan_covers_every_tree():
+    assert {p.relative_to(ROOT).parts[0] for p in FILES} == {"src", "tests", "tools"}
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_the_scan_finds_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\n"
+                      "__all__ = ['dumps']\n")
+    assert unused_imports(module) == [(1, "os"), (3, "loads")]

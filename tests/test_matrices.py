@@ -59,7 +59,7 @@ def reflected_spec(size):
 def identity_operands(suite):
     """The pairs verify_propositions compares through ``block_residual``,
     formed the same way: name -> (A, B)."""
-    sgn = 1 if suite.side == "left" else -1
+    sgn = 1 if suite.spec.side == "left" else -1
     c = to_mpf(suite.spec.c, context(suite.precision))
     A0 = suite.J.shifted(-c).scaled(sgn)
     A2 = suite.J2.shifted(-c).scaled(sgn)
@@ -326,7 +326,7 @@ class TestSuiteAndResiduals:
 
     def test_right_side_support(self):
         s = MatrixSuite.build(reflected_spec(30), size=10, guard=4)
-        assert s.side == "right"
+        assert s.spec.side == "right"
         report = verify_propositions(s)
         assert report.all_within(TOL30)
         # mirrored chain: cI - J is what gets factored
@@ -466,7 +466,7 @@ class TestBandLocalVerification:
         band, tail, _, B = band_with_tail()
         precise = from_diagonals({k: [to_mpf(v, context(128)) for v in B.diagonal(k)]
                                   for k in (-1, 0, 1)}, 7, 128)
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InvalidParameterError, match="bits"):
             block_residual(band, precise, 3, tail)
 
     def test_verify_never_expands_q_at_size_200(self, spec, monkeypatch):
@@ -512,31 +512,26 @@ class TestPrecisionContext:
         values = [v for m in [*s.named_matrices().values(), s.J2_direct, *operands]
                   for diagonal in m.diagonals for v in diagonal]
         values += [*s.Q.diag, *s.Q.sub, *s.Q.rho]
-        for ledger in (s.rec, s.kt, s.chris, s.sob):
+        sob = s.sob
+        kt = sob.chris.kt
+        for ledger in (kt.rec, kt, sob.chris, sob):
             for f in fields(ledger):
-                if isinstance(getattr(ledger, f.name), tuple) and f.name != "support":
+                if isinstance(getattr(ledger, f.name), tuple):
                     values.extend(getattr(ledger, f.name))
-        values += [s.kt.c, *(v for row in s.kt.cjets.values for v in row)]
+        values += [sob.M, sob.N, kt.c, *(v for row in kt.cjets.values for v in row)]
         values += [res for _, res, _ in verify_propositions(s).as_rows()]
         assert len(values) > 1000
         assert all(v.context is context(128) for v in values)
 
-    def test_mixed_precisions_round_at_the_larger_one(self, spec):
+    def test_mixed_precisions_raise(self, spec):
+        # Each matrix operation runs at one precision; a caller converts first.
         lo = MatrixSuite.build(spec, size=8, guard=4, precision=64)
         hi = MatrixSuite.build(spec, size=8, guard=4, precision=256)
-        with mp.workprec(256):
-            for A, B in ((lo.J, hi.L), (hi.J, lo.L)):
-                P = multiply(A, B)
-                assert P.precision == 256
-                for i in range(P.nrows):
-                    for j in range(P.ncols):
-                        ref = mp.mpf(0)
-                        for k in range(A.ncols):
-                            ref += mp.mpf(A.entry(i, k)) * B.entry(k, j)
-                        assert P.entry(i, j) == ref, (i, j)
-        res = block_residual(lo.J2, hi.J2, 8)
-        assert res == block_residual(hi.J2, lo.J2, 8) > 0
-        assert res.context is context(256)
+        for operation, *args in ((multiply, lo.J, hi.L), (multiply, hi.J, lo.L),
+                                 (qr_pair, lo.L, hi.L1), (block_residual, lo.J2, hi.J2, 8),
+                                 (block_residual, hi.J2, lo.J2, 8)):
+            with pytest.raises(InvalidParameterError, match="bits"):
+                operation(*args)
 
 
 class TestExactChain:
