@@ -15,12 +15,11 @@ from .core import (
     RecurrenceTable,
     SobolevSpec,
     eval_jet,
-    laguerre_recurrence,
     monic_value,
     orthonormal_value,
 )
 from .christoffel import ChristoffelLedger, eval_iterated
-from .kernels import KernelTable, kernel_at, kernel_confluents, kernel_dy_at_c
+from .kernels import KernelTable, kernel_at, kernel_dy_at_c
 from .matrices import (
     BandedMatrix,
     MatrixSuite,
@@ -77,9 +76,7 @@ __all__ = [
     "eval_jet",
     "eval_sobolev",
     "kernel_at",
-    "kernel_confluents",
     "kernel_dy_at_c",
-    "laguerre_recurrence",
     "monic_value",
     "orthogonality_defect",
     "orthonormal_value",

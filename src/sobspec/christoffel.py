@@ -6,8 +6,9 @@ family P^[2]_n with the connection
 
     (x-c)^2 P^[2]_n(x) = P_{n+2}(x) - d_n P_{n+1}(x) + e_n P_n(x).
 
-This module builds the scalar ledger (d_n, e_n, the leading coefficients
-r^[2]_n, the recurrence pair kappa_n/tau_n, squared norms) and evaluates both
+:meth:`ChristoffelLedger.build` computes every scalar of the ledger (d_n,
+e_n, the leading coefficients r^[2]_n, the recurrence pair kappa_n/tau_n,
+squared norms) from the kernel table; the module also evaluates both
 transformed families.  Every quantity with two published formulas is computed
 both ways and required to agree within a precision-scaled guard; the pinned
 1e-30 tolerances live in the test suite.
@@ -29,45 +30,14 @@ def _enforce(a, b, what, precision):
         )
 
 
-def _wronskian_den(kt, n):
-    """P_{n+1}(c) P'_n(c) - P'_{n+1}(c) P_n(c); nonzero for c outside the support."""
-    j = kt.cjets
-    den = j.jet(n + 1) * j.jet(n, 1) - j.jet(n + 1, 1) * j.jet(n)
-    if den == 0:
-        raise DegeneratePointError(f"degenerate mass point: Wronskian at n = {n} vanishes")
-    return den
-
-
-def christoffel_coeffs(kt, n):
-    """(d_n, e_n) of the twice-transformed connection, determinant route.
-
-    e_n is computed both by the determinant formula and as
-    (r_n/r_{n+1})^2 K_{n+1}(c,c)/K_n(c,c); the two must agree.
-    """
-    rec = kt.rec
-    if not 0 <= n <= rec.size - 3:
-        raise IndexError(f"coefficients at {n} need jets of P_{n + 2}")
-    j = kt.cjets
-    den = _wronskian_den(kt, n)
-    d = (j.jet(n + 2) * j.jet(n, 1) - j.jet(n + 2, 1) * j.jet(n)) / den
-    e_det = (j.jet(n + 2) * j.jet(n + 1, 1) - j.jet(n + 2, 1) * j.jet(n + 1)) / den
-    e_ker = (rec.norm_sq[n + 1] / rec.norm_sq[n]) * (kt.K[n + 1] / kt.K[n])
-    _enforce(e_det, e_ker, f"e_{n}", rec.precision)
-    return d, e_det
-
-
-def iterated_leading(kt, n):
-    """r^[2]_n = r_{n+1} sqrt(K_n(c,c) / K_{n+1}(c,c)) > 0."""
-    rec = kt.rec
-    if not 0 <= n <= rec.size - 2:
-        raise IndexError(f"leading coefficient at {n} needs K_{n + 1}")
-    return rec.leading[n + 1] * context(rec.precision).sqrt(kt.K[n] / kt.K[n + 1])
-
-
 @dataclass(frozen=True)
 class ChristoffelLedger:
     """Per-index scalars of the twice-transformed family, built from the
     kernel table ``kt`` at the mass point (and through it the recurrence).
+
+    d_n and e_n are Wronskian quotients of the jets of P_n, P_{n+1}, P_{n+2}
+    at c; e_n must also equal (r_n/r_{n+1})^2 K_{n+1}(c,c)/K_n(c,c), and
+    r^[2]_n = r_{n+1} sqrt(K_n(c,c)/K_{n+1}(c,c)) > 0.
 
     tau[0] holds the squared norm of the degree-0 member (the recurrence
     starts from p^[2]_0 = 1/sqrt(tau_0)); tau[n] for n >= 1 is the recurrence
@@ -88,15 +58,20 @@ class ChristoffelLedger:
 
     @classmethod
     def build(cls, kt, size):
-        rec = kt.rec
+        rec, j = kt.rec, kt.cjets
         if _check_int("size", size, 0) > rec.size - 2:
             raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
-        pairs = [christoffel_coeffs(kt, n) for n in range(size)]
-        d, e = [dn for dn, _ in pairs], [en for _, en in pairs]
-        r2 = [iterated_leading(kt, n) for n in range(size)]
-        norm2 = [en * rec.norm_sq[n] for n, en in enumerate(e)]
-        kappa, tau = [], norm2[:1]
+        ctx = context(rec.precision)
+        d, e, r2, kappa, tau = [], [], [], [], []
         for n in range(size):
+            den = j.jet(n + 1) * j.jet(n, 1) - j.jet(n + 1, 1) * j.jet(n)
+            if den == 0:
+                raise DegeneratePointError(f"degenerate mass point: Wronskian at n = {n} vanishes")
+            d.append((j.jet(n + 2) * j.jet(n, 1) - j.jet(n + 2, 1) * j.jet(n)) / den)
+            e.append((j.jet(n + 2) * j.jet(n + 1, 1) - j.jet(n + 2, 1) * j.jet(n + 1)) / den)
+            _enforce(e[n], (rec.norm_sq[n + 1] / rec.norm_sq[n]) * (kt.K[n + 1] / kt.K[n]),
+                     f"e_{n}", rec.precision)
+            r2.append(rec.leading[n + 1] * ctx.sqrt(kt.K[n] / kt.K[n + 1]))
             t1 = rec.beta[n]
             if n >= 1:
                 t1 += rec.gamma[n] * d[n - 1] / e[n - 1]
@@ -107,8 +82,9 @@ class ChristoffelLedger:
                 t_alt = (r2[n - 1] / rec.leading[n + 1]) ** 2 * (kt.K[n + 1] / kt.K[n])
                 _enforce(t_rat, t_alt, f"tau_{n}", rec.precision)
                 tau.append(t_rat)
+        norm2 = [en * rec.norm_sq[n] for n, en in enumerate(e)]
         return cls(kt=kt, d=tuple(d), e=tuple(e), r2=tuple(r2),
-                   kappa=tuple(kappa), tau=tuple(tau), norm2_sq=tuple(norm2))
+                   kappa=tuple(kappa), tau=tuple(norm2[:1] + tau), norm2_sq=tuple(norm2))
 
 
 def _monic_iterated_by_recurrence(ledger, n, x):

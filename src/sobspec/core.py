@@ -72,9 +72,7 @@ def context(precision):
 def to_mpf(x, ctx):
     """Convert ints, floats, Fractions, decimal strings or mpf to an mpf of
     ``ctx`` (ints and Fractions to a ``SqrtRational`` of ``context(EXACT)``);
-    an mpf keeps its bits."""
-    if hasattr(x, "_mpf_"):
-        return ctx.make_mpf(x._mpf_)
+    an mpf of more bits is rounded to ``ctx``'s precision."""
     if isinstance(x, Fraction):
         return ctx.mpf(x.numerator) / x.denominator
     return ctx.mpf(x)
@@ -84,9 +82,9 @@ def to_mpf(x, ctx):
 class MeasureSpec:
     """A base measure: a classical family or caller-supplied recurrence data.
 
-    ``support`` is the (lo, hi) interval carrying the measure, endpoints
-    possibly infinite.  Custom measures must supply the monic recurrence
-    coefficients directly.
+    ``support`` is the (lo, hi) interval carrying the measure, lo < hi, with
+    endpoints possibly infinite.  Custom measures supply the monic recurrence
+    coefficients directly: finite reals, gamma[1:] and norm0_sq positive.
     """
 
     family: str
@@ -108,20 +106,27 @@ class MeasureSpec:
         """A measure from its monic recurrence.  ``MatrixSuite.build`` at
         ``size`` and ``guard`` needs size + guard + 5 coefficients; only the
         serialized recurrence ledger shows those past index size + guard + 2."""
-        beta, gamma = tuple(beta), tuple(gamma)
+        beta, gamma, support = tuple(beta), tuple(gamma), tuple(support)
         if len(beta) != len(gamma):
             raise InvalidParameterError("beta and gamma must have equal length")
         if len(beta) < 1:
             raise InvalidParameterError("need at least one recurrence coefficient")
-        for n in range(1, len(gamma)):
-            if not gamma[n] > 0:
-                raise InvalidParameterError(f"gamma[{n}] = {gamma[n]} must be positive")
+        finite = [(f"beta[{n}]", b) for n, b in enumerate(beta)]
+        positive = [(f"gamma[{n}]", g) for n, g in enumerate(gamma) if n] + [("norm0_sq", norm0_sq)]
+        for name, value in finite + positive:
+            _require_finite_real(name, value)
+        for name, value in positive:
+            if not value > 0:
+                raise InvalidParameterError(f"{name} = {value} must be positive")
+        if (len(support) != 2 or not all(isinstance(v, numbers.Real) for v in support)
+                or not support[0] < support[1]):
+            raise InvalidParameterError(f"support must be a pair lo < hi, got {support!r}")
         return cls(
             family="custom",
             beta=beta,
             gamma=gamma,
             norm0_sq=norm0_sq,
-            support=tuple(support),
+            support=support,
         )
 
     def recurrence(self, size, precision=DEFAULT_PRECISION):
@@ -201,11 +206,6 @@ class RecurrenceTable:
     @property
     def size(self):
         return len(self.beta)
-
-
-def laguerre_recurrence(alpha, size, precision=DEFAULT_PRECISION):
-    """Recurrence table of the monic Laguerre family x^alpha e^(-x) on (0, inf)."""
-    return MeasureSpec.laguerre(alpha).recurrence(size, precision)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,10 @@
-"""Reproducing kernels, their first partial derivatives, and confluent values.
+"""Reproducing kernels and their first partial derivatives.
 
 K_n(x, y) = sum_{k<=n} p_k(x) p_k(y); the mixed partials up to order (1,1) are
-needed at the mass point.  Direct summation is the reference path everywhere;
-the Christoffel-Darboux quotient and the second/third-derivative confluent
-closed forms are accelerations validated against it in the test suite (the
-confluent ones against the cumulative sums of :class:`KernelTable`).
-
-Index convention of the mixed confluent closed form: the expression
-
-    [ (P_n P'''_{n+1} - P_{n+1} P'''_n)/6 + (P'_n P''_{n+1} - P'_{n+1} P''_n)/2 ] / ||P_n||^2
-
-(all evaluated at c) equals K^(1,1)_n(c, c) -- the *same* index n as the
-P_n/P_{n+1} pair and the prefactor, not n-1.  This was fixed empirically
-against the summation oracle (for the Laguerre alpha=0, c=-1 table it yields
-1 and 10 at n = 1, 2, which are the n-indexed partial sums) and is enforced
-by a regression test.
+needed at the mass point.  Their confluent values at (c, c) have one route,
+the direct summation of :class:`KernelTable`.  Away from the diagonal the
+pointwise evaluators use the Christoffel-Darboux quotient, validated against
+the summation in the test suite.
 """
 
 from __future__ import annotations
@@ -34,26 +24,14 @@ def _near(x, y):
 
 
 @dataclass(frozen=True)
-class KernelConfluents:
-    """Confluent kernel values at the mass point: K, K01 (= K10) and K11.
-
-    The 2x2 matrix [[K, K01], [K01, K11]] is the Gram matrix of the
-    evaluation functionals f -> f(c), f -> f'(c), hence positive semidefinite.
-    """
-
-    K: object
-    K01: object
-    K11: object
-
-
-@dataclass(frozen=True)
 class KernelTable:
     """Cumulative confluent kernel sums at a fixed point c, plus the jets there.
 
     K[n], K01[n], K11[n] are the order-(0,0), (0,1), (1,1) kernel values
     K^(j,k)_n(c, c) for n = 0..size-1, built by direct summation (the
-    reference path).  ``cjets`` holds derivatives of P_0..P_{size-1} at c up
-    to order 3.
+    only path).  ``cjets`` holds P_0..P_{size-1} at c with their first and
+    second derivatives: the ledgers read orders 0 and 1, the connection check
+    of :func:`sobspec.christoffel.eval_iterated` at c reads order 2.
     """
 
     rec: object
@@ -71,7 +49,7 @@ class KernelTable:
     def build(cls, rec, c):
         ctx = context(rec.precision)
         c = to_mpf(c, ctx)
-        jets = eval_jet(rec, rec.size - 1, c, order=3)
+        jets = eval_jet(rec, rec.size - 1, c, order=2)
         K, K01, K11 = [], [], []
         s = s01 = s11 = ctx.zero
         for k in range(rec.size):
@@ -109,16 +87,14 @@ def kernel_dy_at_c(rec, n, x, c):
     Uses the two-fraction closed form built from P_{n+1}, P_n and their
     derivatives at c when x is well separated from c, direct summation
     otherwise.  x exactly equal to c raises; the confluent values live in
-    :func:`kernel_confluents`.
+    :class:`KernelTable`.
     """
     if not 0 <= n < rec.size - 1:
         raise IndexError(f"kernel of order {n} needs P_{n + 1}; table size {rec.size}")
     ctx = context(rec.precision)
     x, c = to_mpf(x, ctx), to_mpf(c, ctx)
     if x == c:
-        raise ConfluentPointError(
-            "x coincides with the mass point; use kernel_confluents"
-        )
+        raise ConfluentPointError("x coincides with the mass point; use KernelTable")
     jc = eval_jet(rec, n + 1, c, order=1)
     if _near(x, c):
         jx = eval_jet(rec, n, x, order=0)
@@ -128,20 +104,3 @@ def kernel_dy_at_c(rec, n, x, c):
     t2 = (jx.jet(n + 1) * jc.jet(n, 1) - jx.jet(n) * jc.jet(n + 1, 1)) / (x - c)
     return (t1 + t2) / rec.norm_sq[n]
 
-
-def kernel_confluents(rec, n, c):
-    """Confluent values K_n(c,c), K^(0,1)_n(c,c), K^(1,1)_n(c,c) by closed forms.
-
-    All three derive from the jets of P_n and P_{n+1} at c (orders up to 3);
-    see the module docstring for the index convention of the (1,1) form.
-    """
-    if not 0 <= n < rec.size - 1:
-        raise IndexError(f"confluents of order {n} need P_{n + 1}; table size {rec.size}")
-    c = to_mpf(c, context(rec.precision))
-    j = eval_jet(rec, n + 1, c, order=3)
-    w = 1 / rec.norm_sq[n]
-    K = (j.jet(n + 1, 1) * j.jet(n) - j.jet(n, 1) * j.jet(n + 1)) * w
-    K01 = (j.jet(n) * j.jet(n + 1, 2) - j.jet(n + 1) * j.jet(n, 2)) / 2 * w
-    K11 = ((j.jet(n) * j.jet(n + 1, 3) - j.jet(n + 1) * j.jet(n, 3)) / 6
-           + (j.jet(n, 1) * j.jet(n + 1, 2) - j.jet(n + 1, 1) * j.jet(n, 2)) / 2) * w
-    return KernelConfluents(K=K, K01=K01, K11=K11)

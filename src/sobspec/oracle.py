@@ -194,6 +194,15 @@ EXACT_CONTEXT = SimpleNamespace(zero=SqrtRational(0, 0), one=SqrtRational(1, 1),
 MAX_ROWS = 29
 
 
+def _rational(name, value):
+    """``value`` as a Fraction; a NaN, an infinity or a non-number is invalid."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(
+            f"{name} must be a finite rational number, got {value!r}") from exc
+
+
 def laguerre_basis(alpha, count):
     """Exact monic recurrence of x^alpha e^(-x) on (0, inf) for the degrees
     0..count - 1: (beta, gamma, norm_sq) as Fractions, beta_k = 2k + 1 + alpha,
@@ -202,10 +211,11 @@ def laguerre_basis(alpha, count):
     Rational only for a nonnegative integer alpha; other alphas raise
     :class:`OracleUnsupportedError` (the floating path covers them).
     """
-    a = int(alpha)
-    if a != alpha or a < 0:
+    q = _rational("alpha", alpha)
+    if q.denominator != 1 or q < 0:
         raise OracleUnsupportedError(
             f"the exact recurrence needs a nonnegative integer alpha, got {alpha!r}")
+    a = int(q)
     beta = tuple(Fraction(2 * k + 1 + a) for k in range(count))
     gamma = tuple(Fraction(k * (k + a)) for k in range(count))
     return beta, gamma, tuple(accumulate(gamma[1:], mul, initial=Fraction(math.factorial(a))))
@@ -319,7 +329,7 @@ def build_oracle_suite(alpha, c, M, N, size):
     Sobolev product of (x - c)^2 S_n with S_k is their (x - c)^2 dmu product,
     since (x - c)^2 S_n vanishes with its derivative at c.
     """
-    c, M, N = Fraction(c), Fraction(M), Fraction(N)
+    c, M, N = _rational("c", c), _rational("M", M), _rational("N", N)
     if c >= 0:
         raise OracleUnsupportedError(
             "oracle chain assumes the mass point left of the Laguerre support"

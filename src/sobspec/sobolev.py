@@ -3,11 +3,11 @@
 The monic family S_n orthogonal under
 ``<f, g> = int f g dmu + M f(c) g(c) + N f'(c) g'(c)`` is pinned down by its
 boundary pair (S_n(c), S_n'(c)), which solves a 2x2 linear system driven by
-the confluent kernel values of the base family.  From there the ledger
-collects norms, the triangular connection coefficients gamma onto the
-twice-transformed orthonormal family, the five-term recurrence entries
-(a_n, b_n, c_n) for multiplication by (x-c)^2, and the auxiliary alpha/xi
-connection coefficients.
+the confluent kernel values of the base family.  :meth:`SobolevLedger.build`
+solves it for every index and from there collects norms, the triangular
+connection coefficients gamma onto the twice-transformed orthonormal family,
+the five-term recurrence entries (a_n, b_n, c_n) for multiplication by
+(x-c)^2, and the auxiliary alpha/xi connection coefficients.
 
 Only the masses M and N enter here.  The mass point and the base measure
 come with the Christoffel ledger that the Sobolev ledger extends
@@ -33,53 +33,18 @@ from .errors import DegeneratePointError, InvalidParameterError, NumericalFailur
 from .kernels import kernel_at, kernel_dy_at_c
 
 
-def sobolev_boundary(kt, M, N, n):
-    """(S_n(c), S_n'(c)): solution of the confluent-kernel 2x2 system for the
-    masses M and N at the kernel table's point c.
-
-    The system matrix is [[1 + M K_{n-1}, N K01_{n-1}], [M K01_{n-1},
-    1 + N K11_{n-1}]] (values at (c,c)), right-hand side (P_n(c), P_n'(c)).
-    It is nonsingular for M, N >= 0 since the confluent Gram block is
-    positive semidefinite; the guard catches unvalidated custom input.
-    """
-    rec = kt.rec
-    if not 0 <= n < rec.size:
-        raise IndexError(f"n = {n} outside table of size {rec.size}")
-    ctx = context(rec.precision)
-    M, N = to_mpf(M, ctx), to_mpf(N, ctx)
-    if n == 0:
-        a11, a12, a21, a22 = ctx.one, ctx.zero, ctx.zero, ctx.one
-    else:
-        a11 = 1 + M * kt.K[n - 1]
-        a12 = N * kt.K01[n - 1]
-        a21 = M * kt.K01[n - 1]
-        a22 = 1 + N * kt.K11[n - 1]
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        raise DegeneratePointError("boundary system is singular")
-    b1, b2 = kt.cjets.jet(n), kt.cjets.jet(n, 1)
-    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
-
-
-def sobolev_norm(kt, M, N, n, boundary):
-    """(||S_n||^2, t_n) with ||S_n||^2 = ||P_n||^2 + M S_n(c) P_n(c) + N S_n'(c) P_n'(c)."""
-    rec = kt.rec
-    ctx = context(rec.precision)
-    sc, sdc = boundary
-    M, N = to_mpf(M, ctx), to_mpf(N, ctx)
-    ns = rec.norm_sq[n] + M * sc * kt.cjets.jet(n) + N * sdc * kt.cjets.jet(n, 1)
-    if not ns > 0:
-        raise NumericalFailureError(
-            f"computed squared norm at n = {n} is {ns}; increase the precision"
-        )
-    return ns, 1 / ctx.sqrt(ns)
-
-
 @dataclass(frozen=True)
 class SobolevLedger:
     """Boundary values, norms, connection and five-term coefficients, built
     from the Christoffel ledger ``chris`` and the masses ``M`` and ``N``,
     which it holds in its context; the mass point is ``chris.kt.c``.
+
+    The boundary pair (Sc[n], Sdc[n]) = (S_n(c), S_n'(c)) solves the system
+    [[1 + M K_{n-1}, N K01_{n-1}], [M K01_{n-1}, 1 + N K11_{n-1}]] (values at
+    (c,c), the identity at n = 0) with right-hand side (P_n(c), P_n'(c)).  It
+    is nonsingular for M, N >= 0, since the confluent Gram block is positive
+    semidefinite.  Then normS_sq[n] = ||P_n||^2 + M S_n(c) P_n(c)
+    + N S_n'(c) P_n'(c) and t[n] = 1/||S_n||.
 
     Field indexing follows the defining displays: gamma_nn[n], gamma_n1[n],
     gamma_n2[n] are the coefficients of the twice-transformed orthonormal
@@ -122,42 +87,48 @@ class SobolevLedger:
                 f"masses must be finite and nonnegative, got M = {M}, N = {N}")
         if _check_int("size", size, 0) > chris.size:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
-        j = kt.cjets
-        r = rec.leading
-        Sc, Sdc, normS, t = [], [], [], []
+        j, r, zero = kt.cjets, rec.leading, ctx.zero
+        Sc, Sdc, normS, t, g_nn, g_n1, g_n2 = [], [], [], [], [], [], []
+        a, b, cdiag, al1, al0, x0, x1, x2 = [], [], [], [], [], [], [], []
         for n in range(size):
-            pair = sobolev_boundary(kt, M, N, n)
-            ns, tn = sobolev_norm(kt, M, N, n, pair)
-            Sc.append(pair[0])
-            Sdc.append(pair[1])
+            if n == 0:
+                a11, a12, a21, a22 = ctx.one, ctx.zero, ctx.zero, ctx.one
+            else:
+                a11 = 1 + M * kt.K[n - 1]
+                a12 = N * kt.K01[n - 1]
+                a21 = M * kt.K01[n - 1]
+                a22 = 1 + N * kt.K11[n - 1]
+            det = a11 * a22 - a12 * a21
+            if det == 0:
+                raise DegeneratePointError("boundary system is singular")
+            b1, b2 = j.jet(n), j.jet(n, 1)
+            Sc.append((b1 * a22 - a12 * b2) / det)
+            Sdc.append((a11 * b2 - a21 * b1) / det)
+            ns = rec.norm_sq[n] + M * Sc[n] * b1 + N * Sdc[n] * b2
+            if not ns > 0:
+                raise NumericalFailureError(
+                    f"computed squared norm at n = {n} is {ns}; increase the precision")
             normS.append(ns)
-            t.append(tn)
+            t.append(1 / ctx.sqrt(ns))
 
-        zero = ctx.zero
-        g_nn = [t[n] / chris.r2[n] for n in range(size)]
-        g_n2 = [chris.r2[n - 2] / t[n] if n >= 2 else zero for n in range(size)]
-        g_n1 = [zero] * min(size, 1)
-        for n in range(1, size):
             sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
-            pm1, dp = j.jet(n - 1) * r[n - 1], j.jet(n - 1, 1) * r[n - 1]
-            bracket = (chris.d[n - 1] * t[n] / r[n]
-                       + chris.e[n - 1] * (r[n] / r[n - 1]) * (M * sc * pm1 + N * sdc * dp))
-            g_n1.append(-ctx.sqrt(kt.K[n - 1] / kt.K[n]) * bracket)
-
-        a, b, cdiag = [], [], []
-        for n in range(size):
-            a.append(g_nn[n - 2] * g_n2[n] if n >= 2 else zero)
+            g_nn.append(t[n] / chris.r2[n])
+            g_n2.append(chris.r2[n - 2] / t[n] if n >= 2 else zero)
             bn = zero
             if n >= 1:
+                pm1, dp = j.jet(n - 1) * r[n - 1], j.jet(n - 1, 1) * r[n - 1]
+                bracket = (chris.d[n - 1] * t[n] / r[n]
+                           + chris.e[n - 1] * (r[n] / r[n - 1]) * (M * sc * pm1 + N * sdc * dp))
+                g_n1.append(-ctx.sqrt(kt.K[n - 1] / kt.K[n]) * bracket)
                 bn = g_nn[n - 1] * g_n1[n]
                 if n >= 2:
                     bn += g_n2[n] * g_n1[n - 1]
+            else:
+                g_n1.append(zero)
+            a.append(g_nn[n - 2] * g_n2[n] if n >= 2 else zero)
             b.append(bn)
             cdiag.append(g_nn[n] ** 2 + g_n1[n] ** 2 + g_n2[n] ** 2)
 
-        al1, al0, x0, x1, x2 = [], [], [], [], []
-        for n in range(size):
-            sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
             al1.append(M * sc * j.jet(n + 1) * r[n + 1]
                        + N * sdc * j.jet(n + 1, 1) * r[n + 1])
             al0.append(t[n] / r[n] + M * sc * j.jet(n) * r[n]

@@ -2,7 +2,7 @@ import mpmath as mp
 import pytest
 
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import MeasureSpec, SobolevSpec, laguerre_recurrence
+from sobspec.core import MeasureSpec, SobolevSpec
 from sobspec.kernels import KernelTable
 from sobspec.sobolev import SobolevLedger
 
@@ -14,7 +14,7 @@ mp.mp.prec = 320
 
 @pytest.fixture(scope="session")
 def rec():
-    return laguerre_recurrence(0, 30)
+    return MeasureSpec.laguerre(0).recurrence(30)
 
 
 @pytest.fixture(scope="session")

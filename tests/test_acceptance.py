@@ -13,7 +13,7 @@ import mpmath as mp
 
 from helpers import TOL28, TOL30, in_monomials, laguerre_monic, moment_inner, poly_mul, rel
 from sobspec.christoffel import ChristoffelLedger, eval_iterated
-from sobspec.core import MeasureSpec, SobolevSpec, eval_jet, laguerre_recurrence
+from sobspec.core import MeasureSpec, SobolevSpec, eval_jet
 from sobspec.golden import compare_reference, computed_counterparts, load_reference
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (
@@ -48,7 +48,7 @@ def _spec(M=1, N=1):
 
 
 def _ledgers(spec, size):
-    rec = laguerre_recurrence(0, size + 5)
+    rec = MeasureSpec.laguerre(0).recurrence(size + 5)
     kt = KernelTable.build(rec, spec.c)
     chris = ChristoffelLedger.build(kt, size + 2)
     sob = SobolevLedger.build(chris, spec.M, spec.N, size + 2)

@@ -7,12 +7,7 @@ import mpmath as mp
 import pytest
 
 from helpers import TOL30, assert_rel, assert_squared, rel
-from sobspec.christoffel import (
-    ChristoffelLedger,
-    christoffel_coeffs,
-    eval_iterated,
-    iterated_leading,
-)
+from sobspec.christoffel import ChristoffelLedger, eval_iterated
 from sobspec.core import MeasureSpec, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError
 from sobspec.kernels import KernelTable
@@ -22,14 +17,12 @@ RNG_SEED = 61409
 
 
 class TestCoefficients:
-    def test_first_pair_matches_coefficient_expansion(self, kt):
+    def test_first_pair_matches_coefficient_expansion(self, chris):
         # (x+1)^2 = P_2 - d_0 P_1 + e_0 P_0 forces d_0 = -6, e_0 = 5.
-        d0, e0 = christoffel_coeffs(kt, 0)
-        assert d0 == -6 and e0 == 5
+        assert chris.d[0] == -6 and chris.e[0] == 5
 
-    def test_e1_by_kernel_ratio(self, kt):
-        _, e1 = christoffel_coeffs(kt, 1)
-        assert_rel(e1, mp.mpf(69) / 5)
+    def test_e1_by_kernel_ratio(self, chris):
+        assert_rel(chris.e[1], mp.mpf(69) / 5)
 
     def test_positivity(self, chris):
         assert all(e > 0 for e in chris.e)
@@ -51,11 +44,11 @@ class TestCoefficients:
 
 
 class TestLeading:
-    def test_degree_zero(self, kt):
-        assert_squared(iterated_leading(kt, 0), F(1, 5))
+    def test_degree_zero(self, chris):
+        assert_squared(chris.r2[0], F(1, 5))
 
-    def test_degree_one(self, kt):
-        assert_squared(iterated_leading(kt, 1), F(5, 69))
+    def test_degree_one(self, chris):
+        assert_squared(chris.r2[1], F(5, 69))
 
     def test_norm_relation(self, rec, chris):
         for n in range(16):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from helpers import TOL30, rel
 from sobspec.cli import main
-from sobspec.core import MeasureSpec, SobolevSpec, laguerre_recurrence
+from sobspec.core import MeasureSpec, SobolevSpec
 from sobspec.errors import InvalidParameterError
 from sobspec.matrices import MatrixSuite, build_jacobi, multiply, verify_propositions
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
@@ -140,7 +140,7 @@ class TestRoundTrip:
 
     def test_json_entries_are_placed_by_position(self):
         # Laguerre: J(1, 1) = beta_1 = 3 and J(2, 2) = beta_2 = 5.
-        text = matrix_to_json("J", build_jacobi(laguerre_recurrence(0, 5), 4))
+        text = matrix_to_json("J", build_jacobi(MeasureSpec.laguerre(0).recurrence(5), 4))
         doc = json.loads(text)
         at = {(i, j): n for n, (i, j, _) in enumerate(doc["entries"])}
         entries = doc["entries"]
@@ -152,7 +152,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fault", ["missing", "twice", "no ncols", "value", "precision",
                                        "not a triple", "not json"])
     def test_json_faults_are_invalid_parameters(self, fault):
-        doc = json.loads(matrix_to_json("J", build_jacobi(laguerre_recurrence(0, 5), 4)))
+        J = build_jacobi(MeasureSpec.laguerre(0).recurrence(5), 4)
+        doc = json.loads(matrix_to_json("J", J))
         text = None
         if fault == "missing":
             doc["entries"].pop(3)

@@ -16,14 +16,14 @@ from helpers import assert_rel, laguerre_monic, moment_inner, poly_eval, rel
 from sobspec.core import (
     MeasureSpec,
     SobolevSpec,
+    context,
     eval_jet,
-    laguerre_recurrence,
     monic_value,
     orthonormal_value,
 )
 from sobspec.errors import InvalidParameterError
 from sobspec.matrices import MatrixSuite
-from sobspec.serialize import ledgers_to_doc, matrix_to_json
+from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
 
 def reflected_laguerre(size):
@@ -45,7 +45,7 @@ class TestLaguerreRecurrence:
     def test_alpha_one_against_moment_oracle(self):
         # The moments (n+1)! give beta_1 = <x P_1, P_1>/<P_1, P_1> = 4 and
         # gamma_1 = <P_1, P_1>/<P_0, P_0> = 2.
-        r1 = laguerre_recurrence(1, 6)
+        r1 = MeasureSpec.laguerre(1).recurrence(6)
         assert r1.beta[1] == 4
         assert r1.gamma[1] == 2
         p0, p1 = laguerre_monic(1, 0), laguerre_monic(1, 1)
@@ -53,8 +53,8 @@ class TestLaguerreRecurrence:
         assert moment_inner(1, [0] + p1, p1) / h1 == 4 and h1 / moment_inner(1, p0, p0) == 2
 
     def test_norm_seed_is_gamma_function(self):
-        assert laguerre_recurrence(0, 3).norm_sq[0] == 1
-        assert_rel(laguerre_recurrence(0.5, 3).norm_sq[0], mp.gamma(1.5))
+        assert MeasureSpec.laguerre(0).recurrence(3).norm_sq[0] == 1
+        assert_rel(MeasureSpec.laguerre(0.5).recurrence(3).norm_sq[0], mp.gamma(1.5))
 
     def test_norm_ratio_identity(self, rec):
         for n in range(1, rec.size):
@@ -68,13 +68,11 @@ class TestLaguerreRecurrence:
     @pytest.mark.parametrize("alpha", [-1, -2, -1.0001, float("inf"), float("nan"), "1"])
     def test_alpha_validation(self, alpha):
         with pytest.raises(InvalidParameterError):
-            laguerre_recurrence(alpha, 4)
-        with pytest.raises(InvalidParameterError):
             MeasureSpec.laguerre(alpha)
 
     def test_size_validation(self):
         with pytest.raises(InvalidParameterError):
-            laguerre_recurrence(0, 0)
+            MeasureSpec.laguerre(0).recurrence(0)
 
     @pytest.mark.parametrize("size, precision", [(4.0, 256), ("4", 256), (None, 256),
                                                  (4, "256"), (4, 100.5), (4, None), (4, 0),
@@ -82,7 +80,7 @@ class TestLaguerreRecurrence:
     def test_size_and_precision_must_be_integers(self, size, precision):
         # A precision of "256" would otherwise make a context apart from context(256).
         with pytest.raises(InvalidParameterError):
-            laguerre_recurrence(0, size, precision)
+            MeasureSpec.laguerre(0).recurrence(size, precision)
         with pytest.raises(InvalidParameterError):
             reflected_laguerre(8).recurrence(size, precision)
 
@@ -100,6 +98,31 @@ class TestCustomMeasure:
     def test_nonpositive_gamma(self):
         with pytest.raises(InvalidParameterError):
             MeasureSpec.custom(beta=[0, 0], gamma=[0, -1], support=(-1, 1))
+
+    @pytest.mark.parametrize("change", [
+        {"norm0_sq": -1}, {"norm0_sq": 0}, {"norm0_sq": "x"}, {"norm0_sq": float("nan")},
+        {"gamma": [0, float("inf")]}, {"gamma": [0, "1"]}, {"beta": [0, float("nan")]},
+        {"beta": [0, "1"]}, {"support": (0,)}, {"support": (0, float("-inf"))},
+        {"support": (1, 1)}, {"support": (0, 1, 2)}, {"support": ("a", "b")},
+    ], ids=repr)
+    def test_invalid_custom_data(self, change):
+        # Each used to escape as another error, or (a reversed support) to pass.
+        data = {"beta": [0, 0], "gamma": [0, 1], "support": (-1, 1), "norm0_sq": 1}
+        with pytest.raises(InvalidParameterError):
+            MeasureSpec.custom(**{**data, **change})
+
+    def test_wide_mpf_coefficients_round_to_the_build_precision(self):
+        # beta_n = -(2n+1) + 1/3 made at 1024 bits and built at 64: every
+        # stored value has at most 64 bits, so J's file round-trips.
+        third = context(1024).mpf(1) / 3
+        rows = 6 + 4 + 5
+        measure = MeasureSpec.custom([-(2 * n + 1) + third for n in range(rows)],
+                                     [n * n for n in range(rows)], (float("-inf"), 0.0))
+        suite = MatrixSuite.build(SobolevSpec(measure, c=1, M=1, N=1), 6, precision=64)
+        assert all(b.context is context(64) and b._mpf_[3] <= 64
+                   for b in suite.sob.chris.kt.rec.beta)
+        text = matrix_to_json("J", suite.J)
+        assert matrix_to_json("J", matrix_from_json(text)[1]) == text
 
     def test_table_larger_than_supplied(self):
         with pytest.raises(InvalidParameterError):
@@ -166,7 +189,7 @@ class TestEvalJet:
             eval_jet(rec, 2, 0.0, order=4)
 
     def test_derivatives_match_finite_differences_at_double_precision(self):
-        table = laguerre_recurrence(0, 12, precision=53)
+        table = MeasureSpec.laguerre(0).recurrence(12, precision=53)
         rng = random.Random(8125)
         with mp.workprec(53):
             for _ in range(8):
@@ -184,7 +207,7 @@ class TestEvalJet:
     @given(x=st.floats(min_value=-5, max_value=25, allow_nan=False),
            alpha=st.sampled_from([0, 0.5, 1, 3]))
     def test_recurrence_identity_property(self, x, alpha):
-        table = laguerre_recurrence(alpha, 10)
+        table = MeasureSpec.laguerre(alpha).recurrence(10)
         with mp.workprec(table.precision):
             j = eval_jet(table, 9, x, order=1)
             for k in range(1, 9):
@@ -216,7 +239,7 @@ def test_results_do_not_depend_on_ambient_precision():
     # Build and evaluate under a 53-bit ambient context; the table carries its
     # own 256-bit precision and must deliver full accuracy anyway.
     with mp.workprec(53):
-        table = laguerre_recurrence(0, 10)
+        table = MeasureSpec.laguerre(0).recurrence(10)
         j = eval_jet(table, 9, 3.25, order=0)
     with mp.workprec(320):
         for k in range(1, 9):

@@ -52,3 +52,15 @@ def test_the_scan_finds_an_unused_import(tmp_path):
     module.write_text("import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\n"
                       "__all__ = ['dumps']\n")
     assert unused_imports(module) == [(1, "os"), (3, "loads")]
+
+
+def test_the_export_list_matches_the_package_imports():
+    # Every exported name resolves, and every public name the package
+    # imports is exported: deleting a name must update both lists.
+    import sobspec
+
+    init = ROOT / "src" / "sobspec" / "__init__.py"
+    imported = {alias.asname or alias.name for node in ast.walk(ast.parse(init.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in sobspec.__all__ if not hasattr(sobspec, name)] == []
+    assert sorted(n for n in imported if not n.startswith("_")) == sorted(sobspec.__all__)

@@ -1,4 +1,4 @@
-"""Reproducing kernels: closed forms against the summation reference."""
+"""Reproducing kernels: the summation table at c and the pointwise closed forms."""
 
 import random
 
@@ -7,7 +7,7 @@ import pytest
 
 from helpers import TOL30, assert_rel, rel
 from sobspec.errors import ConfluentPointError
-from sobspec.kernels import kernel_at, kernel_confluents, kernel_dy_at_c
+from sobspec.kernels import kernel_at, kernel_dy_at_c
 
 RNG_SEED = 90125
 
@@ -84,36 +84,11 @@ class TestKernelDy:
 
 
 class TestConfluents:
-    def test_degree_zero(self, rec):
-        cf = kernel_confluents(rec, 0, -1)
-        assert cf.K == 1 and cf.K01 == 0 and cf.K11 == 0
+    def test_degree_zero(self, kt):
+        assert kt.K[0] == 1 and kt.K01[0] == 0 and kt.K11[0] == 0
 
-    def test_degree_one(self, rec):
-        cf = kernel_confluents(rec, 1, -1)
-        assert cf.K == 5 and cf.K01 == -2 and cf.K11 == 1
-
-    def test_closed_forms_match_summation_through_20(self, rec, kt):
-        for n in range(20):
-            cf = kernel_confluents(rec, n, -1)
-            assert_rel(cf.K, kt.K[n])
-            assert_rel(cf.K01, kt.K01[n])
-            assert_rel(cf.K11, kt.K11[n])
-
-    def test_mixed_confluent_index_is_n_not_n_minus_1(self, rec, kt):
-        # The closed form built from P_n, P_{n+1} with prefactor 1/||P_n||^2
-        # produces the n-indexed partial sum; the shifted index does not match.
-        for n in (1, 2, 5):
-            closed = kernel_confluents(rec, n, -1).K11
-            assert_rel(closed, kt.K11[n])
-            off = kt.K11[n - 1]
-            assert rel(closed, off) > mp.mpf("1e-3")
-
-    def test_table_matches_closed_forms(self, rec, kt):
-        for n in range(12):
-            cf = kernel_confluents(rec, n, -1)
-            assert_rel(kt.K[n], cf.K)
-            assert_rel(kt.K01[n], cf.K01)
-            assert_rel(kt.K11[n], cf.K11)
+    def test_degree_one(self, kt):
+        assert kt.K[1] == 5 and kt.K01[1] == -2 and kt.K11[1] == 1
 
     def test_diagonal_monotone_increasing(self, kt):
         for n in range(1, kt.size):

@@ -13,7 +13,6 @@ from sobspec.core import (
     MeasureSpec,
     SobolevSpec,
     context,
-    laguerre_recurrence,
     to_mpf,
 )
 from sobspec.errors import (
@@ -545,7 +544,7 @@ class TestExactChain:
         exact_J = from_diagonals({
             -1: off, 0: [SqrtRational.from_rational(2 * k + 1) for k in range(n)], 1: off,
         }, n, EXACT)
-        float_J = build_jacobi(laguerre_recurrence(0, n, prec), n)
+        float_J = build_jacobi(MeasureSpec.laguerre(0).recurrence(n, prec), n)
 
         def chain(J):
             L = cholesky_shifted(J, -1)

@@ -106,6 +106,17 @@ class TestMoments:
             with pytest.raises(InvalidParameterError):
                 build_oracle_suite(0, C, M, N, size)
 
+    @pytest.mark.parametrize("position, value", [
+        (1, float("-inf")), (2, float("nan")), (0, float("nan")), (0, float("inf")),
+        (1, "x"), (0, "y"), (3, None),
+    ])
+    def test_non_numbers_are_invalid_parameters(self, position, value):
+        # Each used to escape as OverflowError, ValueError or TypeError.
+        args = [0, C, M, N]
+        args[position] = value
+        with pytest.raises(InvalidParameterError):
+            build_oracle_suite(*args, 4)
+
     def test_modified_moment_of_shifted_square(self, gram_matrices):
         assert gram_matrices[1][0][0] == 5
 

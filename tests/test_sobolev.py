@@ -12,12 +12,7 @@ from sobspec.core import eval_jet, orthonormal_value
 from sobspec.errors import InvalidParameterError
 from sobspec.kernels import kernel_at, kernel_dy_at_c
 from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
-from sobspec.sobolev import (
-    SobolevLedger,
-    eval_sobolev,
-    sobolev_boundary,
-    sobolev_norm,
-)
+from sobspec.sobolev import SobolevLedger, eval_sobolev
 
 RNG_SEED = 77077
 
@@ -37,16 +32,16 @@ def oracle_T():
 
 
 class TestBoundary:
-    def test_degree_zero(self, kt, spec):
-        assert sobolev_boundary(kt, 1, 1, 0) == (1, 0)
+    def test_degree_zero(self, sob):
+        assert (sob.Sc[0], sob.Sdc[0]) == (1, 0)
 
-    def test_degree_one(self, kt, spec):
-        assert sobolev_boundary(kt, 1, 1, 1) == (-1, 1)
+    def test_degree_one(self, sob):
+        assert (sob.Sc[1], sob.Sdc[1]) == (-1, 1)
 
-    def test_against_oracle_through_six(self, rec, kt, spec, oracle_sob):
+    def test_against_oracle_through_six(self, rec, sob, oracle_sob):
         with mp.workprec(rec.precision):
             for n in range(7):
-                sc, sdc = sobolev_boundary(kt, spec.M, spec.N, n)
+                sc, sdc = sob.Sc[n], sob.Sdc[n]
                 ref_c = poly_eval(oracle_sob[0][n], F(-1))
                 ref_d = poly_eval(poly_deriv(oracle_sob[0][n]), F(-1))
                 assert rel(sc, mp.mpf(ref_c.numerator) / ref_c.denominator) <= TOL30
@@ -54,10 +49,9 @@ class TestBoundary:
 
 
 class TestNorms:
-    def test_degree_zero(self, kt, spec):
-        ns, t0 = sobolev_norm(kt, 1, 1, 0, (mp.mpf(1), mp.mpf(0)))
-        assert ns == 2
-        assert_squared(t0, F(1, 2))
+    def test_degree_zero(self, sob):
+        assert sob.normS_sq[0] == 2
+        assert_squared(sob.t[0], F(1, 2))
 
     def test_degree_one(self, sob):
         assert sob.normS_sq[1] == 4
