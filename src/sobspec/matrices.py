@@ -34,6 +34,13 @@ which reads a band and, for the products of Q, its rank-one tail.
 Each matrix operation runs at one precision: the operands of
 :func:`multiply` and :func:`block_residual` (and so of :func:`qr_pair`) must
 share it, and operands at two precisions raise :class:`InvalidParameterError`.
+At an mpf precision both run on the entries' raw ``_mpf_`` tuples with
+``mpmath.libmp``'s ``mpf_mul``, ``mpf_add`` and ``mpf_sub`` at that
+precision, rounding to nearest: the operations mpf ``*``, ``+`` and ``-``
+perform, in the same order, so the bits are those of mpf objects.  A product
+with B = A^T by value (A A for a symmetric A, X X^T, X^T X) is symmetric term
+by term, so only its diagonals r >= 0 are formed and mirrored, and a scan of
+two symmetric operands reads only their diagonals k >= 0.
 :class:`MatrixSuite` holds its inputs, the Sobolev ledger and the ten
 matrices; it reaches the earlier ledgers through the Sobolev one.
 """
@@ -42,9 +49,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from operator import mul, sub
+from operator import itemgetter, mul
 
-from .core import DEFAULT_PRECISION, _check_int, context, to_mpf
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_mul, mpf_sub, round_nearest
+
+from .core import DEFAULT_PRECISION, EXACT, NEG_INF, POS_INF, _check_int, context, to_mpf
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -204,6 +213,18 @@ def _one_precision(A, B):
     return A.precision
 
 
+def _is_transpose(A, B):
+    """Whether B is A^T by value: shape, band and every stored entry."""
+    return ((A.nrows, A.ncols, A.lower_bw, A.upper_bw)
+            == (B.ncols, B.nrows, B.upper_bw, B.lower_bw)
+            and A.diagonals == B.diagonals[::-1])
+
+
+def _raw(diagonals):
+    """The ``_mpf_`` tuples of mpf diagonals."""
+    return tuple(tuple(v._mpf_ for v in diagonal) for diagonal in diagonals)
+
+
 def multiply(A, B):
     """A @ B with band union and exact-size propagation.
 
@@ -215,28 +236,53 @@ def multiply(A, B):
     ascending, so every entry adds its terms in ascending k, starting from
     its first term (adding it to an exact zero would not change its bits).
     Both operands must have one precision, the product's.
+
+    At an mpf precision the sums run on ``_mpf_`` tuples (``mpf_mul``, then
+    ``mpf_add``), with the bits of mpf ``*`` and ``+``.  When B is A^T by
+    value, entry (j, i) has entry (i, j)'s terms, commuted, in the same
+    order, so only diagonals r >= 0 are formed and the others mirror them.
     """
     if A.ncols != B.nrows:
         raise InvalidParameterError("inner dimensions differ")
-    zero = context(_one_precision(A, B)).zero
+    precision = _one_precision(A, B)
+    exact = precision == EXACT
+    mirror = _is_transpose(A, B)
+    ctx = context(precision)
+    a_diags = A.diagonals if exact else _raw(A.diagonals)
+    if mirror:
+        b_diags = a_diags[::-1]
+    else:
+        b_diags = B.diagonals if exact else _raw(B.diagonals)
     nrows, ncols = A.nrows, B.ncols
     diagonals = {}
-    for r in range(-min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
+    for r in range(0 if mirror else -min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
                    min(A.upper_bw + B.upper_bw, max(ncols - 1, 0)) + 1):
         out = [None] * _diagonal_length(nrows, ncols, r)
         for p in range(max(-A.lower_bw, r - B.upper_bw),
                        min(A.upper_bw, r + B.lower_bw) + 1):
             # rows i with 0 <= i < nrows, 0 <= i + p < A.ncols, 0 <= i + r < ncols
             lo, hi = max(0, -p, -r), min(nrows, A.ncols - p, ncols - r)
-            a = A.diagonals[A.lower_bw + p][lo + min(0, p):hi + min(0, p)]
-            b = B.diagonals[B.lower_bw + r - p][lo + min(p, r):hi + min(p, r)]
+            a = a_diags[A.lower_bw + p][lo + min(0, p):hi + min(0, p)]
+            b = b_diags[B.lower_bw + r - p][lo + min(p, r):hi + min(p, r)]
             s = lo - max(0, -r)
-            out[s:s + hi - lo] = [x * y if acc is None else acc + x * y
-                                  for acc, x, y in zip(out[s:], a, b)]
-        diagonals[r] = [zero if v is None else v for v in out]
+            if exact:
+                out[s:s + hi - lo] = [x * y if acc is None else acc + x * y
+                                      for acc, x, y in zip(out[s:], a, b)]
+            else:
+                out[s:s + hi - lo] = [
+                    mpf_mul(x, y, precision, round_nearest) if acc is None else
+                    mpf_add(acc, mpf_mul(x, y, precision, round_nearest), precision,
+                            round_nearest)
+                    for acc, x, y in zip(out[s:], a, b)]
+        if exact:
+            diagonals[r] = [ctx.zero if v is None else v for v in out]
+        else:
+            diagonals[r] = [ctx.make_mpf(fzero if v is None else v) for v in out]
     w = min(A.upper_bw, B.lower_bw)
-    exact = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
-    return from_diagonals(diagonals, exact, A.precision, (nrows, ncols))
+    exact_size = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
+    if mirror:
+        return _symmetric_from_diagonals(diagonals, exact_size, precision)
+    return from_diagonals(diagonals, exact_size, precision, (nrows, ncols))
 
 
 def _cut(A, lo, hi):
@@ -250,12 +296,29 @@ def _leading(A, k, block):
     return A.diagonal(k)[:max(0, block - abs(k))]
 
 
+def _magnitude(width):
+    """Sort key of |x| over ``_mpf_`` tuples of at most ``width`` bits,
+    exact: the position of the leading bit, then the mantissa aligned to
+    ``width`` bits.  Zero sorts first, infinities and NaN last."""
+    def key(x):
+        _, man, exp, bc = x
+        if not man:
+            return (POS_INF,) if exp else (NEG_INF,)
+        return exp + bc, man << (width - bc)
+    return key
+
+
 def block_residual(A, B, block, tail=None):
     """Max-entry difference of the leading blocks, divided by max(1, largest
     |entry| of either block).
 
     Only the union of the two declared bands is read: outside it both
-    operands are exact zeros.  Both operands must have one precision.
+    operands are exact zeros, and when both are symmetric only diagonals
+    k >= 0 are read.  Both operands must have one mpf precision.  The
+    differences are ``mpf_sub`` on ``_mpf_`` tuples at that precision, with
+    the bits of mpf ``-`` on entries made in its context, and the largest
+    magnitudes are picked exactly, so only the final division is an mpf
+    operation.
 
     ``tail = (left, right)`` gives A a rank-one part above its band: A(i, k)
     = left[i] * right[k] for k > i + A.upper_bw, as :func:`_q_products` holds
@@ -267,11 +330,20 @@ def block_residual(A, B, block, tail=None):
         raise InternalConsistencyError("empty comparison block")
     if tail and B.upper_bw > A.upper_bw:
         raise InternalConsistencyError("a tail needs B within A's band")
-    diff = top = far = lead = context(_one_precision(A, B)).zero
-    for k in range(-max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw) + 1):
-        a, b = _leading(A, k, block), _leading(B, k, block)
-        diff = max([diff, *map(abs, map(sub, a, b))])
-        top = max([top, *map(abs, a), *map(abs, b)])
+    precision = _one_precision(A, B)
+    ctx = context(precision)
+    symmetric = _is_transpose(A, A) and _is_transpose(B, B)
+    diffs, entries = [], []
+    for k in range(0 if symmetric else -max(A.lower_bw, B.lower_bw),
+                   max(A.upper_bw, B.upper_bw) + 1):
+        a = [v._mpf_ for v in _leading(A, k, block)]
+        b = [v._mpf_ for v in _leading(B, k, block)]
+        diffs += [mpf_sub(x, y, precision, round_nearest) for x, y in zip(a, b)]
+        entries += a + b
+    key = _magnitude(max(precision, *map(itemgetter(3), entries)))
+    diff, top = (ctx.make_mpf(mpf_abs(max(values, key=key, default=fzero)))
+                 for values in (diffs, entries))
+    far = lead = ctx.zero
     if tail:
         left, right = tail
         for x, y in zip(left, right[A.upper_bw + 1:block]):
@@ -583,8 +655,9 @@ def verify_propositions(suite, size=None):
     sgn = _sign(suite.spec.side)
     c = to_mpf(suite.spec.c, context(suite.precision))
     R, H = suite.R, suite.H
-    A0 = suite.J.shifted(-c).scaled(sgn)
-    A2 = suite.J2.shifted(-c).scaled(sgn)
+    A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
+    if sgn < 0:
+        A0, A2 = A0.scaled(sgn), A2.scaled(sgn)
     A0sq = multiply(A0, A0)
     A2sq = multiply(A2, A2)
     Rt = R.transpose()

@@ -89,6 +89,7 @@ class SobolevLedger:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
         j, r, zero = kt.cjets, rec.leading, ctx.zero
         Sc, Sdc, normS, t, g_nn, g_n1, g_n2 = [], [], [], [], [], [], []
+        root = []  # root[n] = sqrt(K_{n-1} / K_n), read at n and at n + 1
         a, b, cdiag, al1, al0, x0, x1, x2 = [], [], [], [], [], [], [], []
         for n in range(size):
             if n == 0:
@@ -115,11 +116,12 @@ class SobolevLedger:
             g_nn.append(t[n] / chris.r2[n])
             g_n2.append(chris.r2[n - 2] / t[n] if n >= 2 else zero)
             bn = zero
+            root.append(ctx.sqrt(kt.K[n - 1] / kt.K[n]) if n >= 1 else zero)
             if n >= 1:
                 pm1, dp = j.jet(n - 1) * r[n - 1], j.jet(n - 1, 1) * r[n - 1]
                 bracket = (chris.d[n - 1] * t[n] / r[n]
                            + chris.e[n - 1] * (r[n] / r[n - 1]) * (M * sc * pm1 + N * sdc * dp))
-                g_n1.append(-ctx.sqrt(kt.K[n - 1] / kt.K[n]) * bracket)
+                g_n1.append(-root[n] * bracket)
                 bn = g_nn[n - 1] * g_n1[n]
                 if n >= 2:
                     bn += g_n2[n] * g_n1[n - 1]
@@ -134,10 +136,8 @@ class SobolevLedger:
             al0.append(t[n] / r[n] + M * sc * j.jet(n) * r[n]
                        + N * sdc * j.jet(n, 1) * r[n])
             x0.append(ctx.sqrt(chris.e[n]))
-            x1.append(-chris.d[n - 1] * ctx.sqrt(kt.K[n - 1] / kt.K[n])
-                      if n >= 1 else zero)
-            x2.append((r[n - 1] / r[n]) * ctx.sqrt(kt.K[n - 2] / kt.K[n - 1])
-                      if n >= 2 else zero)
+            x1.append(-chris.d[n - 1] * root[n] if n >= 1 else zero)
+            x2.append((r[n - 1] / r[n]) * root[n - 1] if n >= 2 else zero)
 
         return cls(chris=chris, M=M, N=N,
                    Sc=tuple(Sc), Sdc=tuple(Sdc), normS_sq=tuple(normS),

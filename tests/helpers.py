@@ -44,6 +44,24 @@ def dense_block_residual(A, B, block):
         return diff / max(mp.mpf(1), scale)
 
 
+def dense_product(A, B):
+    """Reference for ``multiply``: rows of the ``_mpf_`` tuples of A @ B,
+    every entry summing A(i, k) B(k, j) with mpf arithmetic over the k where
+    both lie in their declared bands, in ascending k, from the first term."""
+    rows = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            acc = None
+            for k in range(A.ncols):
+                if A.in_band(i, k) and B.in_band(k, j):
+                    term = A.entry(i, k) * B.entry(k, j)
+                    acc = term if acc is None else acc + term
+            row.append(mp.libmp.fzero if acc is None else acc._mpf_)
+        rows.append(row)
+    return rows
+
+
 # Exact polynomials as ascending coefficient lists of Fractions.
 
 def poly_mul(f, g):

@@ -1,13 +1,13 @@
 """Matrix chain: builders, Cholesky commutes, QR, and the identity residuals."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from helpers import TOL30, assert_rel, assert_squared, dense_block_residual
+from helpers import TOL30, assert_rel, assert_squared, dense_block_residual, dense_product
 from sobspec.core import (
     EXACT,
     MeasureSpec,
@@ -120,12 +120,39 @@ def band_with_tail(n=7):
     return band, (left, right), dense, B
 
 
+def sided(side, spec, precision=None):
+    """Size 40 on the worked Laguerre example (left) or on the reflected
+    measure (right)."""
+    return MatrixSuite.build(spec if side == "left" else reflected_spec(49),
+                             size=40, guard=4, precision=precision)
+
+
 @pytest.fixture(scope="module", params=["left", "right"])
 def sided_suite(request, spec):
-    """Size 40 on the worked Laguerre example and on the reflected measure."""
-    if request.param == "left":
-        return MatrixSuite.build(spec, size=40, guard=4)
-    return MatrixSuite.build(reflected_spec(49), size=40, guard=4)
+    return sided(request.param, spec)
+
+
+def assert_residuals_equal_dense_scan(s):
+    """Every residual row of verify_propositions except Q's equals the dense
+    scan of its operands, bit for bit."""
+    report = {name: (res, block) for name, res, block
+              in verify_propositions(s).as_rows()}
+    expected = {}
+    for name, (A, B) in identity_operands(s).items():
+        if name in Q_ROWS:  # see test_q_products_match_dense_products
+            continue
+        block = min(s.size, A.exact_size, B.exact_size)
+        expected[name] = (dense_block_residual(A, B, block), block)
+    H, block = s.H, min(s.size, s.H.exact_size)
+    with mp.workprec(s.precision):
+        stray = max([abs(H.entry(i, j)) for i in range(block)
+                     for j in range(block) if abs(i - j) > 2] + [mp.mpf(0)])
+        scale = max([mp.mpf(1)] + [abs(H.entry(i, j)) for i in range(block)
+                                   for j in range(block)])
+    expected["H bandwidth <= 2"] = (stray / scale, block)
+    assert set(report) - set(expected) == set(Q_ROWS)
+    for name, value in expected.items():
+        assert report[name] == value, name
 
 
 class TestJacobi:
@@ -386,25 +413,26 @@ class TestBandLocalVerification:
         assert layout(matrix_from_json(matrix_to_json("Q", Q))[1]) == layout(Q)
 
     def test_residuals_equal_dense_scan(self, sided_suite):
-        s = sided_suite
-        report = {name: (res, block) for name, res, block
-                  in verify_propositions(s).as_rows()}
-        expected = {}
-        for name, (A, B) in identity_operands(s).items():
-            if name in Q_ROWS:  # see test_q_products_match_dense_products
-                continue
-            block = min(s.size, A.exact_size, B.exact_size)
-            expected[name] = (dense_block_residual(A, B, block), block)
-        H, block = s.H, min(s.size, s.H.exact_size)
-        with mp.workprec(s.precision):
-            stray = max([abs(H.entry(i, j)) for i in range(block)
-                         for j in range(block) if abs(i - j) > 2] + [mp.mpf(0)])
-            scale = max([mp.mpf(1)] + [abs(H.entry(i, j)) for i in range(block)
-                                       for j in range(block)])
-        expected["H bandwidth <= 2"] = (stray / scale, block)
-        assert set(report) - set(expected) == set(Q_ROWS)
-        for name, value in expected.items():
-            assert report[name] == value, name
+        assert_residuals_equal_dense_scan(sided_suite)
+
+    @pytest.mark.parametrize("precision", [64, 1024])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_residuals_equal_dense_scan_at_64_and_1024_bits(self, spec, side, precision):
+        assert_residuals_equal_dense_scan(sided(side, spec, precision))
+
+    def test_symmetric_scan_needs_both_operands_symmetric(self, suite):
+        # B is the symmetric H but for one entry below the diagonal, so the
+        # scan of diagonals k >= 0 alone would miss the difference.
+        A, ctx, block = suite.H, context(suite.precision), 12
+        diagonals = list(A.diagonals)
+        below = list(diagonals[A.lower_bw - 1])
+        below[5] += ctx.mpf(1) / 3
+        diagonals[A.lower_bw - 1] = tuple(below)
+        B = replace(A, diagonals=tuple(diagonals))
+        for X, Y in ((A, B), (B, A)):
+            residual = block_residual(X, Y, block)
+            assert residual > 0
+            assert residual == dense_block_residual(X, Y, block)
 
     def test_scan_covers_union_of_bands(self):
         I = identity(4, 64)
@@ -413,6 +441,12 @@ class TestBandLocalVerification:
                          I.diagonals + ((zero,) * 3, (zero,) * 2, (mp.mpf(-3),)))
         assert block_residual(I, U, 4) == block_residual(U, I, 4) == 1
         assert block_residual(I, U, 3) == 0
+
+    def test_scan_takes_entries_wider_than_the_precision(self):
+        wide = context(256).mpf(7) / 3  # 256 bits in a 64-bit matrix
+        A = from_diagonals({0: [wide, wide]}, 2, 64)
+        residual = block_residual(A, identity(2, 64), 2)
+        assert abs(residual - mp.mpf(4) / 7) < mp.mpf(2) ** -60
 
     def test_q_products_match_dense_products(self, sided_suite):
         s, p = sided_suite, sided_suite.precision
@@ -483,6 +517,28 @@ class TestBandLocalVerification:
         assert bandwidths and max(bandwidths) <= 4
         assert report.all_within(TOL30)
         assert {e.block for e in report.entries} == {200}
+
+
+class TestProducts:
+    """``multiply`` keeps the bits of the dense ascending-k sum, and forms a
+    symmetric product's lower half as the mirror of its upper half."""
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_products_equal_dense_reference(self, precision):
+        s = MatrixSuite.build(reflected_spec(23), size=14, guard=4, precision=precision)
+        # right side: scaled(-1) makes J2 - cI's two off-diagonals distinct
+        # objects, so its symmetry is seen by value
+        A2 = s.J2.shifted(-to_mpf(s.spec.c, context(precision))).scaled(-1)
+        R, Rt, T = s.R, s.R.transpose(), s.T
+        symmetric = {"A2 A2": (A2, A2), "R Rt": (R, Rt), "Rt R": (Rt, R),
+                     "T Tt": (T, T.transpose())}
+        for name, (A, B) in {**symmetric, "H T": (s.H, T)}.items():
+            P = multiply(A, B)
+            assert ([[P.entry(i, j)._mpf_ for j in range(P.ncols)] for i in range(P.nrows)]
+                    == dense_product(A, B)), name
+            if name in symmetric:
+                for r in range(1, P.upper_bw + 1):
+                    assert all(x is y for x, y in zip(P.diagonal(-r), P.diagonal(r))), name
 
 
 class TestOrthogonalityTrend:
