@@ -51,7 +51,8 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import itemgetter, mul
 
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub,
+                          round_nearest)
 
 from .core import DEFAULT_PRECISION, EXACT, NEG_INF, POS_INF, _check_int, context, to_mpf
 from .errors import (
@@ -158,13 +159,23 @@ def _hessenberg_diagonals(Q, upto):
     """Diagonals -1 to ``upto`` of a :class:`HessenbergQ`: diagonal k >= 1
     from diagonal k - 1 by forward substitution against L1, in one fixed
     operation order, so an entry has the same bits however far this goes.
-    The diagonals are tuples, which ``from_diagonals`` keeps without a copy."""
-    l1diag, l1sub = Q.l1.diagonal(0), Q.l1.diagonal(-1)
+    At an mpf precision the steps run on ``_mpf_`` tuples with ``mpf_neg``,
+    ``mpf_mul`` and ``mpf_div``, the bits of mpf ``-x * s / d``.  The
+    diagonals are tuples, which ``from_diagonals`` keeps without a copy."""
+    p, exact = Q.precision, Q.precision == EXACT
+    l1diag, l1sub, prev = Q.l1.diagonal(0), Q.l1.diagonal(-1), Q.diag
+    if not exact:
+        l1diag, l1sub, prev = _raw((l1diag, l1sub, prev))
+        make = context(p).make_mpf
     diagonals = {-1: Q.sub, 0: Q.diag}
     for k in range(1, upto + 1):
-        prev = diagonals[k - 1]
-        diagonals[k] = tuple([-prev[j] * l1sub[j + k - 1] / l1diag[j + k]
-                              for j in range(len(prev) - 1)])
+        if exact:
+            prev = [-x * s / d for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
+            diagonals[k] = tuple(prev)
+        else:
+            prev = [mpf_div(mpf_mul(mpf_neg(x, p, round_nearest), s, p, round_nearest), d, p,
+                            round_nearest) for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
+            diagonals[k] = tuple(map(make, prev))
     return diagonals
 
 

@@ -301,6 +301,17 @@ class TestQRPair:
         assert layout(parsed) == layout(Q)
         assert parsed.diagonal(-1) == Q.sub and parsed.diagonal(0) == Q.diag
 
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_raw_expansion_is_the_mpf_recurrence(self, spec, side, precision):
+        # the expansion runs on _mpf_ tuples; the mpf objects give the same bits
+        Q = sided(side, spec, precision).Q
+        l1diag, l1sub = Q.l1.diagonal(0), Q.l1.diagonal(-1)
+        prev = Q.diag
+        for k in range(1, Q.nrows):
+            prev = [-x * s / d for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
+            assert [v._mpf_ for v in Q.diagonal(k)] == [v._mpf_ for v in prev], k
+
 
 class TestSuiteAndResiduals:
     def test_all_identities_within_tolerance(self, suite):
