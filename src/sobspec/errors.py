@@ -43,8 +43,8 @@ class NumericalFailureError(SobspecError, ArithmeticError):
 
 class OracleUnsupportedError(SobspecError, ValueError):
     """The exact-rational oracle does not cover the requested configuration
-    (non-integer alpha, c right of the support, more rows than its cap); the
-    floating path still applies."""
+    (non-integer alpha, more rows than its cap); the floating path still
+    applies."""
 
 
 class InternalConsistencyError(SobspecError, RuntimeError):

@@ -12,9 +12,10 @@ orthogonal and R = (L L1)^T upper triangular with
 
 where T is the triangular connection matrix of the Sobolev family onto the
 twice-transformed orthonormal family and H the pentadiagonal matrix of
-multiplication by (x-c)^2 in the Sobolev basis.  When the mass point sits
-right of the support, the chain factors cI - J instead and the sign threads
-through the two linear identities.
+multiplication by (x-c)^2 in the Sobolev basis.  The chain is stated for a
+mass point left of the support; one right of it is the left-side problem of
+the reflection x -> -x, so :meth:`MatrixSuite.build` runs the same chain on
+-J at -c and negates J1 and J2, and Q R and R Q equal cI - J and cI - J2.
 
 Every matrix is banded and stores only its band, by diagonals, except Q.
 Q is upper Hessenberg with a rank-one upper triangle, so it is held by O(n)
@@ -389,49 +390,38 @@ def build_iterated_jacobi(chris, size):
     return _tridiagonal(chris.kappa[:size], chris.tau[1:size], chris.kt.rec.precision)
 
 
-def _sign(side):
-    """+1 for a mass point left of the support, -1 for one right of it."""
-    if side not in ("left", "right"):
-        raise InvalidParameterError("side must be 'left' or 'right'")
-    return 1 if side == "left" else -1
-
-
-def cholesky_shifted(J, c, side="left"):
-    """Lower bidiagonal L with L L^T = J - cI (side left) or cI - J (side right).
+def cholesky_shifted(J, c):
+    """Lower bidiagonal L with L L^T = J - cI.
 
     Tridiagonal Cholesky is strictly forward-local, so the exact size is
     preserved.  A nonpositive pivot means c lies inside or too close to the
     support and raises.
     """
-    sgn = _sign(side)
     n = J.nrows
     ctx = context(J.precision)
     c = to_mpf(c, ctx)
     jdiag, jsub = J.diagonal(0), J.diagonal(-1)
     diag, sub = [], []
     for i in range(n):
-        pivot = sgn * (jdiag[i] - c)
+        pivot = jdiag[i] - c
         if i:
             pivot -= sub[i - 1] ** 2
         if not pivot > 0:
             raise NotPositiveDefiniteError(
-                f"nonpositive pivot at row {i}: the shifted matrix is not "
-                f"positive definite (c = {c} on the '{side}' side)"
-            )
+                f"nonpositive pivot at row {i}: the shifted Jacobi matrix is not positive "
+                "definite, so the mass point lies inside or too close to the support")
         diag.append(ctx.sqrt(pivot))
         if i + 1 < n:
-            sub.append(sgn * jsub[i] / diag[i])
+            sub.append(jsub[i] / diag[i])
     return from_diagonals({0: diag, -1: sub}, J.exact_size, J.precision)
 
 
-def commute_cholesky(L, c, side="left"):
-    """Next Jacobi matrix in the chain: L^T L re-shifted by c.
+def commute_cholesky(L, c):
+    """Next Jacobi matrix in the chain: L^T L + cI.
 
-    Returns L^T L + cI on the left side, cI - L^T L on the right.  The last
-    diagonal entry of L^T L needs a truncated-off row of L, so the exact size
-    drops by one.
+    The last diagonal entry of L^T L needs a truncated-off row of L, so the
+    exact size drops by one.
     """
-    sgn = _sign(side)
     n = L.nrows
     c = to_mpf(c, context(L.precision))
     ldiag, lsub = L.diagonal(0), L.diagonal(-1)
@@ -440,8 +430,8 @@ def commute_cholesky(L, c, side="left"):
         d = ldiag[i] ** 2
         if i + 1 < n:
             d += lsub[i] ** 2
-            off.append(sgn * lsub[i] * ldiag[i + 1])
-        diag.append(sgn * d + c)
+            off.append(lsub[i] * ldiag[i + 1])
+        diag.append(d + c)
     return _symmetric_from_diagonals({0: diag, 1: off}, L.exact_size - 1,
                                      L.precision)
 
@@ -540,12 +530,18 @@ class MatrixSuite:
         kt = KernelTable.build(rec, spec.c)
         chris = ChristoffelLedger.build(kt, nb + 2)
         sob = SobolevLedger.build(chris, spec.M, spec.N, nb + 2)
-        side = spec.side
         J = build_jacobi(rec, nb)
-        L = cholesky_shifted(J, spec.c, side)
-        J1 = commute_cholesky(L, spec.c, side)
-        L1 = cholesky_shifted(J1, spec.c, side)
-        J2 = commute_cholesky(L1, spec.c, side)
+        # Right of the support, the chain runs on the reflection, -J at -c.
+        # Rounding to nearest commutes with negation, so L and L1 are the
+        # factors of cI - J and cI - J1 bit for bit.
+        right = spec.side == "right"
+        c = -to_mpf(spec.c, context(precision)) if right else spec.c
+        L = cholesky_shifted(J.scaled(-1) if right else J, c)
+        J1 = commute_cholesky(L, c)
+        L1 = cholesky_shifted(J1, c)
+        J2 = commute_cholesky(L1, c)
+        if right:
+            J1, J2 = J1.scaled(-1), J2.scaled(-1)
         J2_direct = build_iterated_jacobi(chris, nb)
         Q, R = qr_pair(L, L1)
         T = build_T(sob, nb)
@@ -586,19 +582,18 @@ class ResidualReport:
         return [(e.name, e.residual, e.block) for e in self.entries]
 
 
-def orthogonality_defect(Q, block, ncols=None):
+def orthogonality_defect(Q, block):
     """Max-entry distance of the leading block of Q Q^T from the identity.
 
-    The row sums run over the ``ncols`` leading columns only (default: the
-    exact region), i.e. over the truncation of the semi-infinite orthogonal
-    factor.  Its rows are infinite, so the defect does not vanish; it shrinks
-    as the truncation grows and is reported as a diagnostic trend.  (The full
-    finite section is exactly orthogonal and would show nothing.)  It reads
-    Q's entries, so it expands a :class:`HessenbergQ` to its band.  Each
-    inner product is one ``fdot``: exact products, summed and rounded once.
+    The row sums run over the exact region's columns only, i.e. over the
+    truncation of the semi-infinite orthogonal factor.  Its rows are
+    infinite, so the defect does not vanish; it shrinks as the truncation
+    grows and is reported as a diagnostic trend.  (The full finite section is
+    exactly orthogonal and would show nothing.)  It reads Q's entries, so it
+    expands a :class:`HessenbergQ` to its band.  Each inner product is one
+    ``fdot``: exact products, summed and rounded once.
     """
-    m = min(Q.exact_size if ncols is None else ncols, Q.ncols)
-    rows = [[Q.entry(i, j) for j in range(m)] for i in range(min(block, Q.nrows))]
+    rows = [[Q.entry(i, j) for j in range(Q.exact_size)] for i in range(min(block, Q.nrows))]
     ctx, worst = context(Q.precision), context(Q.precision).zero
     for i, u in enumerate(rows):
         for j in range(i, len(rows)):
@@ -663,12 +658,11 @@ def verify_propositions(suite, size=None):
     is never expanded.
     """
     size = suite.size if size is None else _check_int("size", size, 1)
-    sgn = _sign(suite.spec.side)
     c = to_mpf(suite.spec.c, context(suite.precision))
     R, H = suite.R, suite.H
     A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
-    if sgn < 0:
-        A0, A2 = A0.scaled(sgn), A2.scaled(sgn)
+    if suite.spec.side == "right":
+        A0, A2 = A0.scaled(-1), A2.scaled(-1)
     A0sq = multiply(A0, A0)
     A2sq = multiply(A2, A2)
     Rt = R.transpose()

@@ -331,9 +331,7 @@ def build_oracle_suite(alpha, c, M, N, size):
     """
     c, M, N = _rational("c", c), _rational("M", M), _rational("N", N)
     if c >= 0:
-        raise OracleUnsupportedError(
-            "oracle chain assumes the mass point left of the Laguerre support"
-        )
+        raise InvalidParameterError(f"mass point c = {c} must lie outside the support (0.0, inf)")
     if M < 0 or N < 0:
         raise InvalidParameterError("point masses M, N must be nonnegative")
     if _check_int("size", size, 1) > MAX_ROWS:

@@ -1,11 +1,13 @@
 """Matrix chain: builders, Cholesky commutes, QR, and the identity residuals."""
 
 import json
+import math
 from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import mpf_neg
 
 from helpers import TOL30, assert_rel, assert_squared, dense_block_residual, dense_product
 from sobspec.core import (
@@ -45,14 +47,16 @@ def suite(spec):
     return MatrixSuite.build(spec, size=20, guard=4)
 
 
-def reflected_spec(size):
+def reflected_spec(size, alpha=0, c=1, M=1, N=1):
+    """Laguerre of integer ``alpha`` reflected by x -> -x, with ``size``
+    recurrence coefficients and the mass point c > 0 on its right."""
     measure = MeasureSpec.custom(
-        beta=[-(2 * n + 1) for n in range(size)],
-        gamma=[n * n for n in range(size)],
+        beta=[-(2 * n + 1 + alpha) for n in range(size)],
+        gamma=[n * (n + alpha) for n in range(size)],
         support=(float("-inf"), 0.0),
-        norm0_sq=1,
+        norm0_sq=math.factorial(alpha),
     )
-    return SobolevSpec(measure, c=1, M=1, N=1)
+    return SobolevSpec(measure, c=c, M=M, N=N)
 
 
 def identity_operands(suite):
@@ -237,11 +241,6 @@ class TestCholeskyChain:
         assert_squared(J2.entry(0, 1), F(69, 25))
         assert J2.exact_size == 6
 
-    def test_side_validation(self, rec):
-        J = build_jacobi(rec, 6)
-        with pytest.raises(InvalidParameterError):
-            cholesky_shifted(J, -1, side="up")
-
 
 class TestQRPair:
     def test_factor_values(self, suite):
@@ -368,6 +367,14 @@ class TestSuiteAndResiduals:
         assert report.all_within(TOL30)
         # mirrored chain: cI - J is what gets factored
         assert_squared(s.L.entry(0, 0), F(2))
+
+    def test_right_side_pivot_failure_names_no_point(self):
+        # the support is declared too short: c = -5 lies inside the measure's
+        # true support, so the chain on the reflection fails at its first pivot
+        measure = replace(reflected_spec(20).measure, support=(float("-inf"), -30.0))
+        with pytest.raises(NotPositiveDefiniteError, match="row 0") as failure:
+            MatrixSuite.build(SobolevSpec(measure, c=-5, M=1, N=1), size=8)
+        assert "c = " not in str(failure.value)
 
     def test_empty_block_raises(self, suite):
         with pytest.raises(InternalConsistencyError):
@@ -550,6 +557,74 @@ class TestProducts:
             if name in symmetric:
                 for r in range(1, P.upper_bw + 1):
                     assert all(x is y for x, y in zip(P.diagonal(-r), P.diagonal(r))), name
+
+
+#: Ledger fields that flip sign under the reflection x -> -x, c -> -c: at
+#: every index, or (second table) at the indices n of one parity.  Every other
+#: ledger field keeps its sign.
+REFLECTED_FLIPS = {"rec.beta", "kt.K01", "chris.d", "chris.kappa", "sob.b", "sob.gamma_n1",
+                   "sob.alpha1", "sob.xi1"}
+REFLECTED_PARITY_FLIPS = {"sob.Sc": 1, "sob.Sdc": 0}
+
+
+def reflection_pairs(right, left):
+    """(name, right value, left value, whether the sign flips) over every
+    matrix band entry and ledger value of two suites."""
+    pairs = []
+    for name, m in dict(right.named_matrices(), J2_direct=right.J2_direct).items():
+        mirror = getattr(left, name)
+        assert (m.nrows, m.lower_bw, m.upper_bw, m.exact_size) == (
+            mirror.nrows, mirror.lower_bw, mirror.upper_bw, mirror.exact_size), name
+        for k in range(-m.lower_bw, m.upper_bw + 1):
+            flip = k == 0 if name.startswith("J") else k % 2 == 1
+            pairs += [(f"{name}[{k}]", x, y, flip)
+                      for x, y in zip(m.diagonal(k), mirror.diagonal(k), strict=True)]
+    ledgers = {"rec": (right.sob.chris.kt.rec, left.sob.chris.kt.rec),
+               "kt": (right.sob.chris.kt, left.sob.chris.kt),
+               "chris": (right.sob.chris, left.sob.chris), "sob": (right.sob, left.sob)}
+    for prefix, (a, b) in ledgers.items():
+        for f in fields(a):
+            values = getattr(a, f.name)
+            if isinstance(values, tuple):
+                key = f"{prefix}.{f.name}"
+                pairs += [(f"{key}[{n}]", x, y,
+                           key in REFLECTED_FLIPS or REFLECTED_PARITY_FLIPS.get(key) == n % 2)
+                          for n, (x, y) in enumerate(zip(values, getattr(b, f.name),
+                                                         strict=True))]
+    jets = (right.sob.chris.kt.cjets, left.sob.chris.kt.cjets)
+    pairs += [(f"cjets[{n}][{j}]", x, y, (n + j) % 2 == 1)
+              for n, (xs, ys) in enumerate(zip(*(jet.values for jet in jets), strict=True))
+              for j, (x, y) in enumerate(zip(xs, ys, strict=True))]
+    pairs += [("kt.c", right.sob.chris.kt.c, left.sob.chris.kt.c, True),
+              ("cjets.x", jets[0].x, jets[1].x, True),
+              ("sob.M", right.sob.M, left.sob.M, False), ("sob.N", right.sob.N, left.sob.N, False)]
+    return pairs
+
+
+class TestReflection:
+    """A mass point right of the support is the left-side problem of the
+    reflected measure: the right-side suite of reflected Laguerre at c equals
+    the Laguerre suite at -c, magnitudes bit for bit and signs by fixed rules."""
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("c, M, N", [(1, 1, 1), (F(1, 4), 0, 0), (F(5, 2), F(1, 2), 3)])
+    def test_right_side_is_the_reflected_left_side(self, alpha, c, M, N, precision):
+        size, guard = 12, 4
+        right = MatrixSuite.build(reflected_spec(size + guard + 5, alpha, c, M, N),
+                                  size, guard, precision)
+        left = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(alpha), -c, M, N),
+                                 size, guard, precision)
+        assert (right.spec.side, left.spec.side) == ("right", "left")
+        pairs = reflection_pairs(right, left)
+        assert len(pairs) > 500
+        wrong = [name for name, x, y, flip in pairs
+                 if x._mpf_ != (mpf_neg(y._mpf_) if flip else y._mpf_)]
+        assert not wrong
+        rows = [(name, res._mpf_, block) for name, res, block
+                in verify_propositions(right).as_rows()]
+        assert rows == [(name, res._mpf_, block) for name, res, block
+                        in verify_propositions(left).as_rows()]
 
 
 class TestOrthogonalityTrend:

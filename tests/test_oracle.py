@@ -316,8 +316,9 @@ class TestOracleSuite:
         assert H[0][2].square == F(89, 8)
 
     def test_mass_point_inside_support_rejected(self):
-        with pytest.raises(OracleUnsupportedError):
-            build_oracle_suite(0, F(1), M, N, 4)
+        for c in (F(1), 0):
+            with pytest.raises(InvalidParameterError, match="must lie outside the support"):
+                build_oracle_suite(0, c, M, N, 4)
 
 
 CHAIN_CONFIGS = {"worked-example": (0, C, M, N), "alpha1": (1, F(-1, 2), F(2), F(1, 3))}
