@@ -35,7 +35,6 @@ from .matrices import (
 )
 from .sobolev import SobolevLedger, eval_sobolev
 from .errors import (
-    ConfluentPointError,
     DegeneratePointError,
     InternalConsistencyError,
     InvalidParameterError,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandedMatrix",
     "ChristoffelLedger",
-    "ConfluentPointError",
     "DEFAULT_PRECISION",
     "DegeneratePointError",
     "InternalConsistencyError",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import _check_int, context, eval_jet, relative_difference, to_mpf
 from .errors import DegeneratePointError, NumericalFailureError
-from .kernels import _near, kernel_at
+from .kernels import kernel_at
 
 
 def _enforce(a, b, what, precision):
@@ -96,46 +96,55 @@ def _monic_iterated_by_recurrence(ledger, n, x):
     return p
 
 
-def _monic_iterated_by_connection(ledger, n, x):
-    rec = ledger.kt.rec
-    c = ledger.kt.c
-    if x == c:
-        j = ledger.kt.cjets
+def _check_connection(ledger, n, x, value):
+    """Raise unless ``value``, P^[2]_n(x) by the recurrence, matches the
+    connection b = (P_{n+2} - d_n P_{n+1} + e_n P_n)(x) / (x-c)^2.
+
+    At x = c, b is half the second derivative of the numerator, held to the
+    dual-formula guard.  Elsewhere the guard 2^(-p/2) max(1, |value|, |b|)
+    is widened by (n+3) 2^(1-p) S / (x-c)^2, S the sum of the numerator
+    terms' magnitudes: the rounding that dividing their cancelled sum admits,
+    so no x near c raises on a valid ledger.
+    """
+    kt, p = ledger.kt, ledger.kt.rec.precision
+    what = f"P^[2]_{n}({x})"
+    if x == kt.c:
+        j = kt.cjets
         num2 = j.jet(n + 2, 2) - ledger.d[n] * j.jet(n + 1, 2) + ledger.e[n] * j.jet(n, 2)
-        return num2 / 2
-    j = eval_jet(rec, n + 2, x, order=0)
-    num = j.jet(n + 2) - ledger.d[n] * j.jet(n + 1) + ledger.e[n] * j.jet(n)
-    return num / (x - c) ** 2
+        _enforce(value, num2 / 2, what, p)
+        return
+    ctx = context(p)
+    j = eval_jet(kt.rec, n + 2, x, order=0)
+    terms = (j.jet(n + 2), -ledger.d[n] * j.jet(n + 1), ledger.e[n] * j.jet(n))
+    h = (x - kt.c) ** 2
+    b = sum(terms) / h
+    guard = (ctx.ldexp(max(1, abs(value), abs(b)), -(p // 2))
+             + (n + 3) * ctx.ldexp(sum(abs(t) for t in terms), 1 - p) / h)
+    if abs(value - b) > guard:
+        raise NumericalFailureError(
+            f"dual formulas for {what} disagree beyond the precision guard: {value} vs {b}")
 
 
 def eval_iterated(chris, n, x, k=2, monic=False):
     """Value of the k-iterated family at x (k = 1 monic, k = 2 by default
     orthonormal, monic with the flag).
 
-    k = 1 uses the kernel-polynomial divided difference (the kernel sum near
-    the mass point).  k = 2 is computed by the ledger recurrence and, away
-    from the mass point, also by the connection through P_{n+2}, P_{n+1}, P_n;
-    the two routes must agree within the precision guard.
+    k = 1 is the kernel polynomial ||P_n||^2 K_n(x, c) / P_n(c), summed
+    directly at every x.  k = 2 is computed by the ledger recurrence and
+    checked at every x against the connection through P_{n+2}, P_{n+1},
+    P_n (see :func:`_check_connection` for the tolerance).
     """
     kt, rec = chris.kt, chris.kt.rec
     x = to_mpf(x, context(rec.precision))
-    c = kt.c
     if k == 1:
-        if not 0 <= n <= rec.size - 2:
-            raise IndexError(f"once-transformed value at {n} needs P_{n + 1}")
-        pc = kt.cjets.jet(n)
+        kernel, pc = kernel_at(rec, n, x, kt.c), kt.cjets.jet(n)
         if pc == 0:
             raise DegeneratePointError(f"P_{n}(c) = 0")
-        if _near(x, c):
-            return rec.norm_sq[n] * kernel_at(rec, n, x, c) / pc
-        j = eval_jet(rec, n + 1, x, order=0)
-        return (j.jet(n + 1) - kt.cjets.jet(n + 1) / pc * j.jet(n)) / (x - c)
+        return rec.norm_sq[n] * kernel / pc
     if k != 2:
         raise IndexError(f"k must be 1 or 2, got {k}")
     if not 0 <= n < chris.size:
         raise IndexError(f"n = {n} outside ledger of size {chris.size}")
     value = _monic_iterated_by_recurrence(chris, n, x)
-    if x == c or not _near(x, c):
-        _enforce(value, _monic_iterated_by_connection(chris, n, x),
-                 f"P^[2]_{n}({x})", rec.precision)
+    _check_connection(chris, n, x, value)
     return value if monic else value * chris.r2[n]

@@ -17,14 +17,6 @@ class DegeneratePointError(SobspecError, ValueError):
     """
 
 
-class ConfluentPointError(SobspecError, ValueError):
-    """An evaluation point coincides with the mass point c.
-
-    Raised by the divided-difference kernel forms; use the confluent kernel
-    values instead.
-    """
-
-
 class NotPositiveDefiniteError(SobspecError, ArithmeticError):
     """A Cholesky pivot or an exact LDL^T squared norm is not positive.
 

@@ -158,9 +158,6 @@ def eval_sobolev(sob, n, x, normalized=False):
     x = to_mpf(x, context(rec.precision))
     value = eval_jet(rec, n, x, order=0).jet(n)
     if n >= 1:
-        if sob.M != 0:
-            value -= sob.M * sob.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
-        if sob.N != 0:
-            k01 = kt.K01[n - 1] if x == kt.c else kernel_dy_at_c(rec, n - 1, x, kt.c)
-            value -= sob.N * sob.Sdc[n] * k01
+        value -= sob.M * sob.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
+        value -= sob.N * sob.Sdc[n] * kernel_dy_at_c(rec, n - 1, x, kt.c)
     return value * sob.t[n] if normalized else value

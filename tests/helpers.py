@@ -11,6 +11,11 @@ from sobspec.oracle import SqrtRational, squared_entry_compare
 TOL30 = mp.mpf("1e-30")
 TOL28 = mp.mpf("1e-28")
 
+#: Laguerre (alpha, c) pairs, c at three distances from the support, for the
+#: checks that move x toward the mass point; ``PAIR_IDS`` names them.
+PAIRS = [(0, F(-1)), (2, F(-1, 4)), (5, F(-3))]
+PAIR_IDS = ["a0", "a2", "a5"]
+
 
 def rel(a, b):
     """|a - b| scaled by max(1, |a|, |b|), matching the contract tolerances."""

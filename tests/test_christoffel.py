@@ -1,15 +1,16 @@
 """Twice-transformed family: connection coefficients, recurrence, evaluation."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from helpers import TOL30, assert_rel, assert_squared, rel
+from helpers import PAIR_IDS, PAIRS, TOL30, assert_rel, assert_squared, rel
 from sobspec.christoffel import ChristoffelLedger, eval_iterated
-from sobspec.core import MeasureSpec, eval_jet
-from sobspec.errors import DegeneratePointError, InvalidParameterError
+from sobspec.core import MeasureSpec, context, eval_jet
+from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from sobspec.kernels import KernelTable
 from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 
@@ -107,8 +108,8 @@ class TestEvaluation:
                             - kt.cjets.jet(n + 1) / kt.cjets.jet(n) * j.jet(n)) / (x + 1)
                 assert_rel(eval_iterated(chris, n, x, k=1), expected)
 
-    def test_once_transformed_kernel_route_near_mass_point(self, rec, kt, chris):
-        # At x = c the divided difference degenerates; the kernel route holds.
+    def test_once_transformed_at_mass_point(self, rec, kt, chris):
+        # At x = c the kernel polynomial reads the confluent K_n(c, c).
         with mp.workprec(rec.precision):
             for n in range(1, 6):
                 val = eval_iterated(chris, n, -1, k=1)
@@ -132,6 +133,13 @@ class TestEvaluation:
                             + chris.e[n] * j.jet(n, 2)) / 2
                 assert rel(v, lhopital) <= TOL30
 
+    def test_once_transformed_index_bound(self, rec, chris):
+        # The kernel sum needs no P_{n+1}: the last row of the table is valid.
+        assert eval_iterated(chris, rec.size - 1, 2.0, k=1) != 0
+        for n in (-1, rec.size):
+            with pytest.raises(IndexError):
+                eval_iterated(chris, n, 2.0, k=1)
+
     def test_k_validation(self, chris):
         with pytest.raises(IndexError):
             eval_iterated(chris, 2, 0.0, k=3)
@@ -147,6 +155,37 @@ class TestEvaluation:
         ledger = ChristoffelLedger.build(kt0, 4)
         with pytest.raises(DegeneratePointError):
             eval_iterated(ledger, 1, 2.0, k=1)
+
+
+def _ledger(alpha, c, precision, size=27):
+    rec = MeasureSpec.laguerre(alpha).recurrence(size + 2, precision=precision)
+    return ChristoffelLedger.build(KernelTable.build(rec, c), size)
+
+
+class TestConnectionCheck:
+    @pytest.mark.parametrize("field", ["kappa", "tau", "d", "e"])
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_corrupted_ledger_raises(self, precision, field):
+        # One entry scaled by 1 + 2^(-p/4): kappa_3 and tau_3 enter P^[2]_4
+        # through the recurrence, d_3 and e_3 enter P^[2]_3's connection.
+        chris = _ledger(0, -1, precision)
+        values = list(getattr(chris, field))
+        values[3] *= 1 + context(precision).ldexp(1, -(precision // 4))
+        bad = dataclasses.replace(chris, **{field: tuple(values)})
+        n = 4 if field in ("kappa", "tau") else 3
+        for offset in (0, 1, F(73, 10)):
+            with pytest.raises(NumericalFailureError):
+                eval_iterated(bad, n, -1 + offset, k=2)
+
+    @pytest.mark.parametrize("alpha, c", PAIRS, ids=PAIR_IDS)
+    def test_valid_ledger_raises_nothing_near_mass_point(self, alpha, c):
+        # Cancellation in the connection near c is within its guard.
+        ctx = context(64)
+        chris = _ledger(alpha, c, 64)
+        for offset in ("1e-3", "1e-5", "1e-7"):
+            x = ctx.mpf(c.numerator) / c.denominator + ctx.mpf(offset)
+            for n in range(chris.size):
+                eval_iterated(chris, n, x, k=2)
 
 
 class TestLedgerInputs:

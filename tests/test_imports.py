@@ -1,5 +1,5 @@
-"""No module imports a name it never uses, and every name the benchmark's
-tracer wraps exists.
+"""No module imports a name it never uses, every name the benchmark's
+tracer wraps exists, and every exception class of the package is raised.
 
 A stdlib ``ast`` scan of ``src/``, ``tests/`` and ``tools/``: an imported
 name counts as used when the module reads it or lists it in ``__all__``, and
@@ -81,3 +81,24 @@ def test_every_traced_place_resolves():
     tracer.uninstall()
     assert len(tracer_module.TARGETS) > 20
     assert tracer.missing == []
+
+
+def raised_names(path):
+    """Names in ``raise X`` and ``raise X(...)`` statements of a module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # A class that nothing in src/ raises is dead API: delete it instead.
+    errors = ROOT / "src" / "sobspec" / "errors.py"
+    classes = {node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)} - {"SobspecError"}
+    raised = set().union(*(raised_names(p) for p in (ROOT / "src").rglob("*.py")))
+    assert len(classes) >= 6
+    assert sorted(classes - raised) == []

@@ -1,12 +1,13 @@
-"""Reproducing kernels: the summation table at c and the pointwise closed forms."""
+"""Reproducing kernels: the summation table at c and the pointwise direct sums,
+checked against independent sums of monic values and a 512-bit reference."""
 
 import random
 
 import mpmath as mp
 import pytest
 
-from helpers import TOL30, assert_rel, rel
-from sobspec.errors import ConfluentPointError
+from helpers import PAIR_IDS, PAIRS, TOL30, assert_rel, rel
+from sobspec.core import MeasureSpec, context, eval_jet
 from sobspec.kernels import kernel_at, kernel_dy_at_c
 
 RNG_SEED = 90125
@@ -26,7 +27,7 @@ class TestKernelAt:
             x, y = rng.uniform(0, 10), rng.uniform(0, 10)
             assert kernel_at(rec, 7, x, y) == kernel_at(rec, 7, y, x)
 
-    def test_quotient_matches_summation(self, rec):
+    def test_matches_monic_summation(self, rec):
         rng = random.Random(RNG_SEED + 1)
         with mp.workprec(rec.precision):
             for n in range(21):
@@ -38,7 +39,7 @@ class TestKernelAt:
                 )
                 assert rel(kernel_at(rec, n, x, y), summed) <= TOL30
 
-    def test_near_diagonal_switch(self, rec):
+    def test_near_diagonal_matches_summation(self, rec):
         x = mp.mpf(4)
         close = x + mp.mpf("1e-12")
         direct = kernel_at(rec, 10, x, close)
@@ -49,8 +50,11 @@ class TestKernelAt:
         assert rel(direct, summed) <= TOL30
 
     def test_index_bound(self, rec):
-        with pytest.raises(IndexError):
-            kernel_at(rec, rec.size - 1, 0.0, 1.0)
+        # The sum reads P_0..P_n only, so the last row of the table is valid.
+        assert kernel_at(rec, rec.size - 1, 1.0, 1.0) > 0
+        for n in (-1, rec.size):
+            with pytest.raises(IndexError):
+                kernel_at(rec, n, 0.0, 1.0)
 
 
 def _monic(rec, k, x):
@@ -67,7 +71,7 @@ class TestKernelDy:
         assert kernel_dy_at_c(rec, 1, 0.0, -1) == -1
         assert kernel_dy_at_c(rec, 2, 0.0, -1) == -4
 
-    def test_closed_form_matches_summation(self, rec, kt):
+    def test_matches_monic_summation(self, rec, kt):
         rng = random.Random(RNG_SEED + 2)
         with mp.workprec(rec.precision):
             for n in range(1, 21):
@@ -78,9 +82,11 @@ class TestKernelDy:
                 )
                 assert rel(kernel_dy_at_c(rec, n, x, -1), summed) <= TOL30
 
-    def test_confluent_point_rejected(self, rec):
-        with pytest.raises(ConfluentPointError):
-            kernel_dy_at_c(rec, 3, -1.0, -1)
+    def test_confluent_values_match_table(self, rec, kt):
+        # At x = c both pointwise sums are the table's confluent values.
+        for n in range(rec.size):
+            assert rel(kernel_at(rec, n, -1, -1), kt.K[n]) <= TOL30
+            assert rel(kernel_dy_at_c(rec, n, -1, -1), kt.K01[n]) <= TOL30
 
 
 class TestConfluents:
@@ -99,3 +105,26 @@ class TestConfluents:
         for n in range(kt.size):
             det = kt.K[n] * kt.K11[n] - kt.K01[n] ** 2
             assert det >= -TOL30
+
+
+class TestNearMassPoint:
+    @pytest.mark.parametrize("alpha, c", PAIRS, ids=PAIR_IDS)
+    def test_full_accuracy_at_64_bits(self, alpha, c):
+        # However close x is to c, both kernels at 64 bits stay within
+        # 2^(8-p) relative of a 512-bit direct sum at the same x.
+        p, size = 64, 32
+        low = MeasureSpec.laguerre(alpha).recurrence(size, precision=p)
+        high = MeasureSpec.laguerre(alpha).recurrence(size, precision=512)
+        ctx = context(p)
+        bound = ctx.ldexp(1, 8 - p)
+        jc = eval_jet(high, size - 1, c, order=1)
+        for offset in ("3e-8", "1e-6", "1e-4"):
+            x = ctx.mpf(c.numerator) / c.denominator + ctx.mpf(offset)
+            jx = eval_jet(high, size - 1, x, order=0)
+            for n in (5, 15, 30):
+                with mp.workprec(512):
+                    ref = mp.fsum(jx.jet(k) * jc.jet(k) / high.norm_sq[k] for k in range(n + 1))
+                    ref01 = mp.fsum(jx.jet(k) * jc.jet(k, 1) / high.norm_sq[k]
+                                    for k in range(n + 1))
+                    assert abs(kernel_at(low, n, x, c) - ref) / abs(ref) <= bound
+                    assert abs(kernel_dy_at_c(low, n, x, c) - ref01) / abs(ref01) <= bound
