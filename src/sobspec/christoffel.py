@@ -11,23 +11,34 @@ e_n, the leading coefficients r^[2]_n, the recurrence pair kappa_n/tau_n,
 squared norms) from the kernel table; the module also evaluates both
 transformed families.  Every quantity with two published formulas is computed
 both ways and required to agree within a precision-scaled guard; the pinned
-1e-30 tolerances live in the test suite.
+1e-30 tolerances live in the test suite.  The build runs on raw ``_mpf_``
+tuples with the libmp operations of mpf arithmetic (``core._raw_ops``), in
+the order the formulas are written, so each field has the bits of the same
+formulas on mpf; the guards compare the tuples as mpf compares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, context, eval_jet, relative_difference, to_mpf
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_shift, mpf_sub, round_nearest
+
+from .core import _check_int, _mpfs, _raw, _raw_ops, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, NumericalFailureError
-from .kernels import kernel_at
+from .kernels import _kernel_sum
 
 
-def _enforce(a, b, what, precision):
-    if relative_difference(a, b) > context(precision).ldexp(1, -(precision // 2)):
-        raise NumericalFailureError(
-            f"dual formulas for {what} disagree beyond the precision guard: {a} vs {b}"
-        )
+def _enforce(a, b, what, p, guard):
+    """Raise unless |a - b| / max(1, |a|, |b|) <= ``guard`` for the ``_mpf_``
+    tuples a and b, compared as mpf compares: a NaN never raises."""
+    scale = fone
+    for v in (mpf_abs(a), mpf_abs(b)):
+        if mpf_gt(v, scale):
+            scale = v
+    if mpf_gt(mpf_div(mpf_abs(mpf_sub(a, b, p, round_nearest)), scale, p, round_nearest), guard):
+        make = context(p).make_mpf
+        raise NumericalFailureError(f"dual formulas for {what} disagree beyond the "
+                                    f"precision guard: {make(a)} vs {make(b)}")
 
 
 @dataclass(frozen=True)
@@ -58,33 +69,44 @@ class ChristoffelLedger:
 
     @classmethod
     def build(cls, kt, size):
-        rec, j = kt.rec, kt.cjets
+        """The loop runs on ``_mpf_`` tuples with the libmp operations that
+        mpf ``*``, ``/``, ``+``, ``-``, ``sqrt`` and ``** 2`` perform at the
+        table's precision, rounding to nearest, in the same order, so every
+        field has the bits of the mpf formulas."""
+        rec = kt.rec
         if _check_int("size", size, 0) > rec.size - 2:
             raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
-        ctx = context(rec.precision)
+        p = rec.precision
+        add, sub, mul, div, sqrt = _raw_ops(p)
+        guard = mpf_shift(fone, -(p // 2))
+        jet = [(v._mpf_, dv._mpf_) for v, dv, _ in kt.cjets.values]
+        K, h, r = _raw(kt.K), _raw(rec.norm_sq), _raw(rec.leading)
         d, e, r2, kappa, tau = [], [], [], [], []
         for n in range(size):
-            den = j.jet(n + 1) * j.jet(n, 1) - j.jet(n + 1, 1) * j.jet(n)
-            if den == 0:
+            (v0, d0), (v1, d1), (v2, d2) = jet[n:n + 3]
+            den = sub(mul(v1, d0), mul(d1, v0))
+            if den == fzero:
                 raise DegeneratePointError(f"degenerate mass point: Wronskian at n = {n} vanishes")
-            d.append((j.jet(n + 2) * j.jet(n, 1) - j.jet(n + 2, 1) * j.jet(n)) / den)
-            e.append((j.jet(n + 2) * j.jet(n + 1, 1) - j.jet(n + 2, 1) * j.jet(n + 1)) / den)
-            _enforce(e[n], (rec.norm_sq[n + 1] / rec.norm_sq[n]) * (kt.K[n + 1] / kt.K[n]),
-                     f"e_{n}", rec.precision)
-            r2.append(rec.leading[n + 1] * ctx.sqrt(kt.K[n] / kt.K[n + 1]))
-            t1 = rec.beta[n]
+            d.append(div(sub(mul(v2, d0), mul(d2, v0)), den))
+            e.append(div(sub(mul(v2, d1), mul(d2, v1)), den))
+            k_up = div(K[n + 1], K[n])
+            _enforce(e[n], mul(div(h[n + 1], h[n]), k_up), f"e_{n}", p, guard)
+            r2.append(mul(r[n + 1], sqrt(div(K[n], K[n + 1]))))
+            t1 = rec.beta[n]._mpf_
             if n >= 1:
-                t1 += rec.gamma[n] * d[n - 1] / e[n - 1]
-            kappa.append(t1 * e[n] * (r2[n] / rec.leading[n]) ** 2
-                         - d[n] * (r2[n] / rec.leading[n + 1]) ** 2)
+                t1 = add(t1, div(mul(rec.gamma[n]._mpf_, d[n - 1]), e[n - 1]))
+            q0, q1 = div(r2[n], r[n]), div(r2[n], r[n + 1])
+            kappa.append(sub(mul(mul(t1, e[n]), mul(q0, q0)), mul(d[n], mul(q1, q1))))
             if n >= 1:
-                t_rat = (r2[n - 1] / r2[n]) ** 2
-                t_alt = (r2[n - 1] / rec.leading[n + 1]) ** 2 * (kt.K[n + 1] / kt.K[n])
-                _enforce(t_rat, t_alt, f"tau_{n}", rec.precision)
+                q, s = div(r2[n - 1], r2[n]), div(r2[n - 1], r[n + 1])
+                t_rat = mul(q, q)
+                _enforce(t_rat, mul(mul(s, s), k_up), f"tau_{n}", p, guard)
                 tau.append(t_rat)
-        norm2 = [en * rec.norm_sq[n] for n, en in enumerate(e)]
-        return cls(kt=kt, d=tuple(d), e=tuple(e), r2=tuple(r2),
-                   kappa=tuple(kappa), tau=tuple(norm2[:1] + tau), norm2_sq=tuple(norm2))
+        norm2 = list(map(mul, e, h))
+        ctx = context(p)
+        return cls(kt=kt, d=_mpfs(ctx, d), e=_mpfs(ctx, e), r2=_mpfs(ctx, r2),
+                   kappa=_mpfs(ctx, kappa), tau=_mpfs(ctx, norm2[:1] + tau),
+                   norm2_sq=_mpfs(ctx, norm2))
 
 
 def _monic_iterated_by_recurrence(ledger, n, x):
@@ -111,7 +133,7 @@ def _check_connection(ledger, n, x, value):
     if x == kt.c:
         j = kt.cjets
         num2 = j.jet(n + 2, 2) - ledger.d[n] * j.jet(n + 1, 2) + ledger.e[n] * j.jet(n, 2)
-        _enforce(value, num2 / 2, what, p)
+        _enforce(value._mpf_, (num2 / 2)._mpf_, what, p, mpf_shift(fone, -(p // 2)))
         return
     ctx = context(p)
     j = eval_jet(kt.rec, n + 2, x, order=0)
@@ -130,14 +152,15 @@ def eval_iterated(chris, n, x, k=2, monic=False):
     orthonormal, monic with the flag).
 
     k = 1 is the kernel polynomial ||P_n||^2 K_n(x, c) / P_n(c), summed
-    directly at every x.  k = 2 is computed by the ledger recurrence and
+    directly at every x over the jets at x and the table's jets at c.  k = 2 is computed by the ledger recurrence and
     checked at every x against the connection through P_{n+2}, P_{n+1},
     P_n (see :func:`_check_connection` for the tolerance).
     """
     kt, rec = chris.kt, chris.kt.rec
     x = to_mpf(x, context(rec.precision))
     if k == 1:
-        kernel, pc = kernel_at(rec, n, x, kt.c), kt.cjets.jet(n)
+        kernel = _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), kt.cjets, 0)
+        pc = kt.cjets.jet(n)
         if pc == 0:
             raise DegeneratePointError(f"P_{n}(c) = 0")
         return rec.norm_sq[n] * kernel / pc

@@ -11,6 +11,9 @@ All real computation uses mpmath binary floats at a configurable precision
 an mpf operation rounds in its left operand's context.  So results do not
 depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
 builds at different precisions may run concurrently in several threads.
+The jet recurrence and the ledger builds run on the raw ``_mpf_`` tuples
+(:func:`_raw_ops`): libmp operations at the table's precision, rounding as
+mpf operations do, so the bits are the same without the object overhead.
 
 ``EXACT`` is the infinite precision: ``context(EXACT)`` holds exact signed
 square roots of rationals (:class:`sobspec.oracle.SqrtRational`), so the
@@ -24,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sqrt, mpf_sub,
+                          round_nearest)
 
 from .errors import InvalidParameterError
 
@@ -234,6 +239,8 @@ def eval_jet(rec, n, x, order=3):
 
     Forward recurrence; the j-th derivative satisfies
     P^(j)_{k+1} = (x - beta_k) P^(j)_k + j P^(j-1)_k - gamma_k P^(j)_{k-1}.
+    The loop is :func:`_jet_rows` on ``_mpf_`` tuples; only the result is
+    wrapped as mpf.
     """
     if not 0 <= n < rec.size:
         raise IndexError(f"n = {n} outside table of size {rec.size}")
@@ -241,29 +248,74 @@ def eval_jet(rec, n, x, order=3):
         raise InvalidParameterError("derivative order capped at 3")
     ctx = context(rec.precision)
     x = to_mpf(x, ctx)
-    rows = [[ctx.one] + [ctx.zero] * order]
+    return PolyJet(x=x, order=order,
+                   values=tuple(_mpfs(ctx, row) for row in _jet_rows(rec, n, x._mpf_, order)))
+
+
+def _jet_rows(rec, n, x, order):
+    """The rows of :func:`eval_jet` as ``_mpf_`` tuples, x an ``_mpf_``.
+
+    Each step is the libmp operation that mpf ``-``, ``*`` (``mpf_mul_int``
+    for the integer j) and ``+`` perform at the table's precision, rounding
+    to nearest, in the same order, so every entry has the bits of the mpf
+    recurrence.
+    """
+    p, rnd = rec.precision, round_nearest
+    rows = [[fone] + [fzero] * order]
     if n >= 1:
         prev = rows[0]
-        first = [x - rec.beta[0]] + [ctx.zero] * order
+        first = [mpf_sub(x, rec.beta[0]._mpf_, p, rnd)] + [fzero] * order
         if order >= 1:
-            first[1] = ctx.one
+            first[1] = fone
         rows.append(first)
         for k in range(1, n):
             cur = rows[k]
+            u, g = mpf_sub(x, rec.beta[k]._mpf_, p, rnd), rec.gamma[k]._mpf_
             nxt = []
             for j in range(order + 1):
-                t = (x - rec.beta[k]) * cur[j] - rec.gamma[k] * prev[j]
+                t = mpf_sub(mpf_mul(u, cur[j], p, rnd), mpf_mul(g, prev[j], p, rnd), p, rnd)
                 if j >= 1:
-                    t += j * cur[j - 1]
+                    t = mpf_add(t, mpf_mul_int(cur[j - 1], j, p, rnd), p, rnd)
                 nxt.append(t)
             prev = cur
             rows.append(nxt)
-    return PolyJet(x=x, order=order, values=tuple(tuple(r) for r in rows))
+    return rows
 
 
-def relative_difference(a, b):
-    """|a - b| scaled by max(1, |a|, |b|)."""
-    return abs(a - b) / max(1, abs(a), abs(b))
+def _raw(values):
+    """The ``_mpf_`` tuples of the mpf ``values``."""
+    return [v._mpf_ for v in values]
+
+
+def _mpfs(ctx, values):
+    """The ``_mpf_`` tuples ``values`` as a tuple of mpf of ``ctx``."""
+    return tuple(map(ctx.make_mpf, values))
+
+
+def _raw_ops(p):
+    """``add, sub, mul, div, sqrt`` on ``_mpf_`` tuples at ``p`` bits,
+    rounding to nearest: the libmp operations that mpf ``+``, ``-``, ``*``,
+    ``/`` and ``context(p).sqrt`` perform, so a formula written with them
+    has the bits of the same formula on mpf.  ``x ** 2`` is ``mul(x, x)``:
+    both round the exact square once."""
+    rnd = round_nearest
+
+    def add(a, b):
+        return mpf_add(a, b, p, rnd)
+
+    def sub(a, b):
+        return mpf_sub(a, b, p, rnd)
+
+    def mul(a, b):
+        return mpf_mul(a, b, p, rnd)
+
+    def div(a, b):
+        return mpf_div(a, b, p, rnd)
+
+    def sqrt(a):
+        return mpf_sqrt(a, p, rnd)
+
+    return add, sub, mul, div, sqrt
 
 
 def monic_value(rec, n, x):

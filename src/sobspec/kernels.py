@@ -6,13 +6,22 @@ summation over the jets of the family: :class:`KernelTable` holds the
 confluent values at (c, c), and :func:`kernel_at` and :func:`kernel_dy_at_c`
 sum at any x, the mass point included.  The summation needs no P_{n+1} and
 no division by x - y, so it keeps its accuracy however close x is to y.
+
+:meth:`KernelTable.build` runs the jet recurrence and the three sums on raw
+``_mpf_`` tuples with ``mpmath.libmp``'s operations, the ones mpf arithmetic
+performs, in the same order and at the same precision, so every value has
+the bits of the mpf loop without its object overhead.  The pointwise sums
+stay on mpf: they take the jets at c from a table when one is at hand
+(``KernelTable.cjets``) instead of evaluating them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import context, eval_jet, to_mpf
+from mpmath.libmp import fone, fzero
+
+from .core import PolyJet, _jet_rows, _mpfs, _raw_ops, context, eval_jet, to_mpf
 
 
 @dataclass(frozen=True)
@@ -39,37 +48,40 @@ class KernelTable:
 
     @classmethod
     def build(cls, rec, c):
+        """The jets and the sums run on ``_mpf_`` tuples with the libmp
+        operations of mpf ``1 /``, ``*`` and ``+`` at the table's precision,
+        rounding to nearest, in the same order: the bits of the mpf sums."""
         ctx = context(rec.precision)
+        add, _, mul, div, _ = _raw_ops(rec.precision)
         c = to_mpf(c, ctx)
-        jets = eval_jet(rec, rec.size - 1, c, order=2)
+        rows = _jet_rows(rec, rec.size - 1, c._mpf_, 2)
         K, K01, K11 = [], [], []
-        s = s01 = s11 = ctx.zero
-        for k in range(rec.size):
-            w = 1 / rec.norm_sq[k]
-            v, dv = jets.jet(k, 0), jets.jet(k, 1)
-            s += v * v * w
-            s01 += v * dv * w
-            s11 += dv * dv * w
+        s = s01 = s11 = fzero
+        for (v, dv, _), h in zip(rows, rec.norm_sq):
+            w = div(fone, h._mpf_)
+            s = add(s, mul(mul(v, v), w))
+            s01 = add(s01, mul(mul(v, dv), w))
+            s11 = add(s11, mul(mul(dv, dv), w))
             K.append(s)
             K01.append(s01)
             K11.append(s11)
-        return cls(rec=rec, c=c, K=tuple(K), K01=tuple(K01), K11=tuple(K11),
+        jets = PolyJet(x=c, order=2, values=tuple(_mpfs(ctx, row) for row in rows))
+        return cls(rec=rec, c=c, K=_mpfs(ctx, K), K01=_mpfs(ctx, K01), K11=_mpfs(ctx, K11),
                    cjets=jets)
 
 
-def _kernel_sum(rec, n, x, y, j):
-    """sum_{k<=n} P_k(x) P_k^(j)(y) / ||P_k||^2 for j = 0 or 1, as one fsum."""
-    ctx = context(rec.precision)
-    jx = eval_jet(rec, n, x, order=0)
-    jy = eval_jet(rec, n, y, order=j)
-    return ctx.fsum(jx.jet(k) * jy.jet(k, j) / rec.norm_sq[k] for k in range(n + 1))
+def _kernel_sum(rec, n, jx, jy, j):
+    """sum_{k<=n} P_k(x) P_k^(j)(y) / ||P_k||^2 for j = 0 or 1, as one fsum,
+    from the jets ``jx`` at x and ``jy`` at y."""
+    return context(rec.precision).fsum(
+        jx.jet(k) * jy.jet(k, j) / rec.norm_sq[k] for k in range(n + 1))
 
 
 def kernel_at(rec, n, x, y):
     """K_n(x, y) = sum_{k<=n} p_k(x) p_k(y), by direct summation."""
-    return _kernel_sum(rec, n, x, y, 0)
+    return _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), eval_jet(rec, n, y, order=0), 0)
 
 
 def kernel_dy_at_c(rec, n, x, c):
     """K^(0,1)_n(x, c) = sum_{k<=n} p_k(x) p'_k(c), by direct summation."""
-    return _kernel_sum(rec, n, x, c, 1)
+    return _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), eval_jet(rec, n, c, order=1), 1)

@@ -7,7 +7,10 @@ the confluent kernel values of the base family.  :meth:`SobolevLedger.build`
 solves it for every index and from there collects norms, the triangular
 connection coefficients gamma onto the twice-transformed orthonormal family,
 the five-term recurrence entries (a_n, b_n, c_n) for multiplication by
-(x-c)^2, and the auxiliary alpha/xi connection coefficients.
+(x-c)^2, and the auxiliary alpha/xi connection coefficients.  Like the
+Christoffel ledger, it runs on raw ``_mpf_`` tuples with the libmp
+operations of mpf arithmetic, in the order the formulas are written, so each
+field has the bits of the same formulas on mpf.
 
 Only the masses M and N enter here.  The mass point and the base measure
 come with the Christoffel ledger that the Sobolev ledger extends
@@ -28,9 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, context, eval_jet, to_mpf
+from mpmath.libmp import fone, fzero, mpf_gt, mpf_neg
+
+from .core import _check_int, _mpfs, _raw, _raw_ops, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
-from .kernels import kernel_at, kernel_dy_at_c
+from .kernels import _kernel_sum
 
 
 @dataclass(frozen=True)
@@ -87,77 +92,86 @@ class SobolevLedger:
                 f"masses must be finite and nonnegative, got M = {M}, N = {N}")
         if _check_int("size", size, 0) > chris.size:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
-        j, r, zero = kt.cjets, rec.leading, ctx.zero
+        add, sub, mul, div, sqrt = _raw_ops(rec.precision)
+        j = [(v._mpf_, dv._mpf_) for v, dv, _ in kt.cjets.values]
+        K, K01, K11 = _raw(kt.K), _raw(kt.K01), _raw(kt.K11)
+        h, r, d, e, r2 = (_raw(v) for v in (rec.norm_sq, rec.leading, chris.d, chris.e, chris.r2))
+        Mr, Nr = M._mpf_, N._mpf_
         Sc, Sdc, normS, t, g_nn, g_n1, g_n2 = [], [], [], [], [], [], []
         root = []  # root[n] = sqrt(K_{n-1} / K_n), read at n and at n + 1
         a, b, cdiag, al1, al0, x0, x1, x2 = [], [], [], [], [], [], [], []
         for n in range(size):
             if n == 0:
-                a11, a12, a21, a22 = ctx.one, ctx.zero, ctx.zero, ctx.one
+                a11, a12, a21, a22 = fone, fzero, fzero, fone
             else:
-                a11 = 1 + M * kt.K[n - 1]
-                a12 = N * kt.K01[n - 1]
-                a21 = M * kt.K01[n - 1]
-                a22 = 1 + N * kt.K11[n - 1]
-            det = a11 * a22 - a12 * a21
-            if det == 0:
+                a11 = add(mul(Mr, K[n - 1]), fone)
+                a12 = mul(Nr, K01[n - 1])
+                a21 = mul(Mr, K01[n - 1])
+                a22 = add(mul(Nr, K11[n - 1]), fone)
+            det = sub(mul(a11, a22), mul(a12, a21))
+            if det == fzero:
                 raise DegeneratePointError("boundary system is singular")
-            b1, b2 = j.jet(n), j.jet(n, 1)
-            Sc.append((b1 * a22 - a12 * b2) / det)
-            Sdc.append((a11 * b2 - a21 * b1) / det)
-            ns = rec.norm_sq[n] + M * Sc[n] * b1 + N * Sdc[n] * b2
-            if not ns > 0:
-                raise NumericalFailureError(
-                    f"computed squared norm at n = {n} is {ns}; increase the precision")
+            b1, b2 = j[n]
+            Sc.append(div(sub(mul(b1, a22), mul(a12, b2)), det))
+            Sdc.append(div(sub(mul(a11, b2), mul(a21, b1)), det))
+            ns = add(add(h[n], mul(mul(Mr, Sc[n]), b1)), mul(mul(Nr, Sdc[n]), b2))
+            if not mpf_gt(ns, fzero):
+                raise NumericalFailureError(f"computed squared norm at n = {n} is "
+                                            f"{ctx.make_mpf(ns)}; increase the precision")
             normS.append(ns)
-            t.append(1 / ctx.sqrt(ns))
+            t.append(div(fone, sqrt(ns)))
 
-            sc, sdc = t[n] * Sc[n], t[n] * Sdc[n]
-            g_nn.append(t[n] / chris.r2[n])
-            g_n2.append(chris.r2[n - 2] / t[n] if n >= 2 else zero)
-            bn = zero
-            root.append(ctx.sqrt(kt.K[n - 1] / kt.K[n]) if n >= 1 else zero)
+            msc, nsdc = mul(Mr, mul(t[n], Sc[n])), mul(Nr, mul(t[n], Sdc[n]))
+            g_nn.append(div(t[n], r2[n]))
+            g_n2.append(div(r2[n - 2], t[n]) if n >= 2 else fzero)
+            bn = fzero
+            root.append(sqrt(div(K[n - 1], K[n])) if n >= 1 else fzero)
             if n >= 1:
-                pm1, dp = j.jet(n - 1) * r[n - 1], j.jet(n - 1, 1) * r[n - 1]
-                bracket = (chris.d[n - 1] * t[n] / r[n]
-                           + chris.e[n - 1] * (r[n] / r[n - 1]) * (M * sc * pm1 + N * sdc * dp))
-                g_n1.append(-root[n] * bracket)
-                bn = g_nn[n - 1] * g_n1[n]
+                pm1, dp = mul(j[n - 1][0], r[n - 1]), mul(j[n - 1][1], r[n - 1])
+                bracket = add(div(mul(d[n - 1], t[n]), r[n]),
+                              mul(mul(e[n - 1], div(r[n], r[n - 1])),
+                                  add(mul(msc, pm1), mul(nsdc, dp))))
+                g_n1.append(mul(mpf_neg(root[n]), bracket))
+                bn = mul(g_nn[n - 1], g_n1[n])
                 if n >= 2:
-                    bn += g_n2[n] * g_n1[n - 1]
+                    bn = add(bn, mul(g_n2[n], g_n1[n - 1]))
             else:
-                g_n1.append(zero)
-            a.append(g_nn[n - 2] * g_n2[n] if n >= 2 else zero)
+                g_n1.append(fzero)
+            a.append(mul(g_nn[n - 2], g_n2[n]) if n >= 2 else fzero)
             b.append(bn)
-            cdiag.append(g_nn[n] ** 2 + g_n1[n] ** 2 + g_n2[n] ** 2)
+            cdiag.append(add(add(mul(g_nn[n], g_nn[n]), mul(g_n1[n], g_n1[n])),
+                             mul(g_n2[n], g_n2[n])))
 
-            al1.append(M * sc * j.jet(n + 1) * r[n + 1]
-                       + N * sdc * j.jet(n + 1, 1) * r[n + 1])
-            al0.append(t[n] / r[n] + M * sc * j.jet(n) * r[n]
-                       + N * sdc * j.jet(n, 1) * r[n])
-            x0.append(ctx.sqrt(chris.e[n]))
-            x1.append(-chris.d[n - 1] * root[n] if n >= 1 else zero)
-            x2.append((r[n - 1] / r[n]) * root[n - 1] if n >= 2 else zero)
+            al1.append(add(mul(mul(msc, j[n + 1][0]), r[n + 1]),
+                           mul(mul(nsdc, j[n + 1][1]), r[n + 1])))
+            al0.append(add(add(div(t[n], r[n]), mul(mul(msc, b1), r[n])),
+                           mul(mul(nsdc, b2), r[n])))
+            x0.append(sqrt(e[n]))
+            x1.append(mul(mpf_neg(d[n - 1]), root[n]) if n >= 1 else fzero)
+            x2.append(mul(div(r[n - 1], r[n]), root[n - 1]) if n >= 2 else fzero)
 
-        return cls(chris=chris, M=M, N=N,
-                   Sc=tuple(Sc), Sdc=tuple(Sdc), normS_sq=tuple(normS),
-                   t=tuple(t), gamma_nn=tuple(g_nn), gamma_n1=tuple(g_n1),
-                   gamma_n2=tuple(g_n2), a=tuple(a), b=tuple(b),
-                   cdiag=tuple(cdiag), alpha1=tuple(al1), alpha0=tuple(al0),
-                   xi0=tuple(x0), xi1=tuple(x1), xi2=tuple(x2))
+        return cls(chris=chris, M=M, N=N, Sc=_mpfs(ctx, Sc), Sdc=_mpfs(ctx, Sdc),
+                   normS_sq=_mpfs(ctx, normS), t=_mpfs(ctx, t), gamma_nn=_mpfs(ctx, g_nn),
+                   gamma_n1=_mpfs(ctx, g_n1), gamma_n2=_mpfs(ctx, g_n2), a=_mpfs(ctx, a),
+                   b=_mpfs(ctx, b), cdiag=_mpfs(ctx, cdiag), alpha1=_mpfs(ctx, al1),
+                   alpha0=_mpfs(ctx, al0), xi0=_mpfs(ctx, x0), xi1=_mpfs(ctx, x1),
+                   xi2=_mpfs(ctx, x2))
 
 
 def eval_sobolev(sob, n, x, normalized=False):
     """S_n(x) = P_n(x) - M S_n(c) K_{n-1}(x,c) - N S_n'(c) K01_{n-1}(x,c).
 
-    The ``normalized`` flag returns s_n(x) = t_n S_n(x) instead.
+    The ``normalized`` flag returns s_n(x) = t_n S_n(x) instead.  P_0..P_n
+    are evaluated at x once; the two kernel sums read them and the jets at c
+    of the kernel table.
     """
     if not 0 <= n < sob.size:
         raise IndexError(f"n = {n} outside ledger of size {sob.size}")
-    kt, rec = sob.chris.kt, sob.chris.kt.rec
-    x = to_mpf(x, context(rec.precision))
-    value = eval_jet(rec, n, x, order=0).jet(n)
+    kt = sob.chris.kt
+    rec = kt.rec
+    jx = eval_jet(rec, n, x, order=0)
+    value = jx.jet(n)
     if n >= 1:
-        value -= sob.M * sob.Sc[n] * kernel_at(rec, n - 1, x, kt.c)
-        value -= sob.N * sob.Sdc[n] * kernel_dy_at_c(rec, n - 1, x, kt.c)
+        value -= sob.M * sob.Sc[n] * _kernel_sum(rec, n - 1, jx, kt.cjets, 0)
+        value -= sob.N * sob.Sdc[n] * _kernel_sum(rec, n - 1, jx, kt.cjets, 1)
     return value * sob.t[n] if normalized else value

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
+from sobspec.core import MeasureSpec
 from sobspec.oracle import SqrtRational, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
@@ -15,6 +16,23 @@ TOL28 = mp.mpf("1e-28")
 #: checks that move x toward the mass point; ``PAIR_IDS`` names them.
 PAIRS = [(0, F(-1)), (2, F(-1, 4)), (5, F(-3))]
 PAIR_IDS = ["a0", "a2", "a5"]
+
+
+def reflected_laguerre(size):
+    """Weight e^x on (-inf, 0): beta_n = -(2n+1), gamma_n = n^2, mass 1."""
+    return MeasureSpec.custom(
+        beta=[-(2 * n + 1) for n in range(size)],
+        gamma=[n * n for n in range(size)],
+        support=(float("-inf"), 0.0),
+        norm0_sq=1,
+    )
+
+
+def custom_table(beta, gamma, precision):
+    """The recurrence table of the given coefficients at ``precision`` bits.
+    The ledger builders read no support, so a wide placeholder is given."""
+    return MeasureSpec.custom(beta, gamma, support=(-100.0, 100.0)).recurrence(
+        len(beta), precision)
 
 
 def rel(a, b):

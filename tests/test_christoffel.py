@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from helpers import PAIR_IDS, PAIRS, TOL30, assert_rel, assert_squared, rel
+from helpers import PAIR_IDS, PAIRS, TOL30, assert_rel, assert_squared, custom_table, rel
 from sobspec.christoffel import ChristoffelLedger, eval_iterated
 from sobspec.core import MeasureSpec, context, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
@@ -196,3 +196,39 @@ class TestLedgerInputs:
     def test_size_must_be_a_nonnegative_integer(self, kt, size):
         with pytest.raises(InvalidParameterError):
             ChristoffelLedger.build(kt, size)
+
+
+class TestBuildGuards:
+    """Each check of ``ChristoffelLedger.build`` raises on an input that trips it."""
+
+    @pytest.mark.parametrize("index", [0, 1, 4])
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_kernel_entry_off_by_a_quarter_precision_trips_e_guard(self, precision, index):
+        # K_i enters e_{i-1} (e_0 for i = 0) first, by e_n = ||P_{n+1}||^2 K_{n+1}
+        # / (||P_n||^2 K_n).
+        rec = MeasureSpec.laguerre(0).recurrence(10, precision)
+        kt = KernelTable.build(rec, -1)
+        K = list(kt.K)
+        K[index] *= 1 + context(precision).ldexp(1, -(precision // 4))
+        with pytest.raises(NumericalFailureError, match=f"for e_{max(index - 1, 0)} "):
+            ChristoffelLedger.build(dataclasses.replace(kt, K=tuple(K)), 8)
+
+    @pytest.mark.parametrize("beta, gamma, c, n", [
+        ([2, 3, 2, 1, 3, 0, 3, -1], [0, 3, 4, 4, 2, 3, 1, 1], -2, 2),
+        ([0, -1, 1, 1, 0, -1], [0, 2, 3, 3, 2, 1], -2, 3),
+    ])
+    def test_rounding_at_four_bits_trips_tau_guard(self, beta, gamma, c, n):
+        # The two tau formulas are one expression in r^[2], r and K, so only
+        # rounding parts them: beyond 2^(-p/2) at four bits, never at 64.
+        kt = KernelTable.build(custom_table(beta, gamma, 4), c)
+        with pytest.raises(NumericalFailureError, match=f"for tau_{n} "):
+            ChristoffelLedger.build(kt, len(beta) - 2)
+        ChristoffelLedger.build(KernelTable.build(custom_table(beta, gamma, 64), c),
+                                len(beta) - 2)
+
+    def test_rounding_at_three_bits_makes_a_wronskian_vanish(self):
+        # P_4 P_3' - P_4' P_3 = ||P_3||^2 K_3(c, c) > 0, but at three bits
+        # its two products round to one value.
+        table = custom_table([0, 0, 0, 1, 1, 0, -1], [0, 4, 3, 0.25, 4, 4, 0.5], 3)
+        with pytest.raises(DegeneratePointError, match="at n = 3 vanishes"):
+            ChristoffelLedger.build(KernelTable.build(table, -3), 5)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_rel, laguerre_monic, moment_inner, poly_eval, rel
+from helpers import assert_rel, laguerre_monic, moment_inner, poly_eval, reflected_laguerre, rel
 from sobspec.core import (
     MeasureSpec,
     SobolevSpec,
@@ -24,16 +24,6 @@ from sobspec.core import (
 from sobspec.errors import InvalidParameterError
 from sobspec.matrices import MatrixSuite
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
-
-
-def reflected_laguerre(size):
-    """Weight e^x on (-inf, 0): beta_n = -(2n+1), gamma_n = n^2, mass 1."""
-    return MeasureSpec.custom(
-        beta=[-(2 * n + 1) for n in range(size)],
-        gamma=[n * n for n in range(size)],
-        support=(float("-inf"), 0.0),
-        norm0_sq=1,
-    )
 
 
 class TestLaguerreRecurrence:

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from helpers import TOL30, assert_rel, assert_squared, in_monomials, poly_deriv, poly_eval, rel
-from sobspec.christoffel import eval_iterated
+from helpers import (TOL30, assert_rel, assert_squared, custom_table, in_monomials, poly_deriv,
+                     poly_eval, rel)
+from sobspec.christoffel import ChristoffelLedger, eval_iterated
 from sobspec.core import eval_jet, orthonormal_value
-from sobspec.errors import InvalidParameterError
-from sobspec.kernels import kernel_at, kernel_dy_at_c
+from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
+from sobspec.kernels import KernelTable, kernel_at, kernel_dy_at_c
 from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
@@ -290,3 +291,27 @@ class TestLedgerInputs:
     def test_masses_must_be_finite_and_nonnegative(self, chris, M, N):
         with pytest.raises(InvalidParameterError, match="masses"):
             SobolevLedger.build(chris, M, N, 10)
+
+
+def _chris(beta, gamma, c, precision):
+    return ChristoffelLedger.build(KernelTable.build(custom_table(beta, gamma, precision), c),
+                                   len(beta) - 2)
+
+
+class TestBuildGuards:
+    """Each check of ``SobolevLedger.build`` raises on an input that trips it.
+    The boundary system's determinant is at least 1 and every squared norm is
+    positive in exact arithmetic, so it takes a build of 12 bits, whose
+    rounding breaks both, to trip them; at 64 bits the same data builds."""
+
+    def test_rounding_makes_the_boundary_system_singular(self):
+        beta, gamma = [1, 1, -1, -1, 1, 2, -1, 2], [0, 1, 1, 1, 1, 2, 1, 4]
+        with pytest.raises(DegeneratePointError, match="singular"):
+            SobolevLedger.build(_chris(beta, gamma, 10, 12), 3, 100, 6)
+        SobolevLedger.build(_chris(beta, gamma, 10, 64), 3, 100, 6)
+
+    def test_rounding_makes_a_squared_norm_nonpositive(self):
+        beta, gamma = [0, 1, -1, -1, 0, 3, 0, 3], [0, 2, 3, 1, 1, 4, 2, 2]
+        with pytest.raises(NumericalFailureError, match="squared norm at n = 5 "):
+            SobolevLedger.build(_chris(beta, gamma, 10, 12), 1, 100, 6)
+        SobolevLedger.build(_chris(beta, gamma, 10, 64), 1, 100, 6)
