@@ -11,34 +11,34 @@ e_n, the leading coefficients r^[2]_n, the recurrence pair kappa_n/tau_n,
 squared norms) from the kernel table; the module also evaluates both
 transformed families.  Every quantity with two published formulas is computed
 both ways and required to agree within a precision-scaled guard; the pinned
-1e-30 tolerances live in the test suite.  The build runs on raw ``_mpf_``
-tuples with the libmp operations of mpf arithmetic (``core._raw_ops``), in
-the order the formulas are written, so each field has the bits of the same
-formulas on mpf; the guards compare the tuples as mpf compares them.
+1e-30 tolerances live in the test suite.  The build runs on raw values with
+the table's scalar kit (:class:`sobspec.core.Arith`), in the order the
+formulas are written, so each field has the bits of the same formulas on
+mpf; the guards compare the raw values as mpf compares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_shift, mpf_sub, round_nearest
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt, mpf_shift
 
-from .core import _check_int, _mpfs, _raw, _raw_ops, context, eval_jet, to_mpf
+from .core import _check_int, arith, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, NumericalFailureError
 from .kernels import _kernel_sum
 
 
-def _enforce(a, b, what, p, guard):
-    """Raise unless |a - b| / max(1, |a|, |b|) <= ``guard`` for the ``_mpf_``
-    tuples a and b, compared as mpf compares: a NaN never raises."""
-    scale = fone
+def _enforce(a, b, what, p):
+    """Raise unless |a - b| / max(1, |a|, |b|) <= 2^(-p/2) for the raw values
+    a and b at ``p`` bits, compared as mpf compares: a NaN never raises."""
+    kit, scale = arith(p), fone
     for v in (mpf_abs(a), mpf_abs(b)):
         if mpf_gt(v, scale):
             scale = v
-    if mpf_gt(mpf_div(mpf_abs(mpf_sub(a, b, p, round_nearest)), scale, p, round_nearest), guard):
-        make = context(p).make_mpf
-        raise NumericalFailureError(f"dual formulas for {what} disagree beyond the "
-                                    f"precision guard: {make(a)} vs {make(b)}")
+    if mpf_gt(kit.div(mpf_abs(kit.sub(a, b)), scale), mpf_shift(fone, -(p // 2))):
+        a, b = kit.wrap([a, b])
+        raise NumericalFailureError(
+            f"dual formulas for {what} disagree beyond the precision guard: {a} vs {b}")
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,18 @@ class ChristoffelLedger:
 
     @classmethod
     def build(cls, kt, size):
-        """The loop runs on ``_mpf_`` tuples with the libmp operations that
-        mpf ``*``, ``/``, ``+``, ``-``, ``sqrt`` and ``** 2`` perform at the
-        table's precision, rounding to nearest, in the same order, so every
-        field has the bits of the mpf formulas."""
+        """The loop runs on raw values with the libmp operations that mpf
+        ``*``, ``/``, ``+``, ``-``, ``sqrt`` and ``** 2`` perform
+        (``core.arith``), in the same order, so every field has the bits of
+        the mpf formulas."""
         rec = kt.rec
         if _check_int("size", size, 0) > rec.size - 2:
             raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
         p = rec.precision
-        add, sub, mul, div, sqrt = _raw_ops(p)
-        guard = mpf_shift(fone, -(p // 2))
-        jet = [(v._mpf_, dv._mpf_) for v, dv, _ in kt.cjets.values]
-        K, h, r = _raw(kt.K), _raw(rec.norm_sq), _raw(rec.leading)
+        kit = arith(p)
+        add, sub, mul, div, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.sqrt
+        jet = [kit.raw(v[:2]) for v in kt.cjets.values]
+        K, h, r, beta, gamma = map(kit.raw, (kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma))
         d, e, r2, kappa, tau = [], [], [], [], []
         for n in range(size):
             (v0, d0), (v1, d1), (v2, d2) = jet[n:n + 3]
@@ -90,23 +90,23 @@ class ChristoffelLedger:
             d.append(div(sub(mul(v2, d0), mul(d2, v0)), den))
             e.append(div(sub(mul(v2, d1), mul(d2, v1)), den))
             k_up = div(K[n + 1], K[n])
-            _enforce(e[n], mul(div(h[n + 1], h[n]), k_up), f"e_{n}", p, guard)
+            _enforce(e[n], mul(div(h[n + 1], h[n]), k_up), f"e_{n}", p)
+            if mpf_gt(fzero, e[n]):  # e_n = 0 is the next index's vanishing Wronskian
+                raise NumericalFailureError(
+                    f"computed e_{n} is {kit.wrap([e[n]])[0]}; increase the precision")
             r2.append(mul(r[n + 1], sqrt(div(K[n], K[n + 1]))))
-            t1 = rec.beta[n]._mpf_
+            t1 = beta[n]
             if n >= 1:
-                t1 = add(t1, div(mul(rec.gamma[n]._mpf_, d[n - 1]), e[n - 1]))
+                t1 = add(t1, div(mul(gamma[n], d[n - 1]), e[n - 1]))
             q0, q1 = div(r2[n], r[n]), div(r2[n], r[n + 1])
             kappa.append(sub(mul(mul(t1, e[n]), mul(q0, q0)), mul(d[n], mul(q1, q1))))
             if n >= 1:
                 q, s = div(r2[n - 1], r2[n]), div(r2[n - 1], r[n + 1])
                 t_rat = mul(q, q)
-                _enforce(t_rat, mul(mul(s, s), k_up), f"tau_{n}", p, guard)
+                _enforce(t_rat, mul(mul(s, s), k_up), f"tau_{n}", p)
                 tau.append(t_rat)
         norm2 = list(map(mul, e, h))
-        ctx = context(p)
-        return cls(kt=kt, d=_mpfs(ctx, d), e=_mpfs(ctx, e), r2=_mpfs(ctx, r2),
-                   kappa=_mpfs(ctx, kappa), tau=_mpfs(ctx, norm2[:1] + tau),
-                   norm2_sq=_mpfs(ctx, norm2))
+        return cls(kt, *map(kit.wrap, (d, e, r2, kappa, norm2[:1] + tau, norm2)))
 
 
 def _monic_iterated_by_recurrence(ledger, n, x):
@@ -133,7 +133,7 @@ def _check_connection(ledger, n, x, value):
     if x == kt.c:
         j = kt.cjets
         num2 = j.jet(n + 2, 2) - ledger.d[n] * j.jet(n + 1, 2) + ledger.e[n] * j.jet(n, 2)
-        _enforce(value._mpf_, (num2 / 2)._mpf_, what, p, mpf_shift(fone, -(p // 2)))
+        _enforce(*arith(p).raw([value, num2 / 2]), what, p)
         return
     ctx = context(p)
     j = eval_jet(kt.rec, n + 2, x, order=0)

@@ -11,9 +11,8 @@ All real computation uses mpmath binary floats at a configurable precision
 an mpf operation rounds in its left operand's context.  So results do not
 depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
 builds at different precisions may run concurrently in several threads.
-The jet recurrence and the ledger builds run on the raw ``_mpf_`` tuples
-(:func:`_raw_ops`): libmp operations at the table's precision, rounding as
-mpf operations do, so the bits are the same without the object overhead.
+Loops that must not pay for mpf objects run on raw values with the scalar
+kit :func:`arith` of their precision (see :class:`Arith`).
 
 ``EXACT`` is the infinite precision: ``context(EXACT)`` holds exact signed
 square roots of rationals (:class:`sobspec.oracle.SqrtRational`), so the
@@ -23,11 +22,12 @@ matrix chain of :mod:`sobspec.matrices` runs unchanged over them.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sqrt, mpf_sub,
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub,
                           round_nearest)
 
 from .errors import InvalidParameterError
@@ -72,6 +72,61 @@ def context(precision):
             ctx.prec = precision
         ctx = _CONTEXTS.setdefault(precision, ctx)
     return ctx
+
+
+@dataclass(frozen=True)
+class Arith:
+    """The scalar kit of one precision, from :func:`arith`: ``raw`` turns
+    scalars of ``context(precision)`` into raw values (a list), ``wrap``
+    turns raw values back (a tuple), and ``add``, ``sub``, ``mul``, ``div``,
+    ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw values.
+
+    At an mpf precision p the raw values are ``_mpf_`` tuples and the
+    operations are the libmp calls that mpf ``+``, ``-``, ``*``, ``/``,
+    unary ``-`` and ``context(p).sqrt`` make, at p bits rounding to nearest.
+    So a formula written with them, in the same order, has the bits of the
+    same formula on mpf without the object overhead; ``x ** 2`` is
+    ``mul(x, x)``, as both round the exact square once.  At ``EXACT`` the
+    raw values are the ``SqrtRational`` scalars and the operations theirs.
+    """
+
+    raw: object
+    wrap: object
+    add: object
+    sub: object
+    mul: object
+    div: object
+    neg: object
+    sqrt: object
+    zero: object
+    one: object
+
+
+_ARITHS = {}
+
+
+def arith(precision):
+    """The :class:`Arith` of ``precision``, made once and kept unique by
+    ``setdefault`` as :func:`context` is."""
+    kit = _ARITHS.get(precision)
+    if kit is None:
+        ctx = context(precision)
+        if precision == EXACT:
+            kit = Arith(list, tuple, operator.add, operator.sub, operator.mul,
+                        operator.truediv, operator.neg, ctx.sqrt, ctx.zero, ctx.one)
+        else:
+            p, rnd = precision, round_nearest
+            kit = Arith(raw=lambda values: [v._mpf_ for v in values],
+                        wrap=lambda values: tuple(map(ctx.make_mpf, values)),
+                        add=lambda a, b: mpf_add(a, b, p, rnd),
+                        sub=lambda a, b: mpf_sub(a, b, p, rnd),
+                        mul=lambda a, b: mpf_mul(a, b, p, rnd),
+                        div=lambda a, b: mpf_div(a, b, p, rnd),
+                        neg=lambda a: mpf_neg(a, p, rnd),
+                        sqrt=lambda a: mpf_sqrt(a, p, rnd),
+                        zero=fzero, one=fone)
+        kit = _ARITHS.setdefault(precision, kit)
+    return kit
 
 
 def to_mpf(x, ctx):
@@ -239,83 +294,45 @@ def eval_jet(rec, n, x, order=3):
 
     Forward recurrence; the j-th derivative satisfies
     P^(j)_{k+1} = (x - beta_k) P^(j)_k + j P^(j-1)_k - gamma_k P^(j)_{k-1}.
-    The loop is :func:`_jet_rows` on ``_mpf_`` tuples; only the result is
-    wrapped as mpf.
+    The loop is :func:`_jet_rows` on raw values; only the result is wrapped.
     """
     if not 0 <= n < rec.size:
         raise IndexError(f"n = {n} outside table of size {rec.size}")
     if not 0 <= order <= 3:
         raise InvalidParameterError("derivative order capped at 3")
-    ctx = context(rec.precision)
-    x = to_mpf(x, ctx)
+    x = to_mpf(x, context(rec.precision))
     return PolyJet(x=x, order=order,
-                   values=tuple(_mpfs(ctx, row) for row in _jet_rows(rec, n, x._mpf_, order)))
+                   values=tuple(map(arith(rec.precision).wrap, _jet_rows(rec, n, x, order))))
 
 
 def _jet_rows(rec, n, x, order):
-    """The rows of :func:`eval_jet` as ``_mpf_`` tuples, x an ``_mpf_``.
-
-    Each step is the libmp operation that mpf ``-``, ``*`` (``mpf_mul_int``
-    for the integer j) and ``+`` perform at the table's precision, rounding
-    to nearest, in the same order, so every entry has the bits of the mpf
-    recurrence.
-    """
-    p, rnd = rec.precision, round_nearest
-    rows = [[fone] + [fzero] * order]
+    """The rows of :func:`eval_jet` at the mpf x as raw values, computed with
+    the table's :func:`arith` in the order of the mpf recurrence (the integer
+    j as an mpf, whose product rounds as ``mpf * int`` does), so every entry
+    has the bits of the mpf recurrence."""
+    ctx, kit = context(rec.precision), arith(rec.precision)
+    add, sub, mul = kit.add, kit.sub, kit.mul
+    (x,), beta, gamma = kit.raw([x]), kit.raw(rec.beta[:n]), kit.raw(rec.gamma[:n])
+    ints = kit.raw(map(ctx.mpf, range(order + 1)))
+    rows = [[kit.one] + [kit.zero] * order]
     if n >= 1:
         prev = rows[0]
-        first = [mpf_sub(x, rec.beta[0]._mpf_, p, rnd)] + [fzero] * order
+        first = [sub(x, beta[0])] + [kit.zero] * order
         if order >= 1:
-            first[1] = fone
+            first[1] = kit.one
         rows.append(first)
         for k in range(1, n):
             cur = rows[k]
-            u, g = mpf_sub(x, rec.beta[k]._mpf_, p, rnd), rec.gamma[k]._mpf_
+            u, g = sub(x, beta[k]), gamma[k]
             nxt = []
             for j in range(order + 1):
-                t = mpf_sub(mpf_mul(u, cur[j], p, rnd), mpf_mul(g, prev[j], p, rnd), p, rnd)
+                t = sub(mul(u, cur[j]), mul(g, prev[j]))
                 if j >= 1:
-                    t = mpf_add(t, mpf_mul_int(cur[j - 1], j, p, rnd), p, rnd)
+                    t = add(t, mul(cur[j - 1], ints[j]))
                 nxt.append(t)
             prev = cur
             rows.append(nxt)
     return rows
-
-
-def _raw(values):
-    """The ``_mpf_`` tuples of the mpf ``values``."""
-    return [v._mpf_ for v in values]
-
-
-def _mpfs(ctx, values):
-    """The ``_mpf_`` tuples ``values`` as a tuple of mpf of ``ctx``."""
-    return tuple(map(ctx.make_mpf, values))
-
-
-def _raw_ops(p):
-    """``add, sub, mul, div, sqrt`` on ``_mpf_`` tuples at ``p`` bits,
-    rounding to nearest: the libmp operations that mpf ``+``, ``-``, ``*``,
-    ``/`` and ``context(p).sqrt`` perform, so a formula written with them
-    has the bits of the same formula on mpf.  ``x ** 2`` is ``mul(x, x)``:
-    both round the exact square once."""
-    rnd = round_nearest
-
-    def add(a, b):
-        return mpf_add(a, b, p, rnd)
-
-    def sub(a, b):
-        return mpf_sub(a, b, p, rnd)
-
-    def mul(a, b):
-        return mpf_mul(a, b, p, rnd)
-
-    def div(a, b):
-        return mpf_div(a, b, p, rnd)
-
-    def sqrt(a):
-        return mpf_sqrt(a, p, rnd)
-
-    return add, sub, mul, div, sqrt
 
 
 def monic_value(rec, n, x):

@@ -8,20 +8,17 @@ sum at any x, the mass point included.  The summation needs no P_{n+1} and
 no division by x - y, so it keeps its accuracy however close x is to y.
 
 :meth:`KernelTable.build` runs the jet recurrence and the three sums on raw
-``_mpf_`` tuples with ``mpmath.libmp``'s operations, the ones mpf arithmetic
-performs, in the same order and at the same precision, so every value has
-the bits of the mpf loop without its object overhead.  The pointwise sums
-stay on mpf: they take the jets at c from a table when one is at hand
-(``KernelTable.cjets``) instead of evaluating them again.
+values with the table's scalar kit (:class:`sobspec.core.Arith`), so every
+value has the bits of the mpf loop without its object overhead.  The
+pointwise sums stay on mpf: they take the jets at c from a table when one is
+at hand (``KernelTable.cjets``) instead of evaluating them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import fone, fzero
-
-from .core import PolyJet, _jet_rows, _mpfs, _raw_ops, context, eval_jet, to_mpf
+from .core import PolyJet, _jet_rows, arith, context, eval_jet, to_mpf
 
 
 @dataclass(frozen=True)
@@ -48,26 +45,25 @@ class KernelTable:
 
     @classmethod
     def build(cls, rec, c):
-        """The jets and the sums run on ``_mpf_`` tuples with the libmp
-        operations of mpf ``1 /``, ``*`` and ``+`` at the table's precision,
-        rounding to nearest, in the same order: the bits of the mpf sums."""
-        ctx = context(rec.precision)
-        add, _, mul, div, _ = _raw_ops(rec.precision)
-        c = to_mpf(c, ctx)
-        rows = _jet_rows(rec, rec.size - 1, c._mpf_, 2)
+        """The jets and the sums run on raw values with the libmp operations
+        of mpf ``1 /``, ``*`` and ``+`` (``core.arith``), in the same order:
+        the bits of the mpf sums."""
+        kit = arith(rec.precision)
+        add, mul, div = kit.add, kit.mul, kit.div
+        c = to_mpf(c, context(rec.precision))
+        rows = _jet_rows(rec, rec.size - 1, c, 2)
         K, K01, K11 = [], [], []
-        s = s01 = s11 = fzero
-        for (v, dv, _), h in zip(rows, rec.norm_sq):
-            w = div(fone, h._mpf_)
+        s = s01 = s11 = kit.zero
+        for (v, dv, _), h in zip(rows, kit.raw(rec.norm_sq)):
+            w = div(kit.one, h)
             s = add(s, mul(mul(v, v), w))
             s01 = add(s01, mul(mul(v, dv), w))
             s11 = add(s11, mul(mul(dv, dv), w))
             K.append(s)
             K01.append(s01)
             K11.append(s11)
-        jets = PolyJet(x=c, order=2, values=tuple(_mpfs(ctx, row) for row in rows))
-        return cls(rec=rec, c=c, K=_mpfs(ctx, K), K01=_mpfs(ctx, K01), K11=_mpfs(ctx, K11),
-                   cjets=jets)
+        jets = PolyJet(x=c, order=2, values=tuple(map(kit.wrap, rows)))
+        return cls(rec, c, *map(kit.wrap, (K, K01, K11)), jets)
 
 
 def _kernel_sum(rec, n, jx, jy, j):

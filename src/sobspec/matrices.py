@@ -35,13 +35,12 @@ which reads a band and, for the products of Q, its rank-one tail.
 Each matrix operation runs at one precision: the operands of
 :func:`multiply` and :func:`block_residual` (and so of :func:`qr_pair`) must
 share it, and operands at two precisions raise :class:`InvalidParameterError`.
-At an mpf precision both run on the entries' raw ``_mpf_`` tuples with
-``mpmath.libmp``'s ``mpf_mul``, ``mpf_add`` and ``mpf_sub`` at that
-precision, rounding to nearest: the operations mpf ``*``, ``+`` and ``-``
-perform, in the same order, so the bits are those of mpf objects.  A product
-with B = A^T by value (A A for a symmetric A, X X^T, X^T X) is symmetric term
-by term, so only its diagonals r >= 0 are formed and mirrored, and a scan of
-two symmetric operands reads only their diagonals k >= 0.
+Both run on raw values with the scalar kit of that precision
+(:class:`sobspec.core.Arith`), so the bits are those of the scalar objects.
+A product with B = A^T by value (A A for a symmetric A, X X^T, X^T X) is
+symmetric term by term, so only its diagonals r >= 0 are formed and
+mirrored, and a scan of two symmetric operands reads only their diagonals
+k >= 0.
 :class:`MatrixSuite` holds its inputs, the Sobolev ledger and the ten
 matrices; it reaches the earlier ledgers through the Sobolev one.
 """
@@ -52,10 +51,9 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import itemgetter, mul
 
-from mpmath.libmp import (fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import mpf_abs
 
-from .core import DEFAULT_PRECISION, EXACT, NEG_INF, POS_INF, _check_int, context, to_mpf
+from .core import DEFAULT_PRECISION, NEG_INF, POS_INF, _check_int, arith, context, to_mpf
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -160,23 +158,16 @@ def _hessenberg_diagonals(Q, upto):
     """Diagonals -1 to ``upto`` of a :class:`HessenbergQ`: diagonal k >= 1
     from diagonal k - 1 by forward substitution against L1, in one fixed
     operation order, so an entry has the same bits however far this goes.
-    At an mpf precision the steps run on ``_mpf_`` tuples with ``mpf_neg``,
-    ``mpf_mul`` and ``mpf_div``, the bits of mpf ``-x * s / d``.  The
-    diagonals are tuples, which ``from_diagonals`` keeps without a copy."""
-    p, exact = Q.precision, Q.precision == EXACT
-    l1diag, l1sub, prev = Q.l1.diagonal(0), Q.l1.diagonal(-1), Q.diag
-    if not exact:
-        l1diag, l1sub, prev = _raw((l1diag, l1sub, prev))
-        make = context(p).make_mpf
+    The steps run on raw values with Q's scalar kit, in the order of
+    ``-x * s / d``.  The diagonals are tuples, which ``from_diagonals`` keeps
+    without a copy."""
+    kit = arith(Q.precision)
+    neg, times, div = kit.neg, kit.mul, kit.div
+    l1diag, l1sub, prev = map(kit.raw, (Q.l1.diagonal(0), Q.l1.diagonal(-1), Q.diag))
     diagonals = {-1: Q.sub, 0: Q.diag}
     for k in range(1, upto + 1):
-        if exact:
-            prev = [-x * s / d for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
-            diagonals[k] = tuple(prev)
-        else:
-            prev = [mpf_div(mpf_mul(mpf_neg(x, p, round_nearest), s, p, round_nearest), d, p,
-                            round_nearest) for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
-            diagonals[k] = tuple(map(make, prev))
+        prev = [div(times(neg(x), s), d) for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
+        diagonals[k] = kit.wrap(prev)
     return diagonals
 
 
@@ -232,11 +223,6 @@ def _is_transpose(A, B):
             and A.diagonals == B.diagonals[::-1])
 
 
-def _raw(diagonals):
-    """The ``_mpf_`` tuples of mpf diagonals."""
-    return tuple(tuple(v._mpf_ for v in diagonal) for diagonal in diagonals)
-
-
 def multiply(A, B):
     """A @ B with band union and exact-size propagation.
 
@@ -249,22 +235,19 @@ def multiply(A, B):
     its first term (adding it to an exact zero would not change its bits).
     Both operands must have one precision, the product's.
 
-    At an mpf precision the sums run on ``_mpf_`` tuples (``mpf_mul``, then
-    ``mpf_add``), with the bits of mpf ``*`` and ``+``.  When B is A^T by
-    value, entry (j, i) has entry (i, j)'s terms, commuted, in the same
-    order, so only diagonals r >= 0 are formed and the others mirror them.
+    The sums run on raw values with the scalar kit of that precision.  When
+    B is A^T by value, entry (j, i) has entry (i, j)'s terms, commuted, in
+    the same order, so only diagonals r >= 0 are formed and the others
+    mirror them.
     """
     if A.ncols != B.nrows:
         raise InvalidParameterError("inner dimensions differ")
     precision = _one_precision(A, B)
-    exact = precision == EXACT
+    kit = arith(precision)
+    add, times = kit.add, kit.mul
     mirror = _is_transpose(A, B)
-    ctx = context(precision)
-    a_diags = A.diagonals if exact else _raw(A.diagonals)
-    if mirror:
-        b_diags = a_diags[::-1]
-    else:
-        b_diags = B.diagonals if exact else _raw(B.diagonals)
+    a_diags = list(map(kit.raw, A.diagonals))
+    b_diags = a_diags[::-1] if mirror else list(map(kit.raw, B.diagonals))
     nrows, ncols = A.nrows, B.ncols
     diagonals = {}
     for r in range(0 if mirror else -min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
@@ -277,19 +260,9 @@ def multiply(A, B):
             a = a_diags[A.lower_bw + p][lo + min(0, p):hi + min(0, p)]
             b = b_diags[B.lower_bw + r - p][lo + min(p, r):hi + min(p, r)]
             s = lo - max(0, -r)
-            if exact:
-                out[s:s + hi - lo] = [x * y if acc is None else acc + x * y
-                                      for acc, x, y in zip(out[s:], a, b)]
-            else:
-                out[s:s + hi - lo] = [
-                    mpf_mul(x, y, precision, round_nearest) if acc is None else
-                    mpf_add(acc, mpf_mul(x, y, precision, round_nearest), precision,
-                            round_nearest)
-                    for acc, x, y in zip(out[s:], a, b)]
-        if exact:
-            diagonals[r] = [ctx.zero if v is None else v for v in out]
-        else:
-            diagonals[r] = [ctx.make_mpf(fzero if v is None else v) for v in out]
+            out[s:s + hi - lo] = [times(x, y) if acc is None else add(acc, times(x, y))
+                                  for acc, x, y in zip(out[s:], a, b)]
+        diagonals[r] = kit.wrap(kit.zero if v is None else v for v in out)
     w = min(A.upper_bw, B.lower_bw)
     exact_size = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
     if mirror:
@@ -327,8 +300,7 @@ def block_residual(A, B, block, tail=None):
     Only the union of the two declared bands is read: outside it both
     operands are exact zeros, and when both are symmetric only diagonals
     k >= 0 are read.  Both operands must have one mpf precision.  The
-    differences are ``mpf_sub`` on ``_mpf_`` tuples at that precision, with
-    the bits of mpf ``-`` on entries made in its context, and the largest
+    differences are the kit's ``sub`` on ``_mpf_`` tuples, and the largest
     magnitudes are picked exactly, so only the final division is an mpf
     operation.
 
@@ -343,17 +315,16 @@ def block_residual(A, B, block, tail=None):
     if tail and B.upper_bw > A.upper_bw:
         raise InternalConsistencyError("a tail needs B within A's band")
     precision = _one_precision(A, B)
-    ctx = context(precision)
+    ctx, kit = context(precision), arith(precision)
     symmetric = _is_transpose(A, A) and _is_transpose(B, B)
     diffs, entries = [], []
     for k in range(0 if symmetric else -max(A.lower_bw, B.lower_bw),
                    max(A.upper_bw, B.upper_bw) + 1):
-        a = [v._mpf_ for v in _leading(A, k, block)]
-        b = [v._mpf_ for v in _leading(B, k, block)]
-        diffs += [mpf_sub(x, y, precision, round_nearest) for x, y in zip(a, b)]
+        a, b = kit.raw(_leading(A, k, block)), kit.raw(_leading(B, k, block))
+        diffs += map(kit.sub, a, b)
         entries += a + b
     key = _magnitude(max(precision, *map(itemgetter(3), entries)))
-    diff, top = (ctx.make_mpf(mpf_abs(max(values, key=key, default=fzero)))
+    diff, top = (ctx.make_mpf(mpf_abs(max(values, key=key, default=kit.zero)))
                  for values in (diffs, entries))
     far = lead = ctx.zero
     if tail:

@@ -8,9 +8,9 @@ solves it for every index and from there collects norms, the triangular
 connection coefficients gamma onto the twice-transformed orthonormal family,
 the five-term recurrence entries (a_n, b_n, c_n) for multiplication by
 (x-c)^2, and the auxiliary alpha/xi connection coefficients.  Like the
-Christoffel ledger, it runs on raw ``_mpf_`` tuples with the libmp
-operations of mpf arithmetic, in the order the formulas are written, so each
-field has the bits of the same formulas on mpf.
+Christoffel ledger, it runs on raw values with the table's scalar kit
+(:class:`sobspec.core.Arith`), in the order the formulas are written, so
+each field has the bits of the same formulas on mpf.
 
 Only the masses M and N enter here.  The mass point and the base measure
 come with the Christoffel ledger that the Sobolev ledger extends
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import fone, fzero, mpf_gt, mpf_neg
+from mpmath.libmp import fone, fzero, mpf_gt
 
-from .core import _check_int, _mpfs, _raw, _raw_ops, context, eval_jet, to_mpf
+from .core import _check_int, arith, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from .kernels import _kernel_sum
 
@@ -92,11 +92,12 @@ class SobolevLedger:
                 f"masses must be finite and nonnegative, got M = {M}, N = {N}")
         if _check_int("size", size, 0) > chris.size:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
-        add, sub, mul, div, sqrt = _raw_ops(rec.precision)
-        j = [(v._mpf_, dv._mpf_) for v, dv, _ in kt.cjets.values]
-        K, K01, K11 = _raw(kt.K), _raw(kt.K01), _raw(kt.K11)
-        h, r, d, e, r2 = (_raw(v) for v in (rec.norm_sq, rec.leading, chris.d, chris.e, chris.r2))
-        Mr, Nr = M._mpf_, N._mpf_
+        kit = arith(rec.precision)
+        add, sub, mul, div, neg, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.neg, kit.sqrt
+        j = [kit.raw(v[:2]) for v in kt.cjets.values]
+        K, K01, K11, h, r, d, e, r2 = map(kit.raw, (kt.K, kt.K01, kt.K11, rec.norm_sq,
+                                                    rec.leading, chris.d, chris.e, chris.r2))
+        Mr, Nr = kit.raw([M, N])
         Sc, Sdc, normS, t, g_nn, g_n1, g_n2 = [], [], [], [], [], [], []
         root = []  # root[n] = sqrt(K_{n-1} / K_n), read at n and at n + 1
         a, b, cdiag, al1, al0, x0, x1, x2 = [], [], [], [], [], [], [], []
@@ -131,7 +132,7 @@ class SobolevLedger:
                 bracket = add(div(mul(d[n - 1], t[n]), r[n]),
                               mul(mul(e[n - 1], div(r[n], r[n - 1])),
                                   add(mul(msc, pm1), mul(nsdc, dp))))
-                g_n1.append(mul(mpf_neg(root[n]), bracket))
+                g_n1.append(mul(neg(root[n]), bracket))
                 bn = mul(g_nn[n - 1], g_n1[n])
                 if n >= 2:
                     bn = add(bn, mul(g_n2[n], g_n1[n - 1]))
@@ -147,15 +148,11 @@ class SobolevLedger:
             al0.append(add(add(div(t[n], r[n]), mul(mul(msc, b1), r[n])),
                            mul(mul(nsdc, b2), r[n])))
             x0.append(sqrt(e[n]))
-            x1.append(mul(mpf_neg(d[n - 1]), root[n]) if n >= 1 else fzero)
+            x1.append(mul(neg(d[n - 1]), root[n]) if n >= 1 else fzero)
             x2.append(mul(div(r[n - 1], r[n]), root[n - 1]) if n >= 2 else fzero)
 
-        return cls(chris=chris, M=M, N=N, Sc=_mpfs(ctx, Sc), Sdc=_mpfs(ctx, Sdc),
-                   normS_sq=_mpfs(ctx, normS), t=_mpfs(ctx, t), gamma_nn=_mpfs(ctx, g_nn),
-                   gamma_n1=_mpfs(ctx, g_n1), gamma_n2=_mpfs(ctx, g_n2), a=_mpfs(ctx, a),
-                   b=_mpfs(ctx, b), cdiag=_mpfs(ctx, cdiag), alpha1=_mpfs(ctx, al1),
-                   alpha0=_mpfs(ctx, al0), xi0=_mpfs(ctx, x0), xi1=_mpfs(ctx, x1),
-                   xi2=_mpfs(ctx, x2))
+        return cls(chris, M, N, *map(kit.wrap, (Sc, Sdc, normS, t, g_nn, g_n1, g_n2, a, b,
+                                                cdiag, al1, al0, x0, x1, x2)))
 
 
 def eval_sobolev(sob, n, x, normalized=False):

@@ -226,6 +226,17 @@ class TestBuildGuards:
         ChristoffelLedger.build(KernelTable.build(custom_table(beta, gamma, 64), c),
                                 len(beta) - 2)
 
+    def test_rounding_at_three_bits_makes_an_e_negative(self):
+        # e_n = ||P_{n+1}||^2 K_{n+1}(c, c) / (||P_n||^2 K_n(c, c)) > 0, but at
+        # three bits e_3 rounds to -0.09, within the dual-formula guard, which
+        # is absolute below 1; the Sobolev ledger's sqrt(e_3) then failed.
+        beta, gamma = [2, -2.25, 0, 0.5, 3, 1], [0, 1, 4, 0.25, 1e-12, 0.25]
+        kt = KernelTable.build(custom_table(beta, gamma, 3), 0.1)
+        with pytest.raises(NumericalFailureError,
+                           match="computed e_3 is -0.09; increase the precision"):
+            ChristoffelLedger.build(kt, 4)
+        ChristoffelLedger.build(KernelTable.build(custom_table(beta, gamma, 64), 0.1), 4)
+
     def test_rounding_at_three_bits_makes_a_wronskian_vanish(self):
         # P_4 P_3' - P_4' P_3 = ||P_3||^2 K_3(c, c) > 0, but at three bits
         # its two products round to one value.

@@ -9,13 +9,15 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_rel, laguerre_monic, moment_inner, poly_eval, reflected_laguerre, rel
 from sobspec.core import (
+    EXACT,
     MeasureSpec,
     SobolevSpec,
+    arith,
     context,
     eval_jet,
     monic_value,
@@ -23,6 +25,7 @@ from sobspec.core import (
 )
 from sobspec.errors import InvalidParameterError
 from sobspec.matrices import MatrixSuite
+from sobspec.oracle import SqrtRational
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
 
@@ -265,3 +268,57 @@ def test_threads_at_mixed_precisions_match_a_serial_run(spec):
     assert len(runs) == 24
     for p, out in runs:
         assert out == serial[p], p
+
+
+def kit_cases(ctx, x, y, root):
+    """(op of the scalar kit, its arguments as scalars, the result of the
+    scalar operation it stands for), with y != 0 and root >= 0."""
+    return [("add", (x, y), x + y), ("sub", (x, y), x - y), ("mul", (x, y), x * y),
+            ("div", (x, y), x / y), ("neg", (x,), -x), ("sqrt", (root,), ctx.sqrt(root)),
+            ("mul", (x, x), x ** 2)]
+
+
+def kit_result(kit, name, args):
+    """The kit's ``name`` on the raw values of ``args``, wrapped back."""
+    return kit.wrap([getattr(kit, name)(*kit.raw(args))])[0]
+
+
+MPF_PARTS = st.tuples(st.integers(-(1 << 1100), 1 << 1100), st.integers(-400, 400))
+
+
+class TestArith:
+    """``arith(p)`` computes on raw values with the bits of the scalar
+    operators of ``context(p)``."""
+
+    @pytest.mark.parametrize("precision", [53, 64, 256, 1024])
+    @settings(max_examples=60, deadline=None)
+    @given(xp=MPF_PARTS, yp=MPF_PARTS)
+    def test_mpf_kit_has_the_bits_of_mpf_operators(self, precision, xp, yp):
+        ctx, kit = context(precision), arith(precision)
+        x, y = (ctx.ldexp(ctx.mpf(man), exp) for man, exp in (xp, yp))
+        assume(y != 0)
+        for name, args, want in kit_cases(ctx, x, y, abs(x)):
+            assert kit_result(kit, name, args)._mpf_ == want._mpf_, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(xq=st.fractions(max_denominator=10 ** 6), yq=st.fractions(max_denominator=10 ** 6))
+    def test_exact_kit_has_the_results_of_sqrt_rational_operators(self, xq, yq):
+        assume(yq != 0)
+        ctx, kit = context(EXACT), arith(EXACT)
+        x, y = SqrtRational.from_rational(xq), SqrtRational.from_rational(yq)
+        for name, args, want in kit_cases(ctx, x, y, x * x):
+            got = kit_result(kit, name, args)
+            assert (got.sign, got.square) == (want.sign, want.square), name
+
+    def test_one_kit_per_precision_under_threads(self):
+        # 977 bits is used by no other test, so the four threads race to make
+        # its kit, and setdefault must hand all of them the same object.
+        barrier = threading.Barrier(4)
+
+        def worker(_):
+            barrier.wait(timeout=60)
+            return arith(977)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            kits = list(pool.map(worker, range(4), timeout=60))
+        assert all(kit is kits[0] for kit in kits)

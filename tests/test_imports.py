@@ -102,3 +102,29 @@ def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(p) for p in (ROOT / "src").rglob("*.py")))
     assert len(classes) >= 6
     assert sorted(classes - raised) == []
+
+
+#: libmp's rounding mode and its rounding arithmetic: which operation, at
+#: which precision and rounding, has the bits of an mpf operator.
+ROUNDING_NAMES = {"round_nearest", "mpf_add", "mpf_sub", "mpf_mul", "mpf_mul_int", "mpf_div",
+                  "mpf_neg", "mpf_sqrt"}
+
+
+def referenced_names(path):
+    """Every name a module imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_the_rounding_decision_lives_in_core():
+    # core.arith is the one place that turns mpf operators into libmp calls.
+    package = ROOT / "src" / "sobspec"
+    users = sorted(p.name for p in package.glob("*.py") if referenced_names(p) & ROUNDING_NAMES)
+    assert users == ["core.py"]
+    # One loop serves both arithmetics in matrices: it never asks for EXACT.
+    assert "EXACT" not in referenced_names(package / "matrices.py")
