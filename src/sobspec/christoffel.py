@@ -9,12 +9,14 @@ family P^[2]_n with the connection
 :meth:`ChristoffelLedger.build` computes every scalar of the ledger (d_n,
 e_n, the leading coefficients r^[2]_n, the recurrence pair kappa_n/tau_n,
 squared norms) from the kernel table; the module also evaluates both
-transformed families.  Every quantity with two published formulas is computed
-both ways and required to agree within a precision-scaled guard; the pinned
-1e-30 tolerances live in the test suite.  The build runs on raw values with
-the table's scalar kit (:class:`sobspec.core.Arith`), in the order the
-formulas are written, so each field has the bits of the same formulas on
-mpf; the guards compare the raw values as mpf compares them.
+transformed families.  e_n, which has two independent published formulas, is
+computed both ways and required to agree within a precision-scaled guard;
+tau_n's second formula shares r^[2]_n with the first, so its evidence is the
+"J2 chain = J2 ledger" residual, which sets it against the Cholesky chain.
+The pinned 1e-30 tolerances live in the test suite.  The build runs on raw
+values with the table's scalar kit (:class:`sobspec.core.Arith`), in the
+order the formulas are written, so each field has the bits of the same
+formulas on mpf; the guards compare the raw values as mpf compares them.
 """
 
 from __future__ import annotations
@@ -101,10 +103,8 @@ class ChristoffelLedger:
             q0, q1 = div(r2[n], r[n]), div(r2[n], r[n + 1])
             kappa.append(sub(mul(mul(t1, e[n]), mul(q0, q0)), mul(d[n], mul(q1, q1))))
             if n >= 1:
-                q, s = div(r2[n - 1], r2[n]), div(r2[n - 1], r[n + 1])
-                t_rat = mul(q, q)
-                _enforce(t_rat, mul(mul(s, s), k_up), f"tau_{n}", p)
-                tau.append(t_rat)
+                q = div(r2[n - 1], r2[n])
+                tau.append(mul(q, q))
         norm2 = list(map(mul, e, h))
         return cls(kt, *map(kit.wrap, (d, e, r2, kappa, norm2[:1] + tau, norm2)))
 

@@ -221,7 +221,13 @@ def verify(**opts):
     for name, res, block in rows:
         click.echo(f"{name:24s} block={block:3d} residual={ctx.nstr(res, 8)}")
     if not ok:
-        _fail(EXIT_VERIFICATION, f"max residual {doc['max_residual']} exceeds {tolerance}")
+        # p + log2(max residual) is what this run lost; a correct build at too
+        # low a precision then reads how many bits the tolerance needs.
+        loss = precision + ctx.log(report.max_residual, 2)
+        need = int(ctx.ceil(loss - ctx.log(ctx.mpf(tolerance), 2)))
+        _fail(EXIT_VERIFICATION, f"max residual {doc['max_residual']} exceeds {tolerance}; "
+              f"the residuals lose {float(loss):.1f} bits at {precision} bits, so this "
+              f"tolerance needs about {need} bits")
     click.echo(f"all residuals within {tolerance}")
 
 

@@ -88,6 +88,8 @@ class Arith:
     same formula on mpf without the object overhead; ``x ** 2`` is
     ``mul(x, x)``, as both round the exact square once.  At ``EXACT`` the
     raw values are the ``SqrtRational`` scalars and the operations theirs.
+    At ``int`` they are ints with exact ``add``, ``sub``, ``mul`` and ``neg``
+    and no ``div`` or ``sqrt``: the kit of verification's aligned matrices.
     """
 
     raw: object
@@ -110,12 +112,15 @@ def arith(precision):
     ``setdefault`` as :func:`context` is."""
     kit = _ARITHS.get(precision)
     if kit is None:
-        ctx = context(precision)
-        if precision == EXACT:
+        if precision is int:
+            kit = Arith(list, tuple, operator.add, operator.sub, operator.mul, None,
+                        operator.neg, None, 0, 1)
+        elif precision == EXACT:
+            ctx = context(EXACT)
             kit = Arith(list, tuple, operator.add, operator.sub, operator.mul,
                         operator.truediv, operator.neg, ctx.sqrt, ctx.zero, ctx.one)
         else:
-            p, rnd = precision, round_nearest
+            ctx, p, rnd = context(precision), precision, round_nearest
             kit = Arith(raw=lambda values: [v._mpf_ for v in values],
                         wrap=lambda values: tuple(map(ctx.make_mpf, values)),
                         add=lambda a, b: mpf_add(a, b, p, rnd),

@@ -35,8 +35,8 @@ which reads a band and, for the products of Q, its rank-one tail.
 Each matrix operation runs at one precision: the operands of
 :func:`multiply` and :func:`block_residual` (and so of :func:`qr_pair`) must
 share it, and operands at two precisions raise :class:`InvalidParameterError`.
-Both run on raw values with the scalar kit of that precision
-(:class:`sobspec.core.Arith`), so the bits are those of the scalar objects.
+:func:`multiply` runs on the scalar kit (:class:`sobspec.core.Arith`) of
+that precision, or exactly on the :func:`aligned` ints of verification.
 A product with B = A^T by value (A A for a symmetric A, X X^T, X^T X) is
 symmetric term by term, so only its diagonals r >= 0 are formed and
 mirrored, and a scan of two symmetric operands reads only their diagonals
@@ -49,15 +49,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from operator import itemgetter, mul
+from operator import mul, sub
 
-from mpmath.libmp import mpf_abs
+from mpmath.libmp import from_man_exp
 
-from .core import DEFAULT_PRECISION, NEG_INF, POS_INF, _check_int, arith, context, to_mpf
+from .core import DEFAULT_PRECISION, _check_int, arith, context, to_mpf
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    NumericalFailureError,
 )
 
 
@@ -70,7 +71,8 @@ class BandedMatrix:
     band is an exact zero that is never held.  Every matrix is assembled by
     ``from_diagonals``, except the cheap derivations ``transpose``,
     ``shifted`` and ``scaled``.  ``exact_size`` marks the leading block
-    unaffected by truncation.  Serialization emits band entries only.
+    unaffected by truncation.  Serialization emits band entries only.  The
+    ints of an :func:`aligned` matrix stand for themselves times 2**``exp``.
     """
 
     nrows: int
@@ -80,6 +82,7 @@ class BandedMatrix:
     exact_size: int
     precision: int
     diagonals: tuple
+    exp: int = field(default=None, kw_only=True)
 
     def entry(self, i, j):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -95,7 +98,8 @@ class BandedMatrix:
         """Diagonal k, top-left entry first; exact zeros outside the band."""
         if self.in_band(0, k):
             return self.diagonals[self.lower_bw + k]
-        return (context(self.precision).zero,) * _diagonal_length(self.nrows, self.ncols, k)
+        zero = context(self.precision).zero if self.exp is None else 0
+        return (zero,) * _diagonal_length(self.nrows, self.ncols, k)
 
     def band_entries(self):
         """Yield (i, j, value) over the declared band, row-major."""
@@ -105,7 +109,7 @@ class BandedMatrix:
 
     def transpose(self):
         return BandedMatrix(self.ncols, self.nrows, self.upper_bw, self.lower_bw,
-                            self.exact_size, self.precision, self.diagonals[::-1])
+                            self.exact_size, self.precision, self.diagonals[::-1], exp=self.exp)
 
     def shifted(self, lam):
         """self + lam * I on the common diagonal."""
@@ -120,9 +124,9 @@ class BandedMatrix:
         return self._with_diagonals(tuple(tuple(v * s for v in diagonal)
                                           for diagonal in self.diagonals))
 
-    def _with_diagonals(self, diagonals):
+    def _with_diagonals(self, diagonals, exp=None):
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
-                            self.exact_size, self.precision, diagonals)
+                            self.exact_size, self.precision, diagonals, exp=exp)
 
 
 @dataclass(frozen=True)
@@ -208,12 +212,25 @@ def identity(n, precision):
     return from_diagonals({0: [context(precision).one] * n}, n, precision)
 
 
-def _one_precision(A, B):
-    """The precision of both operands; operands at two precisions raise."""
-    if A.precision != B.precision:
-        raise InvalidParameterError(
-            f"operands at {A.precision} and {B.precision} bits; convert one first")
-    return A.precision
+def _kit(A, B):
+    """The scalar kit of both operands: their precision's, or ``int`` if aligned."""
+    if (A.precision, A.exp is None) != (B.precision, B.exp is None):
+        raise InvalidParameterError(f"operands at {A.precision} and {B.precision} bits, "
+                                    "or one aligned; convert one first")
+    return arith(A.precision if A.exp is None else int)
+
+
+def aligned(A):
+    """A in exact ints: each entry m * 2**e becomes m * 2**(e - exp), ``exp``
+    the smallest exponent of A's nonzero entries; an aligned A is kept."""
+    if A.exp is not None:
+        return A
+    raw = list(map(arith(A.precision).raw, A.diagonals))
+    if any(bc < 0 for diagonal in raw for *_, bc in diagonal):
+        raise NumericalFailureError("a matrix with a non-finite entry cannot be verified")
+    exp = min((e for diagonal in raw for _, m, e, _ in diagonal if m), default=0)
+    return A._with_diagonals(tuple(tuple((-m if s else m) << (e - exp) for s, m, e, _ in d)
+                                   for d in raw), exp)
 
 
 def _is_transpose(A, B):
@@ -235,15 +252,15 @@ def multiply(A, B):
     its first term (adding it to an exact zero would not change its bits).
     Both operands must have one precision, the product's.
 
-    The sums run on raw values with the scalar kit of that precision.  When
+    The sums run on raw values with the scalar kit of that precision, or the
+    exact ``int`` kit for :func:`aligned` operands, whose exponents add.  When
     B is A^T by value, entry (j, i) has entry (i, j)'s terms, commuted, in
     the same order, so only diagonals r >= 0 are formed and the others
     mirror them.
     """
     if A.ncols != B.nrows:
         raise InvalidParameterError("inner dimensions differ")
-    precision = _one_precision(A, B)
-    kit = arith(precision)
+    kit = _kit(A, B)
     add, times = kit.add, kit.mul
     mirror = _is_transpose(A, B)
     a_diags = list(map(kit.raw, A.diagonals))
@@ -265,73 +282,53 @@ def multiply(A, B):
         diagonals[r] = kit.wrap(kit.zero if v is None else v for v in out)
     w = min(A.upper_bw, B.lower_bw)
     exact_size = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
-    if mirror:
-        return _symmetric_from_diagonals(diagonals, exact_size, precision)
-    return from_diagonals(diagonals, exact_size, precision, (nrows, ncols))
+    product = (_symmetric_from_diagonals(diagonals, exact_size, A.precision) if mirror
+               else from_diagonals(diagonals, exact_size, A.precision, (nrows, ncols)))
+    return product if A.exp is None else replace(product, exp=A.exp + B.exp)
 
 
 def _cut(A, lo, hi):
     """A's diagonals lo to hi as a matrix of its own, exact zeros elsewhere."""
-    return from_diagonals({k: A.diagonal(k) for k in range(lo, hi + 1)},
-                          A.exact_size, A.precision, (A.nrows, A.ncols))
-
-
-def _leading(A, k, block):
-    """Diagonal k of A's leading block x block (exact zeros outside the band)."""
-    return A.diagonal(k)[:max(0, block - abs(k))]
-
-
-def _magnitude(width):
-    """Sort key of |x| over ``_mpf_`` tuples of at most ``width`` bits,
-    exact: the position of the leading bit, then the mantissa aligned to
-    ``width`` bits.  Zero sorts first, infinities and NaN last."""
-    def key(x):
-        _, man, exp, bc = x
-        if not man:
-            return (POS_INF,) if exp else (NEG_INF,)
-        return exp + bc, man << (width - bc)
-    return key
+    return replace(from_diagonals({k: A.diagonal(k) for k in range(lo, hi + 1)},
+                                  A.exact_size, A.precision, (A.nrows, A.ncols)), exp=A.exp)
 
 
 def block_residual(A, B, block, tail=None):
     """Max-entry difference of the leading blocks, divided by max(1, largest
-    |entry| of either block).
+    |entry| of either block), rounded once.
 
     Only the union of the two declared bands is read: outside it both
     operands are exact zeros, and when both are symmetric only diagonals
-    k >= 0 are read.  Both operands must have one mpf precision.  The
-    differences are the kit's ``sub`` on ``_mpf_`` tuples, and the largest
-    magnitudes are picked exactly, so only the final division is an mpf
-    operation.
+    k >= 0 are read.  Both operands must have one mpf precision.  They are
+    compared as :func:`aligned` ints at the smaller of their exponents, so
+    differences and largest magnitudes are exact and only the division rounds.
 
     ``tail = (left, right)`` gives A a rank-one part above its band: A(i, k)
     = left[i] * right[k] for k > i + A.upper_bw, as :func:`_q_products` holds
     a product of Q.  B must vanish there, so the largest tail entry is also
-    the largest difference there; it comes from a running max of |left|, in
-    O(block).
+    the largest difference there; it is the exact product of a running max
+    of |left| with |right|, in O(block).
     """
     if block < 1:
         raise InternalConsistencyError("empty comparison block")
     if tail and B.upper_bw > A.upper_bw:
         raise InternalConsistencyError("a tail needs B within A's band")
-    precision = _one_precision(A, B)
-    ctx, kit = context(precision), arith(precision)
+    A, B = aligned(A), aligned(B)
+    _kit(A, B)
+    ctx, exp = context(A.precision), min(A.exp, B.exp)
     symmetric = _is_transpose(A, A) and _is_transpose(B, B)
-    diffs, entries = [], []
+    diff = top = 0
     for k in range(0 if symmetric else -max(A.lower_bw, B.lower_bw),
                    max(A.upper_bw, B.upper_bw) + 1):
-        a, b = kit.raw(_leading(A, k, block)), kit.raw(_leading(B, k, block))
-        diffs += map(kit.sub, a, b)
-        entries += a + b
-    key = _magnitude(max(precision, *map(itemgetter(3), entries)))
-    diff, top = (ctx.make_mpf(mpf_abs(max(values, key=key, default=kit.zero)))
-                 for values in (diffs, entries))
-    far = lead = ctx.zero
-    if tail:
-        left, right = tail
-        for x, y in zip(left, right[A.upper_bw + 1:block]):
-            lead = max(lead, abs(x))
-            far = max(far, lead * abs(y))
+        a, b = ([x << (M.exp - exp) for x in M.diagonal(k)[:max(0, block - abs(k))]]
+                for M in (A, B))
+        diff = max(diff, max(map(abs, map(sub, a, b)), default=0))
+        top = max(top, max(map(abs, a + b), default=0))
+    diff, top = (ctx.make_mpf(from_man_exp(v, exp)) for v in (diff, top))
+    left, right = tail or ((), ())
+    leads = accumulate(map(abs, left), max)  # running max of |left|
+    far = max((ctx.fmul(x, abs(y), exact=True)
+               for x, y in zip(leads, right[A.upper_bw + 1:block])), default=ctx.zero)
     return max(diff, far) / max(1, top, far)
 
 
@@ -573,10 +570,10 @@ def orthogonality_defect(Q, block):
     return worst
 
 
-def _q_products(Q, R):
+def _q_products(Q, R, aligned_R):
     """Q R, R Q and Qt Q from Q's generators in O(n): name of the identity ->
-    (band, tail), the product being ``band`` plus the rank-one ``tail``
-    above it, as :func:`block_residual` reads them.
+    (band, tail), the product being the :func:`aligned` ``band`` plus the
+    rank-one ``tail`` above it, as :func:`block_residual` reads them.
 
     With P_k = rho_0 ... rho_k and u_j = Q(j, j) / P_j, Q(j, k) = u_j P_k
     above the diagonal, and R has upper bandwidth 2, so
@@ -587,15 +584,15 @@ def _q_products(Q, R):
       and (Qt Q)(i, i) = P_i^2 S_i + Q(i + 1, i)^2,
 
     where S_i = u_0^2 + ... + u_i^2 is accumulated exactly and every sum is
-    one ``fdot``.  The bands of Q R and R Q are offsets -1 to 2 of the
-    products with Q's diagonals -1 to 2, bit for bit the full products'.  Qt Q
-    is symmetric: its band is the diagonal (losing Q.lower_bw exact rows, Qt's
+    one ``fdot``.  The bands of Q R and R Q are offsets -1 to 2 of the exact
+    products of Q's diagonals -1 to 2 with ``aligned_R``, R aligned.  Qt Q is
+    symmetric: its band is the diagonal (losing Q.lower_bw exact rows, Qt's
     upper bandwidth) and its tail the upper triangle.
     """
     ctx = context(Q.precision)
     n, zero = Q.nrows, ctx.zero
-    near = from_diagonals(_hessenberg_diagonals(Q, min(2, n - 1)), Q.exact_size,
-                          Q.precision)
+    near = aligned(from_diagonals(_hessenberg_diagonals(Q, min(2, n - 1)), Q.exact_size,
+                                  Q.precision))
     P = list(accumulate(Q.rho, mul))
     u = [d / p for d, p in zip(Q.diag, P)]
     rdiags = [R.diagonal(k) for k in range(3)]
@@ -610,10 +607,10 @@ def _q_products(Q, R):
     gram_diag = [ctx.fdot([ctx.fmul(p, p, exact=True), s], [sq, s])
                  for p, s, sq in zip(P, sub, S)]
     v = [ctx.fdot([p, s], [sq, un]) for p, s, sq, un in zip(P, sub, S, u_next)]
-    gram = from_diagonals({0: gram_diag}, Q.exact_size - Q.lower_bw, Q.precision)
+    gram = aligned(from_diagonals({0: gram_diag}, Q.exact_size - Q.lower_bw, Q.precision))
     return {
-        "Q R = J - cI": (_cut(multiply(near, R), -1, 2), (u, z)),
-        "R Q = J2 - cI": (_cut(multiply(R, near), -1, 2), (w, P)),
+        "Q R = J - cI": (_cut(multiply(near, aligned_R), -1, 2), (u, z)),
+        "R Q = J2 - cI": (_cut(multiply(aligned_R, near), -1, 2), (w, P)),
         "Qt Q = I": (gram, (v, P)),
     }
 
@@ -626,33 +623,33 @@ def verify_propositions(suite, size=None):
     must be an integer >= 1 (:class:`InvalidParameterError` otherwise), and an
     empty intersection raises :class:`InternalConsistencyError`.  The three
     identities of Q are read from its generators (:func:`_q_products`), so Q
-    is never expanded.
+    is never expanded.  Every product is exact, on :func:`aligned` operands.
     """
     size = suite.size if size is None else _check_int("size", size, 1)
     c = to_mpf(suite.spec.c, context(suite.precision))
-    R, H = suite.R, suite.H
     A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
     if suite.spec.side == "right":
         A0, A2 = A0.scaled(-1), A2.scaled(-1)
+    A0, A2, R, T, H = map(aligned, (A0, A2, suite.R, suite.T, suite.H))
     A0sq = multiply(A0, A0)
     A2sq = multiply(A2, A2)
     Rt = R.transpose()
     RRt = multiply(R, Rt)
-    Tt = suite.T.transpose()
-    (QR, QR_tail), (RQ, RQ_tail), (QtQ, QtQ_tail) = _q_products(suite.Q, R).values()
+    Tt = T.transpose()
+    (QR, QR_tail), (RQ, RQ_tail), (QtQ, QtQ_tail) = _q_products(suite.Q, suite.R, R).values()
 
     def compare(name, A, B, tail=None):
         block = min(size, A.exact_size, B.exact_size)
         return ResidualEntry(name, block_residual(A, B, block, tail), block)
 
     entries = [
-        compare("H = T Tt", H, multiply(suite.T, Tt)),
-        compare("H T = T (J2 - cI)^2", multiply(H, suite.T), multiply(suite.T, A2sq)),
+        compare("H = T Tt", H, multiply(T, Tt)),
+        compare("H T = T (J2 - cI)^2", multiply(H, T), multiply(T, A2sq)),
         compare("Q R = J - cI", QR, A0, QR_tail),
         compare("R Q = J2 - cI", RQ, A2, RQ_tail),
         compare("(J2 - cI)^2 = R Rt", A2sq, RRt),
         compare("(J - cI)^2 = Rt R", A0sq, multiply(Rt, R)),
-        compare("R Rt = Tt T", RRt, multiply(Tt, suite.T)),
+        compare("R Rt = Tt T", RRt, multiply(Tt, T)),
         compare("Qt Q = I", QtQ, identity(QtQ.nrows, suite.precision), QtQ_tail),
         compare("J2 chain = J2 ledger", suite.J2, suite.J2_direct),
         # H stores only its declared band; its diagonals beyond 2 must vanish.

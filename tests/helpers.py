@@ -5,8 +5,9 @@ import math
 from fractions import Fraction as F
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
-from sobspec.core import MeasureSpec
+from sobspec.core import MeasureSpec, context
 from sobspec.oracle import SqrtRational, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
@@ -54,17 +55,41 @@ def assert_squared(value, square, sign=1, tol=TOL30):
                            f"error of the square {report.verdicts[0].rel_err:.3g}")
 
 
-def dense_block_residual(A, B, block):
-    """Reference for ``block_residual``: scans every position of the leading
-    blocks, in and out of the declared bands."""
-    with mp.workprec(max(A.precision, B.precision)):
-        diff = scale = mp.mpf(0)
-        for i in range(block):
-            for j in range(block):
-                a, b = A.entry(i, j), B.entry(i, j)
-                diff = max(diff, abs(a - b))
-                scale = max(scale, abs(a), abs(b))
-        return diff / max(mp.mpf(1), scale)
+def fraction(x):
+    """The exact value of an mpf as a Fraction."""
+    return F(*to_rational(x._mpf_))
+
+
+def exact_rows(A):
+    """A's rows as dicts column -> exact value, zeros left out; every
+    position is read, in and out of the declared band.  The entries of an
+    aligned matrix are ints standing for themselves times 2**A.exp."""
+    value = fraction if A.exp is None else (lambda v: F(v) * F(2) ** A.exp)
+    return [{j: value(v) for j in range(A.ncols) if (v := A.entry(i, j))}
+            for i in range(A.nrows)]
+
+
+def exact_matmul(X, Y):
+    """The exact product of two matrices given as :func:`exact_rows`."""
+    out = []
+    for row in X:
+        acc = {}
+        for k, x in row.items():
+            for j, y in Y[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return out
+
+
+def exact_residual(X, Y, block, precision):
+    """Reference for ``block_residual``: over every position of the leading
+    blocks of two :func:`exact_rows` matrices, the exact max |X - Y| divided
+    by the exact max(1, largest |entry|), rounded once to nearest at
+    ``precision`` bits."""
+    cells = [(X[i].get(j, 0), Y[i].get(j, 0)) for i in range(block) for j in range(block)]
+    q = F(max(abs(x - y) for x, y in cells)) / max(1, *(abs(v) for cell in cells for v in cell))
+    return context(precision).make_mpf(
+        from_rational(q.numerator, q.denominator, precision, round_nearest))
 
 
 def dense_product(A, B):

@@ -12,6 +12,7 @@ from sobspec.christoffel import ChristoffelLedger, eval_iterated
 from sobspec.core import MeasureSpec, context, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from sobspec.kernels import KernelTable
+from sobspec.matrices import MatrixSuite, build_iterated_jacobi, verify_propositions
 from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
 
 RNG_SEED = 61409
@@ -177,6 +178,22 @@ class TestConnectionCheck:
             with pytest.raises(NumericalFailureError):
                 eval_iterated(bad, n, -1 + offset, k=2)
 
+    @pytest.mark.parametrize("index", [1, 9, 19])
+    @pytest.mark.parametrize("precision", [128, 256])
+    def test_corrupted_tau_breaches_the_j2_row(self, spec, precision, index):
+        # tau feeds J2_direct's off-diagonal, and the "J2 chain = J2 ledger"
+        # residual sets that against the Cholesky chain: tau's only check.
+        suite = MatrixSuite.build(spec, size=20, guard=4, precision=precision)
+        tau = list(suite.sob.chris.tau)
+        tau[index] *= 1 + context(precision).ldexp(1, -(precision // 4))
+        bad = dataclasses.replace(suite.sob.chris, tau=tuple(tau))
+        corrupted = dataclasses.replace(
+            suite, J2_direct=build_iterated_jacobi(bad, suite.J2_direct.nrows))
+        row = "J2 chain = J2 ledger"
+        clean, = (res for name, res, _ in verify_propositions(suite).as_rows() if name == row)
+        wrong, = (res for name, res, _ in verify_propositions(corrupted).as_rows() if name == row)
+        assert clean <= TOL30 < wrong
+
     @pytest.mark.parametrize("alpha, c", PAIRS, ids=PAIR_IDS)
     def test_valid_ledger_raises_nothing_near_mass_point(self, alpha, c):
         # Cancellation in the connection near c is within its guard.
@@ -212,19 +229,6 @@ class TestBuildGuards:
         K[index] *= 1 + context(precision).ldexp(1, -(precision // 4))
         with pytest.raises(NumericalFailureError, match=f"for e_{max(index - 1, 0)} "):
             ChristoffelLedger.build(dataclasses.replace(kt, K=tuple(K)), 8)
-
-    @pytest.mark.parametrize("beta, gamma, c, n", [
-        ([2, 3, 2, 1, 3, 0, 3, -1], [0, 3, 4, 4, 2, 3, 1, 1], -2, 2),
-        ([0, -1, 1, 1, 0, -1], [0, 2, 3, 3, 2, 1], -2, 3),
-    ])
-    def test_rounding_at_four_bits_trips_tau_guard(self, beta, gamma, c, n):
-        # The two tau formulas are one expression in r^[2], r and K, so only
-        # rounding parts them: beyond 2^(-p/2) at four bits, never at 64.
-        kt = KernelTable.build(custom_table(beta, gamma, 4), c)
-        with pytest.raises(NumericalFailureError, match=f"for tau_{n} "):
-            ChristoffelLedger.build(kt, len(beta) - 2)
-        ChristoffelLedger.build(KernelTable.build(custom_table(beta, gamma, 64), c),
-                                len(beta) - 2)
 
     def test_rounding_at_three_bits_makes_an_e_negative(self):
         # e_n = ||P_{n+1}||^2 K_{n+1}(c, c) / (||P_n||^2 K_n(c, c)) > 0, but at

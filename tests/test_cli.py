@@ -209,6 +209,17 @@ class TestVerify:
         report = json.loads((tmp_path / "verification.json").read_text())
         assert report["pass"] is False
 
+    def test_breach_message_states_the_loss_and_the_bits_needed(self, runner, tmp_path):
+        # A correct build at the documented minimum of 64 bits cannot reach
+        # the 1e-30 default; the message says what the run lost and how many
+        # bits the tolerance needs (107 is the first precision that passes).
+        result = runner.invoke(
+            main, ["verify", "--size", "30", "--precision", "64", "--out", str(tmp_path)])
+        assert result.exit_code == 4
+        assert result.output.splitlines()[-1] == (
+            "error: max residual 6.22240714771184360783e-18 exceeds 1e-30; the residuals "
+            "lose 6.8 bits at 64 bits, so this tolerance needs about 107 bits")
+
     def test_loose_tolerance_rescues_low_precision(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -447,16 +458,16 @@ OUTPUT_DIGESTS = {
         "ledgers.json": "7b8ac5b85872d106cb5fbda0df6750df77244c02dcdf7a16536ce15dc2008abd",
     },
     "verify": {
-        "verification.json": "cbaab906c713e5ade87274e34224b4d30fb2bdbd0cac9e5f561e721aef63ed2c",
+        "verification.json": "81231af94eb0ef14b48a84640c852fc41f7bea3298f7c3a70b4d04fe8ed8b40e",
     },
     "verify 60 1024": {
-        "verification.json": "ad317254c23101e7836d2476e13864cd54dbdb53e85d628713df660e0b033892",
+        "verification.json": "4d766fdb12f30d8be979c51f5017a17a16876c1f9798c25199727f9acb9363fe",
     },
     "verify 30 64": {
-        "verification.json": "21221e9da799189d03e9b78ed12ea49081434136d35307e5bef25e4c15ac405b",
+        "verification.json": "58207c2acdd4c1fe9f625d8d22a8dd356c6dcd566817994204276f543e70abea",
     },
     "reflected residuals": {
-        "rows": "806729bafd687bfbc6ce515b4ad3bce3a99abe7f31cf09d6eb0cea2be0920faa",
+        "rows": "735b97da806321ab1359a72d6e4d6426fcf5eb42c090b376486b41bac212bbcd",
     },
 }
 

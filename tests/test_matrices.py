@@ -9,7 +9,16 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import mpf_neg
 
-from helpers import TOL30, assert_rel, assert_squared, dense_block_residual, dense_product
+from helpers import (
+    TOL30,
+    assert_rel,
+    assert_squared,
+    dense_product,
+    exact_matmul,
+    exact_residual,
+    exact_rows,
+    fraction,
+)
 from sobspec.core import (
     EXACT,
     MeasureSpec,
@@ -21,12 +30,14 @@ from sobspec.errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NotPositiveDefiniteError,
+    NumericalFailureError,
 )
 from sobspec.matrices import (
     BandedMatrix,
     HessenbergQ,
     MatrixSuite,
     _q_products,
+    aligned,
     block_residual,
     build_jacobi,
     cholesky_shifted,
@@ -40,6 +51,7 @@ from sobspec.matrices import (
 )
 from sobspec.oracle import SqrtRational, squared_entry_compare
 from sobspec.serialize import matrix_from_json, matrix_to_json
+from test_ledger_bits import CONFIGS
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +73,8 @@ def reflected_spec(size, alpha=0, c=1, M=1, N=1):
 
 def identity_operands(suite):
     """The pairs verify_propositions compares through ``block_residual``,
-    formed the same way: name -> (A, B)."""
+    formed with mpf products (verify forms them exactly, on aligned
+    operands): name -> (A, B)."""
     sgn = 1 if suite.spec.side == "left" else -1
     c = to_mpf(suite.spec.c, context(suite.precision))
     A0 = suite.J.shifted(-c).scaled(sgn)
@@ -110,14 +123,15 @@ def stray_entries(matrix):
 
 def band_with_tail(n=7):
     """A tridiagonal band with a rank-one tail, the same matrix written
-    out, and a tridiagonal B to compare them with."""
+    out (its tail entries the exact products), and a tridiagonal B to
+    compare them with."""
     ctx = context(64)
     band = from_diagonals({k: [ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k))]
                            for k in (-1, 0, 1)}, n, 64)
     left = [ctx.mpf(-2) ** i / 3 for i in range(n)]
     right = [ctx.mpf(5) / (k + 1) for k in range(n)]
-    dense = from_diagonals({**{k: [left[i] * right[i + k] for i in range(n - k)]
-                               for k in range(2, n)},
+    dense = from_diagonals({**{k: [ctx.fmul(left[i], right[i + k], exact=True)
+                                   for i in range(n - k)] for k in range(2, n)},
                             **{k: band.diagonal(k) for k in (-1, 0, 1)}}, n, 64)
     B = from_diagonals({k: [ctx.mpf(i - k) / 5 for i in range(n - abs(k))]
                         for k in (-1, 0, 1)}, n, 64)
@@ -136,27 +150,60 @@ def sided_suite(request, spec):
     return sided(request.param, spec)
 
 
-def assert_residuals_equal_dense_scan(s):
-    """Every residual row of verify_propositions except Q's equals the dense
-    scan of its operands, bit for bit."""
-    report = {name: (res, block) for name, res, block
-              in verify_propositions(s).as_rows()}
-    expected = {}
-    for name, (A, B) in identity_operands(s).items():
-        if name in Q_ROWS:  # see test_q_products_match_dense_products
-            continue
-        block = min(s.size, A.exact_size, B.exact_size)
-        expected[name] = (dense_block_residual(A, B, block), block)
-    H, block = s.H, min(s.size, s.H.exact_size)
-    with mp.workprec(s.precision):
-        stray = max([abs(H.entry(i, j)) for i in range(block)
-                     for j in range(block) if abs(i - j) > 2] + [mp.mpf(0)])
-        scale = max([mp.mpf(1)] + [abs(H.entry(i, j)) for i in range(block)
-                                   for j in range(block)])
-    expected["H bandwidth <= 2"] = (stray / scale, block)
-    assert set(report) - set(expected) == set(Q_ROWS)
-    for name, value in expected.items():
-        assert report[name] == value, name
+def exact_identities(s):
+    """Both sides of every residual row of verify_propositions as exact
+    matrices (``exact_rows``), formed from the suite's mpf operands by exact
+    products.  Q's rows take Q's diagonals -1 to 2 and the tails of
+    ``_q_products``, its generators, as verify_propositions reads them."""
+    c, sgn = to_mpf(s.spec.c, context(s.precision)), 1 if s.spec.side == "left" else -1
+    A0, A2 = (exact_rows(M.shifted(-c).scaled(sgn)) for M in (s.J, s.J2))
+    H, T, R, Tt, Rt = map(exact_rows, (s.H, s.T, s.R, s.T.transpose(), s.R.transpose()))
+    A2sq, RRt = exact_matmul(A2, A2), exact_matmul(R, Rt)
+    products = _q_products(s.Q, s.R, aligned(s.R))
+
+    def q_side(band, name, lo):
+        """``band``'s offsets -1 to 2 plus the exact tail from offset ``lo``."""
+        left, right = ([fraction(v) for v in part] for part in products[name][1])
+        rows = [{j: v for j, v in row.items() if -1 <= j - i <= 2} for i, row in enumerate(band)]
+        for i, row in enumerate(rows):
+            for k in range(i + lo, len(rows)):
+                row[k] = left[i] * right[k]
+                if lo == 1:  # Qt Q is symmetric
+                    rows[k][i] = row[k]
+        return rows
+
+    near = [{j: v for j, v in row.items() if j - i <= 2} for i, row in enumerate(exact_rows(s.Q))]
+    gram = exact_rows(products["Qt Q = I"][0])
+    one = exact_rows(identity(s.Q.nrows, s.precision))
+    return {
+        "H = T Tt": (H, exact_matmul(T, Tt)),
+        "H T = T (J2 - cI)^2": (exact_matmul(H, T), exact_matmul(T, A2sq)),
+        "Q R = J - cI": (q_side(exact_matmul(near, R), "Q R = J - cI", 3), A0),
+        "R Q = J2 - cI": (q_side(exact_matmul(R, near), "R Q = J2 - cI", 3), A2),
+        "(J2 - cI)^2 = R Rt": (A2sq, RRt),
+        "(J - cI)^2 = Rt R": (exact_matmul(A0, A0), exact_matmul(Rt, R)),
+        "R Rt = Tt T": (RRt, exact_matmul(Tt, T)),
+        "Qt Q = I": (q_side(gram, "Qt Q = I", 1), one),
+        "J2 chain = J2 ledger": (exact_rows(s.J2), exact_rows(s.J2_direct)),
+        "H bandwidth <= 2": (H, [{j: v for j, v in row.items() if abs(j - i) <= 2}
+                                 for i, row in enumerate(H)]),
+    }
+
+
+def assert_residuals_equal_exact_reference(s):
+    """Every residual row of verify_propositions is the exact residual of its
+    operands, rounded once, bit for bit, on the block its operands' exact
+    sizes allow."""
+    rows = verify_propositions(s).as_rows()
+    identities = exact_identities(s)
+    assert [name for name, _, _ in rows] == list(identities)
+    operands = identity_operands(s)
+    for name, residual, block in rows:
+        if name in operands and name not in Q_ROWS:  # see test_q_products_match_dense_products
+            A, B = operands[name]
+            assert block == min(s.size, A.exact_size, B.exact_size), name
+        expected = exact_residual(*identities[name], block, s.precision)
+        assert residual._mpf_ == expected._mpf_, name
 
 
 class TestJacobi:
@@ -430,13 +477,21 @@ class TestBandLocalVerification:
             assert matrix_from_json(matrix_to_json(name, m))[1] == m, name
         assert layout(matrix_from_json(matrix_to_json("Q", Q))[1]) == layout(Q)
 
-    def test_residuals_equal_dense_scan(self, sided_suite):
-        assert_residuals_equal_dense_scan(sided_suite)
+    def test_residuals_equal_exact_reference(self, sided_suite):
+        assert_residuals_equal_exact_reference(sided_suite)
 
     @pytest.mark.parametrize("precision", [64, 1024])
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_residuals_equal_dense_scan_at_64_and_1024_bits(self, spec, side, precision):
-        assert_residuals_equal_dense_scan(sided(side, spec, precision))
+    def test_residuals_equal_exact_reference_at_64_and_1024_bits(self, spec, side, precision):
+        assert_residuals_equal_exact_reference(sided(side, spec, precision))
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("size", [6, 20])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_residuals_equal_exact_reference_on_the_ledger_grid(self, name, size, precision):
+        measure, c, M, N = CONFIGS[name]
+        spec = SobolevSpec(measure(size + 4 + 5), c, M, N)
+        assert_residuals_equal_exact_reference(MatrixSuite.build(spec, size, 4, precision))
 
     def test_symmetric_scan_needs_both_operands_symmetric(self, suite):
         # B is the symmetric H but for one entry below the diagonal, so the
@@ -450,7 +505,8 @@ class TestBandLocalVerification:
         for X, Y in ((A, B), (B, A)):
             residual = block_residual(X, Y, block)
             assert residual > 0
-            assert residual == dense_block_residual(X, Y, block)
+            expected = exact_residual(exact_rows(X), exact_rows(Y), block, suite.precision)
+            assert residual._mpf_ == expected._mpf_
 
     def test_scan_covers_union_of_bands(self):
         I = identity(4, 64)
@@ -466,13 +522,21 @@ class TestBandLocalVerification:
         residual = block_residual(A, identity(2, 64), 2)
         assert abs(residual - mp.mpf(4) / 7) < mp.mpf(2) ** -60
 
+    def test_non_finite_entry_raises(self):
+        # m * 2**e has no infinity or NaN; the parent scan reported inf or nan.
+        for bad in (mp.inf, -mp.inf, mp.nan):
+            A = from_diagonals({0: [context(64).one, context(64).mpf(bad)]}, 2, 64)
+            for X, Y in ((A, identity(2, 64)), (identity(2, 64), A)):
+                with pytest.raises(NumericalFailureError, match="non-finite"):
+                    block_residual(X, Y, 2)
+
     def test_q_products_match_dense_products(self, sided_suite):
         s, p = sided_suite, sided_suite.precision
         Q, R = s.Q, s.R
         dense = {"Q R = J - cI": multiply(Q, R), "R Q = J2 - cI": multiply(R, Q),
                  "Qt Q = I": multiply(Q.transpose(), Q)}
         tol = context(p).ldexp(1, 8 - p)
-        products = _q_products(Q, R)
+        products = _q_products(Q, R, aligned(R))
         assert set(products) == set(Q_ROWS)
         for name, (band, (left, right)) in products.items():
             assert type(band) is BandedMatrix, name
@@ -480,7 +544,7 @@ class TestBandLocalVerification:
             for i in range(D.nrows):
                 for k in range(D.ncols):
                     if band.in_band(i, k):
-                        piece = band.entry(i, k)
+                        piece = context(p).ldexp(band.entry(i, k), band.exp)
                     elif k - i > band.upper_bw:
                         piece = left[i] * right[k]
                     elif name == "Qt Q = I":  # symmetric: the upper triangle mirrored
@@ -503,7 +567,9 @@ class TestBandLocalVerification:
         # the tail holds the largest difference from block 5 on
         assert block_residual(dense, B, 4) < block_residual(dense, B, 5)
         for block in range(1, band.nrows + 1):
-            assert block_residual(band, B, block, tail) == block_residual(dense, B, block), block
+            expected = exact_residual(exact_rows(dense), exact_rows(B), block, 64)
+            assert block_residual(band, B, block, tail)._mpf_ == expected._mpf_, block
+            assert block_residual(dense, B, block)._mpf_ == expected._mpf_, block
 
     def test_tail_rejects_b_wider_than_the_band_above(self):
         band, tail, dense, _ = band_with_tail()
@@ -522,17 +588,22 @@ class TestBandLocalVerification:
 
     def test_verify_never_expands_q_at_size_200(self, spec, monkeypatch):
         s = MatrixSuite.build(spec, size=200, guard=4)
-        bandwidths = []
+        products = []
 
         def recording(A, B):
             P = multiply(A, B)
-            bandwidths.extend(max(m.lower_bw, m.upper_bw) for m in (A, B, P))
+            products.append((A, B, P))
             return P
 
         monkeypatch.setattr("sobspec.matrices.multiply", recording)
         report = verify_propositions(s)
         assert "diagonals" not in vars(s.Q)
-        assert bandwidths and max(bandwidths) <= 4
+        # every product verify forms: A0^2, A2^2, R Rt, the two Q bands, T Tt,
+        # H T, T A2^2, Rt R and Tt T, each exact on aligned operands
+        assert len(products) == 10
+        for matrices in products:
+            assert all(m.exp is not None for m in matrices)
+            assert max(max(m.lower_bw, m.upper_bw) for m in matrices) <= 4
         assert report.all_within(TOL30)
         assert {e.block for e in report.entries} == {200}
 
@@ -557,6 +628,19 @@ class TestProducts:
             if name in symmetric:
                 for r in range(1, P.upper_bw + 1):
                     assert all(x is y for x, y in zip(P.diagonal(-r), P.diagonal(r))), name
+
+    @pytest.mark.parametrize("precision", [64, 1024])
+    def test_aligned_products_are_exact(self, precision):
+        # the same loop with the int kit: each entry the exact sum, and the
+        # mirrored half of a symmetric product too
+        s = MatrixSuite.build(reflected_spec(23), size=14, guard=4, precision=precision)
+        A2 = aligned(s.J2.shifted(-to_mpf(s.spec.c, context(precision))).scaled(-1))
+        R, T, H = map(aligned, (s.R, s.T, s.H))
+        for A, B in ((A2, A2), (R, R.transpose()), (R.transpose(), R), (H, T),
+                     (T, multiply(A2, A2))):
+            P = multiply(A, B)
+            assert P.exp == A.exp + B.exp
+            assert exact_rows(P) == exact_matmul(exact_rows(A), exact_rows(B))
 
 
 #: Ledger fields that flip sign under the reflection x -> -x, c -> -c: at
