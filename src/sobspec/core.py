@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sqrt,
+                          mpf_sub, round_nearest)
 
 from .errors import InvalidParameterError
 
@@ -79,17 +79,19 @@ class Arith:
     """The scalar kit of one precision, from :func:`arith`: ``raw`` turns
     scalars of ``context(precision)`` into raw values (a list), ``wrap``
     turns raw values back (a tuple), and ``add``, ``sub``, ``mul``, ``div``,
-    ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw values.
+    ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw values; ``gt`` is
+    the comparison ``>``.
 
     At an mpf precision p the raw values are ``_mpf_`` tuples and the
     operations are the libmp calls that mpf ``+``, ``-``, ``*``, ``/``,
-    unary ``-`` and ``context(p).sqrt`` make, at p bits rounding to nearest.
-    So a formula written with them, in the same order, has the bits of the
-    same formula on mpf without the object overhead; ``x ** 2`` is
-    ``mul(x, x)``, as both round the exact square once.  At ``EXACT`` the
-    raw values are the ``SqrtRational`` scalars and the operations theirs.
-    At ``int`` they are ints with exact ``add``, ``sub``, ``mul`` and ``neg``
-    and no ``div`` or ``sqrt``: the kit of verification's aligned matrices.
+    unary ``-``, ``>`` and ``context(p).sqrt`` make, at p bits rounding to
+    nearest (so ``gt`` is false whenever a NaN is compared).  A formula
+    written with them, in the same order, has the bits of the same formula
+    on mpf without the object overhead; ``x ** 2`` is ``mul(x, x)``, as both
+    round the exact square once.  At ``EXACT`` the raw values are the
+    ``SqrtRational`` scalars and the operations theirs.  At ``int`` they are
+    ints with exact ``add``, ``sub``, ``mul``, ``neg`` and ``gt`` and no
+    ``div`` or ``sqrt``: the kit of verification's aligned matrices.
     """
 
     raw: object
@@ -100,6 +102,7 @@ class Arith:
     div: object
     neg: object
     sqrt: object
+    gt: object
     zero: object
     one: object
 
@@ -114,11 +117,12 @@ def arith(precision):
     if kit is None:
         if precision is int:
             kit = Arith(list, tuple, operator.add, operator.sub, operator.mul, None,
-                        operator.neg, None, 0, 1)
+                        operator.neg, None, operator.gt, 0, 1)
         elif precision == EXACT:
             ctx = context(EXACT)
             kit = Arith(list, tuple, operator.add, operator.sub, operator.mul,
-                        operator.truediv, operator.neg, ctx.sqrt, ctx.zero, ctx.one)
+                        operator.truediv, operator.neg, ctx.sqrt, operator.gt, ctx.zero,
+                        ctx.one)
         else:
             ctx, p, rnd = context(precision), precision, round_nearest
             kit = Arith(raw=lambda values: [v._mpf_ for v in values],
@@ -129,7 +133,7 @@ def arith(precision):
                         div=lambda a, b: mpf_div(a, b, p, rnd),
                         neg=lambda a: mpf_neg(a, p, rnd),
                         sqrt=lambda a: mpf_sqrt(a, p, rnd),
-                        zero=fzero, one=fone)
+                        gt=mpf_gt, zero=fzero, one=fone)
         kit = _ARITHS.setdefault(precision, kit)
     return kit
 

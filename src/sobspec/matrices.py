@@ -35,8 +35,11 @@ which reads a band and, for the products of Q, its rank-one tail.
 Each matrix operation runs at one precision: the operands of
 :func:`multiply` and :func:`block_residual` (and so of :func:`qr_pair`) must
 share it, and operands at two precisions raise :class:`InvalidParameterError`.
-:func:`multiply` runs on the scalar kit (:class:`sobspec.core.Arith`) of
-that precision, or exactly on the :func:`aligned` ints of verification.
+The chain (:func:`cholesky_shifted`, :func:`commute_cholesky`,
+:func:`qr_pair`, the tridiagonal builders) and :func:`multiply` run on the
+scalar kit (:class:`sobspec.core.Arith`) of that precision, mpf or
+``EXACT``; verification runs exactly, on the :func:`aligned` ints, and
+rounds each residual once.
 A product with B = A^T by value (A A for a symmetric A, X X^T, X^T X) is
 symmetric term by term, so only its diagonals r >= 0 are formed and
 mirrored, and a scan of two symmetric operands reads only their diagonals
@@ -48,8 +51,8 @@ matrices; it reaches the earlier ledgers through the Sobolev one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
-from operator import mul, sub
+from itertools import accumulate, chain
+from operator import itemgetter, mul, sub
 
 from mpmath.libmp import from_man_exp
 
@@ -220,17 +223,24 @@ def _kit(A, B):
     return arith(A.precision if A.exp is None else int)
 
 
+def _ints(*vectors):
+    """Vectors of raw mpf values as tuples of exact ints m * 2**(e - exp), and
+    ``exp``: the smallest exponent e of their nonzero values."""
+    every = list(chain.from_iterable(vectors))
+    if min(map(itemgetter(3), every), default=0) < 0:  # bc < 0 marks inf and nan
+        raise NumericalFailureError("a matrix with a non-finite entry cannot be verified")
+    exp = min(map(itemgetter(2), filter(itemgetter(1), every)), default=0)
+    return [tuple([(-m if s else m) << (e - exp) for s, m, e, _ in values])
+            for values in vectors], exp
+
+
 def aligned(A):
     """A in exact ints: each entry m * 2**e becomes m * 2**(e - exp), ``exp``
     the smallest exponent of A's nonzero entries; an aligned A is kept."""
     if A.exp is not None:
         return A
-    raw = list(map(arith(A.precision).raw, A.diagonals))
-    if any(bc < 0 for diagonal in raw for *_, bc in diagonal):
-        raise NumericalFailureError("a matrix with a non-finite entry cannot be verified")
-    exp = min((e for diagonal in raw for _, m, e, _ in diagonal if m), default=0)
-    return A._with_diagonals(tuple(tuple((-m if s else m) << (e - exp) for s, m, e, _ in d)
-                                   for d in raw), exp)
+    diagonals, exp = _ints(*map(arith(A.precision).raw, A.diagonals))
+    return A._with_diagonals(tuple(diagonals), exp)
 
 
 def _is_transpose(A, B):
@@ -303,11 +313,11 @@ def block_residual(A, B, block, tail=None):
     compared as :func:`aligned` ints at the smaller of their exponents, so
     differences and largest magnitudes are exact and only the division rounds.
 
-    ``tail = (left, right)`` gives A a rank-one part above its band: A(i, k)
-    = left[i] * right[k] for k > i + A.upper_bw, as :func:`_q_products` holds
-    a product of Q.  B must vanish there, so the largest tail entry is also
-    the largest difference there; it is the exact product of a running max
-    of |left| with |right|, in O(block).
+    ``tail = (left, right, exp)`` gives A a rank-one part above its band,
+    in ints: A(i, k) = left[i] * right[k] * 2**exp for k > i + A.upper_bw,
+    as :func:`_q_products` holds a product of Q.  B must vanish there, so
+    the largest tail entry is also the largest difference there; it is the
+    exact product of a running max of |left| with |right|, in O(block).
     """
     if block < 1:
         raise InternalConsistencyError("empty comparison block")
@@ -315,21 +325,34 @@ def block_residual(A, B, block, tail=None):
         raise InternalConsistencyError("a tail needs B within A's band")
     A, B = aligned(A), aligned(B)
     _kit(A, B)
-    ctx, exp = context(A.precision), min(A.exp, B.exp)
+    exp = min(A.exp, B.exp)
     symmetric = _is_transpose(A, A) and _is_transpose(B, B)
     diff = top = 0
     for k in range(0 if symmetric else -max(A.lower_bw, B.lower_bw),
                    max(A.upper_bw, B.upper_bw) + 1):
-        a, b = ([x << (M.exp - exp) for x in M.diagonal(k)[:max(0, block - abs(k))]]
-                for M in (A, B))
-        diff = max(diff, max(map(abs, map(sub, a, b)), default=0))
-        top = max(top, max(map(abs, a + b), default=0))
-    diff, top = (ctx.make_mpf(from_man_exp(v, exp)) for v in (diff, top))
-    left, right = tail or ((), ())
-    leads = accumulate(map(abs, left), max)  # running max of |left|
-    far = max((ctx.fmul(x, abs(y), exact=True)
-               for x, y in zip(leads, right[A.upper_bw + 1:block])), default=ctx.zero)
-    return max(diff, far) / max(1, top, far)
+        a, b = (_shifted(M.diagonal(k)[:max(0, block - abs(k))], M.exp - exp) for M in (A, B))
+        d = list(map(sub, a, b))
+        diff = max(diff, max(d, default=0), -min(d, default=0))
+        top = max(top, max(a, default=0), -min(a, default=0), max(b, default=0),
+                  -min(b, default=0))
+    if tail:
+        left, right, tail_exp = tail
+        leads = accumulate(map(abs, left), max)  # running max of |left|
+        far = max(map(mul, leads, map(abs, right[A.upper_bw + 1:block])), default=0)
+        common = min(exp, tail_exp)
+        diff, top, far = diff << (exp - common), top << (exp - common), far << (tail_exp - common)
+        diff, top, exp = max(diff, far), max(top, far), common
+    # diff * 2**exp / max(1, top * 2**exp) is diff / max(2**-exp, top); at
+    # exp > 0, top = 0 means diff = 0, and max(1, top) serves.  Both are exact
+    # mpf values, so the division is the one rounding.
+    kit = arith(A.precision)
+    top = max(top, 1 << max(0, -exp))
+    return kit.wrap([kit.div(from_man_exp(diff, 0), from_man_exp(top, 0))])[0]
+
+
+def _shifted(ints, by):
+    """``ints`` times 2**by, for by >= 0; unshifted ints are kept as they are."""
+    return [x << by for x in ints] if by else ints
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +362,8 @@ def block_residual(A, B, block, tail=None):
 def _tridiagonal(diag, off_sq, precision):
     """Symmetric tridiagonal matrix, exact at its full size, from its
     diagonal and the squares of its off-diagonal."""
-    off = [context(precision).sqrt(v) for v in off_sq]
+    kit = arith(precision)
+    off = kit.wrap(map(kit.sqrt, kit.raw(off_sq)))
     return _symmetric_from_diagonals({0: diag, 1: off}, len(diag), precision)
 
 
@@ -358,50 +382,55 @@ def build_iterated_jacobi(chris, size):
     return _tridiagonal(chris.kappa[:size], chris.tau[1:size], chris.kt.rec.precision)
 
 
+def _bidiagonal(M):
+    """The scalar kit of M's precision, and M's diagonals 0 and -1 as its raw
+    values."""
+    kit = arith(M.precision)
+    return kit, kit.raw(M.diagonal(0)), kit.raw(M.diagonal(-1))
+
+
 def cholesky_shifted(J, c):
     """Lower bidiagonal L with L L^T = J - cI.
 
     Tridiagonal Cholesky is strictly forward-local, so the exact size is
-    preserved.  A nonpositive pivot means c lies inside or too close to the
-    support and raises.
+    preserved.  A pivot that is not > 0 (a NaN included) means c lies inside
+    or too close to the support and raises.  The loop runs on raw values
+    with the scalar kit of J's precision, in the order of ``(J(i, i) - c) -
+    L(i, i - 1) ** 2``, so it has the bits of the same formula on scalars.
     """
-    n = J.nrows
-    ctx = context(J.precision)
-    c = to_mpf(c, ctx)
-    jdiag, jsub = J.diagonal(0), J.diagonal(-1)
-    diag, sub = [], []
-    for i in range(n):
-        pivot = jdiag[i] - c
+    kit, jdiag, jsub = _bidiagonal(J)
+    (c,) = kit.raw([to_mpf(c, context(J.precision))])
+    minus, times, div, sqrt, gt = kit.sub, kit.mul, kit.div, kit.sqrt, kit.gt
+    diag, low = [], []
+    for i, d in enumerate(jdiag):
+        pivot = minus(d, c)
         if i:
-            pivot -= sub[i - 1] ** 2
-        if not pivot > 0:
+            pivot = minus(pivot, times(low[-1], low[-1]))
+        if not gt(pivot, kit.zero):
             raise NotPositiveDefiniteError(
                 f"nonpositive pivot at row {i}: the shifted Jacobi matrix is not positive "
                 "definite, so the mass point lies inside or too close to the support")
-        diag.append(ctx.sqrt(pivot))
-        if i + 1 < n:
-            sub.append(jsub[i] / diag[i])
-    return from_diagonals({0: diag, -1: sub}, J.exact_size, J.precision)
+        diag.append(sqrt(pivot))
+        if i < len(jsub):
+            low.append(div(jsub[i], diag[i]))
+    return from_diagonals({0: kit.wrap(diag), -1: kit.wrap(low)}, J.exact_size, J.precision)
 
 
 def commute_cholesky(L, c):
     """Next Jacobi matrix in the chain: L^T L + cI.
 
     The last diagonal entry of L^T L needs a truncated-off row of L, so the
-    exact size drops by one.
+    exact size drops by one.  Entry (i, i) is (L(i, i) ** 2 + L(i + 1, i) **
+    2) + c, on raw values with L's scalar kit.
     """
-    n = L.nrows
-    c = to_mpf(c, context(L.precision))
-    ldiag, lsub = L.diagonal(0), L.diagonal(-1)
-    diag, off = [], []
-    for i in range(n):
-        d = ldiag[i] ** 2
-        if i + 1 < n:
-            d += lsub[i] ** 2
-            off.append(lsub[i] * ldiag[i + 1])
-        diag.append(d + c)
-    return _symmetric_from_diagonals({0: diag, 1: off}, L.exact_size - 1,
-                                     L.precision)
+    kit, ldiag, lsub = _bidiagonal(L)
+    (c,) = kit.raw([to_mpf(c, context(L.precision))])
+    plus, times = kit.add, kit.mul
+    squares = [times(x, x) for x in ldiag]
+    squares[:len(lsub)] = [plus(d, times(x, x)) for d, x in zip(squares, lsub)]
+    diag = kit.wrap(plus(d, c) for d in squares)
+    off = kit.wrap(map(times, lsub, ldiag[1:]))
+    return _symmetric_from_diagonals({0: diag, 1: off}, L.exact_size - 1, L.precision)
 
 
 def qr_pair(L, L1):
@@ -410,23 +439,21 @@ def qr_pair(L, L1):
     Q is a :class:`HessenbergQ`: forward substitution against L1 (never
     inverting) gives its subdiagonal and diagonal, and each column above the
     diagonal is the previous one times rho_i = -L1(i, i - 1) / L1(i, i), so
-    only these O(n) generators are computed here.  R has upper bandwidth 2
-    and positive diagonal.  Both give up one guard row.
+    only these O(n) generators are computed here, on raw values with the
+    scalar kit.  R has upper bandwidth 2 and positive diagonal.  Both give
+    up one guard row.
     """
     n = L.nrows
     exact = max(0, min(L.exact_size, L1.exact_size) - 1)
-    ldiag, lsub = L.diagonal(0), L.diagonal(-1)
-    l1diag, l1sub = L1.diagonal(0), L1.diagonal(-1)
-    sub = [lsub[j] / l1diag[j] for j in range(n - 1)]
-    diag = []
-    for j in range(n):
-        acc = ldiag[j]
-        if j:
-            acc -= sub[j - 1] * l1sub[j - 1]
-        diag.append(acc / l1diag[j])
-    rho = [context(L.precision).one] + [-l1sub[i - 1] / l1diag[i] for i in range(1, n)]
+    kit, ldiag, lsub = _bidiagonal(L)
+    _, l1diag, l1sub = _bidiagonal(L1)
+    div, minus, times, neg = kit.div, kit.sub, kit.mul, kit.neg
+    sub = list(map(div, lsub, l1diag))
+    acc = ldiag[:1] + [minus(x, times(s, t)) for x, s, t in zip(ldiag[1:], sub, l1sub)]
+    diag = map(div, acc, l1diag)
+    rho = [kit.one] + [div(neg(s), d) for s, d in zip(l1sub, l1diag[1:])]
     Q = HessenbergQ(n, n, min(1, max(n - 1, 0)), max(n - 1, 0), min(exact, n), L.precision,
-                    tuple(diag), tuple(sub), tuple(rho), L1)
+                    *map(kit.wrap, (diag, sub, rho)), L1)
     R = replace(multiply(L, L1).transpose(), exact_size=exact)
     return Q, R
 
@@ -570,7 +597,7 @@ def orthogonality_defect(Q, block):
     return worst
 
 
-def _q_products(Q, R, aligned_R):
+def _q_products(Q, R):
     """Q R, R Q and Qt Q from Q's generators in O(n): name of the identity ->
     (band, tail), the product being the :func:`aligned` ``band`` plus the
     rank-one ``tail`` above it, as :func:`block_residual` reads them.
@@ -583,35 +610,40 @@ def _q_products(Q, R, aligned_R):
     * (Qt Q)(i, k) = v_i P_k for k > i, v_i = P_i S_i + Q(i + 1, i) u_(i+1),
       and (Qt Q)(i, i) = P_i^2 S_i + Q(i + 1, i)^2,
 
-    where S_i = u_0^2 + ... + u_i^2 is accumulated exactly and every sum is
-    one ``fdot``.  The bands of Q R and R Q are offsets -1 to 2 of the exact
-    products of Q's diagonals -1 to 2 with ``aligned_R``, R aligned.  Qt Q is
-    symmetric: its band is the diagonal (losing Q.lower_bw exact rows, Qt's
-    upper bandwidth) and its tail the upper triangle.
+    where S_i = u_0^2 + ... + u_i^2.  P and u are rounded once, with Q's
+    scalar kit, as Q's generators; they, Q's subdiagonal and R (given
+    aligned or not) are then exact ints, and every sum above is an exact int
+    sum, so a tail is (left, right, exp) in ints.  The bands of Q R and R Q
+    are offsets -1 to 2 of the exact products of Q's diagonals -1 to 2 with
+    the aligned R.  Qt Q is symmetric: its band is the diagonal (losing
+    Q.lower_bw exact rows, Qt's upper bandwidth) and its tail the upper
+    triangle.
     """
-    ctx = context(Q.precision)
-    n, zero = Q.nrows, ctx.zero
+    kit, n, R = arith(Q.precision), Q.nrows, aligned(R)
     near = aligned(from_diagonals(_hessenberg_diagonals(Q, min(2, n - 1)), Q.exact_size,
                                   Q.precision))
-    P = list(accumulate(Q.rho, mul))
-    u = [d / p for d, p in zip(Q.diag, P)]
-    rdiags = [R.diagonal(k) for k in range(3)]
-    z = [ctx.fdot(P[max(0, k - 2):k + 1],
-                  [rdiags[k - m][m] for m in range(max(0, k - 2), k + 1)])
-         for k in range(n)]
-    w = [ctx.fdot([rdiags[m - i][i] for m in range(i, min(i + 3, n))], u[i:i + 3])
-         for i in range(n)]
-    S = list(accumulate((ctx.fmul(x, x, exact=True) for x in u),
-                        lambda a, b: ctx.fadd(a, b, exact=True)))
-    sub, u_next = [*Q.sub, zero], [*u[1:], zero]  # row n is truncated off
-    gram_diag = [ctx.fdot([ctx.fmul(p, p, exact=True), s], [sq, s])
-                 for p, s, sq in zip(P, sub, S)]
-    v = [ctx.fdot([p, s], [sq, un]) for p, s, sq, un in zip(P, sub, S, u_next)]
-    gram = aligned(from_diagonals({0: gram_diag}, Q.exact_size - Q.lower_bw, Q.precision))
+    P = list(accumulate(kit.raw(Q.rho), kit.mul))
+    u = list(map(kit.div, kit.raw(Q.diag), P))
+    (P,), ep = _ints(P)
+    (u,), eu = _ints(u)
+    (sub,), es = _ints(kit.raw(Q.sub))
+    r = [R.diagonal(k) for k in range(3)]  # R(m, m + k) = r[k][m]
+    z, w = list(map(mul, P, r[0])), list(map(mul, r[0], u))
+    for k in (1, 2):
+        z[k:] = [x + p * y for x, p, y in zip(z[k:], P, r[k])]
+        w[:n - k] = [x + y * v for x, y, v in zip(w, r[k], u[k:])]
+    S = list(accumulate(x * x for x in u))
+    sub, u_next = [*sub, 0], [*u[1:], 0]  # row n is truncated off
+    eg, ev = min(2 * (ep + eu), 2 * es), min(ep + 2 * eu, es + eu)
+    gram = [(p * p * sq << 2 * (ep + eu) - eg) + (s * s << 2 * es - eg)
+            for p, s, sq in zip(P, sub, S)]
+    v = [(p * sq << ep + 2 * eu - ev) + (s * un << es + eu - ev)
+         for p, s, sq, un in zip(P, sub, S, u_next)]
+    gram = replace(from_diagonals({0: gram}, Q.exact_size - Q.lower_bw, Q.precision), exp=eg)
     return {
-        "Q R = J - cI": (_cut(multiply(near, aligned_R), -1, 2), (u, z)),
-        "R Q = J2 - cI": (_cut(multiply(aligned_R, near), -1, 2), (w, P)),
-        "Qt Q = I": (gram, (v, P)),
+        "Q R = J - cI": (_cut(multiply(near, R), -1, 2), (u, z, eu + ep + R.exp)),
+        "R Q = J2 - cI": (_cut(multiply(R, near), -1, 2), (w, P, R.exp + eu + ep)),
+        "Qt Q = I": (gram, (v, P, ev + ep)),
     }
 
 
@@ -636,7 +668,7 @@ def verify_propositions(suite, size=None):
     Rt = R.transpose()
     RRt = multiply(R, Rt)
     Tt = T.transpose()
-    (QR, QR_tail), (RQ, RQ_tail), (QtQ, QtQ_tail) = _q_products(suite.Q, suite.R, R).values()
+    (QR, QR_tail), (RQ, RQ_tail), (QtQ, QtQ_tail) = _q_products(suite.Q, R).values()
 
     def compare(name, A, B, tail=None):
         block = min(size, A.exact_size, B.exact_size)

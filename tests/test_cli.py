@@ -458,16 +458,16 @@ OUTPUT_DIGESTS = {
         "ledgers.json": "7b8ac5b85872d106cb5fbda0df6750df77244c02dcdf7a16536ce15dc2008abd",
     },
     "verify": {
-        "verification.json": "81231af94eb0ef14b48a84640c852fc41f7bea3298f7c3a70b4d04fe8ed8b40e",
+        "verification.json": "085bd0a63e252e8ade1058e93b4448d151392ac003b0b9542f006674e85d5198",
     },
     "verify 60 1024": {
-        "verification.json": "4d766fdb12f30d8be979c51f5017a17a16876c1f9798c25199727f9acb9363fe",
+        "verification.json": "51020a9ad6d7478e660ab1ba9b40ebb38cf7388866e6f64a05f5fe02c2d43022",
     },
     "verify 30 64": {
-        "verification.json": "58207c2acdd4c1fe9f625d8d22a8dd356c6dcd566817994204276f543e70abea",
+        "verification.json": "4581791a26d59849748862d5a0c4eed15eca646fd253ef83889ccce6a6175d8a",
     },
     "reflected residuals": {
-        "rows": "735b97da806321ab1359a72d6e4d6426fcf5eb42c090b376486b41bac212bbcd",
+        "rows": "f3c4fc882c1891a150ce2c31babe278d3c01788f8b9f33d5d72041ed8cf08487",
     },
 }
 

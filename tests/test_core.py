@@ -278,6 +278,12 @@ def kit_cases(ctx, x, y, root):
             ("mul", (x, x), x ** 2)]
 
 
+def kit_comparisons(ctx, x, y):
+    """(arguments of the kit's ``gt`` as scalars, the scalar ``>``), both
+    ways round and against zero, as the chain's positivity guard asks."""
+    return [((a, b), a > b) for a, b in ((x, y), (y, x), (x, x), (x, ctx.zero), (ctx.zero, x))]
+
+
 def kit_result(kit, name, args):
     """The kit's ``name`` on the raw values of ``args``, wrapped back."""
     return kit.wrap([getattr(kit, name)(*kit.raw(args))])[0]
@@ -299,6 +305,18 @@ class TestArith:
         assume(y != 0)
         for name, args, want in kit_cases(ctx, x, y, abs(x)):
             assert kit_result(kit, name, args)._mpf_ == want._mpf_, name
+        for args, want in kit_comparisons(ctx, x, y):
+            assert kit.gt(*kit.raw(args)) is want, args
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_mpf_kit_compares_non_finite_values_as_mpf_does(self, precision):
+        # the guard's verdicts: NaN is never > anything, +inf > 0 > -inf
+        ctx, kit = context(precision), arith(precision)
+        values = [ctx.mpf(v) for v in ("nan", "inf", "-inf", 0, 1, -1)]
+        for x in values:
+            for y in values:
+                for args, want in kit_comparisons(ctx, x, y):
+                    assert kit.gt(*kit.raw(args)) is want, args
 
     @settings(max_examples=100, deadline=None)
     @given(xq=st.fractions(max_denominator=10 ** 6), yq=st.fractions(max_denominator=10 ** 6))
@@ -309,6 +327,8 @@ class TestArith:
         for name, args, want in kit_cases(ctx, x, y, x * x):
             got = kit_result(kit, name, args)
             assert (got.sign, got.square) == (want.sign, want.square), name
+        for args, want in kit_comparisons(ctx, x, y):
+            assert kit.gt(*kit.raw(args)) is want, args
 
     def test_one_kit_per_precision_under_threads(self):
         # 977 bits is used by no other test, so the four threads race to make

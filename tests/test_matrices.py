@@ -2,8 +2,10 @@
 
 import json
 import math
+import operator
 from dataclasses import fields, replace
 from fractions import Fraction as F
+from itertools import accumulate
 
 import mpmath as mp
 import pytest
@@ -122,20 +124,19 @@ def stray_entries(matrix):
 
 
 def band_with_tail(n=7):
-    """A tridiagonal band with a rank-one tail, the same matrix written
-    out (its tail entries the exact products), and a tridiagonal B to
-    compare them with."""
+    """A tridiagonal band with a rank-one tail (ints with their exponent,
+    as ``block_residual`` reads it), the same matrix written out (its tail
+    entries the exact products), and a tridiagonal B to compare them with."""
     ctx = context(64)
     band = from_diagonals({k: [ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k))]
                            for k in (-1, 0, 1)}, n, 64)
-    left = [ctx.mpf(-2) ** i / 3 for i in range(n)]
-    right = [ctx.mpf(5) / (k + 1) for k in range(n)]
-    dense = from_diagonals({**{k: [ctx.fmul(left[i], right[i + k], exact=True)
-                                   for i in range(n - k)] for k in range(2, n)},
+    left, right, exp = [(-2) ** i * 3 for i in range(n)], [5 * (k + 1) for k in range(n)], -7
+    dense = from_diagonals({**{k: [ctx.ldexp(left[i] * right[i + k], exp) for i in range(n - k)]
+                               for k in range(2, n)},
                             **{k: band.diagonal(k) for k in (-1, 0, 1)}}, n, 64)
     B = from_diagonals({k: [ctx.mpf(i - k) / 5 for i in range(n - abs(k))]
                         for k in (-1, 0, 1)}, n, 64)
-    return band, (left, right), dense, B
+    return band, (left, right, exp), dense, B
 
 
 def sided(side, spec, precision=None):
@@ -150,20 +151,37 @@ def sided_suite(request, spec):
     return sided(request.param, spec)
 
 
+def exact_q_tails(Q, R):
+    """Reference for the tails of ``_q_products``, independent of it: Q's
+    rounded generators P_k = rho_0 ... rho_k and u_j = Q(j, j) / P_j formed
+    with mpf, then z, w, S, v and the Gram diagonal as exact Fractions from
+    them, Q's subdiagonal and R's entries: name -> (left, right) of the
+    tail, and the Gram diagonal."""
+    P = list(accumulate(Q.rho, operator.mul))
+    P, u = [fraction(p) for p in P], [fraction(d / p) for d, p in zip(Q.diag, P)]
+    n, sub, Rx = Q.nrows, [*map(fraction, Q.sub), 0], exact_rows(R)
+    z = [sum(P[m] * Rx[m].get(k, 0) for m in range(k + 1)) for k in range(n)]
+    w = [sum(Rx[i].get(m, 0) * u[m] for m in range(i, n)) for i in range(n)]
+    S = [sum(x * x for x in u[:i + 1]) for i in range(n)]
+    v = [P[i] * S[i] + sub[i] * (u[i + 1] if i + 1 < n else 0) for i in range(n)]
+    gram = [P[i] ** 2 * S[i] + sub[i] ** 2 for i in range(n)]
+    return {"Q R = J - cI": (u, z), "R Q = J2 - cI": (w, P), "Qt Q = I": (v, P)}, gram
+
+
 def exact_identities(s):
     """Both sides of every residual row of verify_propositions as exact
     matrices (``exact_rows``), formed from the suite's mpf operands by exact
-    products.  Q's rows take Q's diagonals -1 to 2 and the tails of
-    ``_q_products``, its generators, as verify_propositions reads them."""
+    products.  Q's rows take Q's diagonals -1 to 2 and the exact tails of
+    :func:`exact_q_tails`, from Q's rounded generators."""
     c, sgn = to_mpf(s.spec.c, context(s.precision)), 1 if s.spec.side == "left" else -1
     A0, A2 = (exact_rows(M.shifted(-c).scaled(sgn)) for M in (s.J, s.J2))
     H, T, R, Tt, Rt = map(exact_rows, (s.H, s.T, s.R, s.T.transpose(), s.R.transpose()))
     A2sq, RRt = exact_matmul(A2, A2), exact_matmul(R, Rt)
-    products = _q_products(s.Q, s.R, aligned(s.R))
+    tails, gram_diag = exact_q_tails(s.Q, s.R)
 
     def q_side(band, name, lo):
         """``band``'s offsets -1 to 2 plus the exact tail from offset ``lo``."""
-        left, right = ([fraction(v) for v in part] for part in products[name][1])
+        left, right = tails[name]
         rows = [{j: v for j, v in row.items() if -1 <= j - i <= 2} for i, row in enumerate(band)]
         for i, row in enumerate(rows):
             for k in range(i + lo, len(rows)):
@@ -173,7 +191,7 @@ def exact_identities(s):
         return rows
 
     near = [{j: v for j, v in row.items() if j - i <= 2} for i, row in enumerate(exact_rows(s.Q))]
-    gram = exact_rows(products["Qt Q = I"][0])
+    gram = [{i: g} if g else {} for i, g in enumerate(gram_diag)]
     one = exact_rows(identity(s.Q.nrows, s.precision))
     return {
         "H = T Tt": (H, exact_matmul(T, Tt)),
@@ -204,6 +222,13 @@ def assert_residuals_equal_exact_reference(s):
             assert block == min(s.size, A.exact_size, B.exact_size), name
         expected = exact_residual(*identities[name], block, s.precision)
         assert residual._mpf_ == expected._mpf_, name
+
+
+def exact_laguerre_jacobi(n):
+    """J of Laguerre, alpha = 0, at ``EXACT``: beta_k = 2k + 1, gamma_k = k^2."""
+    off = [SqrtRational(1, k * k) for k in range(1, n)]
+    return from_diagonals({-1: off, 0: [SqrtRational.from_rational(2 * k + 1) for k in range(n)],
+                           1: off}, n, EXACT)
 
 
 class TestJacobi:
@@ -269,6 +294,32 @@ class TestCholeskyChain:
         J = build_jacobi(rec, 6)
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_shifted(J, 1)
+
+    @pytest.mark.parametrize("precision", [64, 256, EXACT])
+    @pytest.mark.parametrize("c", [F(1, 2), 1, 3])
+    def test_mass_point_inside_the_support_raises(self, precision, c):
+        # Laguerre, alpha = 0: a pivot <= 0 at c = 1/2, 1 and 3 (c = 1 makes
+        # the first pivot exactly 0), at mpf precisions and exactly
+        J = (exact_laguerre_jacobi(8) if precision == EXACT
+             else build_jacobi(MeasureSpec.laguerre(0).recurrence(8, precision), 8))
+        with pytest.raises(NotPositiveDefiniteError, match="nonpositive pivot"):
+            cholesky_shifted(J, c)
+        assert cholesky_shifted(J, -1).exact_size == 8
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "inf"])
+    def test_non_finite_pivots_keep_the_mpf_verdicts(self, precision, bad):
+        # `not pivot > 0` on mpf: a NaN or -inf pivot raises, +inf passes
+        J = build_jacobi(MeasureSpec.laguerre(0).recurrence(6, precision), 6)
+        diag = list(J.diagonal(0))
+        diag[2] = context(precision).mpf(bad)
+        J = from_diagonals({-1: J.diagonal(-1), 0: diag, 1: J.diagonal(1)}, 6, precision)
+        if bad == "inf":
+            L = cholesky_shifted(J, -1)
+            assert L.entry(2, 2) == mp.inf and L.entry(3, 2) == 0
+        else:
+            with pytest.raises(NotPositiveDefiniteError, match="row 2"):
+                cholesky_shifted(J, -1)
 
     def test_commute_values(self, rec):
         J = build_jacobi(rec, 8)
@@ -535,23 +586,35 @@ class TestBandLocalVerification:
         Q, R = s.Q, s.R
         dense = {"Q R = J - cI": multiply(Q, R), "R Q = J2 - cI": multiply(R, Q),
                  "Qt Q = I": multiply(Q.transpose(), Q)}
-        tol = context(p).ldexp(1, 8 - p)
-        products = _q_products(Q, R, aligned(R))
+        ctx = context(p)
+        tol = ctx.ldexp(1, 8 - p)
+        products = _q_products(Q, R)
         assert set(products) == set(Q_ROWS)
-        for name, (band, (left, right)) in products.items():
+        # R given aligned gives the same ints
+        assert repr(_q_products(Q, aligned(R))) == repr(products)
+        for name, (band, (left, right, exp)) in products.items():
             assert type(band) is BandedMatrix, name
+            assert all(type(x) is int for x in (*left, *right, exp)), name
             D = dense[name]
             for i in range(D.nrows):
                 for k in range(D.ncols):
                     if band.in_band(i, k):
-                        piece = context(p).ldexp(band.entry(i, k), band.exp)
+                        piece = ctx.ldexp(band.entry(i, k), band.exp)
                     elif k - i > band.upper_bw:
-                        piece = left[i] * right[k]
+                        piece = ctx.ldexp(left[i] * right[k], exp)
                     elif name == "Qt Q = I":  # symmetric: the upper triangle mirrored
-                        piece = left[k] * right[i]
+                        piece = ctx.ldexp(left[k] * right[i], exp)
                     else:
                         piece = 0
                     assert abs(piece - D.entry(i, k)) <= tol, (name, i, k)
+        # the tails are the exact sums of the Fraction reference, bit for bit
+        tails, gram = exact_q_tails(Q, R)
+        for name, (_, (left, right, exp)) in products.items():
+            x, y = tails[name]
+            assert [[F(a * b) * F(2) ** exp for b in right] for a in left] == \
+                [[a * b for b in y] for a in x], name
+        band = products["Qt Q = I"][0]
+        assert [F(x) * F(2) ** band.exp for x in band.diagonal(0)] == gram
         # the bands keep the exact sizes of the products, so the rows' blocks
         rows = {name: block for name, _, block in verify_propositions(s).as_rows()}
         operands = identity_operands(s)
@@ -585,6 +648,26 @@ class TestBandLocalVerification:
                                   for k in (-1, 0, 1)}, 7, 128)
         with pytest.raises(InvalidParameterError, match="bits"):
             block_residual(band, precise, 3, tail)
+
+    def test_verification_makes_no_rounded_sums(self, spec, monkeypatch):
+        # every sum of verify is an exact int sum: no fdot (exact products,
+        # rounded sum) and no exact fmul/fadd on mpf operands
+        s = MatrixSuite.build(spec, size=100, guard=4)
+
+        def forbidden(name, original=None):
+            def call(ctx, *args, **kwargs):
+                if original is None or kwargs.get("exact"):
+                    raise AssertionError(f"verification called {name}")
+                return original(ctx, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(mp.ctx_mp.MPContext, "fdot", forbidden("fdot"))
+        for name in ("fmul", "fadd"):
+            monkeypatch.setattr(mp.ctx_mp.MPContext, name,
+                                forbidden(name, getattr(mp.ctx_mp.MPContext, name)))
+        with pytest.raises(AssertionError, match="fdot"):
+            context(s.precision).fdot([1], [1])
+        assert verify_propositions(s).all_within(TOL30)
 
     def test_verify_never_expands_q_at_size_200(self, spec, monkeypatch):
         s = MatrixSuite.build(spec, size=200, guard=4)
@@ -765,11 +848,7 @@ class TestExactChain:
 
     def test_float_chain_matches_exact_chain_at_size_200(self):
         n, prec = 204, 256  # size 200 plus the default guard of 4
-        # closed-form Laguerre, alpha = 0: beta_k = 2k + 1, gamma_k = k^2
-        off = [SqrtRational(1, k * k) for k in range(1, n)]
-        exact_J = from_diagonals({
-            -1: off, 0: [SqrtRational.from_rational(2 * k + 1) for k in range(n)], 1: off,
-        }, n, EXACT)
+        exact_J = exact_laguerre_jacobi(n)
         float_J = build_jacobi(MeasureSpec.laguerre(0).recurrence(n, prec), n)
 
         def chain(J):
