@@ -11,8 +11,12 @@ All real computation uses mpmath binary floats at a configurable precision
 an mpf operation rounds in its left operand's context.  So results do not
 depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
 builds at different precisions may run concurrently in several threads.
-Loops that must not pay for mpf objects run on raw values with the scalar
-kit :func:`arith` of their precision (see :class:`Arith`).
+Loops that must not pay for mpf objects, the recurrence table's among them,
+run on raw values with the scalar kit :func:`arith` of their precision (see
+:class:`Arith`).  At an mpf precision its rounded operations are one kernel
+on ``_mpf_`` tuples (:func:`_rounding`): correctly rounded to nearest, so
+with the bits of libmp's, but without libmp's dispatch on precision and
+rounding mode.
 
 ``EXACT`` is the infinite precision: ``context(EXACT)`` holds exact signed
 square roots of rationals (:class:`sobspec.oracle.SqrtRational`), so the
@@ -25,10 +29,12 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import isqrt
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sqrt,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
+                          mpf_sqrt, mpf_sub, round_nearest)
 
 from .errors import InvalidParameterError
 
@@ -83,15 +89,17 @@ class Arith:
     the comparison ``>``.
 
     At an mpf precision p the raw values are ``_mpf_`` tuples and the
-    operations are the libmp calls that mpf ``+``, ``-``, ``*``, ``/``,
-    unary ``-``, ``>`` and ``context(p).sqrt`` make, at p bits rounding to
-    nearest (so ``gt`` is false whenever a NaN is compared).  A formula
-    written with them, in the same order, has the bits of the same formula
-    on mpf without the object overhead; ``x ** 2`` is ``mul(x, x)``, as both
-    round the exact square once.  At ``EXACT`` the raw values are the
-    ``SqrtRational`` scalars and the operations theirs.  At ``int`` they are
-    ints with exact ``add``, ``sub``, ``mul``, ``neg`` and ``gt`` and no
-    ``div`` or ``sqrt``: the kit of verification's aligned matrices.
+    operations are :func:`_rounding`'s kernel: the results, bit for bit, of
+    the libmp calls that mpf ``+``, ``-``, ``*``, ``/``, unary ``-`` and
+    ``context(p).sqrt`` make at p bits rounding to nearest, without their
+    generic dispatch; ``gt`` is libmp's ``>`` (false whenever a NaN is
+    compared).  A formula written with them, in the same order, has the bits
+    of the same formula on mpf without the object overhead; ``x ** 2`` is
+    ``mul(x, x)``, as both round the exact square once.  At ``EXACT`` the raw
+    values are the ``SqrtRational`` scalars and the operations theirs.  At
+    ``int`` they are ints with exact ``add``, ``sub``, ``mul``, ``neg`` and
+    ``gt`` and no ``div`` or ``sqrt``: the kit of verification's aligned
+    matrices.
     """
 
     raw: object
@@ -105,6 +113,112 @@ class Arith:
     gt: object
     zero: object
     one: object
+
+
+def _rounding(p):
+    """``add``, ``sub``, ``mul``, ``div``, ``neg`` and ``sqrt`` of ``_mpf_``
+    tuples, rounded to nearest (ties to even) at p bits.
+
+    Each forms libmp's exact intermediate: the exact sum, product or square
+    root remainder, and for a quotient or root the same extra bits and
+    sticky bit as ``mpf_div`` and ``mpf_sqrt``; an add whose exponents lie
+    more than 100 and whose leading bits more than p + 4 apart takes
+    ``mpf_add``'s sticky bit at p + 4 bits.
+    It then rounds that once and strips trailing zero bits.  The canonical
+    tuple of a rounded value is unique, so every result equals libmp's.
+    Zero, inf and NaN operands go to libmp, apart from an exact zero added
+    to a value of at most p bits, which gives that value; so do negative
+    square roots (``ComplexResult``) and division by zero."""
+
+    def fit(sign, man, exp):
+        """sign * man * 2**exp, man > 0 exact, as the canonical tuple at p bits."""
+        n = man.bit_length() - p
+        if n > 0:
+            t = man >> (n - 1)  # the kept bits and the first dropped one
+            if t & 1 and (t & 2 or man & ~(-1 << n - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+            exp += n
+        if not man & 1:
+            z = (man & -man).bit_length() - 1
+            man >>= z
+            exp += z
+        return sign, man, exp, man.bit_length()
+
+    def add(a, b, flip=0):
+        sa, ma, ea, ba = a
+        sb, mb, eb, bb = b
+        if ma and mb:
+            sb ^= flip
+            off = ea - eb
+            if off >= 0:
+                if off > 100 and ba + off - bb > p + 4:
+                    return fit(sa, (ma << p + 4) + (1 if sa == sb else -1), ea - p - 4)
+                ma <<= off
+                exp = eb
+            else:
+                if off < -100 and bb - off - ba > p + 4:
+                    return fit(sb, (mb << p + 4) + (1 if sa == sb else -1), eb - p - 4)
+                mb <<= -off
+                exp = ea
+            if sa == sb:
+                return fit(sa, ma + mb, exp)
+            if ma > mb:
+                return fit(sa, ma - mb, exp)
+            return fit(sb, mb - ma, exp) if mb > ma else fzero
+        if not mb and not eb and ba <= p:  # a + 0
+            return a
+        if not ma and not ea and bb <= p and not flip:  # 0 + b
+            return b
+        return mpf_sub(a, b, p, round_nearest) if flip else mpf_add(a, b, p, round_nearest)
+
+    def sub(a, b):
+        return add(a, b, 1)
+
+    def mul(a, b):
+        sa, ma, ea, _ = a
+        sb, mb, eb, _ = b
+        if ma and mb:
+            return fit(sa ^ sb, ma * mb, ea + eb)
+        return mpf_mul(a, b, p, round_nearest)
+
+    def div(a, b):
+        sa, ma, ea, ba = a
+        sb, mb, eb, bb = b
+        if not (ma and mb):
+            return mpf_div(a, b, p, round_nearest)
+        if mb == 1:
+            return fit(sa ^ sb, ma, ea - eb)
+        extra = max(5, p - ba + bb + 5)
+        quot, rem = divmod(ma << extra, mb)
+        if rem:
+            return fit(sa ^ sb, (quot << 1) + 1, ea - eb - extra - 1)
+        return fit(sa ^ sb, quot, ea - eb - extra)
+
+    def neg(a):
+        sa, ma, ea, ba = a
+        if ma and ba <= p:
+            return 1 - sa, ma, ea, ba
+        return mpf_neg(a, p, round_nearest)
+
+    def sqrt(a):
+        sa, ma, ea, ba = a
+        if sa or not ma:
+            return mpf_sqrt(a, p, round_nearest)
+        if ea & 1:
+            ea, ma, ba = ea - 1, ma << 1, ba + 1
+        elif ma == 1:
+            return 0, 1, ea >> 1, 1
+        shift = max(4, 2 * p - ba + 4)
+        shift += shift & 1
+        ma <<= shift
+        root = isqrt(ma)
+        if root * root != ma:
+            return fit(0, (root << 1) + 1, (ea - shift - 2) >> 1)
+        return fit(0, root, (ea - shift) >> 1)
+
+    return {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, "sqrt": sqrt}
 
 
 _ARITHS = {}
@@ -124,16 +238,10 @@ def arith(precision):
                         operator.truediv, operator.neg, ctx.sqrt, operator.gt, ctx.zero,
                         ctx.one)
         else:
-            ctx, p, rnd = context(precision), precision, round_nearest
+            ctx = context(precision)
             kit = Arith(raw=lambda values: [v._mpf_ for v in values],
                         wrap=lambda values: tuple(map(ctx.make_mpf, values)),
-                        add=lambda a, b: mpf_add(a, b, p, rnd),
-                        sub=lambda a, b: mpf_sub(a, b, p, rnd),
-                        mul=lambda a, b: mpf_mul(a, b, p, rnd),
-                        div=lambda a, b: mpf_div(a, b, p, rnd),
-                        neg=lambda a: mpf_neg(a, p, rnd),
-                        sqrt=lambda a: mpf_sqrt(a, p, rnd),
-                        gt=mpf_gt, zero=fzero, one=fone)
+                        gt=mpf_gt, zero=fzero, one=fone, **_rounding(precision))
         kit = _ARITHS.setdefault(precision, kit)
     return kit
 
@@ -204,10 +312,15 @@ class MeasureSpec:
         ||P_0||^2 = Gamma(alpha + 1)."""
         _check_int("size", size, 1)
         ctx = context(_check_int("precision", precision, 1, " bits"))
+        kit = arith(precision)
+        add, mul = kit.add, kit.mul
         if self.family == "laguerre":
+            # mpf's int-mixed operators round the exact result once, as these do
             a = to_mpf(self.alpha, ctx)
-            beta = tuple(2 * n + 1 + a for n in range(size))
-            gamma = (ctx.zero,) + tuple(n * (n + a) for n in range(1, size))
+            (ar,) = kit.raw([a])
+            beta = kit.wrap([add(from_int(2 * n + 1), ar) for n in range(size)])
+            gamma = kit.wrap([kit.zero] + [mul(add(ar, from_int(n)), from_int(n))
+                                           for n in range(1, size)])
             norm0_sq = ctx.gamma(a + 1)
         elif self.family == "custom":
             if size > len(self.beta):
@@ -218,11 +331,10 @@ class MeasureSpec:
             norm0_sq = to_mpf(self.norm0_sq, ctx)
         else:
             raise InvalidParameterError(f"unknown measure family {self.family!r}")
-        norm_sq = [norm0_sq]
-        for n in range(1, size):
-            norm_sq.append(gamma[n] * norm_sq[-1])
-        return RecurrenceTable(beta, gamma, tuple(norm_sq),
-                               tuple(1 / ctx.sqrt(s) for s in norm_sq), precision)
+        norm_sq = list(accumulate(kit.raw(gamma[1:]), mul, initial=kit.raw([norm0_sq])[0]))
+        return RecurrenceTable(beta, gamma, kit.wrap(norm_sq),
+                               kit.wrap([kit.div(kit.one, kit.sqrt(s)) for s in norm_sq]),
+                               precision)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ class BandedMatrix:
     below the main one), top-left entry first, and every entry outside the
     band is an exact zero that is never held.  Every matrix is assembled by
     ``from_diagonals``, except the cheap derivations ``transpose``,
-    ``shifted`` and ``scaled``.  ``exact_size`` marks the leading block
+    ``shifted`` and ``negated``.  ``exact_size`` marks the leading block
     unaffected by truncation.  Serialization emits band entries only.  The
     ints of an :func:`aligned` matrix stand for themselves times 2**``exp``.
     """
@@ -121,11 +121,11 @@ class BandedMatrix:
         diagonals[self.lower_bw] = tuple(v + lam for v in diagonals[self.lower_bw])
         return self._with_diagonals(tuple(diagonals))
 
-    def scaled(self, s):
-        """s * self, multiplying the band entries only."""
-        s = to_mpf(s, context(self.precision))
-        return self._with_diagonals(tuple(tuple(v * s for v in diagonal)
-                                          for diagonal in self.diagonals))
+    def negated(self):
+        """-self: every band entry's sign flipped, which is exact."""
+        kit = _kit(self, self)
+        return self._with_diagonals(tuple(kit.wrap(map(kit.neg, kit.raw(diagonal)))
+                                          for diagonal in self.diagonals), self.exp)
 
     def _with_diagonals(self, diagonals, exp=None):
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
@@ -258,8 +258,8 @@ def multiply(A, B):
     j + B.lower_bw), so the truncated sum is complete and made of exact
     operand entries only while i, j stay w short of the operands' markers.
     Diagonal r gathers diagonal p of A times diagonal r - p of B, p
-    ascending, so every entry adds its terms in ascending k, starting from
-    its first term (adding it to an exact zero would not change its bits).
+    ascending, so every entry adds its terms in ascending k to an exact
+    zero, which gives the first term its own bits.
     Both operands must have one precision, the product's.
 
     The sums run on raw values with the scalar kit of that precision, or the
@@ -279,7 +279,7 @@ def multiply(A, B):
     diagonals = {}
     for r in range(0 if mirror else -min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
                    min(A.upper_bw + B.upper_bw, max(ncols - 1, 0)) + 1):
-        out = [None] * _diagonal_length(nrows, ncols, r)
+        out = [kit.zero] * _diagonal_length(nrows, ncols, r)
         for p in range(max(-A.lower_bw, r - B.upper_bw),
                        min(A.upper_bw, r + B.lower_bw) + 1):
             # rows i with 0 <= i < nrows, 0 <= i + p < A.ncols, 0 <= i + r < ncols
@@ -287,9 +287,8 @@ def multiply(A, B):
             a = a_diags[A.lower_bw + p][lo + min(0, p):hi + min(0, p)]
             b = b_diags[B.lower_bw + r - p][lo + min(p, r):hi + min(p, r)]
             s = lo - max(0, -r)
-            out[s:s + hi - lo] = [times(x, y) if acc is None else add(acc, times(x, y))
-                                  for acc, x, y in zip(out[s:], a, b)]
-        diagonals[r] = kit.wrap(kit.zero if v is None else v for v in out)
+            out[s:s + hi - lo] = map(add, out[s:s + hi - lo], map(times, a, b))
+        diagonals[r] = kit.wrap(out)
     w = min(A.upper_bw, B.lower_bw)
     exact_size = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
     product = (_symmetric_from_diagonals(diagonals, exact_size, A.precision) if mirror
@@ -531,12 +530,12 @@ class MatrixSuite:
         # factors of cI - J and cI - J1 bit for bit.
         right = spec.side == "right"
         c = -to_mpf(spec.c, context(precision)) if right else spec.c
-        L = cholesky_shifted(J.scaled(-1) if right else J, c)
+        L = cholesky_shifted(J.negated() if right else J, c)
         J1 = commute_cholesky(L, c)
         L1 = cholesky_shifted(J1, c)
         J2 = commute_cholesky(L1, c)
         if right:
-            J1, J2 = J1.scaled(-1), J2.scaled(-1)
+            J1, J2 = J1.negated(), J2.negated()
         J2_direct = build_iterated_jacobi(chris, nb)
         Q, R = qr_pair(L, L1)
         T = build_T(sob, nb)
@@ -661,7 +660,7 @@ def verify_propositions(suite, size=None):
     c = to_mpf(suite.spec.c, context(suite.precision))
     A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
     if suite.spec.side == "right":
-        A0, A2 = A0.scaled(-1), A2.scaled(-1)
+        A0, A2 = A0.negated(), A2.negated()
     A0, A2, R, T, H = map(aligned, (A0, A2, suite.R, suite.T, suite.H))
     A0sq = multiply(A0, A0)
     A2sq = multiply(A2, A2)

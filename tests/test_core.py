@@ -6,13 +6,17 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from math import isqrt
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp, fzero,
+                          mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest)
 
 from helpers import assert_rel, laguerre_monic, moment_inner, poly_eval, reflected_laguerre, rel
+from sobspec import core
 from sobspec.core import (
     EXACT,
     MeasureSpec,
@@ -24,7 +28,7 @@ from sobspec.core import (
     orthonormal_value,
 )
 from sobspec.errors import InvalidParameterError
-from sobspec.matrices import MatrixSuite
+from sobspec.matrices import MatrixSuite, verify_propositions
 from sobspec.oracle import SqrtRational
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
@@ -292,6 +296,73 @@ def kit_result(kit, name, args):
 MPF_PARTS = st.tuples(st.integers(-(1 << 1100), 1 << 1100), st.integers(-400, 400))
 
 
+def nearest(q, p):
+    """The ``_mpf_`` of the dyadic Fraction q rounded to nearest at p bits,
+    ties to even: the reference of the kit's add, sub, mul and div."""
+    if not q:
+        return fzero
+    exp = abs(q.numerator).bit_length() - q.denominator.bit_length() - p
+    while abs(q) >= F(2) ** (exp + p):
+        exp += 1
+    while abs(q) < F(2) ** (exp + p - 1):
+        exp -= 1
+    man, rest = divmod(abs(q) / F(2) ** exp, 1)
+    if rest > F(1, 2) or rest == F(1, 2) and man & 1:
+        man += 1
+    return from_man_exp(-man if q < 0 else man, exp)
+
+
+def nearest_sqrt(q, p):
+    """The ``_mpf_`` of sqrt(q), q a dyadic Fraction >= 0, rounded to nearest
+    at p bits: the floor root of q * 4**k has at least p + 4 bits, so its
+    fractional part only decides on which side of a rounding point it lies."""
+    k = q.denominator.bit_length() + 2 * p + 8
+    n = int(q * 4 ** k)
+    root = isqrt(n)
+    if root * root == n:
+        return nearest(F(root, 2 ** k), p)
+    return nearest(F(2 * root + 1, 2 ** (k + 1)), p)
+
+
+def edge_cases(p):
+    """(kit operation, operands as (man, exp)) at p bits, every operand of at
+    most p bits: the cases where a rounding kernel goes wrong first."""
+    top, half = 1 << p, 1 << p // 2
+    cases = [
+        # ties to even, both ways: 2^p + 1 -> 2^p, 2^p + 3 -> 2^p + 4
+        ("add", (top // 2, 1), (1, 0)), ("add", (top // 2, 1), (3, 0)),
+        ("sub", (-top // 2, 1), (1, 0)), ("sub", (-top // 2, 1), (3, 0)),
+        ("mul", (top // 2 + 1, 0), (3, 0)), ("mul", (top // 2 + 3, 0), (-3, 0)),
+        # a carry to 2^p: 2^(p+1) - 1 rounds up to 2^(p+1)
+        ("add", (top - 1, 1), (1, 0)), ("sub", (top - 1, 1), (-1, 0)),
+        # products that fit in p bits, and one that needs p more
+        ("mul", (3, 0), (5, 0)), ("mul", (half - 1, 3), (-(half + 1), -9)),
+        ("mul", (top - 1, 0), (top - 1, 0)),
+        # sums that cancel to 0 or to a few bits
+        ("sub", (top - 1, 0), (top - 1, 0)), ("add", (top - 1, -5), (-(top - 1), -5)),
+        ("sub", (top - 1, 0), (top - 3, 0)), ("add", (top - 1, -5), (2 - top, -5)),
+        ("sub", (top - 1, 3), (top - 1, 2)),
+        # division by a power of two, exact and inexact quotients
+        ("div", (top - 1, 0), (1, 7)), ("div", (1 - top, 3), (-1, -9)),
+        ("div", (15, 0), (5, 0)), ("div", (top - 1, 0), (top - 1, 4)),
+        ("div", (1, 0), (3, 0)), ("div", (2, 0), (-3, 0)), ("div", (top - 1, 0), (top - 3, 0)),
+        # square roots of exact squares, of odd exponents and of 1
+        ("sqrt", (9, 0)), ("sqrt", ((half - 1) ** 2, -2 * p)), ("sqrt", (1, 0)),
+        ("sqrt", (1, -3)), ("sqrt", (9, 5)), ("sqrt", (top - 1, -p - 1)), ("sqrt", (2, 0)),
+        ("sqrt", (top - 1, 0)), ("sqrt", (1, 2 * p + 1)),
+        ("neg", (top - 1, 0)), ("neg", (-1, 5)),
+    ]
+    # add offsets at the far-path boundary (libmp's sticky bit takes over for
+    # an offset above 100 with the leading bits more than p + 4 apart) and at
+    # p + 4, both ways round and both signs
+    for k in (100, 101, p + 3, p + 4, p + 5):
+        for big, small in (((1, 0), (1, -k)), ((1 - top, 0), (1, -k - p)),
+                           ((top - 1, 0), (-3, -k - p))):
+            cases += [("add", big, small), ("add", small, big), ("sub", big, small),
+                      ("sub", small, big)]
+    return cases
+
+
 class TestArith:
     """``arith(p)`` computes on raw values with the bits of the scalar
     operators of ``context(p)``."""
@@ -307,6 +378,67 @@ class TestArith:
             assert kit_result(kit, name, args)._mpf_ == want._mpf_, name
         for args, want in kit_comparisons(ctx, x, y):
             assert kit.gt(*kit.raw(args)) is want, args
+
+    @pytest.mark.parametrize("precision", [53, 64, 113, 256, 1024])
+    def test_mpf_kit_rounds_the_edge_cases_to_nearest_even(self, precision):
+        # each result equals both the exact value rounded to nearest even and
+        # the mpf operator's (libmp's) bits
+        ctx, kit = context(precision), arith(precision)
+        operator_of = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+                       "mul": lambda x, y: x * y, "div": lambda x, y: x / y,
+                       "sqrt": ctx.sqrt, "neg": lambda x: -x}
+        for name, *parts in edge_cases(precision):
+            raws = [from_man_exp(man, exp) for man, exp in parts]
+            assert all(bc <= precision for *_, bc in raws), (name, parts)
+            exact = [F(man) * F(2) ** exp for man, exp in parts]
+            got = getattr(kit, name)(*raws)
+            assert got == operator_of[name](*map(ctx.make_mpf, raws))._mpf_, (name, parts)
+            if name == "sqrt":
+                assert got == nearest_sqrt(exact[0], precision), (name, parts)
+            else:
+                want = -exact[0] if name == "neg" else operator_of[name](*exact)
+                assert got == nearest(want, precision), (name, parts)
+
+    @pytest.mark.parametrize("precision", [53, 64, 113, 256, 1024])
+    def test_mpf_kit_takes_libmp_verdicts_on_zero_inf_and_nan(self, precision):
+        # every pairing of zero, inf, nan and a finite value gives libmp's
+        # result or libmp's exception
+        kit = arith(precision)
+        values = [fzero, finf, fninf, fnan, fone, fnone, from_man_exp(3, -precision - 9)]
+
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except (ZeroDivisionError, ComplexResult) as exc:
+                return type(exc)
+
+        p, rnd = precision, round_nearest
+        libmp = {"add": mpf_add, "sub": mpf_sub, "mul": mpf_mul, "div": mpf_div}
+        for x in values:
+            for y in values:
+                for name, f in libmp.items():
+                    want = outcome(f, x, y, p, rnd)
+                    assert outcome(getattr(kit, name), x, y) == want, (name, x, y)
+            assert outcome(kit.sqrt, x) == outcome(mpf_sqrt, x, p, rnd), x
+            assert kit.neg(x) == mpf_neg(x, p, rnd), x
+        assert outcome(kit.sqrt, fnone) is ComplexResult
+        assert outcome(kit.div, fone, fzero) is ZeroDivisionError
+        assert outcome(kit.div, fzero, fzero) is ZeroDivisionError
+
+    def test_a_build_takes_the_kernel_for_finite_nonzero_operands(self, spec, monkeypatch):
+        # core's libmp calls raise on finite nonzero operands, so a size-100
+        # build and its verification compute without them
+        def strict(f):
+            def call(*args):
+                if all(x[1] for x in args if isinstance(x, tuple)):
+                    raise AssertionError(f"{f.__name__}{args} left the kernel")
+                return f(*args)
+            return call
+
+        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_neg", "mpf_sqrt"):
+            monkeypatch.setattr(core, name, strict(getattr(core, name)))
+        suite = MatrixSuite.build(spec, size=100)
+        assert verify_propositions(suite).all_within(mp.mpf("1e-30"))
 
     @pytest.mark.parametrize("precision", [64, 256])
     def test_mpf_kit_compares_non_finite_values_as_mpf_does(self, precision):

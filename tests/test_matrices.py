@@ -77,10 +77,10 @@ def identity_operands(suite):
     """The pairs verify_propositions compares through ``block_residual``,
     formed with mpf products (verify forms them exactly, on aligned
     operands): name -> (A, B)."""
-    sgn = 1 if suite.spec.side == "left" else -1
     c = to_mpf(suite.spec.c, context(suite.precision))
-    A0 = suite.J.shifted(-c).scaled(sgn)
-    A2 = suite.J2.shifted(-c).scaled(sgn)
+    A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
+    if suite.spec.side == "right":
+        A0, A2 = A0.negated(), A2.negated()
     A2sq = multiply(A2, A2)
     R, T, Rt, Tt = suite.R, suite.T, suite.R.transpose(), suite.T.transpose()
     return {
@@ -173,8 +173,9 @@ def exact_identities(s):
     matrices (``exact_rows``), formed from the suite's mpf operands by exact
     products.  Q's rows take Q's diagonals -1 to 2 and the exact tails of
     :func:`exact_q_tails`, from Q's rounded generators."""
-    c, sgn = to_mpf(s.spec.c, context(s.precision)), 1 if s.spec.side == "left" else -1
-    A0, A2 = (exact_rows(M.shifted(-c).scaled(sgn)) for M in (s.J, s.J2))
+    c, right = to_mpf(s.spec.c, context(s.precision)), s.spec.side == "right"
+    A0, A2 = (exact_rows(M.shifted(-c).negated() if right else M.shifted(-c))
+              for M in (s.J, s.J2))
     H, T, R, Tt, Rt = map(exact_rows, (s.H, s.T, s.R, s.T.transpose(), s.R.transpose()))
     A2sq, RRt = exact_matmul(A2, A2), exact_matmul(R, Rt)
     tails, gram_diag = exact_q_tails(s.Q, s.R)
@@ -698,9 +699,9 @@ class TestProducts:
     @pytest.mark.parametrize("precision", [64, 256, 1024])
     def test_products_equal_dense_reference(self, precision):
         s = MatrixSuite.build(reflected_spec(23), size=14, guard=4, precision=precision)
-        # right side: scaled(-1) makes J2 - cI's two off-diagonals distinct
+        # right side: negated() makes J2 - cI's two off-diagonals distinct
         # objects, so its symmetry is seen by value
-        A2 = s.J2.shifted(-to_mpf(s.spec.c, context(precision))).scaled(-1)
+        A2 = s.J2.shifted(-to_mpf(s.spec.c, context(precision))).negated()
         R, Rt, T = s.R, s.R.transpose(), s.T
         symmetric = {"A2 A2": (A2, A2), "R Rt": (R, Rt), "Rt R": (Rt, R),
                      "T Tt": (T, T.transpose())}
@@ -717,7 +718,7 @@ class TestProducts:
         # the same loop with the int kit: each entry the exact sum, and the
         # mirrored half of a symmetric product too
         s = MatrixSuite.build(reflected_spec(23), size=14, guard=4, precision=precision)
-        A2 = aligned(s.J2.shifted(-to_mpf(s.spec.c, context(precision))).scaled(-1))
+        A2 = aligned(s.J2.shifted(-to_mpf(s.spec.c, context(precision))).negated())
         R, T, H = map(aligned, (s.R, s.T, s.H))
         for A, B in ((A2, A2), (R, R.transpose()), (R.transpose(), R), (H, T),
                      (T, multiply(A2, A2))):
