@@ -11,7 +11,6 @@ integer alpha and a mass point c < 0, up to ``oracle.MAX_ROWS`` rows.
 from .core import (
     DEFAULT_PRECISION,
     MeasureSpec,
-    PolyJet,
     RecurrenceTable,
     SobolevSpec,
     eval_jet,
@@ -59,7 +58,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NumericalFailureError",
     "OracleUnsupportedError",
-    "PolyJet",
     "RecurrenceTable",
     "ResidualReport",
     "SobolevLedger",

@@ -81,7 +81,7 @@ class ChristoffelLedger:
         p = rec.precision
         kit = arith(p)
         add, sub, mul, div, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.sqrt
-        jet = [kit.raw(v[:2]) for v in kt.cjets.values]
+        jet = [kit.raw(v[:2]) for v in kt.cjets]
         K, h, r, beta, gamma = map(kit.raw, (kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma))
         d, e, r2, kappa, tau = [], [], [], [], []
         for n in range(size):
@@ -132,12 +132,12 @@ def _check_connection(ledger, n, x, value):
     what = f"P^[2]_{n}({x})"
     if x == kt.c:
         j = kt.cjets
-        num2 = j.jet(n + 2, 2) - ledger.d[n] * j.jet(n + 1, 2) + ledger.e[n] * j.jet(n, 2)
+        num2 = j[n + 2][2] - ledger.d[n] * j[n + 1][2] + ledger.e[n] * j[n][2]
         _enforce(*arith(p).raw([value, num2 / 2]), what, p)
         return
     ctx = context(p)
     j = eval_jet(kt.rec, n + 2, x, order=0)
-    terms = (j.jet(n + 2), -ledger.d[n] * j.jet(n + 1), ledger.e[n] * j.jet(n))
+    terms = (j[n + 2][0], -ledger.d[n] * j[n + 1][0], ledger.e[n] * j[n][0])
     h = (x - kt.c) ** 2
     b = sum(terms) / h
     guard = (ctx.ldexp(max(1, abs(value), abs(b)), -(p // 2))
@@ -160,7 +160,7 @@ def eval_iterated(chris, n, x, k=2, monic=False):
     x = to_mpf(x, context(rec.precision))
     if k == 1:
         kernel = _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), kt.cjets, 0)
-        pc = kt.cjets.jet(n)
+        pc = kt.cjets[n][0]
         if pc == 0:
             raise DegeneratePointError(f"P_{n}(c) = 0")
         return rec.norm_sq[n] * kernel / pc

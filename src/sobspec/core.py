@@ -188,8 +188,6 @@ def _rounding(p):
         sb, mb, eb, bb = b
         if not (ma and mb):
             return mpf_div(a, b, p, round_nearest)
-        if mb == 1:
-            return fit(sa ^ sb, ma, ea - eb)
         extra = max(5, p - ba + bb + 5)
         quot, rem = divmod(ma << extra, mb)
         if rem:
@@ -208,8 +206,6 @@ def _rounding(p):
             return mpf_sqrt(a, p, round_nearest)
         if ea & 1:
             ea, ma, ba = ea - 1, ma << 1, ba + 1
-        elif ma == 1:
-            return 0, 1, ea >> 1, 1
         shift = max(4, 2 * p - ba + 4)
         shift += shift & 1
         ma <<= shift
@@ -389,29 +385,9 @@ class RecurrenceTable:
         return len(self.beta)
 
 
-@dataclass(frozen=True)
-class PolyJet:
-    """Values and derivatives of the monic family P_0..P_n at one point.
-
-    ``jet(k, j)`` is the j-th derivative of P_k at x; zero for j > k.
-    """
-
-    x: object
-    order: int
-    values: tuple
-
-    @property
-    def size(self):
-        return len(self.values)
-
-    def jet(self, k, j=0):
-        if j > self.order:
-            raise InvalidParameterError(f"jet built to order {self.order}, asked {j}")
-        return self.values[k][j]
-
-
 def eval_jet(rec, n, x, order=3):
-    """Jets of P_0..P_n at x, derivatives up to ``order`` (at most 3).
+    """Jets of P_0..P_n at x, derivatives up to ``order`` (at most 3), as rows:
+    ``[k][j]`` is the j-th derivative of P_k at x, zero for j > k.
 
     Forward recurrence; the j-th derivative satisfies
     P^(j)_{k+1} = (x - beta_k) P^(j)_k + j P^(j-1)_k - gamma_k P^(j)_{k-1}.
@@ -422,43 +398,36 @@ def eval_jet(rec, n, x, order=3):
     if not 0 <= order <= 3:
         raise InvalidParameterError("derivative order capped at 3")
     x = to_mpf(x, context(rec.precision))
-    return PolyJet(x=x, order=order,
-                   values=tuple(map(arith(rec.precision).wrap, _jet_rows(rec, n, x, order))))
+    return tuple(map(arith(rec.precision).wrap, _jet_rows(rec, n, x, order)))
 
 
 def _jet_rows(rec, n, x, order):
     """The rows of :func:`eval_jet` at the mpf x as raw values, computed with
     the table's :func:`arith` in the order of the mpf recurrence (the integer
     j as an mpf, whose product rounds as ``mpf * int`` does), so every entry
-    has the bits of the mpf recurrence."""
+    has the bits of the mpf recurrence.  The loop starts from P_0 and a zero
+    row P_-1; as gamma_0 = 0, its first step is P_1 = x - beta_0 exactly."""
     ctx, kit = context(rec.precision), arith(rec.precision)
     add, sub, mul = kit.add, kit.sub, kit.mul
     (x,), beta, gamma = kit.raw([x]), kit.raw(rec.beta[:n]), kit.raw(rec.gamma[:n])
     ints = kit.raw(map(ctx.mpf, range(order + 1)))
-    rows = [[kit.one] + [kit.zero] * order]
-    if n >= 1:
-        prev = rows[0]
-        first = [sub(x, beta[0])] + [kit.zero] * order
-        if order >= 1:
-            first[1] = kit.one
-        rows.append(first)
-        for k in range(1, n):
-            cur = rows[k]
-            u, g = sub(x, beta[k]), gamma[k]
-            nxt = []
-            for j in range(order + 1):
-                t = sub(mul(u, cur[j]), mul(g, prev[j]))
-                if j >= 1:
-                    t = add(t, mul(cur[j - 1], ints[j]))
-                nxt.append(t)
-            prev = cur
-            rows.append(nxt)
+    prev, rows = [kit.zero] * (order + 1), [[kit.one] + [kit.zero] * order]
+    for k in range(n):
+        cur, u, g = rows[k], sub(x, beta[k]), gamma[k]
+        nxt = []
+        for j in range(order + 1):
+            t = sub(mul(u, cur[j]), mul(g, prev[j]))
+            if j >= 1:
+                t = add(t, mul(cur[j - 1], ints[j]))
+            nxt.append(t)
+        prev = cur
+        rows.append(nxt)
     return rows
 
 
 def monic_value(rec, n, x):
     """P_n(x) by forward recurrence."""
-    return eval_jet(rec, n, x, order=0).jet(n)
+    return eval_jet(rec, n, x, order=0)[n][0]
 
 
 def orthonormal_value(rec, n, x):

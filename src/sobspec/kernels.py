@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PolyJet, _jet_rows, arith, context, eval_jet, to_mpf
+from .core import _jet_rows, arith, context, eval_jet, to_mpf
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class KernelTable:
 
     K[n], K01[n], K11[n] are the order-(0,0), (0,1), (1,1) kernel values
     K^(j,k)_n(c, c) for n = 0..size-1, built by direct summation.
-    ``cjets`` holds P_0..P_{size-1} at c with their first and second
-    derivatives: the ledgers read orders 0 and 1, the connection check of
-    :func:`sobspec.christoffel.eval_iterated` at c reads order 2.
+    ``cjets[k][j]`` is the j-th derivative of P_k at c, j <= 2, as rows of
+    :func:`sobspec.core.eval_jet`; the ledgers read j <= 1, the connection
+    check of :func:`sobspec.christoffel.eval_iterated` at c reads j = 2.
     """
 
     rec: object
@@ -37,7 +37,7 @@ class KernelTable:
     K: tuple
     K01: tuple
     K11: tuple
-    cjets: object
+    cjets: tuple
 
     @property
     def size(self):
@@ -62,15 +62,14 @@ class KernelTable:
             K.append(s)
             K01.append(s01)
             K11.append(s11)
-        jets = PolyJet(x=c, order=2, values=tuple(map(kit.wrap, rows)))
-        return cls(rec, c, *map(kit.wrap, (K, K01, K11)), jets)
+        return cls(rec, c, *map(kit.wrap, (K, K01, K11)), tuple(map(kit.wrap, rows)))
 
 
 def _kernel_sum(rec, n, jx, jy, j):
     """sum_{k<=n} P_k(x) P_k^(j)(y) / ||P_k||^2 for j = 0 or 1, as one fsum,
     from the jets ``jx`` at x and ``jy`` at y."""
     return context(rec.precision).fsum(
-        jx.jet(k) * jy.jet(k, j) / rec.norm_sq[k] for k in range(n + 1))
+        jx[k][0] * jy[k][j] / rec.norm_sq[k] for k in range(n + 1))
 
 
 def kernel_at(rec, n, x, y):

@@ -48,6 +48,7 @@ from .errors import (
     OracleUnsupportedError,
 )
 from .matrices import (
+    _tridiagonal,
     cholesky_shifted,
     commute_cholesky,
     from_diagonals,
@@ -342,9 +343,8 @@ def build_oracle_suite(alpha, c, M, N, size):
     (C1, D1), (C2, D2), (Cs, Ds) = monic_system(G1), monic_system(G2), monic_system(Gs)
 
     def jacobi(beta, gamma):
-        off = [SqrtRational(1, g) for g in gamma[1:nb]]
-        return from_diagonals({-1: off, 0: [SqrtRational.from_rational(b) for b in beta[:nb]],
-                               1: off}, nb, EXACT)
+        exact = SqrtRational.from_rational
+        return _tridiagonal([exact(b) for b in beta[:nb]], [exact(g) for g in gamma[1:nb]], EXACT)
 
     def recurrence(C, D):
         beta = basis[0]

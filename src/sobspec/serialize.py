@@ -97,13 +97,6 @@ def format_value(x, precision):
     return formatter(precision)(x)
 
 
-def parse_value(s, precision):
-    try:
-        return context(precision).mpf(s)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"cannot parse {s!r} as a number") from None
-
-
 def _json_rows(key, rows):
     """The member ``key`` of a top-level object whose list items are the
     already indented ``rows``, laid out as ``json.dumps(..., indent=1)``."""
@@ -143,8 +136,8 @@ def matrix_from_json(text):
         nrows, ncols, lower, upper, exact = (_check_int(key, doc[key], 0) for key in (
             "nrows", "ncols", "lower_bw", "upper_bw", "exact_size"))
         prec = _check_int("precision", doc["precision"], 1, " bits")
-        values = {(i, j): s for i, j, s in entries}
-        diagonals = {k: [parse_value(values.pop((n + max(0, -k), n + max(0, k))), prec)
+        values, mpf = {(i, j): s for i, j, s in entries}, context(prec).mpf
+        diagonals = {k: [mpf(values.pop((n + max(0, -k), n + max(0, k))))
                          for n in range(_diagonal_length(nrows, ncols, k))]
                      for k in range(-lower, upper + 1)}
     except InvalidParameterError:

@@ -94,7 +94,7 @@ class SobolevLedger:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
         kit = arith(rec.precision)
         add, sub, mul, div, neg, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.neg, kit.sqrt
-        j = [kit.raw(v[:2]) for v in kt.cjets.values]
+        j = [kit.raw(v[:2]) for v in kt.cjets]
         K, K01, K11, h, r, d, e, r2 = map(kit.raw, (kt.K, kt.K01, kt.K11, rec.norm_sq,
                                                     rec.leading, chris.d, chris.e, chris.r2))
         Mr, Nr = kit.raw([M, N])
@@ -167,7 +167,7 @@ def eval_sobolev(sob, n, x, normalized=False):
     kt = sob.chris.kt
     rec = kt.rec
     jx = eval_jet(rec, n, x, order=0)
-    value = jx.jet(n)
+    value = jx[n][0]
     if n >= 1:
         value -= sob.M * sob.Sc[n] * _kernel_sum(rec, n - 1, jx, kt.cjets, 0)
         value -= sob.N * sob.Sdc[n] * _kernel_sum(rec, n - 1, jx, kt.cjets, 1)

@@ -172,8 +172,8 @@ class TestAcceptance:
                     worst = max(worst, rel(chris.tau[n], alt_tau))
                 x = mp.mpf(rng.uniform(0, 10))
                 j = eval_jet(rec, n + 2, x, order=0)
-                conn = (j.jet(n + 2) - chris.d[n] * j.jet(n + 1)
-                        + chris.e[n] * j.jet(n)) / (x + 1) ** 2
+                conn = (j[n + 2][0] - chris.d[n] * j[n + 1][0]
+                        + chris.e[n] * j[n][0]) / (x + 1) ** 2
                 recur = eval_iterated(chris, n, x, k=2, monic=True)
                 worst = max(worst, rel(recur, conn))
         report(5, worst <= TOL30,

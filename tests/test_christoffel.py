@@ -91,7 +91,7 @@ class TestDefiningIdentity:
                     x = mp.mpf(rng.uniform(0, 10))
                     lhs = (x + 1) ** 2 * eval_iterated(chris, n, x, k=2, monic=True)
                     j = eval_jet(rec, n + 2, x, order=0)
-                    rhs = j.jet(n + 2) - chris.d[n] * j.jet(n + 1) + chris.e[n] * j.jet(n)
+                    rhs = j[n + 2][0] - chris.d[n] * j[n + 1][0] + chris.e[n] * j[n][0]
                     assert rel(lhs, rhs) <= TOL30
 
 
@@ -105,8 +105,8 @@ class TestEvaluation:
             for n in range(1, 10):
                 x = mp.mpf(rng.uniform(0, 10))
                 j = eval_jet(rec, n + 1, x, order=0)
-                expected = (j.jet(n + 1)
-                            - kt.cjets.jet(n + 1) / kt.cjets.jet(n) * j.jet(n)) / (x + 1)
+                expected = (j[n + 1][0]
+                            - kt.cjets[n + 1][0] / kt.cjets[n][0] * j[n][0]) / (x + 1)
                 assert_rel(eval_iterated(chris, n, x, k=1), expected)
 
     def test_once_transformed_at_mass_point(self, rec, kt, chris):
@@ -114,7 +114,7 @@ class TestEvaluation:
         with mp.workprec(rec.precision):
             for n in range(1, 6):
                 val = eval_iterated(chris, n, -1, k=1)
-                expected = rec.norm_sq[n] * kt.K[n] / kt.cjets.jet(n)
+                expected = rec.norm_sq[n] * kt.K[n] / kt.cjets[n][0]
                 assert_rel(val, expected)
 
     def test_twice_transformed_monic_degree_one(self, chris):
@@ -130,8 +130,8 @@ class TestEvaluation:
             for n in range(10):
                 v = eval_iterated(chris, n, -1, k=2, monic=True)
                 j = kt.cjets
-                lhopital = (j.jet(n + 2, 2) - chris.d[n] * j.jet(n + 1, 2)
-                            + chris.e[n] * j.jet(n, 2)) / 2
+                lhopital = (j[n + 2][2] - chris.d[n] * j[n + 1][2]
+                            + chris.e[n] * j[n][2]) / 2
                 assert rel(v, lhopital) <= TOL30
 
     def test_once_transformed_index_bound(self, rec, chris):

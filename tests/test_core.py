@@ -158,20 +158,34 @@ class TestSobolevSpec:
 class TestEvalJet:
     def test_first_degrees_at_mass_point(self, rec):
         j = eval_jet(rec, 2, -1)
-        assert j.jet(1) == -2      # P_1 = x - 1
-        assert j.jet(2) == 7       # P_2 = x^2 - 4x + 2 by forward recurrence
-        assert j.jet(2, 2) == 2    # second derivative of a monic quadratic
+        assert j[1][0] == -2  # P_1 = x - 1
+        assert j[2][0] == 7   # P_2 = x^2 - 4x + 2 by forward recurrence
+        assert j[2][2] == 2   # second derivative of a monic quadratic
 
     def test_degree_three_values(self, rec):
         j = eval_jet(rec, 3, -1)
-        assert j.jet(3) == -34
-        assert j.jet(3, 1) == 39
-        assert j.jet(3, 2) == -24
-        assert j.jet(3, 3) == 6
+        assert j[3][0] == -34
+        assert j[3][1] == 39
+        assert j[3][2] == -24
+        assert j[3][3] == 6
 
     def test_jet_vanishes_above_degree(self, rec):
         j = eval_jet(rec, 2, 0.3)
-        assert j.jet(0, 1) == 0 and j.jet(1, 2) == 0 and j.jet(2, 3) == 0
+        assert j[0][1] == 0 and j[1][2] == 0 and j[2][3] == 0
+
+    @pytest.mark.parametrize("alpha", [0, 2.5])
+    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_first_rows_at_beta0_are_exact(self, n, order, alpha):
+        # At x = beta_0 the first step from the zero row P_-1 gives P_1 = 0
+        # and P_1' = 1 exactly; a row holds derivatives up to the order only.
+        table = MeasureSpec.laguerre(alpha).recurrence(4, precision=64)
+        rows = eval_jet(table, n, table.beta[0], order)
+        exact = ((fone, fzero, fzero, fzero), (fzero, fone, fzero, fzero))
+        assert [[v._mpf_ for v in row] for row in rows] == [
+            list(row[:order + 1]) for row in exact[:n + 1]]
+        with pytest.raises(IndexError):
+            rows[n][order + 1]
 
     def test_monic_against_exact_oracle(self, rec):
         for n in range(7):
@@ -196,9 +210,9 @@ class TestEvalJet:
                 dn = eval_jet(table, 9, x - h, order=0)
                 mid = eval_jet(table, 9, x, order=1)
                 for n in range(2, 10):
-                    fd = (up.jet(n) - dn.jet(n)) / (2 * h)
-                    scale = max(mp.mpf(1), abs(mid.jet(n, 1)))
-                    assert abs(fd - mid.jet(n, 1)) / scale <= mp.mpf("1e-8")
+                    fd = (up[n][0] - dn[n][0]) / (2 * h)
+                    scale = max(mp.mpf(1), abs(mid[n][1]))
+                    assert abs(fd - mid[n][1]) / scale <= mp.mpf("1e-8")
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(min_value=-5, max_value=25, allow_nan=False),
@@ -208,12 +222,12 @@ class TestEvalJet:
         with mp.workprec(table.precision):
             j = eval_jet(table, 9, x, order=1)
             for k in range(1, 9):
-                lhs = mp.mpf(x) * j.jet(k)
-                rhs = j.jet(k + 1) + table.beta[k] * j.jet(k) + table.gamma[k] * j.jet(k - 1)
+                lhs = mp.mpf(x) * j[k][0]
+                rhs = j[k + 1][0] + table.beta[k] * j[k][0] + table.gamma[k] * j[k - 1][0]
                 assert rel(lhs, rhs) <= mp.mpf("1e-65")
                 # differentiated once: x P'_k + P_k = P'_{k+1} + beta_k P'_k + gamma_k P'_{k-1}
-                lhs1 = mp.mpf(x) * j.jet(k, 1) + j.jet(k)
-                rhs1 = j.jet(k + 1, 1) + table.beta[k] * j.jet(k, 1) + table.gamma[k] * j.jet(k - 1, 1)
+                lhs1 = mp.mpf(x) * j[k][1] + j[k][0]
+                rhs1 = j[k + 1][1] + table.beta[k] * j[k][1] + table.gamma[k] * j[k - 1][1]
                 assert rel(lhs1, rhs1) <= mp.mpf("1e-65")
 
 
@@ -240,8 +254,8 @@ def test_results_do_not_depend_on_ambient_precision():
         j = eval_jet(table, 9, 3.25, order=0)
     with mp.workprec(320):
         for k in range(1, 9):
-            lhs = mp.mpf("3.25") * j.jet(k)
-            rhs = j.jet(k + 1) + table.beta[k] * j.jet(k) + table.gamma[k] * j.jet(k - 1)
+            lhs = mp.mpf("3.25") * j[k][0]
+            rhs = j[k + 1][0] + table.beta[k] * j[k][0] + table.gamma[k] * j[k - 1][0]
             assert rel(lhs, rhs) <= mp.mpf("1e-65")
 
 

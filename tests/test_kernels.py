@@ -77,7 +77,7 @@ class TestKernelDy:
             for n in range(1, 21):
                 x = mp.mpf(rng.uniform(0, 10))
                 summed = mp.fsum(
-                    (rec.leading[k] ** 2) * _monic(rec, k, x) * kt.cjets.jet(k, 1)
+                    (rec.leading[k] ** 2) * _monic(rec, k, x) * kt.cjets[k][1]
                     for k in range(n + 1)
                 )
                 assert rel(kernel_dy_at_c(rec, n, x, -1), summed) <= TOL30
@@ -123,8 +123,8 @@ class TestNearMassPoint:
             jx = eval_jet(high, size - 1, x, order=0)
             for n in (5, 15, 30):
                 with mp.workprec(512):
-                    ref = mp.fsum(jx.jet(k) * jc.jet(k) / high.norm_sq[k] for k in range(n + 1))
-                    ref01 = mp.fsum(jx.jet(k) * jc.jet(k, 1) / high.norm_sq[k]
+                    ref = mp.fsum(jx[k][0] * jc[k][0] / high.norm_sq[k] for k in range(n + 1))
+                    ref01 = mp.fsum(jx[k][0] * jc[k][1] / high.norm_sq[k]
                                     for k in range(n + 1))
                     assert abs(kernel_at(low, n, x, c) - ref) / abs(ref) <= bound
                     assert abs(kernel_dy_at_c(low, n, x, c) - ref01) / abs(ref01) <= bound

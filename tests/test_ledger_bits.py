@@ -18,7 +18,7 @@ import pytest
 
 from helpers import reflected_laguerre
 from sobspec.christoffel import ChristoffelLedger, eval_iterated
-from sobspec.core import MeasureSpec, PolyJet
+from sobspec.core import MeasureSpec
 from sobspec.kernels import KernelTable, kernel_at, kernel_dy_at_c
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
@@ -47,8 +47,6 @@ def mpf_fields(obj):
     out = {}
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
-        if isinstance(value, PolyJet):
-            value = value.values
         if hasattr(value, "_mpf_"):
             out[field.name] = value._mpf_
         elif isinstance(value, tuple):

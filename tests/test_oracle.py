@@ -366,6 +366,26 @@ class TestOracleChainIdentities:
                                                for row in m["J2_shift_sq"][:n - 2]]
 
 
+class TestExactBand:
+    """The band claim, proved exactly at the oracle's cap from the monic
+    systems: C_s G2 C_s^T holds <(x - c)^2 S_n, S_k> and C_s G2 C2^T holds
+    <(x - c)^2 S_n, P^[2]_k> in dmu, so only offsets k - n in -2..2 (H) and
+    -2..0 (T) may be nonzero; the outer ones never vanish."""
+
+    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
+    def test_pairings_vanish_exactly_off_the_h_and_t_bands(self, name):
+        alpha, c, m, n = CHAIN_CONFIGS[name]
+        _, G2, Gs = grams(laguerre_basis(alpha, MAX_ROWS + 1), c, m, n)
+        Cs, C2 = ([row + [F(0)] * (MAX_ROWS - len(row)) for row in monic_system(G)[0]]
+                  for G in (Gs, G2))
+        for Y, band in ((Cs, range(-2, 3)), (C2, range(-2, 1))):
+            pairing = _matmul(_matmul(Cs, G2), [list(col) for col in zip(*Y)])
+            assert all(pairing[i][k] == 0 for i in range(MAX_ROWS) for k in range(MAX_ROWS)
+                       if k - i not in band)
+            assert all(pairing[i][i + k] for k in (band[0], band[-1])
+                       for i in range(max(0, -k), MAX_ROWS - max(0, k)))
+
+
 class TestFloatPathAgainstOracle:
     @pytest.mark.parametrize("name", CHAIN_CONFIGS)
     def test_float_suite_matches_the_oracle_at_the_cap(self, name):

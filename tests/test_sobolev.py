@@ -93,8 +93,8 @@ class TestGammaConnection:
         r, j, t = rec.leading, kt.cjets, sob.t
         with mp.workprec(rec.precision):
             def gamma_01(k):
-                mass = (spec.M * t[1] * sob.Sc[1] * j.jet(0) * r[0]
-                        + spec.N * t[1] * sob.Sdc[1] * j.jet(k, 1) * r[k])
+                mass = (spec.M * t[1] * sob.Sc[1] * j[0][0] * r[0]
+                        + spec.N * t[1] * sob.Sdc[1] * j[k][1] * r[k])
                 bracket = chris.d[0] * t[1] / r[1] + chris.e[0] * (r[1] / r[0]) * mass
                 return -mp.sqrt(kt.K[0] / kt.K[1]) * bracket
 
@@ -187,11 +187,11 @@ class TestEvaluation:
                 det2 = (1 + M * K) * (1 + N * K11) - N * K01 * M * K01
                 for _ in range(5):
                     x = mp.mpf(rng.uniform(0, 10))
-                    row0 = [eval_jet(rec, n, x, 0).jet(n),
+                    row0 = [eval_jet(rec, n, x, 0)[n][0],
                             M * kernel_at(rec, n - 1, x, -1),
                             N * kernel_dy_at_c(rec, n - 1, x, -1)]
-                    row1 = [pj.jet(n), 1 + M * K, N * K01]
-                    row2 = [pj.jet(n, 1), M * K01, 1 + N * K11]
+                    row1 = [pj[n][0], 1 + M * K, N * K01]
+                    row2 = [pj[n][1], M * K01, 1 + N * K11]
                     det3 = (row0[0] * (row1[1] * row2[2] - row1[2] * row2[1])
                             - row0[1] * (row1[0] * row2[2] - row1[2] * row2[0])
                             + row0[2] * (row1[0] * row2[1] - row1[1] * row2[0]))
