@@ -23,21 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt, mpf_shift
-
 from .core import _check_int, arith, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, NumericalFailureError
 from .kernels import _kernel_sum
 
 
-def _enforce(a, b, what, p):
-    """Raise unless |a - b| / max(1, |a|, |b|) <= 2^(-p/2) for the raw values
-    a and b at ``p`` bits, compared as mpf compares: a NaN never raises."""
-    kit, scale = arith(p), fone
-    for v in (mpf_abs(a), mpf_abs(b)):
-        if mpf_gt(v, scale):
+def _enforce(kit, guard, a, b, what):
+    """Raise unless |a - b| / max(1, |a|, |b|) <= ``guard`` for the raw values
+    a, b and ``guard`` of ``kit``, compared as mpf compares: a NaN never raises."""
+    scale, diff = kit.one, kit.sub(a, b)
+    for v in (a, kit.neg(a), b, kit.neg(b)):
+        if kit.gt(v, scale):
             scale = v
-    if mpf_gt(kit.div(mpf_abs(kit.sub(a, b)), scale), mpf_shift(fone, -(p // 2))):
+    if kit.gt(kit.div(diff if kit.gt(diff, kit.zero) else kit.neg(diff), scale), guard):
         a, b = kit.wrap([a, b])
         raise NumericalFailureError(
             f"dual formulas for {what} disagree beyond the precision guard: {a} vs {b}")
@@ -78,8 +76,8 @@ class ChristoffelLedger:
         rec = kt.rec
         if _check_int("size", size, 0) > rec.size - 2:
             raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
-        p = rec.precision
-        kit = arith(p)
+        kit = arith(rec.precision)
+        guard = kit.raw([kit.ctx.ldexp(1, -(rec.precision // 2))])[0]
         add, sub, mul, div, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.sqrt
         jet = [kit.raw(v[:2]) for v in kt.cjets]
         K, h, r, beta, gamma = map(kit.raw, (kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma))
@@ -87,13 +85,13 @@ class ChristoffelLedger:
         for n in range(size):
             (v0, d0), (v1, d1), (v2, d2) = jet[n:n + 3]
             den = sub(mul(v1, d0), mul(d1, v0))
-            if den == fzero:
+            if den == kit.zero:
                 raise DegeneratePointError(f"degenerate mass point: Wronskian at n = {n} vanishes")
             d.append(div(sub(mul(v2, d0), mul(d2, v0)), den))
             e.append(div(sub(mul(v2, d1), mul(d2, v1)), den))
             k_up = div(K[n + 1], K[n])
-            _enforce(e[n], mul(div(h[n + 1], h[n]), k_up), f"e_{n}", p)
-            if mpf_gt(fzero, e[n]):  # e_n = 0 is the next index's vanishing Wronskian
+            _enforce(kit, guard, e[n], mul(div(h[n + 1], h[n]), k_up), f"e_{n}")
+            if kit.gt(kit.zero, e[n]):  # e_n = 0 is the next index's vanishing Wronskian
                 raise NumericalFailureError(
                     f"computed e_{n} is {kit.wrap([e[n]])[0]}; increase the precision")
             r2.append(mul(r[n + 1], sqrt(div(K[n], K[n + 1]))))
@@ -107,15 +105,6 @@ class ChristoffelLedger:
                 tau.append(mul(q, q))
         norm2 = list(map(mul, e, h))
         return cls(kt, *map(kit.wrap, (d, e, r2, kappa, norm2[:1] + tau, norm2)))
-
-
-def _monic_iterated_by_recurrence(ledger, n, x):
-    ctx = context(ledger.kt.rec.precision)
-    pm1, p = ctx.zero, ctx.one
-    for k in range(n):
-        tau = ledger.tau[k] if k >= 1 else ctx.zero
-        p, pm1 = (x - ledger.kappa[k]) * p - tau * pm1, p
-    return p
 
 
 def _check_connection(ledger, n, x, value):
@@ -133,7 +122,9 @@ def _check_connection(ledger, n, x, value):
     if x == kt.c:
         j = kt.cjets
         num2 = j[n + 2][2] - ledger.d[n] * j[n + 1][2] + ledger.e[n] * j[n][2]
-        _enforce(*arith(p).raw([value, num2 / 2]), what, p)
+        kit = arith(p)
+        guard, a, b = kit.raw([kit.ctx.ldexp(1, -(p // 2)), value, num2 / 2])
+        _enforce(kit, guard, a, b, what)
         return
     ctx = context(p)
     j = eval_jet(kt.rec, n + 2, x, order=0)
@@ -157,7 +148,8 @@ def eval_iterated(chris, n, x, k=2, monic=False):
     P_n (see :func:`_check_connection` for the tolerance).
     """
     kt, rec = chris.kt, chris.kt.rec
-    x = to_mpf(x, context(rec.precision))
+    ctx = context(rec.precision)
+    x = to_mpf(x, ctx)
     if k == 1:
         kernel = _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), kt.cjets, 0)
         pc = kt.cjets[n][0]
@@ -168,6 +160,9 @@ def eval_iterated(chris, n, x, k=2, monic=False):
         raise IndexError(f"k must be 1 or 2, got {k}")
     if not 0 <= n < chris.size:
         raise IndexError(f"n = {n} outside ledger of size {chris.size}")
-    value = _monic_iterated_by_recurrence(chris, n, x)
+    value, prev = ctx.one, ctx.zero
+    for j in range(n):
+        tau = chris.tau[j] if j >= 1 else ctx.zero
+        value, prev = (x - chris.kappa[j]) * value - tau * prev, value
     _check_connection(chris, n, x, value)
     return value if monic else value * chris.r2[n]

@@ -40,15 +40,8 @@ from .golden import compare_reference, computed_counterparts, load_reference
 # where perfbench's tracer wraps it by name.
 from .matrices import MatrixSuite, multiply, verify_propositions  # noqa: F401
 from .oracle import build_oracle_suite
-from .serialize import (
-    format_value,
-    ledgers_to_csv,
-    ledgers_to_doc,
-    matrix_to_csv,
-    matrix_to_json,
-)
+from .serialize import formatter, ledgers_to_csv, ledgers_to_doc, matrix_to_csv, matrix_to_json
 
-EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
@@ -203,23 +196,24 @@ def verify(**opts):
     config, _, suite = _build("verify", opts)
     precision, tolerance = opts["precision"], config["tolerance"]
     report = verify_propositions(suite)
-    ctx = context(precision)
+    ctx, fmt = context(precision), formatter(precision)
     ok = report.all_within(ctx.mpf(tolerance))
     rows = report.as_rows()
     doc = {
         "config": config,
         "pass": bool(ok),
-        "max_residual": format_value(report.max_residual, precision),
-        "residuals": [
-            {"name": name, "block": block, "residual": format_value(res, precision)}
-            for name, res, block in rows
-        ],
+        "max_residual": fmt(report.max_residual),
+        "residuals": [{"name": name, "block": block, "residual": fmt(res)}
+                      for name, res, block in rows],
     }
     outdir = Path(opts["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "verification.json").write_text(json.dumps(doc, indent=1) + "\n")
+    # Echo 8 digits of each residual rounded to 64 bits: nstr at the full
+    # precision would expand all p mantissa bits to decimal first.
+    short = context(64)
     for name, res, block in rows:
-        click.echo(f"{name:24s} block={block:3d} residual={ctx.nstr(res, 8)}")
+        click.echo(f"{name:24s} block={block:3d} residual={short.nstr(short.mpf(res), 8)}")
     if not ok:
         # p + log2(max residual) is what this run lost; a correct build at too
         # low a precision then reads how many bits the tolerance needs.

@@ -19,8 +19,8 @@ with the bits of libmp's, but without libmp's dispatch on precision and
 rounding mode.
 
 ``EXACT`` is the infinite precision: ``context(EXACT)`` holds exact signed
-square roots of rationals (:class:`sobspec.oracle.SqrtRational`), so the
-matrix chain of :mod:`sobspec.matrices` runs unchanged over them.
+square roots of rationals (:class:`SqrtRational`), so the matrix chain of
+:mod:`sobspec.matrices` runs unchanged over them.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt
+from types import SimpleNamespace
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
-                          mpf_sqrt, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul,
+                          mpf_neg, mpf_sqrt, mpf_sub, round_nearest)
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NotPositiveDefiniteError, NumericalFailureError
 
 DEFAULT_PRECISION = 256
 
@@ -60,33 +61,138 @@ def _check_int(name, value, least, unit=""):
     return value
 
 
-_CONTEXTS = {}
+def _rational_sqrt(q):
+    """Exact square root of a nonnegative Fraction, or None if irrational."""
+    rn = isqrt(q.numerator)
+    rd = isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+class SqrtRational:
+    """Exact number of the form sign * sqrt(square), square a rational >= 0:
+    the scalar of ``context(EXACT)``.
+
+    Closed under multiplication and division.  Sums are defined whenever the
+    two radicands have a rational square ratio, which holds throughout the
+    factorization chain of this package (all chain entries are signed square
+    roots of rationals); incompatible radicands raise ArithmeticError.  Ints
+    and Fractions are coerced, so the chain functions of
+    :mod:`sobspec.matrices` run over this type as they do over mpf.
+    """
+
+    __slots__ = ("sign", "square")
+
+    def __init__(self, sign, square):
+        square = Fraction(square)
+        if square < 0:
+            raise ValueError("square must be nonnegative")
+        if square == 0:
+            sign = 0
+        elif sign == 0:
+            square = Fraction(0)
+        self.sign = int(sign)
+        self.square = square
+
+    @classmethod
+    def from_rational(cls, q):
+        q = Fraction(q)
+        s = (q > 0) - (q < 0)
+        return cls(s, q * q)
+
+    def as_rational(self):
+        """The value as a Fraction if the radicand is a perfect square, else None."""
+        r = _rational_sqrt(self.square)
+        return None if r is None else self.sign * r
+
+    def __mul__(self, other):
+        other = _exact(other)
+        return SqrtRational(self.sign * other.sign, self.square * other.square)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return SqrtRational(self.sign ** k, self.square ** k)
+
+    def __truediv__(self, other):
+        other = _exact(other)
+        if other.sign == 0:
+            raise ZeroDivisionError("division by exact zero")
+        return SqrtRational(self.sign * other.sign, self.square / other.square)
+
+    def __neg__(self):
+        return SqrtRational(-self.sign, self.square)
+
+    def __add__(self, other):
+        other = _exact(other)
+        if self.sign == 0:
+            return other
+        if other.sign == 0:
+            return self
+        ratio = _rational_sqrt(self.square / other.square)
+        if ratio is None:
+            raise ArithmeticError(
+                f"incompatible radicands {self.square} and {other.square}"
+            )
+        s = self.sign * ratio + other.sign
+        sig = (s > 0) - (s < 0)
+        return SqrtRational(sig, s * s * other.square)
+
+    def __sub__(self, other):
+        return self + (-_exact(other))
+
+    def __eq__(self, other):
+        if not isinstance(other, (SqrtRational, numbers.Rational)):
+            return NotImplemented
+        other = _exact(other)
+        return self.sign == other.sign and self.square == other.square
+
+    def __gt__(self, other):
+        other = _exact(other)
+        if self.sign != other.sign:
+            return self.sign > other.sign
+        return self.sign * (self.square - other.square) > 0
+
+    def __hash__(self):
+        # A rational value must hash as the int or Fraction it equals.
+        r = self.as_rational()
+        return hash((self.sign, self.square) if r is None else r)
+
+    def sqrt(self):
+        """Exact square root; defined when the value itself is a nonnegative rational."""
+        if self.sign < 0:
+            raise NotPositiveDefiniteError("square root of a negative exact value")
+        v = self.as_rational()
+        if v is None:
+            raise ArithmeticError("nested radical; value is not rational")
+        return SqrtRational(1, v)
+
+    def __repr__(self):
+        return f"SqrtRational(sign={self.sign}, square={self.square})"
+
+
+def _exact(x):
+    return x if isinstance(x, SqrtRational) else SqrtRational.from_rational(x)
 
 
 def context(precision):
-    """The private mpmath context of ``precision`` bits: made once, never
-    mutated, and kept unique by ``setdefault`` when threads race to make it.
+    """The private mpmath context of ``precision`` bits, ``arith(precision).ctx``:
+    made once and never mutated.
 
     ``context(EXACT)`` is the exact scalar protocol instead: ``zero``,
-    ``one``, ``sqrt`` and ``mpf`` (conversion) over ``SqrtRational``."""
-    ctx = _CONTEXTS.get(precision)
-    if ctx is None:
-        if precision == EXACT:
-            from .oracle import EXACT_CONTEXT as ctx  # lazy: oracle imports core
-        else:
-            ctx = mp.MPContext()
-            ctx.prec = precision
-        ctx = _CONTEXTS.setdefault(precision, ctx)
-    return ctx
+    ``one``, ``sqrt`` and ``mpf`` (conversion) over :class:`SqrtRational`,
+    what the chain functions of :mod:`sobspec.matrices` ask of a context."""
+    return arith(precision).ctx
 
 
 @dataclass(frozen=True)
 class Arith:
-    """The scalar kit of one precision, from :func:`arith`: ``raw`` turns
-    scalars of ``context(precision)`` into raw values (a list), ``wrap``
-    turns raw values back (a tuple), and ``add``, ``sub``, ``mul``, ``div``,
-    ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw values; ``gt`` is
-    the comparison ``>``.
+    """The scalar kit of one precision, from :func:`arith`: ``ctx`` is
+    ``context(precision)``, ``raw`` turns its scalars into raw values (a
+    list), ``wrap`` turns raw values back (a tuple), and ``add``, ``sub``,
+    ``mul``, ``div``, ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw
+    values; ``gt`` is the comparison ``>``.
 
     At an mpf precision p the raw values are ``_mpf_`` tuples and the
     operations are :func:`_rounding`'s kernel: the results, bit for bit, of
@@ -98,10 +204,11 @@ class Arith:
     ``mul(x, x)``, as both round the exact square once.  At ``EXACT`` the raw
     values are the ``SqrtRational`` scalars and the operations theirs.  At
     ``int`` they are ints with exact ``add``, ``sub``, ``mul``, ``neg`` and
-    ``gt`` and no ``div`` or ``sqrt``: the kit of verification's aligned
-    matrices.
+    ``gt`` and no ``div``, ``sqrt`` or ``ctx``: the kit of verification's
+    aligned matrices.
     """
 
+    ctx: object
     raw: object
     wrap: object
     add: object
@@ -221,25 +328,44 @@ _ARITHS = {}
 
 
 def arith(precision):
-    """The :class:`Arith` of ``precision``, made once and kept unique by
-    ``setdefault`` as :func:`context` is."""
+    """The :class:`Arith` of ``precision``, made once with its context and
+    kept unique by ``setdefault`` when threads race to make it."""
     kit = _ARITHS.get(precision)
     if kit is None:
         if precision is int:
-            kit = Arith(list, tuple, operator.add, operator.sub, operator.mul, None,
+            kit = Arith(None, list, tuple, operator.add, operator.sub, operator.mul, None,
                         operator.neg, None, operator.gt, 0, 1)
         elif precision == EXACT:
-            ctx = context(EXACT)
-            kit = Arith(list, tuple, operator.add, operator.sub, operator.mul,
+            ctx = SimpleNamespace(zero=SqrtRational(0, 0), one=SqrtRational(1, 1),
+                                  sqrt=SqrtRational.sqrt, mpf=SqrtRational.from_rational)
+            kit = Arith(ctx, list, tuple, operator.add, operator.sub, operator.mul,
                         operator.truediv, operator.neg, ctx.sqrt, operator.gt, ctx.zero,
                         ctx.one)
         else:
-            ctx = context(precision)
-            kit = Arith(raw=lambda values: [v._mpf_ for v in values],
+            ctx = mp.MPContext()
+            ctx.prec = precision
+            kit = Arith(ctx, raw=lambda values: [v._mpf_ for v in values],
                         wrap=lambda values: tuple(map(ctx.make_mpf, values)),
                         gt=mpf_gt, zero=fzero, one=fone, **_rounding(precision))
         kit = _ARITHS.setdefault(precision, kit)
     return kit
+
+
+def _ints(*vectors):
+    """Vectors of raw mpf values as tuples of exact ints m * 2**(e - exp), and
+    ``exp``: the smallest exponent e of their nonzero values."""
+    every = list(chain.from_iterable(vectors))
+    if min(map(operator.itemgetter(3), every), default=0) < 0:  # bc < 0 marks inf and nan
+        raise NumericalFailureError("a matrix with a non-finite entry cannot be verified")
+    exp = min(map(operator.itemgetter(2), filter(operator.itemgetter(1), every)), default=0)
+    return [tuple([(-m if s else m) << (e - exp) for s, m, e, _ in values])
+            for values in vectors], exp
+
+
+def _quotient(num, den, precision):
+    """The ints num / den, den > 0, as an mpf of ``precision`` bits, rounded once."""
+    kit = arith(precision)
+    return kit.wrap([kit.div(from_man_exp(num, 0), from_man_exp(den, 0))])[0]
 
 
 def to_mpf(x, ctx):

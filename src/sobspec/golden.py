@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .core import context
+from .core import SqrtRational, context
 from .matrices import multiply
-from .oracle import SqrtRational, squared_entry_compare
+from .oracle import squared_entry_compare
 
 FIXTURE_NAME = "laguerre_a0_cm1_M1_N1.json"
 

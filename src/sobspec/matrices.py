@@ -51,18 +51,14 @@ matrices; it reaches the earlier ledgers through the Sobolev one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
-from operator import itemgetter, mul, sub
+from itertools import accumulate
+from operator import mul, sub
 
-from mpmath.libmp import from_man_exp
-
-from .core import DEFAULT_PRECISION, _check_int, arith, context, to_mpf
-from .errors import (
-    InternalConsistencyError,
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-    NumericalFailureError,
-)
+from .christoffel import ChristoffelLedger
+from .core import DEFAULT_PRECISION, _check_int, _ints, _quotient, arith, context, to_mpf
+from .errors import InternalConsistencyError, InvalidParameterError, NotPositiveDefiniteError
+from .kernels import KernelTable
+from .sobolev import SobolevLedger
 
 
 @dataclass(frozen=True)
@@ -223,17 +219,6 @@ def _kit(A, B):
     return arith(A.precision if A.exp is None else int)
 
 
-def _ints(*vectors):
-    """Vectors of raw mpf values as tuples of exact ints m * 2**(e - exp), and
-    ``exp``: the smallest exponent e of their nonzero values."""
-    every = list(chain.from_iterable(vectors))
-    if min(map(itemgetter(3), every), default=0) < 0:  # bc < 0 marks inf and nan
-        raise NumericalFailureError("a matrix with a non-finite entry cannot be verified")
-    exp = min(map(itemgetter(2), filter(itemgetter(1), every)), default=0)
-    return [tuple([(-m if s else m) << (e - exp) for s, m, e, _ in values])
-            for values in vectors], exp
-
-
 def aligned(A):
     """A in exact ints: each entry m * 2**e becomes m * 2**(e - exp), ``exp``
     the smallest exponent of A's nonzero entries; an aligned A is kept."""
@@ -344,9 +329,7 @@ def block_residual(A, B, block, tail=None):
     # diff * 2**exp / max(1, top * 2**exp) is diff / max(2**-exp, top); at
     # exp > 0, top = 0 means diff = 0, and max(1, top) serves.  Both are exact
     # mpf values, so the division is the one rounding.
-    kit = arith(A.precision)
-    top = max(top, 1 << max(0, -exp))
-    return kit.wrap([kit.div(from_man_exp(diff, 0), from_man_exp(top, 0))])[0]
+    return _quotient(diff, max(top, 1 << max(0, -exp)), A.precision)
 
 
 def _shifted(ints, by):
@@ -511,10 +494,6 @@ class MatrixSuite:
 
     @classmethod
     def build(cls, spec, size, guard=4, precision=None):
-        from .christoffel import ChristoffelLedger
-        from .kernels import KernelTable
-        from .sobolev import SobolevLedger
-
         _check_int("size", size, 3)
         _check_int("guard", guard, 2)
         precision = DEFAULT_PRECISION if precision is None else precision
@@ -646,17 +625,15 @@ def _q_products(Q, R):
     }
 
 
-def verify_propositions(suite, size=None):
+def verify_propositions(suite):
     """Residuals of every factorization identity of the chain.
 
-    Each residual is evaluated on min(requested size, intersection of the
-    operands' exact regions) by :func:`block_residual`.  The requested size
-    must be an integer >= 1 (:class:`InvalidParameterError` otherwise), and an
-    empty intersection raises :class:`InternalConsistencyError`.  The three
+    Each residual is evaluated on min(suite size, intersection of the
+    operands' exact regions) by :func:`block_residual`; an empty
+    intersection raises :class:`InternalConsistencyError`.  The three
     identities of Q are read from its generators (:func:`_q_products`), so Q
     is never expanded.  Every product is exact, on :func:`aligned` operands.
     """
-    size = suite.size if size is None else _check_int("size", size, 1)
     c = to_mpf(suite.spec.c, context(suite.precision))
     A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
     if suite.spec.side == "right":
@@ -670,7 +647,7 @@ def verify_propositions(suite, size=None):
     (QR, QR_tail), (RQ, RQ_tail), (QtQ, QtQ_tail) = _q_products(suite.Q, R).values()
 
     def compare(name, A, B, tail=None):
-        block = min(size, A.exact_size, B.exact_size)
+        block = min(suite.size, A.exact_size, B.exact_size)
         return ResidualEntry(name, block_residual(A, B, block, tail), block)
 
     entries = [

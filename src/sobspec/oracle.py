@@ -1,8 +1,8 @@
 """Exact-rational reference implementation.
 
 Everything here runs over ``fractions.Fraction`` (or over exact signed square
-roots of rationals, see :class:`SqrtRational`); only the comparison reads
-floating values, and never rounds a reference to one.  It provides the exact
+roots of rationals, :class:`sobspec.core.SqrtRational`); only the comparison
+reads floating values, and never rounds a reference to one.  It provides the exact
 reference for every check in the package:
 
 * the exact monic recurrence of integer-alpha Laguerre, beta_k = 2k + 1 +
@@ -34,14 +34,12 @@ tracked separately.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from types import SimpleNamespace
 
-from .core import EXACT, _check_int, context, to_mpf
+from .core import EXACT, SqrtRational, _check_int, context, to_mpf
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -55,134 +53,6 @@ from .matrices import (
     multiply,
     qr_pair,
 )
-
-# ---------------------------------------------------------------------------
-# exact signed square roots of rationals
-# ---------------------------------------------------------------------------
-
-def _rational_sqrt(q):
-    """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-class SqrtRational:
-    """Exact number of the form sign * sqrt(square), square a rational >= 0.
-
-    Closed under multiplication and division.  Sums are defined whenever the
-    two radicands have a rational square ratio, which holds throughout the
-    factorization chain of this package (all chain entries are signed square
-    roots of rationals); incompatible radicands raise ArithmeticError.  Ints
-    and Fractions are coerced, so the chain functions of
-    :mod:`sobspec.matrices` run over this type as they do over mpf.
-    """
-
-    __slots__ = ("sign", "square")
-
-    def __init__(self, sign, square):
-        square = Fraction(square)
-        if square < 0:
-            raise ValueError("square must be nonnegative")
-        if square == 0:
-            sign = 0
-        elif sign == 0:
-            square = Fraction(0)
-        self.sign = int(sign)
-        self.square = square
-
-    @classmethod
-    def from_rational(cls, q):
-        q = Fraction(q)
-        s = (q > 0) - (q < 0)
-        return cls(s, q * q)
-
-    def as_rational(self):
-        """The value as a Fraction if the radicand is a perfect square, else None."""
-        r = _rational_sqrt(self.square)
-        return None if r is None else self.sign * r
-
-    def __mul__(self, other):
-        other = _exact(other)
-        return SqrtRational(self.sign * other.sign, self.square * other.square)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return SqrtRational(self.sign ** k, self.square ** k)
-
-    def __truediv__(self, other):
-        other = _exact(other)
-        if other.sign == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return SqrtRational(self.sign * other.sign, self.square / other.square)
-
-    def __neg__(self):
-        return SqrtRational(-self.sign, self.square)
-
-    def __add__(self, other):
-        other = _exact(other)
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        ratio = _rational_sqrt(self.square / other.square)
-        if ratio is None:
-            raise ArithmeticError(
-                f"incompatible radicands {self.square} and {other.square}"
-            )
-        s = self.sign * ratio + other.sign
-        sig = (s > 0) - (s < 0)
-        return SqrtRational(sig, s * s * other.square)
-
-    def __sub__(self, other):
-        return self + (-_exact(other))
-
-    def __eq__(self, other):
-        if not isinstance(other, (SqrtRational, numbers.Rational)):
-            return NotImplemented
-        other = _exact(other)
-        return self.sign == other.sign and self.square == other.square
-
-    def __gt__(self, other):
-        other = _exact(other)
-        if self.sign != other.sign:
-            return self.sign > other.sign
-        return self.sign * (self.square - other.square) > 0
-
-    def __hash__(self):
-        # A rational value must hash as the int or Fraction it equals.
-        r = self.as_rational()
-        return hash((self.sign, self.square) if r is None else r)
-
-    def sqrt(self):
-        """Exact square root; defined when the value itself is a nonnegative rational."""
-        if self.sign < 0:
-            raise NotPositiveDefiniteError("square root of a negative exact value")
-        if self.sign == 0:
-            return SqrtRational(0, 0)
-        v = self.as_rational()
-        if v is None:
-            raise ArithmeticError("nested radical; value is not rational")
-        return SqrtRational(1, v)
-
-    def __repr__(self):
-        return f"SqrtRational(sign={self.sign}, square={self.square})"
-
-
-def _exact(x):
-    return x if isinstance(x, SqrtRational) else SqrtRational.from_rational(x)
-
-
-#: The scalar protocol of ``core.context(EXACT)``: what the chain functions
-#: of :mod:`sobspec.matrices` ask of an mpmath context.
-EXACT_CONTEXT = SimpleNamespace(zero=SqrtRational(0, 0), one=SqrtRational(1, 1),
-                                sqrt=SqrtRational.sqrt, mpf=SqrtRational.from_rational)
-
 
 # ---------------------------------------------------------------------------
 # exact matrix suite

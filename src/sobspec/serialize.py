@@ -93,10 +93,6 @@ def formatter(precision):
     return fmt
 
 
-def format_value(x, precision):
-    return formatter(precision)(x)
-
-
 def _json_rows(key, rows):
     """The member ``key`` of a top-level object whose list items are the
     already indented ``rows``, laid out as ``json.dumps(..., indent=1)``."""

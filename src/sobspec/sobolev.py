@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import fone, fzero, mpf_gt
-
 from .core import _check_int, arith, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from .kernels import _kernel_sum
@@ -94,6 +92,7 @@ class SobolevLedger:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
         kit = arith(rec.precision)
         add, sub, mul, div, neg, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.neg, kit.sqrt
+        zero, one = kit.zero, kit.one
         j = [kit.raw(v[:2]) for v in kt.cjets]
         K, K01, K11, h, r, d, e, r2 = map(kit.raw, (kt.K, kt.K01, kt.K11, rec.norm_sq,
                                                     rec.leading, chris.d, chris.e, chris.r2))
@@ -103,30 +102,30 @@ class SobolevLedger:
         a, b, cdiag, al1, al0, x0, x1, x2 = [], [], [], [], [], [], [], []
         for n in range(size):
             if n == 0:
-                a11, a12, a21, a22 = fone, fzero, fzero, fone
+                a11, a12, a21, a22 = one, zero, zero, one
             else:
-                a11 = add(mul(Mr, K[n - 1]), fone)
+                a11 = add(mul(Mr, K[n - 1]), one)
                 a12 = mul(Nr, K01[n - 1])
                 a21 = mul(Mr, K01[n - 1])
-                a22 = add(mul(Nr, K11[n - 1]), fone)
+                a22 = add(mul(Nr, K11[n - 1]), one)
             det = sub(mul(a11, a22), mul(a12, a21))
-            if det == fzero:
+            if det == zero:
                 raise DegeneratePointError("boundary system is singular")
             b1, b2 = j[n]
             Sc.append(div(sub(mul(b1, a22), mul(a12, b2)), det))
             Sdc.append(div(sub(mul(a11, b2), mul(a21, b1)), det))
             ns = add(add(h[n], mul(mul(Mr, Sc[n]), b1)), mul(mul(Nr, Sdc[n]), b2))
-            if not mpf_gt(ns, fzero):
+            if not kit.gt(ns, zero):
                 raise NumericalFailureError(f"computed squared norm at n = {n} is "
-                                            f"{ctx.make_mpf(ns)}; increase the precision")
+                                            f"{kit.wrap([ns])[0]}; increase the precision")
             normS.append(ns)
-            t.append(div(fone, sqrt(ns)))
+            t.append(div(one, sqrt(ns)))
 
             msc, nsdc = mul(Mr, mul(t[n], Sc[n])), mul(Nr, mul(t[n], Sdc[n]))
             g_nn.append(div(t[n], r2[n]))
-            g_n2.append(div(r2[n - 2], t[n]) if n >= 2 else fzero)
-            bn = fzero
-            root.append(sqrt(div(K[n - 1], K[n])) if n >= 1 else fzero)
+            g_n2.append(div(r2[n - 2], t[n]) if n >= 2 else zero)
+            bn = zero
+            root.append(sqrt(div(K[n - 1], K[n])) if n >= 1 else zero)
             if n >= 1:
                 pm1, dp = mul(j[n - 1][0], r[n - 1]), mul(j[n - 1][1], r[n - 1])
                 bracket = add(div(mul(d[n - 1], t[n]), r[n]),
@@ -137,8 +136,8 @@ class SobolevLedger:
                 if n >= 2:
                     bn = add(bn, mul(g_n2[n], g_n1[n - 1]))
             else:
-                g_n1.append(fzero)
-            a.append(mul(g_nn[n - 2], g_n2[n]) if n >= 2 else fzero)
+                g_n1.append(zero)
+            a.append(mul(g_nn[n - 2], g_n2[n]) if n >= 2 else zero)
             b.append(bn)
             cdiag.append(add(add(mul(g_nn[n], g_nn[n]), mul(g_n1[n], g_n1[n])),
                              mul(g_n2[n], g_n2[n])))
@@ -148,8 +147,8 @@ class SobolevLedger:
             al0.append(add(add(div(t[n], r[n]), mul(mul(msc, b1), r[n])),
                            mul(mul(nsdc, b2), r[n])))
             x0.append(sqrt(e[n]))
-            x1.append(mul(neg(d[n - 1]), root[n]) if n >= 1 else fzero)
-            x2.append(mul(div(r[n - 1], r[n]), root[n - 1]) if n >= 2 else fzero)
+            x1.append(mul(neg(d[n - 1]), root[n]) if n >= 1 else zero)
+            x2.append(mul(div(r[n - 1], r[n]), root[n - 1]) if n >= 2 else zero)
 
         return cls(chris, M, N, *map(kit.wrap, (Sc, Sdc, normS, t, g_nn, g_n1, g_n2, a, b,
                                                 cdiag, al1, al0, x0, x1, x2)))

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
-from sobspec.core import MeasureSpec, context
-from sobspec.oracle import SqrtRational, squared_entry_compare
+from sobspec.core import MeasureSpec, SqrtRational, context
+from sobspec.oracle import squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
 TOL28 = mp.mpf("1e-28")

@@ -189,6 +189,20 @@ class TestVerify:
         assert len(report["residuals"]) == 10
         assert "tolerance" not in report and report["config"]["tolerance"] == "1e-30"
 
+    def test_echoes_residuals_past_the_int_to_str_limit(self, runner, tmp_path):
+        # at 15000 bits a residual's mantissa has more than Python's 4300
+        # decimal digits; the echo shows 8 digits of it all the same
+        result = runner.invoke(main, ["verify", "--size", "3", "--precision", "15000",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 11 and lines[-1] == "all residuals within 1e-30"
+        report = json.loads((tmp_path / "verification.json").read_text())
+        for line, row in zip(lines, report["residuals"]):
+            assert line.startswith(row["name"])
+            echoed = line.split("residual=")[1]
+            assert echoed == "0.0" or echoed.split("e")[1] == row["residual"].split("e")[1]
+
     @pytest.mark.parametrize("option", [
         *(f"--{name}={text}" for name in ("alpha", "c", "M", "N") for text in BAD_LITERALS),
         *BAD_TOLERANCES])

@@ -21,6 +21,7 @@ from sobspec.core import (
     EXACT,
     MeasureSpec,
     SobolevSpec,
+    SqrtRational,
     arith,
     context,
     eval_jet,
@@ -29,7 +30,6 @@ from sobspec.core import (
 )
 from sobspec.errors import InvalidParameterError
 from sobspec.matrices import MatrixSuite, verify_propositions
-from sobspec.oracle import SqrtRational
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
 
@@ -478,7 +478,8 @@ class TestArith:
 
     def test_one_kit_per_precision_under_threads(self):
         # 977 bits is used by no other test, so the four threads race to make
-        # its kit, and setdefault must hand all of them the same object.
+        # its kit, and setdefault must hand all of them the same object, whose
+        # context is the precision's one context.
         barrier = threading.Barrier(4)
 
         def worker(_):
@@ -488,3 +489,4 @@ class TestArith:
         with ThreadPoolExecutor(max_workers=4) as pool:
             kits = list(pool.map(worker, range(4), timeout=60))
         assert all(kit is kits[0] for kit in kits)
+        assert context(977) is kits[0].ctx and kits[0].ctx.prec == 977

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import TOL30
+from sobspec.core import SqrtRational
 from sobspec.golden import (
     MATRIX_NAMES,
     compare_reference,
@@ -13,7 +14,7 @@ from sobspec.golden import (
     load_reference,
 )
 from sobspec.matrices import MatrixSuite
-from sobspec.oracle import SqrtRational, build_oracle_suite, squared_entry_compare
+from sobspec.oracle import build_oracle_suite, squared_entry_compare
 
 
 @pytest.fixture(scope="module")

@@ -128,3 +128,33 @@ def test_the_rounding_decision_lives_in_core():
     assert users == ["core.py"]
     # One loop serves both arithmetics in matrices: it never asks for EXACT.
     assert "EXACT" not in referenced_names(package / "matrices.py")
+
+
+def imported_modules(path):
+    """Every module a module imports, at any depth of its body (lazy imports
+    included), with a relative import named ``.name``."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    return modules
+
+
+def test_only_core_and_the_formatter_import_libmp():
+    # Raw values, their layout and libmp's constants stay below core; serialize's
+    # formatter is a byte contract with libmp's to_str.
+    package = ROOT / "src" / "sobspec"
+    users = sorted(p.name for p in package.glob("*.py")
+                   if any(m.startswith("mpmath.libmp") for m in imported_modules(p))
+                   or "libmp" in referenced_names(p))
+    assert users == ["core.py", "serialize.py"]
+
+
+def test_core_imports_no_sibling_but_errors():
+    # core is the scalar layer: every other module builds on it, so an import
+    # of one of them, lazy or not, would be a cycle.
+    modules = imported_modules(ROOT / "src" / "sobspec" / "core.py")
+    siblings = {m for m in modules if m.startswith(".") or m.startswith("sobspec")}
+    assert siblings == {".errors"}

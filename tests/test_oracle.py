@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from helpers import in_monomials, laguerre_monic, moment_inner, poly_mul
-from sobspec.core import MeasureSpec, SobolevSpec, context
+from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational, context
 from sobspec.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -23,7 +23,6 @@ from sobspec.errors import (
 from sobspec.matrices import MatrixSuite
 from sobspec.oracle import (
     MAX_ROWS,
-    SqrtRational,
     build_oracle_suite,
     grams,
     laguerre_basis,

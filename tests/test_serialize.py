@@ -13,7 +13,7 @@ from sobspec import serialize
 from sobspec.core import MeasureSpec, SobolevSpec, context
 from sobspec.matrices import MatrixSuite, from_diagonals
 from sobspec.oracle import MAX_ROWS, build_oracle_suite
-from sobspec.serialize import format_value, formatter, matrix_to_csv, matrix_to_json, repr_digits
+from sobspec.serialize import formatter, matrix_to_csv, matrix_to_json, repr_digits
 
 
 def formatter_cases(precision, seed):
@@ -72,13 +72,12 @@ class TestFormatter:
         wide = context(15000)
         calls.clear()
         for x in (wide.pi, -wide.one / 3):
-            assert format_value(x, 15000) == to_str(x._mpf_, repr_digits(15000))
+            assert formatter(15000)(x) == to_str(x._mpf_, repr_digits(15000))
         assert len(calls) == 2
 
-    def test_format_value_is_one_value_of_the_formatter(self):
-        ctx = context(256)
-        x = ctx.one / 7
-        assert format_value(x, 256) == formatter(256)(x) == mp.nstr(x, repr_digits(256))
+    def test_formatter_is_nstr_at_the_round_trip_digits(self):
+        x = context(256).one / 7
+        assert formatter(256)(x) == mp.nstr(x, repr_digits(256))
 
 
 def reference_json(name, m, exact_entries=None):

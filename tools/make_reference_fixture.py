@@ -15,10 +15,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sobspec.core import MeasureSpec, SobolevSpec  # noqa: E402
+from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational  # noqa: E402
 from sobspec.golden import computed_counterparts  # noqa: E402
 from sobspec.matrices import MatrixSuite  # noqa: E402
-from sobspec.oracle import SqrtRational, squared_entry_compare  # noqa: E402
+from sobspec.oracle import squared_entry_compare  # noqa: E402
 
 #: Tolerance of the validation, far above the 256-bit rounding.
 TOL = F(1, 10**70)
