@@ -14,11 +14,9 @@ from .core import (
     RecurrenceTable,
     SobolevSpec,
     eval_jet,
-    monic_value,
-    orthonormal_value,
 )
-from .christoffel import ChristoffelLedger, eval_iterated
-from .kernels import KernelTable, kernel_at, kernel_dy_at_c
+from .christoffel import ChristoffelLedger
+from .kernels import KernelTable
 from .matrices import (
     BandedMatrix,
     MatrixSuite,
@@ -28,7 +26,6 @@ from .matrices import (
     build_T,
     cholesky_shifted,
     commute_cholesky,
-    orthogonality_defect,
     qr_pair,
     verify_propositions,
 )
@@ -68,14 +65,8 @@ __all__ = [
     "build_T",
     "cholesky_shifted",
     "commute_cholesky",
-    "eval_iterated",
     "eval_jet",
     "eval_sobolev",
-    "kernel_at",
-    "kernel_dy_at_c",
-    "monic_value",
-    "orthogonality_defect",
-    "orthonormal_value",
     "qr_pair",
     "verify_propositions",
 ]

@@ -549,13 +549,3 @@ def _jet_rows(rec, n, x, order):
         prev = cur
         rows.append(nxt)
     return rows
-
-
-def monic_value(rec, n, x):
-    """P_n(x) by forward recurrence."""
-    return eval_jet(rec, n, x, order=0)[n][0]
-
-
-def orthonormal_value(rec, n, x):
-    """p_n(x) = P_n(x) / ||P_n||, positive leading coefficient."""
-    return monic_value(rec, n, x) * rec.leading[n]

@@ -555,26 +555,6 @@ class ResidualReport:
         return [(e.name, e.residual, e.block) for e in self.entries]
 
 
-def orthogonality_defect(Q, block):
-    """Max-entry distance of the leading block of Q Q^T from the identity.
-
-    The row sums run over the exact region's columns only, i.e. over the
-    truncation of the semi-infinite orthogonal factor.  Its rows are
-    infinite, so the defect does not vanish; it shrinks as the truncation
-    grows and is reported as a diagnostic trend.  (The full finite section is
-    exactly orthogonal and would show nothing.)  It reads Q's entries, so it
-    expands a :class:`HessenbergQ` to its band.  Each inner product is one
-    ``fdot``: exact products, summed and rounded once.
-    """
-    rows = [[Q.entry(i, j) for j in range(Q.exact_size)] for i in range(min(block, Q.nrows))]
-    ctx, worst = context(Q.precision), context(Q.precision).zero
-    for i, u in enumerate(rows):
-        for j in range(i, len(rows)):
-            v = ctx.fdot(u, rows[j])
-            worst = max(worst, abs(v - 1) if i == j else abs(v))
-    return worst
-
-
 def _q_products(Q, R):
     """Q R, R Q and Qt Q from Q's generators in O(n): name of the identity ->
     (band, tail), the product being the :func:`aligned` ``band`` plus the

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from .core import _check_int, arith, context, eval_jet, to_mpf
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
-from .kernels import _kernel_sum
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ class SobolevLedger:
         kit = arith(rec.precision)
         add, sub, mul, div, neg, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.neg, kit.sqrt
         zero, one = kit.zero, kit.one
-        j = [kit.raw(v[:2]) for v in kt.cjets]
+        j = list(map(kit.raw, kt.cjets))
         K, K01, K11, h, r, d, e, r2 = map(kit.raw, (kt.K, kt.K01, kt.K11, rec.norm_sq,
                                                     rec.leading, chris.d, chris.e, chris.r2))
         Mr, Nr = kit.raw([M, N])
@@ -152,6 +151,13 @@ class SobolevLedger:
 
         return cls(chris, M, N, *map(kit.wrap, (Sc, Sdc, normS, t, g_nn, g_n1, g_n2, a, b,
                                                 cdiag, al1, al0, x0, x1, x2)))
+
+
+def _kernel_sum(rec, n, jx, jy, j):
+    """sum_{k<=n} P_k(x) P_k^(j)(y) / ||P_k||^2 for j = 0 or 1, as one fsum,
+    from the jets ``jx`` at x and ``jy`` at y."""
+    return context(rec.precision).fsum(
+        jx[k][0] * jy[k][j] / rec.norm_sq[k] for k in range(n + 1))
 
 
 def eval_sobolev(sob, n, x, normalized=False):

@@ -1,6 +1,8 @@
-"""Shared assertion helpers for the numeric tests, and an exact moment
-functional of the Laguerre weight that is independent of the package."""
+"""Shared assertion helpers for the numeric tests, an exact moment
+functional of the Laguerre weight that is independent of the package, and
+the oracle's exact twice-transformed and Sobolev polynomials."""
 
+import functools
 import math
 from fractions import Fraction as F
 
@@ -8,15 +10,10 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from sobspec.core import MeasureSpec, SqrtRational, context
-from sobspec.oracle import squared_entry_compare
+from sobspec.oracle import grams, laguerre_basis, monic_system, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
 TOL28 = mp.mpf("1e-28")
-
-#: Laguerre (alpha, c) pairs, c at three distances from the support, for the
-#: checks that move x toward the mass point; ``PAIR_IDS`` names them.
-PAIRS = [(0, F(-1)), (2, F(-1, 4)), (5, F(-3))]
-PAIR_IDS = ["a0", "a2", "a5"]
 
 
 def reflected_laguerre(size):
@@ -58,6 +55,11 @@ def assert_squared(value, square, sign=1, tol=TOL30):
 def fraction(x):
     """The exact value of an mpf as a Fraction."""
     return F(*to_rational(x._mpf_))
+
+
+def mpq(q):
+    """The Fraction q as an mpf at the ambient precision."""
+    return mp.mpf(q.numerator) / q.denominator
 
 
 def exact_rows(A):
@@ -149,3 +151,23 @@ def moment_inner(alpha, f, g, c=0, M=0, N=0):
     integral = sum(a * math.factorial(n + alpha) for n, a in enumerate(poly_mul(f, g)))
     return (integral + M * poly_eval(f, c) * poly_eval(g, c)
             + N * poly_eval(poly_deriv(f), c) * poly_eval(poly_deriv(g), c))
+
+
+@functools.cache
+def oracle_families(M, N, degrees):
+    """The monic twice-transformed and Sobolev families of Laguerre alpha = 0
+    with c = -1 and masses M, N through degree ``degrees - 1``, from the
+    oracle's exact LDL^T: [(it2, it2_norm_sq), (sob, sob_norm_sq)], each
+    polynomial as its ascending monomial coefficients."""
+    _, G2, Gs = grams(laguerre_basis(0, degrees + 1), F(-1), M, N)
+    return [([in_monomials(0, row) for row in C], D)
+            for C, D in (monic_system(G2), monic_system(Gs))]
+
+
+def oracle_value(family, n, x, normalized=False):
+    """The n-th polynomial of an :func:`oracle_families` family at the mpf x,
+    exact, then rounded at the ambient precision (divided by its norm with
+    ``normalized``)."""
+    polys, norm_sq = family
+    value = mpq(poly_eval(polys[n], fraction(x)))
+    return value / mp.sqrt(mpq(norm_sq[n])) if normalized else value

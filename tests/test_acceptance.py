@@ -11,9 +11,10 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from helpers import TOL28, TOL30, in_monomials, laguerre_monic, moment_inner, poly_mul, rel
-from sobspec.christoffel import ChristoffelLedger, eval_iterated
-from sobspec.core import MeasureSpec, SobolevSpec, eval_jet
+from helpers import (TOL28, TOL30, laguerre_monic, moment_inner, oracle_families, oracle_value,
+                     poly_mul, rel)
+from sobspec.christoffel import ChristoffelLedger
+from sobspec.core import MeasureSpec, SobolevSpec, context, eval_jet
 from sobspec.golden import compare_reference, computed_counterparts, load_reference
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (
@@ -21,10 +22,9 @@ from sobspec.matrices import (
     block_residual,
     identity,
     multiply,
-    orthogonality_defect,
     verify_propositions,
 )
-from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
+from sobspec.oracle import build_oracle_suite
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
 SEVEN_IDENTITIES = (
@@ -84,16 +84,8 @@ def _five_term_residual_ok(spec, tol=TOL28, top=15, points=5):
     return worst <= tol, worst
 
 
-def _oracle_systems(M, N):
-    """Monomial coefficients and squared norms of the monic twice-transformed
-    and Sobolev families through degree 8, from the oracle's exact LDL^T."""
-    _, G2, Gs = grams(laguerre_basis(0, 10), F(-1), M, N)
-    return [([in_monomials(0, row) for row in C], D)
-            for C, D in (monic_system(G2), monic_system(Gs))]
-
-
 def _oracle_band_vanishes(M, N):
-    _, (sob, _) = _oracle_systems(M, N)
+    _, (sob, _) = oracle_families(M, N, 9)
     shift2 = (F(1), F(2), F(1))
     for n in range(3, 9):
         for k in range(n - 2):
@@ -128,7 +120,7 @@ class TestAcceptance:
                f"{mp.nstr(worst, 4)}, {elapsed:.2f}s")
 
     def test_3_exact_orthogonality(self):
-        (it2, _), (sob, sob_norm_sq) = _oracle_systems(1, 1)
+        (it2, _), (sob, sob_norm_sq) = oracle_families(1, 1, 9)
         shift2 = (F(1), F(2), F(1))
         families = {
             "base": ([laguerre_monic(0, n) for n in range(7)], moment_inner),
@@ -160,6 +152,7 @@ class TestAcceptance:
 
     def test_5_dual_formula_consistency(self):
         rec, kt, chris, _ = _ledgers(_spec(), 17)
+        it2 = oracle_families(1, 1, 16)[0]
         worst = mp.mpf(0)
         rng = random.Random(27182)
         with mp.workprec(rec.precision):
@@ -174,11 +167,10 @@ class TestAcceptance:
                 j = eval_jet(rec, n + 2, x, order=0)
                 conn = (j[n + 2][0] - chris.d[n] * j[n + 1][0]
                         + chris.e[n] * j[n][0]) / (x + 1) ** 2
-                recur = eval_iterated(chris, n, x, k=2, monic=True)
-                worst = max(worst, rel(recur, conn))
+                worst = max(worst, rel(oracle_value(it2, n, x), conn))
         report(5, worst <= TOL30,
-               f"e_n, tau_n and the two twice-transformed evaluation routes "
-               f"agree; worst {mp.nstr(worst, 4)} (tol 1e-30)")
+               f"e_n, tau_n and the connection route to the exact twice-transformed "
+               f"family agree; worst {mp.nstr(worst, 4)} (tol 1e-30)")
 
     def test_6_degenerate_and_single_mass_configs(self):
         spec0 = _spec(M=0, N=0)
@@ -201,10 +193,15 @@ class TestAcceptance:
         suite = MatrixSuite.build(_spec(), size=20, guard=4, precision=256)
         QtQ = multiply(suite.Q.transpose(), suite.Q)
         qtq_res = block_residual(QtQ, identity(QtQ.nrows, 256), 20)
-        defects = []
+        # The leading 5x5 block of Q Q^T, each row summed over Q's exact
+        # columns, so over a truncation of the semi-infinite factor: its
+        # distance from I shrinks as the truncation grows.
+        ctx, defects = context(256), []
         for size in (10, 20, 40):
-            s = MatrixSuite.build(_spec(), size=size, guard=4, precision=256)
-            defects.append(orthogonality_defect(s.Q, 5))
+            Q = MatrixSuite.build(_spec(), size=size, guard=4, precision=256).Q
+            rows = [[Q.entry(i, j) for j in range(Q.exact_size)] for i in range(5)]
+            defects.append(max(abs(ctx.fdot(u, v) - int(i == k)) for i, u in enumerate(rows)
+                               for k, v in enumerate(rows)))
         decreasing = defects[0] > defects[1] > defects[2]
         report(7, qtq_res <= TOL30 and decreasing,
                f"QtQ residual {mp.nstr(qtq_res, 4)} (tol 1e-30); leading 5x5 "

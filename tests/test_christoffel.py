@@ -1,19 +1,24 @@
-"""Twice-transformed family: connection coefficients, recurrence, evaluation."""
+"""Twice-transformed family: connection coefficients, recurrence, leading
+coefficients, and the residual rows that catch a corrupted ledger."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from helpers import PAIR_IDS, PAIRS, TOL30, assert_rel, assert_squared, custom_table, rel
-from sobspec.christoffel import ChristoffelLedger, eval_iterated
-from sobspec.core import MeasureSpec, context, eval_jet
+from helpers import (TOL30, assert_rel, assert_squared, custom_table, oracle_families,
+                     oracle_value, rel)
+from sobspec.christoffel import ChristoffelLedger
+from sobspec.core import MeasureSpec, SobolevSpec, context, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from sobspec.kernels import KernelTable
-from sobspec.matrices import MatrixSuite, build_iterated_jacobi, verify_propositions
+from sobspec.matrices import (MatrixSuite, build_H, build_iterated_jacobi, build_T,
+                              verify_propositions)
 from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
+from sobspec.sobolev import SobolevLedger
 
 RNG_SEED = 61409
 
@@ -84,125 +89,51 @@ class TestRecurrencePair:
 
 class TestDefiningIdentity:
     def test_shifted_square_connection(self, rec, chris):
+        # (x+1)^2 P^[2]_n = P_{n+2} - d_n P_{n+1} + e_n P_n, the left side exact.
+        it2 = oracle_families(1, 1, 16)[0]
         rng = random.Random(RNG_SEED)
         with mp.workprec(rec.precision):
             for n in range(16):
                 for _ in range(5):
                     x = mp.mpf(rng.uniform(0, 10))
-                    lhs = (x + 1) ** 2 * eval_iterated(chris, n, x, k=2, monic=True)
+                    lhs = (x + 1) ** 2 * oracle_value(it2, n, x)
                     j = eval_jet(rec, n + 2, x, order=0)
                     rhs = j[n + 2][0] - chris.d[n] * j[n + 1][0] + chris.e[n] * j[n][0]
                     assert rel(lhs, rhs) <= TOL30
 
 
-class TestEvaluation:
-    def test_once_transformed_degree_zero(self, chris):
-        assert eval_iterated(chris, 0, 3.7, k=1) == 1
-
-    def test_once_transformed_is_divided_difference(self, rec, kt, chris):
-        rng = random.Random(RNG_SEED + 1)
-        with mp.workprec(rec.precision):
-            for n in range(1, 10):
-                x = mp.mpf(rng.uniform(0, 10))
-                j = eval_jet(rec, n + 1, x, order=0)
-                expected = (j[n + 1][0]
-                            - kt.cjets[n + 1][0] / kt.cjets[n][0] * j[n][0]) / (x + 1)
-                assert_rel(eval_iterated(chris, n, x, k=1), expected)
-
-    def test_once_transformed_at_mass_point(self, rec, kt, chris):
-        # At x = c the kernel polynomial reads the confluent K_n(c, c).
-        with mp.workprec(rec.precision):
-            for n in range(1, 6):
-                val = eval_iterated(chris, n, -1, k=1)
-                expected = rec.norm_sq[n] * kt.K[n] / kt.cjets[n][0]
-                assert_rel(val, expected)
-
-    def test_twice_transformed_monic_degree_one(self, chris):
-        assert_rel(eval_iterated(chris, 1, -1, k=2, monic=True), mp.mpf(-16) / 5)
-
-    def test_twice_transformed_orthonormal_degree_zero(self, chris):
-        assert_squared(eval_iterated(chris, 0, 123.0, k=2), F(1, 5))
-
-    def test_route_agreement_and_mass_point_value(self, rec, kt, chris):
-        # the recurrence route must match the connection route, including
-        # exactly at the mass point where the connection needs two derivatives
-        with mp.workprec(rec.precision):
-            for n in range(10):
-                v = eval_iterated(chris, n, -1, k=2, monic=True)
-                j = kt.cjets
-                lhopital = (j[n + 2][2] - chris.d[n] * j[n + 1][2]
-                            + chris.e[n] * j[n][2]) / 2
-                assert rel(v, lhopital) <= TOL30
-
-    def test_once_transformed_index_bound(self, rec, chris):
-        # The kernel sum needs no P_{n+1}: the last row of the table is valid.
-        assert eval_iterated(chris, rec.size - 1, 2.0, k=1) != 0
-        for n in (-1, rec.size):
-            with pytest.raises(IndexError):
-                eval_iterated(chris, n, 2.0, k=1)
-
-    def test_k_validation(self, chris):
-        with pytest.raises(IndexError):
-            eval_iterated(chris, 2, 0.0, k=3)
-
-    def test_degenerate_point_guard(self):
-        # Unvalidated custom data: declared support excludes c = 0 but the
-        # symmetric recurrence has P_1(0) = 0.
-        fake = MeasureSpec.custom(
-            beta=[0] * 8, gamma=[0] + [1] * 7, support=(-10.0, -5.0), norm0_sq=1
-        )
-        table = fake.recurrence(8)
-        kt0 = KernelTable.build(table, 0)
-        ledger = ChristoffelLedger.build(kt0, 4)
-        with pytest.raises(DegeneratePointError):
-            eval_iterated(ledger, 1, 2.0, k=1)
+@functools.cache
+def _clean(precision):
+    """The worked example's suite at size 20 and its residual rows by name."""
+    spec = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=1, N=1)
+    suite = MatrixSuite.build(spec, size=20, guard=4, precision=precision)
+    return suite, {name: res for name, res, _ in verify_propositions(suite).as_rows()}
 
 
-def _ledger(alpha, c, precision, size=27):
-    rec = MeasureSpec.laguerre(alpha).recurrence(size + 2, precision=precision)
-    return ChristoffelLedger.build(KernelTable.build(rec, c), size)
-
-
-class TestConnectionCheck:
+class TestCorruptedLedger:
     @pytest.mark.parametrize("field", ["kappa", "tau", "d", "e"])
-    @pytest.mark.parametrize("precision", [64, 256])
-    def test_corrupted_ledger_raises(self, precision, field):
-        # One entry scaled by 1 + 2^(-p/4): kappa_3 and tau_3 enter P^[2]_4
-        # through the recurrence, d_3 and e_3 enter P^[2]_3's connection.
-        chris = _ledger(0, -1, precision)
-        values = list(getattr(chris, field))
-        values[3] *= 1 + context(precision).ldexp(1, -(precision // 4))
-        bad = dataclasses.replace(chris, **{field: tuple(values)})
-        n = 4 if field in ("kappa", "tau") else 3
-        for offset in (0, 1, F(73, 10)):
-            with pytest.raises(NumericalFailureError):
-                eval_iterated(bad, n, -1 + offset, k=2)
-
-    @pytest.mark.parametrize("index", [1, 9, 19])
+    @pytest.mark.parametrize("index", [1, 3, 9, 19])
     @pytest.mark.parametrize("precision", [128, 256])
-    def test_corrupted_tau_breaches_the_j2_row(self, spec, precision, index):
-        # tau feeds J2_direct's off-diagonal, and the "J2 chain = J2 ledger"
-        # residual sets that against the Cholesky chain: tau's only check.
-        suite = MatrixSuite.build(spec, size=20, guard=4, precision=precision)
-        tau = list(suite.sob.chris.tau)
-        tau[index] *= 1 + context(precision).ldexp(1, -(precision // 4))
-        bad = dataclasses.replace(suite.sob.chris, tau=tuple(tau))
-        corrupted = dataclasses.replace(
-            suite, J2_direct=build_iterated_jacobi(bad, suite.J2_direct.nrows))
-        row = "J2 chain = J2 ledger"
-        clean, = (res for name, res, _ in verify_propositions(suite).as_rows() if name == row)
-        wrong, = (res for name, res, _ in verify_propositions(corrupted).as_rows() if name == row)
-        assert clean <= TOL30 < wrong
-
-    @pytest.mark.parametrize("alpha, c", PAIRS, ids=PAIR_IDS)
-    def test_valid_ledger_raises_nothing_near_mass_point(self, alpha, c):
-        # Cancellation in the connection near c is within its guard.
-        ctx = context(64)
-        chris = _ledger(alpha, c, 64)
-        for offset in ("1e-3", "1e-5", "1e-7"):
-            x = ctx.mpf(c.numerator) / c.denominator + ctx.mpf(offset)
-            for n in range(chris.size):
-                eval_iterated(chris, n, x, k=2)
+    def test_corrupted_field_breaches_its_rows(self, precision, index, field):
+        # One entry scaled by 1 + 2^(-p/4).  kappa and tau feed J2_direct, and
+        # the "J2 chain = J2 ledger" residual sets that against the Cholesky
+        # chain; d and e feed the Sobolev ledger, so T and H, and two residuals
+        # set those against J2.
+        suite, clean = _clean(precision)
+        values = list(getattr(suite.sob.chris, field))
+        values[index] *= 1 + context(precision).ldexp(1, -(precision // 4))
+        bad = dataclasses.replace(suite.sob.chris, **{field: tuple(values)})
+        if field in ("kappa", "tau"):
+            rows = ["J2 chain = J2 ledger"]
+            corrupted = dataclasses.replace(
+                suite, J2_direct=build_iterated_jacobi(bad, suite.J2_direct.nrows))
+        else:
+            rows = ["H T = T (J2 - cI)^2", "R Rt = Tt T"]
+            sob = SobolevLedger.build(bad, suite.sob.M, suite.sob.N, suite.sob.size)
+            corrupted = dataclasses.replace(suite, sob=sob, T=build_T(sob, suite.T.nrows),
+                                            H=build_H(sob, suite.H.nrows))
+        wrong = {name: res for name, res, _ in verify_propositions(corrupted).as_rows()}
+        assert all(clean[row] <= TOL30 < wrong[row] for row in rows)
 
 
 class TestLedgerInputs:

@@ -1,5 +1,5 @@
 """Bit pins of the recurrence table, the kernel table and the two ledgers,
-and of the pointwise evaluators built on them.
+and of the pointwise evaluator :func:`sobspec.sobolev.eval_sobolev`.
 
 Each digest is the SHA-256 of the ``_mpf_`` tuples of every mpf field, in
 field order, so a change that moves any bit of any field fails here, also
@@ -17,9 +17,9 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import reflected_laguerre
-from sobspec.christoffel import ChristoffelLedger, eval_iterated
+from sobspec.christoffel import ChristoffelLedger
 from sobspec.core import MeasureSpec
-from sobspec.kernels import KernelTable, kernel_at, kernel_dy_at_c
+from sobspec.kernels import KernelTable
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
 
@@ -64,44 +64,46 @@ def ledger_digest(sob):
     return digest([mpf_fields(x) for x in (kt.rec, kt, sob.chris, sob)])
 
 
-#: "<config> <size> <bits>" -> digest, recorded before the ledgers ran on tuples.
+#: "<config> <size> <bits>" -> digest.  Recorded before the ledgers ran on
+#: tuples; re-recorded when the jets at c dropped from order 2 to order 1, by
+#: the earlier code with each ``cjets`` row cut to its first two entries.
 LEDGER_DIGESTS = {
-    "a0 6 64": "df427735906d295464ffeef8810192401a88be50ad6362c64790a0ffae710672",
-    "a0 6 256": "a8e124db2d28510906b32a2061ea5dddef5b1e2c1f0649799ea77f195e878a06",
-    "a0 6 1024": "fb8ad1835466decc40595157cce816b85f32545dfe5e07a153f7012d53315f3e",
-    "a0 20 64": "b5187ef515948e4c937e883cd6b3094c2e15f74e3ae9ec85d43645be045bcb13",
-    "a0 20 256": "137b8e8c73a4ca80c2a95cdc12e4cf73df582cd3398d9580d23124fd6a54c711",
-    "a0 20 1024": "38a5fc3568061138f727d406c529c3f680e544df08673efc684a1251b7cc5501",
-    "a0 100 64": "a75644e8364cd0b1d68d0a3cf21d18cf264c0674dc6362de59bd527992f7ca01",
-    "a0 100 256": "ccf8318d7dd00778dc3e517cca1849ee0f2e674d3f7e5c45157bf30bd442dbfb",
-    "a0 100 1024": "eb879ef186b3d2b2083b43557366d80d1208bef8b4b09f01bf71c9affd2741de",
-    "a5/2 6 64": "e8d54b0a8eeca6e84215deb067989856f5593b48c4b6b2444dd5d5aebd098923",
-    "a5/2 6 256": "b896adf4e2c47059bb173515aadaf37ed7775a45b79525a7836e5600ddd319df",
-    "a5/2 6 1024": "069b7260c0d079e10efbc3aced258e5e0dd4b8e3b6fa8071f07e2c625aea4560",
-    "a5/2 20 64": "773255c3dbd72e25f264946807cb7c18e5fa596a22ed1add1a1e784907e9f675",
-    "a5/2 20 256": "9e0081aaa624af54ed4470bdbdf74480461757759132c73e26b90d4b0ba9d3cf",
-    "a5/2 20 1024": "7f9831edcb9764d37a3970eb822e4c8e257c2e325b10c6e8152dc5c2b5fca933",
-    "a5/2 100 64": "fe42cf769ae69a83edeb53559932e45d96182e68781973a0eb5fdca19d8c0d1e",
-    "a5/2 100 256": "75c414b3d26ca11c70c621938096818044b1533bc77639f524e3d5a92bda8ba7",
-    "a5/2 100 1024": "1a12a950e9c1e60e3fdba814122bf8751976ffca4b3aed7273df439c72d1b3c9",
-    "a1 6 64": "266d341eae4191d1a622485aa41778848e63a19baf083a4257a5bb4321a40b6e",
-    "a1 6 256": "0775d3e67f5d31312ededff62412862f1c0104c828bd76892c9ab8a10041e7b4",
-    "a1 6 1024": "79c324ae4957f32f2cf0c9aafec96bbbeb9abd2852db6cfb8621f0b79c0ddeba",
-    "a1 20 64": "5fabebd80b25a87ba6a9b1680380132a5261e3cc3f92fdb8160db35f784232f6",
-    "a1 20 256": "8c777777f48d04d7e003bc95adc491f146a961c03764b8e0f755fb2e3df4b6e4",
-    "a1 20 1024": "93a0cd4f3c7b0fd43576d78ac40d66daebc676c45f5694cbc101303ac1cce30d",
-    "a1 100 64": "46efab63f77837cb475edadee596045a7986af436a926c67027d69e55d2c5117",
-    "a1 100 256": "70258ba664912b00c8eb21470d363d28f44ce1d9b7500381c49d2d110225b29d",
-    "a1 100 1024": "2c5b44dd71c3cfabbcbc53f49981f6c901fe9a82ac5218b20833d79c5fc8fb47",
-    "reflected 6 64": "c228659eece302801df31f3cfd5dd8a1f92dc073527a2df8517894f7580bfcea",
-    "reflected 6 256": "719cdc46448fedec175bad845e67a06c738e7b8c463883a672a2097fadded670",
-    "reflected 6 1024": "88a5b80f3a77a481bf7dceb9277fe16f564930ecb887b0f4281076977ffc1c3d",
-    "reflected 20 64": "5adbb75aeeb588b18c78bb09c6dea57469c24ac0cc1d9c8f23dee5f1b56189f5",
-    "reflected 20 256": "174f4725328395ede55a51f4b16e4420bf73b05ab6b0d4554809839399fcc162",
-    "reflected 20 1024": "99a9e0c0a306a93ad96f2f4800df4725f8a4187999409bfba40eee19d4859c05",
-    "reflected 100 64": "e3c6860650aded6f47be60cb1bf92d06e4d5a0dd405a1fe4832be50338e09b65",
-    "reflected 100 256": "0f8e057fffa28fce920cd030151f560a91fed301f277f4b4aa23b1af24b89721",
-    "reflected 100 1024": "6c48d0d54205e3ff50c5e3f4fdd3bd4a8307508ce8558c9a4e3faf03d68ae1ae",
+    "a0 6 64": "f5fb756b81d9b9d065c8319299346154134f4d1b7d06a7fc383f0f65379f6583",
+    "a0 6 256": "fd6d5e6d0cff51abd5e374a75cf20eed81885197d7e2b0c48c3ff8badba74999",
+    "a0 6 1024": "43a036c6c4f09b66b387cf823ef0f03dd36df5caa74b578d540c166af383fa9f",
+    "a0 20 64": "58dcefade69ed8e0cc4ff2fe515bc24a177b00fb17ceb9b1d99d81099293fa92",
+    "a0 20 256": "62912635b2e111619151a9a3f3d746443c574387d820a44a3a3038882b2931fc",
+    "a0 20 1024": "07dbd81dd187299f9e1095e582eac0afc7b476fd39ee54983364f6257da46391",
+    "a0 100 64": "29168366b7abcc011ff8f43f638e5d223ef202612d465b745a86d37cd2b5b5a1",
+    "a0 100 256": "10a6e55b5800139914b18ffdcdd88bc97f1f9f7fc1b9d437917733b273466eb9",
+    "a0 100 1024": "46002dc09110b30c14269bd22f7d9c2800e512d42c85377a509566c51940bf89",
+    "a5/2 6 64": "14c6f3f4360e7d7af7082bf567ef4533676b5b34c8b4f409ab56b6fe1110d4af",
+    "a5/2 6 256": "e8ad42a98158d69080d25f36912e2cf2884dba99a0db85062f2e2e19094afcf0",
+    "a5/2 6 1024": "27a47d26d6fb86a5ce20127d3ee5a923fad9f34a2742f6cbaea159e63dbd19c9",
+    "a5/2 20 64": "86e583d3d26d9aab457b7d68ddcc95752c8860b6fde1140e9eea7ca343f462b7",
+    "a5/2 20 256": "1aec48262ef2852726cc1d91a47380c34a658f608943208fa6d36b438dfc0163",
+    "a5/2 20 1024": "83897f6f6842f01a54d952845ac891cdb2e705003a37e035b0e80eefbefb9ad0",
+    "a5/2 100 64": "14b20bd7dce7cc4c02d2d4fa9d9df547a06d25fecf03137e1008c6e8a7387154",
+    "a5/2 100 256": "7eb5a64d5d9938ccdafd41bfccc3585fea610c5f7441ddee36d9124bbd546046",
+    "a5/2 100 1024": "47cac5e1f7328dce5477d63f4af70a50081acf093796524fa30a53480b8892f2",
+    "a1 6 64": "90e0f82bead43387eba340c79c9544aee369a192387e5ddacf3b08ab53313c29",
+    "a1 6 256": "0accecec8a54af3f5592a46e68246fa2f5e81b79b4ada9878db1e58e77b68851",
+    "a1 6 1024": "446615f9e5a765e95895fcfd5cb3aefb8a3963eb5e1a156f140809ff33321f6e",
+    "a1 20 64": "b3defb9b30ef0e8eb4dfdddb03c6e2c7ae1b205e0984f0ea33aefafec88695d0",
+    "a1 20 256": "e98912271888bc88ea207f301847aae73d310d9b91450cc60e817ed7515c421b",
+    "a1 20 1024": "7d8821cba8ff6f6f9d81c8b19364b4a8127f0bcf3e4d6a1882662824df7096b2",
+    "a1 100 64": "e240d98917de01313153985096f92f0e53db9a7b845cd6c56ef166e34d231ae2",
+    "a1 100 256": "34f89ee79a80efe38ea4c2e5960d848cee2ae370e7a1ce92578e3a813fda519b",
+    "a1 100 1024": "b57472dbe7314066d2c61252894a795ee8e86bdf175effcba6edd17b705fec16",
+    "reflected 6 64": "96f9dc2e27095e63e0a5b6be4ba85b53a3253a54b4debe1dbed7fd97733b9004",
+    "reflected 6 256": "080277d90de750cda9cb2c9aea933d4af35ffae4592d61687aec93c2f5559da8",
+    "reflected 6 1024": "4512e2f047dd45d01c0052ee23fd31d333fdc422c740b11e06ef054043a978c6",
+    "reflected 20 64": "028978e148fb46e637aefb8bdb6a985a8ab3c8359e639a9680f4d2e19829dbd8",
+    "reflected 20 256": "8bb00b0b0ad377293e46ac0bf25969754374d1845924a7ab565c069b7090c556",
+    "reflected 20 1024": "2b5d970e1bed68eba66cc74030458b9fcdb995ab6124e71a62c4f2b20fed2779",
+    "reflected 100 64": "39fa9d8fda75dc53ad33cbc78e991e84d2de4b10215d842dd4b63178aea42a41",
+    "reflected 100 256": "1f5dfead4836b12c79a300b5579aa52a75bbdebe93a2f18807fcffeff20d7755",
+    "reflected 100 1024": "5d468f497b34da17710d746242386c2674a726c1110f80b0c07ddd7b94c129ef",
 }
 
 GRID = [(name, size, precision) for name in CONFIGS for size in (6, 20, 100)
@@ -122,30 +124,28 @@ DEGREES = [0, 1, 5, 17]
 
 
 def pointwise_values(name, precision):
-    """The ``_mpf_`` of every pointwise evaluator over ``DEGREES`` x ``OFFSETS``."""
+    """The ``_mpf_`` of S_n(x) and s_n(x) over ``DEGREES`` x ``OFFSETS``."""
     sob = ledgers(name, 20, precision)
-    chris, rec, c = sob.chris, sob.chris.kt.rec, CONFIGS[name][1]
+    c = CONFIGS[name][1]
     rows = []
     for n in DEGREES:
         for offset in OFFSETS:
             x = c + offset if name != "reflected" else c - offset
-            values = (kernel_at(rec, n, x, c), kernel_at(rec, n, x, c + 2),
-                      kernel_dy_at_c(rec, n, x, c), eval_iterated(chris, n, x, k=1),
-                      eval_iterated(chris, n, x), eval_sobolev(sob, n, x),
-                      eval_sobolev(sob, n, x, normalized=True))
+            values = (eval_sobolev(sob, n, x), eval_sobolev(sob, n, x, normalized=True))
             rows.append([v._mpf_ for v in values])
     return rows
 
 
-#: "<config> <bits>" -> digest of ``pointwise_values``, recorded before the
-#: evaluators read the jets at c from the kernel table.
+#: "<config> <bits>" -> digest of ``pointwise_values``, recorded on the code
+#: before the other pointwise evaluators were deleted: eval_sobolev's bits did
+#: not move with them.
 POINTWISE_DIGESTS = {
-    "a0 64": "d13080f33a1b71c6ec62dac669a395e928456128edafbefcc4cfdff59020b92a",
-    "a0 256": "cd91cea57abdcf8a159405a3184a2d2c9071018fc68c6266c5e8276f2c80a2a8",
-    "a0 1024": "c3dc2e3803595e7ec7926a0e7970549964cf2fca1aa3fa986e62e49eadec75ce",
-    "reflected 64": "e692916c95d3507c550adfe6e3c9553c133a62478447871444b4a7b4fee56fd9",
-    "reflected 256": "57970c81f3b95f3fe8559c2bc06a3e4b82e82db0f7fa90d9a20d6dd49463d62e",
-    "reflected 1024": "4f14130b298c0aeb0d45d892b217db2584553fd59c151273f669c4fcabb078b8",
+    "a0 64": "564e3203d138ccea960496a45003d3bab661ee0f5d6f8b7b6cef085f11ad7635",
+    "a0 256": "3110b82f395ab76039e46b63e6f7f825aca9909ff1e4a200c791b2fe29ac9a12",
+    "a0 1024": "4dc9750c077cce235238e72bdf32d1f89ca2d51ccc6b5569a446f246c559de81",
+    "reflected 64": "cc00b98507d7f6ab8b37b0a3590884a771ffd9fe9efc03e06e62aa775c346078",
+    "reflected 256": "a2a77d2fe5c34a8bc5c634615306c71c05209fe0559f3387e22bbf07282e2386",
+    "reflected 1024": "70057f2c4c9dd544d17181f0be0170a20030d0788200249e8d0f1a09d9b237ee",
 }
 
 

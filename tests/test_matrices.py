@@ -48,7 +48,6 @@ from sobspec.matrices import (
     from_diagonals,
     identity,
     multiply,
-    orthogonality_defect,
     qr_pair,
     verify_propositions,
 )
@@ -796,13 +795,6 @@ class TestOrthogonalityTrend:
     def test_qtq_is_identity_on_trimmed_block(self, suite):
         QtQ = multiply(suite.Q.transpose(), suite.Q)
         assert block_residual(QtQ, identity(QtQ.nrows, suite.precision), 20) <= TOL30
-
-    def test_qqt_defect_strictly_decreasing(self, spec):
-        defects = []
-        for size in (10, 20, 40):
-            s = MatrixSuite.build(spec, size=size, guard=4)
-            defects.append(orthogonality_defect(s.Q, 5))
-        assert defects[0] > defects[1] > defects[2]
 
 
 class TestPrecisionContext:

@@ -1,18 +1,19 @@
 """Sobolev-type family: boundary pairs, norms, connections, five-term entries."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from helpers import (TOL30, assert_rel, assert_squared, custom_table, in_monomials, poly_deriv,
-                     poly_eval, rel)
-from sobspec.christoffel import ChristoffelLedger, eval_iterated
-from sobspec.core import eval_jet, orthonormal_value
+from helpers import (TOL30, assert_rel, assert_squared, custom_table, fraction, laguerre_monic,
+                     mpq, oracle_families, oracle_value, poly_deriv, poly_eval, rel)
+from sobspec.christoffel import ChristoffelLedger
+from sobspec.core import eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
-from sobspec.kernels import KernelTable, kernel_at, kernel_dy_at_c
-from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
+from sobspec.kernels import KernelTable
+from sobspec.oracle import build_oracle_suite
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
 RNG_SEED = 77077
@@ -22,8 +23,13 @@ RNG_SEED = 77077
 def oracle_sob():
     """Monomial coefficients and squared norms of the monic Sobolev family
     through degree 8, from the oracle's exact LDL^T."""
-    coeffs, norm_sq = monic_system(grams(laguerre_basis(0, 10), F(-1), 1, 1)[2])
-    return [in_monomials(0, row) for row in coeffs], norm_sq
+    return oracle_families(1, 1, 9)[1]
+
+
+@pytest.fixture(scope="module")
+def oracle_twelve():
+    """The exact twice-transformed and Sobolev families through degree 11."""
+    return oracle_families(1, 1, 12)
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +180,9 @@ class TestEvaluation:
                     got = eval_sobolev(sob, n, mp.mpf(x.numerator) / x.denominator)
                     assert rel(got, mp.mpf(ref.numerator) / ref.denominator) <= TOL30
 
-    def test_determinant_cross_form(self, rec, kt, spec, sob):
-        # 3x3-determinant representation against the kernel-sum form
+    def test_determinant_cross_form(self, rec, kt, oracle_sob):
+        # 3x3-determinant representation, from the table's confluent values,
+        # against the exact S_n
         rng = random.Random(RNG_SEED + 5)
         M, N = mp.mpf(1), mp.mpf(1)
         with mp.workprec(rec.precision):
@@ -187,15 +194,16 @@ class TestEvaluation:
                 det2 = (1 + M * K) * (1 + N * K11) - N * K01 * M * K01
                 for _ in range(5):
                     x = mp.mpf(rng.uniform(0, 10))
-                    row0 = [eval_jet(rec, n, x, 0)[n][0],
-                            M * kernel_at(rec, n - 1, x, -1),
-                            N * kernel_dy_at_c(rec, n - 1, x, -1)]
+                    j = eval_jet(rec, n, x, 0)
+                    Kx, K01x = (mp.fsum(j[k][0] * pj[k][i] / rec.norm_sq[k] for k in range(n))
+                                for i in (0, 1))
+                    row0 = [j[n][0], M * Kx, N * K01x]
                     row1 = [pj[n][0], 1 + M * K, N * K01]
                     row2 = [pj[n][1], M * K01, 1 + N * K11]
                     det3 = (row0[0] * (row1[1] * row2[2] - row1[2] * row2[1])
                             - row0[1] * (row1[0] * row2[2] - row1[2] * row2[0])
                             + row0[2] * (row1[0] * row2[1] - row1[1] * row2[0]))
-                    assert rel(det3 / det2, eval_sobolev(sob, n, x)) <= TOL30
+                    assert rel(det3 / det2, oracle_value(oracle_sob, n, x)) <= TOL30
 
 
 class TestAuxConnections:
@@ -211,23 +219,25 @@ class TestAuxConnections:
             for n in range(16):
                 assert rel(sob.xi0[n], rec.leading[n] / chris.r2[n]) <= TOL30
 
-    def test_base_family_expansion(self, rec, chris, sob):
-        # p_n = xi0 p2_n + xi1 p2_{n-1} + xi2 p2_{n-2} pointwise
+    def test_base_family_expansion(self, rec, sob, oracle_twelve):
+        # p_n = xi0 p2_n + xi1 p2_{n-1} + xi2 p2_{n-2} pointwise, p2 exact
+        it2 = oracle_twelve[0]
         rng = random.Random(RNG_SEED + 2)
         with mp.workprec(rec.precision):
             for n in range(12):
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
-                    rhs = sob.xi0[n] * eval_iterated(chris, n, x, k=2)
+                    p2 = [oracle_value(it2, k, x, normalized=True) for k in range(n + 1)]
+                    rhs = sob.xi0[n] * p2[n]
                     if n >= 1:
-                        rhs += sob.xi1[n] * eval_iterated(chris, n - 1, x, k=2)
+                        rhs += sob.xi1[n] * p2[n - 1]
                     if n >= 2:
-                        rhs += sob.xi2[n] * eval_iterated(chris, n - 2, x, k=2)
-                    assert rel(orthonormal_value(rec, n, x), rhs) <= TOL30
+                        rhs += sob.xi2[n] * p2[n - 2]
+                    assert rel(rec.leading[n] * eval_jet(rec, n, x, order=0)[n][0], rhs) <= TOL30
 
-    def test_kernel_expansion_of_normalized_family(self, rec, sob):
+    def test_kernel_expansion_of_normalized_family(self, rec, kt, sob, oracle_twelve):
         # s_n = alpha1 p_{n+1} + alpha0 p_n - M s_n(c) K_{n+1}(x,c)
-        #       - N s_n'(c) K01_{n+1}(x,c) pointwise
+        #       - N s_n'(c) K01_{n+1}(x,c) pointwise, s_n exact
         rng = random.Random(RNG_SEED + 3)
         with mp.workprec(rec.precision):
             for n in range(10):
@@ -235,28 +245,32 @@ class TestAuxConnections:
                 sdc = sob.t[n] * sob.Sdc[n]
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
-                    rhs = (sob.alpha1[n] * orthonormal_value(rec, n + 1, x)
-                           + sob.alpha0[n] * orthonormal_value(rec, n, x)
-                           - sc * kernel_at(rec, n + 1, x, -1)
-                           - sdc * kernel_dy_at_c(rec, n + 1, x, -1))
-                    lhs = eval_sobolev(sob, n, x, normalized=True)
+                    j = eval_jet(rec, n + 1, x, order=0)
+                    K, K01 = (mp.fsum(j[k][0] * kt.cjets[k][i] / rec.norm_sq[k]
+                                      for k in range(n + 2)) for i in (0, 1))
+                    rhs = (sob.alpha1[n] * rec.leading[n + 1] * j[n + 1][0]
+                           + sob.alpha0[n] * rec.leading[n] * j[n][0] - sc * K - sdc * K01)
+                    lhs = oracle_value(oracle_twelve[1], n, x, normalized=True)
                     assert rel(lhs, rhs) <= TOL30
 
 
 class TestTheThreeGammaRoutes:
-    def test_connection_expansion_pointwise(self, rec, chris, sob):
-        # s_n = gamma_nn p2_n + gamma_n1 p2_{n-1} + gamma_n2 p2_{n-2}
+    def test_connection_expansion_pointwise(self, rec, sob, oracle_twelve):
+        # s_n = gamma_nn p2_n + gamma_n1 p2_{n-1} + gamma_n2 p2_{n-2}, both
+        # families exact
+        it2, sobolev = oracle_twelve
         rng = random.Random(RNG_SEED + 4)
         with mp.workprec(rec.precision):
             for n in range(12):
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
-                    rhs = sob.gamma_nn[n] * eval_iterated(chris, n, x, k=2)
+                    p2 = [oracle_value(it2, k, x, normalized=True) for k in range(n + 1)]
+                    rhs = sob.gamma_nn[n] * p2[n]
                     if n >= 1:
-                        rhs += sob.gamma_n1[n] * eval_iterated(chris, n - 1, x, k=2)
+                        rhs += sob.gamma_n1[n] * p2[n - 1]
                     if n >= 2:
-                        rhs += sob.gamma_n2[n] * eval_iterated(chris, n - 2, x, k=2)
-                    lhs = eval_sobolev(sob, n, x, normalized=True)
+                        rhs += sob.gamma_n2[n] * p2[n - 2]
+                    lhs = oracle_value(sobolev, n, x, normalized=True)
                     assert rel(lhs, rhs) <= TOL30
 
 
@@ -268,8 +282,9 @@ class TestDegenerateMasses:
             for n in range(12):
                 assert rel(led.t[n], rec.leading[n]) <= TOL30
                 x = mp.mpf(rng.uniform(0, 10))
-                assert rel(eval_sobolev(led, n, x, normalized=True),
-                           orthonormal_value(rec, n, x)) <= TOL30
+                # p_n = P_n / n! for alpha = 0, exact from the closed form
+                p = poly_eval(laguerre_monic(0, n), fraction(x)) / math.factorial(n)
+                assert rel(eval_sobolev(led, n, x, normalized=True), mpq(p)) <= TOL30
 
     def test_single_mass_configurations_build(self, chris):
         for Mv, Nv in ((1, 0), (0, 1), (F(3, 2), 0)):
