@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp, fzero,
                           mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest)
 
-from helpers import assert_rel, laguerre_monic, moment_inner, reflected_laguerre, rel
+from helpers import (assert_rel, laguerre_monic, moment_inner, mpq, poly_eval, reflected_laguerre,
+                     rel)
 from sobspec import core
 from sobspec.core import (
     EXACT,
@@ -185,6 +186,12 @@ class TestEvalJet:
         with pytest.raises(IndexError):
             rows[n][order + 1]
 
+    def test_monic_against_exact_oracle(self, rec):
+        for n in range(7):
+            for x in (F(-1), F(0), F(3, 2), F(10)):
+                exact = poly_eval(laguerre_monic(0, n), x)
+                assert_rel(eval_jet(rec, n, mpq(x), order=0)[n][0], mpq(exact))
+
     def test_index_and_order_validation(self, rec):
         with pytest.raises(IndexError):
             eval_jet(rec, rec.size, 0.0)
@@ -221,6 +228,23 @@ class TestEvalJet:
                 lhs1 = mp.mpf(x) * j[k][1] + j[k][0]
                 rhs1 = j[k + 1][1] + table.beta[k] * j[k][1] + table.gamma[k] * j[k - 1][1]
                 assert rel(lhs1, rhs1) <= mp.mpf("1e-65")
+
+
+class TestOrthonormalValue:
+    # p_n = r_n P_n, the leading coefficient times the monic value: the
+    # orthonormal value the Sobolev ledger's connection coefficients read.
+    @staticmethod
+    def value(rec, n, x):
+        return rec.leading[n] * eval_jet(rec, n, x, order=0)[n][0]
+
+    def test_constant(self, rec):
+        assert self.value(rec, 0, 17.3) == 1
+
+    def test_first_degree(self, rec):
+        assert self.value(rec, 1, -1) == -2
+
+    def test_second_degree(self, rec):
+        assert_rel(self.value(rec, 2, -1), mp.mpf(7) / 2)
 
 
 def test_results_do_not_depend_on_ambient_precision():

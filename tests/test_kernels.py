@@ -1,10 +1,84 @@
-"""Reproducing kernels: the confluent summation table at c, checked against
-exact sums of the closed-form Laguerre polynomials."""
+"""Reproducing kernels: the confluent summation table at c and the pointwise
+sums that ``eval_sobolev`` reads, checked against exact sums of the
+closed-form Laguerre polynomials."""
 
 import math
+import random
 from fractions import Fraction as F
 
-from helpers import TOL30, laguerre_monic, mpq, poly_deriv, poly_eval, rel
+import mpmath as mp
+
+from helpers import TOL30, assert_rel, laguerre_monic, mpq, poly_deriv, poly_eval, rel
+from sobspec.core import eval_jet
+from sobspec.sobolev import _kernel_sum
+
+RNG_SEED = 90125
+
+
+def kernel(rec, n, x, y, j=0):
+    """K^(0,j)_n(x, y) by eval_sobolev's sum over the jets at x and at y."""
+    return _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), eval_jet(rec, n, y, order=1), j)
+
+
+def exact_kernel(n, x, y, j=0):
+    """The same sum in Fractions, from the closed form (alpha = 0)."""
+    total = F(0)
+    for k in range(n + 1):
+        P = laguerre_monic(0, k)
+        total += poly_eval(P, x) * poly_eval(poly_deriv(P) if j else P, y) / math.factorial(k) ** 2
+    return total
+
+
+class TestKernelSum:
+    def test_order_zero_is_one(self, rec):
+        assert kernel(rec, 0, 2.0, -3.0) == 1
+
+    def test_diagonal_values_at_mass_point(self, rec):
+        assert kernel(rec, 1, -1, -1) == 5
+        assert_rel(kernel(rec, 2, -1, -1), mp.mpf(69) / 4)
+
+    def test_symmetry(self, rec):
+        rng = random.Random(RNG_SEED)
+        for _ in range(5):
+            x, y = rng.uniform(0, 10), rng.uniform(0, 10)
+            assert kernel(rec, 7, x, y) == kernel(rec, 7, y, x)
+
+    def test_matches_exact_summation(self, rec):
+        rng = random.Random(RNG_SEED + 1)
+        for n in range(21):
+            x, y = rng.uniform(0, 10), rng.uniform(0, 10)
+            assert rel(kernel(rec, n, x, y), mpq(exact_kernel(n, F(x), F(y)))) <= TOL30
+
+    def test_near_diagonal_matches_christoffel_darboux(self, rec):
+        # The direct sum needs no division by x - y, so it keeps full accuracy
+        # where (P_11(x) P_10(y) - P_10(x) P_11(y)) / (||P_10||^2 (x - y)) cancels.
+        x, y = F(4), 4 + F(1, 2 ** 40)
+        P10, P11 = laguerre_monic(0, 10), laguerre_monic(0, 11)
+        cd = ((poly_eval(P11, x) * poly_eval(P10, y) - poly_eval(P10, x) * poly_eval(P11, y))
+              / (math.factorial(10) ** 2 * (x - y)))
+        assert cd == exact_kernel(10, x, y)
+        assert rel(kernel(rec, 10, mpq(x), mpq(y)), mpq(cd)) <= TOL30
+
+    def test_derivative_order_zero_vanishes(self, rec):
+        assert kernel(rec, 0, 5.0, -1, j=1) == 0
+
+    def test_derivative_first_orders_by_direct_summation(self, rec):
+        assert kernel(rec, 1, 0.0, -1, j=1) == -1
+        assert kernel(rec, 2, 0.0, -1, j=1) == -4
+
+    def test_derivative_at_c_matches_exact_summation(self, rec, kt):
+        # eval_sobolev's reading: the jets at c are the table's rows.
+        rng = random.Random(RNG_SEED + 2)
+        for n in range(1, 21):
+            x = rng.uniform(0, 10)
+            got = _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), kt.cjets, 1)
+            assert rel(got, mpq(exact_kernel(n, F(x), F(-1), j=1))) <= TOL30
+
+    def test_confluent_values_match_table(self, rec, kt):
+        # At x = c both pointwise sums are the table's confluent values.
+        for n in range(rec.size):
+            assert rel(_kernel_sum(rec, n, kt.cjets, kt.cjets, 0), kt.K[n]) <= TOL30
+            assert rel(_kernel_sum(rec, n, kt.cjets, kt.cjets, 1), kt.K01[n]) <= TOL30
 
 
 class TestConfluents:
