@@ -1,13 +1,14 @@
 """Bit pins of the recurrence table, the kernel table and the two ledgers,
-and of the pointwise evaluator :func:`sobspec.sobolev.eval_sobolev`.
+of the ten matrices of the chain and their residuals, and of the pointwise
+evaluator :func:`sobspec.sobolev.eval_sobolev`.
 
 Each digest is the SHA-256 of the ``_mpf_`` tuples of every mpf field, in
 field order, so a change that moves any bit of any field fails here, also
 where no output file shows the field (the kernel table's sums, its jets).
 The grid: four configurations, one of them right of the support, at the
 ledger sizes ``MatrixSuite.build`` uses for sizes 6, 20 and 100 with guard 4,
-at 64, 256 and 1024 bits.  A deliberate revision of the arithmetic
-re-records them.
+at 64, 256 and 1024 bits; the matrices are those of ``MatrixSuite.build``
+at those sizes.  A deliberate revision of the arithmetic re-records them.
 """
 
 import dataclasses
@@ -18,8 +19,9 @@ import pytest
 
 from helpers import reflected_laguerre
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import MeasureSpec
+from sobspec.core import MeasureSpec, SobolevSpec
 from sobspec.kernels import KernelTable
+from sobspec.matrices import MatrixSuite, verify_propositions
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
 
@@ -115,6 +117,68 @@ GRID = [(name, size, precision) for name in CONFIGS for size in (6, 20, 100)
 def test_ledger_fields_are_bit_identical(name, size, precision):
     key = f"{name} {size} {precision}"
     assert ledger_digest(ledgers(name, size, precision)) == LEDGER_DIGESTS[key]
+
+
+def matrix_values(name, size, precision, guard=4):
+    """The ``_mpf_`` of every band entry of the suite's ten matrices, Q
+    included, row-major, and of each residual of ``verify_propositions``."""
+    measure, c, M, N = CONFIGS[name]
+    spec = SobolevSpec(measure(size + guard + 5), c, M, N)
+    suite = MatrixSuite.build(spec, size, guard=guard, precision=precision)
+    matrices = {**suite.named_matrices(), "J2_direct": suite.J2_direct}
+    return ([(key, [(i, j, v._mpf_) for i, j, v in m.band_entries()])
+             for key, m in sorted(matrices.items())]
+            + [(key, res._mpf_, block) for key, res, block in
+               verify_propositions(suite).as_rows()])
+
+
+#: "<config> <size> <bits>" -> digest of ``matrix_values``, recorded on the
+#: code whose ledgers and matrices still held mpf objects.
+MATRIX_DIGESTS = {
+    "a0 6 64": "9953fdb5e6d7f222e1c1b428d7d90f9c22611f57ba19703572dd29d3ca13d4af",
+    "a0 6 256": "1c32249e6816d5c69296832350688680857d10ea821cb67a634e91403a8f307b",
+    "a0 6 1024": "48bd27b6725f2a23fe53f9c8a1748c21bf341dc69fed2e5e3a078cc9f481ccbd",
+    "a0 20 64": "d4b21a9f498c22cddb1c4fc628d59ba5b52cd0a3adf5154c6683b7617e5e2a69",
+    "a0 20 256": "072ae423cf672ef9a6a75681478fae2a74cb4c0f8b19497392869553ca4e9d33",
+    "a0 20 1024": "af4cb2cb905ac01282abf74dc2562920289928778935cd17d02281b32d0decdb",
+    "a0 100 64": "8f2695aa4ecef0c873a6eb4fe6e190bab97132b9628d9b6d48df81ef5bb1fcc0",
+    "a0 100 256": "eb9a32b47505f86e730dc662ea204f6802b14dfc288d45b1228eb94d692ac56b",
+    "a0 100 1024": "def314c767370c440728f77a01c2bb166848091157ff5166e15497da038037d9",
+    "a5/2 6 64": "dd6385261c5ff246c4a5ea0de037b3446e6ea079f4ec7b2e2ade33b8ef30608c",
+    "a5/2 6 256": "5131967ab33177ba2aaa492c07ca50af3372abd07a80c003076f87b3c043b893",
+    "a5/2 6 1024": "61d6681456249ea68657896fd6dd62229f865968043d88bd581a3298ebd4c3f8",
+    "a5/2 20 64": "eaeee25e87df43d89fffbc0624c78a45de98ecf9ee9e989fd6ad87f0cdbc8033",
+    "a5/2 20 256": "ca3bf425a1df9dec06b1950c395df49fa74fd4a481108d873f674a0a6a72b9ce",
+    "a5/2 20 1024": "b5bdb51e54b590232e7001df8a6a17e87b0e718911e2f63844e4b8dede4c1557",
+    "a5/2 100 64": "7a2c5c4c77cbdf561b60160d347e569a7bac29ff96d5f57650bad5fd2e5f71e8",
+    "a5/2 100 256": "bf862fce38834ec2bf23c1becf51111a89f4765b4bb0ae0e5e23c5f1e6347f35",
+    "a5/2 100 1024": "5accaed40d357a998905e63836f20b24c9336a6d851a70a5e72087a5256d145e",
+    "a1 6 64": "fb6bf969564fcd519b6c608ac40c88a7ff82d15b53be0e363e3da8898080827e",
+    "a1 6 256": "8275301ed41bbcbc53bbbf2a78a538e027a05ba2327da3b6def12650445f4419",
+    "a1 6 1024": "71b5c1f8799cfaf99cbb65d51e51deb1cb1cf3255ef032fb894424fafa3c53a7",
+    "a1 20 64": "1d519218ef62feac41f9de1c31069d09f7332e22afae8f6a20def70049df82e6",
+    "a1 20 256": "8c3d62fbc5e330929c59506a20f4823d9f854013f0af0389807036027c0f8993",
+    "a1 20 1024": "101f45adec8d27f7af4bac93932e6f3b7d93a84947a2b89eda0266fe091c3e32",
+    "a1 100 64": "93fc1af91f73b83b317e0ff42707e8447f16e0f8e2f198e73124797a91c6ca85",
+    "a1 100 256": "b88cd81b13f1cdac0e453250d02a60e2a8c8414888eaf2f295dc736ecb318549",
+    "a1 100 1024": "91ac63dec9970ee6300c41b8099bc84ba601eeb105ebf2ef05384b180e0057ea",
+    "reflected 6 64": "c587f836b95b50b8c25a99d300e370c381c493bbeddb602f2728b31d4aa95c40",
+    "reflected 6 256": "c50b71a23739e1540fa8c879312bbb484a9a4da5b681902fd87cb726710aeae1",
+    "reflected 6 1024": "580bac5c0a9b0c5cb2d74d99755d55ea49eee3c41b4fa9825b99f5855afd0ff2",
+    "reflected 20 64": "81db9b53599bf6f99262245d24bea09759eff24e9e3314b21e87f889bc16e7ee",
+    "reflected 20 256": "c09811e97fceca402f56a7d7c7f5668b238986c2c4d34b2413d6e30902df9d9e",
+    "reflected 20 1024": "eabfef472bfa1cfb710a6185550b5e395c2ba430bb4b2d5138b1e1db0ac92e4d",
+    "reflected 100 64": "f0d7a524ec10ec27f6d60a164a95560be299b10b88d894462b04ee50c61d5bf8",
+    "reflected 100 256": "e81f3c41d5139ed387d71204d01d0aa1fb0755d491f53476de37420be0f62a72",
+    "reflected 100 1024": "1bf30ea871a258d2200f206d731e6c94b6e9142b6433b09542104b053524f78e",
+}
+
+
+@pytest.mark.parametrize("name, size, precision", GRID,
+                         ids=[f"{n}-{s}-{p}" for n, s, p in GRID])
+def test_matrices_and_residuals_are_bit_identical(name, size, precision):
+    key = f"{name} {size} {precision}"
+    assert digest(matrix_values(name, size, precision)) == MATRIX_DIGESTS[key]
 
 
 #: Points, as offsets from c, where the pointwise values are pinned: c itself,
