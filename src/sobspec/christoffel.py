@@ -16,8 +16,8 @@ against the Cholesky chain, as the "H T = T (J2 - cI)^2" and "R Rt = Tt T"
 residuals do for d_n and e_n through the Sobolev ledger.  The pinned 1e-30
 tolerances live in the test suite.  The build runs on raw values with the
 table's scalar kit (:class:`sobspec.core.Arith`), in the order the formulas
-are written, so each field has the bits of the same formulas on mpf; the
-guards compare the raw values as mpf compares them.
+are written, so each field has the bits of the same formulas on mpf and is
+stored raw; the guards compare the raw values as mpf compares them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class ChristoffelLedger:
 
     tau[0] holds the squared norm of the degree-0 member (the recurrence
     starts from p^[2]_0 = 1/sqrt(tau_0)); tau[n] for n >= 1 is the recurrence
-    coefficient (r^[2]_{n-1}/r^[2]_n)^2.
+    coefficient (r^[2]_{n-1}/r^[2]_n)^2.  The tuple fields hold raw values.
     """
 
     kt: object
@@ -79,8 +79,7 @@ class ChristoffelLedger:
         kit = arith(rec.precision)
         guard = kit.raw([kit.ctx.ldexp(1, -(rec.precision // 2))])[0]
         add, sub, mul, div, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.sqrt
-        jet = list(map(kit.raw, kt.cjets))
-        K, h, r, beta, gamma = map(kit.raw, (kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma))
+        jet, K, h, r, beta, gamma = kt.cjets, kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma
         d, e, r2, kappa, tau = [], [], [], [], []
         for n in range(size):
             (v0, d0), (v1, d1), (v2, d2) = jet[n:n + 3]
@@ -104,4 +103,4 @@ class ChristoffelLedger:
                 q = div(r2[n - 1], r2[n])
                 tau.append(mul(q, q))
         norm2 = list(map(mul, e, h))
-        return cls(kt, *map(kit.wrap, (d, e, r2, kappa, norm2[:1] + tau, norm2)))
+        return cls(kt, *map(tuple, (d, e, r2, kappa, norm2[:1] + tau, norm2)))

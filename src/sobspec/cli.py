@@ -202,8 +202,8 @@ def verify(**opts):
     doc = {
         "config": config,
         "pass": bool(ok),
-        "max_residual": fmt(report.max_residual),
-        "residuals": [{"name": name, "block": block, "residual": fmt(res)}
+        "max_residual": fmt(report.max_residual._mpf_),
+        "residuals": [{"name": name, "block": block, "residual": fmt(res._mpf_)}
                       for name, res, block in rows],
     }
     outdir = Path(opts["out"])

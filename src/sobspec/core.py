@@ -11,12 +11,12 @@ All real computation uses mpmath binary floats at a configurable precision
 an mpf operation rounds in its left operand's context.  So results do not
 depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
 builds at different precisions may run concurrently in several threads.
-Loops that must not pay for mpf objects, the recurrence table's among them,
-run on raw values with the scalar kit :func:`arith` of their precision (see
-:class:`Arith`).  At an mpf precision its rounded operations are one kernel
-on ``_mpf_`` tuples (:func:`_rounding`): correctly rounded to nearest, so
-with the bits of libmp's, but without libmp's dispatch on precision and
-rounding mode.
+Every loop runs on raw values with the scalar kit :func:`arith` of its
+precision (see :class:`Arith`), and tables, ledgers and matrices store them;
+an mpf is made only where a public reader returns one.  At an mpf precision
+the kit's rounded operations are one kernel on ``_mpf_`` tuples
+(:func:`_rounding`): correctly rounded to nearest, so with the bits of
+libmp's, but without libmp's dispatch on precision and rounding mode.
 
 ``EXACT`` is the infinite precision: ``context(EXACT)`` holds exact signed
 square roots of rationals (:class:`SqrtRational`), so the matrix chain of
@@ -192,7 +192,8 @@ class Arith:
     ``context(precision)``, ``raw`` turns its scalars into raw values (a
     list), ``wrap`` turns raw values back (a tuple), and ``add``, ``sub``,
     ``mul``, ``div``, ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw
-    values; ``gt`` is the comparison ``>``.
+    values; ``gt`` is the comparison ``>``.  Ledgers and matrices hold raw
+    values, so ``arith(p).wrap(field)`` reads a field as scalars.
 
     At an mpf precision p the raw values are ``_mpf_`` tuples and the
     operations are :func:`_rounding`'s kernel: the results, bit for bit, of
@@ -440,23 +441,21 @@ class MeasureSpec:
             # mpf's int-mixed operators round the exact result once, as these do
             a = to_mpf(self.alpha, ctx)
             (ar,) = kit.raw([a])
-            beta = kit.wrap([add(from_int(2 * n + 1), ar) for n in range(size)])
-            gamma = kit.wrap([kit.zero] + [mul(add(ar, from_int(n)), from_int(n))
-                                           for n in range(1, size)])
+            beta = [add(from_int(2 * n + 1), ar) for n in range(size)]
+            gamma = [kit.zero] + [mul(add(ar, from_int(n)), from_int(n)) for n in range(1, size)]
             norm0_sq = ctx.gamma(a + 1)
         elif self.family == "custom":
             if size > len(self.beta):
                 raise InvalidParameterError(
                     f"custom measure supplies {len(self.beta)} coefficients, need {size}")
-            beta = tuple(to_mpf(b, ctx) for b in self.beta[:size])
-            gamma = (ctx.zero,) + tuple(to_mpf(g, ctx) for g in self.gamma[1:size])
+            beta = kit.raw(to_mpf(b, ctx) for b in self.beta[:size])
+            gamma = [kit.zero] + kit.raw(to_mpf(g, ctx) for g in self.gamma[1:size])
             norm0_sq = to_mpf(self.norm0_sq, ctx)
         else:
             raise InvalidParameterError(f"unknown measure family {self.family!r}")
-        norm_sq = list(accumulate(kit.raw(gamma[1:]), mul, initial=kit.raw([norm0_sq])[0]))
-        return RecurrenceTable(beta, gamma, kit.wrap(norm_sq),
-                               kit.wrap([kit.div(kit.one, kit.sqrt(s)) for s in norm_sq]),
-                               precision)
+        norm_sq = tuple(accumulate(gamma[1:], mul, initial=kit.raw([norm0_sq])[0]))
+        return RecurrenceTable(tuple(beta), tuple(gamma), norm_sq,
+                               tuple(kit.div(kit.one, kit.sqrt(s)) for s in norm_sq), precision)
 
 
 @dataclass(frozen=True)
@@ -497,7 +496,7 @@ class RecurrenceTable:
 
     ``beta[n]``, ``gamma[n]`` (gamma[0] = 0 by convention), ``norm_sq[n]`` the
     squared monic norms, ``leading[n] = 1/||P_n||`` the positive orthonormal
-    leading coefficients.  Valid indices are 0..size-1.
+    leading coefficients, as raw values.  Valid indices are 0..size-1.
     """
 
     beta: tuple
@@ -523,19 +522,18 @@ def eval_jet(rec, n, x, order=3):
         raise IndexError(f"n = {n} outside table of size {rec.size}")
     if not 0 <= order <= 3:
         raise InvalidParameterError("derivative order capped at 3")
-    x = to_mpf(x, context(rec.precision))
     return tuple(map(arith(rec.precision).wrap, _jet_rows(rec, n, x, order)))
 
 
 def _jet_rows(rec, n, x, order):
-    """The rows of :func:`eval_jet` at the mpf x as raw values, computed with
+    """The rows of :func:`eval_jet` at x (a number) as raw values, computed with
     the table's :func:`arith` in the order of the mpf recurrence (the integer
     j as an mpf, whose product rounds as ``mpf * int`` does), so every entry
     has the bits of the mpf recurrence.  The loop starts from P_0 and a zero
     row P_-1; as gamma_0 = 0, its first step is P_1 = x - beta_0 exactly."""
     ctx, kit = context(rec.precision), arith(rec.precision)
     add, sub, mul = kit.add, kit.sub, kit.mul
-    (x,), beta, gamma = kit.raw([x]), kit.raw(rec.beta[:n]), kit.raw(rec.gamma[:n])
+    (x,), beta, gamma = kit.raw([to_mpf(x, ctx)]), rec.beta, rec.gamma
     ints = kit.raw(map(ctx.mpf, range(order + 1)))
     prev, rows = [kit.zero] * (order + 1), [[kit.one] + [kit.zero] * order]
     for k in range(n):

@@ -7,8 +7,8 @@ and no division by x - y.
 
 :meth:`KernelTable.build` runs the jet recurrence and the three sums on raw
 values with the table's scalar kit (:class:`sobspec.core.Arith`), so every
-value has the bits of the mpf loop without its object overhead.  It keeps
-the jets at c (``KernelTable.cjets``), which the ledgers and
+value has the bits of the mpf loop, and keeps them raw.  It keeps the jets
+at c (``KernelTable.cjets``), which the ledgers and
 :func:`sobspec.sobolev.eval_sobolev` read instead of evaluating them again.
 """
 
@@ -26,7 +26,7 @@ class KernelTable:
     K[n], K01[n], K11[n] are the order-(0,0), (0,1), (1,1) kernel values
     K^(j,k)_n(c, c) for n = 0..size-1, built by direct summation.
     ``cjets[k][j]`` is the j-th derivative of P_k at c, j <= 1, as rows of
-    :func:`sobspec.core.eval_jet`.
+    :func:`sobspec.core.eval_jet`, all raw values; ``c`` is an mpf.
     """
 
     rec: object
@@ -51,7 +51,7 @@ class KernelTable:
         rows = _jet_rows(rec, rec.size - 1, c, 1)
         K, K01, K11 = [], [], []
         s = s01 = s11 = kit.zero
-        for (v, dv), h in zip(rows, kit.raw(rec.norm_sq)):
+        for (v, dv), h in zip(rows, rec.norm_sq):
             w = div(kit.one, h)
             s = add(s, mul(mul(v, v), w))
             s01 = add(s01, mul(mul(v, dv), w))
@@ -59,4 +59,4 @@ class KernelTable:
             K.append(s)
             K01.append(s01)
             K11.append(s11)
-        return cls(rec, c, *map(kit.wrap, (K, K01, K11)), tuple(map(kit.wrap, rows)))
+        return cls(rec, c, *map(tuple, (K, K01, K11, map(tuple, rows))))

@@ -38,8 +38,8 @@ share it, and operands at two precisions raise :class:`InvalidParameterError`.
 The chain (:func:`cholesky_shifted`, :func:`commute_cholesky`,
 :func:`qr_pair`, the tridiagonal builders) and :func:`multiply` run on the
 scalar kit (:class:`sobspec.core.Arith`) of that precision, mpf or
-``EXACT``; verification runs exactly, on the :func:`aligned` ints, and
-rounds each residual once.
+``EXACT``, and every matrix stores that kit's raw values; verification runs
+exactly, on the :func:`aligned` ints, and rounds each residual once.
 A product with B = A^T by value (A A for a symmetric A, X X^T, X^T X) is
 symmetric term by term, so only its diagonals r >= 0 are formed and
 mirrored, and a scan of two symmetric operands reads only their diagonals
@@ -67,11 +67,13 @@ class BandedMatrix:
 
     Only the band is stored: ``diagonals[lower_bw + k]`` is diagonal k (k < 0
     below the main one), top-left entry first, and every entry outside the
-    band is an exact zero that is never held.  Every matrix is assembled by
-    ``from_diagonals``, except the cheap derivations ``transpose``,
-    ``shifted`` and ``negated``.  ``exact_size`` marks the leading block
-    unaffected by truncation.  Serialization emits band entries only.  The
-    ints of an :func:`aligned` matrix stand for themselves times 2**``exp``.
+    band is an exact zero that is never held.  The diagonals hold raw values
+    of the scalar kit (:class:`sobspec.core.Arith`); those of an
+    :func:`aligned` matrix are ints standing for themselves times 2**``exp``.
+    ``entry`` and ``band_entries`` return scalars, mpf at an mpf precision.
+    Every matrix is assembled by ``from_diagonals``, except the cheap
+    derivations ``transpose``, ``shifted`` and ``negated``.  ``exact_size``
+    marks the leading block unaffected by truncation.
     """
 
     nrows: int
@@ -86,42 +88,43 @@ class BandedMatrix:
     def entry(self, i, j):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
-        if not self.in_band(i, j):
-            return context(self.precision).zero
-        return self.diagonals[self.lower_bw + j - i][min(i, j)]
+        kit, k = self._scalars(), self.lower_bw + j - i
+        return kit.wrap([self.diagonals[k][min(i, j)] if self.in_band(i, j) else kit.zero])[0]
 
     def in_band(self, i, j):
         return -self.lower_bw <= j - i <= self.upper_bw
 
     def diagonal(self, k):
-        """Diagonal k, top-left entry first; exact zeros outside the band."""
+        """Diagonal k as stored, top-left entry first; exact zeros outside the band."""
         if self.in_band(0, k):
             return self.diagonals[self.lower_bw + k]
-        zero = context(self.precision).zero if self.exp is None else 0
-        return (zero,) * _diagonal_length(self.nrows, self.ncols, k)
+        return (self._scalars().zero,) * _diagonal_length(self.nrows, self.ncols, k)
 
     def band_entries(self):
-        """Yield (i, j, value) over the declared band, row-major."""
-        for i in range(self.nrows):
-            for j in range(max(0, i - self.lower_bw), min(self.ncols, i + self.upper_bw + 1)):
-                yield i, j, self.diagonals[self.lower_bw + j - i][min(i, j)]
+        """Yield (i, j, value) over the declared band, row-major, each value
+        as ``entry`` returns it."""
+        yield from _band(self, tuple(map(self._scalars().wrap, self.diagonals)))
+
+    def _scalars(self):
+        """The scalar kit of the stored values: the precision's, or ``int`` if aligned."""
+        return arith(self.precision if self.exp is None else int)
 
     def transpose(self):
         return BandedMatrix(self.ncols, self.nrows, self.upper_bw, self.lower_bw,
                             self.exact_size, self.precision, self.diagonals[::-1], exp=self.exp)
 
     def shifted(self, lam):
-        """self + lam * I on the common diagonal."""
-        lam = to_mpf(lam, context(self.precision))
+        """self + lam * I on the common diagonal, with the scalar kit's ``add``."""
+        kit = arith(self.precision)
+        (lam,) = kit.raw([to_mpf(lam, kit.ctx)])
         diagonals = list(self.diagonals)
-        diagonals[self.lower_bw] = tuple(v + lam for v in diagonals[self.lower_bw])
+        diagonals[self.lower_bw] = tuple(kit.add(v, lam) for v in diagonals[self.lower_bw])
         return self._with_diagonals(tuple(diagonals))
 
     def negated(self):
         """-self: every band entry's sign flipped, which is exact."""
-        kit = _kit(self, self)
-        return self._with_diagonals(tuple(kit.wrap(map(kit.neg, kit.raw(diagonal)))
-                                          for diagonal in self.diagonals), self.exp)
+        neg = self._scalars().neg
+        return self._with_diagonals(tuple(tuple(map(neg, d)) for d in self.diagonals), self.exp)
 
     def _with_diagonals(self, diagonals, exp=None):
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
@@ -135,7 +138,8 @@ class HessenbergQ(BandedMatrix):
 
     Q(j + 1, j) = ``sub[j]`` and Q(j, j) = ``diag[j]``; above the diagonal
     Q(j, i) = Q(j, i - 1) * rho_i with rho_i = -L1(i, i - 1) / L1(i, i)
-    (``rho[i]``, and ``rho[0]`` is one), so the upper triangle has rank one.
+    (``rho[i]``, and ``rho[0]`` is one), so the upper triangle has rank one;
+    these generators are raw values, as the diagonals are.
     ``diagonals`` is left unset until something reads it (``entry``,
     ``band_entries``, ``transpose``, a product, serialization); then the band
     is expanded once, by the forward substitution against ``l1`` that
@@ -161,17 +165,25 @@ def _hessenberg_diagonals(Q, upto):
     """Diagonals -1 to ``upto`` of a :class:`HessenbergQ`: diagonal k >= 1
     from diagonal k - 1 by forward substitution against L1, in one fixed
     operation order, so an entry has the same bits however far this goes.
-    The steps run on raw values with Q's scalar kit, in the order of
-    ``-x * s / d``.  The diagonals are tuples, which ``from_diagonals`` keeps
-    without a copy."""
+    The steps run on raw values with Q's scalar kit as ``x * (-s) / d``, L1's
+    subdiagonal negated once, which has the bits of ``(-x) * s / d``: negation
+    is exact and rounding to nearest symmetric in sign.  The diagonals are
+    tuples, which ``from_diagonals`` keeps without a copy."""
     kit = arith(Q.precision)
-    neg, times, div = kit.neg, kit.mul, kit.div
-    l1diag, l1sub, prev = map(kit.raw, (Q.l1.diagonal(0), Q.l1.diagonal(-1), Q.diag))
+    times, div = kit.mul, kit.div
+    l1diag, l1sub, prev = Q.l1.diagonal(0), tuple(map(kit.neg, Q.l1.diagonal(-1))), Q.diag
     diagonals = {-1: Q.sub, 0: Q.diag}
     for k in range(1, upto + 1):
-        prev = [div(times(neg(x), s), d) for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
-        diagonals[k] = kit.wrap(prev)
+        prev = tuple([div(times(x, s), d) for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])])
+        diagonals[k] = prev
     return diagonals
+
+
+def _band(A, diagonals):
+    """Yield (i, j, value) over A's band, row-major, from ``diagonals`` laid out as A's."""
+    for i in range(A.nrows):
+        for j in range(max(0, i - A.lower_bw), min(A.ncols, i + A.upper_bw + 1)):
+            yield i, j, diagonals[A.lower_bw + j - i][min(i, j)]
 
 
 def _diagonal_length(nrows, ncols, k):
@@ -208,7 +220,7 @@ def _symmetric_from_diagonals(diagonals, exact_size, precision):
 
 
 def identity(n, precision):
-    return from_diagonals({0: [context(precision).one] * n}, n, precision)
+    return from_diagonals({0: [arith(precision).one] * n}, n, precision)
 
 
 def _kit(A, B):
@@ -216,7 +228,7 @@ def _kit(A, B):
     if (A.precision, A.exp is None) != (B.precision, B.exp is None):
         raise InvalidParameterError(f"operands at {A.precision} and {B.precision} bits, "
                                     "or one aligned; convert one first")
-    return arith(A.precision if A.exp is None else int)
+    return A._scalars()
 
 
 def aligned(A):
@@ -224,12 +236,14 @@ def aligned(A):
     the smallest exponent of A's nonzero entries; an aligned A is kept."""
     if A.exp is not None:
         return A
-    diagonals, exp = _ints(*map(arith(A.precision).raw, A.diagonals))
+    diagonals, exp = _ints(*A.diagonals)
     return A._with_diagonals(tuple(diagonals), exp)
 
 
 def _is_transpose(A, B):
-    """Whether B is A^T by value: shape, band and every stored entry."""
+    """Whether B is A^T by value: shape, band and every stored entry.  Raw
+    values compare by their bits, so unlike mpf ``==`` a NaN equals itself,
+    and mirroring a product keeps its bits."""
     return ((A.nrows, A.ncols, A.lower_bw, A.upper_bw)
             == (B.ncols, B.nrows, B.upper_bw, B.lower_bw)
             and A.diagonals == B.diagonals[::-1])
@@ -258,8 +272,8 @@ def multiply(A, B):
     kit = _kit(A, B)
     add, times = kit.add, kit.mul
     mirror = _is_transpose(A, B)
-    a_diags = list(map(kit.raw, A.diagonals))
-    b_diags = a_diags[::-1] if mirror else list(map(kit.raw, B.diagonals))
+    a_diags = A.diagonals
+    b_diags = a_diags[::-1] if mirror else B.diagonals
     nrows, ncols = A.nrows, B.ncols
     diagonals = {}
     for r in range(0 if mirror else -min(A.lower_bw + B.lower_bw, max(nrows - 1, 0)),
@@ -273,7 +287,7 @@ def multiply(A, B):
             b = b_diags[B.lower_bw + r - p][lo + min(p, r):hi + min(p, r)]
             s = lo - max(0, -r)
             out[s:s + hi - lo] = map(add, out[s:s + hi - lo], map(times, a, b))
-        diagonals[r] = kit.wrap(out)
+        diagonals[r] = out
     w = min(A.upper_bw, B.lower_bw)
     exact_size = min(A.exact_size, B.exact_size - w, A.ncols - w, A.nrows, B.ncols)
     product = (_symmetric_from_diagonals(diagonals, exact_size, A.precision) if mirror
@@ -344,8 +358,7 @@ def _shifted(ints, by):
 def _tridiagonal(diag, off_sq, precision):
     """Symmetric tridiagonal matrix, exact at its full size, from its
     diagonal and the squares of its off-diagonal."""
-    kit = arith(precision)
-    off = kit.wrap(map(kit.sqrt, kit.raw(off_sq)))
+    off = tuple(map(arith(precision).sqrt, off_sq))
     return _symmetric_from_diagonals({0: diag, 1: off}, len(diag), precision)
 
 
@@ -364,13 +377,6 @@ def build_iterated_jacobi(chris, size):
     return _tridiagonal(chris.kappa[:size], chris.tau[1:size], chris.kt.rec.precision)
 
 
-def _bidiagonal(M):
-    """The scalar kit of M's precision, and M's diagonals 0 and -1 as its raw
-    values."""
-    kit = arith(M.precision)
-    return kit, kit.raw(M.diagonal(0)), kit.raw(M.diagonal(-1))
-
-
 def cholesky_shifted(J, c):
     """Lower bidiagonal L with L L^T = J - cI.
 
@@ -380,8 +386,8 @@ def cholesky_shifted(J, c):
     with the scalar kit of J's precision, in the order of ``(J(i, i) - c) -
     L(i, i - 1) ** 2``, so it has the bits of the same formula on scalars.
     """
-    kit, jdiag, jsub = _bidiagonal(J)
-    (c,) = kit.raw([to_mpf(c, context(J.precision))])
+    kit, jdiag, jsub = arith(J.precision), J.diagonal(0), J.diagonal(-1)
+    (c,) = kit.raw([to_mpf(c, kit.ctx)])
     minus, times, div, sqrt, gt = kit.sub, kit.mul, kit.div, kit.sqrt, kit.gt
     diag, low = [], []
     for i, d in enumerate(jdiag):
@@ -395,7 +401,7 @@ def cholesky_shifted(J, c):
         diag.append(sqrt(pivot))
         if i < len(jsub):
             low.append(div(jsub[i], diag[i]))
-    return from_diagonals({0: kit.wrap(diag), -1: kit.wrap(low)}, J.exact_size, J.precision)
+    return from_diagonals({0: diag, -1: low}, J.exact_size, J.precision)
 
 
 def commute_cholesky(L, c):
@@ -405,13 +411,13 @@ def commute_cholesky(L, c):
     exact size drops by one.  Entry (i, i) is (L(i, i) ** 2 + L(i + 1, i) **
     2) + c, on raw values with L's scalar kit.
     """
-    kit, ldiag, lsub = _bidiagonal(L)
-    (c,) = kit.raw([to_mpf(c, context(L.precision))])
+    kit, ldiag, lsub = arith(L.precision), L.diagonal(0), L.diagonal(-1)
+    (c,) = kit.raw([to_mpf(c, kit.ctx)])
     plus, times = kit.add, kit.mul
     squares = [times(x, x) for x in ldiag]
     squares[:len(lsub)] = [plus(d, times(x, x)) for d, x in zip(squares, lsub)]
-    diag = kit.wrap(plus(d, c) for d in squares)
-    off = kit.wrap(map(times, lsub, ldiag[1:]))
+    diag = [plus(d, c) for d in squares]
+    off = list(map(times, lsub, ldiag[1:]))
     return _symmetric_from_diagonals({0: diag, 1: off}, L.exact_size - 1, L.precision)
 
 
@@ -427,15 +433,15 @@ def qr_pair(L, L1):
     """
     n = L.nrows
     exact = max(0, min(L.exact_size, L1.exact_size) - 1)
-    kit, ldiag, lsub = _bidiagonal(L)
-    _, l1diag, l1sub = _bidiagonal(L1)
+    kit, ldiag, lsub = arith(L.precision), L.diagonal(0), L.diagonal(-1)
+    l1diag, l1sub = L1.diagonal(0), L1.diagonal(-1)
     div, minus, times, neg = kit.div, kit.sub, kit.mul, kit.neg
-    sub = list(map(div, lsub, l1diag))
-    acc = ldiag[:1] + [minus(x, times(s, t)) for x, s, t in zip(ldiag[1:], sub, l1sub)]
-    diag = map(div, acc, l1diag)
-    rho = [kit.one] + [div(neg(s), d) for s, d in zip(l1sub, l1diag[1:])]
+    sub = tuple(map(div, lsub, l1diag))
+    acc = ldiag[:1] + tuple(minus(x, times(s, t)) for x, s, t in zip(ldiag[1:], sub, l1sub))
+    diag = tuple(map(div, acc, l1diag))
+    rho = (kit.one, *(div(neg(s), d) for s, d in zip(l1sub, l1diag[1:])))
     Q = HessenbergQ(n, n, min(1, max(n - 1, 0)), max(n - 1, 0), min(exact, n), L.precision,
-                    *map(kit.wrap, (diag, sub, rho)), L1)
+                    diag, sub, rho, L1)
     R = replace(multiply(L, L1).transpose(), exact_size=exact)
     return Q, R
 
@@ -580,11 +586,11 @@ def _q_products(Q, R):
     kit, n, R = arith(Q.precision), Q.nrows, aligned(R)
     near = aligned(from_diagonals(_hessenberg_diagonals(Q, min(2, n - 1)), Q.exact_size,
                                   Q.precision))
-    P = list(accumulate(kit.raw(Q.rho), kit.mul))
-    u = list(map(kit.div, kit.raw(Q.diag), P))
+    P = list(accumulate(Q.rho, kit.mul))
+    u = list(map(kit.div, Q.diag, P))
     (P,), ep = _ints(P)
     (u,), eu = _ints(u)
-    (sub,), es = _ints(kit.raw(Q.sub))
+    (sub,), es = _ints(Q.sub)
     r = [R.diagonal(k) for k in range(3)]  # R(m, m + k) = r[k][m]
     z, w = list(map(mul, P, r[0])), list(map(mul, r[0], u))
     for k in (1, 2):

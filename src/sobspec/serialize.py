@@ -11,7 +11,8 @@ CSV holds one ``i,j,value`` row per band entry under a header line.
 
 Every value goes through one :func:`formatter` per document, which gives
 the string of ``mpmath.libmp.to_str`` (what ``nstr`` returns) byte for byte
-from the value's raw ``_mpf_`` tuple.  A matrix document is the text of
+from the raw ``_mpf_`` tuple that the matrix or ledger stores, so writing
+makes no mpf.  A matrix document is the text of
 ``json.dumps(doc, indent=1)``: the scalar header comes from ``json.dumps``
 itself, and the entry rows are written in that layout directly, since
 ``json`` encodes with an indent in pure Python.
@@ -27,7 +28,7 @@ from mpmath.libmp import prec_to_dps, to_str
 
 from .core import _check_int, context
 from .errors import InvalidParameterError
-from .matrices import _diagonal_length, from_diagonals
+from .matrices import _band, _diagonal_length, from_diagonals
 
 _LOG2_10 = math.log(10, 2)
 
@@ -38,7 +39,7 @@ def repr_digits(precision):
 
 
 def formatter(precision):
-    """The function mapping an mpf to ``to_str(x._mpf_, repr_digits(precision))``.
+    """The function mapping a raw ``_mpf_`` tuple s to ``to_str(s, repr_digits(precision))``.
 
     It takes the steps of ``to_str`` and its ``to_digits_exp`` once per
     value, with the digit count, the bit budget and the powers of ten worked
@@ -51,13 +52,12 @@ def formatter(precision):
     """
     dps = repr_digits(precision)
     if dps > 4000:
-        return lambda x: to_str(x._mpf_, dps)
+        return lambda s: to_str(s, dps)
     bitprec = int((dps + 3) * _LOG2_10) + 10
     min_fixed = min(-(dps // 3), -5)
     tens = {}
 
-    def fmt(x):
-        s = x._mpf_
+    def fmt(s):
         sign, man, exp, bc = s
         if not man or abs(exp + bc) > 3500:
             return to_str(s, dps)
@@ -113,8 +113,8 @@ def matrix_to_json(name, matrix, exact_entries=None):
         "exact_size": matrix.exact_size,
         "precision": matrix.precision,
     }, indent=1)
-    text = head[:-2] + _json_rows("entries", [
-        f'  [\n   {i},\n   {j},\n   "{fmt(v)}"\n  ]' for i, j, v in matrix.band_entries()])
+    text = head[:-2] + _json_rows("entries", [f'  [\n   {i},\n   {j},\n   "{fmt(v)}"\n  ]'
+                                              for i, j, v in _band(matrix, matrix.diagonals)])
     if exact_entries is not None:
         text += _json_rows("entries_exact", [
             f"  [\n   {i},\n   {j},\n   {e.square.numerator},\n   {e.square.denominator},"
@@ -133,7 +133,7 @@ def matrix_from_json(text):
             "nrows", "ncols", "lower_bw", "upper_bw", "exact_size"))
         prec = _check_int("precision", doc["precision"], 1, " bits")
         values, mpf = {(i, j): s for i, j, s in entries}, context(prec).mpf
-        diagonals = {k: [mpf(values.pop((n + max(0, -k), n + max(0, k))))
+        diagonals = {k: [mpf(values.pop((n + max(0, -k), n + max(0, k))))._mpf_
                          for n in range(_diagonal_length(nrows, ncols, k))]
                      for k in range(-lower, upper + 1)}
     except InvalidParameterError:
@@ -149,10 +149,8 @@ def matrix_from_json(text):
 
 def matrix_to_csv(matrix):
     fmt = formatter(matrix.precision)
-    lines = ["i,j,value"]
-    for i, j, v in matrix.band_entries():
-        lines.append(f"{i},{j},{fmt(v)}")
-    return "\n".join(lines) + "\n"
+    return "i,j,value\n" + "".join(f"{i},{j},{fmt(v)}\n"
+                                   for i, j, v in _band(matrix, matrix.diagonals))
 
 
 def ledgers_to_doc(suite):
@@ -186,8 +184,6 @@ def ledgers_to_csv(suite):
         fields = [k for k, v in payload.items() if isinstance(v, list)]
         lines = ["n," + ",".join(fields)]
         for n in range(payload["size"]):
-            lines.append(
-                str(n) + "," + ",".join(payload[f][n] for f in fields)
-            )
+            lines.append(str(n) + "," + ",".join(payload[f][n] for f in fields))
         files[part] = "\n".join(lines) + "\n"
     return files

@@ -10,7 +10,7 @@ the five-term recurrence entries (a_n, b_n, c_n) for multiplication by
 (x-c)^2, and the auxiliary alpha/xi connection coefficients.  Like the
 Christoffel ledger, it runs on raw values with the table's scalar kit
 (:class:`sobspec.core.Arith`), in the order the formulas are written, so
-each field has the bits of the same formulas on mpf.
+each field has the bits of the same formulas on mpf, and stores them raw.
 
 Only the masses M and N enter here.  The mass point and the base measure
 come with the Christoffel ledger that the Sobolev ledger extends
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, arith, context, eval_jet, to_mpf
+from .core import _check_int, _jet_rows, arith, to_mpf
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 
 
@@ -53,7 +53,7 @@ class SobolevLedger:
     polynomials of degrees n, n-1, n-2 in s_n (zero where the degree is
     negative); a[n], b[n], cdiag[n] are the five-term entries with
     a_n = t_{n-2}/t_n; alpha1[n]/alpha0[n] and xi0/xi1/xi2 are the auxiliary
-    connection coefficients onto the base family and back.
+    connection coefficients onto the base family and back, all raw values.
     """
 
     chris: object
@@ -82,19 +82,17 @@ class SobolevLedger:
     @classmethod
     def build(cls, chris, M, N, size):
         kt, rec = chris.kt, chris.kt.rec
-        ctx = context(rec.precision)
-        M, N = to_mpf(M, ctx), to_mpf(N, ctx)
-        if not all(0 <= m < ctx.inf for m in (M, N)):
+        kit = arith(rec.precision)
+        M, N = to_mpf(M, kit.ctx), to_mpf(N, kit.ctx)
+        if not all(0 <= m < kit.ctx.inf for m in (M, N)):
             raise InvalidParameterError(
                 f"masses must be finite and nonnegative, got M = {M}, N = {N}")
         if _check_int("size", size, 0) > chris.size:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
-        kit = arith(rec.precision)
         add, sub, mul, div, neg, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.neg, kit.sqrt
         zero, one = kit.zero, kit.one
-        j = list(map(kit.raw, kt.cjets))
-        K, K01, K11, h, r, d, e, r2 = map(kit.raw, (kt.K, kt.K01, kt.K11, rec.norm_sq,
-                                                    rec.leading, chris.d, chris.e, chris.r2))
+        j, K, K01, K11, h, r = kt.cjets, kt.K, kt.K01, kt.K11, rec.norm_sq, rec.leading
+        d, e, r2 = chris.d, chris.e, chris.r2
         Mr, Nr = kit.raw([M, N])
         Sc, Sdc, normS, t, g_nn, g_n1, g_n2 = [], [], [], [], [], [], []
         root = []  # root[n] = sqrt(K_{n-1} / K_n), read at n and at n + 1
@@ -149,15 +147,17 @@ class SobolevLedger:
             x1.append(mul(neg(d[n - 1]), root[n]) if n >= 1 else zero)
             x2.append(mul(div(r[n - 1], r[n]), root[n - 1]) if n >= 2 else zero)
 
-        return cls(chris, M, N, *map(kit.wrap, (Sc, Sdc, normS, t, g_nn, g_n1, g_n2, a, b,
-                                                cdiag, al1, al0, x0, x1, x2)))
+        return cls(chris, M, N, *map(tuple, (Sc, Sdc, normS, t, g_nn, g_n1, g_n2, a, b,
+                                             cdiag, al1, al0, x0, x1, x2)))
 
 
 def _kernel_sum(rec, n, jx, jy, j):
-    """sum_{k<=n} P_k(x) P_k^(j)(y) / ||P_k||^2 for j = 0 or 1, as one fsum,
-    from the jets ``jx`` at x and ``jy`` at y."""
-    return context(rec.precision).fsum(
-        jx[k][0] * jy[k][j] / rec.norm_sq[k] for k in range(n + 1))
+    """sum_{k<=n} P_k(x) P_k^(j)(y) / ||P_k||^2 for j = 0 or 1, as one mpf
+    fsum, from the raw jet rows ``jx`` at x and ``jy`` at y."""
+    kit = arith(rec.precision)
+    terms = zip(kit.wrap(row[0] for row in jx[:n + 1]), kit.wrap(row[j] for row in jy[:n + 1]),
+                kit.wrap(rec.norm_sq[:n + 1]))
+    return kit.ctx.fsum(v * w / h for v, w, h in terms)
 
 
 def eval_sobolev(sob, n, x, normalized=False):
@@ -171,9 +171,10 @@ def eval_sobolev(sob, n, x, normalized=False):
         raise IndexError(f"n = {n} outside ledger of size {sob.size}")
     kt = sob.chris.kt
     rec = kt.rec
-    jx = eval_jet(rec, n, x, order=0)
-    value = jx[n][0]
+    kit = arith(rec.precision)
+    jx = _jet_rows(rec, n, x, 0)
+    value, Sc, Sdc, t = kit.wrap((jx[n][0], sob.Sc[n], sob.Sdc[n], sob.t[n]))
     if n >= 1:
-        value -= sob.M * sob.Sc[n] * _kernel_sum(rec, n - 1, jx, kt.cjets, 0)
-        value -= sob.N * sob.Sdc[n] * _kernel_sum(rec, n - 1, jx, kt.cjets, 1)
-    return value * sob.t[n] if normalized else value
+        value -= sob.M * Sc * _kernel_sum(rec, n - 1, jx, kt.cjets, 0)
+        value -= sob.N * Sdc * _kernel_sum(rec, n - 1, jx, kt.cjets, 1)
+    return value * t if normalized else value

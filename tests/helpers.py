@@ -2,14 +2,16 @@
 functional of the Laguerre weight that is independent of the package, and
 the oracle's exact twice-transformed and Sobolev polynomials."""
 
+import dataclasses
 import functools
 import math
+import types
 from fractions import Fraction as F
 
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
-from sobspec.core import MeasureSpec, SqrtRational, context
+from sobspec.core import MeasureSpec, SqrtRational, arith, context
 from sobspec.oracle import grams, laguerre_basis, monic_system, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
@@ -31,6 +33,32 @@ def custom_table(beta, gamma, precision):
     The ledger builders read no support, so a wide placeholder is given."""
     return MeasureSpec.custom(beta, gamma, support=(-100.0, 100.0)).recurrence(
         len(beta), precision)
+
+
+def as_mpf(table):
+    """A recurrence table, kernel table or ledger with its tuple fields read
+    as mpf, by ``arith(p).wrap`` of the raw values it stores (the jets at c
+    row by row); its other fields and ``size`` as they are."""
+    rec = table
+    for link in ("chris", "kt", "rec"):
+        rec = getattr(rec, link, rec)
+    wrap = arith(rec.precision).wrap
+
+    def read(name, value):
+        if name == "cjets":
+            return tuple(map(wrap, value))
+        return wrap(value) if isinstance(value, tuple) else value
+
+    return types.SimpleNamespace(size=table.size, **{
+        f.name: read(f.name, getattr(table, f.name)) for f in dataclasses.fields(table)})
+
+
+def scaled(values, index, factor, precision):
+    """The raw ``values`` with entry ``index`` times the mpf ``factor``, the
+    product rounded at ``precision`` bits as mpf ``*`` rounds it."""
+    out = list(values)
+    out[index] = (arith(precision).wrap([out[index]])[0] * factor)._mpf_
+    return tuple(out)
 
 
 def rel(a, b):

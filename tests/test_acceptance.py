@@ -11,8 +11,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from helpers import (TOL28, TOL30, laguerre_monic, moment_inner, oracle_families, oracle_value,
-                     poly_mul, rel)
+from helpers import (TOL28, TOL30, as_mpf, laguerre_monic, moment_inner, oracle_families,
+                     oracle_value, poly_mul, rel)
 from sobspec.christoffel import ChristoffelLedger
 from sobspec.core import MeasureSpec, SobolevSpec, context, eval_jet
 from sobspec.golden import compare_reference, computed_counterparts, load_reference
@@ -64,6 +64,7 @@ def _identity_residuals_ok(spec, tol=TOL30):
 
 def _five_term_residual_ok(spec, tol=TOL28, top=15, points=5):
     rec, _, _, sob = _ledgers(spec, top + 2)
+    led = as_mpf(sob)
     rng = random.Random(31415)
     worst = mp.mpf(0)
     with mp.workprec(rec.precision):
@@ -74,12 +75,12 @@ def _five_term_residual_ok(spec, tol=TOL28, top=15, points=5):
                      for k in range(max(0, n - 2), n + 3)]
                 lo = max(0, n - 2)
                 lhs = (x - mp.mpf(-1)) ** 2 * s[n - lo]
-                rhs = (sob.a[n + 2] * s[n + 2 - lo] + sob.b[n + 1] * s[n + 1 - lo]
-                       + sob.cdiag[n] * s[n - lo])
+                rhs = (led.a[n + 2] * s[n + 2 - lo] + led.b[n + 1] * s[n + 1 - lo]
+                       + led.cdiag[n] * s[n - lo])
                 if n >= 1:
-                    rhs += sob.b[n] * s[n - 1 - lo]
+                    rhs += led.b[n] * s[n - 1 - lo]
                 if n >= 2:
-                    rhs += sob.a[n] * s[n - 2 - lo]
+                    rhs += led.a[n] * s[n - 2 - lo]
                 worst = max(worst, rel(lhs, rhs))
     return worst <= tol, worst
 
@@ -152,15 +153,16 @@ class TestAcceptance:
 
     def test_5_dual_formula_consistency(self):
         rec, kt, chris, _ = _ledgers(_spec(), 17)
+        table, kt, chris = as_mpf(rec), as_mpf(kt), as_mpf(chris)
         it2 = oracle_families(1, 1, 16)[0]
         worst = mp.mpf(0)
         rng = random.Random(27182)
         with mp.workprec(rec.precision):
             for n in range(16):
-                kernel_e = (rec.norm_sq[n + 1] / rec.norm_sq[n]) * kt.K[n + 1] / kt.K[n]
+                kernel_e = (table.norm_sq[n + 1] / table.norm_sq[n]) * kt.K[n + 1] / kt.K[n]
                 worst = max(worst, rel(chris.e[n], kernel_e))
                 if n >= 1:
-                    alt_tau = (chris.r2[n - 1] / rec.leading[n + 1]) ** 2 \
+                    alt_tau = (chris.r2[n - 1] / table.leading[n + 1]) ** 2 \
                         * kt.K[n + 1] / kt.K[n]
                     worst = max(worst, rel(chris.tau[n], alt_tau))
                 x = mp.mpf(rng.uniform(0, 10))

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from helpers import (TOL30, assert_rel, assert_squared, custom_table, oracle_families,
-                     oracle_value, rel)
+from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, oracle_families,
+                     oracle_value, rel, scaled)
 from sobspec.christoffel import ChristoffelLedger
 from sobspec.core import MeasureSpec, SobolevSpec, context, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
@@ -25,23 +25,28 @@ RNG_SEED = 61409
 
 class TestCoefficients:
     def test_first_pair_matches_coefficient_expansion(self, chris):
+        chris = as_mpf(chris)
         # (x+1)^2 = P_2 - d_0 P_1 + e_0 P_0 forces d_0 = -6, e_0 = 5.
         assert chris.d[0] == -6 and chris.e[0] == 5
 
     def test_e1_by_kernel_ratio(self, chris):
+        chris = as_mpf(chris)
         assert_rel(chris.e[1], mp.mpf(69) / 5)
 
     def test_positivity(self, chris):
+        chris = as_mpf(chris)
         assert all(e > 0 for e in chris.e)
         assert all(t > 0 for t in chris.tau)
 
     def test_dual_e_formulas(self, rec, kt, chris):
+        rec, kt, chris = as_mpf(rec), as_mpf(kt), as_mpf(chris)
         with mp.workprec(rec.precision):
             for n in range(16):
                 kernel_form = (rec.norm_sq[n + 1] / rec.norm_sq[n]) * kt.K[n + 1] / kt.K[n]
                 assert rel(chris.e[n], kernel_form) <= TOL30
 
     def test_exact_values_from_oracle(self, chris):
+        chris = as_mpf(chris)
         # The oracle route: e_n = |P2_n|^2_[2] / |P_n|^2 over exact rationals.
         basis = laguerre_basis(0, 10)
         _, it2_norm_sq = monic_system(grams(basis, F(-1), 1, 1)[1])
@@ -52,12 +57,15 @@ class TestCoefficients:
 
 class TestLeading:
     def test_degree_zero(self, chris):
+        chris = as_mpf(chris)
         assert_squared(chris.r2[0], F(1, 5))
 
     def test_degree_one(self, chris):
+        chris = as_mpf(chris)
         assert_squared(chris.r2[1], F(5, 69))
 
     def test_norm_relation(self, rec, chris):
+        rec, chris = as_mpf(rec), as_mpf(chris)
         for n in range(16):
             assert_rel(chris.norm2_sq[n], chris.e[n] * rec.norm_sq[n])
             assert_rel(chris.norm2_sq[n] * chris.r2[n] ** 2, mp.mpf(1))
@@ -65,6 +73,7 @@ class TestLeading:
 
 class TestRecurrencePair:
     def test_worked_example_values(self, chris):
+        chris = as_mpf(chris)
         k0 = chris.kappa[0]
         k1, t1 = chris.kappa[1], chris.tau[1]
         assert_rel(k0, mp.mpf(11) / 5)
@@ -72,6 +81,7 @@ class TestRecurrencePair:
         assert_rel(t1, mp.mpf(69) / 25)
 
     def test_matches_exact_oracle_recurrence(self, chris):
+        chris = as_mpf(chris)
         J2 = build_oracle_suite(0, -1, 1, 1, 6).matrices["J2"]
         for n in range(6):
             kappa = J2[n][n].as_rational()
@@ -81,6 +91,7 @@ class TestRecurrencePair:
                 assert_rel(chris.tau[n], mp.mpf(tau.numerator) / tau.denominator)
 
     def test_dual_tau_formulas(self, rec, kt, chris):
+        rec, kt, chris = as_mpf(rec), as_mpf(kt), as_mpf(chris)
         with mp.workprec(rec.precision):
             for n in range(1, 16):
                 alt = (chris.r2[n - 1] * rec.norm_sq[n + 1] ** 0.5) ** 2 * kt.K[n + 1] / kt.K[n]
@@ -89,6 +100,7 @@ class TestRecurrencePair:
 
 class TestDefiningIdentity:
     def test_shifted_square_connection(self, rec, chris):
+        chris = as_mpf(chris)
         # (x+1)^2 P^[2]_n = P_{n+2} - d_n P_{n+1} + e_n P_n, the left side exact.
         it2 = oracle_families(1, 1, 16)[0]
         rng = random.Random(RNG_SEED)
@@ -120,9 +132,9 @@ class TestCorruptedLedger:
         # chain; d and e feed the Sobolev ledger, so T and H, and two residuals
         # set those against J2.
         suite, clean = _clean(precision)
-        values = list(getattr(suite.sob.chris, field))
-        values[index] *= 1 + context(precision).ldexp(1, -(precision // 4))
-        bad = dataclasses.replace(suite.sob.chris, **{field: tuple(values)})
+        values = scaled(getattr(suite.sob.chris, field), index,
+                        1 + context(precision).ldexp(1, -(precision // 4)), precision)
+        bad = dataclasses.replace(suite.sob.chris, **{field: values})
         if field in ("kappa", "tau"):
             rows = ["J2 chain = J2 ledger"]
             corrupted = dataclasses.replace(
@@ -156,10 +168,9 @@ class TestBuildGuards:
         # / (||P_n||^2 K_n).
         rec = MeasureSpec.laguerre(0).recurrence(10, precision)
         kt = KernelTable.build(rec, -1)
-        K = list(kt.K)
-        K[index] *= 1 + context(precision).ldexp(1, -(precision // 4))
+        K = scaled(kt.K, index, 1 + context(precision).ldexp(1, -(precision // 4)), precision)
         with pytest.raises(NumericalFailureError, match=f"for e_{max(index - 1, 0)} "):
-            ChristoffelLedger.build(dataclasses.replace(kt, K=tuple(K)), 8)
+            ChristoffelLedger.build(dataclasses.replace(kt, K=K), 8)
 
     def test_rounding_at_three_bits_makes_an_e_negative(self):
         # e_n = ||P_{n+1}||^2 K_{n+1}(c, c) / (||P_n||^2 K_n(c, c)) > 0, but at

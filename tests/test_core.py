@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp, fzero,
                           mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest)
 
-from helpers import (assert_rel, laguerre_monic, moment_inner, mpq, poly_eval, reflected_laguerre,
-                     rel)
+from helpers import (as_mpf, assert_rel, laguerre_monic, moment_inner, mpq, poly_eval,
+                     reflected_laguerre, rel)
 from sobspec import core
 from sobspec.core import (
     EXACT,
@@ -34,6 +34,7 @@ from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
 class TestLaguerreRecurrence:
     def test_jacobi_entries_alpha0(self, rec):
+        rec = as_mpf(rec)
         assert [int(b) for b in rec.beta[:6]] == [1, 3, 5, 7, 9, 11]
         assert [int(g) for g in rec.gamma[:5]] == [0, 1, 4, 9, 16]
         assert_rel(mp.sqrt(rec.gamma[3]), mp.mpf(3))
@@ -41,7 +42,7 @@ class TestLaguerreRecurrence:
     def test_alpha_one_against_moment_oracle(self):
         # The moments (n+1)! give beta_1 = <x P_1, P_1>/<P_1, P_1> = 4 and
         # gamma_1 = <P_1, P_1>/<P_0, P_0> = 2.
-        r1 = MeasureSpec.laguerre(1).recurrence(6)
+        r1 = as_mpf(MeasureSpec.laguerre(1).recurrence(6))
         assert r1.beta[1] == 4
         assert r1.gamma[1] == 2
         p0, p1 = laguerre_monic(1, 0), laguerre_monic(1, 1)
@@ -49,14 +50,16 @@ class TestLaguerreRecurrence:
         assert moment_inner(1, [0] + p1, p1) / h1 == 4 and h1 / moment_inner(1, p0, p0) == 2
 
     def test_norm_seed_is_gamma_function(self):
-        assert MeasureSpec.laguerre(0).recurrence(3).norm_sq[0] == 1
-        assert_rel(MeasureSpec.laguerre(0.5).recurrence(3).norm_sq[0], mp.gamma(1.5))
+        assert as_mpf(MeasureSpec.laguerre(0).recurrence(3)).norm_sq[0] == 1
+        assert_rel(as_mpf(MeasureSpec.laguerre(0.5).recurrence(3)).norm_sq[0], mp.gamma(1.5))
 
     def test_norm_ratio_identity(self, rec):
+        rec = as_mpf(rec)
         for n in range(1, rec.size):
             assert_rel(rec.norm_sq[n] / rec.norm_sq[n - 1], rec.gamma[n])
 
     def test_leading_positive_and_consistent(self, rec):
+        rec = as_mpf(rec)
         for n in range(rec.size):
             assert rec.leading[n] > 0
             assert_rel(rec.leading[n] ** 2 * rec.norm_sq[n], mp.mpf(1))
@@ -83,7 +86,7 @@ class TestLaguerreRecurrence:
 
 class TestCustomMeasure:
     def test_reflected_laguerre_table(self):
-        table = reflected_laguerre(8).recurrence(8)
+        table = as_mpf(reflected_laguerre(8).recurrence(8))
         assert table.beta[0] == -1
         assert table.norm_sq[2] == 4
 
@@ -109,14 +112,13 @@ class TestCustomMeasure:
 
     def test_wide_mpf_coefficients_round_to_the_build_precision(self):
         # beta_n = -(2n+1) + 1/3 made at 1024 bits and built at 64: every
-        # stored value has at most 64 bits, so J's file round-trips.
+        # stored raw value has at most 64 bits, so J's file round-trips.
         third = context(1024).mpf(1) / 3
         rows = 6 + 4 + 5
         measure = MeasureSpec.custom([-(2 * n + 1) + third for n in range(rows)],
                                      [n * n for n in range(rows)], (float("-inf"), 0.0))
         suite = MatrixSuite.build(SobolevSpec(measure, c=1, M=1, N=1), 6, precision=64)
-        assert all(b.context is context(64) and b._mpf_[3] <= 64
-                   for b in suite.sob.chris.kt.rec.beta)
+        assert all(b[3] <= 64 for b in suite.sob.chris.kt.rec.beta)
         text = matrix_to_json("J", suite.J)
         assert matrix_to_json("J", matrix_from_json(text)[1]) == text
 
@@ -220,6 +222,7 @@ class TestEvalJet:
         table = MeasureSpec.laguerre(alpha).recurrence(10)
         with mp.workprec(table.precision):
             j = eval_jet(table, 9, x, order=1)
+            table = as_mpf(table)
             for k in range(1, 9):
                 lhs = mp.mpf(x) * j[k][0]
                 rhs = j[k + 1][0] + table.beta[k] * j[k][0] + table.gamma[k] * j[k - 1][0]
@@ -235,7 +238,7 @@ class TestOrthonormalValue:
     # orthonormal value the Sobolev ledger's connection coefficients read.
     @staticmethod
     def value(rec, n, x):
-        return rec.leading[n] * eval_jet(rec, n, x, order=0)[n][0]
+        return as_mpf(rec).leading[n] * eval_jet(rec, n, x, order=0)[n][0]
 
     def test_constant(self, rec):
         assert self.value(rec, 0, 17.3) == 1
@@ -253,6 +256,7 @@ def test_results_do_not_depend_on_ambient_precision():
     with mp.workprec(53):
         table = MeasureSpec.laguerre(0).recurrence(10)
         j = eval_jet(table, 9, 3.25, order=0)
+    table = as_mpf(table)
     with mp.workprec(320):
         for k in range(1, 9):
             lhs = mp.mpf("3.25") * j[k][0]

@@ -8,16 +8,22 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from helpers import TOL30, assert_rel, laguerre_monic, mpq, poly_deriv, poly_eval, rel
-from sobspec.core import eval_jet
+from helpers import (TOL30, as_mpf, assert_rel, laguerre_monic, mpq, poly_deriv, poly_eval,
+                     rel)
+from sobspec.core import _jet_rows, context, to_mpf
 from sobspec.sobolev import _kernel_sum
 
 RNG_SEED = 90125
 
 
+def jets(rec, n, x, order):
+    """The raw jet rows of P_0..P_n at x, as eval_sobolev forms them."""
+    return _jet_rows(rec, n, to_mpf(x, context(rec.precision)), order)
+
+
 def kernel(rec, n, x, y, j=0):
     """K^(0,j)_n(x, y) by eval_sobolev's sum over the jets at x and at y."""
-    return _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), eval_jet(rec, n, y, order=1), j)
+    return _kernel_sum(rec, n, jets(rec, n, x, 0), jets(rec, n, y, 1), j)
 
 
 def exact_kernel(n, x, y, j=0):
@@ -71,28 +77,33 @@ class TestKernelSum:
         rng = random.Random(RNG_SEED + 2)
         for n in range(1, 21):
             x = rng.uniform(0, 10)
-            got = _kernel_sum(rec, n, eval_jet(rec, n, x, order=0), kt.cjets, 1)
+            got = _kernel_sum(rec, n, jets(rec, n, x, 0), kt.cjets, 1)
             assert rel(got, mpq(exact_kernel(n, F(x), F(-1), j=1))) <= TOL30
 
     def test_confluent_values_match_table(self, rec, kt):
         # At x = c both pointwise sums are the table's confluent values.
+        table = as_mpf(kt)
         for n in range(rec.size):
-            assert rel(_kernel_sum(rec, n, kt.cjets, kt.cjets, 0), kt.K[n]) <= TOL30
-            assert rel(_kernel_sum(rec, n, kt.cjets, kt.cjets, 1), kt.K01[n]) <= TOL30
+            assert rel(_kernel_sum(rec, n, kt.cjets, kt.cjets, 0), table.K[n]) <= TOL30
+            assert rel(_kernel_sum(rec, n, kt.cjets, kt.cjets, 1), table.K01[n]) <= TOL30
 
 
 class TestConfluents:
     def test_degree_zero(self, kt):
+        kt = as_mpf(kt)
         assert kt.K[0] == 1 and kt.K01[0] == 0 and kt.K11[0] == 0
 
     def test_degree_one(self, kt):
+        kt = as_mpf(kt)
         assert kt.K[1] == 5 and kt.K01[1] == -2 and kt.K11[1] == 1
 
     def test_diagonal_monotone_increasing(self, kt):
+        kt = as_mpf(kt)
         for n in range(1, kt.size):
             assert kt.K[n] > kt.K[n - 1]
 
     def test_evaluation_gram_is_psd(self, kt):
+        kt = as_mpf(kt)
         # det of [[K, K01], [K01, K11]] is nonnegative (zero at degree 0).
         for n in range(kt.size):
             det = kt.K[n] * kt.K11[n] - kt.K01[n] ** 2
@@ -101,6 +112,7 @@ class TestConfluents:
     def test_confluent_values_match_table(self, kt):
         # K^(i,j)_n(c, c) = sum_{k<=n} P_k^(i)(c) P_k^(j)(c) / (k!)^2 for
         # alpha = 0, summed exactly from the closed form at c = -1.
+        kt = as_mpf(kt)
         K = K01 = K11 = F(0)
         for n in range(kt.size):
             P = laguerre_monic(0, n)

@@ -2,7 +2,7 @@
 of the ten matrices of the chain and their residuals, and of the pointwise
 evaluator :func:`sobspec.sobolev.eval_sobolev`.
 
-Each digest is the SHA-256 of the ``_mpf_`` tuples of every mpf field, in
+Each digest is the SHA-256 of the ``_mpf_`` tuples of every value field, in
 field order, so a change that moves any bit of any field fails here, also
 where no output file shows the field (the kernel table's sums, its jets).
 The grid: four configurations, one of them right of the support, at the
@@ -44,16 +44,17 @@ def ledgers(name, size, precision, guard=4):
 
 
 def mpf_fields(obj):
-    """name -> the ``_mpf_`` tuples of every mpf field of a table or ledger
-    (a jet table by rows); links to earlier stages and ints are left out."""
+    """name -> the ``_mpf_`` tuples of every value field of a table or ledger:
+    the raw values of a tuple field as stored (a jet table by rows), and the
+    ``_mpf_`` of an mpf input (c, M, N); links to earlier stages and ints are
+    left out."""
     out = {}
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
         if hasattr(value, "_mpf_"):
             out[field.name] = value._mpf_
         elif isinstance(value, tuple):
-            out[field.name] = [tuple(v._mpf_ for v in row) if isinstance(row, tuple)
-                               else row._mpf_ for row in value]
+            out[field.name] = list(value)
     return out
 
 

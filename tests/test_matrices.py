@@ -26,6 +26,7 @@ from sobspec.core import (
     MeasureSpec,
     SobolevSpec,
     SqrtRational,
+    arith,
     context,
     to_mpf,
 )
@@ -114,7 +115,7 @@ Q_ROWS = ("Q R = J - cI", "R Q = J2 - cI", "Qt Q = I")
 def layout(m):
     """Shape, band, exact size, precision and the bits of every band entry."""
     return (m.nrows, m.ncols, m.lower_bw, m.upper_bw, m.exact_size, m.precision,
-            [[v._mpf_ for v in diagonal] for diagonal in m.diagonals])
+            [list(diagonal) for diagonal in m.diagonals])
 
 
 def stray_entries(matrix):
@@ -127,14 +128,14 @@ def band_with_tail(n=7):
     """A tridiagonal band with a rank-one tail (ints with their exponent,
     as ``block_residual`` reads it), the same matrix written out (its tail
     entries the exact products), and a tridiagonal B to compare them with."""
-    ctx = context(64)
-    band = from_diagonals({k: [ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k))]
+    ctx, raw = context(64), arith(64).raw
+    band = from_diagonals({k: raw(ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k)))
                            for k in (-1, 0, 1)}, n, 64)
     left, right, exp = [(-2) ** i * 3 for i in range(n)], [5 * (k + 1) for k in range(n)], -7
-    dense = from_diagonals({**{k: [ctx.ldexp(left[i] * right[i + k], exp) for i in range(n - k)]
-                               for k in range(2, n)},
+    dense = from_diagonals({**{k: raw(ctx.ldexp(left[i] * right[i + k], exp)
+                                      for i in range(n - k)) for k in range(2, n)},
                             **{k: band.diagonal(k) for k in (-1, 0, 1)}}, n, 64)
-    B = from_diagonals({k: [ctx.mpf(i - k) / 5 for i in range(n - abs(k))]
+    B = from_diagonals({k: raw(ctx.mpf(i - k) / 5 for i in range(n - abs(k)))
                         for k in (-1, 0, 1)}, n, 64)
     return band, (left, right, exp), dense, B
 
@@ -157,9 +158,10 @@ def exact_q_tails(Q, R):
     with mpf, then z, w, S, v and the Gram diagonal as exact Fractions from
     them, Q's subdiagonal and R's entries: name -> (left, right) of the
     tail, and the Gram diagonal."""
-    P = list(accumulate(Q.rho, operator.mul))
-    P, u = [fraction(p) for p in P], [fraction(d / p) for d, p in zip(Q.diag, P)]
-    n, sub, Rx = Q.nrows, [*map(fraction, Q.sub), 0], exact_rows(R)
+    rho, diag, qsub = map(arith(Q.precision).wrap, (Q.rho, Q.diag, Q.sub))
+    P = list(accumulate(rho, operator.mul))
+    P, u = [fraction(p) for p in P], [fraction(d / p) for d, p in zip(diag, P)]
+    n, sub, Rx = Q.nrows, [*map(fraction, qsub), 0], exact_rows(R)
     z = [sum(P[m] * Rx[m].get(k, 0) for m in range(k + 1)) for k in range(n)]
     w = [sum(Rx[i].get(m, 0) * u[m] for m in range(i, n)) for i in range(n)]
     S = [sum(x * x for x in u[:i + 1]) for i in range(n)]
@@ -313,7 +315,7 @@ class TestCholeskyChain:
         # `not pivot > 0` on mpf: a NaN or -inf pivot raises, +inf passes
         J = build_jacobi(MeasureSpec.laguerre(0).recurrence(6, precision), 6)
         diag = list(J.diagonal(0))
-        diag[2] = context(precision).mpf(bad)
+        diag[2] = context(precision).mpf(bad)._mpf_
         J = from_diagonals({-1: J.diagonal(-1), 0: diag, 1: J.diagonal(1)}, 6, precision)
         if bad == "inf":
             L = cholesky_shifted(J, -1)
@@ -378,12 +380,13 @@ class TestQRPair:
         assert (len(Q.diag), len(Q.sub), len(Q.rho)) == (10, 9, 10)
         assert (Q.lower_bw, Q.upper_bw) == (1, 9)
         ctx = context(Q.precision)
+        diag, sub, rho = map(arith(Q.precision).wrap, (Q.diag, Q.sub, Q.rho))
         # Q(j, i) = Q(j, j) rho_(j+1) ... rho_i above the diagonal
         for j, i in ((0, 5), (2, 9), (4, 5)):
-            expected = Q.diag[j] * ctx.fprod(Q.rho[j + 1:i + 1])
+            expected = diag[j] * ctx.fprod(rho[j + 1:i + 1])
             assert abs(Q.entry(j, i) - expected) <= ctx.ldexp(abs(expected), 8 - Q.precision)
         assert vars(Q)["diagonals"] is Q.diagonals  # expanded once, then cached
-        assert Q.entry(1, 0) == Q.sub[0] and Q.entry(3, 3) == Q.diag[3]
+        assert Q.entry(1, 0) == sub[0] and Q.entry(3, 3) == diag[3]
         assert Q.entry(3, 1) == 0
         # the expansion is the forward substitution against L1, bit for bit
         for j in range(10):
@@ -402,13 +405,14 @@ class TestQRPair:
     @pytest.mark.parametrize("precision", [64, 256, 1024])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_raw_expansion_is_the_mpf_recurrence(self, spec, side, precision):
-        # the expansion runs on _mpf_ tuples; the mpf objects give the same bits
+        # the expansion runs on _mpf_ tuples as x * (-s) / d; the mpf objects
+        # give the same bits by -x * s / d
         Q = sided(side, spec, precision).Q
-        l1diag, l1sub = Q.l1.diagonal(0), Q.l1.diagonal(-1)
-        prev = Q.diag
+        l1diag, l1sub, prev = map(arith(precision).wrap,
+                                  (Q.l1.diagonal(0), Q.l1.diagonal(-1), Q.diag))
         for k in range(1, Q.nrows):
             prev = [-x * s / d for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])]
-            assert [v._mpf_ for v in Q.diagonal(k)] == [v._mpf_ for v in prev], k
+            assert list(Q.diagonal(k)) == [v._mpf_ for v in prev], k
 
 
 class TestSuiteAndResiduals:
@@ -545,10 +549,10 @@ class TestBandLocalVerification:
     def test_symmetric_scan_needs_both_operands_symmetric(self, suite):
         # B is the symmetric H but for one entry below the diagonal, so the
         # scan of diagonals k >= 0 alone would miss the difference.
-        A, ctx, block = suite.H, context(suite.precision), 12
+        A, kit, block = suite.H, arith(suite.precision), 12
         diagonals = list(A.diagonals)
         below = list(diagonals[A.lower_bw - 1])
-        below[5] += ctx.mpf(1) / 3
+        below[5] = (kit.wrap([below[5]])[0] + kit.ctx.mpf(1) / 3)._mpf_
         diagonals[A.lower_bw - 1] = tuple(below)
         B = replace(A, diagonals=tuple(diagonals))
         for X, Y in ((A, B), (B, A)):
@@ -559,14 +563,14 @@ class TestBandLocalVerification:
 
     def test_scan_covers_union_of_bands(self):
         I = identity(4, 64)
-        zero = context(64).zero
+        zero = arith(64).zero
         U = BandedMatrix(4, 4, 0, 3, 4, 64,
-                         I.diagonals + ((zero,) * 3, (zero,) * 2, (mp.mpf(-3),)))
+                         I.diagonals + ((zero,) * 3, (zero,) * 2, (mp.mpf(-3)._mpf_,)))
         assert block_residual(I, U, 4) == block_residual(U, I, 4) == 1
         assert block_residual(I, U, 3) == 0
 
     def test_scan_takes_entries_wider_than_the_precision(self):
-        wide = context(256).mpf(7) / 3  # 256 bits in a 64-bit matrix
+        wide = (context(256).mpf(7) / 3)._mpf_  # 256 bits in a 64-bit matrix
         A = from_diagonals({0: [wide, wide]}, 2, 64)
         residual = block_residual(A, identity(2, 64), 2)
         assert abs(residual - mp.mpf(4) / 7) < mp.mpf(2) ** -60
@@ -574,7 +578,8 @@ class TestBandLocalVerification:
     def test_non_finite_entry_raises(self):
         # m * 2**e has no infinity or NaN; the parent scan reported inf or nan.
         for bad in (mp.inf, -mp.inf, mp.nan):
-            A = from_diagonals({0: [context(64).one, context(64).mpf(bad)]}, 2, 64)
+            A = from_diagonals({0: arith(64).raw([context(64).one, context(64).mpf(bad)])},
+                               2, 64)
             for X, Y in ((A, identity(2, 64)), (identity(2, 64), A)):
                 with pytest.raises(NumericalFailureError, match="non-finite"):
                     block_residual(X, Y, 2)
@@ -642,8 +647,8 @@ class TestBandLocalVerification:
 
     def test_tail_rejects_a_less_precise_than_b(self):
         band, tail, _, B = band_with_tail()
-        precise = from_diagonals({k: [to_mpf(v, context(128)) for v in B.diagonal(k)]
-                                  for k in (-1, 0, 1)}, 7, 128)
+        # B's 64-bit values, exact at 128 bits
+        precise = from_diagonals({k: B.diagonal(k) for k in (-1, 0, 1)}, 7, 128)
         with pytest.raises(InvalidParameterError, match="bits"):
             block_residual(band, precise, 3, tail)
 
@@ -734,7 +739,7 @@ REFLECTED_PARITY_FLIPS = {"sob.Sc": 1, "sob.Sdc": 0}
 
 def reflection_pairs(right, left):
     """(name, right value, left value, whether the sign flips) over every
-    matrix band entry and ledger value of two suites."""
+    matrix band entry and ledger value of two suites, as ``_mpf_`` tuples."""
     pairs = []
     for name, m in dict(right.named_matrices(), J2_direct=right.J2_direct).items():
         mirror = getattr(left, name)
@@ -760,8 +765,9 @@ def reflection_pairs(right, left):
     pairs += [(f"cjets[{n}][{j}]", x, y, (n + j) % 2 == 1)
               for n, (xs, ys) in enumerate(zip(*jets, strict=True))
               for j, (x, y) in enumerate(zip(xs, ys, strict=True))]
-    pairs += [("kt.c", right.sob.chris.kt.c, left.sob.chris.kt.c, True),
-              ("sob.M", right.sob.M, left.sob.M, False), ("sob.N", right.sob.N, left.sob.N, False)]
+    pairs += [("kt.c", right.sob.chris.kt.c._mpf_, left.sob.chris.kt.c._mpf_, True),
+              ("sob.M", right.sob.M._mpf_, left.sob.M._mpf_, False),
+              ("sob.N", right.sob.N._mpf_, left.sob.N._mpf_, False)]
     return pairs
 
 
@@ -782,8 +788,7 @@ class TestReflection:
         assert (right.spec.side, left.spec.side) == ("right", "left")
         pairs = reflection_pairs(right, left)
         assert len(pairs) > 500
-        wrong = [name for name, x, y, flip in pairs
-                 if x._mpf_ != (mpf_neg(y._mpf_) if flip else y._mpf_)]
+        wrong = [name for name, x, y, flip in pairs if x != (mpf_neg(y) if flip else y)]
         assert not wrong
         rows = [(name, res._mpf_, block) for name, res, block
                 in verify_propositions(right).as_rows()]
@@ -801,7 +806,8 @@ class TestPrecisionContext:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_every_value_lives_in_the_precision_context(self, spec, side):
         # A value made in the global context would round at mp.mp.prec when
-        # it is the left operand, so none may reach a matrix or a ledger.
+        # it is the left operand, so none may reach a matrix or a ledger: each
+        # stored raw value has at most 128 bits, each mpf is of context(128).
         chosen = spec if side == "left" else reflected_spec(30)
         s = MatrixSuite.build(chosen, size=8, guard=4, precision=128)
         # The matrices and ledgers alone hold fewer than 1000 values at this
@@ -816,10 +822,11 @@ class TestPrecisionContext:
             for f in fields(ledger):
                 if isinstance(getattr(ledger, f.name), tuple) and f.name != "cjets":
                     values.extend(getattr(ledger, f.name))
-        values += [sob.M, sob.N, kt.c, *(v for row in kt.cjets for v in row)]
-        values += [res for _, res, _ in verify_propositions(s).as_rows()]
+        values += [v for row in kt.cjets for v in row]
+        mpfs = [sob.M, sob.N, kt.c, *(res for _, res, _ in verify_propositions(s).as_rows())]
         assert len(values) > 1000
-        assert all(v.context is context(128) for v in values)
+        assert all(type(v) is tuple and v[3] <= 128 for v in values)
+        assert all(v.context is context(128) for v in mpfs)
 
     def test_mixed_precisions_raise(self, spec):
         # Each matrix operation runs at one precision; a caller converts first.
@@ -856,7 +863,7 @@ class TestExactChain:
             (eq.lower_bw, eq.upper_bw, eq.exact_size)
         for name in ("diag", "sub", "rho"):
             report = squared_entry_compare(
-                f"Q {name}", {(i, 0): v for i, v in enumerate(getattr(fq, name))},
+                f"Q {name}", {(i, 0): v for i, v in enumerate(arith(prec).wrap(getattr(fq, name)))},
                 {(i, 0): v for i, v in enumerate(getattr(eq, name))}, tol)
             assert report.total == len(getattr(eq, name)) and report.all_ok, \
                 report.summary()

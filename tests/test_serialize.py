@@ -10,7 +10,7 @@ import pytest
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from sobspec import serialize
-from sobspec.core import MeasureSpec, SobolevSpec, context
+from sobspec.core import MeasureSpec, SobolevSpec, arith, context
 from sobspec.matrices import MatrixSuite, from_diagonals
 from sobspec.oracle import MAX_ROWS, build_oracle_suite
 from sobspec.serialize import formatter, matrix_to_csv, matrix_to_json, repr_digits
@@ -55,7 +55,7 @@ class TestFormatter:
     def test_equals_to_str(self, precision):
         fmt, dps = formatter(precision), repr_digits(precision)
         values = formatter_cases(precision, precision)
-        assert [fmt(x) for x in values] == [to_str(x._mpf_, dps) for x in values]
+        assert [fmt(x._mpf_) for x in values] == [to_str(x._mpf_, dps) for x in values]
 
     def test_to_str_takes_only_the_edge_cases(self, monkeypatch):
         calls = []
@@ -66,18 +66,18 @@ class TestFormatter:
         inner = [ctx.ldexp(1, 3499), ctx.ldexp(-3, -3502), ctx.one / 3]
         fmt = formatter(256)
         for x in edge + inner:
-            assert fmt(x) == to_str(x._mpf_, repr_digits(256))
+            assert fmt(x._mpf_) == to_str(x._mpf_, repr_digits(256))
         assert calls == [x._mpf_ for x in edge]
         # digit strings past Python's int-to-str limit stay with to_str
         wide = context(15000)
         calls.clear()
         for x in (wide.pi, -wide.one / 3):
-            assert formatter(15000)(x) == to_str(x._mpf_, repr_digits(15000))
+            assert formatter(15000)(x._mpf_) == to_str(x._mpf_, repr_digits(15000))
         assert len(calls) == 2
 
     def test_formatter_is_nstr_at_the_round_trip_digits(self):
         x = context(256).one / 7
-        assert formatter(256)(x) == mp.nstr(x, repr_digits(256))
+        assert formatter(256)(x._mpf_) == mp.nstr(x, repr_digits(256))
 
 
 def reference_json(name, m, exact_entries=None):
@@ -123,7 +123,7 @@ class TestMatrixJson:
         assert '"entries": []' in text
 
     def test_header_is_json_escaped(self):
-        m = from_diagonals({0: [context(64).one]}, 1, 64)
+        m = from_diagonals({0: [arith(64).one]}, 1, 64)
         assert matrix_to_json('Q "é"', m) == reference_json('Q "é"', m)
 
     def test_csv_rows_are_to_str(self, sized):

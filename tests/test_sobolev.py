@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from helpers import (TOL30, assert_rel, assert_squared, custom_table, fraction, laguerre_monic,
-                     mpq, oracle_families, oracle_value, poly_deriv, poly_eval, rel)
+from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, fraction,
+                     laguerre_monic, mpq, oracle_families, oracle_value, poly_deriv, poly_eval,
+                     rel)
 from sobspec.christoffel import ChristoffelLedger
 from sobspec.core import eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
@@ -40,12 +41,15 @@ def oracle_T():
 
 class TestBoundary:
     def test_degree_zero(self, sob):
+        sob = as_mpf(sob)
         assert (sob.Sc[0], sob.Sdc[0]) == (1, 0)
 
     def test_degree_one(self, sob):
+        sob = as_mpf(sob)
         assert (sob.Sc[1], sob.Sdc[1]) == (-1, 1)
 
     def test_against_oracle_through_six(self, rec, sob, oracle_sob):
+        sob = as_mpf(sob)
         with mp.workprec(rec.precision):
             for n in range(7):
                 sc, sdc = sob.Sc[n], sob.Sdc[n]
@@ -57,16 +61,20 @@ class TestBoundary:
 
 class TestNorms:
     def test_degree_zero(self, sob):
+        sob = as_mpf(sob)
         assert sob.normS_sq[0] == 2
         assert_squared(sob.t[0], F(1, 2))
 
     def test_degree_one(self, sob):
+        sob = as_mpf(sob)
         assert sob.normS_sq[1] == 4
 
     def test_t_ratio_from_reference_tables(self, sob):
+        sob = as_mpf(sob)
         assert_squared(sob.t[0] / sob.t[2], F(89, 8))
 
     def test_oracle_norms(self, sob, oracle_sob):
+        sob = as_mpf(sob)
         for n in range(7):
             ref = oracle_sob[1][n]
             assert_rel(sob.normS_sq[n], mp.mpf(ref.numerator) / ref.denominator)
@@ -74,6 +82,7 @@ class TestNorms:
 
 class TestGammaConnection:
     def test_reference_table_entries(self, sob):
+        sob = as_mpf(sob)
         g00 = sob.gamma_nn[0]
         g11, g01 = sob.gamma_nn[1], sob.gamma_n1[1]
         assert_squared(g00, F(5, 2))
@@ -82,7 +91,7 @@ class TestGammaConnection:
 
     def test_oracle_inner_products(self, rec, chris, spec, oracle_T):
         # gamma_{k,n} = <s_n, p2_k>; compare in squared form against the oracle
-        sob = SobolevLedger.build(chris, spec.M, spec.N, 10)
+        sob = as_mpf(SobolevLedger.build(chris, spec.M, spec.N, 10))
         with mp.workprec(rec.precision):
             for n in range(7):
                 for k in range(max(0, n - 2), n + 1):
@@ -96,6 +105,7 @@ class TestGammaConnection:
         # derivative factor r_k P'_k(c) at k = 1 (verbatim) gives 3/sqrt(5) at
         # (1,0) instead of 11/(2 sqrt(5)), the k = 0 value the ledger holds;
         # it cannot reproduce the oracle inner product.
+        rec, kt, chris, sob = map(as_mpf, (rec, kt, chris, sob))
         r, j, t = rec.leading, kt.cjets, sob.t
         with mp.workprec(rec.precision):
             def gamma_01(k):
@@ -113,6 +123,7 @@ class TestGammaConnection:
 
 class TestFiveTerm:
     def test_reference_table_entries(self, sob):
+        sob = as_mpf(sob)
         a0, b0, c0 = sob.a[0], sob.b[0], sob.cdiag[0]
         assert a0 == 0 and b0 == 0
         assert_rel(c0, mp.mpf(5) / 2)
@@ -124,11 +135,13 @@ class TestFiveTerm:
         assert_rel(c2, mp.mpf(5331) / 178)
 
     def test_a_is_t_ratio(self, sob):
+        sob = as_mpf(sob)
         for n in range(2, 16):
             assert_rel(sob.a[n], sob.t[n - 2] / sob.t[n])
 
     def test_upper_route_matches_symmetric_assembly(self, sob):
         # rho_{n+1,n} computed from its own display must equal b_{n+1}
+        sob = as_mpf(sob)
         with mp.workprec(sob.chris.kt.rec.precision):
             for n in range(15):
                 up = sob.gamma_nn[n] * sob.gamma_n1[n + 1]
@@ -138,24 +151,26 @@ class TestFiveTerm:
 
     def test_upper_t_ratio_route(self, sob):
         # rho_{n+2,n} = t_n/t_{n+2} equals a_{n+2}
+        sob = as_mpf(sob)
         with mp.workprec(sob.chris.kt.rec.precision):
             for n in range(14):
                 assert rel(sob.t[n] / sob.t[n + 2], sob.a[n + 2]) <= TOL30
 
     def test_five_term_residual_pointwise(self, rec, sob):
+        led = as_mpf(sob)
         rng = random.Random(RNG_SEED)
         with mp.workprec(rec.precision):
             for n in range(16):
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
                     lhs = (x + 1) ** 2 * eval_sobolev(sob, n, x, normalized=True)
-                    rhs = sob.cdiag[n] * eval_sobolev(sob, n, x, normalized=True)
-                    rhs += sob.a[n + 2] * eval_sobolev(sob, n + 2, x, normalized=True)
-                    rhs += sob.b[n + 1] * eval_sobolev(sob, n + 1, x, normalized=True)
+                    rhs = led.cdiag[n] * eval_sobolev(sob, n, x, normalized=True)
+                    rhs += led.a[n + 2] * eval_sobolev(sob, n + 2, x, normalized=True)
+                    rhs += led.b[n + 1] * eval_sobolev(sob, n + 1, x, normalized=True)
                     if n >= 1:
-                        rhs += sob.b[n] * eval_sobolev(sob, n - 1, x, normalized=True)
+                        rhs += led.b[n] * eval_sobolev(sob, n - 1, x, normalized=True)
                     if n >= 2:
-                        rhs += sob.a[n] * eval_sobolev(sob, n - 2, x, normalized=True)
+                        rhs += led.a[n] * eval_sobolev(sob, n - 2, x, normalized=True)
                     assert rel(lhs, rhs) <= TOL30
 
 
@@ -170,7 +185,7 @@ class TestEvaluation:
     def test_value_at_mass_point_matches_boundary(self, rec, sob):
         with mp.workprec(rec.precision):
             for n in range(8):
-                assert rel(eval_sobolev(sob, n, -1), sob.Sc[n]) <= TOL30
+                assert rel(eval_sobolev(sob, n, -1), as_mpf(sob).Sc[n]) <= TOL30
 
     def test_oracle_pointwise(self, rec, sob, oracle_sob):
         with mp.workprec(rec.precision):
@@ -184,6 +199,7 @@ class TestEvaluation:
         # 3x3-determinant representation, from the table's confluent values,
         # against the exact S_n
         rng = random.Random(RNG_SEED + 5)
+        table, kt = as_mpf(rec), as_mpf(kt)
         M, N = mp.mpf(1), mp.mpf(1)
         with mp.workprec(rec.precision):
             for n in range(1, 7):
@@ -195,7 +211,7 @@ class TestEvaluation:
                 for _ in range(5):
                     x = mp.mpf(rng.uniform(0, 10))
                     j = eval_jet(rec, n, x, 0)
-                    Kx, K01x = (mp.fsum(j[k][0] * pj[k][i] / rec.norm_sq[k] for k in range(n))
+                    Kx, K01x = (mp.fsum(j[k][0] * pj[k][i] / table.norm_sq[k] for k in range(n))
                                 for i in (0, 1))
                     row0 = [j[n][0], M * Kx, N * K01x]
                     row1 = [pj[n][0], 1 + M * K, N * K01]
@@ -208,6 +224,7 @@ class TestEvaluation:
 
 class TestAuxConnections:
     def test_reference_values(self, sob):
+        sob = as_mpf(sob)
         a0_0, x0_0 = sob.alpha0[0], sob.xi0[0]
         assert_squared(a0_0, F(2))
         assert_squared(x0_0, F(5))
@@ -215,6 +232,7 @@ class TestAuxConnections:
         assert_squared(x0_1, F(69, 5))
 
     def test_xi_equals_leading_ratio(self, rec, chris, sob):
+        rec, chris, sob = map(as_mpf, (rec, chris, sob))
         with mp.workprec(rec.precision):
             for n in range(16):
                 assert rel(sob.xi0[n], rec.leading[n] / chris.r2[n]) <= TOL30
@@ -222,6 +240,7 @@ class TestAuxConnections:
     def test_base_family_expansion(self, rec, sob, oracle_twelve):
         # p_n = xi0 p2_n + xi1 p2_{n-1} + xi2 p2_{n-2} pointwise, p2 exact
         it2 = oracle_twelve[0]
+        table, sob = as_mpf(rec), as_mpf(sob)
         rng = random.Random(RNG_SEED + 2)
         with mp.workprec(rec.precision):
             for n in range(12):
@@ -233,12 +252,14 @@ class TestAuxConnections:
                         rhs += sob.xi1[n] * p2[n - 1]
                     if n >= 2:
                         rhs += sob.xi2[n] * p2[n - 2]
-                    assert rel(rec.leading[n] * eval_jet(rec, n, x, order=0)[n][0], rhs) <= TOL30
+                    p = table.leading[n] * eval_jet(rec, n, x, order=0)[n][0]
+                    assert rel(p, rhs) <= TOL30
 
     def test_kernel_expansion_of_normalized_family(self, rec, kt, sob, oracle_twelve):
         # s_n = alpha1 p_{n+1} + alpha0 p_n - M s_n(c) K_{n+1}(x,c)
         #       - N s_n'(c) K01_{n+1}(x,c) pointwise, s_n exact
         rng = random.Random(RNG_SEED + 3)
+        table, kt, sob = as_mpf(rec), as_mpf(kt), as_mpf(sob)
         with mp.workprec(rec.precision):
             for n in range(10):
                 sc = sob.t[n] * sob.Sc[n]
@@ -246,10 +267,10 @@ class TestAuxConnections:
                 for _ in range(3):
                     x = mp.mpf(rng.uniform(0, 10))
                     j = eval_jet(rec, n + 1, x, order=0)
-                    K, K01 = (mp.fsum(j[k][0] * kt.cjets[k][i] / rec.norm_sq[k]
+                    K, K01 = (mp.fsum(j[k][0] * kt.cjets[k][i] / table.norm_sq[k]
                                       for k in range(n + 2)) for i in (0, 1))
-                    rhs = (sob.alpha1[n] * rec.leading[n + 1] * j[n + 1][0]
-                           + sob.alpha0[n] * rec.leading[n] * j[n][0] - sc * K - sdc * K01)
+                    rhs = (sob.alpha1[n] * table.leading[n + 1] * j[n + 1][0]
+                           + sob.alpha0[n] * table.leading[n] * j[n][0] - sc * K - sdc * K01)
                     lhs = oracle_value(oracle_twelve[1], n, x, normalized=True)
                     assert rel(lhs, rhs) <= TOL30
 
@@ -259,6 +280,7 @@ class TestTheThreeGammaRoutes:
         # s_n = gamma_nn p2_n + gamma_n1 p2_{n-1} + gamma_n2 p2_{n-2}, both
         # families exact
         it2, sobolev = oracle_twelve
+        sob = as_mpf(sob)
         rng = random.Random(RNG_SEED + 4)
         with mp.workprec(rec.precision):
             for n in range(12):
@@ -277,10 +299,11 @@ class TestTheThreeGammaRoutes:
 class TestDegenerateMasses:
     def test_zero_masses_reduce_to_base_family(self, rec, chris):
         led = SobolevLedger.build(chris, 0, 0, 16)
+        view, table = as_mpf(led), as_mpf(rec)
         rng = random.Random(RNG_SEED + 6)
         with mp.workprec(rec.precision):
             for n in range(12):
-                assert rel(led.t[n], rec.leading[n]) <= TOL30
+                assert rel(view.t[n], table.leading[n]) <= TOL30
                 x = mp.mpf(rng.uniform(0, 10))
                 # p_n = P_n / n! for alpha = 0, exact from the closed form
                 p = poly_eval(laguerre_monic(0, n), fraction(x)) / math.factorial(n)
@@ -289,7 +312,7 @@ class TestDegenerateMasses:
     def test_single_mass_configurations_build(self, chris):
         for Mv, Nv in ((1, 0), (0, 1), (F(3, 2), 0)):
             led = SobolevLedger.build(chris, Mv, Nv, 10)
-            assert all(t > 0 for t in led.t)
+            assert all(t > 0 for t in as_mpf(led).t)
 
 
 class TestLedgerInputs:
