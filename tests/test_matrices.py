@@ -694,6 +694,69 @@ class TestBandLocalVerification:
         assert {e.block for e in report.entries} == {200}
 
 
+def mpf_paths(value, where):
+    """Where ``value``, walked through tuples, holds an mpf object."""
+    if hasattr(value, "_mpf_"):
+        return [where]
+    if isinstance(value, tuple):
+        return [path for k, v in enumerate(value) for path in mpf_paths(v, f"{where}[{k}]")]
+    return []
+
+
+class TestRawStorage:
+    """Ledgers and matrices store the raw values of their precision's kit;
+    only the public readers make mpf objects."""
+
+    @pytest.fixture(scope="class", params=[(20, 64), (20, 256), (100, 64), (100, 256)],
+                    ids=lambda p: f"{p[0]}-{p[1]}")
+    def built(self, request, spec):
+        size, precision = request.param
+        return MatrixSuite.build(spec, size, guard=4, precision=precision)
+
+    def test_no_ledger_field_or_stored_diagonal_holds_an_mpf(self, built):
+        sob = built.sob
+        kt = sob.chris.kt
+        matrices = dict(built.named_matrices(), J2_direct=built.J2_direct)
+        list(built.Q.band_entries())  # expands Q's band into ``diagonals``
+        owners = {"rec": kt.rec, "kt": kt, "chris": sob.chris, "sob": sob, **matrices}
+        # only the inputs c, M and N stay the mpf they were converted to
+        assert [path for name, owner in owners.items() for field, value in vars(owner).items()
+                for path in mpf_paths(value, f"{name}.{field}")] == ["kt.c", "sob.M", "sob.N"]
+        assert all(v.context is context(built.precision) for v in (kt.c, sob.M, sob.N))
+        assert "diagonals" in vars(built.Q)
+        # every stored value of a matrix is a canonical _mpf_ of at most p bits
+        assert all(type(v) is tuple and len(v) == 4 and v[3] <= built.precision
+                   for m in matrices.values() for diagonal in m.diagonals for v in diagonal)
+
+    def test_entry_and_band_entries_wrap_the_stored_value(self, built):
+        ctx, wrap = context(built.precision), arith(built.precision).wrap
+        for name, m in built.named_matrices().items():
+            entries = list(m.band_entries())
+            stored = wrap(m.diagonals[m.lower_bw + j - i][min(i, j)] for i, j, _ in entries)
+            assert [(v._mpf_, v.context) for _, _, v in entries] == \
+                [(v._mpf_, v.context) for v in stored], name
+            assert all(m.entry(i, j)._mpf_ == v._mpf_ and m.entry(i, j).context is ctx
+                       for (i, j, _), v in zip(entries, stored)), name
+            outside = [m.entry(i, j) for i in range(8) for j in range(8) if not m.in_band(i, j)]
+            assert all(v.context is ctx and v == 0 for v in outside), name
+
+    def test_json_round_trip_stores_the_same_raw_diagonals(self, built):
+        for name, m in built.named_matrices().items():
+            _, back = matrix_from_json(matrix_to_json(name, m))
+            assert back.diagonals == m.diagonals, name
+            assert mpf_paths(back.diagonals, name) == [], name
+
+    def test_aligned_entry_is_an_int_on_both_sides_of_the_band(self, built):
+        # H has offsets -2 to 2 and R 0 to 2; out of the band, entry gave an
+        # mpf zero where diagonal gave the int 0
+        for A in (aligned(built.H), aligned(built.R)):
+            for i in range(9):
+                for j in range(9):
+                    v = A.entry(i, j)
+                    assert type(v) is int and v == A.diagonal(j - i)[min(i, j)], (i, j)
+            assert not A.in_band(0, 3) and not A.in_band(3, 0)
+
+
 class TestProducts:
     """``multiply`` keeps the bits of the dense ascending-k sum, and forms a
     symmetric product's lower half as the mirror of its upper half."""
