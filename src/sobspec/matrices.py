@@ -620,8 +620,7 @@ def verify_propositions(suite):
     identities of Q are read from its generators (:func:`_q_products`), so Q
     is never expanded.  Every product is exact, on :func:`aligned` operands.
     """
-    c = to_mpf(suite.spec.c, context(suite.precision))
-    A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
+    A0, A2 = suite.J.shifted(-suite.spec.c), suite.J2.shifted(-suite.spec.c)
     if suite.spec.side == "right":
         A0, A2 = A0.negated(), A2.negated()
     A0, A2, R, T, H = map(aligned, (A0, A2, suite.R, suite.T, suite.H))

@@ -184,6 +184,8 @@ def ledgers_to_csv(suite):
         fields = [k for k, v in payload.items() if isinstance(v, list)]
         lines = ["n," + ",".join(fields)]
         for n in range(payload["size"]):
-            lines.append(str(n) + "," + ",".join(payload[f][n] for f in fields))
+            lines.append(
+                str(n) + "," + ",".join(payload[f][n] for f in fields)
+            )
         files[part] = "\n".join(lines) + "\n"
     return files
