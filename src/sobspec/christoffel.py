@@ -77,7 +77,7 @@ class ChristoffelLedger:
         if _check_int("size", size, 0) > rec.size - 2:
             raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
         kit = arith(rec.precision)
-        guard = kit.raw([kit.ctx.ldexp(1, -(rec.precision // 2))])[0]
+        guard = kit.of(kit.ctx.ldexp(1, -(rec.precision // 2)))
         add, sub, mul, div, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.sqrt
         jet, K, h, r, beta, gamma = kt.cjets, kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma
         d, e, r2, kappa, tau = [], [], [], [], []

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import click
 
-from .core import MeasureSpec, SobolevSpec, context
+from .core import MeasureSpec, SobolevSpec, arith, context
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -38,7 +38,7 @@ from .errors import (
 from .golden import compare_reference, computed_counterparts, load_reference
 # ``multiply`` is not called here, but it stays importable from this module,
 # where perfbench's tracer wraps it by name.
-from .matrices import MatrixSuite, multiply, verify_propositions  # noqa: F401
+from .matrices import MatrixSuite, _band, multiply, verify_propositions  # noqa: F401
 from .oracle import build_oracle_suite
 from .serialize import formatter, ledgers_to_csv, ledgers_to_doc, matrix_to_csv, matrix_to_json
 
@@ -184,8 +184,8 @@ def _oracle_entries(numbers, suite):
         osuite = build_oracle_suite(*numbers.values(), suite.J.nrows)
     except OracleUnsupportedError:
         return {}
-    return {name: {(i, j): osuite.matrices[name][i][j] for i, j, _ in matrix.band_entries()}
-            for name, matrix in suite.named_matrices().items()}
+    return {name: {(i, j): osuite.matrices[name][i][j] for i, j, _ in _band(m, m.diagonals)}
+            for name, m in suite.named_matrices().items()}
 
 
 @main.command()
@@ -196,8 +196,9 @@ def verify(**opts):
     config, _, suite = _build("verify", opts)
     precision, tolerance = opts["precision"], config["tolerance"]
     report = verify_propositions(suite)
-    ctx, fmt = context(precision), formatter(precision)
-    ok = report.all_within(ctx.mpf(tolerance))
+    ctx, fmt, of = context(precision), formatter(precision), arith(precision).of
+    tol = ctx.make_mpf(of(tolerance))
+    ok = report.all_within(tol)
     rows = report.as_rows()
     doc = {
         "config": config,
@@ -218,7 +219,7 @@ def verify(**opts):
         # p + log2(max residual) is what this run lost; a correct build at too
         # low a precision then reads how many bits the tolerance needs.
         loss = precision + ctx.log(report.max_residual, 2)
-        need = int(ctx.ceil(loss - ctx.log(ctx.mpf(tolerance), 2)))
+        need = int(ctx.ceil(loss - ctx.log(tol, 2)))
         _fail(EXIT_VERIFICATION, f"max residual {doc['max_residual']} exceeds {tolerance}; "
               f"the residuals lose {float(loss):.1f} bits at {precision} bits, so this "
               f"tolerance needs about {need} bits")

@@ -13,14 +13,15 @@ depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
 builds at different precisions may run concurrently in several threads.
 Every loop runs on raw values with the scalar kit :func:`arith` of its
 precision (see :class:`Arith`), and tables, ledgers and matrices store them;
-an mpf is made only where a public reader returns one.  At an mpf precision
-the kit's rounded operations are one kernel on ``_mpf_`` tuples
-(:func:`_rounding`): correctly rounded to nearest, so with the bits of
-libmp's, but without libmp's dispatch on precision and rounding mode.
+an mpf is made only where a public reader returns one, and a number the
+caller gives becomes a raw value only by ``arith(p).of``, rounded once.  At
+an mpf precision the kit's rounded operations are one kernel on ``_mpf_``
+tuples (:func:`_rounding`): correctly rounded to nearest, so with the bits
+of libmp's, but without libmp's dispatch on precision and rounding mode.
 
-``EXACT`` is the infinite precision: ``context(EXACT)`` holds exact signed
-square roots of rationals (:class:`SqrtRational`), so the matrix chain of
-:mod:`sobspec.matrices` runs unchanged over them.
+``EXACT`` is the infinite precision: the raw values of ``arith(EXACT)`` are
+exact signed square roots of rationals (:class:`SqrtRational`), so the
+matrix chain of :mod:`sobspec.matrices` runs unchanged over them.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import isqrt
-from types import SimpleNamespace
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul,
+from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul,
                           mpf_neg, mpf_sqrt, mpf_sub, round_nearest)
 
 from .errors import InvalidParameterError, NotPositiveDefiniteError, NumericalFailureError
@@ -72,7 +72,7 @@ def _rational_sqrt(q):
 
 class SqrtRational:
     """Exact number of the form sign * sqrt(square), square a rational >= 0:
-    the scalar of ``context(EXACT)``.
+    the raw value and the scalar of ``arith(EXACT)``.
 
     Closed under multiplication and division.  Sums are defined whenever the
     two radicands have a rational square ratio, which holds throughout the
@@ -178,22 +178,23 @@ def _exact(x):
 
 def context(precision):
     """The private mpmath context of ``precision`` bits, ``arith(precision).ctx``:
-    made once and never mutated.
-
-    ``context(EXACT)`` is the exact scalar protocol instead: ``zero``,
-    ``one``, ``sqrt`` and ``mpf`` (conversion) over :class:`SqrtRational`,
-    what the chain functions of :mod:`sobspec.matrices` ask of a context."""
+    made once and never mutated.  ``EXACT`` has none (None), as ``int``."""
     return arith(precision).ctx
 
 
 @dataclass(frozen=True)
 class Arith:
     """The scalar kit of one precision, from :func:`arith`: ``ctx`` is
-    ``context(precision)``, ``raw`` turns its scalars into raw values (a
-    list), ``wrap`` turns raw values back (a tuple), and ``add``, ``sub``,
-    ``mul``, ``div``, ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw
-    values; ``gt`` is the comparison ``>``.  Ledgers and matrices hold raw
-    values, so ``arith(p).wrap(field)`` reads a field as scalars.
+    ``context(precision)``, ``of`` turns a number into a raw value, ``wrap``
+    turns raw values into scalars (a tuple), and ``add``, ``sub``, ``mul``,
+    ``div``, ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw values;
+    ``gt`` is the comparison ``>``.  Ledgers and matrices hold raw values, so
+    ``arith(p).wrap(field)`` reads a field as scalars.
+
+    ``of`` is the package's one conversion of a caller-given number: at an
+    mpf precision p it rounds the exact value of an int, float, decimal
+    string, Fraction or mpf of any precision once to nearest at p bits, and
+    at ``EXACT`` it makes the ``SqrtRational`` of a rational.
 
     At an mpf precision p the raw values are ``_mpf_`` tuples and the
     operations are :func:`_rounding`'s kernel: the results, bit for bit, of
@@ -203,14 +204,14 @@ class Arith:
     compared).  A formula written with them, in the same order, has the bits
     of the same formula on mpf without the object overhead; ``x ** 2`` is
     ``mul(x, x)``, as both round the exact square once.  At ``EXACT`` the raw
-    values are the ``SqrtRational`` scalars and the operations theirs.  At
-    ``int`` they are ints with exact ``add``, ``sub``, ``mul``, ``neg`` and
-    ``gt`` and no ``div``, ``sqrt`` or ``ctx``: the kit of verification's
-    aligned matrices.
+    values are the ``SqrtRational`` scalars, the operations theirs, and there
+    is no ``ctx``.  At ``int`` they are ints with exact ``add``, ``sub``,
+    ``mul``, ``neg`` and ``gt`` and no ``of``, ``div``, ``sqrt`` or ``ctx``:
+    the kit of verification's aligned matrices.
     """
 
     ctx: object
-    raw: object
+    of: object
     wrap: object
     add: object
     sub: object
@@ -334,19 +335,22 @@ def arith(precision):
     kit = _ARITHS.get(precision)
     if kit is None:
         if precision is int:
-            kit = Arith(None, list, tuple, operator.add, operator.sub, operator.mul, None,
+            kit = Arith(None, None, tuple, operator.add, operator.sub, operator.mul, None,
                         operator.neg, None, operator.gt, 0, 1)
         elif precision == EXACT:
-            ctx = SimpleNamespace(zero=SqrtRational(0, 0), one=SqrtRational(1, 1),
-                                  sqrt=SqrtRational.sqrt, mpf=SqrtRational.from_rational)
-            kit = Arith(ctx, list, tuple, operator.add, operator.sub, operator.mul,
-                        operator.truediv, operator.neg, ctx.sqrt, operator.gt, ctx.zero,
-                        ctx.one)
+            kit = Arith(None, _exact, tuple, operator.add, operator.sub, operator.mul,
+                        operator.truediv, operator.neg, SqrtRational.sqrt, operator.gt,
+                        SqrtRational(0, 0), SqrtRational(1, 1))
         else:
             ctx = mp.MPContext()
             ctx.prec = precision
-            kit = Arith(ctx, raw=lambda values: [v._mpf_ for v in values],
-                        wrap=lambda values: tuple(map(ctx.make_mpf, values)),
+
+            def of(x):
+                if isinstance(x, Fraction):
+                    return from_rational(x.numerator, x.denominator, precision, round_nearest)
+                return ctx.mpf(x)._mpf_
+
+            kit = Arith(ctx, of=of, wrap=lambda values: tuple(map(ctx.make_mpf, values)),
                         gt=mpf_gt, zero=fzero, one=fone, **_rounding(precision))
         kit = _ARITHS.setdefault(precision, kit)
     return kit
@@ -361,21 +365,6 @@ def _ints(*vectors):
     exp = min(map(operator.itemgetter(2), filter(operator.itemgetter(1), every)), default=0)
     return [tuple([(-m if s else m) << (e - exp) for s, m, e, _ in values])
             for values in vectors], exp
-
-
-def _quotient(num, den, precision):
-    """The ints num / den, den > 0, as an mpf of ``precision`` bits, rounded once."""
-    kit = arith(precision)
-    return kit.wrap([kit.div(from_man_exp(num, 0), from_man_exp(den, 0))])[0]
-
-
-def to_mpf(x, ctx):
-    """Convert ints, floats, Fractions, decimal strings or mpf to an mpf of
-    ``ctx`` (ints and Fractions to a ``SqrtRational`` of ``context(EXACT)``);
-    an mpf of more bits is rounded to ``ctx``'s precision."""
-    if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / x.denominator
-    return ctx.mpf(x)
 
 
 @dataclass(frozen=True)
@@ -434,26 +423,24 @@ class MeasureSpec:
         (0, inf): beta_n = 2n + 1 + alpha, gamma_n = n (n + alpha) and
         ||P_0||^2 = Gamma(alpha + 1)."""
         _check_int("size", size, 1)
-        ctx = context(_check_int("precision", precision, 1, " bits"))
-        kit = arith(precision)
+        kit = arith(_check_int("precision", precision, 1, " bits"))
         add, mul = kit.add, kit.mul
         if self.family == "laguerre":
             # mpf's int-mixed operators round the exact result once, as these do
-            a = to_mpf(self.alpha, ctx)
-            (ar,) = kit.raw([a])
-            beta = [add(from_int(2 * n + 1), ar) for n in range(size)]
-            gamma = [kit.zero] + [mul(add(ar, from_int(n)), from_int(n)) for n in range(1, size)]
-            norm0_sq = ctx.gamma(a + 1)
+            a = kit.of(self.alpha)
+            beta = [add(from_int(2 * n + 1), a) for n in range(size)]
+            gamma = [kit.zero] + [mul(add(a, from_int(n)), from_int(n)) for n in range(1, size)]
+            norm0_sq = kit.of(kit.ctx.gamma(kit.wrap([add(a, kit.one)])[0]))
         elif self.family == "custom":
             if size > len(self.beta):
                 raise InvalidParameterError(
                     f"custom measure supplies {len(self.beta)} coefficients, need {size}")
-            beta = kit.raw(to_mpf(b, ctx) for b in self.beta[:size])
-            gamma = [kit.zero] + kit.raw(to_mpf(g, ctx) for g in self.gamma[1:size])
-            norm0_sq = to_mpf(self.norm0_sq, ctx)
+            beta = list(map(kit.of, self.beta[:size]))
+            gamma = [kit.zero, *map(kit.of, self.gamma[1:size])]
+            norm0_sq = kit.of(self.norm0_sq)
         else:
             raise InvalidParameterError(f"unknown measure family {self.family!r}")
-        norm_sq = tuple(accumulate(gamma[1:], mul, initial=kit.raw([norm0_sq])[0]))
+        norm_sq = tuple(accumulate(gamma[1:], mul, initial=norm0_sq))
         return RecurrenceTable(tuple(beta), tuple(gamma), norm_sq,
                                tuple(kit.div(kit.one, kit.sqrt(s)) for s in norm_sq), precision)
 
@@ -522,19 +509,19 @@ def eval_jet(rec, n, x, order=3):
         raise IndexError(f"n = {n} outside table of size {rec.size}")
     if not 0 <= order <= 3:
         raise InvalidParameterError("derivative order capped at 3")
-    return tuple(map(arith(rec.precision).wrap, _jet_rows(rec, n, x, order)))
+    kit = arith(rec.precision)
+    return tuple(map(kit.wrap, _jet_rows(rec, n, kit.of(x), order)))
 
 
 def _jet_rows(rec, n, x, order):
-    """The rows of :func:`eval_jet` at x (a number) as raw values, computed with
-    the table's :func:`arith` in the order of the mpf recurrence (the integer
-    j as an mpf, whose product rounds as ``mpf * int`` does), so every entry
-    has the bits of the mpf recurrence.  The loop starts from P_0 and a zero
-    row P_-1; as gamma_0 = 0, its first step is P_1 = x - beta_0 exactly."""
-    ctx, kit = context(rec.precision), arith(rec.precision)
+    """The rows of :func:`eval_jet` at the raw value x as raw values, computed
+    with the table's :func:`arith` in the order of the mpf recurrence (the
+    integer j as an mpf, whose product rounds as ``mpf * int`` does), so every
+    entry has the bits of the mpf recurrence.  The loop starts from P_0 and a
+    zero row P_-1; as gamma_0 = 0, its first step is P_1 = x - beta_0 exactly."""
+    kit = arith(rec.precision)
     add, sub, mul = kit.add, kit.sub, kit.mul
-    (x,), beta, gamma = kit.raw([to_mpf(x, ctx)]), rec.beta, rec.gamma
-    ints = kit.raw(map(ctx.mpf, range(order + 1)))
+    beta, gamma, ints = rec.beta, rec.gamma, list(map(kit.of, range(order + 1)))
     prev, rows = [kit.zero] * (order + 1), [[kit.one] + [kit.zero] * order]
     for k in range(n):
         cur, u, g = rows[k], sub(x, beta[k]), gamma[k]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .core import SqrtRational, context
-from .matrices import multiply
+from .core import SqrtRational, arith
+from .matrices import _minus, multiply
 from .oracle import squared_entry_compare
 
 FIXTURE_NAME = "laguerre_a0_cm1_M1_N1.json"
@@ -61,7 +61,7 @@ def load_reference():
 def computed_counterparts(suite):
     """Name -> the suite's counterpart of each reference table, (J2 - cI)^2 included."""
     computed = dict(suite.named_matrices())
-    shifted = suite.J2.shifted(-suite.spec.c)
+    shifted = suite.J2.shifted(_minus(suite.spec.c, suite.precision))
     computed["J2_shift_sq"] = multiply(shifted, shifted)
     return computed
 
@@ -76,8 +76,8 @@ def compare_reference(golden, computed, osuite, precision, tol):
     entries equal to the reference, ``float`` computed entries that
     :func:`~sobspec.oracle.squared_entry_compare` passes against it.
     """
-    counts = {}
-    tol = context(precision).mpf(tol)
+    counts, kit = {}, arith(precision)
+    tol = kit.wrap([kit.of(tol)])[0]
     for name in MATRIX_NAMES:
         gm = golden[name]
         exact_ok = sum(osuite.matrices[name][i][j] == ref for (i, j), ref in gm.entries.items())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _jet_rows, arith, to_mpf
+from .core import _jet_rows, arith
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class KernelTable:
         the bits of the mpf sums."""
         kit = arith(rec.precision)
         add, mul, div = kit.add, kit.mul, kit.div
-        c = to_mpf(c, kit.ctx)
+        c = kit.of(c)
         rows = _jet_rows(rec, rec.size - 1, c, 1)
         K, K01, K11 = [], [], []
         s = s01 = s11 = kit.zero
@@ -59,4 +59,4 @@ class KernelTable:
             K.append(s)
             K01.append(s01)
             K11.append(s11)
-        return cls(rec, c, *map(tuple, (K, K01, K11, map(tuple, rows))))
+        return cls(rec, *kit.wrap([c]), *map(tuple, (K, K01, K11, map(tuple, rows))))

@@ -51,11 +51,12 @@ matrices; it reaches the earlier ledgers through the Sobolev one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
 
 from .christoffel import ChristoffelLedger
-from .core import DEFAULT_PRECISION, _check_int, _ints, _quotient, arith, context, to_mpf
+from .core import DEFAULT_PRECISION, _check_int, _ints, arith
 from .errors import InternalConsistencyError, InvalidParameterError, NotPositiveDefiniteError
 from .kernels import KernelTable
 from .sobolev import SobolevLedger
@@ -116,7 +117,7 @@ class BandedMatrix:
     def shifted(self, lam):
         """self + lam * I on the common diagonal, with the scalar kit's ``add``."""
         kit = arith(self.precision)
-        (lam,) = kit.raw([to_mpf(lam, kit.ctx)])
+        lam = kit.of(lam)
         diagonals = list(self.diagonals)
         diagonals[self.lower_bw] = tuple(kit.add(v, lam) for v in diagonals[self.lower_bw])
         return self._with_diagonals(tuple(diagonals))
@@ -341,9 +342,10 @@ def block_residual(A, B, block, tail=None):
         diff, top, far = diff << (exp - common), top << (exp - common), far << (tail_exp - common)
         diff, top, exp = max(diff, far), max(top, far), common
     # diff * 2**exp / max(1, top * 2**exp) is diff / max(2**-exp, top); at
-    # exp > 0, top = 0 means diff = 0, and max(1, top) serves.  Both are exact
-    # mpf values, so the division is the one rounding.
-    return _quotient(diff, max(top, 1 << max(0, -exp)), A.precision)
+    # exp > 0, top = 0 means diff = 0, and max(1, top) serves.  The exact
+    # ratio is rounded once.
+    kit = arith(A.precision)
+    return kit.wrap([kit.of(Fraction(diff, max(top, 1 << max(0, -exp))))])[0]
 
 
 def _shifted(ints, by):
@@ -387,7 +389,7 @@ def cholesky_shifted(J, c):
     L(i, i - 1) ** 2``, so it has the bits of the same formula on scalars.
     """
     kit, jdiag, jsub = arith(J.precision), J.diagonal(0), J.diagonal(-1)
-    (c,) = kit.raw([to_mpf(c, kit.ctx)])
+    c = kit.of(c)
     minus, times, div, sqrt, gt = kit.sub, kit.mul, kit.div, kit.sqrt, kit.gt
     diag, low = [], []
     for i, d in enumerate(jdiag):
@@ -412,7 +414,7 @@ def commute_cholesky(L, c):
     2) + c, on raw values with L's scalar kit.
     """
     kit, ldiag, lsub = arith(L.precision), L.diagonal(0), L.diagonal(-1)
-    (c,) = kit.raw([to_mpf(c, kit.ctx)])
+    c = kit.of(c)
     plus, times = kit.add, kit.mul
     squares = [times(x, x) for x in ldiag]
     squares[:len(lsub)] = [plus(d, times(x, x)) for d, x in zip(squares, lsub)]
@@ -469,6 +471,12 @@ def build_H(sob, size):
 # pipeline and verification
 # ---------------------------------------------------------------------------
 
+def _minus(x, precision):
+    """-x as a scalar of ``precision``: x converted first, then negated exactly."""
+    kit = arith(precision)
+    return kit.wrap([kit.neg(kit.of(x))])[0]
+
+
 @dataclass(frozen=True)
 class MatrixSuite:
     """All matrices of one configuration at one truncation.
@@ -514,7 +522,7 @@ class MatrixSuite:
         # Rounding to nearest commutes with negation, so L and L1 are the
         # factors of cI - J and cI - J1 bit for bit.
         right = spec.side == "right"
-        c = -to_mpf(spec.c, context(precision)) if right else spec.c
+        c = _minus(spec.c, precision) if right else spec.c
         L = cholesky_shifted(J.negated() if right else J, c)
         J1 = commute_cholesky(L, c)
         L1 = cholesky_shifted(J1, c)
@@ -620,7 +628,8 @@ def verify_propositions(suite):
     identities of Q are read from its generators (:func:`_q_products`), so Q
     is never expanded.  Every product is exact, on :func:`aligned` operands.
     """
-    A0, A2 = suite.J.shifted(-suite.spec.c), suite.J2.shifted(-suite.spec.c)
+    minus_c = _minus(suite.spec.c, suite.precision)
+    A0, A2 = suite.J.shifted(minus_c), suite.J2.shifted(minus_c)
     if suite.spec.side == "right":
         A0, A2 = A0.negated(), A2.negated()
     A0, A2, R, T, H = map(aligned, (A0, A2, suite.R, suite.T, suite.H))

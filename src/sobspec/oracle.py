@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .core import EXACT, SqrtRational, _check_int, context, to_mpf
+from .core import EXACT, SqrtRational, _check_int, arith
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -213,7 +213,7 @@ def build_oracle_suite(alpha, c, M, N, size):
     (C1, D1), (C2, D2), (Cs, Ds) = monic_system(G1), monic_system(G2), monic_system(Gs)
 
     def jacobi(beta, gamma):
-        exact = SqrtRational.from_rational
+        exact = arith(EXACT).of
         return _tridiagonal([exact(b) for b in beta[:nb]], [exact(g) for g in gamma[1:nb]], EXACT)
 
     def recurrence(C, D):
@@ -297,13 +297,13 @@ def squared_entry_compare(name, float_entries, exact_entries, tol):
     verdicts = []
     for (i, j), ref in sorted(exact_entries.items()):
         fv = float_entries[(i, j)]
-        ctx = getattr(fv, "context", None) or context(53)
-        fv, tol_v = to_mpf(fv, ctx), to_mpf(tol, ctx)
+        kit = arith(fv.context.prec if hasattr(fv, "context") else 53)
+        fv, tol_v = kit.wrap([kit.of(fv), kit.of(tol)])
         if ref.sign == 0:
             err = abs(fv)
             ok = sign_ok = err <= tol_v
         else:
-            square = to_mpf(ref.square, ctx)
+            (square,) = kit.wrap([kit.of(ref.square)])
             err = abs(fv * fv - square) / square
             sign_ok = ((fv > 0) - (fv < 0)) == ref.sign
             ok = sign_ok and err <= tol_v

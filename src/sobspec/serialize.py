@@ -26,7 +26,7 @@ from dataclasses import fields
 
 from mpmath.libmp import prec_to_dps, to_str
 
-from .core import _check_int, context
+from .core import _check_int, arith
 from .errors import InvalidParameterError
 from .matrices import _band, _diagonal_length, from_diagonals
 
@@ -132,8 +132,8 @@ def matrix_from_json(text):
         nrows, ncols, lower, upper, exact = (_check_int(key, doc[key], 0) for key in (
             "nrows", "ncols", "lower_bw", "upper_bw", "exact_size"))
         prec = _check_int("precision", doc["precision"], 1, " bits")
-        values, mpf = {(i, j): s for i, j, s in entries}, context(prec).mpf
-        diagonals = {k: [mpf(values.pop((n + max(0, -k), n + max(0, k))))._mpf_
+        values, of = {(i, j): s for i, j, s in entries}, arith(prec).of
+        diagonals = {k: [of(values.pop((n + max(0, -k), n + max(0, k))))
                          for n in range(_diagonal_length(nrows, ncols, k))]
                      for k in range(-lower, upper + 1)}
     except InvalidParameterError:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, _jet_rows, arith, to_mpf
+from .core import _check_int, _jet_rows, arith
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 
 
@@ -83,7 +83,8 @@ class SobolevLedger:
     def build(cls, chris, M, N, size):
         kt, rec = chris.kt, chris.kt.rec
         kit = arith(rec.precision)
-        M, N = to_mpf(M, kit.ctx), to_mpf(N, kit.ctx)
+        Mr, Nr = kit.of(M), kit.of(N)
+        M, N = kit.wrap([Mr, Nr])
         if not all(0 <= m < kit.ctx.inf for m in (M, N)):
             raise InvalidParameterError(
                 f"masses must be finite and nonnegative, got M = {M}, N = {N}")
@@ -93,7 +94,6 @@ class SobolevLedger:
         zero, one = kit.zero, kit.one
         j, K, K01, K11, h, r = kt.cjets, kt.K, kt.K01, kt.K11, rec.norm_sq, rec.leading
         d, e, r2 = chris.d, chris.e, chris.r2
-        Mr, Nr = kit.raw([M, N])
         Sc, Sdc, normS, t, g_nn, g_n1, g_n2 = [], [], [], [], [], [], []
         root = []  # root[n] = sqrt(K_{n-1} / K_n), read at n and at n + 1
         a, b, cdiag, al1, al0, x0, x1, x2 = [], [], [], [], [], [], [], []
@@ -172,7 +172,7 @@ def eval_sobolev(sob, n, x, normalized=False):
     kt = sob.chris.kt
     rec = kt.rec
     kit = arith(rec.precision)
-    jx = _jet_rows(rec, n, x, 0)
+    jx = _jet_rows(rec, n, kit.of(x), 0)
     value, Sc, Sdc, t = kit.wrap((jx[n][0], sob.Sc[n], sob.Sdc[n], sob.t[n]))
     if n >= 1:
         value -= sob.M * Sc * _kernel_sum(rec, n - 1, jx, kt.cjets, 0)

@@ -111,6 +111,12 @@ def exact_matmul(X, Y):
     return out
 
 
+def mpf_of(x, precision):
+    """The number x as an mpf of ``precision`` bits, rounded once."""
+    kit = arith(precision)
+    return kit.wrap([kit.of(x)])[0]
+
+
 def exact_residual(X, Y, block, precision):
     """Reference for ``block_residual``: over every position of the leading
     blocks of two :func:`exact_rows` matrices, the exact max |X - Y| divided

@@ -12,11 +12,12 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp, fzero,
-                          mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest)
+from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp,
+                          from_rational, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt,
+                          mpf_sub, round_nearest)
 
-from helpers import (as_mpf, assert_rel, laguerre_monic, moment_inner, mpq, poly_eval,
-                     reflected_laguerre, rel)
+from helpers import (as_mpf, assert_rel, fraction, laguerre_monic, moment_inner, mpq,
+                     poly_eval, reflected_laguerre, rel)
 from sobspec import core
 from sobspec.core import (
     EXACT,
@@ -28,6 +29,7 @@ from sobspec.core import (
     eval_jet,
 )
 from sobspec.errors import InvalidParameterError
+from sobspec.kernels import KernelTable
 from sobspec.matrices import MatrixSuite, verify_propositions
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
@@ -293,23 +295,23 @@ def test_threads_at_mixed_precisions_match_a_serial_run(spec):
         assert out == serial[p], p
 
 
-def kit_cases(ctx, x, y, root):
+def kit_cases(sqrt, x, y, root):
     """(op of the scalar kit, its arguments as scalars, the result of the
     scalar operation it stands for), with y != 0 and root >= 0."""
     return [("add", (x, y), x + y), ("sub", (x, y), x - y), ("mul", (x, y), x * y),
-            ("div", (x, y), x / y), ("neg", (x,), -x), ("sqrt", (root,), ctx.sqrt(root)),
+            ("div", (x, y), x / y), ("neg", (x,), -x), ("sqrt", (root,), sqrt(root)),
             ("mul", (x, x), x ** 2)]
 
 
-def kit_comparisons(ctx, x, y):
+def kit_comparisons(zero, x, y):
     """(arguments of the kit's ``gt`` as scalars, the scalar ``>``), both
     ways round and against zero, as the chain's positivity guard asks."""
-    return [((a, b), a > b) for a, b in ((x, y), (y, x), (x, x), (x, ctx.zero), (ctx.zero, x))]
+    return [((a, b), a > b) for a, b in ((x, y), (y, x), (x, x), (x, zero), (zero, x))]
 
 
 def kit_result(kit, name, args):
     """The kit's ``name`` on the raw values of ``args``, wrapped back."""
-    return kit.wrap([getattr(kit, name)(*kit.raw(args))])[0]
+    return kit.wrap([getattr(kit, name)(*map(kit.of, args))])[0]
 
 
 MPF_PARTS = st.tuples(st.integers(-(1 << 1100), 1 << 1100), st.integers(-400, 400))
@@ -382,6 +384,19 @@ def edge_cases(p):
     return cases
 
 
+def numbers_of_every_kind(p):
+    """Ints and the parts of Fractions up to 2p bits, floats, decimal strings,
+    and mpf of 4p bits."""
+    wide, big = context(4 * p), 1 << 2 * p
+    decimal = st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]),
+                        st.integers(0, 10 ** 40), st.integers(0, 10 ** 60),
+                        st.integers(-400, 400))
+    mpf = st.builds(lambda man, exp: wide.ldexp(wide.mpf(man), exp),
+                    st.integers(-(1 << 4 * p), 1 << 4 * p), st.integers(-400, 400))
+    return st.one_of(st.integers(-big, big), st.floats(allow_nan=False, allow_infinity=False),
+                     decimal, st.builds(F, st.integers(-big, big), st.integers(1, big)), mpf)
+
+
 class TestArith:
     """``arith(p)`` computes on raw values with the bits of the scalar
     operators of ``context(p)``."""
@@ -393,10 +408,10 @@ class TestArith:
         ctx, kit = context(precision), arith(precision)
         x, y = (ctx.ldexp(ctx.mpf(man), exp) for man, exp in (xp, yp))
         assume(y != 0)
-        for name, args, want in kit_cases(ctx, x, y, abs(x)):
+        for name, args, want in kit_cases(ctx.sqrt, x, y, abs(x)):
             assert kit_result(kit, name, args)._mpf_ == want._mpf_, name
-        for args, want in kit_comparisons(ctx, x, y):
-            assert kit.gt(*kit.raw(args)) is want, args
+        for args, want in kit_comparisons(ctx.zero, x, y):
+            assert kit.gt(*map(kit.of, args)) is want, args
 
     @pytest.mark.parametrize("precision", [53, 64, 113, 256, 1024])
     def test_mpf_kit_rounds_the_edge_cases_to_nearest_even(self, precision):
@@ -466,20 +481,46 @@ class TestArith:
         values = [ctx.mpf(v) for v in ("nan", "inf", "-inf", 0, 1, -1)]
         for x in values:
             for y in values:
-                for args, want in kit_comparisons(ctx, x, y):
-                    assert kit.gt(*kit.raw(args)) is want, args
+                for args, want in kit_comparisons(ctx.zero, x, y):
+                    assert kit.gt(*map(kit.of, args)) is want, args
 
     @settings(max_examples=100, deadline=None)
     @given(xq=st.fractions(max_denominator=10 ** 6), yq=st.fractions(max_denominator=10 ** 6))
     def test_exact_kit_has_the_results_of_sqrt_rational_operators(self, xq, yq):
         assume(yq != 0)
-        ctx, kit = context(EXACT), arith(EXACT)
+        kit = arith(EXACT)
         x, y = SqrtRational.from_rational(xq), SqrtRational.from_rational(yq)
-        for name, args, want in kit_cases(ctx, x, y, x * x):
+        for name, args, want in kit_cases(SqrtRational.sqrt, x, y, x * x):
             got = kit_result(kit, name, args)
             assert (got.sign, got.square) == (want.sign, want.square), name
-        for args, want in kit_comparisons(ctx, x, y):
-            assert kit.gt(*kit.raw(args)) is want, args
+        for args, want in kit_comparisons(kit.zero, x, y):
+            assert kit.gt(*map(kit.of, args)) is want, args
+
+    @pytest.mark.parametrize("precision", [53, 64, 113, 256, 1024])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_of_rounds_the_exact_value_once(self, precision, data):
+        x = data.draw(numbers_of_every_kind(precision))
+        q = fraction(x) if hasattr(x, "_mpf_") else F(x)
+        want = from_rational(q.numerator, q.denominator, precision, round_nearest)
+        assert arith(precision).of(x) == want, x
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.one_of(st.integers(), st.fractions()))
+    def test_exact_of_is_the_sqrt_rational_of_the_rational(self, q):
+        got, want = arith(EXACT).of(q), SqrtRational.from_rational(q)
+        assert (got.sign, got.square) == (want.sign, want.square)
+
+    def test_a_fraction_is_rounded_once_wherever_it_enters(self):
+        # ctx.mpf(num) / den rounds the 66-bit numerator to 64 bits first, and
+        # its quotient then misses the nearest value of q by an ulp.
+        q = F(69377511649665406331, 875333106730454043)
+        want = from_rational(q.numerator, q.denominator, 64, round_nearest)
+        assert (context(64).mpf(q.numerator) / q.denominator)._mpf_ != want
+        rec = MeasureSpec.custom([q, q], [0, q], (float("-inf"), 0.0), norm0_sq=q).recurrence(2, 64)
+        assert rec.beta[0] == rec.gamma[1] == rec.norm_sq[0] == want
+        kt = KernelTable.build(MeasureSpec.laguerre(0).recurrence(3, 64), -q)
+        assert kt.c._mpf_ == mpf_neg(want)
 
     def test_one_kit_per_precision_under_threads(self):
         # 977 bits is used by no other test, so the four threads race to make

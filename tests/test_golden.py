@@ -3,10 +3,11 @@
 from dataclasses import replace
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
 from helpers import TOL30
-from sobspec.core import SqrtRational
+from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational
 from sobspec.golden import (
     MATRIX_NAMES,
     compare_reference,
@@ -89,6 +90,27 @@ class TestFloatPath:
         for name, (exact, within, total) in counts.items():
             missed = 1 if name == "H" else 0
             assert (exact, within) == (total - missed, total - missed), name
+
+    def test_a_fraction_tolerance_counts_as_its_decimal(self, counts, reference, float_suite,
+                                                        oracle_suite):
+        _, matrices = reference
+        computed = computed_counterparts(float_suite)
+        for tol in (F(1, 10 ** 30), "1e-30"):
+            assert compare_reference(matrices, computed, oracle_suite, float_suite.precision,
+                                     tol) == counts
+
+    def test_shift_of_a_wide_mass_point_is_converted_first(self):
+        # -c of an mpf made at 300 bits, formed in the global context at 53
+        # bits, would round to 53 bits and move (J2 - cI)^2.
+        with mp.workprec(300):
+            c = -mp.mpf(1) / 3
+        with mp.workprec(53):
+            wide = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(0), c, 1, 1), 12,
+                                     precision=256)
+            got = computed_counterparts(wide)["J2_shift_sq"]
+        exact = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(0), F(-1, 3), 1, 1), 12,
+                                  precision=256)
+        assert got == computed_counterparts(exact)["J2_shift_sq"]
 
     def test_squared_entry_reports_all_pass(self, reference, float_suite):
         _, matrices = reference

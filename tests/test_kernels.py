@@ -10,7 +10,7 @@ import mpmath as mp
 
 from helpers import (TOL30, as_mpf, assert_rel, laguerre_monic, mpq, poly_deriv, poly_eval,
                      rel)
-from sobspec.core import _jet_rows, context, to_mpf
+from sobspec.core import _jet_rows, arith
 from sobspec.sobolev import _kernel_sum
 
 RNG_SEED = 90125
@@ -18,7 +18,7 @@ RNG_SEED = 90125
 
 def jets(rec, n, x, order):
     """The raw jet rows of P_0..P_n at x, as eval_sobolev forms them."""
-    return _jet_rows(rec, n, to_mpf(x, context(rec.precision)), order)
+    return _jet_rows(rec, n, arith(rec.precision).of(x), order)
 
 
 def kernel(rec, n, x, y, j=0):

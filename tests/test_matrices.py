@@ -9,7 +9,7 @@ from itertools import accumulate
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import from_rational, mpf_neg, round_nearest
 
 from helpers import (
     TOL30,
@@ -20,6 +20,7 @@ from helpers import (
     exact_residual,
     exact_rows,
     fraction,
+    mpf_of,
 )
 from sobspec.core import (
     EXACT,
@@ -28,7 +29,6 @@ from sobspec.core import (
     SqrtRational,
     arith,
     context,
-    to_mpf,
 )
 from sobspec.errors import (
     InternalConsistencyError,
@@ -54,7 +54,7 @@ from sobspec.matrices import (
 )
 from sobspec.oracle import squared_entry_compare
 from sobspec.serialize import matrix_from_json, matrix_to_json
-from test_ledger_bits import CONFIGS
+from test_ledger_bits import CONFIGS, mpf_fields
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def identity_operands(suite):
     """The pairs verify_propositions compares through ``block_residual``,
     formed with mpf products (verify forms them exactly, on aligned
     operands): name -> (A, B)."""
-    c = to_mpf(suite.spec.c, context(suite.precision))
+    c = mpf_of(suite.spec.c, suite.precision)
     A0, A2 = suite.J.shifted(-c), suite.J2.shifted(-c)
     if suite.spec.side == "right":
         A0, A2 = A0.negated(), A2.negated()
@@ -128,14 +128,14 @@ def band_with_tail(n=7):
     """A tridiagonal band with a rank-one tail (ints with their exponent,
     as ``block_residual`` reads it), the same matrix written out (its tail
     entries the exact products), and a tridiagonal B to compare them with."""
-    ctx, raw = context(64), arith(64).raw
-    band = from_diagonals({k: raw(ctx.mpf(3 * i + k) / 7 for i in range(n - abs(k)))
+    of = arith(64).of
+    band = from_diagonals({k: [of(F(3 * i + k, 7)) for i in range(n - abs(k))]
                            for k in (-1, 0, 1)}, n, 64)
     left, right, exp = [(-2) ** i * 3 for i in range(n)], [5 * (k + 1) for k in range(n)], -7
-    dense = from_diagonals({**{k: raw(ctx.ldexp(left[i] * right[i + k], exp)
-                                      for i in range(n - k)) for k in range(2, n)},
+    dense = from_diagonals({**{k: [of(F(left[i] * right[i + k], 2 ** -exp))
+                                   for i in range(n - k)] for k in range(2, n)},
                             **{k: band.diagonal(k) for k in (-1, 0, 1)}}, n, 64)
-    B = from_diagonals({k: raw(ctx.mpf(i - k) / 5 for i in range(n - abs(k)))
+    B = from_diagonals({k: [of(F(i - k, 5)) for i in range(n - abs(k))]
                         for k in (-1, 0, 1)}, n, 64)
     return band, (left, right, exp), dense, B
 
@@ -175,7 +175,7 @@ def exact_identities(s):
     matrices (``exact_rows``), formed from the suite's mpf operands by exact
     products.  Q's rows take Q's diagonals -1 to 2 and the exact tails of
     :func:`exact_q_tails`, from Q's rounded generators."""
-    c, right = to_mpf(s.spec.c, context(s.precision)), s.spec.side == "right"
+    c, right = mpf_of(s.spec.c, s.precision), s.spec.side == "right"
     A0, A2 = (exact_rows(M.shifted(-c).negated() if right else M.shifted(-c))
               for M in (s.J, s.J2))
     H, T, R, Tt, Rt = map(exact_rows, (s.H, s.T, s.R, s.T.transpose(), s.R.transpose()))
@@ -578,8 +578,7 @@ class TestBandLocalVerification:
     def test_non_finite_entry_raises(self):
         # m * 2**e has no infinity or NaN; the parent scan reported inf or nan.
         for bad in (mp.inf, -mp.inf, mp.nan):
-            A = from_diagonals({0: arith(64).raw([context(64).one, context(64).mpf(bad)])},
-                               2, 64)
+            A = from_diagonals({0: list(map(arith(64).of, (1, bad)))}, 2, 64)
             for X, Y in ((A, identity(2, 64)), (identity(2, 64), A)):
                 with pytest.raises(NumericalFailureError, match="non-finite"):
                     block_residual(X, Y, 2)
@@ -766,7 +765,7 @@ class TestProducts:
         s = MatrixSuite.build(reflected_spec(23), size=14, guard=4, precision=precision)
         # right side: negated() makes J2 - cI's two off-diagonals distinct
         # objects, so its symmetry is seen by value
-        A2 = s.J2.shifted(-to_mpf(s.spec.c, context(precision))).negated()
+        A2 = s.J2.shifted(-mpf_of(s.spec.c, precision)).negated()
         R, Rt, T = s.R, s.R.transpose(), s.T
         symmetric = {"A2 A2": (A2, A2), "R Rt": (R, Rt), "Rt R": (Rt, R),
                      "T Tt": (T, T.transpose())}
@@ -783,7 +782,7 @@ class TestProducts:
         # the same loop with the int kit: each entry the exact sum, and the
         # mirrored half of a symmetric product too
         s = MatrixSuite.build(reflected_spec(23), size=14, guard=4, precision=precision)
-        A2 = aligned(s.J2.shifted(-to_mpf(s.spec.c, context(precision))).negated())
+        A2 = aligned(s.J2.shifted(-mpf_of(s.spec.c, precision)).negated())
         R, T, H = map(aligned, (s.R, s.T, s.H))
         for A, B in ((A2, A2), (R, R.transpose()), (R.transpose(), R), (H, T),
                      (T, multiply(A2, A2))):
@@ -890,6 +889,42 @@ class TestPrecisionContext:
         assert len(values) > 1000
         assert all(type(v) is tuple and v[3] <= 128 for v in values)
         assert all(v.context is context(128) for v in mpfs)
+
+    def test_verify_converts_a_wide_mass_point_before_negating_it(self):
+        # c = -1/3 made at 300 bits in the global context, read with that
+        # context back at 53 bits: -c formed there rounds to 53 bits, and the
+        # shifts J - cI and J2 - cI then miss by about 1e-18.
+        with mp.workprec(300):
+            c = -mp.mpf(1) / 3
+        with mp.workprec(53):
+            wide = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(0), c, 1, 1), 12,
+                                     precision=256)
+            rows = verify_propositions(wide).as_rows()
+        exact = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(0), F(-1, 3), 1, 1), 12,
+                                  precision=256)
+        assert wide.named_matrices() == exact.named_matrices()
+        assert all(res <= TOL30 for _, res, _ in rows), rows
+
+    @pytest.mark.parametrize("literal", [
+        "-0.4749952525594461092483435261195537215397431083592451959264847564696",
+        "-700.476200753292612652064279287757447621682752174888515904584744529078"])
+    def test_a_decimal_mass_point_builds_as_its_nearest_value(self, literal):
+        # The CLI reads --c as this Fraction.  Its numerator has more than 64
+        # bits, so rounding the numerator and then the quotient misses the
+        # nearest 64-bit value by an ulp; at -700.47... the miss reaches
+        # every matrix, at -0.47... only the kernel table's c.
+        q = F(literal)
+        nearest = context(64).make_mpf(from_rational(q.numerator, q.denominator, 64,
+                                                     round_nearest))
+
+        def stored(c):
+            s = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(0), c, 1, 1), 8,
+                                  precision=64)
+            kt = s.sob.chris.kt
+            return ([mpf_fields(x) for x in (kt.rec, kt, s.sob.chris, s.sob)]
+                    + [m.diagonals for m in (*s.named_matrices().values(), s.J2_direct)])
+
+        assert stored(q) == stored(nearest)
 
     def test_mixed_precisions_raise(self, spec):
         # Each matrix operation runs at one precision; a caller converts first.
