@@ -179,13 +179,25 @@ def generate(**opts):
 
 
 def _oracle_entries(numbers, suite):
-    """Exact squared-rational entries when the oracle covers the run, else {}."""
+    """Exact squared-rational entries when the oracle covers the run, else {}.
+
+    Also {} when a numerator or denominator has more decimal digits than
+    Python converts to or from a string (``sys.get_int_max_str_digits``), so
+    that every file written parses with ``json.loads``.
+    """
     try:
         osuite = build_oracle_suite(*numbers.values(), suite.J.nrows)
     except OracleUnsupportedError:
         return {}
-    return {name: {(i, j): osuite.matrices[name][i][j] for i, j, _ in _band(m, m.diagonals)}
-            for name, m in suite.named_matrices().items()}
+    exact = {name: {(i, j): osuite.matrices[name][i][j] for i, j, _ in _band(m, m.diagonals)}
+             for name, m in suite.named_matrices().items()}
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before 3.10.7
+    if limit:
+        bound = 10 ** limit
+        if any(max(e.square.numerator, e.square.denominator) >= bound
+               for entries in exact.values() for e in entries.values()):
+            return {}
+    return exact
 
 
 @main.command()

@@ -12,10 +12,15 @@ CSV holds one ``i,j,value`` row per band entry under a header line.
 Every value goes through one :func:`formatter` per document, which gives
 the string of ``mpmath.libmp.to_str`` (what ``nstr`` returns) byte for byte
 from the raw ``_mpf_`` tuple that the matrix or ledger stores, so writing
-makes no mpf.  A matrix document is the text of
+makes no mpf.  A value whose mantissa fits the formatter's bit budget and
+whose exponent is negative gets its truncated decimal digits as one product
+and shift, ``man * 10**fixdps >> -exp``; any other value takes
+``to_str``'s own shift into a fixed-point integer first, and the edge cases
+go to ``to_str`` itself.  A matrix document is the text of
 ``json.dumps(doc, indent=1)``: the scalar header comes from ``json.dumps``
 itself, and the entry rows are written in that layout directly, since
-``json`` encodes with an indent in pure Python.
+``json`` encodes with an indent in pure Python.  JSON and CSV walk the band
+row by row over the stored diagonals, each value formatted once.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from mpmath.libmp import prec_to_dps, to_str
 
 from .core import _check_int, arith
 from .errors import InvalidParameterError
-from .matrices import _band, _diagonal_length, from_diagonals
+from .matrices import _diagonal_length, from_diagonals
 
 _LOG2_10 = math.log(10, 2)
 
@@ -42,55 +47,85 @@ def formatter(precision):
     """The function mapping a raw ``_mpf_`` tuple s to ``to_str(s, repr_digits(precision))``.
 
     It takes the steps of ``to_str`` and its ``to_digits_exp`` once per
-    value, with the digit count, the bit budget and the powers of ten worked
-    out once: the value as a fixed-point integer, truncated to its decimal
-    digits, rounded half up on the first dropped digit, then written fixed
-    or scientific and stripped of trailing zeros.  Zero, infinities, NaN and
-    values past 2^3500 in magnitude or below 2^-3500 go to ``to_str`` itself,
-    as do all values at precisions whose digit strings could pass Python's
-    int-to-str limit.
+    value, with the digit count and the bit budget worked out once and the
+    power of ten cached per fixed-point scale: the value's decimal digits,
+    truncated, then rounded half up on the first dropped digit and stripped
+    of trailing zeros in one step, then written fixed or scientific.  Within
+    the budget (at most as many mantissa bits as the budget and a negative
+    exponent) the digits are ``man * 10**fixdps >> -exp``, which equals
+    ``to_str``'s shift of ``man`` up to the budget and back down, since that
+    shift drops no bit; a wider value, or one with an exponent >= 0, keeps
+    that shift, which truncates a wide mantissa.  Zero, infinities, NaN and
+    values past 2^3500 in magnitude or below 2^-3500 go to ``to_str``
+    itself, as do all values at precisions whose digit strings could pass
+    Python's int-to-str limit.
     """
     dps = repr_digits(precision)
     if dps > 4000:
         return lambda s: to_str(s, dps)
     bitprec = int((dps + 3) * _LOG2_10) + 10
     min_fixed = min(-(dps // 3), -5)
-    tens = {}
+    scales = {}
+
+    def scale(fixprec):
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        return scales.setdefault(fixprec, (fixdps, 10 ** fixdps))
 
     def fmt(s):
         sign, man, exp, bc = s
-        if not man or abs(exp + bc) > 3500:
+        top = exp + bc
+        if not man or not -3500 <= top <= 3500:
             return to_str(s, dps)
-        fixprec = max(bitprec - exp - bc, 0)
-        fixdps = int(fixprec / _LOG2_10 + 0.5)
-        offset = exp + fixprec
-        ten = tens.get(fixdps) or tens.setdefault(fixdps, 10 ** fixdps)
-        digits = str((man << offset if offset >= 0 else man >> -offset) * ten >> fixprec)
+        if bc <= bitprec and exp < 0:
+            fixdps, ten = scales.get(bitprec - top) or scale(bitprec - top)
+            digits = str(man * ten >> -exp)
+        else:
+            fixprec = max(bitprec - top, 0)
+            fixdps, ten = scales.get(fixprec) or scale(fixprec)
+            offset = exp + fixprec
+            digits = str((man << offset if offset >= 0 else man >> -offset) * ten >> fixprec)
         exponent = len(digits) - fixdps - 1
         if len(digits) > dps and digits[dps] >= "5":
-            head = digits[:dps].rstrip("9")
-            if head:
-                digits = head[:-1] + chr(ord(head[-1]) + 1) + "0" * (dps - len(head))
+            digits = digits[:dps].rstrip("9")
+            if digits:
+                digits = digits[:-1] + chr(ord(digits[-1]) + 1)
             else:
-                digits = "1" + "0" * (dps - 1)
-                exponent += 1
+                digits, exponent = "1", exponent + 1
         else:
-            digits = digits[:dps]
-        split = 1
+            digits = digits[:dps].rstrip("0")
         if min_fixed < exponent < dps:
+            split = exponent + 1
             if exponent < 0:
-                digits = "0" * -exponent + digits
+                digits = "0." + "0" * -split + digits
+            elif split < len(digits):
+                digits = digits[:split] + "." + digits[split:]
             else:
-                split = exponent + 1
-            exponent = 0
-        digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-        if digits[-1] == ".":
-            digits += "0"
-        if sign:
-            digits = "-" + digits
-        return f"{digits}e{exponent:+d}" if exponent else digits
+                digits += "0" * (split - len(digits)) + ".0"
+        else:
+            digits = f"{digits[0]}.{digits[1:] or '0'}e{exponent:+d}"
+        return "-" + digits if sign else digits
 
     return fmt
+
+
+def _band_rows(matrix, fmt, start, column, end, joiner):
+    """Texts of the nonempty rows of matrix's band, row-major, that
+    concatenate to its entries joined by ``joiner``: entry (i, j) reads
+    ``start(i) + column[j] + fmt(value) + end``, and each stored value is
+    formatted once, as its row is written.  A row's first and last entries
+    take its leading joiner and its end, so that joining the row makes its
+    only copy, and no string of one entry outlives its row."""
+    diagonals, lower, upper = matrix.diagonals, matrix.lower_bw, matrix.upper_bw
+    rows = []
+    for i in range(matrix.nrows):
+        lo, hi = max(0, i - lower), min(matrix.ncols, i + upper + 1)
+        if lo < hi:
+            head = start(i)
+            entries = [column[j] + fmt(diagonals[lower + j - i][min(i, j)]) for j in range(lo, hi)]
+            entries[0] = (joiner if rows else "") + head + entries[0]
+            entries[-1] += end
+            rows.append((end + joiner + head).join(entries))
+    return rows
 
 
 def _json_rows(key, rows):
@@ -103,7 +138,6 @@ def matrix_to_json(name, matrix, exact_entries=None):
     """The document as ``json.dumps(doc, indent=1) + "\\n"`` writes it.  Value
     strings hold only digits, ".", "-", "+", "e", "inf" or "nan", so they
     need no escaping."""
-    fmt = formatter(matrix.precision)
     head = json.dumps({
         "name": name,
         "nrows": matrix.nrows,
@@ -112,14 +146,15 @@ def matrix_to_json(name, matrix, exact_entries=None):
         "upper_bw": matrix.upper_bw,
         "exact_size": matrix.exact_size,
         "precision": matrix.precision,
-    }, indent=1)
-    text = head[:-2] + _json_rows("entries", [f'  [\n   {i},\n   {j},\n   "{fmt(v)}"\n  ]'
-                                              for i, j, v in _band(matrix, matrix.diagonals)])
-    if exact_entries is not None:
-        text += _json_rows("entries_exact", [
-            f"  [\n   {i},\n   {j},\n   {e.square.numerator},\n   {e.square.denominator},"
-            f"\n   {e.sign}\n  ]" for (i, j), e in sorted(exact_entries.items())])
-    return text + "\n}\n"
+    }, indent=1)[:-2] + ',\n "entries": '
+    tail = "" if exact_entries is None else _json_rows("entries_exact", [
+        f"  [\n   {i},\n   {j},\n   {e.square.numerator},\n   {e.square.denominator},"
+        f"\n   {e.sign}\n  ]" for (i, j), e in sorted(exact_entries.items())])
+    rows = _band_rows(matrix, formatter(matrix.precision), lambda i: f"  [\n   {i},\n   ",
+                      [f'{j},\n   "' for j in range(matrix.ncols)], '"\n  ]', ",\n")
+    if not rows:
+        return head + "[]" + tail + "\n}\n"
+    return "".join((head + "[\n", *rows, "\n ]" + tail + "\n}\n"))
 
 
 def matrix_from_json(text):
@@ -148,9 +183,9 @@ def matrix_from_json(text):
 
 
 def matrix_to_csv(matrix):
-    fmt = formatter(matrix.precision)
-    return "i,j,value\n" + "".join(f"{i},{j},{fmt(v)}\n"
-                                   for i, j, v in _band(matrix, matrix.diagonals))
+    rows = _band_rows(matrix, formatter(matrix.precision), lambda i: f"{i},",
+                      [f"{j}," for j in range(matrix.ncols)], "\n", "")
+    return "".join(("i,j,value\n", *rows))
 
 
 def ledgers_to_doc(suite):

@@ -65,6 +65,18 @@ class TestGenerate:
                 doc = json.loads((out / f"{name}.json").read_text())
                 assert ("entries_exact" in doc) == attached
 
+    def test_exact_entries_past_the_int_to_str_limit_are_left_out(self, runner, tmp_path):
+        # The oracle covers this run, but some exact squares of this 70-digit
+        # mass point have more than 4,300 digits, which json.loads cannot read.
+        c = "-0.4749952525594461092483435261195537215397431083592451959264847564696"
+        result = runner.invoke(main, ["generate", "--alpha=1", f"--c={c}", "--M=1/2", "--N=0",
+                                      "--precision", "64", "--size", "10", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 11
+        for path in files:
+            assert "entries_exact" not in json.loads(path.read_text()), path.name
+
     def test_invalid_alpha_exit_code(self, runner, tmp_path):
         result = run_generate(runner, tmp_path, "--alpha", "-2")
         assert result.exit_code == 2

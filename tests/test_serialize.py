@@ -2,6 +2,7 @@
 ``mpmath.libmp.to_str``'s, and every matrix document is ``json.dumps(doc,
 indent=1)``'s text."""
 
+import itertools
 import json
 import random
 
@@ -11,7 +12,7 @@ from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from sobspec import serialize
 from sobspec.core import MeasureSpec, SobolevSpec, arith, context
-from sobspec.matrices import MatrixSuite, from_diagonals
+from sobspec.matrices import MatrixSuite, _diagonal_length, from_diagonals
 from sobspec.oracle import MAX_ROWS, build_oracle_suite
 from sobspec.serialize import formatter, matrix_to_csv, matrix_to_json, repr_digits
 
@@ -92,6 +93,13 @@ def reference_json(name, m, exact_entries=None):
     return json.dumps(doc, indent=1) + "\n"
 
 
+def reference_csv(m):
+    """The CSV of ``m`` from ``to_str`` over ``band_entries()``."""
+    dps = repr_digits(m.precision)
+    return "i,j,value\n" + "".join(
+        f"{i},{j},{to_str(v._mpf_, dps)}\n" for i, j, v in m.band_entries())
+
+
 @pytest.fixture(scope="module", params=[3, 30])
 def sized(request):
     """(suite at 64 bits, suite at 1024 bits, exact entries of each matrix
@@ -127,7 +135,20 @@ class TestMatrixJson:
         assert matrix_to_json('Q "é"', m) == reference_json('Q "é"', m)
 
     def test_csv_rows_are_to_str(self, sized):
-        m = sized[0][1].H
-        dps = repr_digits(m.precision)
-        assert matrix_to_csv(m) == "i,j,value\n" + "".join(
-            f"{i},{j},{to_str(v._mpf_, dps)}\n" for i, j, v in m.band_entries())
+        for suite in sized[0]:
+            for name, m in suite.named_matrices().items():
+                assert matrix_to_csv(m) == reference_csv(m), name
+
+    def test_every_band_shape(self):
+        """Both writers over every declared band of matrices up to 5 x 5:
+        bands off the main diagonal, wider than the matrix, and rows or
+        whole matrices with no band entry."""
+        of, rng = arith(64).of, random.Random(5)
+        for nrows, ncols, low, high in itertools.product(range(6), range(6), range(-6, 6), range(7)):
+            if high < low:
+                continue
+            m = from_diagonals({k: [of(rng.random() * 10 ** rng.randint(-9, 9))
+                                    for _ in range(_diagonal_length(nrows, ncols, k))]
+                                for k in range(low, high + 1)}, 2, 64, (nrows, ncols))
+            assert matrix_to_json("A", m) == reference_json("A", m)
+            assert matrix_to_csv(m) == reference_csv(m)
