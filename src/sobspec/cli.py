@@ -38,7 +38,7 @@ from .errors import (
 from .golden import compare_reference, computed_counterparts, load_reference
 # ``multiply`` is not called here, but it stays importable from this module,
 # where perfbench's tracer wraps it by name.
-from .matrices import MatrixSuite, _band, multiply, verify_propositions  # noqa: F401
+from .matrices import MatrixSuite, multiply, verify_propositions  # noqa: F401
 from .oracle import build_oracle_suite
 from .serialize import formatter, ledgers_to_csv, ledgers_to_doc, matrix_to_csv, matrix_to_json
 
@@ -189,7 +189,7 @@ def _oracle_entries(numbers, suite):
         osuite = build_oracle_suite(*numbers.values(), suite.J.nrows)
     except OracleUnsupportedError:
         return {}
-    exact = {name: {(i, j): osuite.matrices[name][i][j] for i, j, _ in _band(m, m.diagonals)}
+    exact = {name: {(i, j): osuite.matrices[name][i][j] for i, j, _ in m.band_entries()}
              for name, m in suite.named_matrices().items()}
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before 3.10.7
     if limit:
@@ -254,7 +254,7 @@ def reproduce_paper(precision, tolerance):
     suite = MatrixSuite.build(spec, size=top + 2, guard=4, precision=precision)
     osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
                                 config["N"], top)
-    counts = compare_reference(golden, computed_counterparts(suite), osuite, precision, tol)
+    counts = compare_reference(golden, computed_counterparts(suite), osuite, tol)
     failures = 0
     for name, (exact_ok, float_ok, total) in counts.items():
         status = "ok" if exact_ok == total == float_ok else "FAIL"

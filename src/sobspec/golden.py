@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .core import SqrtRational, arith
-from .matrices import _minus, multiply
+from .core import SqrtRational
+from .matrices import multiply
 from .oracle import squared_entry_compare
 
 FIXTURE_NAME = "laguerre_a0_cm1_M1_N1.json"
@@ -61,23 +61,22 @@ def load_reference():
 def computed_counterparts(suite):
     """Name -> the suite's counterpart of each reference table, (J2 - cI)^2 included."""
     computed = dict(suite.named_matrices())
-    shifted = suite.J2.shifted(_minus(suite.spec.c, suite.precision))
+    shifted = suite.J2.shifted(-suite.sob.chris.kt.c)
     computed["J2_shift_sq"] = multiply(shifted, shifted)
     return computed
 
 
-def compare_reference(golden, computed, osuite, precision, tol):
+def compare_reference(golden, computed, osuite, tol):
     """Count the reference entries each computation path reproduces.
 
     ``golden`` maps names to :class:`GoldenMatrix`, ``computed`` to float
-    matrices and ``osuite`` is the exact oracle suite; ``tol`` (a decimal
-    string or a number) is read at ``precision`` bits.  Returns name ->
+    matrices and ``osuite`` is the exact oracle suite.  Returns name ->
     (exact, float, total) in ``MATRIX_NAMES`` order: ``exact`` counts oracle
     entries equal to the reference, ``float`` computed entries that
-    :func:`~sobspec.oracle.squared_entry_compare` passes against it.
+    :func:`~sobspec.oracle.squared_entry_compare` passes against it, ``tol``
+    (a decimal string or a number) read in each entry's own context.
     """
-    counts, kit = {}, arith(precision)
-    tol = kit.wrap([kit.of(tol)])[0]
+    counts = {}
     for name in MATRIX_NAMES:
         gm = golden[name]
         exact_ok = sum(osuite.matrices[name][i][j] == ref for (i, j), ref in gm.entries.items())

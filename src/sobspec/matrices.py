@@ -104,7 +104,10 @@ class BandedMatrix:
     def band_entries(self):
         """Yield (i, j, value) over the declared band, row-major, each value
         as ``entry`` returns it."""
-        yield from _band(self, tuple(map(self._scalars().wrap, self.diagonals)))
+        diagonals = tuple(map(self._scalars().wrap, self.diagonals))
+        for i in range(self.nrows):
+            for j in range(max(0, i - self.lower_bw), min(self.ncols, i + self.upper_bw + 1)):
+                yield i, j, diagonals[self.lower_bw + j - i][min(i, j)]
 
     def _scalars(self):
         """The scalar kit of the stored values: the precision's, or ``int`` if aligned."""
@@ -178,13 +181,6 @@ def _hessenberg_diagonals(Q, upto):
         prev = tuple([div(times(x, s), d) for x, s, d in zip(prev, l1sub[k - 1:], l1diag[k:])])
         diagonals[k] = prev
     return diagonals
-
-
-def _band(A, diagonals):
-    """Yield (i, j, value) over A's band, row-major, from ``diagonals`` laid out as A's."""
-    for i in range(A.nrows):
-        for j in range(max(0, i - A.lower_bw), min(A.ncols, i + A.upper_bw + 1)):
-            yield i, j, diagonals[A.lower_bw + j - i][min(i, j)]
 
 
 def _diagonal_length(nrows, ncols, k):
@@ -419,7 +415,7 @@ def commute_cholesky(L, c):
     squares = [times(x, x) for x in ldiag]
     squares[:len(lsub)] = [plus(d, times(x, x)) for d, x in zip(squares, lsub)]
     diag = [plus(d, c) for d in squares]
-    off = list(map(times, lsub, ldiag[1:]))
+    off = tuple(map(times, lsub, ldiag[1:]))
     return _symmetric_from_diagonals({0: diag, 1: off}, L.exact_size - 1, L.precision)
 
 
@@ -471,12 +467,6 @@ def build_H(sob, size):
 # pipeline and verification
 # ---------------------------------------------------------------------------
 
-def _minus(x, precision):
-    """-x as a scalar of ``precision``: x converted first, then negated exactly."""
-    kit = arith(precision)
-    return kit.wrap([kit.neg(kit.of(x))])[0]
-
-
 @dataclass(frozen=True)
 class MatrixSuite:
     """All matrices of one configuration at one truncation.
@@ -518,11 +508,11 @@ class MatrixSuite:
         chris = ChristoffelLedger.build(kt, nb + 2)
         sob = SobolevLedger.build(chris, spec.M, spec.N, nb + 2)
         J = build_jacobi(rec, nb)
-        # Right of the support, the chain runs on the reflection, -J at -c.
-        # Rounding to nearest commutes with negation, so L and L1 are the
-        # factors of cI - J and cI - J1 bit for bit.
+        # Right of the support, the chain runs on the reflection, -J at -c:
+        # kt.c, c rounded once, negates exactly, so L and L1 are the factors
+        # of cI - J and cI - J1 bit for bit.
         right = spec.side == "right"
-        c = _minus(spec.c, precision) if right else spec.c
+        c = -kt.c if right else kt.c
         L = cholesky_shifted(J.negated() if right else J, c)
         J1 = commute_cholesky(L, c)
         L1 = cholesky_shifted(J1, c)
@@ -628,7 +618,7 @@ def verify_propositions(suite):
     identities of Q are read from its generators (:func:`_q_products`), so Q
     is never expanded.  Every product is exact, on :func:`aligned` operands.
     """
-    minus_c = _minus(suite.spec.c, suite.precision)
+    minus_c = -suite.sob.chris.kt.c
     A0, A2 = suite.J.shifted(minus_c), suite.J2.shifted(minus_c)
     if suite.spec.side == "right":
         A0, A2 = A0.negated(), A2.negated()

@@ -69,7 +69,7 @@ def _rational(name, value):
     """``value`` as a Fraction; a NaN, an infinity or a non-number is invalid."""
     try:
         return Fraction(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InvalidParameterError(
             f"{name} must be a finite rational number, got {value!r}") from exc
 

@@ -102,8 +102,7 @@ class TestAcceptance:
         osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
                                     config["N"], 6)
         suite = MatrixSuite.build(_spec(), size=8, guard=4, precision=256)
-        counts = compare_reference(golden, computed_counterparts(suite), osuite,
-                                   256, TOL30)
+        counts = compare_reference(golden, computed_counterparts(suite), osuite, TOL30)
         exact_bad = sum(total - exact for exact, _, total in counts.values())
         float_bad = sum(total - within for _, within, total in counts.values())
         elapsed = time.time() - start

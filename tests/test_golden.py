@@ -36,8 +36,7 @@ def oracle_suite():
 @pytest.fixture(scope="module")
 def counts(reference, float_suite, oracle_suite):
     _, matrices = reference
-    return compare_reference(matrices, computed_counterparts(float_suite),
-                             oracle_suite, float_suite.precision, TOL30)
+    return compare_reference(matrices, computed_counterparts(float_suite), oracle_suite, TOL30)
 
 
 class TestFixtureShape:
@@ -86,7 +85,7 @@ class TestFloatPath:
         entries[(0, 1)] = SqrtRational(-1, ref.square + F(1, 8))
         altered = dict(matrices, H=replace(gm, entries=entries))
         counts = compare_reference(altered, computed_counterparts(float_suite),
-                                   oracle_suite, float_suite.precision, TOL30)
+                                   oracle_suite, TOL30)
         for name, (exact, within, total) in counts.items():
             missed = 1 if name == "H" else 0
             assert (exact, within) == (total - missed, total - missed), name
@@ -96,8 +95,7 @@ class TestFloatPath:
         _, matrices = reference
         computed = computed_counterparts(float_suite)
         for tol in (F(1, 10 ** 30), "1e-30"):
-            assert compare_reference(matrices, computed, oracle_suite, float_suite.precision,
-                                     tol) == counts
+            assert compare_reference(matrices, computed, oracle_suite, tol) == counts
 
     def test_shift_of_a_wide_mass_point_is_converted_first(self):
         # -c of an mpf made at 300 bits, formed in the global context at 53

@@ -158,3 +158,14 @@ def test_core_imports_no_sibling_but_errors():
     modules = imported_modules(ROOT / "src" / "sobspec" / "core.py")
     siblings = {m for m in modules if m.startswith(".") or m.startswith("sobspec")}
     assert siblings == {".errors"}
+
+
+def test_matrices_private_names_stay_in_matrices():
+    # The CLI and the golden comparison reach matrices through its public
+    # names only: the band walk is band_entries, the mass point kt.c.
+    for name in ("cli.py", "golden.py"):
+        tree = ast.parse((ROOT / "src" / "sobspec" / name).read_text())
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "matrices"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == [], name

@@ -508,6 +508,13 @@ class TestSuiteAndResiduals:
             mb = b.named_matrices()[name]
             assert ma.diagonals == mb.diagonals
 
+    def test_a_symmetric_matrix_stores_each_mirrored_diagonal_once(self, suite):
+        for name in ("J", "J1", "J2", "J2_direct", "H"):
+            A = getattr(suite, name)
+            assert A.lower_bw == A.upper_bw >= 1, name
+            for k in range(1, A.lower_bw + 1):
+                assert A.diagonals[A.lower_bw - k] is A.diagonals[A.lower_bw + k], (name, k)
+
 
 class TestBandLocalVerification:
     """Residual scans read the declared bands only; these pin why that loses

@@ -107,10 +107,11 @@ class TestMoments:
 
     @pytest.mark.parametrize("position, value", [
         (1, float("-inf")), (2, float("nan")), (0, float("nan")), (0, float("inf")),
-        (1, "x"), (0, "y"), (3, None),
+        (1, "x"), (0, "y"), (3, None), (0, "1/0"), (1, "1/0"), (2, "1/0"), (3, "1/0"),
     ])
     def test_non_numbers_are_invalid_parameters(self, position, value):
-        # Each used to escape as OverflowError, ValueError or TypeError.
+        # Each used to escape as OverflowError, ValueError, TypeError or
+        # ZeroDivisionError.
         args = [0, C, M, N]
         args[position] = value
         with pytest.raises(InvalidParameterError):
