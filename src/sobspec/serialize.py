@@ -111,17 +111,25 @@ def formatter(precision):
 def _band_rows(matrix, fmt, start, column, end, joiner):
     """Texts of the nonempty rows of matrix's band, row-major, that
     concatenate to its entries joined by ``joiner``: entry (i, j) reads
-    ``start(i) + column[j] + fmt(value) + end``, and each stored value is
-    formatted once, as its row is written.  A row's first and last entries
-    take its leading joiner and its end, so that joining the row makes its
-    only copy, and no string of one entry outlives its row."""
+    ``start(i) + column[j] + fmt(value) + end``.  Each value is formatted
+    once: as its row is written, or up front, whole, for a diagonal k >= 1
+    stored as one object with diagonal -k.  A row's first and last entries
+    take its leading joiner and its end, so joining the row makes its only copy."""
     diagonals, lower, upper = matrix.diagonals, matrix.lower_bw, matrix.upper_bw
+    texts = {k: list(map(fmt, diagonals[lower + k])) for k in range(1, min(lower, upper) + 1)
+             if diagonals[lower - k] is diagonals[lower + k]}
     rows = []
     for i in range(matrix.nrows):
         lo, hi = max(0, i - lower), min(matrix.ncols, i + upper + 1)
         if lo < hi:
             head = start(i)
-            entries = [column[j] + fmt(diagonals[lower + j - i][min(i, j)]) for j in range(lo, hi)]
+            if texts:
+                entries = [column[j] + (texts[abs(j - i)][min(i, j)] if abs(j - i) in texts
+                                        else fmt(diagonals[lower + j - i][min(i, j)]))
+                           for j in range(lo, hi)]
+            else:
+                entries = [column[j] + fmt(diagonals[lower + j - i][min(i, j)])
+                           for j in range(lo, hi)]
             entries[0] = (joiner if rows else "") + head + entries[0]
             entries[-1] += end
             rows.append((end + joiner + head).join(entries))
@@ -191,22 +199,22 @@ def matrix_to_csv(matrix):
 def ledgers_to_doc(suite):
     """The scalar ledgers of a built suite: for the recurrence, Christoffel
     and Sobolev ledgers, the size and then every tuple field, in declaration
-    order, as a column of decimal strings."""
+    order and the Sobolev auxiliary ones last, as columns of decimal strings."""
     p = suite.precision
     fmt = formatter(p)
     sob = suite.sob
 
-    def columns(ledger, **extra):
+    def columns(ledger, *more, **extra):
         return {"size": ledger.size, **extra,
-                **{f.name: list(map(fmt, getattr(ledger, f.name)))
-                   for f in fields(ledger) if isinstance(getattr(ledger, f.name), tuple)}}
+                **{f.name: list(map(fmt, getattr(x, f.name))) for x in (ledger, *more)
+                   for f in fields(x) if isinstance(getattr(x, f.name), tuple)}}
 
     return {
         "precision": p,
         "recurrence": columns(sob.chris.kt.rec),
         "christoffel": columns(sob.chris),
         # the resolved gamma index (see sobolev.py)
-        "sobolev": columns(sob, reading="corrected"),
+        "sobolev": columns(sob, sob.auxiliary(), reading="corrected"),
     }
 
 

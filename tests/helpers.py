@@ -53,6 +53,14 @@ def as_mpf(table):
         f.name: read(f.name, getattr(table, f.name)) for f in dataclasses.fields(table)})
 
 
+def with_auxiliary(sob):
+    """:func:`as_mpf` of a Sobolev ledger, its auxiliary coefficients read as
+    mpf after its stored fields."""
+    aux, wrap = sob.auxiliary(), arith(sob.chris.kt.rec.precision).wrap
+    return types.SimpleNamespace(**vars(as_mpf(sob)), **{
+        f.name: wrap(getattr(aux, f.name)) for f in dataclasses.fields(aux)})
+
+
 def scaled(values, index, factor, precision):
     """The raw ``values`` with entry ``index`` times the mpf ``factor``, the
     product rounded at ``precision`` bits as mpf ``*`` rounds it."""

@@ -62,9 +62,15 @@ def digest(values):
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
+def sobolev_fields(sob):
+    """``mpf_fields`` of a Sobolev ledger, its auxiliary coefficients after
+    its stored fields, as they are written to ``ledgers.json``."""
+    return {**mpf_fields(sob), **mpf_fields(sob.auxiliary())}
+
+
 def ledger_digest(sob):
     kt = sob.chris.kt
-    return digest([mpf_fields(x) for x in (kt.rec, kt, sob.chris, sob)])
+    return digest([mpf_fields(x) for x in (kt.rec, kt, sob.chris)] + [sobolev_fields(sob)])
 
 
 #: "<config> <size> <bits>" -> digest.  Recorded before the ledgers ran on

@@ -53,8 +53,9 @@ from sobspec.matrices import (
     verify_propositions,
 )
 from sobspec.oracle import squared_entry_compare
-from sobspec.serialize import matrix_from_json, matrix_to_json
-from test_ledger_bits import CONFIGS, mpf_fields
+from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
+from sobspec.sobolev import SobolevLedger
+from test_ledger_bits import CONFIGS, mpf_fields, sobolev_fields
 
 
 @pytest.fixture(scope="module")
@@ -509,11 +510,14 @@ class TestSuiteAndResiduals:
             assert ma.diagonals == mb.diagonals
 
     def test_a_symmetric_matrix_stores_each_mirrored_diagonal_once(self, suite):
-        for name in ("J", "J1", "J2", "J2_direct", "H"):
-            A = getattr(suite, name)
-            assert A.lower_bw == A.upper_bw >= 1, name
-            for k in range(1, A.lower_bw + 1):
-                assert A.diagonals[A.lower_bw - k] is A.diagonals[A.lower_bw + k], (name, k)
+        # on both sides: right of the support J1 and J2 are negated, which
+        # negates a mirrored diagonal once
+        for s in (suite, sided("right", None)):
+            for name in ("J", "J1", "J2", "J2_direct", "H"):
+                A = getattr(s, name)
+                assert A.lower_bw == A.upper_bw >= 1, name
+                for k in range(1, A.lower_bw + 1):
+                    assert A.diagonals[A.lower_bw - k] is A.diagonals[A.lower_bw + k], (name, k)
 
 
 class TestBandLocalVerification:
@@ -808,7 +812,8 @@ REFLECTED_PARITY_FLIPS = {"sob.Sc": 1, "sob.Sdc": 0}
 
 def reflection_pairs(right, left):
     """(name, right value, left value, whether the sign flips) over every
-    matrix band entry and ledger value of two suites, as ``_mpf_`` tuples."""
+    matrix band entry and ledger value of two suites, as ``_mpf_`` tuples;
+    the Sobolev ledger's values include its auxiliary coefficients."""
     pairs = []
     for name, m in dict(right.named_matrices(), J2_direct=right.J2_direct).items():
         mirror = getattr(left, name)
@@ -818,14 +823,17 @@ def reflection_pairs(right, left):
             flip = k == 0 if name.startswith("J") else k % 2 == 1
             pairs += [(f"{name}[{k}]", x, y, flip)
                       for x, y in zip(m.diagonal(k), mirror.diagonal(k), strict=True)]
-    ledgers = {"rec": (right.sob.chris.kt.rec, left.sob.chris.kt.rec),
-               "kt": (right.sob.chris.kt, left.sob.chris.kt),
-               "chris": (right.sob.chris, left.sob.chris), "sob": (right.sob, left.sob)}
-    for prefix, (a, b) in ledgers.items():
+    ledgers = [("rec", right.sob.chris.kt.rec, left.sob.chris.kt.rec),
+               ("kt", right.sob.chris.kt, left.sob.chris.kt),
+               ("chris", right.sob.chris, left.sob.chris), ("sob", right.sob, left.sob),
+               ("sob", right.sob.auxiliary(), left.sob.auxiliary())]
+    seen = set()
+    for prefix, a, b in ledgers:
         for f in fields(a):
             values = getattr(a, f.name)
             if isinstance(values, tuple) and f.name != "cjets":
                 key = f"{prefix}.{f.name}"
+                seen.add(key)
                 pairs += [(f"{key}[{n}]", x, y,
                            key in REFLECTED_FLIPS or REFLECTED_PARITY_FLIPS.get(key) == n % 2)
                           for n, (x, y) in enumerate(zip(values, getattr(b, f.name),
@@ -837,6 +845,8 @@ def reflection_pairs(right, left):
     pairs += [("kt.c", right.sob.chris.kt.c._mpf_, left.sob.chris.kt.c._mpf_, True),
               ("sob.M", right.sob.M._mpf_, left.sob.M._mpf_, False),
               ("sob.N", right.sob.N._mpf_, left.sob.N._mpf_, False)]
+    # a flip rule for a field that is not walked would pass unread
+    assert REFLECTED_FLIPS | REFLECTED_PARITY_FLIPS.keys() <= seen
     return pairs
 
 
@@ -865,6 +875,29 @@ class TestReflection:
                         in verify_propositions(left).as_rows()]
 
 
+class TestBuildOnlyWhatIsRead:
+    def test_auxiliary_coefficients_are_formed_only_for_the_ledger_document(
+            self, spec, monkeypatch):
+        # No matrix, residual or matrix file reads alpha1, alpha0 or the xi's,
+        # so a build, its verification and its matrix files never form them;
+        # the ledger document forms them once.
+        def unread(sob):
+            raise AssertionError("auxiliary coefficients formed without a reader")
+
+        monkeypatch.setattr(SobolevLedger, "auxiliary", unread)
+        suites = [MatrixSuite.build(s, size=8, guard=4) for s in (spec, reflected_spec(17))]
+        for s in suites:
+            assert verify_propositions(s).all_within(TOL30)
+            for name, m in s.named_matrices().items():
+                matrix_to_json(name, m)
+        monkeypatch.undo()
+        calls, formed = [], SobolevLedger.auxiliary
+        monkeypatch.setattr(SobolevLedger, "auxiliary", lambda sob: calls.append(sob) or formed(sob))
+        for s in suites:
+            ledgers_to_doc(s)
+        assert len(calls) == 2 and all(a is s.sob for a, s in zip(calls, suites))
+
+
 class TestOrthogonalityTrend:
     def test_qtq_is_identity_on_trimmed_block(self, suite):
         QtQ = multiply(suite.Q.transpose(), suite.Q)
@@ -887,7 +920,7 @@ class TestPrecisionContext:
         values += [*s.Q.diag, *s.Q.sub, *s.Q.rho]
         sob = s.sob
         kt = sob.chris.kt
-        for ledger in (kt.rec, kt, sob.chris, sob):
+        for ledger in (kt.rec, kt, sob.chris, sob, sob.auxiliary()):
             for f in fields(ledger):
                 if isinstance(getattr(ledger, f.name), tuple) and f.name != "cjets":
                     values.extend(getattr(ledger, f.name))
@@ -928,7 +961,7 @@ class TestPrecisionContext:
             s = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(0), c, 1, 1), 8,
                                   precision=64)
             kt = s.sob.chris.kt
-            return ([mpf_fields(x) for x in (kt.rec, kt, s.sob.chris, s.sob)]
+            return ([mpf_fields(x) for x in (kt.rec, kt, s.sob.chris)] + [sobolev_fields(s.sob)]
                     + [m.diagonals for m in (*s.named_matrices().values(), s.J2_direct)])
 
         assert stored(q) == stored(nearest)

@@ -22,6 +22,7 @@ from mpmath.libmp import mpf_sub, round_nearest
 from helpers import scaled
 from sobspec.core import MeasureSpec, SobolevSpec, context
 from sobspec.matrices import MatrixSuite, verify_propositions
+from sobspec.sobolev import SobolevLedger
 
 SIZE, LOW, HIGH = 1000, 64, 256
 
@@ -90,12 +91,15 @@ def matrix_values(m):
 
 
 def ledger_values(ledger):
-    """Every raw value of every tuple field, the kernel table's jet rows flattened."""
+    """Every raw value of every tuple field, the kernel table's jet rows
+    flattened, and a Sobolev ledger's auxiliary coefficients after its own."""
     values = []
     for f in dataclasses.fields(ledger):
         field = getattr(ledger, f.name)
         if isinstance(field, tuple):
             values += [v for row in field for v in row] if f.name == "cjets" else field
+    if isinstance(ledger, SobolevLedger):
+        values += ledger_values(ledger.auxiliary())
     return values
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, fraction,
                      laguerre_monic, mpq, oracle_families, oracle_value, poly_deriv, poly_eval,
-                     rel)
+                     rel, with_auxiliary)
 from sobspec.christoffel import ChristoffelLedger
 from sobspec.core import eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
@@ -224,7 +224,7 @@ class TestEvaluation:
 
 class TestAuxConnections:
     def test_reference_values(self, sob):
-        sob = as_mpf(sob)
+        sob = with_auxiliary(sob)
         a0_0, x0_0 = sob.alpha0[0], sob.xi0[0]
         assert_squared(a0_0, F(2))
         assert_squared(x0_0, F(5))
@@ -232,7 +232,7 @@ class TestAuxConnections:
         assert_squared(x0_1, F(69, 5))
 
     def test_xi_equals_leading_ratio(self, rec, chris, sob):
-        rec, chris, sob = map(as_mpf, (rec, chris, sob))
+        rec, chris, sob = as_mpf(rec), as_mpf(chris), with_auxiliary(sob)
         with mp.workprec(rec.precision):
             for n in range(16):
                 assert rel(sob.xi0[n], rec.leading[n] / chris.r2[n]) <= TOL30
@@ -240,7 +240,7 @@ class TestAuxConnections:
     def test_base_family_expansion(self, rec, sob, oracle_twelve):
         # p_n = xi0 p2_n + xi1 p2_{n-1} + xi2 p2_{n-2} pointwise, p2 exact
         it2 = oracle_twelve[0]
-        table, sob = as_mpf(rec), as_mpf(sob)
+        table, sob = as_mpf(rec), with_auxiliary(sob)
         rng = random.Random(RNG_SEED + 2)
         with mp.workprec(rec.precision):
             for n in range(12):
@@ -259,7 +259,7 @@ class TestAuxConnections:
         # s_n = alpha1 p_{n+1} + alpha0 p_n - M s_n(c) K_{n+1}(x,c)
         #       - N s_n'(c) K01_{n+1}(x,c) pointwise, s_n exact
         rng = random.Random(RNG_SEED + 3)
-        table, kt, sob = as_mpf(rec), as_mpf(kt), as_mpf(sob)
+        table, kt, sob = as_mpf(rec), as_mpf(kt), with_auxiliary(sob)
         with mp.workprec(rec.precision):
             for n in range(10):
                 sc = sob.t[n] * sob.Sc[n]
