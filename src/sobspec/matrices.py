@@ -126,10 +126,9 @@ class BandedMatrix:
         return self._with_diagonals(tuple(diagonals))
 
     def negated(self):
-        """-self: each diagonal object's signs flipped once, which is exact."""
+        """-self: every band entry's sign flipped, which is exact."""
         neg = self._scalars().neg
-        flipped = {id(d): tuple(map(neg, d)) for d in {id(d): d for d in self.diagonals}.values()}
-        return self._with_diagonals(tuple(flipped[id(d)] for d in self.diagonals), self.exp)
+        return self._with_diagonals(tuple(tuple(map(neg, d)) for d in self.diagonals), self.exp)
 
     def _with_diagonals(self, diagonals, exp=None):
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,

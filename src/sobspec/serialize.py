@@ -111,25 +111,17 @@ def formatter(precision):
 def _band_rows(matrix, fmt, start, column, end, joiner):
     """Texts of the nonempty rows of matrix's band, row-major, that
     concatenate to its entries joined by ``joiner``: entry (i, j) reads
-    ``start(i) + column[j] + fmt(value) + end``.  Each value is formatted
-    once: as its row is written, or up front, whole, for a diagonal k >= 1
-    stored as one object with diagonal -k.  A row's first and last entries
-    take its leading joiner and its end, so joining the row makes its only copy."""
+    ``start(i) + column[j] + fmt(value) + end``, and each stored value is
+    formatted once, as its row is written.  A row's first and last entries
+    take its leading joiner and its end, so that joining the row makes its
+    only copy, and no string of one entry outlives its row."""
     diagonals, lower, upper = matrix.diagonals, matrix.lower_bw, matrix.upper_bw
-    texts = {k: list(map(fmt, diagonals[lower + k])) for k in range(1, min(lower, upper) + 1)
-             if diagonals[lower - k] is diagonals[lower + k]}
     rows = []
     for i in range(matrix.nrows):
         lo, hi = max(0, i - lower), min(matrix.ncols, i + upper + 1)
         if lo < hi:
             head = start(i)
-            if texts:
-                entries = [column[j] + (texts[abs(j - i)][min(i, j)] if abs(j - i) in texts
-                                        else fmt(diagonals[lower + j - i][min(i, j)]))
-                           for j in range(lo, hi)]
-            else:
-                entries = [column[j] + fmt(diagonals[lower + j - i][min(i, j)])
-                           for j in range(lo, hi)]
+            entries = [column[j] + fmt(diagonals[lower + j - i][min(i, j)]) for j in range(lo, hi)]
             entries[0] = (joiner if rows else "") + head + entries[0]
             entries[-1] += end
             rows.append((end + joiner + head).join(entries))
@@ -219,7 +211,9 @@ def ledgers_to_doc(suite):
 
 
 def ledgers_to_csv(suite):
-    """One CSV per ledger: n plus one column per stored field."""
+    """One CSV per ledger: n plus one column per stored field; the Sobolev
+    CSV adds the auxiliary coefficients of :meth:`SobolevLedger.auxiliary`
+    after its stored fields."""
     doc = ledgers_to_doc(suite)
     files = {}
     for part in ("recurrence", "christoffel", "sobolev"):

@@ -113,11 +113,11 @@ class SobolevLedger:
             normS.append(ns)
             t.append(div(one, sqrt(ns)))
 
-            msc, nsdc = mul(Mr, mul(t[n], Sc[n])), mul(Nr, mul(t[n], Sdc[n]))
             g_nn.append(div(t[n], r2[n]))
             g_n2.append(div(r2[n - 2], t[n]) if n >= 2 else zero)
             bn = zero
             if n >= 1:
+                msc, nsdc = mul(Mr, mul(t[n], Sc[n])), mul(Nr, mul(t[n], Sdc[n]))
                 root = sqrt(div(K[n - 1], K[n]))
                 pm1, dp = mul(j[n - 1][0], r[n - 1]), mul(j[n - 1][1], r[n - 1])
                 bracket = add(div(mul(d[n - 1], t[n]), r[n]),

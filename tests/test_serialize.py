@@ -5,14 +5,11 @@ indent=1)``'s text."""
 import itertools
 import json
 import random
-from dataclasses import replace
-from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
-from helpers import reflected_laguerre
 from sobspec import serialize
 from sobspec.core import MeasureSpec, SobolevSpec, arith, context
 from sobspec.matrices import MatrixSuite, _diagonal_length, from_diagonals
@@ -141,38 +138,6 @@ class TestMatrixJson:
         for suite in sized[0]:
             for name, m in suite.named_matrices().items():
                 assert matrix_to_csv(m) == reference_csv(m), name
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_a_mirrored_diagonal_writes_as_an_equal_copy(self, side):
-        # A diagonal stored as one object with its mirror is formatted once,
-        # up front; equal copies are formatted row by row, to the same bytes.
-        spec = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=1, N=1)
-        if side == "right":
-            spec = SobolevSpec(reflected_laguerre(35), c=F(3, 2), M=F(1, 2), N=2)
-        for precision in (64, 1024):
-            suite = MatrixSuite.build(spec, 20, guard=4, precision=precision)
-            for name in ("J", "J1", "J2", "J2_direct", "H"):
-                m = getattr(suite, name)
-                copies = replace(m, diagonals=tuple(tuple(list(d)) for d in m.diagonals))
-                below, above = m.lower_bw - 1, m.lower_bw + 1
-                assert m.diagonals[below] is m.diagonals[above], name
-                assert copies.diagonals[below] is not copies.diagonals[above], name
-                assert matrix_to_json(name, copies) == matrix_to_json(name, m), name
-                assert matrix_to_csv(copies) == matrix_to_csv(m), name
-
-    def test_every_mirrored_band_shape(self):
-        """Both writers over square bands up to 5 x 5 in which any set of
-        the diagonals k >= 1 is one object with diagonal -k."""
-        of, rng = arith(64).of, random.Random(6)
-        for n, width in itertools.product(range(6), range(6)):
-            for shared in itertools.product((False, True), repeat=width):
-                diagonals = {k: tuple(of(rng.random() * 10 ** rng.randint(-9, 9))
-                                      for _ in range(_diagonal_length(n, n, k)))
-                             for k in range(-width, width + 1)}
-                diagonals.update({-k: diagonals[k] for k, s in enumerate(shared, 1) if s})
-                m = from_diagonals(diagonals, n, 64)
-                assert matrix_to_json("A", m) == reference_json("A", m)
-                assert matrix_to_csv(m) == reference_csv(m)
 
     def test_every_band_shape(self):
         """Both writers over every declared band of matrices up to 5 x 5:
