@@ -28,7 +28,7 @@ from pathlib import Path
 
 import click
 
-from .core import MeasureSpec, SobolevSpec, arith, context
+from .core import MeasureSpec, SobolevSpec, arith
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -162,20 +162,24 @@ def generate(**opts):
     exact = _oracle_entries(numbers, suite) if as_json else {}
     outdir = Path(opts["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "run.json").write_text(json.dumps(doc, indent=1) + "\n")
-    matrices = suite.named_matrices()
-    for name, matrix in matrices.items():
+    written = []
+
+    def write(name, text):
+        (outdir / name).write_text(text)
+        written.append(name)
+
+    write("run.json", json.dumps(doc, indent=1) + "\n")
+    for name, matrix in suite.named_matrices().items():
         if as_json:
-            (outdir / f"{name}.json").write_text(matrix_to_json(name, matrix, exact.get(name)))
+            write(f"{name}.json", matrix_to_json(name, matrix, exact.get(name)))
         else:
-            (outdir / f"{name}.csv").write_text(matrix_to_csv(matrix))
+            write(f"{name}.csv", matrix_to_csv(matrix))
     if as_json:
-        ledgers = json.dumps(ledgers_to_doc(suite), indent=1) + "\n"
-        (outdir / "ledgers.json").write_text(ledgers)
+        write("ledgers.json", json.dumps(ledgers_to_doc(suite), indent=1) + "\n")
     else:
         for part, text in ledgers_to_csv(suite).items():
-            (outdir / f"ledger_{part}.csv").write_text(text)
-    click.echo(f"wrote {len(matrices) + 2} files to {outdir}")
+            write(f"ledger_{part}.csv", text)
+    click.echo(f"wrote {len(written)} files to {outdir}")
 
 
 def _oracle_entries(numbers, suite):
@@ -208,8 +212,8 @@ def verify(**opts):
     config, _, suite = _build("verify", opts)
     precision, tolerance = opts["precision"], config["tolerance"]
     report = verify_propositions(suite)
-    ctx, fmt, of = context(precision), formatter(precision), arith(precision).of
-    tol = ctx.make_mpf(of(tolerance))
+    kit, fmt = arith(precision), formatter(precision)
+    ctx, tol = kit.ctx, kit.ctx.make_mpf(kit.of(tolerance))
     ok = report.all_within(tol)
     rows = report.as_rows()
     doc = {
@@ -224,7 +228,7 @@ def verify(**opts):
     (outdir / "verification.json").write_text(json.dumps(doc, indent=1) + "\n")
     # Echo 8 digits of each residual rounded to 64 bits: nstr at the full
     # precision would expand all p mantissa bits to decimal first.
-    short = context(64)
+    short = arith(64).ctx
     for name, res, block in rows:
         click.echo(f"{name:24s} block={block:3d} residual={short.nstr(short.mpf(res), 8)}")
     if not ok:
@@ -244,17 +248,13 @@ def verify(**opts):
 @_exit_codes
 def reproduce_paper(precision, tolerance):
     """Compare computed matrices against the published reference tables."""
-    tol = _tolerance(tolerance)
     config, golden = load_reference()
-    spec = SobolevSpec(
-        measure=MeasureSpec.laguerre(Fraction(config["alpha"])),
-        c=Fraction(config["c"]), M=Fraction(config["M"]), N=Fraction(config["N"]),
-    )
     top = max(g.nrows for g in golden.values())
-    suite = MatrixSuite.build(spec, size=top + 2, guard=4, precision=precision)
-    osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
-                                config["N"], top)
-    counts = compare_reference(golden, computed_counterparts(suite), osuite, tol)
+    run, numbers, suite = _build("reproduce-paper", {
+        **config, "measure": config["family"], "size": top + 2, "guard": 4,
+        "precision": precision, "tolerance": tolerance})
+    osuite = build_oracle_suite(*numbers.values(), top)
+    counts = compare_reference(golden, computed_counterparts(suite), osuite, run["tolerance"])
     failures = 0
     for name, (exact_ok, float_ok, total) in counts.items():
         status = "ok" if exact_ok == total == float_ok else "FAIL"

@@ -7,7 +7,7 @@ positive leading coefficients ``r_n = 1/||P_n||``.
 
 All real computation uses mpmath binary floats at a configurable precision
 (default 256 bits).  Precision is a value: every number is made in
-``context(precision)``, a private mpmath context that is never mutated, and
+``arith(precision).ctx``, a private mpmath context that is never mutated, and
 an mpf operation rounds in its left operand's context.  So results do not
 depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
 builds at different precisions may run concurrently in several threads.
@@ -176,16 +176,10 @@ def _exact(x):
     return x if isinstance(x, SqrtRational) else SqrtRational.from_rational(x)
 
 
-def context(precision):
-    """The private mpmath context of ``precision`` bits, ``arith(precision).ctx``:
-    made once and never mutated.  ``EXACT`` has none (None), as ``int``."""
-    return arith(precision).ctx
-
-
 @dataclass(frozen=True)
 class Arith:
-    """The scalar kit of one precision, from :func:`arith`: ``ctx`` is
-    ``context(precision)``, ``of`` turns a number into a raw value, ``wrap``
+    """The scalar kit of one precision, from :func:`arith`: ``ctx`` is its
+    private mpmath context, ``of`` turns a number into a raw value, ``wrap``
     turns raw values into scalars (a tuple), and ``add``, ``sub``, ``mul``,
     ``div``, ``neg``, ``sqrt``, ``zero`` and ``one`` compute on raw values;
     ``gt`` is the comparison ``>``.  Ledgers and matrices hold raw values, so
@@ -199,7 +193,7 @@ class Arith:
     At an mpf precision p the raw values are ``_mpf_`` tuples and the
     operations are :func:`_rounding`'s kernel: the results, bit for bit, of
     the libmp calls that mpf ``+``, ``-``, ``*``, ``/``, unary ``-`` and
-    ``context(p).sqrt`` make at p bits rounding to nearest, without their
+    ``ctx.sqrt`` make at p bits rounding to nearest, without their
     generic dispatch; ``gt`` is libmp's ``>`` (false whenever a NaN is
     compared).  A formula written with them, in the same order, has the bits
     of the same formula on mpf without the object overhead; ``x ** 2`` is
@@ -229,8 +223,9 @@ def _rounding(p):
     tuples, rounded to nearest (ties to even) at p bits.
 
     Each forms libmp's exact intermediate: the exact sum, product or square
-    root remainder, and for a quotient or root the same extra bits and
-    sticky bit as ``mpf_div`` and ``mpf_sqrt``; an add whose exponents lie
+    root remainder, and for a quotient or root the same extra bits as
+    ``mpf_div`` and ``mpf_sqrt`` with their sticky bit appended as the lowest
+    bit, which leaves the rounded value as it is; an add whose exponents lie
     more than 100 and whose leading bits more than p + 4 apart takes
     ``mpf_add``'s sticky bit at p + 4 bits.
     It then rounds that once and strips trailing zero bits.  The canonical
@@ -299,9 +294,7 @@ def _rounding(p):
             return mpf_div(a, b, p, round_nearest)
         extra = max(5, p - ba + bb + 5)
         quot, rem = divmod(ma << extra, mb)
-        if rem:
-            return fit(sa ^ sb, (quot << 1) + 1, ea - eb - extra - 1)
-        return fit(sa ^ sb, quot, ea - eb - extra)
+        return fit(sa ^ sb, (quot << 1) | (rem != 0), ea - eb - extra - 1)
 
     def neg(a):
         sa, ma, ea, ba = a
@@ -319,9 +312,7 @@ def _rounding(p):
         shift += shift & 1
         ma <<= shift
         root = isqrt(ma)
-        if root * root != ma:
-            return fit(0, (root << 1) + 1, (ea - shift - 2) >> 1)
-        return fit(0, root, (ea - shift) >> 1)
+        return fit(0, (root << 1) | (root * root != ma), (ea - shift - 2) >> 1)
 
     return {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, "sqrt": sqrt}
 

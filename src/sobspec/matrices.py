@@ -497,10 +497,9 @@ class MatrixSuite:
     H: BandedMatrix
 
     @classmethod
-    def build(cls, spec, size, guard=4, precision=None):
+    def build(cls, spec, size, guard=4, precision=DEFAULT_PRECISION):
         _check_int("size", size, 3)
         _check_int("guard", guard, 2)
-        precision = DEFAULT_PRECISION if precision is None else precision
         _check_int("precision", precision, 64, " bits")
         nb = size + guard
         rec = spec.measure.recurrence(nb + 5, precision)

@@ -12,11 +12,10 @@ CSV holds one ``i,j,value`` row per band entry under a header line.
 Every value goes through one :func:`formatter` per document, which gives
 the string of ``mpmath.libmp.to_str`` (what ``nstr`` returns) byte for byte
 from the raw ``_mpf_`` tuple that the matrix or ledger stores, so writing
-makes no mpf.  A value whose mantissa fits the formatter's bit budget and
-whose exponent is negative gets its truncated decimal digits as one product
-and shift, ``man * 10**fixdps >> -exp``; any other value takes
-``to_str``'s own shift into a fixed-point integer first, and the edge cases
-go to ``to_str`` itself.  A matrix document is the text of
+makes no mpf.  A value whose mantissa fits the formatter's bit budget gets
+its truncated decimal digits as one product and shift, ``man * 10**fixdps``
+shifted by its exponent, and the edge cases go to ``to_str`` itself.  A
+matrix document is the text of
 ``json.dumps(doc, indent=1)``: the scalar header comes from ``json.dumps``
 itself, and the entry rows are written in that layout directly, since
 ``json`` encodes with an indent in pure Python.  JSON and CSV walk the band
@@ -50,15 +49,15 @@ def formatter(precision):
     value, with the digit count and the bit budget worked out once and the
     power of ten cached per fixed-point scale: the value's decimal digits,
     truncated, then rounded half up on the first dropped digit and stripped
-    of trailing zeros in one step, then written fixed or scientific.  Within
-    the budget (at most as many mantissa bits as the budget and a negative
-    exponent) the digits are ``man * 10**fixdps >> -exp``, which equals
-    ``to_str``'s shift of ``man`` up to the budget and back down, since that
-    shift drops no bit; a wider value, or one with an exponent >= 0, keeps
-    that shift, which truncates a wide mantissa.  Zero, infinities, NaN and
-    values past 2^3500 in magnitude or below 2^-3500 go to ``to_str``
-    itself, as do all values at precisions whose digit strings could pass
-    Python's int-to-str limit.
+    of trailing zeros in one step, then written fixed or scientific.  With
+    fixprec = bitprec - (exp + bc) clamped at 0, the digits are
+    ``man * 10**fixdps >> -exp`` (``<< exp`` for exp >= 0), which equal
+    ``to_str``'s shift of ``man`` to fixprec bits and back down whenever the
+    mantissa has at most the budget's bitprec bits, since that shift then
+    drops no bit.  Every stored value has at most p < bitprec bits; a wider
+    one goes to ``to_str``, as do zero, infinities, NaN, values past 2^3500
+    in magnitude or below 2^-3500, and all values at precisions whose digit
+    strings could pass Python's int-to-str limit.
     """
     dps = repr_digits(precision)
     if dps > 4000:
@@ -74,16 +73,10 @@ def formatter(precision):
     def fmt(s):
         sign, man, exp, bc = s
         top = exp + bc
-        if not man or not -3500 <= top <= 3500:
+        if not man or bc > bitprec or not -3500 <= top <= 3500:
             return to_str(s, dps)
-        if bc <= bitprec and exp < 0:
-            fixdps, ten = scales.get(bitprec - top) or scale(bitprec - top)
-            digits = str(man * ten >> -exp)
-        else:
-            fixprec = max(bitprec - top, 0)
-            fixdps, ten = scales.get(fixprec) or scale(fixprec)
-            offset = exp + fixprec
-            digits = str((man << offset if offset >= 0 else man >> -offset) * ten >> fixprec)
+        fixdps, ten = scales.get(bitprec - top) or scale(max(bitprec - top, 0))
+        digits = str(man * ten >> -exp if exp < 0 else man * ten << exp)
         exponent = len(digits) - fixdps - 1
         if len(digits) > dps and digits[dps] >= "5":
             digits = digits[:dps].rstrip("9")
@@ -159,14 +152,17 @@ def matrix_to_json(name, matrix, exact_entries=None):
 
 def matrix_from_json(text):
     """(name, matrix) of a matrix document.  Each value goes to its own
-    (i, j), and each position of the declared band must be given once.
-    Text that is not such a document raises :class:`InvalidParameterError`."""
+    (i, j), each position of the declared band must be given once, and the
+    band and ``exact_size`` must lie within the shape.  Text that is not
+    such a document raises :class:`InvalidParameterError`."""
     try:
         doc = json.loads(text)
         name, entries = doc["name"], doc["entries"]
         nrows, ncols, lower, upper, exact = (_check_int(key, doc[key], 0) for key in (
             "nrows", "ncols", "lower_bw", "upper_bw", "exact_size"))
         prec = _check_int("precision", doc["precision"], 1, " bits")
+        if lower >= max(nrows, 1) or upper >= max(ncols, 1) or exact > min(nrows, ncols):
+            raise InvalidParameterError(f"band or exact_size past a {nrows}x{ncols} matrix")
         values, of = {(i, j): s for i, j, s in entries}, arith(prec).of
         diagonals = {k: [of(values.pop((n + max(0, -k), n + max(0, k))))
                          for n in range(_diagonal_length(nrows, ncols, k))]

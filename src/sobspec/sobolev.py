@@ -44,7 +44,7 @@ class SobolevLedger:
 
     The boundary pair (Sc[n], Sdc[n]) = (S_n(c), S_n'(c)) solves the system
     [[1 + M K_{n-1}, N K01_{n-1}], [M K01_{n-1}, 1 + N K11_{n-1}]] (values at
-    (c,c), the identity at n = 0) with right-hand side (P_n(c), P_n'(c)).  It
+    (c,c), all zero at n = 0) with right-hand side (P_n(c), P_n'(c)).  It
     is nonsingular for M, N >= 0, since the confluent Gram block is positive
     semidefinite.  Then normS_sq[n] = ||P_n||^2 + M S_n(c) P_n(c)
     + N S_n'(c) P_n'(c) and t[n] = 1/||S_n||.
@@ -92,14 +92,10 @@ class SobolevLedger:
         d, e, r2 = chris.d, chris.e, chris.r2
         Sc, Sdc, normS, t, g_nn, g_n1, g_n2 = [], [], [], [], [], [], []
         a, b, cdiag = [], [], []
-        for n in range(size):
-            if n == 0:
-                a11, a12, a21, a22 = one, zero, zero, one
-            else:
-                a11 = add(mul(Mr, K[n - 1]), one)
-                a12 = mul(Nr, K01[n - 1])
-                a21 = mul(Mr, K01[n - 1])
-                a22 = add(mul(Nr, K11[n - 1]), one)
+        # K_{n-1}, K01_{n-1}, K11_{n-1}, zero at n = 0 (0 M + 1 is exactly one)
+        for n, k, k01, k11 in zip(range(size), (zero, *K), (zero, *K01), (zero, *K11)):
+            a11, a12 = add(mul(Mr, k), one), mul(Nr, k01)
+            a21, a22 = mul(Mr, k01), add(mul(Nr, k11), one)
             det = sub(mul(a11, a22), mul(a12, a21))
             if det == zero:
                 raise DegeneratePointError("boundary system is singular")

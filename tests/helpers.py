@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
-from sobspec.core import MeasureSpec, SqrtRational, arith, context
+from sobspec.core import MeasureSpec, SqrtRational, arith
 from sobspec.oracle import grams, laguerre_basis, monic_system, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
@@ -132,7 +132,7 @@ def exact_residual(X, Y, block, precision):
     ``precision`` bits."""
     cells = [(X[i].get(j, 0), Y[i].get(j, 0)) for i in range(block) for j in range(block)]
     q = F(max(abs(x - y) for x, y in cells)) / max(1, *(abs(v) for cell in cells for v in cell))
-    return context(precision).make_mpf(
+    return arith(precision).ctx.make_mpf(
         from_rational(q.numerator, q.denominator, precision, round_nearest))
 
 

@@ -14,7 +14,7 @@ import mpmath as mp
 from helpers import (TOL28, TOL30, as_mpf, laguerre_monic, moment_inner, oracle_families,
                      oracle_value, poly_mul, rel)
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import MeasureSpec, SobolevSpec, context, eval_jet
+from sobspec.core import MeasureSpec, SobolevSpec, arith, eval_jet
 from sobspec.golden import compare_reference, computed_counterparts, load_reference
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (
@@ -197,7 +197,7 @@ class TestAcceptance:
         # The leading 5x5 block of Q Q^T, each row summed over Q's exact
         # columns, so over a truncation of the semi-infinite factor: its
         # distance from I shrinks as the truncation grows.
-        ctx, defects = context(256), []
+        ctx, defects = arith(256).ctx, []
         for size in (10, 20, 40):
             Q = MatrixSuite.build(_spec(), size=size, guard=4, precision=256).Q
             rows = [[Q.entry(i, j) for j in range(Q.exact_size)] for i in range(5)]

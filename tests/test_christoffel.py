@@ -12,7 +12,7 @@ import pytest
 from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, oracle_families,
                      oracle_value, rel, scaled)
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import MeasureSpec, SobolevSpec, context, eval_jet
+from sobspec.core import MeasureSpec, SobolevSpec, arith, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (MatrixSuite, build_H, build_iterated_jacobi, build_T,
@@ -133,7 +133,7 @@ class TestCorruptedLedger:
         # set those against J2.
         suite, clean = _clean(precision)
         values = scaled(getattr(suite.sob.chris, field), index,
-                        1 + context(precision).ldexp(1, -(precision // 4)), precision)
+                        1 + arith(precision).ctx.ldexp(1, -(precision // 4)), precision)
         bad = dataclasses.replace(suite.sob.chris, **{field: values})
         if field in ("kappa", "tau"):
             rows = ["J2 chain = J2 ledger"]
@@ -168,7 +168,7 @@ class TestBuildGuards:
         # / (||P_n||^2 K_n).
         rec = MeasureSpec.laguerre(0).recurrence(10, precision)
         kt = KernelTable.build(rec, -1)
-        K = scaled(kt.K, index, 1 + context(precision).ldexp(1, -(precision // 4)), precision)
+        K = scaled(kt.K, index, 1 + arith(precision).ctx.ldexp(1, -(precision // 4)), precision)
         with pytest.raises(NumericalFailureError, match=f"for e_{max(index - 1, 0)} "):
             ChristoffelLedger.build(dataclasses.replace(kt, K=K), 8)
 

@@ -40,6 +40,12 @@ class TestGenerate:
         assert (tmp_path / "ledgers.json").exists()
         assert (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reports_the_files_it_wrote(self, runner, tmp_path, fmt):
+        result = run_generate(runner, tmp_path, "--format", fmt)
+        assert result.exit_code == 0, result.output
+        assert result.output == f"wrote {len(list(tmp_path.iterdir()))} files to {tmp_path}\n"
+
     def test_h_leading_entry(self, runner, tmp_path):
         run_generate(runner, tmp_path)
         doc = json.loads((tmp_path / "H.json").read_text())
@@ -162,9 +168,12 @@ class TestRoundTrip:
         assert matrix_to_json("J", J) == text
 
     @pytest.mark.parametrize("fault", ["missing", "twice", "no ncols", "value", "precision",
-                                       "not a triple", "not json"])
+                                       "not a triple", "lower_bw", "upper_bw", "exact_size",
+                                       "not json"])
     def test_json_faults_are_invalid_parameters(self, fault):
-        J = build_jacobi(MeasureSpec.laguerre(0).recurrence(5), 4)
+        # a band past the shape is declared on a 1x1 matrix, all of whose
+        # entries are given, so only the declared widths are at fault
+        J = build_jacobi(MeasureSpec.laguerre(0).recurrence(5), 1 if fault.endswith("_bw") else 4)
         doc = json.loads(matrix_to_json("J", J))
         text = None
         if fault == "missing":
@@ -179,6 +188,10 @@ class TestRoundTrip:
             doc["precision"] = "64"
         elif fault == "not a triple":
             doc["entries"][0] = doc["entries"][0][:2]
+        elif fault.endswith("_bw"):
+            doc[fault] = 10 ** 5
+        elif fault == "exact_size":
+            doc[fault] = doc["nrows"] + 1
         else:
             text = "{"
         with pytest.raises(InvalidParameterError):

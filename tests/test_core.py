@@ -25,7 +25,6 @@ from sobspec.core import (
     SobolevSpec,
     SqrtRational,
     arith,
-    context,
     eval_jet,
 )
 from sobspec.errors import InvalidParameterError
@@ -79,7 +78,7 @@ class TestLaguerreRecurrence:
                                                  (4, "256"), (4, 100.5), (4, None), (4, 0),
                                                  (True, 256), (4, True)])
     def test_size_and_precision_must_be_integers(self, size, precision):
-        # A precision of "256" would otherwise make a context apart from context(256).
+        # A precision of "256" would otherwise make a context apart from arith(256).ctx.
         with pytest.raises(InvalidParameterError):
             MeasureSpec.laguerre(0).recurrence(size, precision)
         with pytest.raises(InvalidParameterError):
@@ -115,7 +114,7 @@ class TestCustomMeasure:
     def test_wide_mpf_coefficients_round_to_the_build_precision(self):
         # beta_n = -(2n+1) + 1/3 made at 1024 bits and built at 64: every
         # stored raw value has at most 64 bits, so J's file round-trips.
-        third = context(1024).mpf(1) / 3
+        third = arith(1024).ctx.mpf(1) / 3
         rows = 6 + 4 + 5
         measure = MeasureSpec.custom([-(2 * n + 1) + third for n in range(rows)],
                                      [n * n for n in range(rows)], (float("-inf"), 0.0))
@@ -387,7 +386,7 @@ def edge_cases(p):
 def numbers_of_every_kind(p):
     """Ints and the parts of Fractions up to 2p bits, floats, decimal strings,
     and mpf of 4p bits."""
-    wide, big = context(4 * p), 1 << 2 * p
+    wide, big = arith(4 * p).ctx, 1 << 2 * p
     decimal = st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]),
                         st.integers(0, 10 ** 40), st.integers(0, 10 ** 60),
                         st.integers(-400, 400))
@@ -399,13 +398,13 @@ def numbers_of_every_kind(p):
 
 class TestArith:
     """``arith(p)`` computes on raw values with the bits of the scalar
-    operators of ``context(p)``."""
+    operators of ``arith(p).ctx``."""
 
     @pytest.mark.parametrize("precision", [53, 64, 256, 1024])
     @settings(max_examples=60, deadline=None)
     @given(xp=MPF_PARTS, yp=MPF_PARTS)
     def test_mpf_kit_has_the_bits_of_mpf_operators(self, precision, xp, yp):
-        ctx, kit = context(precision), arith(precision)
+        ctx, kit = arith(precision).ctx, arith(precision)
         x, y = (ctx.ldexp(ctx.mpf(man), exp) for man, exp in (xp, yp))
         assume(y != 0)
         for name, args, want in kit_cases(ctx.sqrt, x, y, abs(x)):
@@ -417,7 +416,7 @@ class TestArith:
     def test_mpf_kit_rounds_the_edge_cases_to_nearest_even(self, precision):
         # each result equals both the exact value rounded to nearest even and
         # the mpf operator's (libmp's) bits
-        ctx, kit = context(precision), arith(precision)
+        ctx, kit = arith(precision).ctx, arith(precision)
         operator_of = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
                        "mul": lambda x, y: x * y, "div": lambda x, y: x / y,
                        "sqrt": ctx.sqrt, "neg": lambda x: -x}
@@ -477,7 +476,7 @@ class TestArith:
     @pytest.mark.parametrize("precision", [64, 256])
     def test_mpf_kit_compares_non_finite_values_as_mpf_does(self, precision):
         # the guard's verdicts: NaN is never > anything, +inf > 0 > -inf
-        ctx, kit = context(precision), arith(precision)
+        ctx, kit = arith(precision).ctx, arith(precision)
         values = [ctx.mpf(v) for v in ("nan", "inf", "-inf", 0, 1, -1)]
         for x in values:
             for y in values:
@@ -516,7 +515,7 @@ class TestArith:
         # its quotient then misses the nearest value of q by an ulp.
         q = F(69377511649665406331, 875333106730454043)
         want = from_rational(q.numerator, q.denominator, 64, round_nearest)
-        assert (context(64).mpf(q.numerator) / q.denominator)._mpf_ != want
+        assert (arith(64).ctx.mpf(q.numerator) / q.denominator)._mpf_ != want
         rec = MeasureSpec.custom([q, q], [0, q], (float("-inf"), 0.0), norm0_sq=q).recurrence(2, 64)
         assert rec.beta[0] == rec.gamma[1] == rec.norm_sq[0] == want
         kt = KernelTable.build(MeasureSpec.laguerre(0).recurrence(3, 64), -q)
@@ -535,4 +534,4 @@ class TestArith:
         with ThreadPoolExecutor(max_workers=4) as pool:
             kits = list(pool.map(worker, range(4), timeout=60))
         assert all(kit is kits[0] for kit in kits)
-        assert context(977) is kits[0].ctx and kits[0].ctx.prec == 977
+        assert arith(977).ctx is kits[0].ctx and kits[0].ctx.prec == 977

@@ -23,12 +23,12 @@ from helpers import (
     mpf_of,
 )
 from sobspec.core import (
+    DEFAULT_PRECISION,
     EXACT,
     MeasureSpec,
     SobolevSpec,
     SqrtRational,
     arith,
-    context,
 )
 from sobspec.errors import (
     InternalConsistencyError,
@@ -141,7 +141,7 @@ def band_with_tail(n=7):
     return band, (left, right, exp), dense, B
 
 
-def sided(side, spec, precision=None):
+def sided(side, spec, precision=DEFAULT_PRECISION):
     """Size 40 on the worked Laguerre example (left) or on the reflected
     measure (right)."""
     return MatrixSuite.build(spec if side == "left" else reflected_spec(49),
@@ -316,7 +316,7 @@ class TestCholeskyChain:
         # `not pivot > 0` on mpf: a NaN or -inf pivot raises, +inf passes
         J = build_jacobi(MeasureSpec.laguerre(0).recurrence(6, precision), 6)
         diag = list(J.diagonal(0))
-        diag[2] = context(precision).mpf(bad)._mpf_
+        diag[2] = arith(precision).ctx.mpf(bad)._mpf_
         J = from_diagonals({-1: J.diagonal(-1), 0: diag, 1: J.diagonal(1)}, 6, precision)
         if bad == "inf":
             L = cholesky_shifted(J, -1)
@@ -380,7 +380,7 @@ class TestQRPair:
         assert isinstance(Q, HessenbergQ) and "diagonals" not in vars(Q)
         assert (len(Q.diag), len(Q.sub), len(Q.rho)) == (10, 9, 10)
         assert (Q.lower_bw, Q.upper_bw) == (1, 9)
-        ctx = context(Q.precision)
+        ctx = arith(Q.precision).ctx
         diag, sub, rho = map(arith(Q.precision).wrap, (Q.diag, Q.sub, Q.rho))
         # Q(j, i) = Q(j, j) rho_(j+1) ... rho_i above the diagonal
         for j, i in ((0, 5), (2, 9), (4, 5)):
@@ -578,7 +578,7 @@ class TestBandLocalVerification:
         assert block_residual(I, U, 3) == 0
 
     def test_scan_takes_entries_wider_than_the_precision(self):
-        wide = (context(256).mpf(7) / 3)._mpf_  # 256 bits in a 64-bit matrix
+        wide = (arith(256).ctx.mpf(7) / 3)._mpf_  # 256 bits in a 64-bit matrix
         A = from_diagonals({0: [wide, wide]}, 2, 64)
         residual = block_residual(A, identity(2, 64), 2)
         assert abs(residual - mp.mpf(4) / 7) < mp.mpf(2) ** -60
@@ -596,7 +596,7 @@ class TestBandLocalVerification:
         Q, R = s.Q, s.R
         dense = {"Q R = J - cI": multiply(Q, R), "R Q = J2 - cI": multiply(R, Q),
                  "Qt Q = I": multiply(Q.transpose(), Q)}
-        ctx = context(p)
+        ctx = arith(p).ctx
         tol = ctx.ldexp(1, 8 - p)
         products = _q_products(Q, R)
         assert set(products) == set(Q_ROWS)
@@ -676,7 +676,7 @@ class TestBandLocalVerification:
             monkeypatch.setattr(mp.ctx_mp.MPContext, name,
                                 forbidden(name, getattr(mp.ctx_mp.MPContext, name)))
         with pytest.raises(AssertionError, match="fdot"):
-            context(s.precision).fdot([1], [1])
+            arith(s.precision).ctx.fdot([1], [1])
         assert verify_propositions(s).all_within(TOL30)
 
     def test_verify_never_expands_q_at_size_200(self, spec, monkeypatch):
@@ -729,14 +729,14 @@ class TestRawStorage:
         # only the inputs c, M and N stay the mpf they were converted to
         assert [path for name, owner in owners.items() for field, value in vars(owner).items()
                 for path in mpf_paths(value, f"{name}.{field}")] == ["kt.c", "sob.M", "sob.N"]
-        assert all(v.context is context(built.precision) for v in (kt.c, sob.M, sob.N))
+        assert all(v.context is arith(built.precision).ctx for v in (kt.c, sob.M, sob.N))
         assert "diagonals" in vars(built.Q)
         # every stored value of a matrix is a canonical _mpf_ of at most p bits
         assert all(type(v) is tuple and len(v) == 4 and v[3] <= built.precision
                    for m in matrices.values() for diagonal in m.diagonals for v in diagonal)
 
     def test_entry_and_band_entries_wrap_the_stored_value(self, built):
-        ctx, wrap = context(built.precision), arith(built.precision).wrap
+        ctx, wrap = arith(built.precision).ctx, arith(built.precision).wrap
         for name, m in built.named_matrices().items():
             entries = list(m.band_entries())
             stored = wrap(m.diagonals[m.lower_bw + j - i][min(i, j)] for i, j, _ in entries)
@@ -906,7 +906,7 @@ class TestPrecisionContext:
     def test_every_value_lives_in_the_precision_context(self, spec, side):
         # A value made in the global context would round at mp.mp.prec when
         # it is the left operand, so none may reach a matrix or a ledger: each
-        # stored raw value has at most 128 bits, each mpf is of context(128).
+        # stored raw value has at most 128 bits, each mpf is of arith(128).ctx.
         chosen = spec if side == "left" else reflected_spec(30)
         s = MatrixSuite.build(chosen, size=8, guard=4, precision=128)
         # The matrices and ledgers alone hold fewer than 1000 values at this
@@ -925,7 +925,7 @@ class TestPrecisionContext:
         mpfs = [sob.M, sob.N, kt.c, *(res for _, res, _ in verify_propositions(s).as_rows())]
         assert len(values) > 1000
         assert all(type(v) is tuple and v[3] <= 128 for v in values)
-        assert all(v.context is context(128) for v in mpfs)
+        assert all(v.context is arith(128).ctx for v in mpfs)
 
     def test_verify_converts_a_wide_mass_point_before_negating_it(self):
         # c = -1/3 made at 300 bits in the global context, read with that
@@ -951,7 +951,7 @@ class TestPrecisionContext:
         # nearest 64-bit value by an ulp; at -700.47... the miss reaches
         # every matrix, at -0.47... only the kernel table's c.
         q = F(literal)
-        nearest = context(64).make_mpf(from_rational(q.numerator, q.denominator, 64,
+        nearest = arith(64).ctx.make_mpf(from_rational(q.numerator, q.denominator, 64,
                                                      round_nearest))
 
         def stored(c):
@@ -992,7 +992,7 @@ class TestExactChain:
                     "R": R, "Q": Q}
 
         floats, exacts = chain(float_J), chain(exact_J)
-        tol = context(prec).ldexp(1, -prec // 2)
+        tol = arith(prec).ctx.ldexp(1, -prec // 2)
         fq, eq = floats.pop("Q"), exacts.pop("Q")
         assert (fq.lower_bw, fq.upper_bw, fq.exact_size) == \
             (eq.lower_bw, eq.upper_bw, eq.exact_size)

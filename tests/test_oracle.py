@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from helpers import in_monomials, laguerre_monic, moment_inner, poly_mul
-from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational, context
+from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational, arith
 from sobspec.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -428,7 +428,7 @@ class TestSquaredEntryCompare:
 
     @pytest.mark.parametrize("tol", [1e-12, mp.mpf("1e-12"), F(1, 10**12)])
     def test_float_mpf_and_fraction_tolerances(self, tol):
-        ctx = context(256)
+        ctx = arith(256).ctx
         exact = {(0, 0): SqrtRational(1, 2), (0, 1): SqrtRational(0, 0)}
         floats = {(0, 0): ctx.sqrt(2) * (1 + ctx.mpf("1e-14")), (0, 1): ctx.mpf("1e-13")}
         assert squared_entry_compare("t", floats, exact, tol).all_ok

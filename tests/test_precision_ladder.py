@@ -20,7 +20,7 @@ import pytest
 from mpmath.libmp import mpf_sub, round_nearest
 
 from helpers import scaled
-from sobspec.core import MeasureSpec, SobolevSpec, context
+from sobspec.core import MeasureSpec, SobolevSpec, arith
 from sobspec.matrices import MatrixSuite, verify_propositions
 from sobspec.sobolev import SobolevLedger
 
@@ -114,7 +114,7 @@ def losses(low, high):
     highs = stages(high)
     out.update((name, loss(ledger_values(ledger), ledger_values(highs[name])))
                for name, ledger in stages(low).items())
-    out["residual"] = LOW + float(context(HIGH).log(verify_propositions(low).max_residual, 2))
+    out["residual"] = LOW + float(arith(HIGH).ctx.log(verify_propositions(low).max_residual, 2))
     return out
 
 
@@ -135,6 +135,6 @@ def test_every_group_stays_within_its_loss_budget(ladder):
 def test_a_perturbed_ledger_field_exceeds_its_budget(ladder):
     # One Sobolev ledger value moved by 2^-40 relative loses 24 bits.
     name, low, high = ladder
-    t = scaled(low.sob.t, SIZE // 2, 1 + context(LOW).ldexp(1, -40), LOW)
+    t = scaled(low.sob.t, SIZE // 2, 1 + arith(LOW).ctx.ldexp(1, -40), LOW)
     bad = dataclasses.replace(low.sob, t=t)
     assert loss(ledger_values(bad), ledger_values(high.sob)) > BUDGETS[name]["sob"]

@@ -11,7 +11,7 @@ import pytest
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from sobspec import serialize
-from sobspec.core import MeasureSpec, SobolevSpec, arith, context
+from sobspec.core import MeasureSpec, SobolevSpec, arith
 from sobspec.matrices import MatrixSuite, _diagonal_length, from_diagonals
 from sobspec.oracle import MAX_ROWS, build_oracle_suite
 from sobspec.serialize import formatter, matrix_to_csv, matrix_to_json, repr_digits
@@ -19,7 +19,7 @@ from sobspec.serialize import formatter, matrix_to_csv, matrix_to_json, repr_dig
 
 def formatter_cases(precision, seed):
     """Values of ``precision`` bits that reach every branch of ``to_str``."""
-    ctx, rng = context(precision), random.Random(seed)
+    ctx, rng = arith(precision).ctx, random.Random(seed)
     dps = repr_digits(precision)
     values = []
     for _ in range(400):  # random mantissas, exponents of both signs
@@ -43,7 +43,7 @@ def formatter_cases(precision, seed):
         values += [v._mpf_ for v in (x, x * (1 + ctx.eps), x * (1 - ctx.eps), 5 * x / 10)]
     values += [fzero, finf, fninf, fnan]
     # wider values: more bits than the digits hold, and nines into the integer part
-    wide = context(4 * precision)
+    wide = arith(4 * precision).ctx
     values += [(wide.mpf(rng.getrandbits(4 * precision)) / 3 ** rng.randint(1, 99))._mpf_
                for _ in range(40)]
     values += [wide.mpf(f"{head}{'9' * k}.{'9' * dps}")._mpf_
@@ -62,22 +62,26 @@ class TestFormatter:
         calls = []
         monkeypatch.setattr(serialize, "to_str",
                             lambda s, dps: calls.append(s) or to_str(s, dps))
-        ctx = context(256)
-        edge = [ctx.zero, ctx.inf, -ctx.inf, ctx.nan, ctx.ldexp(1, 3500), ctx.ldexp(-3, -3503)]
-        inner = [ctx.ldexp(1, 3499), ctx.ldexp(-3, -3502), ctx.one / 3]
+        ctx = arith(256).ctx
+        # a mantissa wider than the 282-bit budget is an edge case; integers
+        # at or above 2^282, as a Laguerre norm (39!)^2, are not
+        edge = [ctx.zero, ctx.inf, -ctx.inf, ctx.nan, ctx.ldexp(1, 3500), ctx.ldexp(-3, -3503),
+                arith(1024).ctx.one / 3]
+        inner = [ctx.ldexp(1, 3499), ctx.ldexp(-3, -3502), ctx.one / 3, ctx.mpf(12),
+                 ctx.ldexp(3, 300), ctx.factorial(39) ** 2]
         fmt = formatter(256)
         for x in edge + inner:
             assert fmt(x._mpf_) == to_str(x._mpf_, repr_digits(256))
         assert calls == [x._mpf_ for x in edge]
         # digit strings past Python's int-to-str limit stay with to_str
-        wide = context(15000)
+        wide = arith(15000).ctx
         calls.clear()
         for x in (wide.pi, -wide.one / 3):
             assert formatter(15000)(x._mpf_) == to_str(x._mpf_, repr_digits(15000))
         assert len(calls) == 2
 
     def test_formatter_is_nstr_at_the_round_trip_digits(self):
-        x = context(256).one / 7
+        x = arith(256).ctx.one / 7
         assert formatter(256)(x._mpf_) == mp.nstr(x, repr_digits(256))
 
 
