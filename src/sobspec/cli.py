@@ -81,9 +81,14 @@ def _options(*skip):
 
 
 def _fraction(text):
-    """The literal as an exact rational (integer, decimal or p/q), else None."""
+    """The literal as an exact rational (integer, decimal or p/q), else None.
+    Whitespace inside it and ``_`` are refused on every Python, as 3.10's
+    ``Fraction`` refuses them."""
+    text = str(text)
+    if "_" in text or len(text.split()) > 1:
+        return None
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         return None
 

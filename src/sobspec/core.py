@@ -230,9 +230,8 @@ def _rounding(p):
     ``mpf_add``'s sticky bit at p + 4 bits.
     It then rounds that once and strips trailing zero bits.  The canonical
     tuple of a rounded value is unique, so every result equals libmp's.
-    Zero, inf and NaN operands go to libmp, apart from an exact zero added
-    to a value of at most p bits, which gives that value; so do negative
-    square roots (``ComplexResult``) and division by zero."""
+    Zero, inf and NaN operands go to libmp, and so do negative square roots
+    (``ComplexResult``) and division by zero."""
 
     def fit(sign, man, exp):
         """sign * man * 2**exp, man > 0 exact, as the canonical tuple at p bits."""
@@ -271,10 +270,6 @@ def _rounding(p):
             if ma > mb:
                 return fit(sa, ma - mb, exp)
             return fit(sb, mb - ma, exp) if mb > ma else fzero
-        if not mb and not eb and ba <= p:  # a + 0
-            return a
-        if not ma and not ea and bb <= p and not flip:  # 0 + b
-            return b
         return mpf_sub(a, b, p, round_nearest) if flip else mpf_add(a, b, p, round_nearest)
 
     def sub(a, b):

@@ -152,9 +152,10 @@ def matrix_to_json(name, matrix, exact_entries=None):
 
 def matrix_from_json(text):
     """(name, matrix) of a matrix document.  Each value goes to its own
-    (i, j), each position of the declared band must be given once, and the
-    band and ``exact_size`` must lie within the shape.  Text that is not
-    such a document raises :class:`InvalidParameterError`."""
+    (i, j), each position of the declared band must be given once, as
+    [int, int, string], and the band and ``exact_size`` must lie within the
+    shape.  Text that is not such a document raises
+    :class:`InvalidParameterError`."""
     try:
         doc = json.loads(text)
         name, entries = doc["name"], doc["entries"]
@@ -163,6 +164,8 @@ def matrix_from_json(text):
         prec = _check_int("precision", doc["precision"], 1, " bits")
         if lower >= max(nrows, 1) or upper >= max(ncols, 1) or exact > min(nrows, ncols):
             raise InvalidParameterError(f"band or exact_size past a {nrows}x{ncols} matrix")
+        if not all(type(i) is type(j) is int and type(s) is str for i, j, s in entries):
+            raise InvalidParameterError("an entry is not [int, int, string]")
         values, of = {(i, j): s for i, j, s in entries}, arith(prec).of
         diagonals = {k: [of(values.pop((n + max(0, -k), n + max(0, k))))
                          for n in range(_diagonal_length(nrows, ncols, k))]

@@ -120,9 +120,7 @@ class SobolevLedger:
                               mul(mul(e[n - 1], div(r[n], r[n - 1])),
                                   add(mul(msc, pm1), mul(nsdc, dp))))
                 g_n1.append(mul(neg(root), bracket))
-                bn = mul(g_nn[n - 1], g_n1[n])
-                if n >= 2:
-                    bn = add(bn, mul(g_n2[n], g_n1[n - 1]))
+                bn = add(mul(g_nn[n - 1], g_n1[n]), mul(g_n2[n], g_n1[n - 1]))
             else:
                 g_n1.append(zero)
             a.append(mul(g_nn[n - 2], g_n2[n]) if n >= 2 else zero)

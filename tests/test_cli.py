@@ -17,7 +17,8 @@ from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
 
 #: Literals that are not rational numbers: each must exit 2 in every command
 #: that takes the option, never reach a float parser or raise a traceback.
-BAD_LITERALS = ["abc", "1/0", "1/-3", "1 / 3", "inf", "Inf", "-inf", "nan"]
+BAD_LITERALS = ["abc", "1/0", "1/-3", "1 / 3", "1/ 3", "1 /3", "1_0", "1_0/3", "inf", "Inf",
+                "-inf", "nan"]
 BAD_TOLERANCES = [f"--tolerance={t}" for t in ["-1", "0", *BAD_LITERALS]]
 
 
@@ -169,6 +170,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("fault", ["missing", "twice", "no ncols", "value", "precision",
                                        "not a triple", "lower_bw", "upper_bw", "exact_size",
+                                       "number value", "float index", "bool index",
                                        "not json"])
     def test_json_faults_are_invalid_parameters(self, fault):
         # a band past the shape is declared on a 1x1 matrix, all of whose
@@ -192,6 +194,12 @@ class TestRoundTrip:
             doc[fault] = 10 ** 5
         elif fault == "exact_size":
             doc[fault] = doc["nrows"] + 1
+        elif fault == "number value":
+            doc["entries"][3][2] = float(doc["entries"][3][2])
+        elif fault == "float index":
+            doc["entries"][0][0] = float(doc["entries"][0][0])
+        elif fault == "bool index":
+            doc["entries"][0][:2] = [False, False]
         else:
             text = "{"
         with pytest.raises(InvalidParameterError):
