@@ -8,8 +8,10 @@ family P^[2]_n with the connection
 
 :meth:`ChristoffelLedger.build` computes every scalar of the ledger (d_n,
 e_n, the leading coefficients r^[2]_n, the recurrence pair kappa_n/tau_n,
-squared norms) from the kernel table.  e_n, which has two independent
-published formulas, is computed both ways and required to agree within a
+squared norms) from the kernel table.  e_n = W_{n+1}/W_n for the Wronskian
+W_n = P_{n+1}(c) P_n'(c) - P_{n+1}'(c) P_n(c), so each W_n is formed once
+and carried to the next index.  e_n, which has two independent published
+formulas, is computed both ways and required to agree within a
 precision-scaled guard; tau_n's second formula shares r^[2]_n with the
 first, so its evidence is the "J2 chain = J2 ledger" residual, which sets it
 against the Cholesky chain, as the "H T = T (J2 - cI)^2" and "R Rt = Tt T"
@@ -48,7 +50,7 @@ class ChristoffelLedger:
 
     d_n and e_n are Wronskian quotients of the jets of P_n, P_{n+1}, P_{n+2}
     at c; e_n must also equal (r_n/r_{n+1})^2 K_{n+1}(c,c)/K_n(c,c), and
-    r^[2]_n = r_{n+1} sqrt(K_n(c,c)/K_{n+1}(c,c)) > 0.
+    r^[2]_n = r_{n+1} sqrt(K_n(c,c)/K_{n+1}(c,c)) > 0 (``kt.rho``).
 
     tau[0] holds the squared norm of the degree-0 member (the recurrence
     starts from p^[2]_0 = 1/sqrt(tau_0)); tau[n] for n >= 1 is the recurrence
@@ -78,22 +80,23 @@ class ChristoffelLedger:
             raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
         kit = arith(rec.precision)
         guard = kit.of(kit.ctx.ldexp(1, -(rec.precision // 2)))
-        add, sub, mul, div, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.sqrt
+        add, sub, mul, div = kit.add, kit.sub, kit.mul, kit.div
         jet, K, h, r, beta, gamma = kt.cjets, kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma
         d, e, r2, kappa, tau = [], [], [], [], []
+        w = sub(mul(jet[1][0], jet[0][1]), mul(jet[1][1], jet[0][0]))  # W_0
         for n in range(size):
-            (v0, d0), (v1, d1), (v2, d2) = jet[n:n + 3]
-            den = sub(mul(v1, d0), mul(d1, v0))
-            if den == kit.zero:
+            if w == kit.zero:
                 raise DegeneratePointError(f"degenerate mass point: Wronskian at n = {n} vanishes")
+            (v0, d0), (v1, d1), (v2, d2) = jet[n:n + 3]
+            den, w = w, sub(mul(v2, d1), mul(d2, v1))  # W_n, W_{n+1}
             d.append(div(sub(mul(v2, d0), mul(d2, v0)), den))
-            e.append(div(sub(mul(v2, d1), mul(d2, v1)), den))
+            e.append(div(w, den))
             k_up = div(K[n + 1], K[n])
             _enforce(kit, guard, e[n], mul(div(h[n + 1], h[n]), k_up), f"e_{n}")
             if kit.gt(kit.zero, e[n]):  # e_n = 0 is the next index's vanishing Wronskian
                 raise NumericalFailureError(
                     f"computed e_{n} is {kit.wrap([e[n]])[0]}; increase the precision")
-            r2.append(mul(r[n + 1], sqrt(div(K[n], K[n + 1]))))
+            r2.append(mul(r[n + 1], kt.rho[n]))
             t1 = beta[n]
             if n >= 1:
                 t1 = add(t1, div(mul(gamma[n], d[n - 1]), e[n - 1]))

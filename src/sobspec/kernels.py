@@ -15,6 +15,7 @@ at c (``KernelTable.cjets``), which the ledgers and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import _jet_rows, arith
 
@@ -27,6 +28,9 @@ class KernelTable:
     K^(j,k)_n(c, c) for n = 0..size-1, built by direct summation.
     ``cjets[k][j]`` is the j-th derivative of P_k at c, j <= 1, as rows of
     :func:`sobspec.core.eval_jet`, all raw values; ``c`` is an mpf.
+    ``rho[n]`` = sqrt(K_n(c,c)/K_{n+1}(c,c)), n <= size-2, which r^[2]_n,
+    gamma_{n-1,n} and the xi's read, is formed raw on first read and kept;
+    it is not a field, so no comparison or ledger digest reads it.
     """
 
     rec: object
@@ -39,6 +43,11 @@ class KernelTable:
     @property
     def size(self):
         return len(self.K)
+
+    @cached_property
+    def rho(self):
+        kit = arith(self.rec.precision)
+        return tuple(kit.sqrt(kit.div(k, k_next)) for k, k_next in zip(self.K, self.K[1:]))
 
     @classmethod
     def build(cls, rec, c):

@@ -42,7 +42,8 @@ scalar kit (:class:`sobspec.core.Arith`) of that precision, mpf or
 exactly, on the :func:`aligned` ints, and rounds each residual once.
 A product with B = A^T by value (A A for a symmetric A, X X^T, X^T X) is
 symmetric term by term, so only its diagonals r >= 0 are formed and
-mirrored.
+mirrored, and a scan of two symmetric operands reads only their diagonals
+k >= 0.
 :class:`MatrixSuite` holds its inputs, the Sobolev ledger and the ten
 matrices; it reaches the earlier ledgers through the Sobolev one.
 """
@@ -302,7 +303,8 @@ def block_residual(A, B, block, tail=None):
     |entry| of either block), rounded once.
 
     Only the union of the two declared bands is read: outside it both
-    operands are exact zeros.  Both operands must have one mpf precision.
+    operands are exact zeros, and when both are symmetric by value only
+    diagonals k >= 0 are read.  Both operands must have one mpf precision.
     They are compared as :func:`aligned` ints at the smaller of their
     exponents, so differences and largest magnitudes are exact and only the
     division rounds.
@@ -320,9 +322,11 @@ def block_residual(A, B, block, tail=None):
     A, B = aligned(A), aligned(B)
     _kit(A, B)
     exp = min(A.exp, B.exp)
+    symmetric = _is_transpose(A, A) and _is_transpose(B, B)
     diff = top = 0
-    for k in range(-max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw) + 1):
-        a, b = ([x << M.exp - exp for x in M.diagonal(k)[:max(0, block - abs(k))]] for M in (A, B))
+    for k in range(0 if symmetric else -max(A.lower_bw, B.lower_bw),
+                   max(A.upper_bw, B.upper_bw) + 1):
+        a, b = (_shifted(M.diagonal(k)[:max(0, block - abs(k))], M.exp - exp) for M in (A, B))
         d = list(map(sub, a, b))
         diff = max(diff, max(d, default=0), -min(d, default=0))
         top = max(top, max(a, default=0), -min(a, default=0), max(b, default=0),
@@ -339,6 +343,11 @@ def block_residual(A, B, block, tail=None):
     # ratio is rounded once.
     kit = arith(A.precision)
     return kit.wrap([kit.of(Fraction(diff, max(top, 1 << max(0, -exp))))])[0]
+
+
+def _shifted(ints, by):
+    """``ints`` times 2**by, for by >= 0; unshifted ints are kept as they are."""
+    return [x << by for x in ints] if by else ints
 
 
 # ---------------------------------------------------------------------------

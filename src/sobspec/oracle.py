@@ -291,14 +291,17 @@ def squared_entry_compare(name, float_entries, exact_entries, tol):
     a :class:`SqrtRational` s.  A verdict passes when the signs agree and the
     squared entry v^2 is within ``tol`` of s relative to s, or, for an exact
     zero, when |v| <= tol.  Each verdict is decided in the entry's own context
-    (53 bits for a float), ``tol`` (float, mpf or Fraction) converted into it.
-    Mismatches are reported, never raised.
+    (53 bits for a float), ``tol`` (float, mpf or Fraction) converted into it
+    once per precision.  Mismatches are reported, never raised.
     """
-    verdicts = []
+    verdicts, tols = [], {}
     for (i, j), ref in sorted(exact_entries.items()):
         fv = float_entries[(i, j)]
-        kit = arith(fv.context.prec if hasattr(fv, "context") else 53)
-        fv, tol_v = kit.wrap([kit.of(fv), kit.of(tol)])
+        prec = fv.context.prec if hasattr(fv, "context") else 53
+        kit = arith(prec)
+        if prec not in tols:
+            tols[prec] = kit.of(tol)
+        fv, tol_v = kit.wrap([kit.of(fv), tols[prec]])
         if ref.sign == 0:
             err = abs(fv)
             ok = sign_ok = err <= tol_v

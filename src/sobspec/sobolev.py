@@ -8,10 +8,11 @@ solves it for every index and from there collects norms, the triangular
 connection coefficients gamma onto the twice-transformed orthonormal family,
 and the five-term recurrence entries (a_n, b_n, c_n) for multiplication by
 (x-c)^2; :meth:`SobolevLedger.auxiliary` forms the auxiliary alpha/xi
-connection coefficients when asked.  Like the Christoffel ledger, both run
-on raw values with the table's scalar kit (:class:`sobspec.core.Arith`), in
-the order the formulas are written, so each value, held raw, has the bits
-of the same formulas on mpf.
+connection coefficients when asked.  For gamma_{n-1,n}, xi1 and xi2 both
+read the kernel-ratio roots sqrt(K_n(c,c)/K_{n+1}(c,c)) of ``kt.rho``.  Like
+the Christoffel ledger, both run on raw values with the table's scalar kit
+(:class:`sobspec.core.Arith`), in the order the formulas are written, so
+each value, held raw, has the bits of the same formulas on mpf.
 
 Only the masses M and N enter here.  The mass point and the base measure
 come with the Christoffel ledger that the Sobolev ledger extends
@@ -114,12 +115,11 @@ class SobolevLedger:
             bn = zero
             if n >= 1:
                 msc, nsdc = mul(Mr, mul(t[n], Sc[n])), mul(Nr, mul(t[n], Sdc[n]))
-                root = sqrt(div(K[n - 1], K[n]))
                 pm1, dp = mul(j[n - 1][0], r[n - 1]), mul(j[n - 1][1], r[n - 1])
                 bracket = add(div(mul(d[n - 1], t[n]), r[n]),
                               mul(mul(e[n - 1], div(r[n], r[n - 1])),
                                   add(mul(msc, pm1), mul(nsdc, dp))))
-                g_n1.append(mul(neg(root), bracket))
+                g_n1.append(mul(neg(kt.rho[n - 1]), bracket))
                 bn = add(mul(g_nn[n - 1], g_n1[n]), mul(g_n2[n], g_n1[n - 1]))
             else:
                 g_n1.append(zero)
@@ -136,8 +136,7 @@ class SobolevLedger:
         kt, kit = self.chris.kt, arith(self.chris.kt.rec.precision)
         add, mul, div, neg, sqrt, zero = kit.add, kit.mul, kit.div, kit.neg, kit.sqrt, kit.zero
         Mr, Nr = kit.of(self.M), kit.of(self.N)
-        j, K, r, d, e = kt.cjets, kt.K, kt.rec.leading, self.chris.d, self.chris.e
-        root = [zero] + [sqrt(div(K[n - 1], K[n])) for n in range(1, self.size)]
+        j, rho, r, d, e = kt.cjets, kt.rho, kt.rec.leading, self.chris.d, self.chris.e
         al1, al0, x0, x1, x2 = [], [], [], [], []
         for n, (t, sc, sdc) in enumerate(zip(self.t, self.Sc, self.Sdc)):
             msc, nsdc = mul(Mr, mul(t, sc)), mul(Nr, mul(t, sdc))
@@ -146,8 +145,8 @@ class SobolevLedger:
             al0.append(add(add(div(t, r[n]), mul(mul(msc, j[n][0]), r[n])),
                            mul(mul(nsdc, j[n][1]), r[n])))
             x0.append(sqrt(e[n]))
-            x1.append(mul(neg(d[n - 1]), root[n]) if n >= 1 else zero)
-            x2.append(mul(div(r[n - 1], r[n]), root[n - 1]) if n >= 2 else zero)
+            x1.append(mul(neg(d[n - 1]), rho[n - 1]) if n >= 1 else zero)
+            x2.append(mul(div(r[n - 1], r[n]), rho[n - 2]) if n >= 2 else zero)
         return AuxiliaryConnections(*map(tuple, (al1, al0, x0, x1, x2)))
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
+from sobspec import core
 from sobspec.core import MeasureSpec, SqrtRational, arith
 from sobspec.oracle import grams, laguerre_basis, monic_system, squared_entry_compare
 
@@ -33,6 +34,24 @@ def custom_table(beta, gamma, precision):
     The ledger builders read no support, so a wide placeholder is given."""
     return MeasureSpec.custom(beta, gamma, support=(-100.0, 100.0)).recurrence(
         len(beta), precision)
+
+
+def logged_kit(monkeypatch, precision):
+    """Put in place of ``arith(precision)`` a kit that appends each call of
+    its operations to the returned list as (name, args, result)."""
+    kit, calls = arith(precision), []
+
+    def logged(name):
+        op = getattr(kit, name)
+
+        def call(*args):
+            calls.append((name, args, op(*args)))
+            return calls[-1][2]
+        return call
+
+    monkeypatch.setitem(core._ARITHS, precision, dataclasses.replace(
+        kit, **{name: logged(name) for name in ("add", "sub", "mul", "div", "neg", "sqrt")}))
+    return calls
 
 
 def as_mpf(table):

@@ -4,13 +4,14 @@ coefficients, and the residual rows that catch a corrupted ledger."""
 import dataclasses
 import functools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, oracle_families,
-                     oracle_value, rel, scaled)
+from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, logged_kit,
+                     oracle_families, oracle_value, rel, scaled)
 from sobspec.christoffel import ChristoffelLedger
 from sobspec.core import MeasureSpec, SobolevSpec, arith, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
@@ -156,6 +157,40 @@ class TestLedgerInputs:
     def test_size_must_be_a_nonnegative_integer(self, kt, size):
         with pytest.raises(InvalidParameterError):
             ChristoffelLedger.build(kt, size)
+
+
+class TestFormedOnce:
+    """A size-100, 256-bit build of the worked example through a logging kit
+    forms each value that two formulas share once."""
+
+    SIZE, PRECISION = 100, 256
+
+    @pytest.fixture
+    def kt(self):
+        rec = MeasureSpec.laguerre(0).recurrence(self.SIZE + 2, self.PRECISION)
+        return KernelTable.build(rec, -1)
+
+    def test_each_wronskian_is_formed_once(self, kt, monkeypatch):
+        calls = logged_kit(monkeypatch, self.PRECISION)
+        ChristoffelLedger.build(kt, self.SIZE)
+        products = Counter(tuple(map(id, args)) for name, args, _ in calls if name == "mul")
+        jet = kt.cjets
+        # W_k = P_{k+1}(c) P_k'(c) - P_{k+1}'(c) P_k(c): the denominator of
+        # d_k and e_k and the numerator of e_{k-1}, for k = 0..size
+        for k in range(self.SIZE + 1):
+            (v0, d0), (v1, d1) = jet[k:k + 2]
+            assert products[id(v1), id(d0)] == products[id(d1), id(v0)] == 1, k
+
+    def test_each_kernel_ratio_root_is_formed_once(self, kt, monkeypatch):
+        calls = logged_kit(monkeypatch, self.PRECISION)
+        chris = ChristoffelLedger.build(kt, self.SIZE)
+        SobolevLedger.build(chris, 1, 1, self.SIZE).auxiliary()
+        quotients = [(args, q) for name, args, q in calls if name == "div"]
+        roots = Counter(id(args[0]) for name, args, _ in calls if name == "sqrt")
+        K = kt.K
+        for n in range(self.SIZE):  # r2 reads rho_0..rho_{size-1}
+            formed = [q for (a, b), q in quotients if a is K[n] and b is K[n + 1]]
+            assert len(formed) == 1 and roots[id(formed[0])] == 1, n
 
 
 class TestBuildGuards:

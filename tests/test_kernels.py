@@ -2,6 +2,7 @@
 sums that ``eval_sobolev`` reads, checked against exact sums of the
 closed-form Laguerre polynomials."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ import mpmath as mp
 from helpers import (TOL30, as_mpf, assert_rel, laguerre_monic, mpq, poly_deriv, poly_eval,
                      rel)
 from sobspec.core import _jet_rows, arith
+from sobspec.kernels import KernelTable
 from sobspec.sobolev import _kernel_sum
 
 RNG_SEED = 90125
@@ -120,3 +122,10 @@ class TestConfluents:
             K, K01, K11 = K + v * v / h, K01 + v * dv / h, K11 + dv * dv / h
             for got, exact in ((kt.K[n], K), (kt.K01[n], K01), (kt.K11[n], K11)):
                 assert rel(got, mpq(exact)) <= TOL30
+
+    def test_kernel_ratio_roots_are_no_field(self, kt):
+        # LEDGER_DIGESTS hash every field of the table, so rho is none
+        assert [f.name for f in dataclasses.fields(KernelTable)] == [
+            "rec", "c", "K", "K01", "K11", "cjets"]
+        kit, K = arith(kt.rec.precision), kt.K
+        assert kt.rho == tuple(kit.sqrt(kit.div(K[n], K[n + 1])) for n in range(kt.size - 1))
