@@ -5,7 +5,8 @@ data), derive the scalar ledgers and the banded matrix chain through
 :class:`MatrixSuite`, and verify the factorization identities with
 :func:`verify_propositions`.  The :mod:`sobspec.oracle` module carries an
 exact-rational reference suite for Laguerre measures with a nonnegative
-integer alpha and a mass point c < 0, up to ``oracle.MAX_ROWS`` rows.
+integer alpha and a mass point c < 0, up to ``oracle.MAX_ROWS`` rows, by its
+own Gram/LDL^T route over the package's recurrence and jets at ``EXACT``.
 """
 
 from .core import (

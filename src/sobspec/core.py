@@ -21,7 +21,9 @@ of libmp's, but without libmp's dispatch on precision and rounding mode.
 
 ``EXACT`` is the infinite precision: the raw values of ``arith(EXACT)`` are
 exact signed square roots of rationals (:class:`SqrtRational`), so the
-matrix chain of :mod:`sobspec.matrices` runs unchanged over them.
+recurrence of rational data (a non-integer Laguerre alpha raises
+``OracleUnsupportedError``), the jet loop and the matrix chain of
+:mod:`sobspec.matrices` run unchanged over them.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import isqrt
+from math import factorial, isqrt
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul,
                           mpf_neg, mpf_sqrt, mpf_sub, round_nearest)
 
-from .errors import InvalidParameterError, NotPositiveDefiniteError, NumericalFailureError
+from .errors import (InvalidParameterError, NotPositiveDefiniteError, NumericalFailureError,
+                     OracleUnsupportedError)
 
 DEFAULT_PRECISION = 256
 
@@ -405,18 +408,26 @@ class MeasureSpec:
         )
 
     def recurrence(self, size, precision=DEFAULT_PRECISION):
-        """The recurrence table of ``size`` rows.  Laguerre, x^alpha e^(-x) on
-        (0, inf): beta_n = 2n + 1 + alpha, gamma_n = n (n + alpha) and
-        ||P_0||^2 = Gamma(alpha + 1)."""
+        """The recurrence table of ``size`` rows, at ``precision`` bits or at
+        ``EXACT``.  Laguerre, x^alpha e^(-x) on (0, inf): beta_n = 2n + 1 +
+        alpha, gamma_n = n (n + alpha) and ||P_0||^2 = Gamma(alpha + 1); at
+        ``EXACT`` that is alpha! for an integer alpha, any other alpha raises
+        :class:`OracleUnsupportedError`, and custom data must be rationals."""
         _check_int("size", size, 1)
-        kit = arith(_check_int("precision", precision, 1, " bits"))
+        kit = arith(precision if precision == EXACT
+                    else _check_int("precision", precision, 1, " bits"))
         add, mul = kit.add, kit.mul
         if self.family == "laguerre":
-            # mpf's int-mixed operators round the exact result once, as these do
-            a = kit.of(self.alpha)
-            beta = [add(from_int(2 * n + 1), a) for n in range(size)]
-            gamma = [kit.zero] + [mul(add(a, from_int(n)), from_int(n)) for n in range(1, size)]
-            norm0_sq = kit.of(kit.ctx.gamma(kit.wrap([add(a, kit.one)])[0]))
+            # ints enter exact: mpf's int-mixed operators round the exact result once, as these do
+            a, num = kit.of(self.alpha), from_int if kit.ctx else kit.of
+            beta = [add(num(2 * n + 1), a) for n in range(size)]
+            gamma = [kit.zero] + [mul(add(a, num(n)), num(n)) for n in range(1, size)]
+            if kit.ctx:
+                norm0_sq = kit.of(kit.ctx.gamma(kit.wrap([add(a, kit.one)])[0]))
+            elif a.as_rational().denominator == 1:
+                norm0_sq = kit.of(factorial(a.as_rational().numerator))
+            else:
+                raise OracleUnsupportedError(f"no exact Gamma(alpha + 1) at alpha = {self.alpha!r}")
         elif self.family == "custom":
             if size > len(self.beta):
                 raise InvalidParameterError(

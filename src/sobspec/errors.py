@@ -34,9 +34,9 @@ class NumericalFailureError(SobspecError, ArithmeticError):
 
 
 class OracleUnsupportedError(SobspecError, ValueError):
-    """The exact-rational oracle does not cover the requested configuration
-    (non-integer alpha, more rows than its cap); the floating path still
-    applies."""
+    """No exact value exists or the exact-rational oracle does not cover it
+    (a non-integer Laguerre alpha at ``EXACT``, more rows than the oracle's
+    cap); the floating path still applies.  An alpha <= -1 is invalid."""
 
 
 class InternalConsistencyError(SobspecError, RuntimeError):

@@ -5,18 +5,18 @@ roots of rationals, :class:`sobspec.core.SqrtRational`); only the comparison
 reads floating values, and never rounds a reference to one.  It provides the exact
 reference for every check in the package:
 
-* the exact monic recurrence of integer-alpha Laguerre, beta_k = 2k + 1 +
-  alpha, gamma_k = k (k + alpha) and ||P_0||^2 = alpha!, as Fractions,
-* the Gram matrices of the three derived inner products in that base basis
-  P_k: (x-c) dmu and (x-c)^2 dmu (banded, from the multiplication-by-(x-c)
+* the base basis P_k of integer-alpha Laguerre, as Fractions from the
+  package's one recurrence and one jet loop, both run at ``EXACT``,
+* the Gram matrices of the three derived inner products in that basis:
+  (x-c) dmu and (x-c)^2 dmu (banded, from the multiplication-by-(x-c)
   matrix) and the discrete Sobolev product with point masses M, N at c
   (diagonal plus rank two, from P_k(c) and P_k'(c)),
 * one exact LDL^T per Gram matrix, whose inverse factor holds the monic
   orthogonal polynomials and whose diagonal their squared norms: the
   modified-moment method carried out exactly,
-* the exact matrix suite of up to :data:`MAX_ROWS` rows: the Jacobi matrices
-  and the T/H connection matrices from those factorizations, the Cholesky
-  factors, Q/R and (J2 - cI)^2 from the package's own chain
+* the exact matrix suite of up to :data:`MAX_ROWS` rows: J1, J2 and the T/H
+  connection matrices from those factorizations, and J, the Cholesky
+  factors, Q/R and (J2 - cI)^2 from the package's own recurrence and chain
   (:mod:`sobspec.matrices`) run over :class:`SqrtRational` at ``EXACT``
   precision,
 * squared-entry comparison of floating matrices against exact references,
@@ -24,22 +24,20 @@ reference for every check in the package:
   tables, the fixture tool and the tests all count matches through it).
 
 None of it uses the kernel, Christoffel or Sobolev ledger formulas of the
-floating path.  The chain's formulas are shared with it, so a slip in them
-is caught by the factorization side: Q R = J - cI and R Q = J2 - cI must
-hold exactly.  Orthonormal-level quantities are never represented by
+floating path.  The recurrence, its jets and the chain are shared with it:
+the tests check the recurrence against the moments (n + alpha)!, and a slip
+in the chain is caught by the factorization side: Q R = J - cI and R Q = J2 -
+cI must hold exactly.  Orthonormal-level quantities are never represented by
 approximate square roots: comparisons happen in squared form with the sign
 tracked separately.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 
-from .core import EXACT, SqrtRational, _check_int, arith
+from .core import EXACT, MeasureSpec, SqrtRational, _check_int, _jet_rows, arith
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -47,6 +45,7 @@ from .errors import (
 )
 from .matrices import (
     _tridiagonal,
+    build_jacobi,
     cholesky_shifted,
     commute_cholesky,
     from_diagonals,
@@ -74,63 +73,35 @@ def _rational(name, value):
             f"{name} must be a finite rational number, got {value!r}") from exc
 
 
-def laguerre_basis(alpha, count):
-    """Exact monic recurrence of x^alpha e^(-x) on (0, inf) for the degrees
-    0..count - 1: (beta, gamma, norm_sq) as Fractions, beta_k = 2k + 1 + alpha,
-    gamma_k = k (k + alpha) (gamma_0 = 0) and ||P_0||^2 = alpha!.
-
-    Rational only for a nonnegative integer alpha; other alphas raise
-    :class:`OracleUnsupportedError` (the floating path covers them).
-    """
-    q = _rational("alpha", alpha)
-    if q.denominator != 1 or q < 0:
-        raise OracleUnsupportedError(
-            f"the exact recurrence needs a nonnegative integer alpha, got {alpha!r}")
-    a = int(q)
-    beta = tuple(Fraction(2 * k + 1 + a) for k in range(count))
-    gamma = tuple(Fraction(k * (k + a)) for k in range(count))
-    return beta, gamma, tuple(accumulate(gamma[1:], mul, initial=Fraction(math.factorial(a))))
+def _fractions(values):
+    """Raw ``EXACT`` values of rational value as Fractions."""
+    return [v.as_rational() for v in values]
 
 
-def _jet(basis, x):
-    """(P_k(x) for every degree k of ``basis``, P_k'(x) likewise), by the
-    recurrence P_(k+1) = (x - beta_k) P_k - gamma_k P_(k-1) and its derivative."""
-    beta, gamma, _ = basis
-    values, derivs = [Fraction(1)], [Fraction(0)]
-    pv = pd = Fraction(0)
-    for k in range(len(beta) - 1):
-        v, d = values[k], derivs[k]
-        values.append((x - beta[k]) * v - gamma[k] * pv)
-        derivs.append((x - beta[k]) * d + v - gamma[k] * pd)
-        pv, pd = v, d
-    return values, derivs
-
-
-def shift_matrix(basis, c):
-    """A with (x - c) P_i = sum_j A[i][j] P_j, for every degree i of ``basis``
-    but the last: tridiagonal, A[i][i - 1] = gamma_i, A[i][i] = beta_i - c and
-    A[i][i + 1] = 1, so it has one column more than rows."""
-    beta, gamma, _ = basis
-    m = len(beta) - 1
+def shift_matrix(rec, c):
+    """A with (x - c) P_i = sum_j A[i][j] P_j, for every degree i of the
+    exact table ``rec`` but the last: tridiagonal, A[i][i - 1] = gamma_i,
+    A[i][i] = beta_i - c and A[i][i + 1] = 1, so it has one column more than
+    rows."""
+    beta, gamma, m = _fractions(rec.beta), _fractions(rec.gamma), rec.size - 1
     return [[{i - 1: gamma[i], i: beta[i] - c, i + 1: Fraction(1)}.get(j, Fraction(0))
              for j in range(m + 1)] for i in range(m)]
 
 
-def grams(basis, c, M, N):
-    """The Gram matrices, in the basis P_0..P_(m-1) (m + 1 degrees in
-    ``basis``), of the three derived inner products:
+def grams(rec, c, M, N):
+    """The Gram matrices, in the basis P_0..P_(m-1) (m + 1 degrees in the
+    exact table ``rec``), of the three derived inner products:
 
     * (x - c) dmu: G1 = <(x - c) P_i, P_j> = A diag(h), tridiagonal,
     * (x - c)^2 dmu: G2 = A diag(h) A^T, pentadiagonal,
     * the Sobolev product: Gs = diag(h) + M v v^T + N w w^T, v_k = P_k(c) and
-      w_k = P_k'(c),
+      w_k = P_k'(c), from the package's jet loop at ``EXACT``,
 
     with A the :func:`shift_matrix` and h the squared norms of the P_k.
     """
-    _, _, h = basis
-    A = shift_matrix(basis, c)
+    h, A = _fractions(rec.norm_sq), shift_matrix(rec, c)
     m = len(A)
-    v, w = _jet(basis, c)
+    v, w = zip(*map(_fractions, _jet_rows(rec, m, arith(EXACT).of(c), 1)))
     G1 = [[A[i][j] * h[j] for j in range(m)] for i in range(m)]
     G2 = [[sum(A[i][k] * A[j][k] * h[k] for k in range(max(0, i - 1, j - 1), min(i, j) + 2))
            for j in range(m)] for i in range(m)]
@@ -170,13 +141,13 @@ def monic_system(gram):
 class OracleMatrixSuite:
     """All chain matrices of one configuration, as exact SqrtRational entries.
 
-    The three Jacobi matrices and the T/H connection matrices come from the
-    exact LDL^T of Gram matrices in the base basis (:func:`monic_system`);
-    the Cholesky factors, Q, R and the squared shifted Jacobi matrix from the
-    chain of :mod:`sobspec.matrices` run at ``EXACT`` precision.  Each matrix
-    is held as its ``exact_size`` leading rows, dense (exact zeros off the
-    band), which agree with the semi-infinite object (the chain is built with
-    two guard rows and trimmed).
+    J1, J2 and the T/H connection matrices come from the exact LDL^T of Gram
+    matrices in the base basis (:func:`monic_system`); J is the base
+    recurrence, and the Cholesky factors, Q, R and the squared shifted Jacobi
+    matrix come from the chain of :mod:`sobspec.matrices` at ``EXACT``.  Each
+    matrix is held as its ``exact_size`` leading rows, dense (exact zeros off
+    the band), which agree with the semi-infinite object (the chain is built
+    with two guard rows and trimmed).
     """
 
     c: Fraction
@@ -191,7 +162,9 @@ def build_oracle_suite(alpha, c, M, N, size):
 
     ``size`` is the number of exact leading rows/columns delivered for every
     matrix, at most :data:`MAX_ROWS`.  Matrix names: J, L, J1, L1, J2, Q, R,
-    T, H, J2_shift_sq.
+    T, H, J2_shift_sq.  The base recurrence is read from
+    ``MeasureSpec.laguerre(alpha).recurrence`` at ``EXACT``: an alpha <= -1 is
+    invalid, a non-integer one unsupported.
 
     In the monic system (C, D) of each Gram matrix, S_k = sum_i C[k][i] P_i,
     so x S_k = S_(k+1) + beta^S_k S_k + gamma^S_k S_(k-1) gives beta^S_k =
@@ -208,18 +181,17 @@ def build_oracle_suite(alpha, c, M, N, size):
     if _check_int("size", size, 1) > MAX_ROWS:
         raise OracleUnsupportedError(f"{size} rows exceed the oracle cap of {MAX_ROWS}")
     nb = size + 2  # two guard rows: the chain's Q and R consume them
-    basis = laguerre_basis(alpha, nb + 2)  # Grams of nb + 1 rows
-    G1, G2, Gs = grams(basis, c, M, N)
+    # nb + 2 degrees give Grams of nb + 1 rows
+    rec = MeasureSpec.laguerre(_rational("alpha", alpha)).recurrence(nb + 2, EXACT)
+    G1, G2, Gs = grams(rec, c, M, N)
     (C1, D1), (C2, D2), (Cs, Ds) = monic_system(G1), monic_system(G2), monic_system(Gs)
 
-    def jacobi(beta, gamma):
-        exact = arith(EXACT).of
-        return _tridiagonal([exact(b) for b in beta[:nb]], [exact(g) for g in gamma[1:nb]], EXACT)
-
-    def recurrence(C, D):
-        beta = basis[0]
-        return ([beta[k] + (C[k][k - 1] if k else 0) - C[k + 1][k] for k in range(nb)],
-                [0] + [D[k] / D[k - 1] for k in range(1, nb)])
+    def jacobi(C, D):
+        """The Jacobi matrix of the monic system (C, D), from its recurrence."""
+        beta, exact = _fractions(rec.beta), arith(EXACT).of
+        return _tridiagonal([exact(beta[k] + (C[k][k - 1] if k else 0) - C[k + 1][k])
+                             for k in range(nb)],
+                            [exact(D[k] / D[k - 1]) for k in range(1, nb)], EXACT)
 
     G2_rows = [[(k, g) for k, g in enumerate(row) if g] for row in G2]
 
@@ -235,7 +207,7 @@ def build_oracle_suite(alpha, c, M, N, size):
         return from_diagonals({k: [entry(n, n + k) for n in range(max(0, -k), nb - max(0, k))]
                                for k in offsets}, nb, EXACT)
 
-    J, J1, J2 = jacobi(*basis[:2]), jacobi(*recurrence(C1, D1)), jacobi(*recurrence(C2, D2))
+    J, J1, J2 = build_jacobi(rec, nb), jacobi(C1, D1), jacobi(C2, D2)
     L = cholesky_shifted(J, c)
     L1 = cholesky_shifted(commute_cholesky(L, c), c)
     Q, R = qr_pair(L, L1)

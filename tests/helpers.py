@@ -12,8 +12,8 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from sobspec import core
-from sobspec.core import MeasureSpec, SqrtRational, arith
-from sobspec.oracle import grams, laguerre_basis, monic_system, squared_entry_compare
+from sobspec.core import EXACT, MeasureSpec, SqrtRational, arith
+from sobspec.oracle import grams, monic_system, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
 TOL28 = mp.mpf("1e-28")
@@ -197,6 +197,12 @@ def laguerre_monic(alpha, n):
               math.factorial(k)) for k in range(n + 1)]
 
 
+def fractions(values):
+    """Values of an ``EXACT`` table that are rationals (every field of a
+    recurrence table but ``leading``), as a tuple of Fractions."""
+    return tuple(v.as_rational() for v in values)
+
+
 def in_monomials(alpha, coeffs):
     """sum_i coeffs[i] P_i, the P_i by the closed form."""
     out = [F(0)] * len(coeffs)
@@ -220,7 +226,7 @@ def oracle_families(M, N, degrees):
     with c = -1 and masses M, N through degree ``degrees - 1``, from the
     oracle's exact LDL^T: [(it2, it2_norm_sq), (sob, sob_norm_sq)], each
     polynomial as its ascending monomial coefficients."""
-    _, G2, Gs = grams(laguerre_basis(0, degrees + 1), F(-1), M, N)
+    _, G2, Gs = grams(MeasureSpec.laguerre(0).recurrence(degrees + 1, EXACT), F(-1), M, N)
     return [([in_monomials(0, row) for row in C], D)
             for C, D in (monic_system(G2), monic_system(Gs))]
 

@@ -13,12 +13,12 @@ import pytest
 from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, logged_kit,
                      oracle_families, oracle_value, rel, scaled)
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import MeasureSpec, SobolevSpec, arith, eval_jet
+from sobspec.core import EXACT, MeasureSpec, SobolevSpec, arith, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (MatrixSuite, build_H, build_iterated_jacobi, build_T,
                               verify_propositions)
-from sobspec.oracle import build_oracle_suite, grams, laguerre_basis, monic_system
+from sobspec.oracle import build_oracle_suite, grams, monic_system
 from sobspec.sobolev import SobolevLedger
 
 RNG_SEED = 61409
@@ -49,10 +49,10 @@ class TestCoefficients:
     def test_exact_values_from_oracle(self, chris):
         chris = as_mpf(chris)
         # The oracle route: e_n = |P2_n|^2_[2] / |P_n|^2 over exact rationals.
-        basis = laguerre_basis(0, 10)
-        _, it2_norm_sq = monic_system(grams(basis, F(-1), 1, 1)[1])
+        table = MeasureSpec.laguerre(0).recurrence(10, EXACT)
+        _, it2_norm_sq = monic_system(grams(table, F(-1), 1, 1)[1])
         for n in range(7):
-            e_exact = it2_norm_sq[n] / basis[2][n]
+            e_exact = it2_norm_sq[n] / table.norm_sq[n].as_rational()
             assert_rel(chris.e[n], mp.mpf(e_exact.numerator) / e_exact.denominator)
 
 

@@ -16,8 +16,8 @@ from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fnone, fone, from_ma
                           from_rational, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt,
                           mpf_sub, round_nearest)
 
-from helpers import (as_mpf, assert_rel, fraction, laguerre_monic, moment_inner, mpq,
-                     poly_eval, reflected_laguerre, rel)
+from helpers import (as_mpf, assert_rel, fraction, fractions, laguerre_monic, moment_inner,
+                     mpq, poly_eval, reflected_laguerre, rel)
 from sobspec import core
 from sobspec.core import (
     EXACT,
@@ -76,13 +76,36 @@ class TestLaguerreRecurrence:
 
     @pytest.mark.parametrize("size, precision", [(4.0, 256), ("4", 256), (None, 256),
                                                  (4, "256"), (4, 100.5), (4, None), (4, 0),
-                                                 (True, 256), (4, True)])
+                                                 (True, 256), (4, True), (4, 1.5),
+                                                 (4, float("-inf")), (4, float("nan"))])
     def test_size_and_precision_must_be_integers(self, size, precision):
-        # A precision of "256" would otherwise make a context apart from arith(256).ctx.
+        # A precision of "256" would otherwise make a context apart from arith(256).ctx;
+        # the one precision that is no int is EXACT.
         with pytest.raises(InvalidParameterError):
             MeasureSpec.laguerre(0).recurrence(size, precision)
         with pytest.raises(InvalidParameterError):
             reflected_laguerre(8).recurrence(size, precision)
+
+
+class TestExactRecurrence:
+    """``MeasureSpec.recurrence`` at ``EXACT``: the one table the oracle reads."""
+
+    def test_custom_fractions_are_reproduced_exactly(self):
+        beta = [F(1, 3), F(-2, 7), F(5), F(0)]
+        gamma = [F(0), F(3, 4), F(2, 9), F(11, 5)]
+        rec = MeasureSpec.custom(beta, gamma, (-2, 2), norm0_sq=F(7, 3)).recurrence(4, EXACT)
+        assert fractions(rec.beta) == tuple(beta)
+        assert fractions(rec.gamma) == tuple(gamma)
+        assert fractions(rec.norm_sq) == (F(7, 3), F(7, 4), F(7, 18), F(77, 90))
+        assert all(r * r * h == 1 for r, h in zip(rec.leading, rec.norm_sq))
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3.0])
+    def test_integer_laguerre_rounds_to_the_mpf_table(self, alpha):
+        exact, table = (MeasureSpec.laguerre(alpha).recurrence(12, p) for p in (EXACT, 256))
+        kit = arith(256)
+        for field in ("beta", "gamma", "norm_sq"):
+            assert [kit.of(v) for v in fractions(getattr(exact, field))] == list(
+                getattr(table, field))
 
 
 class TestCustomMeasure:

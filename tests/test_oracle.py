@@ -1,5 +1,5 @@
-"""Exact-rational oracle: base recurrence, Gram matrices, monic systems by
-exact LDL^T, signed square roots.
+"""Exact-rational oracle: the package's base recurrence at ``EXACT``, Gram
+matrices, monic systems by exact LDL^T, signed square roots.
 
 These run first in spirit: every frozen expected value elsewhere in the
 suite was derived from (or verified against) the constructions here.  The
@@ -7,14 +7,15 @@ moment functional of ``helpers`` (closed-form Laguerre polynomials and the
 moments (n + alpha)!) is the independent anchor of the recurrence route.
 """
 
+import hashlib
 import math
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from helpers import in_monomials, laguerre_monic, moment_inner, poly_mul
-from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational, arith
+from helpers import fractions, in_monomials, laguerre_monic, moment_inner, poly_mul
+from sobspec.core import EXACT, MeasureSpec, SobolevSpec, SqrtRational, arith
 from sobspec.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -25,7 +26,6 @@ from sobspec.oracle import (
     MAX_ROWS,
     build_oracle_suite,
     grams,
-    laguerre_basis,
     monic_system,
     shift_matrix,
     squared_entry_compare,
@@ -36,13 +36,13 @@ SHIFT = [-C, F(1)]  # x + 1
 
 
 @pytest.fixture(scope="module")
-def basis():
-    return laguerre_basis(0, 10)
+def table():
+    return MeasureSpec.laguerre(0).recurrence(10, EXACT)
 
 
 @pytest.fixture(scope="module")
-def gram_matrices(basis):
-    return grams(basis, C, M, N)
+def gram_matrices(table):
+    return grams(table, C, M, N)
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +56,11 @@ def sob(gram_matrices):
 
 
 def moments_from_recurrence(alpha, count):
-    """||P_0||^2 (J^n)_00 for n < count: x^n = sum_k u_k P_k, with u pushed
-    through x P_k = P_(k+1) + beta_k P_k + gamma_k P_(k-1)."""
-    beta, gamma, norm_sq = laguerre_basis(alpha, count + 1)
+    """||P_0||^2 (J^n)_00 for n < count, from the package's exact table:
+    x^n = sum_k u_k P_k, with u pushed through x P_k = P_(k+1) + beta_k P_k
+    + gamma_k P_(k-1)."""
+    rec = MeasureSpec.laguerre(alpha).recurrence(count + 1, EXACT)
+    beta, gamma, norm_sq = fractions(rec.beta), fractions(rec.gamma), fractions(rec.norm_sq)
     u, out = [F(1)] + [F(0)] * count, []
     for _ in range(count):
         out.append(norm_sq[0] * u[0])
@@ -91,14 +93,16 @@ class TestMoments:
         assert moments_from_recurrence(2, 3) == [2, 6, 24]
 
     def test_non_integer_alpha_rejected(self):
-        with pytest.raises(OracleUnsupportedError):
-            laguerre_basis(0.5, 4)
+        for alpha in (0.5, F(5, 2)):
+            with pytest.raises(OracleUnsupportedError):
+                MeasureSpec.laguerre(alpha).recurrence(4, EXACT)
         with pytest.raises(OracleUnsupportedError):
             build_oracle_suite(F(1, 2), C, M, N, 4)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(OracleUnsupportedError):
-            laguerre_basis(-1, 4)
+        # alpha <= -1 is no measure: MeasureSpec.laguerre refuses it.
+        with pytest.raises(InvalidParameterError):
+            build_oracle_suite(-1, C, M, N, 4)
 
     def test_count_validated(self):
         for size in (0, 4.0, "4", None, True):
@@ -117,6 +121,12 @@ class TestMoments:
         with pytest.raises(InvalidParameterError):
             build_oracle_suite(*args, 4)
 
+    def test_rational_literals_and_floats_are_read_exactly(self):
+        # alpha reaches MeasureSpec.laguerre as a Fraction, so it takes what c, M and N take.
+        assert (build_oracle_suite("0", "-1", 1.0, "1", 4).matrices
+                == build_oracle_suite(0.0, C, M, N, 4).matrices
+                == build_oracle_suite(0, C, M, N, 4).matrices)
+
     def test_modified_moment_of_shifted_square(self, gram_matrices):
         assert gram_matrices[1][0][0] == 5
 
@@ -133,14 +143,14 @@ class TestMoments:
         for _ in range(k):
             shift = poly_mul(shift, [-c, F(1)])
         for alpha in (0, 1):
-            G = grams(laguerre_basis(alpha, 8), c, M, N)[k - 1]
+            G = grams(MeasureSpec.laguerre(alpha).recurrence(8, EXACT), c, M, N)[k - 1]
             P = [laguerre_monic(alpha, i) for i in range(len(G))]
             assert G == [[moment_inner(alpha, poly_mul(shift, p), q) for q in P] for p in P]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_iterated_moments_run_out_k_early(self, k):
         # (x - c) P_i needs P_(i+1): the Grams stop one degree short of the basis.
-        G = grams(laguerre_basis(0, 6), C, M, N)[k - 1]
+        G = grams(MeasureSpec.laguerre(0).recurrence(6, EXACT), C, M, N)[k - 1]
         assert len(G) == 5 and all(len(row) == 5 for row in G)
 
 
@@ -148,23 +158,24 @@ class TestGramSchmidt:
     """Monic systems by exact LDL^T, which is Gram-Schmidt in the base basis."""
 
     def test_standard_first_polynomials(self):
-        beta, _, norm_sq = laguerre_basis(0, 3)
-        assert beta[0] == 1  # P_1 = x - 1
-        assert norm_sq == (1, 1, 4)
+        rec = MeasureSpec.laguerre(0).recurrence(3, EXACT)
+        assert fractions(rec.beta)[0] == 1  # P_1 = x - 1
+        assert fractions(rec.norm_sq) == (1, 1, 4)
 
     def test_standard_recurrence_alpha0(self):
-        beta, gamma, _ = laguerre_basis(0, 9)
-        assert beta == tuple(2 * n + 1 for n in range(9))
-        assert gamma == tuple(F(n * n) for n in range(9))
+        rec = MeasureSpec.laguerre(0).recurrence(9, EXACT)
+        assert fractions(rec.beta) == tuple(2 * n + 1 for n in range(9))
+        assert fractions(rec.gamma) == tuple(F(n * n) for n in range(9))
 
     def test_alpha_one_recurrence(self):
-        beta, gamma, _ = laguerre_basis(1, 6)
+        rec = MeasureSpec.laguerre(1).recurrence(6, EXACT)
+        beta, gamma = fractions(rec.beta), fractions(rec.gamma)
         assert beta[0] == 2
         assert beta[1] == 4
         assert gamma[1] == 2
 
-    def test_orthonormal_gram_is_identity_squared_form(self, basis):
-        norm_sq = basis[2]
+    def test_orthonormal_gram_is_identity_squared_form(self, table):
+        norm_sq = fractions(table.norm_sq)
         P = [laguerre_monic(0, i) for i in range(7)]
         for i in range(7):
             for j in range(7):
@@ -211,8 +222,8 @@ class TestSobolevStructure:
     basis: A^2 Gs on the leading block where the truncated product is whole."""
 
     @pytest.fixture(scope="class")
-    def shift_square_pairing(self, basis, gram_matrices):
-        A = [row[:-1] for row in shift_matrix(basis, C)]
+    def shift_square_pairing(self, table, gram_matrices):
+        A = [row[:-1] for row in shift_matrix(table, C)]
         n = len(A) - 2
         return _leading(_matmul(_matmul(A, A), gram_matrices[2]), n)
 
@@ -375,7 +386,8 @@ class TestExactBand:
     @pytest.mark.parametrize("name", CHAIN_CONFIGS)
     def test_pairings_vanish_exactly_off_the_h_and_t_bands(self, name):
         alpha, c, m, n = CHAIN_CONFIGS[name]
-        _, G2, Gs = grams(laguerre_basis(alpha, MAX_ROWS + 1), c, m, n)
+        rec = MeasureSpec.laguerre(alpha).recurrence(MAX_ROWS + 1, EXACT)
+        _, G2, Gs = grams(rec, c, m, n)
         Cs, C2 = ([row + [F(0)] * (MAX_ROWS - len(row)) for row in monic_system(G)[0]]
                   for G in (Gs, G2))
         for Y, band in ((Cs, range(-2, 3)), (C2, range(-2, 1))):
@@ -384,6 +396,29 @@ class TestExactBand:
                        if k - i not in band)
             assert all(pairing[i][i + k] for k in (band[0], band[-1])
                        for i in range(max(0, -k), MAX_ROWS - max(0, k)))
+
+
+#: SHA-256 of the (sign, square) of every entry of ``.matrices``, matrices
+#: in name order, for four configurations: the worked example, a second
+#: alpha, and two near-support c with the near-root N = 1/4.
+ORACLE_DIGESTS = {
+    "worked-example-29": ((0, C, M, N, MAX_ROWS),
+                          "6793f24e3abf33d56b33e0ae0b38386b9d67318b6c19b765a15f3a0cd7de9541"),
+    "alpha2-29": ((2, F(-1, 3), F(1), F(2), MAX_ROWS),
+                  "05ca79cc29bd79cc7a70daae8a2b2d039d1b79b7f575dc851b7441c94d46c413"),
+    "near-support-12": ((2, F(-1, 10**6), F(1), F(3), 12),
+                        "af8b5de326bed68a4118fdc89cca00cca110a70969647dda99f333f54f8a3167"),
+    "near-root-10": ((0, F(-1, 10**12), F(1), F(1, 4), 10),
+                     "91d29b020a400b143fad1c39859125b5ff1ae7ec549e82ddc0e47f479534e205"),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DIGESTS)
+def test_oracle_entries_are_pinned(name):
+    config, expected = ORACLE_DIGESTS[name]
+    rows = [(label, [[(e.sign, e.square) for e in row] for row in matrix])
+            for label, matrix in sorted(build_oracle_suite(*config).matrices.items())]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
 
 
 class TestFloatPathAgainstOracle:
