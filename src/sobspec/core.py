@@ -17,7 +17,8 @@ an mpf is made only where a public reader returns one, and a number the
 caller gives becomes a raw value only by ``arith(p).of``, rounded once.  At
 an mpf precision the kit's rounded operations are one kernel on ``_mpf_``
 tuples (:func:`_rounding`): correctly rounded to nearest, so with the bits
-of libmp's, but without libmp's dispatch on precision and rounding mode.
+of libmp's, but without libmp's dispatch on precision and rounding mode;
+only inf and NaN operands reach libmp.
 
 ``EXACT`` is the infinite precision: the raw values of ``arith(EXACT)`` are
 exact signed square roots of rationals (:class:`SqrtRational`), so the
@@ -64,6 +65,9 @@ def _check_int(name, value, least, unit=""):
     return value
 
 
+_ZERO = Fraction(0)
+
+
 def _rational_sqrt(q):
     """Exact square root of a nonnegative Fraction, or None if irrational."""
     rn = isqrt(q.numerator)
@@ -83,35 +87,41 @@ class SqrtRational:
     roots of rationals); incompatible radicands raise ArithmeticError.  Ints
     and Fractions are coerced, so the chain functions of
     :mod:`sobspec.matrices` run over this type as they do over mpf.
+
+    ``root`` is the Fraction sqrt(square) where it is known: a value made
+    from a rational keeps it through products and sums of such values, so
+    their sums add the rationals directly; None means not known, not
+    irrational.
     """
 
-    __slots__ = ("sign", "square")
+    __slots__ = ("sign", "square", "root")
 
-    def __init__(self, sign, square):
-        square = Fraction(square)
-        if square < 0:
+    def __init__(self, sign, square, root=None):
+        if not isinstance(square, Fraction):
+            square = Fraction(square)
+        if square.numerator < 0:
             raise ValueError("square must be nonnegative")
-        if square == 0:
-            sign = 0
-        elif sign == 0:
-            square = Fraction(0)
+        if not (sign and square.numerator):
+            sign, square, root = 0, _ZERO, _ZERO
         self.sign = int(sign)
         self.square = square
+        self.root = root
 
     @classmethod
     def from_rational(cls, q):
-        q = Fraction(q)
-        s = (q > 0) - (q < 0)
-        return cls(s, q * q)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return cls((q.numerator > 0) - (q.numerator < 0), q * q, abs(q))
 
     def as_rational(self):
         """The value as a Fraction if the radicand is a perfect square, else None."""
-        r = _rational_sqrt(self.square)
-        return None if r is None else self.sign * r
+        r = _rational_sqrt(self.square) if self.root is None else self.root
+        return r if r is None or self.sign >= 0 else -r
 
     def __mul__(self, other):
         other = _exact(other)
-        return SqrtRational(self.sign * other.sign, self.square * other.square)
+        root = None if self.root is None or other.root is None else self.root * other.root
+        return SqrtRational(self.sign * other.sign, self.square * other.square, root)
 
     __rmul__ = __mul__
 
@@ -125,7 +135,7 @@ class SqrtRational:
         return SqrtRational(self.sign * other.sign, self.square / other.square)
 
     def __neg__(self):
-        return SqrtRational(-self.sign, self.square)
+        return SqrtRational(-self.sign, self.square, self.root)
 
     def __add__(self, other):
         other = _exact(other)
@@ -133,6 +143,8 @@ class SqrtRational:
             return other
         if other.sign == 0:
             return self
+        if self.root is not None and other.root is not None:
+            return SqrtRational.from_rational(self.as_rational() + other.as_rational())
         ratio = _rational_sqrt(self.square / other.square)
         if ratio is None:
             raise ArithmeticError(
@@ -197,10 +209,11 @@ class Arith:
     operations are :func:`_rounding`'s kernel: the results, bit for bit, of
     the libmp calls that mpf ``+``, ``-``, ``*``, ``/``, unary ``-`` and
     ``ctx.sqrt`` make at p bits rounding to nearest, without their
-    generic dispatch; ``gt`` is libmp's ``>`` (false whenever a NaN is
-    compared).  A formula written with them, in the same order, has the bits
-    of the same formula on mpf without the object overhead; ``x ** 2`` is
-    ``mul(x, x)``, as both round the exact square once.  At ``EXACT`` the raw
+    generic dispatch, and ``gt`` has the verdicts of mpf ``>`` (false
+    whenever a NaN is compared).  A formula written with them, in the same
+    order, has the bits of the same formula on mpf without the object
+    overhead; ``x ** 2`` is ``mul(x, x)``, as both round the exact square
+    once.  At ``EXACT`` the raw
     values are the ``SqrtRational`` scalars, the operations theirs, and there
     is no ``ctx``.  At ``int`` they are ints with exact ``add``, ``sub``,
     ``mul``, ``neg`` and ``gt`` and no ``of``, ``div``, ``sqrt`` or ``ctx``:
@@ -223,7 +236,7 @@ class Arith:
 
 def _rounding(p):
     """``add``, ``sub``, ``mul``, ``div``, ``neg`` and ``sqrt`` of ``_mpf_``
-    tuples, rounded to nearest (ties to even) at p bits.
+    tuples, rounded to nearest (ties to even) at p bits, and ``gt``.
 
     Each forms libmp's exact intermediate: the exact sum, product or square
     root remainder, and for a quotient or root the same extra bits as
@@ -231,25 +244,25 @@ def _rounding(p):
     bit, which leaves the rounded value as it is; an add whose exponents lie
     more than 100 and whose leading bits more than p + 4 apart takes
     ``mpf_add``'s sticky bit at p + 4 bits.
-    It then rounds that once and strips trailing zero bits.  The canonical
-    tuple of a rounded value is unique, so every result equals libmp's.
-    Zero, inf and NaN operands go to libmp, and so do negative square roots
+    It then rounds that once and strips trailing zero bits if the rounded
+    mantissa is even: ``mul`` and ``div`` in their own frame, ``add``,
+    ``sub`` and ``sqrt`` in ``fit``.  The canonical tuple of a rounded value is unique, so every
+    result equals libmp's.  ``gt`` compares by sign, then by leading-bit
+    position, then by the aligned mantissas.  Every finite operand, exact
+    zero included, stays in the kernel: inf and NaN operands go to libmp
+    (``mpf_gt`` for ``gt``), and so do negative square roots
     (``ComplexResult``) and division by zero."""
 
     def fit(sign, man, exp):
         """sign * man * 2**exp, man > 0 exact, as the canonical tuple at p bits."""
         n = man.bit_length() - p
-        if n > 0:
-            t = man >> (n - 1)  # the kept bits and the first dropped one
-            if t & 1 and (t & 2 or man & ~(-1 << n - 1)):
-                man = (t >> 1) + 1
-            else:
-                man = t >> 1
-            exp += n
+        if n > 0:  # drop n bits: up if the first dropped bit is 1 and not a tie to even
+            t, man, exp = man, man >> n, exp + n
+            if t >> (n - 1) & 1 and (man & 1 or t & ~(-1 << n - 1)):
+                man += 1
         if not man & 1:
             z = (man & -man).bit_length() - 1
-            man >>= z
-            exp += z
+            man, exp = man >> z, exp + z
         return sign, man, exp, man.bit_length()
 
     def add(a, b, flip=0):
@@ -273,6 +286,13 @@ def _rounding(p):
             if ma > mb:
                 return fit(sa, ma - mb, exp)
             return fit(sb, mb - ma, exp) if mb > ma else fzero
+        if not (ma or ea):  # 0 + b
+            if mb:
+                return (sb ^ flip, mb, eb, bb) if bb <= p else fit(sb ^ flip, mb, eb)
+            if not eb:
+                return b
+        elif ma and not (mb or eb):  # a + 0
+            return a if ba <= p else fit(sa, ma, ea)
         return mpf_sub(a, b, p, round_nearest) if flip else mpf_add(a, b, p, round_nearest)
 
     def sub(a, b):
@@ -282,28 +302,52 @@ def _rounding(p):
         sa, ma, ea, _ = a
         sb, mb, eb, _ = b
         if ma and mb:
-            return fit(sa ^ sb, ma * mb, ea + eb)
+            man, exp = ma * mb, ea + eb
+            n = man.bit_length() - p
+            if n > 0:  # fit's rounding, inline
+                t, man, exp = man, man >> n, exp + n
+                if t >> (n - 1) & 1 and (man & 1 or t & ~(-1 << n - 1)):
+                    man += 1
+            if not man & 1:
+                z = (man & -man).bit_length() - 1
+                man, exp = man >> z, exp + z
+            return sa ^ sb, man, exp, man.bit_length()
+        if (ma or not ea) and (mb or not eb):  # 0 * b or a * 0
+            return fzero
         return mpf_mul(a, b, p, round_nearest)
 
     def div(a, b):
         sa, ma, ea, ba = a
         sb, mb, eb, bb = b
-        if not (ma and mb):
-            return mpf_div(a, b, p, round_nearest)
-        extra = max(5, p - ba + bb + 5)
-        quot, rem = divmod(ma << extra, mb)
-        return fit(sa ^ sb, (quot << 1) | (rem != 0), ea - eb - extra - 1)
+        if ma and mb:
+            extra = p - ba + bb + 5
+            if extra < 5:
+                extra = 5
+            quot, rem = divmod(ma << extra, mb)
+            # quot has p + 5 bits or more, and rem != 0 is the sticky bit below them
+            n = quot.bit_length() - p
+            man = quot >> n
+            if quot >> (n - 1) & 1 and (man & 1 or rem or quot & ~(-1 << n - 1)):
+                man += 1
+            exp = ea - eb - extra + n
+            if not man & 1:
+                z = (man & -man).bit_length() - 1
+                man, exp = man >> z, exp + z
+            return sa ^ sb, man, exp, man.bit_length()
+        if mb and not (ma or ea):  # 0 / b
+            return fzero
+        return mpf_div(a, b, p, round_nearest)
 
     def neg(a):
         sa, ma, ea, ba = a
-        if ma and ba <= p:
-            return 1 - sa, ma, ea, ba
-        return mpf_neg(a, p, round_nearest)
+        if ma:
+            return (1 - sa, ma, ea, ba) if ba <= p else fit(1 - sa, ma, ea)
+        return mpf_neg(a, p, round_nearest) if ea else a
 
     def sqrt(a):
         sa, ma, ea, ba = a
         if sa or not ma:
-            return mpf_sqrt(a, p, round_nearest)
+            return mpf_sqrt(a, p, round_nearest) if sa or ea else a
         if ea & 1:
             ea, ma, ba = ea - 1, ma << 1, ba + 1
         shift = max(4, 2 * p - ba + 4)
@@ -312,7 +356,22 @@ def _rounding(p):
         root = isqrt(ma)
         return fit(0, (root << 1) | (root * root != ma), (ea - shift - 2) >> 1)
 
-    return {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, "sqrt": sqrt}
+    def gt(a, b):
+        sa, ma, ea, ba = a
+        sb, mb, eb, bb = b
+        if ma and mb:
+            if sa != sb:
+                return sb > sa
+            ta, tb = ea + ba, eb + bb  # just above the leading bits
+            if ta == tb:
+                off = ea - eb
+                ta, tb = (ma << off, mb) if off >= 0 else (ma, mb << -off)
+            return tb > ta if sa else ta > tb
+        if (ma or not ea) and (mb or not eb):  # a zero against a finite value
+            return not sa if ma else sb == 1
+        return mpf_gt(a, b)
+
+    return {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, "sqrt": sqrt, "gt": gt}
 
 
 _ARITHS = {}
@@ -329,7 +388,7 @@ def arith(precision):
         elif precision == EXACT:
             kit = Arith(None, _exact, tuple, operator.add, operator.sub, operator.mul,
                         operator.truediv, operator.neg, SqrtRational.sqrt, operator.gt,
-                        SqrtRational(0, 0), SqrtRational(1, 1))
+                        _exact(0), _exact(1))
         else:
             ctx = mp.MPContext()
             ctx.prec = precision
@@ -340,7 +399,7 @@ def arith(precision):
                 return ctx.mpf(x)._mpf_
 
             kit = Arith(ctx, of=of, wrap=lambda values: tuple(map(ctx.make_mpf, values)),
-                        gt=mpf_gt, zero=fzero, one=fone, **_rounding(precision))
+                        zero=fzero, one=fone, **_rounding(precision))
         kit = _ARITHS.setdefault(precision, kit)
     return kit
 

@@ -5,6 +5,7 @@ the oracle's exact twice-transformed and Sobolev polynomials."""
 import dataclasses
 import functools
 import math
+import sys
 import types
 from fractions import Fraction as F
 
@@ -36,21 +37,29 @@ def custom_table(beta, gamma, precision):
         len(beta), precision)
 
 
-def logged_kit(monkeypatch, precision):
+def logged_kit(monkeypatch, precision, layers=None):
     """Put in place of ``arith(precision)`` a kit that appends each call of
-    its operations to the returned list as (name, args, result)."""
+    its operations to the returned list as (name, args, result, layer).
+    ``layers`` maps code objects to layer names, and ``layer`` is the name of
+    the innermost calling frame whose code it holds (None without a match)."""
     kit, calls = arith(precision), []
+
+    def layer():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code not in layers:
+            frame = frame.f_back
+        return frame and layers[frame.f_code]
 
     def logged(name):
         op = getattr(kit, name)
 
         def call(*args):
-            calls.append((name, args, op(*args)))
+            calls.append((name, args, op(*args), layers and layer()))
             return calls[-1][2]
         return call
 
-    monkeypatch.setitem(core._ARITHS, precision, dataclasses.replace(
-        kit, **{name: logged(name) for name in ("add", "sub", "mul", "div", "neg", "sqrt")}))
+    monkeypatch.setitem(core._ARITHS, precision, dataclasses.replace(kit, **{
+        name: logged(name) for name in ("add", "sub", "mul", "div", "neg", "sqrt", "gt")}))
     return calls
 
 

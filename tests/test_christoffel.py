@@ -173,7 +173,7 @@ class TestFormedOnce:
     def test_each_wronskian_is_formed_once(self, kt, monkeypatch):
         calls = logged_kit(monkeypatch, self.PRECISION)
         ChristoffelLedger.build(kt, self.SIZE)
-        products = Counter(tuple(map(id, args)) for name, args, _ in calls if name == "mul")
+        products = Counter(tuple(map(id, args)) for name, args, *_ in calls if name == "mul")
         jet = kt.cjets
         # W_k = P_{k+1}(c) P_k'(c) - P_{k+1}'(c) P_k(c): the denominator of
         # d_k and e_k and the numerator of e_{k-1}, for k = 0..size
@@ -185,8 +185,8 @@ class TestFormedOnce:
         calls = logged_kit(monkeypatch, self.PRECISION)
         chris = ChristoffelLedger.build(kt, self.SIZE)
         SobolevLedger.build(chris, 1, 1, self.SIZE).auxiliary()
-        quotients = [(args, q) for name, args, q in calls if name == "div"]
-        roots = Counter(id(args[0]) for name, args, _ in calls if name == "sqrt")
+        quotients = [(args, q) for name, args, q, _ in calls if name == "div"]
+        roots = Counter(id(args[0]) for name, args, *_ in calls if name == "sqrt")
         K = kt.K
         for n in range(self.SIZE):  # r2 reads rho_0..rho_{size-1}
             formed = [q for (a, b), q in quotients if a is K[n] and b is K[n + 1]]

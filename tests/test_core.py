@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp,
-                          from_rational, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sqrt,
-                          mpf_sub, round_nearest)
+                          from_rational, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
+                          mpf_sqrt, mpf_sub, round_nearest)
 
 from helpers import (as_mpf, assert_rel, fraction, fractions, laguerre_monic, moment_inner,
                      mpq, poly_eval, reflected_laguerre, rel)
@@ -457,10 +457,12 @@ class TestArith:
 
     @pytest.mark.parametrize("precision", [53, 64, 113, 256, 1024])
     def test_mpf_kit_takes_libmp_verdicts_on_zero_inf_and_nan(self, precision):
-        # every pairing of zero, inf, nan and a finite value gives libmp's
-        # result or libmp's exception
+        # every pairing of zero, inf, nan, finite values and values wider than
+        # the precision gives libmp's result or libmp's exception
         kit = arith(precision)
-        values = [fzero, finf, fninf, fnan, fone, fnone, from_man_exp(3, -precision - 9)]
+        values = [fzero, finf, fninf, fnan, fone, fnone, from_man_exp(3, -precision - 9),
+                  from_man_exp((1 << 2 * precision) - 1, -precision),
+                  from_man_exp(-(1 << precision) - 1, 5)]
 
         def outcome(f, *args):
             try:
@@ -481,20 +483,42 @@ class TestArith:
         assert outcome(kit.div, fone, fzero) is ZeroDivisionError
         assert outcome(kit.div, fzero, fzero) is ZeroDivisionError
 
-    def test_a_build_takes_the_kernel_for_finite_nonzero_operands(self, spec, monkeypatch):
-        # core's libmp calls raise on finite nonzero operands, so a size-100
-        # build and its verification compute without them
+    @pytest.mark.parametrize("M, N", [(1, 1), (0, 1), (1, 0)])
+    def test_a_build_takes_the_kernel_for_every_finite_operand(self, M, N, monkeypatch):
+        # core's libmp calls raise when every operand is finite (a nonzero
+        # mantissa, or the exponent 0 of an exact zero), so a size-100 build
+        # and its verification compute without them; a zero mass makes zero
+        # products and sums
         def strict(f):
             def call(*args):
-                if all(x[1] for x in args if isinstance(x, tuple)):
+                if all(x[1] or not x[2] for x in args if isinstance(x, tuple)):
                     raise AssertionError(f"{f.__name__}{args} left the kernel")
                 return f(*args)
             return call
 
-        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_neg", "mpf_sqrt"):
+        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_neg", "mpf_sqrt", "mpf_gt"):
             monkeypatch.setattr(core, name, strict(getattr(core, name)))
+        spec = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=M, N=N)
         suite = MatrixSuite.build(spec, size=100)
         assert verify_propositions(suite).all_within(mp.mpf("1e-30"))
+
+    @pytest.mark.parametrize("precision", [53, 64, 113, 256, 1024])
+    def test_mpf_kit_compares_the_edge_cases_as_mpf_gt(self, precision):
+        # every ordered pair of: leading bits at one position with other
+        # mantissas or exponents, neighbours 1 ulp apart (within and across a
+        # binade), each value's negative, +-0 and +-inf and NaN
+        top, half = 1 << precision, 1 << precision // 2
+        ctx, kit = arith(precision).ctx, arith(precision)
+        finite = [from_man_exp(man, exp) for man, exp in (
+            (top - 1, -precision), (top - 3, -precision), (half - 1, -(precision // 2)),
+            (3, 0), (5, -1), (top - 1, 0), (top - 2, 0), (1, precision), (1, 0),
+            (1, -precision - 7))]
+        values = ([ctx.mpf(0)._mpf_, ctx.mpf(-0.0)._mpf_, finf, fninf, fnan]
+                  + finite + [mpf_neg(x) for x in finite])
+        assert all(bc <= precision for *_, bc in values)
+        for x in values:
+            for y in values:
+                assert kit.gt(x, y) is mpf_gt(x, y), (x, y)
 
     @pytest.mark.parametrize("precision", [64, 256])
     def test_mpf_kit_compares_non_finite_values_as_mpf_does(self, precision):

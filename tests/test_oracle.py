@@ -9,10 +9,13 @@ moments (n + alpha)!) is the independent anchor of the recurrence route.
 
 import hashlib
 import math
+import operator
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import fractions, in_monomials, laguerre_monic, moment_inner, poly_mul
 from sobspec.core import EXACT, MeasureSpec, SobolevSpec, SqrtRational, arith
@@ -286,6 +289,20 @@ class TestSqrtRational:
     def test_zero_normalization(self):
         assert SqrtRational(0, F(5)).square == 0
         assert SqrtRational(1, F(0)).sign == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.fractions(), y=st.fractions())
+    def test_known_roots_give_the_results_of_the_radical_route(self, x, y):
+        # values made from rationals carry their roots, and their sums add
+        # them; the same values given as (sign, square) alone take the route
+        # through the ratio of the squares
+        known = SqrtRational.from_rational(x), SqrtRational.from_rational(y)
+        bare = [SqrtRational(v.sign, v.square) for v in known]
+        assert all(v.root is None for v in bare if v.sign)
+        for op in (operator.add, operator.sub, operator.mul):
+            got, want = op(*known), op(*bare)
+            assert (got.sign, got.square) == (want.sign, want.square)
+            assert got.root ** 2 == got.square and got.as_rational() == op(x, y)
 
     def test_equality_coerces_ints_and_fractions(self):
         assert SqrtRational(1, 1) == 1
