@@ -12,10 +12,11 @@ squared norms) from the kernel table.  e_n = W_{n+1}/W_n for the Wronskian
 W_n = P_{n+1}(c) P_n'(c) - P_{n+1}'(c) P_n(c), so each W_n is formed once
 and carried to the next index.  e_n, which has two independent published
 formulas, is computed both ways and required to agree within a
-precision-scaled guard; tau_n's second formula shares r^[2]_n with the
-first, so its evidence is the "J2 chain = J2 ledger" residual, which sets it
-against the Cholesky chain, as the "H T = T (J2 - cI)^2" and "R Rt = Tt T"
-residuals do for d_n and e_n through the Sobolev ledger.  The pinned 1e-30
+precision-scaled guard (exactly at ``EXACT``); tau_n's second formula shares
+r^[2]_n with the first, so its evidence is the "J2 chain = J2 ledger"
+residual, which sets it against the Cholesky chain, as the "H T = T (J2 -
+cI)^2" and "R Rt = Tt T" residuals do for d_n and e_n through the Sobolev
+ledger.  The pinned 1e-30
 tolerances live in the test suite.  The build runs on raw values with the
 table's scalar kit (:class:`sobspec.core.Arith`), in the order the formulas
 are written, so each field has the bits of the same formulas on mpf and is
@@ -79,7 +80,7 @@ class ChristoffelLedger:
         if _check_int("size", size, 0) > rec.size - 2:
             raise IndexError(f"ledger of size {size} needs a recurrence table of size {size + 2}")
         kit = arith(rec.precision)
-        guard = kit.of(kit.ctx.ldexp(1, -(rec.precision // 2)))
+        guard = kit.of(kit.ctx.ldexp(1, -(rec.precision // 2))) if kit.ctx else kit.zero
         add, sub, mul, div = kit.add, kit.sub, kit.mul, kit.div
         jet, K, h, r, beta, gamma = kt.cjets, kt.K, rec.norm_sq, rec.leading, rec.beta, rec.gamma
         d, e, r2, kappa, tau = [], [], [], [], []

@@ -4,7 +4,7 @@ Three commands: ``generate`` emits all chain matrices and scalar ledgers in
 machine-readable form, ``verify`` runs the factorization-identity residual
 suite against a tolerance, and ``reproduce-paper`` checks the computed
 matrices against the shipped reference tables for the worked Laguerre
-example (exact oracle path and floating path).
+example (exact path and floating path).
 
 Every option is declared once, in ``OPTIONS``: ``verify`` takes all of
 them, ``generate`` all but ``--tolerance`` (it checks nothing), and
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import click
 
-from .core import MeasureSpec, SobolevSpec, arith
+from .core import EXACT, MeasureSpec, SobolevSpec, arith
 from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
@@ -36,10 +36,10 @@ from .errors import (
     OracleUnsupportedError,
 )
 from .golden import compare_reference, computed_counterparts, load_reference
-# ``multiply`` is not called here, but it stays importable from this module,
-# where perfbench's tracer wraps it by name.
+# ``multiply`` and ``build_oracle_suite`` are not called here, but they stay
+# importable from this module, where perfbench's tracer wraps them by name.
 from .matrices import MatrixSuite, multiply, verify_propositions  # noqa: F401
-from .oracle import build_oracle_suite
+from .oracle import MAX_ROWS, build_oracle_suite  # noqa: F401
 from .serialize import formatter, ledgers_to_csv, ledgers_to_doc, matrix_to_csv, matrix_to_json
 
 EXIT_INVALID = 2
@@ -111,9 +111,9 @@ def _tolerance(text):
 def _build(command, opts):
     """Parse the options and build the suite.
 
-    Returns the run document, the parsed numbers alpha, c, M, N (by name)
-    and the suite.  Parsing goes numbers, tolerance, measure, so the first
-    fault reported is the same whatever the command-line order.
+    Returns the run document and the suite.  Parsing goes numbers,
+    tolerance, measure, so the first fault reported is the same whatever the
+    command-line order.
     """
     numbers = {name: _number(opts[name]) for name in ("alpha", "c", "M", "N")}
     parsed = {**opts, **{k: str(v) for k, v in numbers.items()}}
@@ -129,7 +129,7 @@ def _build(command, opts):
     suite = MatrixSuite.build(spec, opts["size"], guard=opts["guard"],
                               precision=opts["precision"])
     doc = {"command": command, **{k: parsed[k] for k in OPTIONS if k in opts and k != "out"}}
-    return doc, numbers, suite
+    return doc, suite
 
 
 def _fail(code, message):
@@ -162,9 +162,9 @@ def main():
 @_exit_codes
 def generate(**opts):
     """Write all chain matrices and scalar ledgers to the output directory."""
-    doc, numbers, suite = _build("generate", opts)
+    doc, suite = _build("generate", opts)
     as_json = opts["format"] == "json"
-    exact = _oracle_entries(numbers, suite) if as_json else {}
+    exact = _exact_entries(suite) if as_json else {}
     outdir = Path(opts["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -187,18 +187,22 @@ def generate(**opts):
     click.echo(f"wrote {len(written)} files to {outdir}")
 
 
-def _oracle_entries(numbers, suite):
-    """Exact squared-rational entries when the oracle covers the run, else {}.
+def _exact_entries(suite):
+    """The band entries of the suite at ``EXACT``, built two rows longer, so
+    that each is the semi-infinite value, when the run has at most
+    :data:`~sobspec.oracle.MAX_ROWS` rows and an integer alpha, else {}.
 
     Also {} when a numerator or denominator has more decimal digits than
     Python converts to or from a string (``sys.get_int_max_str_digits``), so
     that every file written parses with ``json.loads``.
     """
+    if suite.J.nrows > MAX_ROWS:
+        return {}
     try:
-        osuite = build_oracle_suite(*numbers.values(), suite.J.nrows)
+        exact = MatrixSuite.build(suite.spec, suite.J.nrows, guard=2, precision=EXACT)
     except OracleUnsupportedError:
         return {}
-    exact = {name: {(i, j): osuite.matrices[name][i][j] for i, j, _ in m.band_entries()}
+    exact = {name: {(i, j): getattr(exact, name).entry(i, j) for i, j, _ in m.band_entries()}
              for name, m in suite.named_matrices().items()}
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before 3.10.7
     if limit:
@@ -214,7 +218,7 @@ def _oracle_entries(numbers, suite):
 @_exit_codes
 def verify(**opts):
     """Run the factorization-identity residual suite; exit 4 on a breach."""
-    config, _, suite = _build("verify", opts)
+    config, suite = _build("verify", opts)
     precision, tolerance = opts["precision"], config["tolerance"]
     report = verify_propositions(suite)
     kit, fmt = arith(precision), formatter(precision)
@@ -255,11 +259,12 @@ def reproduce_paper(precision, tolerance):
     """Compare computed matrices against the published reference tables."""
     config, golden = load_reference()
     top = max(g.nrows for g in golden.values())
-    run, numbers, suite = _build("reproduce-paper", {
+    run, suite = _build("reproduce-paper", {
         **config, "measure": config["family"], "size": top + 2, "guard": 4,
         "precision": precision, "tolerance": tolerance})
-    osuite = build_oracle_suite(*numbers.values(), top)
-    counts = compare_reference(golden, computed_counterparts(suite), osuite, run["tolerance"])
+    exact = MatrixSuite.build(suite.spec, top, guard=2, precision=EXACT)
+    counts = compare_reference(golden, computed_counterparts(suite),
+                               computed_counterparts(exact), run["tolerance"])
     failures = 0
     for name, (exact_ok, float_ok, total) in counts.items():
         status = "ok" if exact_ok == total == float_ok else "FAIL"

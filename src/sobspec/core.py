@@ -65,6 +65,11 @@ def _check_int(name, value, least, unit=""):
     return value
 
 
+def _check_precision(precision, least):
+    """``EXACT``, or an int ``precision`` >= ``least`` bits; else InvalidParameterError."""
+    return EXACT if precision == EXACT else _check_int("precision", precision, least, " bits")
+
+
 _ZERO = Fraction(0)
 
 
@@ -473,8 +478,8 @@ class MeasureSpec:
         ``EXACT`` that is alpha! for an integer alpha, any other alpha raises
         :class:`OracleUnsupportedError`, and custom data must be rationals."""
         _check_int("size", size, 1)
-        kit = arith(precision if precision == EXACT
-                    else _check_int("precision", precision, 1, " bits"))
+        precision = _check_precision(precision, 1)
+        kit = arith(precision)
         add, mul = kit.add, kit.mul
         if self.family == "laguerre":
             # ints enter exact: mpf's int-mixed operators round the exact result once, as these do

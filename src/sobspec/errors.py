@@ -35,8 +35,9 @@ class NumericalFailureError(SobspecError, ArithmeticError):
 
 class OracleUnsupportedError(SobspecError, ValueError):
     """No exact value exists or the exact-rational oracle does not cover it
-    (a non-integer Laguerre alpha at ``EXACT``, more rows than the oracle's
-    cap); the floating path still applies.  An alpha <= -1 is invalid."""
+    (a non-integer Laguerre alpha at ``EXACT``, in a recurrence table, an
+    exact ``MatrixSuite`` or the oracle; more rows than the oracle's cap);
+    the floating path still applies.  An alpha <= -1 is invalid."""
 
 
 class InternalConsistencyError(SobspecError, RuntimeError):

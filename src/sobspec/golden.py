@@ -4,10 +4,10 @@ The fixture holds every displayed entry of the ten chain matrices for the
 configuration alpha = 0, c = -1, M = N = 1, each as a squared rational with a
 separate sign (entries are square roots of rationals, so the squared form is
 exact).  ``tools/make_reference_fixture.py`` regenerates the file from the
-transcribed tables and revalidates it against the pipeline.
+transcribed tables and revalidates it against the pipeline at ``EXACT``.
 
-No reference entry is ever rounded: the oracle's entries must equal it
-exactly, and a floating entry is judged in squared form by
+No reference entry is ever rounded: the entries of the ``EXACT`` suite must
+equal it exactly, and a floating entry is judged in squared form by
 :func:`sobspec.oracle.squared_entry_compare`, the package's one
 float-versus-exact rule.
 """
@@ -66,12 +66,13 @@ def computed_counterparts(suite):
     return computed
 
 
-def compare_reference(golden, computed, osuite, tol):
+def compare_reference(golden, computed, exact, tol):
     """Count the reference entries each computation path reproduces.
 
     ``golden`` maps names to :class:`GoldenMatrix`, ``computed`` to float
-    matrices and ``osuite`` is the exact oracle suite.  Returns name ->
-    (exact, float, total) in ``MATRIX_NAMES`` order: ``exact`` counts oracle
+    matrices and ``exact`` to the matrices of an ``EXACT`` suite (as
+    :func:`computed_counterparts` gives both).  Returns name -> (exact,
+    float, total) in ``MATRIX_NAMES`` order: ``exact`` counts exact
     entries equal to the reference, ``float`` computed entries that
     :func:`~sobspec.oracle.squared_entry_compare` passes against it, ``tol``
     (a decimal string or a number) read in each entry's own context.
@@ -79,7 +80,7 @@ def compare_reference(golden, computed, osuite, tol):
     counts = {}
     for name in MATRIX_NAMES:
         gm = golden[name]
-        exact_ok = sum(osuite.matrices[name][i][j] == ref for (i, j), ref in gm.entries.items())
+        exact_ok = sum(exact[name].entry(i, j) == ref for (i, j), ref in gm.entries.items())
         floats = {(i, j): computed[name].entry(i, j) for i, j in gm.entries}
         report = squared_entry_compare(name, floats, gm.entries, tol)
         counts[name] = (exact_ok, report.passed, report.total)

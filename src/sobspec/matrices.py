@@ -56,7 +56,7 @@ from itertools import accumulate
 from operator import mul, sub
 
 from .christoffel import ChristoffelLedger
-from .core import DEFAULT_PRECISION, _check_int, _ints, arith
+from .core import DEFAULT_PRECISION, _check_int, _check_precision, _ints, arith
 from .errors import InternalConsistencyError, InvalidParameterError, NotPositiveDefiniteError
 from .kernels import KernelTable
 from .sobolev import SobolevLedger
@@ -499,7 +499,7 @@ class MatrixSuite:
     def build(cls, spec, size, guard=4, precision=DEFAULT_PRECISION):
         _check_int("size", size, 3)
         _check_int("guard", guard, 2)
-        _check_int("precision", precision, 64, " bits")
+        precision = _check_precision(precision, 64)
         nb = size + guard
         rec = spec.measure.recurrence(nb + 5, precision)
         kt = KernelTable.build(rec, spec.c)

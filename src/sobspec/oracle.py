@@ -2,8 +2,9 @@
 
 Everything here runs over ``fractions.Fraction`` (or over exact signed square
 roots of rationals, :class:`sobspec.core.SqrtRational`); only the comparison
-reads floating values, and never rounds a reference to one.  It provides the exact
-reference for every check in the package:
+reads floating values, and never rounds a reference to one.  The package's
+exact path is ``MatrixSuite.build(..., precision=EXACT)``; this module is
+the independent route that checks it:
 
 * the base basis P_k of integer-alpha Laguerre, as Fractions from the
   package's one recurrence and one jet loop, both run at ``EXACT``,
@@ -14,22 +15,20 @@ reference for every check in the package:
 * one exact LDL^T per Gram matrix, whose inverse factor holds the monic
   orthogonal polynomials and whose diagonal their squared norms: the
   modified-moment method carried out exactly,
-* the exact matrix suite of up to :data:`MAX_ROWS` rows: J1, J2 and the T/H
-  connection matrices from those factorizations, and J, the Cholesky
-  factors, Q/R and (J2 - cI)^2 from the package's own recurrence and chain
-  (:mod:`sobspec.matrices`) run over :class:`SqrtRational` at ``EXACT``
-  precision,
+* the oracle suite of 3 to :data:`MAX_ROWS` rows: J1, J2, (J2 - cI)^2 and
+  the T/H connection matrices from those factorizations, beside J, the
+  Cholesky factors and Q/R of the exact ``MatrixSuite``,
 * squared-entry comparison of floating matrices against exact references,
   the one float-versus-exact rule of the package (the shipped reference
-  tables, the fixture tool and the tests all count matches through it).
+  tables and the tests count matches through it).
 
-None of it uses the kernel, Christoffel or Sobolev ledger formulas of the
-floating path.  The recurrence, its jets and the chain are shared with it:
-the tests check the recurrence against the moments (n + alpha)!, and a slip
-in the chain is caught by the factorization side: Q R = J - cI and R Q = J2 -
-cI must hold exactly.  Orthonormal-level quantities are never represented by
-approximate square roots: comparisons happen in squared form with the sign
-tracked separately.
+Its J1, J2, T and H use none of the kernel, Christoffel or Sobolev ledger
+formulas, so the tests that set them equal to the exact suite's check those
+formulas.  The recurrence, its jets and the chain are shared: the tests
+check the recurrence against the moments (n + alpha)!, and the chain by Q R
+= J - cI and R Q = J2 - cI, which must hold exactly.  Orthonormal-level
+quantities are never represented by approximate square roots: comparisons
+happen in squared form with the sign tracked separately.
 """
 
 from __future__ import annotations
@@ -37,21 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import EXACT, MeasureSpec, SqrtRational, _check_int, _jet_rows, arith
-from .errors import (
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-    OracleUnsupportedError,
-)
-from .matrices import (
-    _tridiagonal,
-    build_jacobi,
-    cholesky_shifted,
-    commute_cholesky,
-    from_diagonals,
-    multiply,
-    qr_pair,
-)
+from .core import EXACT, MeasureSpec, SobolevSpec, SqrtRational, _check_int, _jet_rows, arith
+from .errors import InvalidParameterError, NotPositiveDefiniteError, OracleUnsupportedError
+from .matrices import MatrixSuite, _tridiagonal, from_diagonals, multiply
 
 # ---------------------------------------------------------------------------
 # exact matrix suite
@@ -60,7 +47,9 @@ from .matrices import (
 #: The largest suite the oracle builds, in rows: the largest size at which
 #: one suite took no more CPU time than a 10-row suite by moment
 #: Gram-Schmidt did (about 0.2 s on a 2-vCPU VM; 30 rows took longer).
-#: Larger sizes raise at once, so a large ``generate`` never attempts one.
+#: Larger sizes raise at once.  The cap also bounds the exact suite that
+#: ``generate`` attaches as ``entries_exact``, so a large ``generate`` never
+#: attempts one; at 29 rows that suite took 41-489 ms on a 2-vCPU Xeon.
 MAX_ROWS = 29
 
 
@@ -141,13 +130,12 @@ def monic_system(gram):
 class OracleMatrixSuite:
     """All chain matrices of one configuration, as exact SqrtRational entries.
 
-    J1, J2 and the T/H connection matrices come from the exact LDL^T of Gram
-    matrices in the base basis (:func:`monic_system`); J is the base
-    recurrence, and the Cholesky factors, Q, R and the squared shifted Jacobi
-    matrix come from the chain of :mod:`sobspec.matrices` at ``EXACT``.  Each
-    matrix is held as its ``exact_size`` leading rows, dense (exact zeros off
-    the band), which agree with the semi-infinite object (the chain is built
-    with two guard rows and trimmed).
+    J1, J2, the squared shifted J2 and the T/H connection matrices come from
+    the exact LDL^T of Gram matrices in the base basis (:func:`monic_system`);
+    J, the Cholesky factors, Q and R from ``MatrixSuite.build`` at
+    ``EXACT``.  Each matrix is held as its ``exact_size`` leading rows, dense
+    (exact zeros off the band), which agree with the semi-infinite object
+    (everything is built with two guard rows and trimmed).
     """
 
     c: Fraction
@@ -161,10 +149,11 @@ def build_oracle_suite(alpha, c, M, N, size):
     """Exact matrix suite for integer-alpha Laguerre with mass point data (c, M, N).
 
     ``size`` is the number of exact leading rows/columns delivered for every
-    matrix, at most :data:`MAX_ROWS`.  Matrix names: J, L, J1, L1, J2, Q, R,
-    T, H, J2_shift_sq.  The base recurrence is read from
-    ``MeasureSpec.laguerre(alpha).recurrence`` at ``EXACT``: an alpha <= -1 is
-    invalid, a non-integer one unsupported.
+    matrix, 3 to :data:`MAX_ROWS`.  Matrix names: J, L, J1, L1, J2, Q, R, T,
+    H, J2_shift_sq.  J, L, L1, Q and R are those of
+    ``MatrixSuite.build(..., guard=2, precision=EXACT)``, whose base
+    recurrence is ``MeasureSpec.laguerre(alpha).recurrence`` at ``EXACT``: an
+    alpha <= -1 is invalid, a non-integer one unsupported.
 
     In the monic system (C, D) of each Gram matrix, S_k = sum_i C[k][i] P_i,
     so x S_k = S_(k+1) + beta^S_k S_k + gamma^S_k S_(k-1) gives beta^S_k =
@@ -174,15 +163,12 @@ def build_oracle_suite(alpha, c, M, N, size):
     since (x - c)^2 S_n vanishes with its derivative at c.
     """
     c, M, N = _rational("c", c), _rational("M", M), _rational("N", N)
-    if c >= 0:
-        raise InvalidParameterError(f"mass point c = {c} must lie outside the support (0.0, inf)")
-    if M < 0 or N < 0:
-        raise InvalidParameterError("point masses M, N must be nonnegative")
-    if _check_int("size", size, 1) > MAX_ROWS:
+    spec = SobolevSpec(MeasureSpec.laguerre(_rational("alpha", alpha)), c, M, N)
+    if _check_int("size", size, 3) > MAX_ROWS:
         raise OracleUnsupportedError(f"{size} rows exceed the oracle cap of {MAX_ROWS}")
-    nb = size + 2  # two guard rows: the chain's Q and R consume them
-    # nb + 2 degrees give Grams of nb + 1 rows
-    rec = MeasureSpec.laguerre(_rational("alpha", alpha)).recurrence(nb + 2, EXACT)
+    suite = MatrixSuite.build(spec, size, guard=2, precision=EXACT)
+    nb = size + 2  # the suite's rows; nb + 2 degrees give Grams of nb + 1 rows
+    rec = spec.measure.recurrence(nb + 2, EXACT)
     G1, G2, Gs = grams(rec, c, M, N)
     (C1, D1), (C2, D2), (Cs, Ds) = monic_system(G1), monic_system(G2), monic_system(Gs)
 
@@ -207,13 +193,11 @@ def build_oracle_suite(alpha, c, M, N, size):
         return from_diagonals({k: [entry(n, n + k) for n in range(max(0, -k), nb - max(0, k))]
                                for k in offsets}, nb, EXACT)
 
-    J, J1, J2 = build_jacobi(rec, nb), jacobi(C1, D1), jacobi(C2, D2)
-    L = cholesky_shifted(J, c)
-    L1 = cholesky_shifted(commute_cholesky(L, c), c)
-    Q, R = qr_pair(L, L1)
+    J2 = jacobi(C2, D2)
     J2_shift = J2.shifted(-c)
     chain = {
-        "J": J, "L": L, "J1": J1, "L1": L1, "J2": J2, "Q": Q, "R": R,
+        "J": suite.J, "L": suite.L, "J1": jacobi(C1, D1), "L1": suite.L1, "J2": J2,
+        "Q": suite.Q, "R": suite.R,
         "T": band(Cs, Ds, C2, D2, (-2, -1, 0)), "H": band(Cs, Ds, Cs, Ds, range(-2, 3)),
         "J2_shift_sq": multiply(J2_shift, J2_shift),
     }

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _check_int, _jet_rows, arith
+from .core import POS_INF, _check_int, _jet_rows, arith
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 
 
@@ -79,12 +79,12 @@ class SobolevLedger:
     @classmethod
     def build(cls, chris, M, N, size):
         kt, rec = chris.kt, chris.kt.rec
+        if not all(0 <= m < POS_INF for m in (M, N)):
+            raise InvalidParameterError(
+                f"masses must be finite and nonnegative, got M = {M}, N = {N}")
         kit = arith(rec.precision)
         Mr, Nr = kit.of(M), kit.of(N)
         M, N = kit.wrap([Mr, Nr])
-        if not all(0 <= m < kit.ctx.inf for m in (M, N)):
-            raise InvalidParameterError(
-                f"masses must be finite and nonnegative, got M = {M}, N = {N}")
         if _check_int("size", size, 0) > chris.size:
             raise IndexError(f"ledger of size {size} needs chris size >= {size}")
         add, sub, mul, div, neg, sqrt = kit.add, kit.sub, kit.mul, kit.div, kit.neg, kit.sqrt

@@ -2,7 +2,7 @@
 
 Tolerances are pinned here and match the contracts: 1e-30 for identity
 residuals and golden reproduction on the floating path, exact equality on the
-oracle path, 1e-28 for the pointwise five-term recurrence residual.
+``EXACT`` path, 1e-28 for the pointwise five-term recurrence residual.
 """
 
 import random
@@ -14,7 +14,7 @@ import mpmath as mp
 from helpers import (TOL28, TOL30, as_mpf, laguerre_monic, moment_inner, oracle_families,
                      oracle_value, poly_mul, rel)
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import MeasureSpec, SobolevSpec, arith, eval_jet
+from sobspec.core import EXACT, MeasureSpec, SobolevSpec, arith, eval_jet
 from sobspec.golden import compare_reference, computed_counterparts, load_reference
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (
@@ -24,7 +24,6 @@ from sobspec.matrices import (
     multiply,
     verify_propositions,
 )
-from sobspec.oracle import build_oracle_suite
 from sobspec.sobolev import SobolevLedger, eval_sobolev
 
 SEVEN_IDENTITIES = (
@@ -99,15 +98,15 @@ class TestAcceptance:
     def test_1_golden_reproduction(self):
         start = time.time()
         config, golden = load_reference()
-        osuite = build_oracle_suite(config["alpha"], config["c"], config["M"],
-                                    config["N"], 6)
+        exact = MatrixSuite.build(_spec(), size=6, guard=2, precision=EXACT)
         suite = MatrixSuite.build(_spec(), size=8, guard=4, precision=256)
-        counts = compare_reference(golden, computed_counterparts(suite), osuite, TOL30)
+        counts = compare_reference(golden, computed_counterparts(suite),
+                                   computed_counterparts(exact), TOL30)
         exact_bad = sum(total - exact for exact, _, total in counts.values())
         float_bad = sum(total - within for _, within, total in counts.values())
         elapsed = time.time() - start
         report(1, exact_bad == 0 and float_bad == 0 and elapsed < 10,
-               f"oracle mismatches {exact_bad}, float mismatches {float_bad}, "
+               f"exact mismatches {exact_bad}, float mismatches {float_bad}, "
                f"{elapsed:.2f}s")
 
     def test_2_proposition_suite(self):

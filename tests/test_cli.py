@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
@@ -13,6 +14,7 @@ from sobspec.core import MeasureSpec, SobolevSpec
 from sobspec.errors import InvalidParameterError
 from sobspec.matrices import MatrixSuite, build_jacobi, multiply, verify_propositions
 from sobspec.serialize import ledgers_to_doc, matrix_from_json, matrix_to_json
+from test_oracle import cached_oracle
 
 
 #: Literals that are not rational numbers: each must exit 2 in every command
@@ -82,6 +84,32 @@ class TestGenerate:
         files = sorted(tmp_path.iterdir())
         assert len(files) == 11
         for path in files:
+            assert "entries_exact" not in json.loads(path.read_text()), path.name
+
+    @pytest.mark.parametrize("extra", [["--M", "0"], ["--N", "0"],
+                                       ["--alpha", "2", "--c", "-1/1000000", "--N", "3"],
+                                       ["--size", "25", "--guard", "4", "--precision", "64"]],
+                             ids=["M=0", "N=0", "near-support", "29-rows"])
+    def test_entries_exact_are_the_oracle_entries(self, runner, tmp_path, extra):
+        # entries_exact comes from MatrixSuite.build at EXACT; the oracle
+        # reaches J1, J2, T and H by its own Gram route.
+        result = runner.invoke(main, ["generate", *extra, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        run = json.loads((tmp_path / "run.json").read_text())
+        oracle = cached_oracle(*(F(run[k]) for k in ("alpha", "c", "M", "N")),
+                               run["size"] + run["guard"]).matrices
+        for name in ("J", "J1", "J2", "L", "L1", "Q", "R", "T", "H"):
+            doc = json.loads((tmp_path / f"{name}.json").read_text())
+            assert [e[:2] for e in doc["entries_exact"]] == [e[:2] for e in doc["entries"]]
+            for i, j, num, den, sign in doc["entries_exact"]:
+                assert (sign, F(num, den)) == (oracle[name][i][j].sign,
+                                               oracle[name][i][j].square), (name, i, j)
+
+    def test_no_entries_exact_for_a_non_integer_alpha(self, runner, tmp_path):
+        # Past the cap and past the int-str limit are the two tests above.
+        result = run_generate(runner, tmp_path, "--alpha", "1/2")
+        assert result.exit_code == 0, result.output
+        for path in tmp_path.glob("*.json"):
             assert "entries_exact" not in json.loads(path.read_text()), path.name
 
     def test_invalid_alpha_exit_code(self, runner, tmp_path):

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from helpers import TOL30
-from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational
+from sobspec.core import EXACT, MeasureSpec, SobolevSpec, SqrtRational
 from sobspec.golden import (
     MATRIX_NAMES,
     compare_reference,
@@ -15,7 +15,7 @@ from sobspec.golden import (
     load_reference,
 )
 from sobspec.matrices import MatrixSuite
-from sobspec.oracle import build_oracle_suite, squared_entry_compare
+from sobspec.oracle import squared_entry_compare
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +29,14 @@ def float_suite(spec):
 
 
 @pytest.fixture(scope="module")
-def oracle_suite():
-    return build_oracle_suite(0, -1, 1, 1, 6)
+def exact_suite(spec):
+    return computed_counterparts(MatrixSuite.build(spec, size=6, guard=2, precision=EXACT))
 
 
 @pytest.fixture(scope="module")
-def counts(reference, float_suite, oracle_suite):
+def counts(reference, float_suite, exact_suite):
     _, matrices = reference
-    return compare_reference(matrices, computed_counterparts(float_suite), oracle_suite, TOL30)
+    return compare_reference(matrices, computed_counterparts(float_suite), exact_suite, TOL30)
 
 
 class TestFixtureShape:
@@ -76,7 +76,7 @@ class TestFloatPath:
             assert within == total, name
 
     def test_one_altered_entry_is_one_mismatch_on_each_path(
-            self, reference, float_suite, oracle_suite):
+            self, reference, float_suite, exact_suite):
         _, matrices = reference
         gm = matrices["H"]
         ref = gm.entries[(0, 1)]
@@ -85,17 +85,17 @@ class TestFloatPath:
         entries[(0, 1)] = SqrtRational(-1, ref.square + F(1, 8))
         altered = dict(matrices, H=replace(gm, entries=entries))
         counts = compare_reference(altered, computed_counterparts(float_suite),
-                                   oracle_suite, TOL30)
+                                   exact_suite, TOL30)
         for name, (exact, within, total) in counts.items():
             missed = 1 if name == "H" else 0
             assert (exact, within) == (total - missed, total - missed), name
 
     def test_a_fraction_tolerance_counts_as_its_decimal(self, counts, reference, float_suite,
-                                                        oracle_suite):
+                                                        exact_suite):
         _, matrices = reference
         computed = computed_counterparts(float_suite)
         for tol in (F(1, 10 ** 30), "1e-30"):
-            assert compare_reference(matrices, computed, oracle_suite, tol) == counts
+            assert compare_reference(matrices, computed, exact_suite, tol) == counts
 
     def test_shift_of_a_wide_mass_point_is_converted_first(self):
         # -c of an mpf made at 300 bits, formed in the global context at 53

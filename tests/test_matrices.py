@@ -21,6 +21,7 @@ from helpers import (
     exact_rows,
     fraction,
     mpf_of,
+    reflected_laguerre,
 )
 from sobspec.core import (
     DEFAULT_PRECISION,
@@ -35,6 +36,7 @@ from sobspec.errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
     NumericalFailureError,
+    OracleUnsupportedError,
 )
 from sobspec.matrices import (
     BandedMatrix,
@@ -497,8 +499,9 @@ class TestSuiteAndResiduals:
         with pytest.raises(InvalidParameterError):
             MatrixSuite.build(spec, size=8, guard=4.0)
 
-    @pytest.mark.parametrize("precision", [100.5, EXACT, "256", 63])
+    @pytest.mark.parametrize("precision", [100.5, "256", 63])
     def test_precision_must_be_an_int_of_64_bits_or_more(self, spec, precision):
+        # EXACT is the one precision that is no int (TestExactSuite).
         with pytest.raises(InvalidParameterError):
             MatrixSuite.build(spec, size=8, precision=precision)
 
@@ -1010,6 +1013,61 @@ class TestExactChain:
                 name, {(i, j): v for i, j, v in fm.band_entries()},
                 {(i, j): v for i, j, v in em.band_entries()}, tol)
             assert report.all_ok, report.summary()
+
+
+def _exact_identities(suite):
+    """Identities of ``verify_propositions`` as pairs of ``EXACT`` matrices,
+    J - cI and J2 - cI reflected right of the support.  T (J2 - cI)^2 cannot
+    be formed (its terms have incompatible radicands), and Qt Q = I is left
+    to the floating checks."""
+    minus_c = -suite.sob.chris.kt.c
+    A0, A2 = suite.J.shifted(minus_c), suite.J2.shifted(minus_c)
+    if suite.spec.side == "right":
+        A0, A2 = A0.negated(), A2.negated()
+    R, T = suite.R, suite.T
+    RRt = multiply(R, R.transpose())
+    return {
+        "J2 chain = J2 ledger": (suite.J2, suite.J2_direct),
+        "Q R = J - cI": (multiply(suite.Q, R), A0),
+        "R Q = J2 - cI": (multiply(R, suite.Q), A2),
+        "H = T Tt": (suite.H, multiply(T, T.transpose())),
+        "(J2 - cI)^2 = R Rt": (multiply(A2, A2), RRt),
+        "(J - cI)^2 = Rt R": (multiply(A0, A0), multiply(R.transpose(), R)),
+        "R Rt = Tt T": (RRt, multiply(T.transpose(), T)),
+    }
+
+
+class TestExactSuite:
+    """``MatrixSuite.build`` at ``EXACT``: the package's one chain and its
+    ledgers over exact signed square roots of rationals."""
+
+    WORKED = SobolevSpec(MeasureSpec.laguerre(0), -1, 1, 1)
+    REFLECTED = SobolevSpec(reflected_laguerre(60 + 4 + 5), F(1, 2), 1, 1)
+    NEAR_SUPPORT = SobolevSpec(MeasureSpec.laguerre(2), F(-1, 10**6), 1, 3)
+
+    @pytest.mark.parametrize("spec", [WORKED, REFLECTED], ids=["left", "right"])
+    def test_an_exact_build_works_on_both_sides(self, spec):
+        suite = MatrixSuite.build(spec, 6, precision=EXACT)
+        assert suite.precision == EXACT
+        for name, matrix in suite.named_matrices().items():
+            assert matrix.precision == EXACT
+            assert all(isinstance(v, SqrtRational) for _, _, v in matrix.band_entries()), name
+
+    def test_a_non_integer_alpha_is_unsupported(self):
+        spec = SobolevSpec(MeasureSpec.laguerre(F(1, 2)), -1, 1, 1)
+        with pytest.raises(OracleUnsupportedError):
+            MatrixSuite.build(spec, 6, precision=EXACT)
+
+    @pytest.mark.parametrize("spec, size", [(WORKED, 60), (REFLECTED, 60), (NEAR_SUPPORT, 30)],
+                             ids=["left-60", "right-60", "near-support-30"])
+    def test_identities_hold_exactly(self, spec, size):
+        suite = MatrixSuite.build(spec, size, precision=EXACT)
+        for name, (A, B) in _exact_identities(suite).items():
+            block = min(size, A.exact_size, B.exact_size)
+            assert block >= size - 2, name
+            for k in range(-max(A.lower_bw, B.lower_bw), max(A.upper_bw, B.upper_bw) + 1):
+                n = max(0, block - abs(k))
+                assert A.diagonal(k)[:n] == B.diagonal(k)[:n], (name, k)
 
 
 class TestLowPrecision:

@@ -7,6 +7,7 @@ moment functional of ``helpers`` (closed-form Laguerre polynomials and the
 moments (n + alpha)!) is the independent anchor of the recurrence route.
 """
 
+import functools
 import hashlib
 import math
 import operator
@@ -352,12 +353,18 @@ class TestOracleSuite:
 CHAIN_CONFIGS = {"worked-example": (0, C, M, N), "alpha1": (1, F(-1, 2), F(2), F(1, 3))}
 
 
+@functools.cache
+def cached_oracle(alpha, c, m, n, rows):
+    """``build_oracle_suite`` made once per configuration for every test that reads it."""
+    return build_oracle_suite(alpha, c, m, n, rows)
+
+
 @pytest.fixture(scope="module", params=[(name, rows) for rows in (10, MAX_ROWS)
                                         for name in CHAIN_CONFIGS],
                 ids=lambda p: p[0] if p[1] == 10 else f"{p[0]}-{p[1]}")
 def chain_suite(request):
     name, rows = request.param
-    return build_oracle_suite(*CHAIN_CONFIGS[name], rows)
+    return cached_oracle(*CHAIN_CONFIGS[name], rows)
 
 
 def _product(A, B, block):
@@ -434,8 +441,25 @@ ORACLE_DIGESTS = {
 def test_oracle_entries_are_pinned(name):
     config, expected = ORACLE_DIGESTS[name]
     rows = [(label, [[(e.sign, e.square) for e in row] for row in matrix])
-            for label, matrix in sorted(build_oracle_suite(*config).matrices.items())]
+            for label, matrix in sorted(cached_oracle(*config).matrices.items())]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", ORACLE_DIGESTS)
+def test_gram_route_equals_the_exact_suite(name):
+    # The oracle's J1, J2, T and H come from the exact LDL^T of Gram
+    # matrices; the package's from the chain (J1, J2) and from the Christoffel
+    # and Sobolev ledger formulas (J2_direct, T, H).  A slip in any ledger
+    # formula makes them differ.
+    (alpha, c, m, n, rows), _ = ORACLE_DIGESTS[name]
+    gram = cached_oracle(alpha, c, m, n, rows).matrices
+    suite = MatrixSuite.build(SobolevSpec(MeasureSpec.laguerre(alpha), c, m, n), rows, guard=2,
+                              precision=EXACT)
+    for label, matrix in (("J1", suite.J1), ("J2", suite.J2), ("J2", suite.J2_direct),
+                          ("T", suite.T), ("H", suite.H)):
+        assert matrix.exact_size >= rows
+        assert [[matrix.entry(i, j) for j in range(rows)] for i in range(rows)] == \
+            [list(row) for row in gram[label]], label
 
 
 class TestFloatPathAgainstOracle:
@@ -446,7 +470,7 @@ class TestFloatPathAgainstOracle:
         alpha, c, m, n = CHAIN_CONFIGS[name]
         spec = SobolevSpec(MeasureSpec.laguerre(alpha), c, m, n)
         suite = MatrixSuite.build(spec, MAX_ROWS - 4, guard=4, precision=256)
-        exact = build_oracle_suite(alpha, c, m, n, MAX_ROWS).matrices
+        exact = cached_oracle(alpha, c, m, n, MAX_ROWS).matrices
         for label, matrix in suite.named_matrices().items():
             cells = [(i, j) for i, j, _ in matrix.band_entries()
                      if max(i, j) < matrix.exact_size]

@@ -11,7 +11,7 @@ from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, fr
                      laguerre_monic, mpq, oracle_families, oracle_value, poly_deriv, poly_eval,
                      rel, with_auxiliary)
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import eval_jet
+from sobspec.core import EXACT, MeasureSpec, eval_jet
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from sobspec.kernels import KernelTable
 from sobspec.oracle import build_oracle_suite
@@ -329,6 +329,14 @@ class TestLedgerInputs:
     def test_masses_must_be_finite_and_nonnegative(self, chris, M, N):
         with pytest.raises(InvalidParameterError, match="masses"):
             SobolevLedger.build(chris, M, N, 10)
+
+    @pytest.mark.parametrize("M, N", [(-1, 1), (1, F(-1, 2))])
+    def test_masses_must_be_nonnegative_at_exact(self, M, N):
+        exact = ChristoffelLedger.build(
+            KernelTable.build(MeasureSpec.laguerre(0).recurrence(8, EXACT), -1), 6)
+        assert SobolevLedger.build(exact, 1, 0, 6).size == 6
+        with pytest.raises(InvalidParameterError, match="masses"):
+            SobolevLedger.build(exact, M, N, 6)
 
 
 def _chris(beta, gamma, c, precision):

@@ -4,8 +4,9 @@
 
 Each entry below is transcribed from the published tables as
 coef * sqrt(radicand); the fixture stores the squared rational and the sign.
-Before writing, every entry is validated against the floating pipeline at 256
-bits, so a transcription slip cannot reach the repository silently.
+Before writing, every entry must equal the pipeline's at ``EXACT``
+(``MatrixSuite.build(spec, 6, guard=2, precision=EXACT)``), so a
+transcription slip cannot reach the repository silently.
 """
 
 import json
@@ -15,13 +16,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sobspec.core import MeasureSpec, SobolevSpec, SqrtRational  # noqa: E402
+from sobspec.core import EXACT, MeasureSpec, SobolevSpec, SqrtRational  # noqa: E402
 from sobspec.golden import computed_counterparts  # noqa: E402
 from sobspec.matrices import MatrixSuite  # noqa: E402
-from sobspec.oracle import squared_entry_compare  # noqa: E402
-
-#: Tolerance of the validation, far above the 256-bit rounding.
-TOL = F(1, 10**70)
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "sobspec" / "data" / "laguerre_a0_cm1_M1_N1.json"
 
@@ -146,23 +143,15 @@ def exact_entries(rows):
 
 def validate():
     spec = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=1, N=1)
-    suite = MatrixSuite.build(spec, size=8, guard=4, precision=256)
-    computed = computed_counterparts(suite)
-    worst = 0.0
+    computed = computed_counterparts(MatrixSuite.build(spec, 6, guard=2, precision=EXACT))
     for name, rows in TABLES.items():
-        exact = exact_entries(rows)
-        floats = {(i, j): computed[name].entry(i, j) for i, j in exact}
-        report = squared_entry_compare(name, floats, exact, TOL)
-        for v in report.verdicts:
-            if not v.ok:
-                ref, got = exact[(v.i, v.j)], floats[(v.i, v.j)]
+        for (i, j), ref in exact_entries(rows).items():
+            got = computed[name].entry(i, j)
+            if got != ref:
                 raise SystemExit(
-                    f"transcription mismatch {name}[{v.i}][{v.j}]: table sign {ref.sign}, "
-                    f"square {ref.square} vs computed {got.context.nstr(got, 25)}"
-                )
-            worst = max(worst, v.rel_err)
-    print(f"validated {sum(len(r) * len(r[0]) for r in TABLES.values())} entries, "
-          f"worst relative error {worst:.3g}")
+                    f"transcription mismatch {name}[{i}][{j}]: table sign {ref.sign}, "
+                    f"square {ref.square} vs computed sign {got.sign}, square {got.square}")
+    print(f"validated {sum(len(r) * len(r[0]) for r in TABLES.values())} entries exactly")
 
 
 def main():
