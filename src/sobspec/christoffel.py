@@ -25,9 +25,7 @@ stored raw; the guards compare the raw values as mpf compares them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import _check_int, arith
+from .core import Record, _check_int, arith
 from .errors import DegeneratePointError, NumericalFailureError
 
 
@@ -44,8 +42,7 @@ def _enforce(kit, guard, a, b, what):
             f"dual formulas for {what} disagree beyond the precision guard: {a} vs {b}")
 
 
-@dataclass(frozen=True)
-class ChristoffelLedger:
+class ChristoffelLedger(Record):
     """Per-index scalars of the twice-transformed family, built from the
     kernel table ``kt`` at the mass point (and through it the recurrence).
 

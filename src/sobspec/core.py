@@ -9,8 +9,8 @@ All real computation uses mpmath binary floats at a configurable precision
 (default 256 bits).  Precision is a value: every number is made in
 ``arith(precision).ctx``, a private mpmath context that is never mutated, and
 an mpf operation rounds in its left operand's context.  So results do not
-depend on ``mp.mp.prec``, tables are immutable, evaluations are pure, and
-builds at different precisions may run concurrently in several threads.
+depend on ``mp.mp.prec``, tables are immutable (:class:`Record`), evaluations
+are pure, and builds at different precisions may run concurrently in threads.
 Every loop runs on raw values with the scalar kit :func:`arith` of its
 precision (see :class:`Arith`), and tables, ledgers and matrices store them;
 an mpf is made only where a public reader returns one, and a number the
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
+from collections import deque
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import factorial, isqrt
 
 import mpmath as mp
@@ -70,6 +70,59 @@ def _check_precision(precision, least):
     return EXACT if precision == EXACT else _check_int("precision", precision, least, " bits")
 
 
+class Record:
+    """Base of the immutable records, which generate no code: the fields are
+    the annotations after the base class's (``derived`` drops the ones a
+    subclass forms), defaults are class attributes, ``__init__`` sets them in
+    order, so they read fastest, and equality, hash and repr read their values."""
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls, derived=()):
+        kept = [name for name in cls._fields if name not in derived]
+        cls._fields = (*kept, *(name for name in cls.__annotations__ if name not in kept))
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            given = dict(zip(self._fields, args), **kwargs)
+            values = {**self._defaults, **given}
+            if len(given) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {self._fields}, once")
+            args = map(values.__getitem__, self._fields)
+        deque(map(object.__setattr__, repeat(self), self._fields, args), maxlen=0)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {name!r}: the record is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return _values(self) == _values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(_values(self))
+
+    def __repr__(self):
+        values = map("{}={!r}".format, self._fields, _values(self))
+        return f"{type(self).__qualname__}({', '.join(values)})"
+
+
+def _values(record):
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def fields(record):
+    """The field names of a :class:`Record` or record class, in order."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class: its fields, with ``changes``."""
+    values = [changes.pop(name, getattr(record, name)) for name in record._fields]
+    return type(record)(*values, **changes)  # a change left over names no field: TypeError
+
+
 _ZERO = Fraction(0)
 
 
@@ -93,30 +146,36 @@ class SqrtRational:
     and Fractions are coerced, so the chain functions of
     :mod:`sobspec.matrices` run over this type as they do over mpf.
 
-    ``root`` is the Fraction sqrt(square) where it is known: a value made
-    from a rational keeps it through products and sums of such values, so
-    their sums add the rationals directly; None means not known, not
-    irrational.
+    ``root`` is the Fraction sqrt(square) where it is known (None means not
+    known, not irrational): a value made from a rational keeps it through
+    ``*``, ``/``, ``-`` and ``+`` of such values, which work on the roots, as
+    ``==``, ``>`` and hash do, and forms its ``square`` only when first read.
     """
 
     __slots__ = ("sign", "square", "root")
 
     def __init__(self, sign, square, root=None):
+        if square is None:  # sign * root for a Fraction root >= 0, 0 only with the sign
+            self.sign, self.root = sign, root
+            return
         if not isinstance(square, Fraction):
             square = Fraction(square)
         if square.numerator < 0:
             raise ValueError("square must be nonnegative")
         if not (sign and square.numerator):
-            sign, square, root = 0, _ZERO, _ZERO
-        self.sign = int(sign)
-        self.square = square
-        self.root = root
+            sign, square = 0, _ZERO
+        self.sign, self.square, self.root = int(sign), square, root if sign else _ZERO
 
     @classmethod
     def from_rational(cls, q):
         if not isinstance(q, Fraction):
             q = Fraction(q)
-        return cls((q.numerator > 0) - (q.numerator < 0), q * q, abs(q))
+        return cls((q.numerator > 0) - (q.numerator < 0), None, abs(q))
+
+    def __getattr__(self, name):  # only for an unset slot: the square of a rooted value
+        if name == "square":
+            self.square = self.root * self.root
+        return object.__getattribute__(self, name)
 
     def as_rational(self):
         """The value as a Fraction if the radicand is a perfect square, else None."""
@@ -125,8 +184,9 @@ class SqrtRational:
 
     def __mul__(self, other):
         other = _exact(other)
-        root = None if self.root is None or other.root is None else self.root * other.root
-        return SqrtRational(self.sign * other.sign, self.square * other.square, root)
+        if self.root is None or other.root is None:
+            return SqrtRational(self.sign * other.sign, self.square * other.square)
+        return SqrtRational(self.sign * other.sign, None, self.root * other.root)
 
     __rmul__ = __mul__
 
@@ -137,10 +197,14 @@ class SqrtRational:
         other = _exact(other)
         if other.sign == 0:
             raise ZeroDivisionError("division by exact zero")
-        return SqrtRational(self.sign * other.sign, self.square / other.square)
+        if self.root is None or other.root is None:
+            return SqrtRational(self.sign * other.sign, self.square / other.square)
+        return SqrtRational(self.sign * other.sign, None, self.root / other.root)
 
     def __neg__(self):
-        return SqrtRational(-self.sign, self.square, self.root)
+        if self.root is None:
+            return SqrtRational(-self.sign, self.square)
+        return SqrtRational(-self.sign, None, self.root)
 
     def __add__(self, other):
         other = _exact(other)
@@ -166,13 +230,17 @@ class SqrtRational:
         if not isinstance(other, (SqrtRational, numbers.Rational)):
             return NotImplemented
         other = _exact(other)
-        return self.sign == other.sign and self.square == other.square
+        if self.root is None or other.root is None:
+            return self.sign == other.sign and self.square == other.square
+        return self.sign == other.sign and self.root == other.root
 
     def __gt__(self, other):
         other = _exact(other)
         if self.sign != other.sign:
             return self.sign > other.sign
-        return self.sign * (self.square - other.square) > 0
+        if self.root is None or other.root is None:
+            return self.sign * (self.square - other.square) > 0
+        return self.sign * (self.root - other.root) > 0
 
     def __hash__(self):
         # A rational value must hash as the int or Fraction it equals.
@@ -196,8 +264,7 @@ def _exact(x):
     return x if isinstance(x, SqrtRational) else SqrtRational.from_rational(x)
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(Record):
     """The scalar kit of one precision, from :func:`arith`: ``ctx`` is its
     private mpmath context, ``of`` turns a number into a raw value, ``wrap``
     turns raw values into scalars (a tuple), and ``add``, ``sub``, ``mul``,
@@ -355,7 +422,7 @@ def _rounding(p):
             return mpf_sqrt(a, p, round_nearest) if sa or ea else a
         if ea & 1:
             ea, ma, ba = ea - 1, ma << 1, ba + 1
-        shift = max(4, 2 * p - ba + 4)
+        shift = 2 * p - ba + 4 if 2 * p > ba else 4
         shift += shift & 1
         ma <<= shift
         root = isqrt(ma)
@@ -420,8 +487,7 @@ def _ints(*vectors):
             for values in vectors], exp
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(Record):
     """A base measure: a classical family or caller-supplied recurrence data.
 
     ``support`` is the (lo, hi) interval carrying the measure, lo < hi, with
@@ -463,13 +529,7 @@ class MeasureSpec:
         if (len(support) != 2 or not all(isinstance(v, numbers.Real) for v in support)
                 or not support[0] < support[1]):
             raise InvalidParameterError(f"support must be a pair lo < hi, got {support!r}")
-        return cls(
-            family="custom",
-            beta=beta,
-            gamma=gamma,
-            norm0_sq=norm0_sq,
-            support=support,
-        )
+        return cls("custom", beta=beta, gamma=gamma, norm0_sq=norm0_sq, support=support)
 
     def recurrence(self, size, precision=DEFAULT_PRECISION):
         """The recurrence table of ``size`` rows, at ``precision`` bits or at
@@ -506,8 +566,7 @@ class MeasureSpec:
                                tuple(kit.div(kit.one, kit.sqrt(s)) for s in norm_sq), precision)
 
 
-@dataclass(frozen=True)
-class SobolevSpec:
+class SobolevSpec(Record):
     """Mass-point data (c, M, N) attached to a base measure.
 
     Defines the inner product  <f, g> = int f g dmu + M f(c) g(c) + N f'(c) g'(c)
@@ -520,7 +579,8 @@ class SobolevSpec:
     M: object
     N: object
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for name in ("c", "M", "N"):
             _require_finite_real(name, getattr(self, name))
         if not self.M >= 0 or not self.N >= 0:
@@ -538,8 +598,7 @@ class SobolevSpec:
         return "left" if self.c < lo else "right"
 
 
-@dataclass(frozen=True)
-class RecurrenceTable:
+class RecurrenceTable(Record):
     """Monic three-term recurrence data with norms and leading coefficients.
 
     ``beta[n]``, ``gamma[n]`` (gamma[0] = 0 by convention), ``norm_sq[n]`` the

@@ -15,11 +15,10 @@ float-versus-exact rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .core import SqrtRational
+from .core import Record, SqrtRational
 from .matrices import multiply
 from .oracle import squared_entry_compare
 
@@ -29,8 +28,7 @@ FIXTURE_NAME = "laguerre_a0_cm1_M1_N1.json"
 MATRIX_NAMES = ("J", "L", "J1", "L1", "J2", "Q", "R", "T", "H", "J2_shift_sq")
 
 
-@dataclass(frozen=True)
-class GoldenMatrix:
+class GoldenMatrix(Record):
     """One reference matrix: every stored entry as sign * sqrt(num/den)."""
 
     name: str
@@ -49,12 +47,7 @@ def load_reference():
             (i, j): SqrtRational(sign, Fraction(num, den))
             for i, j, num, den, sign in payload["entries"]
         }
-        matrices[name] = GoldenMatrix(
-            name=name,
-            nrows=payload["nrows"],
-            ncols=payload["ncols"],
-            entries=entries,
-        )
+        matrices[name] = GoldenMatrix(name, payload["nrows"], payload["ncols"], entries)
     return doc["config"], matrices
 
 

@@ -14,14 +14,12 @@ at c (``KernelTable.cjets``), which the ledgers and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import _jet_rows, arith
+from .core import Record, _jet_rows, arith
 
 
-@dataclass(frozen=True)
-class KernelTable:
+class KernelTable(Record):
     """Cumulative confluent kernel sums at a fixed point c, plus the jets there.
 
     K[n], K01[n], K11[n] are the order-(0,0), (0,1), (1,1) kernel values

@@ -50,20 +50,18 @@ matrices; it reaches the earlier ledgers through the Sobolev one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
 
 from .christoffel import ChristoffelLedger
-from .core import DEFAULT_PRECISION, _check_int, _check_precision, _ints, arith
+from .core import DEFAULT_PRECISION, Record, _check_int, _check_precision, _ints, arith, replace
 from .errors import InternalConsistencyError, InvalidParameterError, NotPositiveDefiniteError
 from .kernels import KernelTable
 from .sobolev import SobolevLedger
 
 
-@dataclass(frozen=True)
-class BandedMatrix:
+class BandedMatrix(Record):
     """Immutable truncation of a semi-infinite banded operator.
 
     Only the band is stored: ``diagonals[lower_bw + k]`` is diagonal k (k < 0
@@ -84,7 +82,7 @@ class BandedMatrix:
     exact_size: int
     precision: int
     diagonals: tuple
-    exp: int = field(default=None, kw_only=True)
+    exp: int = None
 
     def entry(self, i, j):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -115,7 +113,7 @@ class BandedMatrix:
 
     def transpose(self):
         return BandedMatrix(self.ncols, self.nrows, self.upper_bw, self.lower_bw,
-                            self.exact_size, self.precision, self.diagonals[::-1], exp=self.exp)
+                            self.exact_size, self.precision, self.diagonals[::-1], self.exp)
 
     def shifted(self, lam):
         """self + lam * I on the common diagonal, with the scalar kit's ``add``."""
@@ -132,11 +130,10 @@ class BandedMatrix:
 
     def _with_diagonals(self, diagonals, exp=None):
         return BandedMatrix(self.nrows, self.ncols, self.lower_bw, self.upper_bw,
-                            self.exact_size, self.precision, diagonals, exp=exp)
+                            self.exact_size, self.precision, diagonals, exp)
 
 
-@dataclass(frozen=True)
-class HessenbergQ(BandedMatrix):
+class HessenbergQ(BandedMatrix, derived=("diagonals",)):
     """The orthogonal factor Q = L L1^(-T) of :func:`qr_pair`, held by its
     O(n) generators.
 
@@ -147,14 +144,13 @@ class HessenbergQ(BandedMatrix):
     ``diagonals`` is left unset until something reads it (``entry``,
     ``band_entries``, ``transpose``, a product, serialization); then the band
     is expanded once, by the forward substitution against ``l1`` that
-    :func:`qr_pair` always used, and cached.
+    :func:`qr_pair` always used, and cached; it is no field of Q.
     """
 
-    diagonals: tuple = field(init=False, repr=False, compare=False)
     diag: tuple
     sub: tuple
     rho: tuple
-    l1: BandedMatrix = field(repr=False)
+    l1: BandedMatrix
 
     def __getattr__(self, name):  # only for a missing attribute: ``diagonals`` until expanded
         if name != "diagonals":
@@ -206,7 +202,7 @@ def from_diagonals(diagonals, exact_size, precision, shape=None):
                 f"diagonal {k} of a {nrows}x{ncols} matrix has {len(diagonal)} entries")
         stored.append(diagonal)
     return BandedMatrix(nrows, ncols, lower_bw, upper_bw,
-                        max(0, min(exact_size, nrows, ncols)), precision, tuple(stored))
+                        max(0, min(exact_size, nrows, ncols)), precision, tuple(stored), None)
 
 
 def _symmetric_from_diagonals(diagonals, exact_size, precision):
@@ -438,7 +434,7 @@ def qr_pair(L, L1):
     diag = tuple(map(div, acc, l1diag))
     rho = (kit.one, *(div(neg(s), d) for s, d in zip(l1sub, l1diag[1:])))
     Q = HessenbergQ(n, n, min(1, max(n - 1, 0)), max(n - 1, 0), min(exact, n), L.precision,
-                    diag, sub, rho, L1)
+                    diag=diag, sub=sub, rho=rho, l1=L1)
     R = replace(multiply(L, L1).transpose(), exact_size=exact)
     return Q, R
 
@@ -466,8 +462,7 @@ def build_H(sob, size):
 # pipeline and verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixSuite:
+class MatrixSuite(Record):
     """All matrices of one configuration at one truncation.
 
     It holds its inputs (``spec``, ``size``, ``guard``, ``precision``), the
@@ -521,9 +516,7 @@ class MatrixSuite:
         Q, R = qr_pair(L, L1)
         T = build_T(sob, nb)
         H = build_H(sob, nb)
-        return cls(spec=spec, size=size, guard=guard, precision=precision, sob=sob,
-                   J=J, L=L, J1=J1, L1=L1, J2=J2, J2_direct=J2_direct,
-                   Q=Q, R=R, T=T, H=H)
+        return cls(spec, size, guard, precision, sob, J, L, J1, L1, J2, J2_direct, Q, R, T, H)
 
     def named_matrices(self):
         return {
@@ -532,15 +525,13 @@ class MatrixSuite:
         }
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
+class ResidualEntry(Record):
     name: str
     residual: object
     block: int
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Max-entry relative residuals of the factorization identities, each on
     the guard-trimmed leading block recorded next to it."""
 

@@ -33,10 +33,10 @@ happen in squared form with the sign tracked separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import EXACT, MeasureSpec, SobolevSpec, SqrtRational, _check_int, _jet_rows, arith
+from .core import (EXACT, MeasureSpec, Record, SobolevSpec, SqrtRational, _check_int, _jet_rows,
+                   arith)
 from .errors import InvalidParameterError, NotPositiveDefiniteError, OracleUnsupportedError
 from .matrices import MatrixSuite, _tridiagonal, from_diagonals, multiply
 
@@ -126,8 +126,7 @@ def monic_system(gram):
     return C, D
 
 
-@dataclass(frozen=True)
-class OracleMatrixSuite:
+class OracleMatrixSuite(Record):
     """All chain matrices of one configuration, as exact SqrtRational entries.
 
     J1, J2, the squared shifted J2 and the T/H connection matrices come from
@@ -142,7 +141,7 @@ class OracleMatrixSuite:
     M: Fraction
     N: Fraction
     exact_size: int
-    matrices: dict = field(repr=False)
+    matrices: dict
 
 
 def build_oracle_suite(alpha, c, M, N, size):
@@ -210,8 +209,7 @@ def build_oracle_suite(alpha, c, M, N, size):
 # squared-entry comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntryVerdict:
+class EntryVerdict(Record):
     i: int
     j: int
     ok: bool
@@ -219,8 +217,7 @@ class EntryVerdict:
     rel_err: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     name: str
     verdicts: tuple
 

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
 
 from mpmath.libmp import prec_to_dps, to_str
 
-from .core import _check_int, arith
+from .core import _check_int, arith, fields
 from .errors import InvalidParameterError
 from .matrices import _diagonal_length, from_diagonals
 
@@ -197,8 +196,8 @@ def ledgers_to_doc(suite):
 
     def columns(ledger, *more, **extra):
         return {"size": ledger.size, **extra,
-                **{f.name: list(map(fmt, getattr(x, f.name))) for x in (ledger, *more)
-                   for f in fields(x) if isinstance(getattr(x, f.name), tuple)}}
+                **{name: list(map(fmt, getattr(x, name))) for x in (ledger, *more)
+                   for name in fields(x) if isinstance(getattr(x, name), tuple)}}
 
     return {
         "precision": p,

@@ -31,14 +31,11 @@ no effect on the operative formulas, which are implemented as stated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import POS_INF, _check_int, _jet_rows, arith
+from .core import POS_INF, Record, _check_int, _jet_rows, arith
 from .errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 
 
-@dataclass(frozen=True)
-class SobolevLedger:
+class SobolevLedger(Record):
     """Boundary values, norms, connection and five-term coefficients, built
     from the Christoffel ledger ``chris`` and the masses ``M`` and ``N``,
     which it holds in its context; the mass point is ``chris.kt.c``.
@@ -150,8 +147,7 @@ class SobolevLedger:
         return AuxiliaryConnections(*map(tuple, (al1, al0, x0, x1, x2)))
 
 
-@dataclass(frozen=True)
-class AuxiliaryConnections:
+class AuxiliaryConnections(Record):
     """The auxiliary connection coefficients of :meth:`SobolevLedger.auxiliary`."""
 
     alpha1: tuple

@@ -2,7 +2,6 @@
 functional of the Laguerre weight that is independent of the package, and
 the oracle's exact twice-transformed and Sobolev polynomials."""
 
-import dataclasses
 import functools
 import math
 import sys
@@ -13,7 +12,7 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from sobspec import core
-from sobspec.core import EXACT, MeasureSpec, SqrtRational, arith
+from sobspec.core import EXACT, MeasureSpec, SqrtRational, arith, fields, replace
 from sobspec.oracle import grams, monic_system, squared_entry_compare
 
 TOL30 = mp.mpf("1e-30")
@@ -58,7 +57,7 @@ def logged_kit(monkeypatch, precision, layers=None):
             return calls[-1][2]
         return call
 
-    monkeypatch.setitem(core._ARITHS, precision, dataclasses.replace(kit, **{
+    monkeypatch.setitem(core._ARITHS, precision, replace(kit, **{
         name: logged(name) for name in ("add", "sub", "mul", "div", "neg", "sqrt", "gt")}))
     return calls
 
@@ -78,7 +77,7 @@ def as_mpf(table):
         return wrap(value) if isinstance(value, tuple) else value
 
     return types.SimpleNamespace(size=table.size, **{
-        f.name: read(f.name, getattr(table, f.name)) for f in dataclasses.fields(table)})
+        name: read(name, getattr(table, name)) for name in fields(table)})
 
 
 def with_auxiliary(sob):
@@ -86,7 +85,7 @@ def with_auxiliary(sob):
     mpf after its stored fields."""
     aux, wrap = sob.auxiliary(), arith(sob.chris.kt.rec.precision).wrap
     return types.SimpleNamespace(**vars(as_mpf(sob)), **{
-        f.name: wrap(getattr(aux, f.name)) for f in dataclasses.fields(aux)})
+        name: wrap(getattr(aux, name)) for name in fields(aux)})
 
 
 def scaled(values, index, factor, precision):

@@ -1,7 +1,6 @@
 """Twice-transformed family: connection coefficients, recurrence, leading
 coefficients, and the residual rows that catch a corrupted ledger."""
 
-import dataclasses
 import functools
 import random
 from collections import Counter
@@ -13,7 +12,7 @@ import pytest
 from helpers import (TOL30, as_mpf, assert_rel, assert_squared, custom_table, logged_kit,
                      oracle_families, oracle_value, rel, scaled)
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import EXACT, MeasureSpec, SobolevSpec, arith, eval_jet
+from sobspec.core import EXACT, MeasureSpec, SobolevSpec, arith, eval_jet, replace
 from sobspec.errors import DegeneratePointError, InvalidParameterError, NumericalFailureError
 from sobspec.kernels import KernelTable
 from sobspec.matrices import (MatrixSuite, build_H, build_iterated_jacobi, build_T,
@@ -135,16 +134,16 @@ class TestCorruptedLedger:
         suite, clean = _clean(precision)
         values = scaled(getattr(suite.sob.chris, field), index,
                         1 + arith(precision).ctx.ldexp(1, -(precision // 4)), precision)
-        bad = dataclasses.replace(suite.sob.chris, **{field: values})
+        bad = replace(suite.sob.chris, **{field: values})
         if field in ("kappa", "tau"):
             rows = ["J2 chain = J2 ledger"]
-            corrupted = dataclasses.replace(
+            corrupted = replace(
                 suite, J2_direct=build_iterated_jacobi(bad, suite.J2_direct.nrows))
         else:
             rows = ["H T = T (J2 - cI)^2", "R Rt = Tt T"]
             sob = SobolevLedger.build(bad, suite.sob.M, suite.sob.N, suite.sob.size)
-            corrupted = dataclasses.replace(suite, sob=sob, T=build_T(sob, suite.T.nrows),
-                                            H=build_H(sob, suite.H.nrows))
+            corrupted = replace(suite, sob=sob, T=build_T(sob, suite.T.nrows),
+                                H=build_H(sob, suite.H.nrows))
         wrong = {name: res for name, res, _ in verify_propositions(corrupted).as_rows()}
         assert all(clean[row] <= TOL30 < wrong[row] for row in rows)
 
@@ -205,7 +204,7 @@ class TestBuildGuards:
         kt = KernelTable.build(rec, -1)
         K = scaled(kt.K, index, 1 + arith(precision).ctx.ldexp(1, -(precision // 4)), precision)
         with pytest.raises(NumericalFailureError, match=f"for e_{max(index - 1, 0)} "):
-            ChristoffelLedger.build(dataclasses.replace(kt, K=K), 8)
+            ChristoffelLedger.build(replace(kt, K=K), 8)
 
     def test_rounding_at_three_bits_makes_an_e_negative(self):
         # e_n = ||P_{n+1}||^2 K_{n+1}(c, c) / (||P_n||^2 K_n(c, c)) > 0, but at

@@ -542,6 +542,35 @@ class TestArith:
         for args, want in kit_comparisons(kit.zero, x, y):
             assert kit.gt(*map(kit.of, args)) is want, args
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=st.fractions(max_denominator=10 ** 9), b=st.fractions(max_denominator=10 ** 9),
+           r=st.fractions(min_value=F(1, 10 ** 6), max_denominator=10 ** 6))
+    def test_exact_kit_on_rationals_is_fraction_arithmetic(self, a, b, r):
+        # values made from rationals work on their roots, and their squares,
+        # formed when read, are those of the Fraction results; zero included
+        kit = arith(EXACT)
+        x, y = kit.of(a), kit.of(b)
+        results = {"add": a + b, "sub": a - b, "mul": a * b, "neg": -a}
+        if b:
+            results["div"] = a / b
+        for name, want in results.items():
+            got = getattr(kit, name)(*((x,) if name == "neg" else (x, y)))
+            assert got == want and got.as_rational() == want, name
+            assert (got.sign, got.square) == ((want > 0) - (want < 0), want * want), name
+        eager = SqrtRational((b > 0) - (b < 0), b * b)  # b with no root kept
+        for v in (y, eager):
+            assert kit.gt(x, v) is (a > b) and kit.gt(v, x) is (b > a)
+            assert (x == v) == (v == x) == (a == b)
+        assert hash(x) == hash(a) and hash(eager) == hash(b)
+        # times and over the root of a non-square rational: the eager squares
+        assume(core._rational_sqrt(r) is None)
+        root = kit.sqrt(kit.of(r))
+        got = kit.mul(x, root)
+        assert (got.sign, got.square) == ((a > 0) - (a < 0), a * a * r)
+        assert got == SqrtRational((a > 0) - (a < 0), a * a) * SqrtRational(1, r)
+        if b:
+            assert kit.div(root, y).square == r / (b * b)
+
     @pytest.mark.parametrize("precision", [53, 64, 113, 256, 1024])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

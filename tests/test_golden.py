@@ -1,13 +1,12 @@
 """Shipped reference tables against both computation paths."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
 from helpers import TOL30
-from sobspec.core import EXACT, MeasureSpec, SobolevSpec, SqrtRational
+from sobspec.core import EXACT, MeasureSpec, SobolevSpec, SqrtRational, replace
 from sobspec.golden import (
     MATRIX_NAMES,
     compare_reference,

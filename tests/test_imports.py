@@ -1,5 +1,7 @@
 """No module imports a name it never uses, every name the benchmark's
-tracer wraps exists, and every exception class of the package is raised.
+tracer wraps exists, every exception class of the package is raised, and a
+fresh interpreter importing the package loads neither ``dataclasses`` nor,
+without the CLI's click, ``inspect``.
 
 A stdlib ``ast`` scan of ``src/``, ``tests/`` and ``tools/``: an imported
 name counts as used when the module reads it or lists it in ``__all__``, and
@@ -8,6 +10,9 @@ an import statement carrying ``# noqa: F401`` is left alone.
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,3 +174,23 @@ def test_matrices_private_names_stay_in_matrices():
                    if isinstance(node, ast.ImportFrom) and node.module == "matrices"
                    for alias in node.names if alias.name.startswith("_")]
         assert private == [], name
+
+
+def modules_after(code):
+    """The names in ``sys.modules`` after ``code`` runs in a fresh interpreter
+    that imports the package from ``src/``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_no_module_imports_dataclasses():
+    # core.Record defines the records without generating code at import
+    package = ROOT / "src" / "sobspec"
+    assert [p.name for p in package.glob("*.py") if "dataclasses" in imported_modules(p)] == []
+    assert "dataclasses" not in modules_after("import sobspec.cli")
+
+
+def test_the_library_and_the_reference_tables_import_no_inspect():
+    assert "inspect" not in modules_after("import sobspec; import sobspec.golden")

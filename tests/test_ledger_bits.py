@@ -11,7 +11,6 @@ at 64, 256 and 1024 bits; the matrices are those of ``MatrixSuite.build``
 at those sizes.  A deliberate revision of the arithmetic re-records them.
 """
 
-import dataclasses
 import hashlib
 from fractions import Fraction as F
 
@@ -19,7 +18,7 @@ import pytest
 
 from helpers import reflected_laguerre
 from sobspec.christoffel import ChristoffelLedger
-from sobspec.core import MeasureSpec, SobolevSpec
+from sobspec.core import MeasureSpec, SobolevSpec, fields
 from sobspec.kernels import KernelTable
 from sobspec.matrices import MatrixSuite, verify_propositions
 from sobspec.sobolev import SobolevLedger, eval_sobolev
@@ -49,12 +48,12 @@ def mpf_fields(obj):
     ``_mpf_`` of an mpf input (c, M, N); links to earlier stages and ints are
     left out."""
     out = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
+    for name in fields(obj):
+        value = getattr(obj, name)
         if hasattr(value, "_mpf_"):
-            out[field.name] = value._mpf_
+            out[name] = value._mpf_
         elif isinstance(value, tuple):
-            out[field.name] = list(value)
+            out[name] = list(value)
     return out
 
 

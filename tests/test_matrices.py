@@ -3,7 +3,6 @@
 import json
 import math
 import operator
-from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -30,6 +29,8 @@ from sobspec.core import (
     SobolevSpec,
     SqrtRational,
     arith,
+    fields,
+    replace,
 )
 from sobspec.errors import (
     InternalConsistencyError,
@@ -829,14 +830,14 @@ def reflection_pairs(right, left):
                ("sob", right.sob.auxiliary(), left.sob.auxiliary())]
     seen = set()
     for prefix, a, b in ledgers:
-        for f in fields(a):
-            values = getattr(a, f.name)
-            if isinstance(values, tuple) and f.name != "cjets":
-                key = f"{prefix}.{f.name}"
+        for name in fields(a):
+            values = getattr(a, name)
+            if isinstance(values, tuple) and name != "cjets":
+                key = f"{prefix}.{name}"
                 seen.add(key)
                 pairs += [(f"{key}[{n}]", x, y,
                            key in REFLECTED_FLIPS or REFLECTED_PARITY_FLIPS.get(key) == n % 2)
-                          for n, (x, y) in enumerate(zip(values, getattr(b, f.name),
+                          for n, (x, y) in enumerate(zip(values, getattr(b, name),
                                                          strict=True))]
     jets = (right.sob.chris.kt.cjets, left.sob.chris.kt.cjets)
     pairs += [(f"cjets[{n}][{j}]", x, y, (n + j) % 2 == 1)
@@ -921,9 +922,9 @@ class TestPrecisionContext:
         sob = s.sob
         kt = sob.chris.kt
         for ledger in (kt.rec, kt, sob.chris, sob, sob.auxiliary()):
-            for f in fields(ledger):
-                if isinstance(getattr(ledger, f.name), tuple) and f.name != "cjets":
-                    values.extend(getattr(ledger, f.name))
+            for name in fields(ledger):
+                if isinstance(getattr(ledger, name), tuple) and name != "cjets":
+                    values.extend(getattr(ledger, name))
         values += [v for row in kt.cjets for v in row]
         mpfs = [sob.M, sob.N, kt.c, *(res for _, res, _ in verify_propositions(s).as_rows())]
         assert len(values) > 1000

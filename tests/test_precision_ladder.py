@@ -13,14 +13,13 @@ chain (L1, J2, R, Q) loses more bits than the residuals show, so the two
 are pinned separately.
 """
 
-import dataclasses
 import math
 
 import pytest
 from mpmath.libmp import mpf_sub, round_nearest
 
 from helpers import scaled
-from sobspec.core import MeasureSpec, SobolevSpec, arith
+from sobspec.core import MeasureSpec, SobolevSpec, arith, fields, replace
 from sobspec.matrices import MatrixSuite, verify_propositions
 from sobspec.sobolev import SobolevLedger
 
@@ -94,10 +93,10 @@ def ledger_values(ledger):
     """Every raw value of every tuple field, the kernel table's jet rows
     flattened, and a Sobolev ledger's auxiliary coefficients after its own."""
     values = []
-    for f in dataclasses.fields(ledger):
-        field = getattr(ledger, f.name)
+    for name in fields(ledger):
+        field = getattr(ledger, name)
         if isinstance(field, tuple):
-            values += [v for row in field for v in row] if f.name == "cjets" else field
+            values += [v for row in field for v in row] if name == "cjets" else field
     if isinstance(ledger, SobolevLedger):
         values += ledger_values(ledger.auxiliary())
     return values
@@ -136,5 +135,5 @@ def test_a_perturbed_ledger_field_exceeds_its_budget(ladder):
     # One Sobolev ledger value moved by 2^-40 relative loses 24 bits.
     name, low, high = ladder
     t = scaled(low.sob.t, SIZE // 2, 1 + arith(LOW).ctx.ldexp(1, -40), LOW)
-    bad = dataclasses.replace(low.sob, t=t)
+    bad = replace(low.sob, t=t)
     assert loss(ledger_values(bad), ledger_values(high.sob)) > BUDGETS[name]["sob"]

@@ -15,7 +15,6 @@ and the package only::
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 from collections import deque
@@ -25,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sobspec import core  # noqa: E402
-from sobspec.core import MeasureSpec, SobolevSpec, arith  # noqa: E402
+from sobspec.core import MeasureSpec, SobolevSpec, arith, replace  # noqa: E402
 from sobspec.matrices import MatrixSuite, verify_propositions  # noqa: E402
 
 OPERATIONS = ("add", "sub", "mul", "div", "neg", "sqrt", "gt")
@@ -44,8 +43,7 @@ def record(precision):
             return op(*args)
         return call
 
-    core._ARITHS[precision] = dataclasses.replace(
-        kit, **{name: logged(name) for name in OPERATIONS})
+    core._ARITHS[precision] = replace(kit, **{name: logged(name) for name in OPERATIONS})
     try:
         spec = SobolevSpec(MeasureSpec.laguerre(0), c=-1, M=1, N=1)
         verify_propositions(MatrixSuite.build(spec, SIZE, precision=precision))
