@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import numbers
 import operator
-from collections import deque
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import factorial, isqrt
 
 import mpmath as mp
@@ -76,7 +75,8 @@ class Record:
     subclass forms), defaults are class attributes, ``__init__`` sets them in
     order, so they read fastest, and equality, hash and repr read their values."""
 
-    _fields, _defaults = (), {}
+    _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls, derived=()):
         kept = [name for name in cls._fields if name not in derived]
@@ -90,7 +90,8 @@ class Record:
             if len(given) != len(args) + len(kwargs) or values.keys() != set(self._fields):
                 raise TypeError(f"{type(self).__name__} takes the fields {self._fields}, once")
             args = map(values.__getitem__, self._fields)
-        deque(map(object.__setattr__, repeat(self), self._fields, args), maxlen=0)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign or delete {name!r}: the record is immutable")
@@ -146,36 +147,30 @@ class SqrtRational:
     and Fractions are coerced, so the chain functions of
     :mod:`sobspec.matrices` run over this type as they do over mpf.
 
-    ``root`` is the Fraction sqrt(square) where it is known (None means not
-    known, not irrational): a value made from a rational keeps it through
-    ``*``, ``/``, ``-`` and ``+`` of such values, which work on the roots, as
-    ``==``, ``>`` and hash do, and forms its ``square`` only when first read.
+    ``root`` is the Fraction sqrt(square) where it is known: a value made
+    from a rational keeps it through products and sums of such values, so
+    their sums add the rationals directly; None means not known, not
+    irrational.
     """
 
     __slots__ = ("sign", "square", "root")
 
     def __init__(self, sign, square, root=None):
-        if square is None:  # sign * root for a Fraction root >= 0, 0 only with the sign
-            self.sign, self.root = sign, root
-            return
         if not isinstance(square, Fraction):
             square = Fraction(square)
         if square.numerator < 0:
             raise ValueError("square must be nonnegative")
         if not (sign and square.numerator):
-            sign, square = 0, _ZERO
-        self.sign, self.square, self.root = int(sign), square, root if sign else _ZERO
+            sign, square, root = 0, _ZERO, _ZERO
+        self.sign = int(sign)
+        self.square = square
+        self.root = root
 
     @classmethod
     def from_rational(cls, q):
         if not isinstance(q, Fraction):
             q = Fraction(q)
-        return cls((q.numerator > 0) - (q.numerator < 0), None, abs(q))
-
-    def __getattr__(self, name):  # only for an unset slot: the square of a rooted value
-        if name == "square":
-            self.square = self.root * self.root
-        return object.__getattribute__(self, name)
+        return cls((q.numerator > 0) - (q.numerator < 0), q * q, abs(q))
 
     def as_rational(self):
         """The value as a Fraction if the radicand is a perfect square, else None."""
@@ -184,9 +179,8 @@ class SqrtRational:
 
     def __mul__(self, other):
         other = _exact(other)
-        if self.root is None or other.root is None:
-            return SqrtRational(self.sign * other.sign, self.square * other.square)
-        return SqrtRational(self.sign * other.sign, None, self.root * other.root)
+        root = None if self.root is None or other.root is None else self.root * other.root
+        return SqrtRational(self.sign * other.sign, self.square * other.square, root)
 
     __rmul__ = __mul__
 
@@ -197,14 +191,10 @@ class SqrtRational:
         other = _exact(other)
         if other.sign == 0:
             raise ZeroDivisionError("division by exact zero")
-        if self.root is None or other.root is None:
-            return SqrtRational(self.sign * other.sign, self.square / other.square)
-        return SqrtRational(self.sign * other.sign, None, self.root / other.root)
+        return SqrtRational(self.sign * other.sign, self.square / other.square)
 
     def __neg__(self):
-        if self.root is None:
-            return SqrtRational(-self.sign, self.square)
-        return SqrtRational(-self.sign, None, self.root)
+        return SqrtRational(-self.sign, self.square, self.root)
 
     def __add__(self, other):
         other = _exact(other)
@@ -230,17 +220,13 @@ class SqrtRational:
         if not isinstance(other, (SqrtRational, numbers.Rational)):
             return NotImplemented
         other = _exact(other)
-        if self.root is None or other.root is None:
-            return self.sign == other.sign and self.square == other.square
-        return self.sign == other.sign and self.root == other.root
+        return self.sign == other.sign and self.square == other.square
 
     def __gt__(self, other):
         other = _exact(other)
         if self.sign != other.sign:
             return self.sign > other.sign
-        if self.root is None or other.root is None:
-            return self.sign * (self.square - other.square) > 0
-        return self.sign * (self.root - other.root) > 0
+        return self.sign * (self.square - other.square) > 0
 
     def __hash__(self):
         # A rational value must hash as the int or Fraction it equals.
@@ -529,7 +515,13 @@ class MeasureSpec(Record):
         if (len(support) != 2 or not all(isinstance(v, numbers.Real) for v in support)
                 or not support[0] < support[1]):
             raise InvalidParameterError(f"support must be a pair lo < hi, got {support!r}")
-        return cls("custom", beta=beta, gamma=gamma, norm0_sq=norm0_sq, support=support)
+        return cls(
+            family="custom",
+            beta=beta,
+            gamma=gamma,
+            norm0_sq=norm0_sq,
+            support=support,
+        )
 
     def recurrence(self, size, precision=DEFAULT_PRECISION):
         """The recurrence table of ``size`` rows, at ``precision`` bits or at

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 
 from .core import Record, SqrtRational
 from .matrices import multiply
@@ -39,6 +38,8 @@ class GoldenMatrix(Record):
 
 def load_reference():
     """The fixture as a dict of name -> GoldenMatrix, plus its configuration."""
+    from importlib import resources  # loads inspect from Python 3.12 on: only when read
+
     text = resources.files("sobspec").joinpath("data", FIXTURE_NAME).read_text()
     doc = json.loads(text)
     matrices = {}
@@ -47,7 +48,12 @@ def load_reference():
             (i, j): SqrtRational(sign, Fraction(num, den))
             for i, j, num, den, sign in payload["entries"]
         }
-        matrices[name] = GoldenMatrix(name, payload["nrows"], payload["ncols"], entries)
+        matrices[name] = GoldenMatrix(
+            name=name,
+            nrows=payload["nrows"],
+            ncols=payload["ncols"],
+            entries=entries,
+        )
     return doc["config"], matrices
 
 

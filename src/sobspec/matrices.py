@@ -516,7 +516,9 @@ class MatrixSuite(Record):
         Q, R = qr_pair(L, L1)
         T = build_T(sob, nb)
         H = build_H(sob, nb)
-        return cls(spec, size, guard, precision, sob, J, L, J1, L1, J2, J2_direct, Q, R, T, H)
+        return cls(spec=spec, size=size, guard=guard, precision=precision, sob=sob,
+                   J=J, L=L, J1=J1, L1=L1, J2=J2, J2_direct=J2_direct,
+                   Q=Q, R=R, T=T, H=H)
 
     def named_matrices(self):
         return {

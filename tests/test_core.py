@@ -546,8 +546,8 @@ class TestArith:
     @given(a=st.fractions(max_denominator=10 ** 9), b=st.fractions(max_denominator=10 ** 9),
            r=st.fractions(min_value=F(1, 10 ** 6), max_denominator=10 ** 6))
     def test_exact_kit_on_rationals_is_fraction_arithmetic(self, a, b, r):
-        # values made from rationals work on their roots, and their squares,
-        # formed when read, are those of the Fraction results; zero included
+        # values made from rationals keep their roots, and their signs and
+        # squares are those of the Fraction results; zero included
         kit = arith(EXACT)
         x, y = kit.of(a), kit.of(b)
         results = {"add": a + b, "sub": a - b, "mul": a * b, "neg": -a}
